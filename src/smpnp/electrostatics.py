@@ -19,6 +19,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.special import erf
 
 from . import fem_core, mesh as meshmod, sparse_linalg
@@ -28,6 +29,9 @@ from .physics_model import ModelConstants
 logger = logging.getLogger(__name__)
 
 _COLLISION_TOL = 1.0e-6  # A, minimum atom-to-evaluation-point distance
+# evaluation points per block in eval_G/grad_G: bounds the (points x atoms x 3)
+# temporaries, which on the box mesh's quadrature points set the peak memory
+_POINT_CHUNK = 4096
 
 # symmetric degree-2 quadrature on the reference tet (4 points, weight 1/4)
 _QA, _QB = 0.5854101966249685, 0.1381966011250105
@@ -89,13 +93,25 @@ def save_atoms(atoms: AtomicCharges, path):
             fh.write("%.17g %.17g %.17g %.17g\n" % (p[0], p[1], p[2], z))
 
 
-def _pair_distances(points, atoms: AtomicCharges, guard=True):
+def _pair_distances(points, atoms: AtomicCharges, guard=True, first=0):
+    """Offsets and distances from each point to each atom.
+
+    ``first`` is the index of ``points[0]`` among all evaluation points,
+    for the collision message.
+    """
     diff = points[:, None, :] - atoms.positions[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
     if guard and atoms.smoothing == 0.0 and dist.size and dist.min() < _COLLISION_TOL:
         i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
-        raise MeshError("atom %d within %.1e A of evaluation point %d" % (j, _COLLISION_TOL, i))
+        raise MeshError("atom %d within %.1e A of evaluation point %d"
+                        % (j, _COLLISION_TOL, first + i))
     return diff, dist
+
+
+def _point_chunks(points):
+    """(first index, block) over ``points`` in blocks of _POINT_CHUNK rows."""
+    for first in range(0, len(points), _POINT_CHUNK):
+        yield first, points[first:first + _POINT_CHUNK]
 
 
 def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
@@ -105,37 +121,44 @@ def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
     Gaussian-smoothed charges use the erf-regularized kernel.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros(len(points))
     if len(atoms) == 0:
-        return np.zeros(len(points))
-    _, dist = _pair_distances(points, atoms)
+        return out
     coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
-    if atoms.smoothing > 0.0:
-        s = atoms.smoothing
-        with np.errstate(invalid="ignore", divide="ignore"):
-            kern = erf(dist / (np.sqrt(2.0) * s)) / dist
-        kern = np.where(dist < 1.0e-12, np.sqrt(2.0 / np.pi) / s, kern)
-    else:
-        kern = 1.0 / dist
-    return coef * (kern @ atoms.charges)
+    for first, block in _point_chunks(points):
+        _, dist = _pair_distances(block, atoms, first=first)
+        if atoms.smoothing > 0.0:
+            s = atoms.smoothing
+            with np.errstate(invalid="ignore", divide="ignore"):
+                kern = erf(dist / (np.sqrt(2.0) * s)) / dist
+            kern = np.where(dist < 1.0e-12, np.sqrt(2.0 / np.pi) / s, kern)
+        else:
+            kern = 1.0 / dist
+        out[first:first + len(block)] = coef * (kern @ atoms.charges)
+    return out
 
 
 def grad_G(atoms: AtomicCharges, constants: ModelConstants, points):
     """Analytic gradient of G at the given points, shape (N, 3)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros((len(points), 3))
     if len(atoms) == 0:
-        return np.zeros((len(points), 3))
-    diff, dist = _pair_distances(points, atoms)
+        return out
     coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
-    if atoms.smoothing > 0.0:
-        s = atoms.smoothing
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial = (erf(dist / (np.sqrt(2.0) * s)) / dist**3
-                      - np.sqrt(2.0 / np.pi) / (s * dist**2)
-                      * np.exp(-dist**2 / (2.0 * s**2)))
-        radial = np.where(dist < 1.0e-12, 0.0, radial)
-    else:
-        radial = 1.0 / dist**3
-    return -coef * np.einsum("nj,njk->nk", radial * atoms.charges[None, :], diff)
+    for first, block in _point_chunks(points):
+        diff, dist = _pair_distances(block, atoms, first=first)
+        if atoms.smoothing > 0.0:
+            s = atoms.smoothing
+            with np.errstate(invalid="ignore", divide="ignore"):
+                radial = (erf(dist / (np.sqrt(2.0) * s)) / dist**3
+                          - np.sqrt(2.0 / np.pi) / (s * dist**2)
+                          * np.exp(-dist**2 / (2.0 * s**2)))
+            radial = np.where(dist < 1.0e-12, 0.0, radial)
+        else:
+            radial = 1.0 / dist**3
+        out[first:first + len(block)] = -coef * np.einsum(
+            "nj,njk->nk", radial * atoms.charges[None, :], diff)
+    return out
 
 
 def gaussian_charge_density(atoms: AtomicCharges, points):
@@ -197,7 +220,8 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
     rhs = np.zeros(n)
     if len(atoms):
         # dielectric-mismatch volume term, protein tets drop out
-        grads, vols = fem_core.p1_gradients(mesh)
+        op = fem_core.p1_operator(mesh)
+        grads, vols = op.grads, op.volumes
         eps = region_eps(mesh, constants)
         active = np.nonzero(eps != constants.eps_p)[0]
         if active.size:
@@ -261,8 +285,7 @@ class PhiTildeSystem:
             mesh, tet_mask=mesh.tet_regions == meshmod.SOLVENT)
         self._factor = None
         if spec.method == sparse_linalg.DIRECT:
-            import scipy.sparse.linalg as spla
-            self._factor = spla.splu(self.A.tocsc())
+            self._factor = sparse_linalg.factorize(self.A)
         else:
             self._ilu = sparse_linalg.Ilu0(self.A)
 
@@ -278,7 +301,6 @@ class PhiTildeSystem:
             if res > 1.0e-6 * (1.0 + np.linalg.norm(rhs)):
                 raise sparse_linalg.LinearSolveError("direct solve residual %.3e" % res)
             return q
-        import scipy.sparse.linalg as spla
         target = max(self.spec.abs_tol, self.spec.rel_tol * np.linalg.norm(rhs))
         q, _ = spla.gmres(self.A, rhs, rtol=self.spec.rel_tol, atol=self.spec.abs_tol,
                           restart=self.spec.restart, maxiter=self.spec.max_iter,

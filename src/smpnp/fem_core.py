@@ -3,7 +3,9 @@
 All assembly routines accept either the box mesh or the solvent submesh
 (anything exposing ``vertices`` and ``tets``).  Stiffness and mass use the
 exact closed-form P1 element integrals; general volume loads go through the
-P1 mass matrix, which integrates P1*P1 products exactly.
+P1 mass matrix, which integrates P1*P1 products exactly.  Every assembly
+reads the element geometry from the mesh's ``P1Operator``, built once per
+mesh.
 """
 
 from __future__ import annotations
@@ -54,60 +56,194 @@ def p1_gradients(mesh):
     return grads, det / 6.0
 
 
-def _tet_weight(mesh, weight, n_tets):
-    """Normalize a scalar / per-tet / per-node weight to one value per tet."""
+class P1Operator:
+    """Per-mesh P1 geometry, built once per mesh.
+
+    Holds the per-tet basis gradients (M, 4, 3), volumes (M,), and the
+    geometric local stiffness vol * grad(phi_a).grad(phi_b), flattened to
+    (M, 16).  The scatter of the pinned stiffness pattern is kept per
+    constrained node set, because Block 1 reassembles it every sweep; other
+    assemblies build their pattern when called.  Obtain the operator through
+    ``p1_operator``; the mesh must not be mutated afterwards.
+    """
+
+    def __init__(self, mesh):
+        self.grads, self.volumes = p1_gradients(mesh)
+        self.local_stiffness = np.einsum("taj,tbj->tab", self.grads,
+                                         self.grads).reshape(-1, 16)
+        self.local_stiffness *= self.volumes[:, None]
+        self.tets = mesh.tets
+        self.num_vertices = mesh.vertices.shape[0]
+        self._pinned_scatters = {}
+
+    def stiffness_scatter(self, nodes):
+        """Scatter of the stiffness pattern with ``nodes`` pinned.
+
+        Local entries that are zero for every weight (orthogonal gradient
+        pairs) are left out, as the symmetric elimination in
+        ``apply_dirichlet`` drops them.
+        """
+        return _Scatter(self.tets, self.num_vertices,
+                        self.local_stiffness.ravel() != 0.0, nodes)
+
+    def pinned_scatter(self, nodes):
+        """``stiffness_scatter(nodes)``, cached per node set."""
+        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        key = nodes.tobytes()
+        if key not in self._pinned_scatters:
+            self._pinned_scatters[key] = self.stiffness_scatter(nodes)
+        return self._pinned_scatters[key]
+
+
+def p1_operator(mesh):
+    """The mesh's P1Operator, built on first use and stored on the mesh."""
+    op = getattr(mesh, "_p1_operator", None)
+    if op is None:
+        op = P1Operator(mesh)
+        mesh._p1_operator = op
+    return op
+
+
+class _Scatter:
+    """Map from local element entries (M*16, row-major a, b) to CSR data.
+
+    ``keep`` selects the local entries that may be nonzero (None: all).
+    Kept entries coupling two unconstrained nodes are summed into the CSR
+    data; rows of the constrained ``nodes`` hold only a unit diagonal;
+    kept entries in an unconstrained row and a constrained column form the
+    boundary lift.  Only int32 positions are stored.
+    """
+
+    def __init__(self, tets, n, keep, nodes):
+        # CSR keys row * n + col; 32-bit where they fit, to halve the
+        # temporaries of the build
+        key_type = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        tets = tets.astype(key_type)
+        rows = np.repeat(tets, 4, axis=1).ravel()
+        cols = np.tile(tets, (1, 4)).ravel()
+        pinned = np.zeros(n, dtype=bool)
+        pinned[nodes] = True
+        kept = ~pinned[rows]
+        if keep is not None:
+            kept &= keep
+        to_pinned = pinned[cols]
+        lift = np.flatnonzero(kept & to_pinned)
+        self.lift_src = lift.astype(np.int32)
+        self.lift_row = rows[lift].astype(np.int32)
+        self.lift_col = cols[lift].astype(np.int32)
+        kept &= ~to_pinned
+        del lift, to_pinned
+        if kept.all():
+            self.src, keys = None, rows  # None: every entry
+        else:
+            self.src = np.flatnonzero(kept).astype(np.int32)
+            keys, cols = rows[self.src], cols[self.src]
+        del rows, kept
+        keys *= n
+        keys += cols
+        del cols
+        n_kept = keys.size
+        if len(nodes):
+            keys = np.concatenate([keys, np.asarray(nodes, dtype=key_type) * (n + 1)])
+        pattern = np.unique(keys)  # row-major, sorted columns
+        pos = np.searchsorted(pattern, keys).astype(np.int32)
+        del keys
+        self.n = n
+        self.dst, self.diag = pos[:n_kept], pos[n_kept:]
+        self.indices = (pattern % n).astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pattern // n, minlength=n), out=self.indptr[1:])
+
+    def matrix(self, local):
+        """CSR matrix from flat local values; constrained rows are identity."""
+        kept = local if self.src is None else local[self.src]
+        data = np.bincount(self.dst, kept, minlength=self.indices.size)
+        data[self.diag] = 1.0
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=(self.n, self.n))
+
+    def lift(self, local, values):
+        """Right-hand side -A[free, constrained] @ values (values nodal)."""
+        out = np.zeros(self.n)
+        out -= np.bincount(self.lift_row, local[self.lift_src] * values[self.lift_col],
+                           minlength=self.n)
+        return out
+
+
+_NO_NODES = np.empty(0, dtype=np.int64)
+
+
+def _tet_weight(op, weight, tet_mask=None):
+    """Normalize a scalar / per-tet / per-node weight to one value per tet.
+
+    Tets outside ``tet_mask`` get weight zero.
+    """
+    n_tets = op.volumes.shape[0]
     if weight is None:
-        return np.ones(n_tets)
-    weight = np.asarray(weight, dtype=float)
-    if weight.ndim == 0:
-        return np.full(n_tets, float(weight))
-    if weight.shape == (n_tets,):
-        return weight
-    if weight.shape == (mesh.vertices.shape[0],):
-        return weight[mesh.tets].mean(axis=1)  # vertex mean per tet
-    raise MeshError("weight shape %s matches neither tets nor nodes" % (weight.shape,))
+        w = np.ones(n_tets)
+    else:
+        weight = np.asarray(weight, dtype=float)
+        if weight.ndim == 0:
+            w = np.full(n_tets, float(weight))
+        elif weight.shape == (n_tets,):
+            w = weight
+        elif weight.shape == (op.num_vertices,):
+            w = weight[op.tets].mean(axis=1)  # vertex mean per tet
+        else:
+            raise MeshError("weight shape %s matches neither tets nor nodes"
+                            % (weight.shape,))
+    if not np.all(np.isfinite(w)):
+        raise MeshError("non-finite element weight")
+    if tet_mask is not None:
+        w = np.where(tet_mask, w, 0.0)
+    return w
+
+
+def _weighted_local_stiffness(mesh, weight, tet_mask=None):
+    op = p1_operator(mesh)
+    w = _tet_weight(op, weight, tet_mask)
+    return op, (w[:, None] * op.local_stiffness).ravel()
 
 
 def assemble_weighted_stiffness(mesh, weight=None, tet_mask=None):
     """CSR stiffness matrix sum_T w_T int_T grad(phi_a).grad(phi_b).
 
     ``weight`` may be a scalar, per-tet array, or per-node array (averaged
-    over each tet's 4 vertices).  ``tet_mask`` restricts assembly to a tet
-    subset.  The unconstrained operator annihilates constants.
+    over each tet's 4 vertices).  Tets outside ``tet_mask`` get weight zero.
+    The unconstrained operator annihilates constants.
     """
-    grads, vols = p1_gradients(mesh)
-    tets = mesh.tets
-    w = _tet_weight(mesh, weight, len(tets))
-    if not np.all(np.isfinite(w)):
-        raise MeshError("non-finite stiffness weight")
-    if tet_mask is not None:
-        grads, vols, tets, w = grads[tet_mask], vols[tet_mask], tets[tet_mask], w[tet_mask]
-    ke = np.einsum("t,taj,tbj->tab", w * vols, grads, grads)
-    n = mesh.vertices.shape[0]
-    rows = np.repeat(tets, 4, axis=1).ravel()
-    cols = np.tile(tets, (1, 4)).ravel()
-    A = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+    op, local = _weighted_local_stiffness(mesh, weight, tet_mask)
+    return op.stiffness_scatter(_NO_NODES).matrix(local)
+
+
+def pinned_stiffness_system(mesh, weight, d: DirichletSet):
+    """(A, b) of the weighted stiffness problem with zero load and data ``d``.
+
+    Equal to ``apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
+    0, d)`` up to rounding, with the same sparsity pattern, but scattered
+    from the mesh's cached operator.
+    """
+    op, local = _weighted_local_stiffness(mesh, weight)
+    scatter = op.pinned_scatter(d.nodes)
+    g = np.zeros(op.num_vertices)
+    g[d.nodes] = d.values
+    b = scatter.lift(local, g)
+    b[d.nodes] = d.values
+    return scatter.matrix(local), b
+
+
+_LOCAL_MASS = ((np.ones((4, 4)) + np.eye(4)) / 20.0).ravel()
 
 
 def assemble_mass(mesh, tet_mask=None, weight=None):
-    """CSR P1 mass matrix int w phi_a phi_b (exact closed form)."""
-    _, vols = p1_gradients(mesh)
-    tets = mesh.tets
-    w = _tet_weight(mesh, weight, len(tets))
-    if tet_mask is not None:
-        vols, tets, w = vols[tet_mask], tets[tet_mask], w[tet_mask]
-    local = (np.ones((4, 4)) + np.eye(4)) / 20.0
-    me = (w * vols)[:, None, None] * local
-    n = mesh.vertices.shape[0]
-    rows = np.repeat(tets, 4, axis=1).ravel()
-    cols = np.tile(tets, (1, 4)).ravel()
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M.sum_duplicates()
-    M.sort_indices()
-    return M
+    """CSR P1 mass matrix int w phi_a phi_b (exact closed form).
+
+    Tets outside ``tet_mask`` get weight zero.
+    """
+    op = p1_operator(mesh)
+    w = _tet_weight(op, weight, tet_mask)
+    local = ((w * op.volumes)[:, None] * _LOCAL_MASS).ravel()
+    return _Scatter(op.tets, op.num_vertices, None, _NO_NODES).matrix(local)
 
 
 def assemble_load_volume(mesh, density, tet_mask=None, dirichlet=None):

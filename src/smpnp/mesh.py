@@ -37,7 +37,9 @@ class LabeledMesh:
     """Tetrahedral mesh of the box with region and facet labels.
 
     ``box`` is (x1, x2, y1, y2, z1, z2) in A; ``z1``/``z2`` are the membrane
-    plane heights.  Immutable by convention after construction/validation.
+    plane heights.  Immutable by convention after construction/validation:
+    ``fem_core.p1_operator`` stores the mesh's P1 geometry on it at the
+    first assembly.
     """
 
     vertices: np.ndarray  # (N, 3) float
@@ -353,7 +355,11 @@ def unit_cube_mesh(n=2, box=(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)):
 
 @dataclass
 class SolventSubmesh:
-    """Solvent-region submesh with maps to/from the parent box mesh."""
+    """Solvent-region submesh with maps to/from the parent box mesh.
+
+    Immutable by convention, like its parent: ``fem_core.p1_operator``
+    stores the submesh's P1 geometry on it at the first assembly.
+    """
 
     parent: LabeledMesh
     vertex_map: np.ndarray  # solvent-local index -> parent index

@@ -108,6 +108,20 @@ class Ilu0:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
+def factorize(A):
+    """SuperLU factorization of A with a symmetric fill-reducing ordering.
+
+    The matrices solved here have a symmetric pattern (stiffness operators
+    with pinned Dirichlet rows), so minimum degree on A^T + A with diagonal
+    pivots preferred gives less fill than SuperLU's default COLAMD.
+    """
+    try:
+        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # SuperLU signals singularity this way
+        raise SingularMatrixError(str(exc)) from exc
+
+
 def solve(A, b, spec: LinearSolveSpec):
     """Solve A x = b per ``spec``; raises LinearSolveError on failure."""
     A = _as_sorted_csr(A)
@@ -124,10 +138,7 @@ def solve(A, b, spec: LinearSolveSpec):
         return np.linalg.norm(A @ x - b) / max(scale, 1.0e-300)
 
     if spec.method == DIRECT:
-        try:
-            lu = spla.splu(A.tocsc())
-        except RuntimeError as exc:  # SuperLU signals singularity this way
-            raise SingularMatrixError(str(exc)) from exc
+        lu = factorize(A)
         x = lu.solve(b)
         if backward_error(x) > _DIRECT_CHECK:
             x = x + lu.solve(b - A @ x)  # one refinement step

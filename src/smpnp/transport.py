@@ -62,9 +62,8 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
                                        constants, d_nodal=d_nodal)
     if np.any(dhat <= 0.0):
         raise FeasibilityError("nonpositive transformed diffusion for species %d" % i)
-    A = fem_core.assemble_weighted_stiffness(submesh, dhat)
     d = np_dirichlet(submesh, species, i, constants)
-    A, b = fem_core.apply_dirichlet(A, np.zeros(submesh.num_vertices), d)
+    A, b = fem_core.pinned_stiffness_system(submesh, dhat, d)
     cbar = sparse_linalg.solve(A, b, spec)
     lo, hi = d.values.min(), d.values.max()
     pad = 1.0e-8 * (1.0 + hi)
@@ -79,7 +78,7 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
 
 def _tet_gradient_fields(submesh, fields):
     """Per-tet gradients of one or more nodal fields: (..., Ms, 3)."""
-    grads, _ = fem_core.p1_gradients(submesh)
+    grads = fem_core.p1_operator(submesh).grads
     vals = np.asarray(fields)[..., submesh.tets]  # (..., Ms, 4)
     return np.einsum("...ta,tak->...tk", vals, grads)
 

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from smpnp import driver, mesh as meshmod
+from smpnp import driver, fem_core, mesh as meshmod
 from smpnp.errors import ConfigError, ConvergenceError
 
 
@@ -145,6 +147,16 @@ def test_run_deterministic(tmp_path):
     assert np.array_equal(r1.c, r2.c)
     assert np.array_equal(r1.u, r2.u)
     assert [row["res_c"] for row in r1.history] == [row["res_c"] for row in r2.history]
+
+
+def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
+    cfg = driver.parse_config(_write(tmp_path, ZERO_FIELD.format(out=tmp_path)))
+    with mock.patch.object(fem_core, "p1_gradients", wraps=fem_core.p1_gradients) as spy:
+        result = driver.run(cfg)
+    meshes = [call.args[0] for call in spy.call_args_list]
+    assert len(meshes) <= 2
+    assert len({id(m) for m in meshes}) == len(meshes)
+    assert {id(m) for m in meshes} <= {id(result.mesh), id(result.submesh)}
 
 
 def test_cli_run_nonconvergence_exit_code(tmp_path):

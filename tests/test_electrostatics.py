@@ -14,6 +14,29 @@ def test_eval_g_no_atoms():
     assert np.all(es.eval_G(es.AtomicCharges.none(), CONST, pts) == 0.0)
 
 
+def test_g_chunked_matches_one_shot(monkeypatch, rng):
+    pts = rng.uniform(-20.0, 20.0, size=(2 * es._POINT_CHUNK + 17, 3))
+    for smoothing in (0.0, 0.7):
+        atoms = es.AtomicCharges(rng.uniform(-5.0, 5.0, size=(5, 3)),
+                                 rng.normal(size=5), smoothing=smoothing)
+        chunked = (es.eval_G(atoms, CONST, pts), es.grad_G(atoms, CONST, pts))
+        with monkeypatch.context() as patch:
+            patch.setattr(es, "_POINT_CHUNK", len(pts))
+            one_shot = (es.eval_G(atoms, CONST, pts), es.grad_G(atoms, CONST, pts))
+        for a, b in zip(chunked, one_shot):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_g_collision_in_later_chunk_raises(rng):
+    atoms = es.AtomicCharges(np.zeros((1, 3)), np.ones(1))
+    pts = rng.uniform(1.0, 2.0, size=(es._POINT_CHUNK + 10, 3))
+    hit = es._POINT_CHUNK + 3
+    pts[hit] = 0.0
+    for fn in (es.eval_G, es.grad_G):
+        with pytest.raises(MeshError, match="evaluation point %d" % hit):
+            fn(atoms, CONST, pts)
+
+
 def test_eval_g_single_atom_radial_constant():
     atoms = es.AtomicCharges(np.zeros((1, 3)), np.ones(1))
     pts = np.array([[2.0, 0.0, 0.0], [0.0, 5.0, 0.0], [1.0, 1.0, 1.0]])

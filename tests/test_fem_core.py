@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from smpnp import fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import MeshError
 from smpnp.fem_core import (DirichletSet, apply_dirichlet, assemble_mass,
                             assemble_load_volume, assemble_surface_load,
-                            assemble_weighted_stiffness, l2_diff, l2_norm)
+                            assemble_weighted_stiffness, l2_diff, l2_norm,
+                            pinned_stiffness_system)
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 
@@ -163,3 +165,62 @@ def test_dirichlet_set_validation():
         DirichletSet(np.array([1, 1]), np.array([0.0, 0.0]))
     with pytest.raises(MeshError):
         DirichletSet(np.array([1, 2]), np.array([0.0]))
+
+
+def _reference_stiffness(mesh, nodal_weight):
+    """Per-call einsum + COO assembly, independent of the cached operator."""
+    grads, vols = fem_core.p1_gradients(mesh)
+    tets = mesh.tets
+    w = nodal_weight[tets].mean(axis=1)
+    ke = np.einsum("t,taj,tbj->tab", w * vols, grads, grads)
+    n = mesh.vertices.shape[0]
+    rows = np.repeat(tets, 4, axis=1).ravel()
+    cols = np.tile(tets, (1, 4)).ravel()
+    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.fixture(scope="module")
+def submesh12():
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
+    return meshmod.extract_solvent_submesh(mesh)
+
+
+@pytest.mark.parametrize("which", ["cube", "submesh12"])
+def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
+    mesh = cube_mesh if which == "cube" else request.getfixturevalue("submesh12")
+    n = mesh.num_vertices
+    weight = np.exp(rng.uniform(-45.0, 45.0, size=n))
+    bottom, top = mesh.dirichlet_side_nodes()
+    d = DirichletSet(np.concatenate([top, bottom]),
+                     np.concatenate([np.full(len(top), 2.5), np.full(len(bottom), 0.1)]))
+    A, b = pinned_stiffness_system(mesh, weight, d)
+    A_ref, b_ref = apply_dirichlet(_reference_stiffness(mesh, weight), np.zeros(n), d)
+    A_old, b_old = apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
+                                   np.zeros(n), d)
+    # same CSR structure as symmetric elimination, so orderings and ILU(0)
+    # see the same matrix
+    for other in (A_ref, A_old):
+        assert np.array_equal(A.indptr, other.indptr)
+        assert np.array_equal(A.indices, other.indices)
+    # entries sum terms spanning e^90 in different orders: compare per row
+    # against the row's largest unconstrained entry
+    row_scale = np.asarray(abs(_reference_stiffness(mesh, weight)).max(axis=1).todense()).ravel()
+    for other, b_other in ((A_ref, b_ref), (A_old, b_old)):
+        dA = np.asarray(abs(A - other).max(axis=1).todense()).ravel()
+        assert np.all(dA <= 1e-14 * row_scale)
+        assert np.all(np.abs(b - b_other) <= 1e-14 * row_scale * np.abs(d.values).max())
+    assert np.array_equal(b[d.nodes], d.values)
+
+
+def test_stiffness_matches_reference_assembly(channel_submesh, rng):
+    w = np.exp(rng.uniform(-5.0, 5.0, size=channel_submesh.num_vertices))
+    A = assemble_weighted_stiffness(channel_submesh, w)
+    ref = _reference_stiffness(channel_submesh, w)
+    assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_operator_is_built_once_per_mesh(cube_mesh):
+    op = fem_core.p1_operator(cube_mesh)
+    assert fem_core.p1_operator(cube_mesh) is op
+    scatter = op.pinned_scatter(np.array([3, 0]))
+    assert op.pinned_scatter(np.array([0, 3])) is scatter

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from smpnp import fem_core, mesh as meshmod, sparse_linalg, transport
+from smpnp import (electrostatics as es, fem_core, mesh as meshmod, nonlinear_node,
+                   sparse_linalg, transport)
 from smpnp.errors import FeasibilityError, MeshError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  boundary_conc, mixture_species)
@@ -75,6 +76,27 @@ def test_transformed_solve_rejects_nonpositive_dhat(channel_submesh, species4):
         transport.solve_transformed_np(channel_submesh, species4, 0,
                                        np.zeros(Ns), c, CONST, DIRECT,
                                        d_nodal=bad_d)
+
+
+def test_krylov_block1_at_charged_membrane_equilibrium(species4):
+    # Block 1 at the sigma = -1 initial iterate: the full-size pinned system
+    # keeps the Dirichlet values in |b|, which the GMRES stopping target
+    # max(abs_tol, rel_tol |b|) is scaled by
+    consts = CONST.with_(sigma=-1.0)
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
+    sub = meshmod.extract_solvent_submesh(mesh)
+    psi = es.solve_psi(mesh, es.AtomicCharges.none(), consts, DIRECT)
+    phit = es.PhiTildeSystem(mesh, sub, species4.Z, consts, DIRECT)
+    mass_box, mass_sub = fem_core.assemble_mass(mesh), fem_core.assemble_mass(sub)
+    phi, c = nonlinear_node.solve_smpbic(
+        sub, psi, species4, consts, phit.solve,
+        lambda f: fem_core.l2_norm(mesh, f, mass=mass_box),
+        lambda f: fem_core.l2_norm(sub, f, mass=mass_sub))
+    u = sub.restrict(psi + phi)
+    krylov = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
+    for i in range(len(species4)):
+        cbar = transport.solve_transformed_np(sub, species4, i, u, c, consts, krylov)
+        assert np.all(np.isfinite(cbar)) and np.all(cbar > 0.0)
 
 
 def test_flux_reduction_pure_gradient(cube_sub):
