@@ -62,8 +62,10 @@ class P1Operator:
     Holds the per-tet basis gradients (M, 4, 3), volumes (M,), and the
     geometric local stiffness vol * grad(phi_a).grad(phi_b), flattened to
     (M, 16).  The scatter of the pinned stiffness pattern is kept per
-    constrained node set, because Block 1 reassembles it every sweep; other
-    assemblies build their pattern when called.  Obtain the operator through
+    constrained node set, because Block 1 reassembles it every sweep, and
+    the scatter of the full pattern for mass matrices, which the driver and
+    the ionic-potential set-up assemble on the same mesh; the unconstrained
+    stiffness builds its pattern when called.  Obtain the operator through
     ``p1_operator``; the mesh must not be mutated afterwards.
     """
 
@@ -75,6 +77,7 @@ class P1Operator:
         self.tets = mesh.tets
         self.num_vertices = mesh.vertices.shape[0]
         self._pinned_scatters = {}
+        self._mass_scatter = None
 
     def stiffness_scatter(self, nodes):
         """Scatter of the stiffness pattern with ``nodes`` pinned.
@@ -93,6 +96,12 @@ class P1Operator:
         if key not in self._pinned_scatters:
             self._pinned_scatters[key] = self.stiffness_scatter(nodes)
         return self._pinned_scatters[key]
+
+    def mass_scatter(self):
+        """Scatter of the full P1 pattern (every local entry), cached."""
+        if self._mass_scatter is None:
+            self._mass_scatter = _Scatter(self.tets, self.num_vertices, None, _NO_NODES)
+        return self._mass_scatter
 
 
 def p1_operator(mesh):
@@ -243,7 +252,7 @@ def assemble_mass(mesh, tet_mask=None, weight=None):
     op = p1_operator(mesh)
     w = _tet_weight(op, weight, tet_mask)
     local = ((w * op.volumes)[:, None] * _LOCAL_MASS).ravel()
-    return _Scatter(op.tets, op.num_vertices, None, _NO_NODES).matrix(local)
+    return op.mass_scatter().matrix(local)
 
 
 def assemble_load_volume(mesh, density, tet_mask=None, dirichlet=None):

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+# SuperLU's triangular solve, called with the arguments that
+# spla.spsolve_triangular builds for CSR factors (see Ilu0.solve)
+from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
 
 from .errors import LinearSolveError, SingularMatrixError
 
@@ -48,57 +51,151 @@ def _as_sorted_csr(A):
     return A
 
 
+_PLAN_CACHE_SIZE = 8
+_plans = {}  # (indptr bytes, indices bytes) -> _Ilu0Plan, oldest first
+
+
+class _Ilu0Plan:
+    """Pattern-only data of ILU(0) on one sorted CSR pattern.
+
+    Elimination step (i, k) turns a_ik into l_ik = a_ik / u_kk and applies
+    a_ij -= l_ik u_kj to the entries of row i that meet row k right of the
+    diagonal.  The steps of row i run in column order, as in the row-by-row
+    IKJ loop, and a step runs once its pivot row is finished; each step is
+    scheduled at the first time both hold.  The steps of one time touch
+    distinct rows and read only finished ones, so each runs as one
+    vectorized group: ``groups`` holds per time the positions of a_ik and
+    u_kk and the update triples (target, source, owner), owner indexing
+    the group's a_ik.  The split of the combined factor into SuperLU's CSC
+    arguments is kept as positions into the factor data.
+    """
+
+    def __init__(self, indptr, indices):
+        n = len(indptr) - 1
+        counts = np.diff(indptr)
+        rows = np.repeat(np.arange(n), counts)
+        on_diag = indices == rows
+        has_diag = np.zeros(n, dtype=bool)
+        has_diag[rows[on_diag]] = True
+        if not has_diag.all():
+            raise SingularMatrixError(
+                "ILU(0): missing diagonal in row %d" % int(np.argmin(has_diag)))
+        self.diag_ptr = np.flatnonzero(on_diag)
+        n_lower = self.diag_ptr - indptr[:-1]
+
+        cols, ptr, n_below = indices.tolist(), indptr.tolist(), n_lower.tolist()
+        finished = [-1] * n  # time of each row's last step
+        time = []  # per step, i.e. per strictly lower entry in CSR order
+        for i in range(n):
+            t = -1
+            for k in cols[ptr[i]:ptr[i] + n_below[i]]:
+                t = max(t, finished[k]) + 1
+                time.append(t)
+            finished[i] = t
+        time = np.asarray(time, dtype=np.int64)
+
+        # every (i, k) pair with a_ik in the pattern, and per pair the
+        # entries u_kj (j > k) of row k that meet an entry a_ij of row i
+        lik = np.flatnonzero(indices < rows)
+        i_of, k_of = rows[lik], indices[lik]
+        n_upper = indptr[k_of + 1] - self.diag_ptr[k_of] - 1
+        owner = np.repeat(np.arange(lik.size), n_upper)
+        first = np.cumsum(n_upper) - n_upper
+        src = self.diag_ptr[k_of][owner] + 1 + np.arange(owner.size) - first[owner]
+        keys = rows * n + indices
+        want = i_of[owner] * n + indices[src]
+        tgt = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        hit = keys[tgt] == want
+        tgt, src, owner = tgt[hit], src[hit], owner[hit]
+
+        order = np.argsort(time, kind="stable")
+        upd_order = np.argsort(time[owner], kind="stable")
+        ids, cuts = np.unique(time[order], return_index=True)
+        upd_cuts = np.searchsorted(time[owner][upd_order], ids)
+        slot = np.empty(lik.size, dtype=np.int64)
+        self.groups = []
+        for members, upd in zip(np.split(order, cuts[1:]), np.split(upd_order, upd_cuts[1:])):
+            slot[members] = np.arange(members.size)
+            # intp positions: numpy converts other index types on every use
+            self.groups.append((lik[members], self.diag_ptr[k_of[members]],
+                                tgt[upd], src[upd], slot[owner[upd]]))
+
+        # CSR rows of L (strict lower plus diagonal) and U (diagonal plus
+        # strict upper), which are the CSC columns of their transposes
+        self.lower_pos = np.flatnonzero(indices <= rows)
+        self.lower_indices = indices[self.lower_pos].astype(np.int32)
+        self.lower_indptr = np.concatenate([[0], np.cumsum(n_lower + 1)]).astype(np.int32)
+        self.lower_diag = self.lower_indptr[1:] - 1
+        self.upper_pos = np.flatnonzero(indices >= rows)
+        self.upper_indices = indices[self.upper_pos].astype(np.int32)
+        self.upper_indptr = np.concatenate(
+            [[0], np.cumsum(counts - n_lower)]).astype(np.int32)
+
+
+def _ilu0_plan(indptr, indices):
+    """The cached plan of a CSR pattern; built on first use."""
+    key = (indptr.tobytes(), indices.tobytes())
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _Ilu0Plan(indptr, indices)
+        if len(_plans) >= _PLAN_CACHE_SIZE:
+            del _plans[next(iter(_plans))]
+        _plans[key] = plan
+    return plan
+
+
 class Ilu0:
-    """In-place ILU(0) factorization on the sparsity pattern of A.
+    """ILU(0) factorization on the sparsity pattern of A.
 
     Stores unit-lower L and U jointly in the pattern of A; the pattern is
-    preserved exactly (no fill, no dropping).
+    preserved exactly (no fill, no dropping).  The values equal those of
+    the row-by-row IKJ elimination bit for bit; the elimination runs in the
+    vectorized step groups of the pattern's cached plan.
     """
 
     def __init__(self, A):
         A = _as_sorted_csr(A)
         n = A.shape[0]
-        indptr, indices = A.indptr, A.indices
-        data = A.data.astype(float).copy()
-        diag_ptr = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            row = indices[indptr[i]:indptr[i + 1]]
-            pos = np.searchsorted(row, i)
-            if pos == len(row) or row[pos] != i:
-                raise SingularMatrixError("ILU(0): missing diagonal in row %d" % i)
-            diag_ptr[i] = indptr[i] + pos
-        col_pos = [dict(zip(indices[indptr[i]:indptr[i + 1]].tolist(),
-                            range(indptr[i], indptr[i + 1])))
-                   for i in range(n)]
-        for i in range(n):
-            for kk in range(indptr[i], diag_ptr[i]):
-                k = indices[kk]
-                piv = data[diag_ptr[k]]
-                if piv == 0.0:
-                    raise SingularMatrixError("ILU(0): zero pivot in row %d" % k)
-                lik = data[kk] / piv
-                data[kk] = lik
-                row_k = col_pos[k]
-                for jj in range(diag_ptr[k] + 1, indptr[k + 1]):
-                    j = indices[jj]
-                    tgt = col_pos[i].get(j)
-                    if tgt is not None:
-                        data[tgt] -= lik * data[jj]
-            if data[diag_ptr[i]] == 0.0:
-                raise SingularMatrixError("ILU(0): zero pivot in row %d" % i)
+        plan = _ilu0_plan(A.indptr, A.indices)
+        data = A.data.astype(float)  # a copy
+        # zero pivots are checked once every group has run: the first such
+        # row is the one the IKJ loop stops at, as earlier rows never read it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lik, piv, tgt, src, own in plan.groups:
+                factor = data[lik] / data[piv]
+                data[lik] = factor
+                data[tgt] -= factor[own] * data[src]
+        diag = data[plan.diag_ptr]
+        zero = np.flatnonzero(diag == 0.0)
+        if zero.size:
+            raise SingularMatrixError("ILU(0): zero pivot in row %d" % zero[0])
         self.n = n
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.diag_ptr = diag_ptr
-        combined = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        self._upper = sp.triu(combined, k=0).tocsr()
-        lower = sp.tril(combined, k=-1).tocsr()
-        self._lower = (lower + sp.eye(n, format="csr")).tocsr()
+        self.indptr, self.indices, self.data = A.indptr, A.indices, data
+        self.diag_ptr = plan.diag_ptr
+        # gstrs arguments of spsolve_triangular(L, unit_diagonal=True) and
+        # spsolve_triangular(U) on the CSR factors: trans "T" solves with
+        # the transposed CSC views; L's diagonal is held as explicit zeros,
+        # and U is scaled by 1 / diag(U) column-wise, undone after the solve
+        eye_cols = np.arange(n + 1, dtype=np.int32)
+        lower = data[plan.lower_pos]
+        lower[plan.lower_diag] = 0.0
+        self._lower_args = ("T", n, n, np.ones(n), eye_cols[:-1], eye_cols,
+                            n, lower.size, lower, plan.lower_indices, plan.lower_indptr)
+        self._inv_diag = 1.0 / diag
+        upper = data[plan.upper_pos] * self._inv_diag[plan.upper_indices]
+        self._upper_args = ("T", n, upper.size, upper, plan.upper_indices,
+                            plan.upper_indptr, n, 0, np.empty(0),
+                            np.empty(0, dtype=np.int32), np.zeros(n + 1, dtype=np.int32))
 
     def solve(self, b):
-        """Apply (LU)^-1 b by forward/backward substitution."""
-        y = spla.spsolve_triangular(self._lower, np.asarray(b, dtype=float),
-                                    lower=True, unit_diagonal=True)
-        return spla.spsolve_triangular(self._upper, y, lower=False)
+        """Apply (LU)^-1 b (one vector, or one per column) by
+        forward/backward substitution."""
+        y, info = _gstrs(*self._lower_args, np.asarray(b, dtype=float))
+        if not info:
+            x, info = _gstrs(*self._upper_args, y)
+        if info:
+            raise SingularMatrixError("ILU(0) triangular solve failed (info %d)" % info)
+        return x * self._inv_diag.reshape((-1,) + (1,) * (x.ndim - 1))
 
     def as_operator(self):
         return spla.LinearOperator((self.n, self.n), matvec=self.solve)

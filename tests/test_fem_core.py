@@ -224,3 +224,8 @@ def test_operator_is_built_once_per_mesh(cube_mesh):
     assert fem_core.p1_operator(cube_mesh) is op
     scatter = op.pinned_scatter(np.array([3, 0]))
     assert op.pinned_scatter(np.array([0, 3])) is scatter
+    mass = fem_core.assemble_mass(cube_mesh)
+    assert op.mass_scatter() is op.mass_scatter()
+    masked = fem_core.assemble_mass(cube_mesh, tet_mask=np.arange(len(cube_mesh.tets)) % 2 == 0)
+    assert np.array_equal(masked.indptr, mass.indptr)
+    assert np.array_equal(masked.indices, mass.indices)
