@@ -179,7 +179,6 @@ def _build_config(scalars, species_blocks):
             abs_tol=_pop_float(scalars, "abs_tol", 1.0e-8),
             rel_tol=_pop_float(scalars, "rel_tol", 1.0e-8),
             max_iter=_pop_int(scalars, "solver_max_iter", 2000),
-            restart=_pop_int(scalars, "restart", 30),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -314,13 +313,15 @@ def run(config: RunConfig):
     state = BlockIterState(0, cbar, c, phi, constants.omega)
     omega = constants.omega
     converged = False
+    excursions = transport.RangeExcursions(species.names)
     for k in range(1, config.max_outer + 1):
         u_vals = submesh.restrict(w + phi)
 
         t0 = time.perf_counter()
         pbar = np.stack([
             transport.solve_transformed_np(submesh, species, i, u_vals, c,
-                                           constants, spec, d_nodal=d_nodal)
+                                           constants, spec, d_nodal=d_nodal,
+                                           excursions=excursions)
             for i in range(n)
         ])
         cbar_new = cbar + omega * (pbar - cbar)
@@ -348,6 +349,7 @@ def run(config: RunConfig):
         if max(res_cbar, res_c, res_phi) < constants.eps_outer:
             converged = True
             break
+    excursions.report(state.k)
     _check_residual_tail(state.history)
     result = RunResult(mesh, submesh, species, constants, w + phi, w, psi,
                        g_nodes, phi, c, cbar, converged, state.k, state.history)

@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.special import erf
 
 from . import fem_core, mesh as meshmod, sparse_linalg
@@ -266,7 +265,8 @@ class PhiTildeSystem:
     """Reusable ionic-potential solve: fixed operator, varying charge.
 
     Precomputes the Dirichlet-constrained dielectric stiffness matrix, the
-    solvent-restricted mass matrix, and (direct path) its LU factorization.
+    solvent-restricted mass matrix, and its LU factorization (direct path)
+    or its Jacobi-scaled CG solver (Krylov path).
     """
 
     def __init__(self, mesh: meshmod.LabeledMesh, submesh: meshmod.SolventSubmesh,
@@ -287,7 +287,7 @@ class PhiTildeSystem:
         if spec.method == sparse_linalg.DIRECT:
             self._factor = sparse_linalg.factorize(self.A)
         else:
-            self._ilu = sparse_linalg.Ilu0(self.A)
+            self._cg = sparse_linalg.ScaledCG(self.A)
 
     def solve(self, c_fields):
         """Phi_tilde candidate q for solvent concentration fields (n, Ns)."""
@@ -302,15 +302,11 @@ class PhiTildeSystem:
                 raise sparse_linalg.LinearSolveError("direct solve residual %.3e" % res)
             return q
         target = max(self.spec.abs_tol, self.spec.rel_tol * np.linalg.norm(rhs))
-        q, _ = spla.gmres(self.A, rhs, rtol=self.spec.rel_tol, atol=self.spec.abs_tol,
-                          restart=self.spec.restart, maxiter=self.spec.max_iter,
-                          M=self._ilu.as_operator())
-        if np.linalg.norm(self.A @ q - rhs) > target:
-            q, _ = spla.gmres(self.A, rhs, x0=q, rtol=0.01 * self.spec.rel_tol,
-                              atol=0.01 * self.spec.abs_tol, restart=self.spec.restart,
-                              maxiter=self.spec.max_iter, M=self._ilu.as_operator())
-            if np.linalg.norm(self.A @ q - rhs) > target:
-                raise sparse_linalg.LinearSolveError("GMRES-ILU0 stalled on Phi_tilde")
+        q = self._cg.solve(rhs, self.spec.max_iter)
+        res = np.linalg.norm(self.A @ q - rhs)
+        if not res <= target:
+            raise sparse_linalg.LinearSolveError(
+                "CG-ILU0 on Phi_tilde: residual %.3e > %.3e" % (res, target))
         return q
 
 

@@ -48,15 +48,47 @@ def np_dirichlet(submesh: meshmod.SolventSubmesh, species: SpeciesSet, i,
     return fem_core.DirichletSet(nodes, vals)
 
 
+class RangeExcursions:
+    """Per-species tally of Block-1 solves that leave the Dirichlet range.
+
+    The discrete maximum principle can fail on non-acute tets, so a
+    transformed solve may leave [min g_bar_i, max g_bar_i].  A run records
+    how many solves of each species did and by how much at worst, and
+    ``report`` logs one summary line for the whole run.
+    """
+
+    def __init__(self, names):
+        self.names = list(names)
+        self.count = np.zeros(len(self.names), dtype=int)
+        self.worst = np.zeros(len(self.names))
+
+    def record(self, i, excess):
+        self.count[i] += 1
+        self.worst[i] = max(self.worst[i], excess)
+
+    def report(self, sweeps):
+        """One WARNING naming every species that left its range; none if
+        no solve did."""
+        hit = np.flatnonzero(self.count)
+        if hit.size:
+            logger.warning(
+                "transformed solves left the Dirichlet range (monitor only): %s",
+                ", ".join("%s in %d of %d sweeps, worst by %.3e"
+                          % (self.names[i], self.count[i], sweeps, self.worst[i])
+                          for i in hit))
+
+
 def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
-                         constants: ModelConstants, spec, d_nodal=None):
+                         constants: ModelConstants, spec, d_nodal=None,
+                         excursions: RangeExcursions = None):
     """Solve the species-i transformed Nernst-Planck problem.
 
     ``u_vals`` is the restricted potential w + Phi_tilde^k and ``c_fields``
     the current concentrations, both nodal on the submesh.  Homogeneous
     Neumann conditions on the interface and side boundaries are natural;
     g_bar_i is imposed on the Dirichlet nodes.  Returns the transformed
-    concentration field.
+    concentration field.  A solve that leaves the Dirichlet range is
+    recorded in ``excursions``, or logged when none is given.
     """
     dhat = transformed_diffusion_nodal(submesh, species, i, u_vals, c_fields,
                                        constants, d_nodal=d_nodal)
@@ -66,11 +98,13 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
     A, b = fem_core.pinned_stiffness_system(submesh, dhat, d)
     cbar = sparse_linalg.solve(A, b, spec)
     lo, hi = d.values.min(), d.values.max()
-    pad = 1.0e-8 * (1.0 + hi)
-    if cbar.min() < lo - pad or cbar.max() > hi + pad:
-        # discrete maximum principle can fail on non-acute tets; monitor only
-        logger.warning("species %d transformed solve leaves [%g, %g]: range [%g, %g]",
-                       i, lo, hi, cbar.min(), cbar.max())
+    excess = max(lo - cbar.min(), cbar.max() - hi)
+    if excess > 1.0e-8 * (1.0 + hi):
+        if excursions is not None:
+            excursions.record(i, excess)
+        else:
+            logger.warning("species %d transformed solve leaves [%g, %g]: range [%g, %g]",
+                           i, lo, hi, cbar.min(), cbar.max())
     # transformed concentrations are positive; linear-solver noise can leave
     # tiny negatives in components far below the system scale
     return np.maximum(cbar, np.finfo(float).tiny)

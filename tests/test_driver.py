@@ -92,6 +92,14 @@ def test_parse_config_errors(tmp_path, text, match):
         driver.parse_config(_write(tmp_path, text))
 
 
+def test_parse_config_rejects_restart(tmp_path):
+    # CG has no restart length, so the key is unknown
+    text = ZERO_FIELD.format(out=tmp_path).replace("solver = direct",
+                                                   "solver = krylov_ilu0\nrestart = 30")
+    with pytest.raises(ConfigError, match="unknown key 'restart'"):
+        driver.parse_config(_write(tmp_path, text))
+
+
 def test_cli_mesh_synth_then_check(tmp_path, capsys):
     mesh_path = str(tmp_path / "chan.mesh")
     rc = driver.main(["mesh", "synth", "--out", mesh_path, "--resolution", "6"])

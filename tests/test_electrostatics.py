@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from smpnp import electrostatics as es, fem_core, mesh as meshmod, sparse_linalg
-from smpnp.errors import MeshError, MeshFormatError
+from smpnp.errors import LinearSolveError, MeshError, MeshFormatError
 from smpnp.physics_model import ModelConstants
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
@@ -166,3 +168,14 @@ def test_phi_tilde_krylov_matches_direct(channel_mesh, channel_submesh, species4
     qk = es.solve_phi_tilde(channel_mesh, channel_submesh, c, species4.Z,
                             CONST, sparse_linalg.LinearSolveSpec(method="krylov_ilu0"))
     assert np.allclose(qk, qd, atol=1e-6 * (1.0 + np.max(np.abs(qd))))
+
+
+def test_phi_tilde_krylov_checks_its_answer(channel_mesh, channel_submesh, species4, rng):
+    c = 0.02 + 0.08 * rng.random((4, channel_submesh.num_vertices))
+    sys = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
+                            sparse_linalg.LinearSolveSpec(method="krylov_ilu0"))
+    for bad in (np.zeros, lambda n: np.full(n, np.nan)):
+        with mock.patch.object(sparse_linalg.ScaledCG, "solve",
+                               return_value=bad(channel_mesh.num_vertices)), \
+                pytest.raises(LinearSolveError, match="Phi_tilde"):
+            sys.solve(c)

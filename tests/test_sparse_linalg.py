@@ -65,6 +65,61 @@ def test_spec_validation():
         LinearSolveSpec(abs_tol=0.0)
 
 
+def test_spec_has_no_restart():
+    # CG has no restart length to set
+    with pytest.raises(TypeError):
+        LinearSolveSpec(restart=30)
+
+
+@pytest.mark.parametrize("diag", [0.0, -2.0, np.nan])
+def test_krylov_rejects_nonpositive_diagonal(diag):
+    A = lap1d(6).tolil()
+    A[3, 3] = diag
+    # the check comes before S = diag(A)^-1/2 is formed: a square root or
+    # division of the bad entry would raise FloatingPointError here
+    with np.errstate(all="raise"), \
+            mock.patch.object(sparse_linalg, "Ilu0") as ilu, \
+            pytest.raises(LinearSolveError, match="positive diagonal: row 3"):
+        solve(A.tocsr(), np.ones(6), KRYLOV)
+    ilu.assert_not_called()
+
+
+def _convection_diffusion(m, skew):
+    """5-point Laplacian on an m x m grid plus a skew-symmetric part."""
+    T = sp.diags([-np.ones(m - 1), 2 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    lap = sp.kron(sp.eye(m), T) + sp.kron(T, sp.eye(m))
+    n = m * m
+    skw = sp.diags([np.ones(n - 1), -np.ones(n - 1)], [-1, 1]) \
+        + sp.diags([np.ones(n - m), -np.ones(n - m)], [-m, m])
+    return (lap + skew * skw).tocsr()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # CG breakdown
+@pytest.mark.parametrize("skew", [0.1, 1.0, 5.0])
+def test_krylov_nonsymmetric_is_rejected_or_checked(skew, rng):
+    # CG assumes symmetry; on a nonsymmetric matrix it may stall, diverge or
+    # break down to NaN, and then solve must raise rather than return
+    A = _convection_diffusion(12, skew)
+    b = rng.normal(size=A.shape[0])
+    try:
+        x = solve(A, b, KRYLOV)
+    except LinearSolveError:
+        return
+    res = np.linalg.norm(A @ x - b)
+    bwd = res / (spla.norm(A, np.inf) * np.linalg.norm(x) + np.linalg.norm(b))
+    assert (res <= max(KRYLOV.abs_tol, KRYLOV.rel_tol * np.linalg.norm(b))
+            or bwd <= KRYLOV.rel_tol)
+
+
+@pytest.mark.parametrize("bad", [np.zeros, lambda n: np.full(n, np.nan)])
+def test_krylov_returns_only_checked_answers(bad):
+    # whatever the iteration hands back is checked against A and b
+    A = lap1d(20)
+    with mock.patch.object(spla, "cg", return_value=(bad(20), 0)), \
+            pytest.raises(LinearSolveError, match="did not converge"):
+        solve(A, np.ones(20), KRYLOV)
+
+
 def test_ilu0_preserves_pattern(rng):
     A = lap1d(20)
     fac = Ilu0(A)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,8 @@ def test_transformed_solve_rejects_nonpositive_dhat(channel_submesh, species4):
 
 def test_krylov_block1_at_charged_membrane_equilibrium(species4):
     # Block 1 at the sigma = -1 initial iterate: the full-size pinned system
-    # keeps the Dirichlet values in |b|, which the GMRES stopping target
-    # max(abs_tol, rel_tol |b|) is scaled by
+    # keeps the Dirichlet values in |b|, which the acceptance target
+    # max(abs_tol, rel_tol |b|) of the CG answer is scaled by
     consts = CONST.with_(sigma=-1.0)
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
     sub = meshmod.extract_solvent_submesh(mesh)
@@ -153,3 +155,19 @@ def test_cross_section_current_rejects_outside_plane(cube_sub):
     with pytest.raises(MeshError):
         transport.cross_section_current(cube_sub, np.zeros((1, len(cube_sub.tets), 3)),
                                         [2.0], [1.0])
+
+
+def test_range_excursions_report_once(caplog):
+    tally = transport.RangeExcursions(["A", "B", "C"])
+    with caplog.at_level(logging.WARNING, logger="smpnp.transport"):
+        tally.report(5)
+        assert not caplog.records
+        for excess in (1e-6, 3e-4, 2e-5):
+            tally.record(2, excess)
+        tally.record(0, 1e-7)
+        tally.report(5)
+    assert len(caplog.records) == 1
+    msg = caplog.records[0].getMessage()
+    assert "A in 1 of 5 sweeps, worst by 1.000e-07" in msg
+    assert "C in 3 of 5 sweeps, worst by 3.000e-04" in msg
+    assert "B in" not in msg
