@@ -72,32 +72,35 @@ class LabeledMesh:
         if unknown:
             raise MeshError("unknown facet label %s" % sorted(unknown)[0])
         x1, x2, y1, y2, z1, z2 = self.box
-        for k in np.nonzero(self.facet_labels == GAMMA_D)[0]:
-            zc = self.vertices[self.facets[k], 2]
-            if not (np.all(np.abs(zc - z1) < _GEOM_TOL) or np.all(np.abs(zc - z2) < _GEOM_TOL)):
-                raise MeshError("Dirichlet facet %d not on z=L_z1 or z=L_z2" % k)
-        for k in np.nonzero(self.facet_labels == GAMMA_N)[0]:
-            pts = self.vertices[self.facets[k]]
-            on_side = any(
-                np.all(np.abs(pts[:, axis] - val) < _GEOM_TOL)
-                for axis, val in ((0, x1), (0, x2), (1, y1), (1, y2))
-            )
-            if not on_side:
-                raise MeshError("Neumann facet %d not on a side plane" % k)
+        dirichlet = np.nonzero(self.facet_labels == GAMMA_D)[0]
+        zc = self.vertices[self.facets[dirichlet], 2]
+        ok = _all_near(zc, z1) | _all_near(zc, z2)
+        if not ok.all():
+            raise MeshError("Dirichlet facet %d not on z=L_z1 or z=L_z2"
+                            % dirichlet[np.argmin(ok)])
+        neumann = np.nonzero(self.facet_labels == GAMMA_N)[0]
+        pts = self.vertices[self.facets[neumann]]
+        ok = (_all_near(pts[..., 0], x1) | _all_near(pts[..., 0], x2)
+              | _all_near(pts[..., 1], y1) | _all_near(pts[..., 1], y2))
+        if not ok.all():
+            raise MeshError("Neumann facet %d not on a side plane" % neumann[np.argmin(ok)])
         self._validate_interface_facets()
         return self
 
     def _validate_interface_facets(self):
-        expect = {GAMMA_P: {SOLVENT, PROTEIN}, GAMMA_M: {SOLVENT, MEMBRANE},
-                  GAMMA_PM: {PROTEIN, MEMBRANE}}
-        face_owner = _face_table(self.tets)
-        for k, (f, lab) in enumerate(zip(self.facets, self.facet_labels)):
-            if lab not in expect:
-                continue
-            owners = face_owner.get(tuple(sorted(f)), ())
-            regions = {int(self.tet_regions[t]) for t in owners}
-            if len(owners) != 2 or regions != expect[lab]:
-                raise MeshError("facet %d does not separate the regions of label %d" % (k, lab))
+        n = self.num_vertices
+        faces, owners = _face_owners(self.tets, n)
+        iface = np.nonzero(np.isin(self.facet_labels, (GAMMA_P, GAMMA_M, GAMMA_PM)))[0]
+        found = _find_faces(_face_keys(faces, n),
+                            _face_keys(np.sort(self.facets[iface], axis=1), n))
+        own = owners[found]
+        ra, rb = self.tet_regions[own[:, 0]], self.tet_regions[own[:, 1]]
+        ok = ((found >= 0) & (own[:, 1] >= 0)
+              & (_PAIR_LABEL[ra, rb] == self.facet_labels[iface]))
+        if not ok.all():
+            k = iface[np.argmin(ok)]
+            raise MeshError("facet %d does not separate the regions of label %d"
+                            % (k, self.facet_labels[k]))
 
     def region_volume(self, region):
         vols = tet_volumes(self.vertices, self.tets)
@@ -111,15 +114,69 @@ class LabeledMesh:
         return nodes[on_bottom], nodes[~on_bottom]
 
 
-def _face_table(tets):
-    """Map sorted face tuple -> list of owning tet indices."""
-    faces = {}
-    local = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    for t, tet in enumerate(tets):
-        for a, b, c in local:
-            key = tuple(sorted((tet[a], tet[b], tet[c])))
-            faces.setdefault(key, []).append(t)
-    return faces
+#: Local vertex triples of a tet's faces, in the order the face scan meets
+#: them; the scan order fixes the facet order of every derived facet list.
+_LOCAL_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+
+#: Interface label of a pair of distinct regions; 0 for equal regions.
+_PAIR_LABEL = np.zeros((4, 4), dtype=np.int64)
+_PAIR_LABEL[[SOLVENT, SOLVENT, PROTEIN], [PROTEIN, MEMBRANE, MEMBRANE]] = (
+    GAMMA_P, GAMMA_M, GAMMA_PM)
+_PAIR_LABEL += _PAIR_LABEL.T
+
+
+def _all_near(coords, value):
+    """Per row: do all of ``coords`` lie within the geometry tolerance of ``value``?"""
+    return np.all(np.abs(coords - value) < _GEOM_TOL, axis=-1)
+
+
+def _face_keys(faces, n):
+    """int64 key ``(a*n + b)*n + c`` of each sorted vertex triple (a, b, c);
+    -1 for a triple with a vertex id outside ``[0, n)``."""
+    if int(n) ** 3 > np.iinfo(np.int64).max:
+        raise MeshError("%d vertices overflow the int64 face keys" % n)
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
+    outside = np.any((faces < 0) | (faces >= n), axis=1)
+    keys[outside] = -1
+    return keys
+
+
+def _find_faces(keys, queries):
+    """Index into ``keys`` of each query key, -1 where absent; the last of
+    equal keys wins."""
+    if keys.size == 0:
+        return np.full(queries.shape, -1, dtype=np.intp)
+    order = np.argsort(keys, kind="stable")
+    pos = np.searchsorted(keys, queries, side="right", sorter=order) - 1
+    idx = order[np.maximum(pos, 0)]
+    return np.where((pos >= 0) & (keys[idx] == queries), idx, -1)
+
+
+def _face_owners(tets, n):
+    """Unique faces of ``tets`` (vertex ids below ``n``) and their owners.
+
+    Returns ``(faces, owners)``: the sorted vertex triples in the order a
+    scan over the tets and their local faces first meets them, and the
+    (F, 2) owning tet ids, the second -1 on a boundary face.  Raises
+    MeshError for a face shared by three or more tets.
+    """
+    tets = np.asarray(tets, dtype=np.int64)
+    if tets.size and (tets.min() < 0 or tets.max() >= n):
+        raise MeshError("tet vertex index out of range")
+    slots = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
+    _, first, inverse, counts = np.unique(_face_keys(slots, n), return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)  # first-occurrence order
+    if np.any(counts > 2):
+        f = order[np.argmax(counts[order] > 2)]
+        raise MeshError("face %s is shared by %d tets"
+                        % (tuple(int(v) for v in slots[first[f]]), counts[f]))
+    second = np.full(first.size, -1, dtype=np.int64)
+    later = np.nonzero(first[inverse] != np.arange(slots.shape[0]))[0]
+    second[inverse[later]] = later // 4
+    owners = np.column_stack([first // 4, second])[order]
+    return slots[first[order]], owners
 
 
 # ---------------------------------------------------------------------------
@@ -266,72 +323,55 @@ def structured_box(box, n):
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
+    # vertex id of grid point (i, j, k) is (i*(n+1) + j)*(n+1) + k; hex
+    # corner (a, b, c) has index a*4 + b*2 + c and id offset
+    # a*(n+1)^2 + b*(n+1) + c from the hex's base corner
+    m = n + 1
+    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    base = ((i * m + j) * m + k).ravel()
+    a, b, c = np.meshgrid((0, 1), (0, 1), (0, 1), indexing="ij")
+    corner_offset = ((a * m + b) * m + c).ravel()
     # Kuhn split of the unit hex along the main diagonal (0,0,0)-(1,1,1):
     # all six tets share that diagonal and have positive volume.
-    kuhn = [(0, 3, 1, 7), (0, 2, 3, 7), (0, 6, 2, 7),
-            (0, 4, 6, 7), (0, 5, 4, 7), (0, 1, 5, 7)]
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                corners = [vid(i + a, j + b, k + c)
-                           for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-                # corner order: (a,b,c) lexicographic -> index a*4+b*2+c
-                for t in kuhn:
-                    tets.append([corners[m] for m in t])
-    return verts, np.asarray(tets, dtype=np.int64)
+    kuhn = np.array([(0, 3, 1, 7), (0, 2, 3, 7), (0, 6, 2, 7),
+                     (0, 4, 6, 7), (0, 5, 4, 7), (0, 1, 5, 7)])
+    tets = base[:, None, None] + corner_offset[kuhn]
+    return verts, tets.reshape(-1, 4).astype(np.int64, copy=False)
 
 
-def _classify_region(geom: ChannelGeometry, centroid):
-    x, y, z = centroid
-    if not (geom.z1 <= z <= geom.z2):
-        return SOLVENT
+def _classify_regions(geom: ChannelGeometry, centroids):
+    """Region of each tet from its centroid; ties on the slab planes and the
+    shell cylinder go inside, ties on the pore cylinder go to the protein."""
+    x, y, z = centroids.T
     r = np.hypot(x, y)
-    if geom.shell_radius > 0 and r <= geom.shell_radius:
-        if geom.pore_radius > 0 and r < geom.pore_radius:
-            return SOLVENT
-        return PROTEIN
-    return MEMBRANE
+    in_slab = (geom.z1 <= z) & (z <= geom.z2)
+    in_shell = (geom.shell_radius > 0) & (r <= geom.shell_radius)
+    in_pore = (geom.pore_radius > 0) & (r < geom.pore_radius)
+    return np.where(~in_slab | (in_shell & in_pore), SOLVENT,
+                    np.where(in_shell, PROTEIN, MEMBRANE)).astype(np.int64)
 
 
 def derive_facets(vertices, tets, regions, box):
     """Interface and boundary facet lists from tet adjacency."""
-    x1, x2, y1, y2, z1, z2 = box
-    pair_label = {frozenset((SOLVENT, PROTEIN)): GAMMA_P,
-                  frozenset((SOLVENT, MEMBRANE)): GAMMA_M,
-                  frozenset((PROTEIN, MEMBRANE)): GAMMA_PM}
-    facets, labels = [], []
-    for face, owners in _face_table(tets).items():
-        if len(owners) == 2:
-            ra, rb = regions[owners[0]], regions[owners[1]]
-            if ra != rb:
-                facets.append(face)
-                labels.append(pair_label[frozenset((int(ra), int(rb)))])
-        else:
-            zc = vertices[list(face), 2]
-            if np.all(np.abs(zc - z1) < _GEOM_TOL) or np.all(np.abs(zc - z2) < _GEOM_TOL):
-                labels.append(GAMMA_D)
-            else:
-                labels.append(GAMMA_N)
-            facets.append(face)
-    return (np.asarray(facets, dtype=np.int64).reshape(-1, 3),
-            np.asarray(labels, dtype=np.int64))
+    z1, z2 = box[4], box[5]
+    faces, owners = _face_owners(tets, len(vertices))
+    boundary = owners[:, 1] < 0
+    labels = _PAIR_LABEL[regions[owners[:, 0]], regions[owners[:, 1]]]
+    zc = vertices[faces[boundary], 2]
+    labels[boundary] = np.where(_all_near(zc, z1) | _all_near(zc, z2), GAMMA_D, GAMMA_N)
+    keep = labels > 0
+    return faces[keep], labels[keep]
 
 
 def synth_channel_mesh(geom: ChannelGeometry):
     """Build the synthetic channel mesh for ``geom`` and validate it.
 
-    Regions are decided by the tet centroid; centroids exactly on an
-    interface plane fall to the earlier branch of the classifier, which
-    keeps ties on the solvent side of the pore cylinder.
+    Regions are decided by the tet centroid (``_classify_regions`` gives
+    the side of a centroid exactly on an interface).
     """
     verts, tets = structured_box(geom.box, geom.resolution)
     centroids = verts[tets].mean(axis=1)
-    regions = np.fromiter((_classify_region(geom, c) for c in centroids),
-                          dtype=np.int64, count=len(tets))
+    regions = _classify_regions(geom, centroids)
     facets, labels = derive_facets(verts, tets, regions, geom.box)
     mesh = LabeledMesh(verts, tets, regions, facets, labels,
                        geom.box, geom.z1, geom.z2)
@@ -411,28 +451,23 @@ def extract_solvent_submesh(mesh: LabeledMesh):
     inverse[vmap] = np.arange(vmap.size)
     sub_tets = inverse[sub_tets_parent]
 
-    # boundary facets of the submesh, tagged from the parent facet list
-    parent_label = {}
-    for f, lab in zip(mesh.facets, mesh.facet_labels):
-        parent_label[tuple(sorted(f))] = int(lab)
-    facets, labels = [], []
-    for face, owners in _face_table(sub_tets).items():
-        if len(owners) != 1:
-            continue
-        parent_face = tuple(sorted(vmap[list(face)]))
-        lab = parent_label.get(parent_face)
-        if lab in (GAMMA_P, GAMMA_M):
-            labels.append(SUB_INTERFACE)
-        elif lab == GAMMA_D:
-            labels.append(SUB_DIRICHLET)
-        elif lab == GAMMA_N:
-            labels.append(SUB_NEUMANN)
-        else:
-            raise MeshError("solvent boundary face %s missing from parent facets" % (parent_face,))
-        facets.append(face)
-    return SolventSubmesh(mesh, vmap, sub_tets,
-                          np.asarray(facets, dtype=np.int64).reshape(-1, 3),
-                          np.asarray(labels, dtype=np.int64), keep)
+    # boundary facets of the submesh, tagged from the parent facet list (the
+    # last parent facet wins on a repeated face); vmap is increasing, so a
+    # sorted local triple maps to a sorted parent triple
+    faces, owners = _face_owners(sub_tets, vmap.size)
+    faces = faces[owners[:, 1] < 0]
+    parent_faces = vmap[faces]
+    n = mesh.num_vertices
+    found = _find_faces(_face_keys(np.sort(mesh.facets, axis=1), n),
+                        _face_keys(parent_faces, n))
+    parent_labels = np.append(mesh.facet_labels, 0)[found]  # 0: not a parent facet
+    missing = np.nonzero(~np.isin(parent_labels, (GAMMA_P, GAMMA_M, GAMMA_D, GAMMA_N)))[0]
+    if missing.size:
+        raise MeshError("solvent boundary face %s missing from parent facets"
+                        % (tuple(parent_faces[missing[0]]),))
+    # SUB_DIRICHLET and SUB_NEUMANN keep the parent's labels
+    labels = np.where(np.isin(parent_labels, (GAMMA_P, GAMMA_M)), SUB_INTERFACE, parent_labels)
+    return SolventSubmesh(mesh, vmap, sub_tets, faces, labels.astype(np.int64), keep)
 
 
 def protein_ring_sites(mesh: LabeledMesh, n_sites, z_half_width=None):

@@ -155,13 +155,35 @@ def test_prolong_adjoint_quadrature_identity(channel_mesh, channel_submesh, rng)
 
 
 def test_interior_faces_shared_by_two_tets(cube_mesh):
-    table = meshmod._face_table(cube_mesh.tets)
+    faces, owners = meshmod._face_owners(cube_mesh.tets, cube_mesh.num_vertices)
     boundary = {tuple(sorted(f)) for f in cube_mesh.facets}
-    for face, owners in table.items():
-        if face in boundary:
-            assert len(owners) == 1
+    for face, pair in zip(faces, owners):
+        n_owners = int(np.sum(pair >= 0))
+        if tuple(face) in boundary:
+            assert n_owners == 1
         else:
-            assert len(owners) == 2
+            assert n_owners == 2
+
+
+def test_face_shared_by_three_tets_is_rejected(tmp_path):
+    # a duplicated tet puts a third owner on its interior faces; the first
+    # one the face scan meets is (0, 1, 7), shared by Kuhn tets 0 and 5
+    mesh = meshmod.unit_cube_mesh(1)
+    tets = np.vstack([mesh.tets, mesh.tets[:1]])
+    regions = np.append(mesh.tet_regions, meshmod.SOLVENT)
+    bad = meshmod.LabeledMesh(mesh.vertices, tets, regions, mesh.facets,
+                              mesh.facet_labels, mesh.box, mesh.z1, mesh.z2)
+    message = r"^face \(0, 1, 7\) is shared by 3 tets$"
+    with pytest.raises(MeshError, match=message):
+        meshmod.derive_facets(bad.vertices, tets, regions, bad.box)
+    with pytest.raises(MeshError, match=message):
+        bad.validate()
+    with pytest.raises(MeshError, match=message):
+        meshmod.extract_solvent_submesh(bad)
+    path = tmp_path / "dup.mesh"
+    meshmod.save_mesh(bad, path)
+    with pytest.raises(MeshError, match=message):
+        meshmod.load_mesh(path)
 
 
 def test_protein_ring_sites(channel_mesh):
@@ -171,3 +193,345 @@ def test_protein_ring_sites(channel_mesh):
     r = np.hypot(sites[:, 0], sites[:, 1])
     assert np.all(r > geom.pore_radius * 0.5)
     assert np.all((sites[:, 2] > geom.z1) & (sites[:, 2] < geom.z2))
+
+
+# ---------------------------------------------------------------------------
+# error paths of validate and extract_solvent_submesh
+
+
+_INTERFACES = (meshmod.GAMMA_P, meshmod.GAMMA_M, meshmod.GAMMA_PM)
+
+
+def _relabelled(mesh, facets=None, labels=None, tets=None, regions=None):
+    """Unvalidated copy of ``mesh`` with some arrays replaced."""
+    return meshmod.LabeledMesh(
+        mesh.vertices,
+        mesh.tets if tets is None else tets,
+        mesh.tet_regions if regions is None else regions,
+        mesh.facets if facets is None else facets,
+        mesh.facet_labels if labels is None else labels,
+        mesh.box, mesh.z1, mesh.z2)
+
+
+def _first_meeting(tets, faces):
+    """Index into ``faces`` of the face a scan over tets and their local
+    faces (1,2,3), (0,2,3), (0,1,3), (0,1,2) meets first."""
+    wanted = {tuple(sorted(int(v) for v in f)): i for i, f in enumerate(faces)}
+    for tet in tets:
+        for local in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+            key = tuple(sorted(int(tet[a]) for a in local))
+            if key in wanted:
+                return wanted[key]
+    raise AssertionError("no face met")
+
+
+def test_validate_names_first_dirichlet_facet_off_its_plane(cube_mesh):
+    # side facets touching the bottom edge: two vertices on z=0, one above
+    zc = cube_mesh.vertices[cube_mesh.facets, 2]
+    touching = np.nonzero((cube_mesh.facet_labels == meshmod.GAMMA_N)
+                          & (np.sum(zc == 0.0, axis=1) == 2))[0]
+    labels = cube_mesh.facet_labels.copy()
+    labels[touching[[2, -1]]] = meshmod.GAMMA_D
+    with pytest.raises(MeshError) as err:
+        _relabelled(cube_mesh, labels=labels).validate()
+    assert str(err.value) == ("Dirichlet facet %d not on z=L_z1 or z=L_z2"
+                              % touching[2])
+
+
+def test_validate_names_first_neumann_facet_off_the_side_planes(channel_mesh):
+    # an interface facet inside the box and a bottom facet at a box corner
+    x1, _, y1, _, z1, _ = channel_mesh.box
+    pts = channel_mesh.vertices[channel_mesh.facets]
+    corner = np.nonzero((channel_mesh.facet_labels == meshmod.GAMMA_D)
+                        & np.any(pts[:, :, 0] == x1, axis=1)
+                        & np.any(pts[:, :, 1] == y1, axis=1)
+                        & np.all(pts[:, :, 2] == z1, axis=1))[0]
+    inner = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_P)[0]
+    bad = sorted([corner[0], inner[-1]])
+    labels = channel_mesh.facet_labels.copy()
+    labels[bad] = meshmod.GAMMA_N
+    with pytest.raises(MeshError) as err:
+        _relabelled(channel_mesh, labels=labels).validate()
+    assert str(err.value) == "Neumann facet %d not on a side plane" % bad[0]
+
+
+def test_validate_names_first_interface_facet_between_wrong_regions(channel_mesh):
+    # solvent-protein facets relabelled membrane-solvent and protein-membrane
+    gp = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_P)[0]
+    labels = channel_mesh.facet_labels.copy()
+    labels[gp[-1]] = meshmod.GAMMA_M
+    labels[gp[5]] = meshmod.GAMMA_PM
+    with pytest.raises(MeshError) as err:
+        _relabelled(channel_mesh, labels=labels).validate()
+    assert str(err.value) == ("facet %d does not separate the regions of label %d"
+                              % (gp[5], meshmod.GAMMA_PM))
+
+
+def test_validate_names_first_interface_facet_on_a_region_change(channel_mesh):
+    # the solvent owner of a membrane-solvent facet becomes membrane: every
+    # interface facet on that tet now fails, the lowest index is named
+    k = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_M)[0][3]
+    owner = next(t for t, tet in enumerate(channel_mesh.tets)
+                 if set(channel_mesh.facets[k]) <= set(tet)
+                 and channel_mesh.tet_regions[t] == meshmod.SOLVENT)
+    regions = channel_mesh.tet_regions.copy()
+    regions[owner] = meshmod.MEMBRANE
+    on_owner = [j for j, f in enumerate(channel_mesh.facets)
+                if set(f) <= set(channel_mesh.tets[owner])
+                and channel_mesh.facet_labels[j] in _INTERFACES]
+    first = min(on_owner)
+    with pytest.raises(MeshError) as err:
+        _relabelled(channel_mesh, regions=regions).validate()
+    assert str(err.value) == ("facet %d does not separate the regions of label %d"
+                              % (first, channel_mesh.facet_labels[first]))
+
+
+def test_validate_names_first_interface_facet_on_the_boundary(channel_mesh):
+    dirichlet = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_D)[0]
+    neumann = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_N)[0]
+    labels = channel_mesh.facet_labels.copy()
+    labels[neumann[-1]] = meshmod.GAMMA_P
+    labels[dirichlet[7]] = meshmod.GAMMA_PM
+    first = min(neumann[-1], dirichlet[7])
+    with pytest.raises(MeshError) as err:
+        _relabelled(channel_mesh, labels=labels).validate()
+    assert str(err.value) == ("facet %d does not separate the regions of label %d"
+                              % (first, labels[first]))
+
+
+def test_validate_rejects_interface_facet_not_a_tet_face(cube_mesh):
+    # vertices 0, 1 and the far corner span no tet face
+    far = cube_mesh.num_vertices - 1
+    facets = np.vstack([cube_mesh.facets, [[0, 1, far]]])
+    labels = np.append(cube_mesh.facet_labels, meshmod.GAMMA_P)
+    with pytest.raises(MeshError) as err:
+        _relabelled(cube_mesh, facets=facets, labels=labels).validate()
+    assert str(err.value) == ("facet %d does not separate the regions of label 1"
+                              % (len(facets) - 1))
+
+
+def test_submesh_names_solvent_boundary_face_missing_from_parent(channel_mesh):
+    gm = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_M)[0]
+    gd = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_D)[0]
+    drop = [gm[4], gd[-2]]
+    keep = np.setdiff1d(np.arange(len(channel_mesh.facets)), drop)
+    mesh = _relabelled(channel_mesh, facets=channel_mesh.facets[keep],
+                       labels=channel_mesh.facet_labels[keep])
+    solvent_tets = channel_mesh.tets[channel_mesh.tet_regions == meshmod.SOLVENT]
+    face = channel_mesh.facets[drop[_first_meeting(solvent_tets,
+                                                   channel_mesh.facets[drop])]]
+    with pytest.raises(MeshError) as err:
+        meshmod.extract_solvent_submesh(mesh)
+    named = tuple(np.sort(face).astype(np.int64))
+    assert str(err.value) == ("solvent boundary face %s missing from parent facets"
+                              % (named,))
+
+
+
+def test_submesh_of_mesh_without_facets_names_first_boundary_face(cube_mesh):
+    mesh = _relabelled(cube_mesh, facets=np.empty((0, 3), dtype=np.int64),
+                       labels=np.empty(0, dtype=np.int64))
+    with pytest.raises(MeshError, match="^solvent boundary face .* missing from parent"):
+        meshmod.extract_solvent_submesh(mesh)
+
+
+def test_face_table_rejects_bad_vertex_ids():
+    verts, tets = meshmod.structured_box((0, 1, 0, 1, 0, 1), 1)
+    tets = tets.copy()
+    tets[2, 1] = -1
+    regions = np.full(len(tets), meshmod.SOLVENT)
+    with pytest.raises(MeshError, match="tet vertex index out of range"):
+        meshmod.derive_facets(verts, tets, regions, (0, 1, 0, 1, 0, 1))
+    # the int64 face keys hold (a*n + b)*n + c up to n = 2**21 - 1
+    n = 2**21 - 1
+    top = np.array([[n - 3, n - 2, n - 1]])
+    assert int(meshmod._face_keys(top, n)[0]) == ((n - 3) * n + n - 2) * n + n - 1
+    with pytest.raises(MeshError, match="overflow"):
+        meshmod._face_keys(top, n + 1)
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the loop implementations the vectorized mesh layer replaced
+
+
+def _face_table_reference(tets):
+    """Map sorted face tuple -> list of owning tet indices."""
+    faces = {}
+    local = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    for t, tet in enumerate(tets):
+        for a, b, c in local:
+            key = tuple(sorted((tet[a], tet[b], tet[c])))
+            faces.setdefault(key, []).append(t)
+    return faces
+
+
+def structured_box_reference(box, n):
+    x1, x2, y1, y2, z1, z2 = box
+    xs = np.linspace(x1, x2, n + 1)
+    ys = np.linspace(y1, y2, n + 1)
+    zs = np.linspace(z1, z2, n + 1)
+    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+
+    def vid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    kuhn = [(0, 3, 1, 7), (0, 2, 3, 7), (0, 6, 2, 7),
+            (0, 4, 6, 7), (0, 5, 4, 7), (0, 1, 5, 7)]
+    tets = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                corners = [vid(i + a, j + b, k + c)
+                           for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+                for t in kuhn:
+                    tets.append([corners[m] for m in t])
+    return verts, np.asarray(tets, dtype=np.int64)
+
+
+def _classify_region_reference(geom, centroid):
+    x, y, z = centroid
+    if not (geom.z1 <= z <= geom.z2):
+        return meshmod.SOLVENT
+    r = np.hypot(x, y)
+    if geom.shell_radius > 0 and r <= geom.shell_radius:
+        if geom.pore_radius > 0 and r < geom.pore_radius:
+            return meshmod.SOLVENT
+        return meshmod.PROTEIN
+    return meshmod.MEMBRANE
+
+
+def derive_facets_reference(vertices, tets, regions, box):
+    x1, x2, y1, y2, z1, z2 = box
+    tol = meshmod._GEOM_TOL
+    pair_label = {frozenset((meshmod.SOLVENT, meshmod.PROTEIN)): meshmod.GAMMA_P,
+                  frozenset((meshmod.SOLVENT, meshmod.MEMBRANE)): meshmod.GAMMA_M,
+                  frozenset((meshmod.PROTEIN, meshmod.MEMBRANE)): meshmod.GAMMA_PM}
+    facets, labels = [], []
+    for face, owners in _face_table_reference(tets).items():
+        if len(owners) == 2:
+            ra, rb = regions[owners[0]], regions[owners[1]]
+            if ra != rb:
+                facets.append(face)
+                labels.append(pair_label[frozenset((int(ra), int(rb)))])
+        else:
+            zc = vertices[list(face), 2]
+            if np.all(np.abs(zc - z1) < tol) or np.all(np.abs(zc - z2) < tol):
+                labels.append(meshmod.GAMMA_D)
+            else:
+                labels.append(meshmod.GAMMA_N)
+            facets.append(face)
+    return (np.asarray(facets, dtype=np.int64).reshape(-1, 3),
+            np.asarray(labels, dtype=np.int64))
+
+
+def synth_channel_mesh_reference(geom):
+    verts, tets = structured_box_reference(geom.box, geom.resolution)
+    centroids = verts[tets].mean(axis=1)
+    regions = np.fromiter((_classify_region_reference(geom, c) for c in centroids),
+                          dtype=np.int64, count=len(tets))
+    facets, labels = derive_facets_reference(verts, tets, regions, geom.box)
+    return meshmod.LabeledMesh(verts, tets, regions, facets, labels,
+                               geom.box, geom.z1, geom.z2)
+
+
+def unit_cube_mesh_reference(n):
+    box = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    verts, tets = structured_box_reference(box, n)
+    regions = np.full(len(tets), meshmod.SOLVENT, dtype=np.int64)
+    facets, labels = derive_facets_reference(verts, tets, regions, box)
+    return meshmod.LabeledMesh(verts, tets, regions, facets, labels, box, 0.25, 0.75)
+
+
+def extract_solvent_submesh_reference(mesh):
+    keep = np.nonzero(mesh.tet_regions == meshmod.SOLVENT)[0]
+    sub_tets_parent = mesh.tets[keep]
+    vmap = np.unique(sub_tets_parent)
+    inverse = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    inverse[vmap] = np.arange(vmap.size)
+    sub_tets = inverse[sub_tets_parent]
+    parent_label = {}
+    for f, lab in zip(mesh.facets, mesh.facet_labels):
+        parent_label[tuple(sorted(f))] = int(lab)
+    facets, labels = [], []
+    for face, owners in _face_table_reference(sub_tets).items():
+        if len(owners) != 1:
+            continue
+        lab = parent_label[tuple(sorted(vmap[list(face)]))]
+        labels.append(meshmod.SUB_INTERFACE if lab in (meshmod.GAMMA_P, meshmod.GAMMA_M)
+                      else lab)
+        facets.append(face)
+    return meshmod.SolventSubmesh(mesh, vmap, sub_tets,
+                                  np.asarray(facets, dtype=np.int64).reshape(-1, 3),
+                                  np.asarray(labels, dtype=np.int64), keep)
+
+
+def _assert_arrays_identical(got, want, fields):
+    for name in fields:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+_MESH_FIELDS = ("vertices", "tets", "tet_regions", "facets", "facet_labels",
+                "box", "z1", "z2")
+_SUBMESH_FIELDS = ("vertex_map", "tets", "facets", "facet_labels", "parent_tet_ids")
+
+_ORACLE_GEOMETRIES = {
+    "R2": meshmod.ChannelGeometry(resolution=2),
+    "R3": meshmod.ChannelGeometry(resolution=3),
+    "R8": meshmod.ChannelGeometry(resolution=8),
+    "R12": meshmod.ChannelGeometry(resolution=12),
+    "R20": meshmod.ChannelGeometry(resolution=20),
+    "slab-only": meshmod.ChannelGeometry(pore_radius=0.0, shell_radius=0.0,
+                                         resolution=6),
+    "no-pore": meshmod.ChannelGeometry(pore_radius=0.0, resolution=7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GEOMETRIES))
+def test_synth_and_submesh_match_loop_reference(name):
+    geom = _ORACLE_GEOMETRIES[name]
+    mesh = meshmod.synth_channel_mesh(geom)
+    want = synth_channel_mesh_reference(geom)
+    _assert_arrays_identical(mesh, want, _MESH_FIELDS)
+    _assert_arrays_identical(meshmod.extract_solvent_submesh(mesh),
+                             extract_solvent_submesh_reference(want),
+                             _SUBMESH_FIELDS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_cube_matches_loop_reference(n):
+    mesh = meshmod.unit_cube_mesh(n)
+    _assert_arrays_identical(mesh, unit_cube_mesh_reference(n), _MESH_FIELDS)
+    _assert_arrays_identical(meshmod.extract_solvent_submesh(mesh),
+                             extract_solvent_submesh_reference(mesh),
+                             _SUBMESH_FIELDS)
+
+
+def test_structured_box_matches_loop_reference():
+    box = (-3.0, 5.0, 0.0, 2.0, -1.0, 7.5)
+    for n in (1, 2, 5):
+        verts, tets = meshmod.structured_box(box, n)
+        want_verts, want_tets = structured_box_reference(box, n)
+        assert verts.dtype == want_verts.dtype and tets.dtype == want_tets.dtype
+        assert np.array_equal(verts, want_verts)
+        assert np.array_equal(tets, want_tets)
+
+
+def test_loaded_mesh_matches_loop_reference(tmp_path, channel_mesh):
+    path = tmp_path / "chan.mesh"
+    meshmod.save_mesh(channel_mesh, path)
+    loaded = meshmod.load_mesh(path)
+    facets, labels = meshmod.derive_facets(loaded.vertices, loaded.tets,
+                                           loaded.tet_regions, loaded.box)
+    want_facets, want_labels = derive_facets_reference(
+        loaded.vertices, loaded.tets, loaded.tet_regions, loaded.box)
+    assert np.array_equal(facets, want_facets) and facets.dtype == want_facets.dtype
+    assert np.array_equal(labels, want_labels) and labels.dtype == want_labels.dtype
+    _assert_arrays_identical(meshmod.extract_solvent_submesh(loaded),
+                             extract_solvent_submesh_reference(loaded),
+                             _SUBMESH_FIELDS)
