@@ -32,7 +32,7 @@ PROFILE_BINS_DEFAULT = 60
 _DEFAULT_THETA = 0.055
 
 _CONSTANT_KEYS = ("u_b", "u_t", "sigma", "eta", "cap", "omega",
-                  "eps_outer", "eps_newton", "eps_s", "eps_p", "eps_m")
+                  "eps_outer", "eps_s", "eps_p", "eps_m")
 _GEOMETRY_KEYS = ("membrane_z1", "membrane_z2", "pore_radius",
                   "shell_radius", "resolution")
 _SPECIES_KEYS = ("name", "Z", "v", "radius", "c_b", "D_b", "D_c")

@@ -308,8 +308,3 @@ class PhiTildeSystem:
             raise sparse_linalg.LinearSolveError(
                 "CG-ILU0 on Phi_tilde: residual %.3e > %.3e" % (res, target))
         return q
-
-
-def solve_phi_tilde(mesh, submesh, c_fields, species_Z, constants, spec):
-    """One-shot ionic potential solve (see PhiTildeSystem for the loop)."""
-    return PhiTildeSystem(mesh, submesh, species_Z, constants, spec).solve(c_fields)

@@ -463,8 +463,8 @@ def extract_solvent_submesh(mesh: LabeledMesh):
     parent_labels = np.append(mesh.facet_labels, 0)[found]  # 0: not a parent facet
     missing = np.nonzero(~np.isin(parent_labels, (GAMMA_P, GAMMA_M, GAMMA_D, GAMMA_N)))[0]
     if missing.size:
-        raise MeshError("solvent boundary face %s missing from parent facets"
-                        % (tuple(parent_faces[missing[0]]),))
+        raise MeshError("solvent boundary face (%d, %d, %d) missing from parent facets"
+                        % tuple(parent_faces[missing[0]].tolist()))
     # SUB_DIRICHLET and SUB_NEUMANN keep the parent's labels
     labels = np.where(np.isin(parent_labels, (GAMMA_P, GAMMA_M)), SUB_INTERFACE, parent_labels)
     return SolventSubmesh(mesh, vmap, sub_tets, faces, labels.astype(np.int64), keep)

@@ -1,13 +1,17 @@
-"""Per-mesh-point nonlinear systems recovering concentrations from the
-transformed (Slotboom) variables, the damped fixed-point loop that builds
-the equilibrium initial iterate, and their Newton machinery.
+"""Per-node concentration recovery from the transformed (Slotboom)
+variables, and the damped fixed-point loop that builds the equilibrium
+initial iterate.
 
-Each node carries an n x n system
-    F_i(P) = p_i - t_i (1 - gamma sum_j v_j p_j)^(v_i/v0) E_i = 0
+Each node carries the n x n system
+    p_i = t_i w^(v_i/v0) E_i,   w = 1 - gamma sum_j v_j p_j,
 with targets t_i (the transformed concentrations, or the bulk constants for
-the equilibrium variant) and capped exponentials E_i = exp(-Z_i u) at the
-node.  Systems at different nodes are independent, so the whole-mesh update
-runs as one batched Newton iteration over all nodes.
+the equilibrium variant) and capped exponentials E_i = exp(-Z_i u).  Its
+Jacobian is the identity plus a rank-one term, so the system reduces to one
+scalar equation for the water fraction: with a_i = gamma v_i t_i E_i and
+r_i = v_i/v0 >= 1, w solves w + sum_i a_i w^(r_i) = 1.  In s = ln w,
+    phi(s) = log(e^s + sum_i a_i e^(r_i s)) = 0,
+phi is convex and increasing with phi(0) >= 0, so the root is unique and
+Newton from s = 0 descends to it.  Every node is solved at once.
 """
 
 from __future__ import annotations
@@ -18,201 +22,106 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, NewtonError
-from .physics_model import WATER_FLOOR, ModelConstants, SpeciesSet, capped_exp
-from .sparse_linalg import small_dense_solve
+from .physics_model import ModelConstants, SpeciesSet, capped_exp
 
 logger = logging.getLogger(__name__)
 
-MAX_NEWTON_ITER = 50
-MAX_HALVINGS = 30
-_PROJECT_FRACTION = 0.99
+MAX_NEWTON_ITER = 100  # bisection alone narrows the bracket to 1e-14 in 56
+_S_MIN = -700.0  # lower end of the ln w bracket; e^-700 is still a normal float
+_S_TOL = 1.0e-14  # stop on |ds| <= _S_TOL (1 + |s|)
 
-
-@dataclass
-class NodeSystem:
-    """One node's system: targets, capped exponentials, species data."""
-
-    targets: np.ndarray  # (n,) transformed-concentration targets, > 0
-    E: np.ndarray  # (n,) capped exponentials exp(-Z_i u), > 0
-    species: SpeciesSet
-    gamma: float
-
-    def __post_init__(self):
-        self.targets = np.asarray(self.targets, dtype=float)
-        self.E = np.asarray(self.E, dtype=float)
-        if np.any(self.targets <= 0.0) or np.any(self.E <= 0.0):
-            raise FeasibilityError("node targets and exponentials must be positive")
-
-    @classmethod
-    def at_potential(cls, targets, u, species: SpeciesSet, constants: ModelConstants):
-        E = capped_exp(-species.Z * u, constants.cap)
-        return cls(targets, E, species, constants.gamma)
+# Damping cap of the equilibrium initializer: at the outer loop's omega the
+# initializer overshoots into saturated states and does not converge (R=8 and
+# R=12 at sigma = -1); at 0.3 it converges on every case tried.
+_INIT_OMEGA = 0.3
 
 
 @dataclass
 class NewtonReport:
-    converged: bool
-    iterations: int
-    step_norm: float
-    solution: np.ndarray
+    iterations: int  # max Newton/bisection steps over the nodes
 
 
-def _water(sys: NodeSystem, P):
-    w = 1.0 - sys.gamma * (sys.species.v @ P)
-    if w < -1.0e-12:
-        raise FeasibilityError("infeasible P: water fraction %.3e" % w)
-    return max(w, WATER_FLOOR)
+def log_coefficients(targets, u_vals, species: SpeciesSet, constants: ModelConstants):
+    """ln a_i = ln(gamma v_i) + ln t_i - Z_i u (exponent clipped to +-cap),
+    and the clipped exponent itself; both (n, N), formed so nothing overflows."""
+    exponent = np.clip(-species.Z[:, None] * np.asarray(u_vals, dtype=float)[None, :],
+                       -constants.cap, constants.cap)
+    log_a = np.log(constants.gamma * species.v)[:, None] + np.log(targets) + exponent
+    return log_a, exponent
 
 
-def residual(sys: NodeSystem, P):
-    """F(P) with F_i = p_i - t_i w^(v_i/v0) E_i."""
-    P = np.asarray(P, dtype=float)
-    w = _water(sys, P)
-    return P - sys.targets * w ** sys.species.v_ratio * sys.E
+def water_equation(s, log_a, r):
+    """phi(s) = log(e^s + sum_i a_i e^(r_i s)) and dphi/ds, per column of
+    the (n, N) ``log_a``; ``s`` is (N,) and ``r`` the (n,) exponents v_i/v0."""
+    terms = np.vstack([s, log_a + r[:, None] * s])
+    top = terms.max(axis=0)
+    weights = np.exp(terms - top)
+    total = weights.sum(axis=0)
+    slope = (weights[0] + r @ weights[1:]) / total  # a weighted mean of 1 and r
+    return top + np.log(total), slope
 
 
-def jacobian(sys: NodeSystem, P):
-    """Analytic dense Jacobian of ``residual`` at P."""
-    P = np.asarray(P, dtype=float)
-    sp = sys.species
-    w = _water(sys, P)
-    common = sys.gamma * sp.v_ratio * sys.targets * w ** (sp.v_ratio - 1.0) * sys.E
-    J = np.outer(common, sp.v)
-    J[np.diag_indices_from(J)] += 1.0
-    return J
+def _log_water(log_a, r):
+    """ln w at every node: the root of phi for each column of ``log_a``.
 
-
-def project_feasible(P, species: SpeciesSet, gamma, fraction=_PROJECT_FRACTION):
-    """Scale P down so gamma sum v_j p_j <= fraction (no-op when feasible)."""
-    P = np.array(P, dtype=float)
-    packed = gamma * (species.v @ P.T)
-    scale = np.where(packed > fraction, fraction / np.maximum(packed, 1.0e-300), 1.0)
-    return P * scale[:, None] if P.ndim == 2 else P * scale
-
-
-def newton_solve(sys: NodeSystem, P0, tol=1.0e-8, max_iter=MAX_NEWTON_ITER):
-    """Newton iteration with feasibility step-halving for one node system.
-
-    Terminates when the step norm drops below ``tol``; steps that leave the
-    feasible set are halved (up to MAX_HALVINGS).  The converged solution is
-    strictly positive and strictly inside the volume-fraction bound.
+    Safeguarded Newton from s = 0 inside a bracket [lo, hi] of the root; a
+    Newton point outside the bracket is replaced by its midpoint.  Returns
+    (s, per-node step counts).
     """
-    P = project_feasible(P0, sys.species, sys.gamma)
-    for it in range(1, max_iter + 1):
-        F = residual(sys, P)
-        if np.max(np.abs(F)) <= 1.0e-3 * tol * (1.0 + sys.targets.max()):
-            return NewtonReport(True, it - 1, 0.0, _positive(P))
-        step = small_dense_solve(jacobian(sys, P), -F)
-        delta = sys.gamma * (sys.species.v @ step)
-        w_cur = _water(sys, P)
-        if abs(delta) > 0.9 * w_cur:
-            step = step * (0.9 * w_cur / abs(delta))
-        for _ in range(MAX_HALVINGS):
-            try:
-                _water(sys, P + step)
-                break
-            except FeasibilityError:
-                step = 0.5 * step
-        else:
-            raise NewtonError("could not restore feasibility by step halving")
-        P = P + step
-        # relative step criterion: concentrations can saturate at large scale
-        if np.linalg.norm(step) < tol * (1.0 + np.max(np.abs(P))):
-            return NewtonReport(True, it, float(np.linalg.norm(step)), _positive(P))
-    return NewtonReport(False, max_iter, float(np.linalg.norm(step)), P)
-
-
-def _positive(P):
-    """Lift roundoff-negative components of a converged iterate.
-
-    Components whose true value is far below double precision relative to
-    the dominant species can come out of the coupled solve as tiny negative
-    numbers; the model value there is positive but unresolvable.
-    """
-    return np.where(P > 0.0, P, np.finfo(float).tiny)
-
-
-def _batched_newton(targets, E, species: SpeciesSet, gamma, P0, tol,
-                    max_iter=MAX_NEWTON_ITER):
-    """Newton on all node systems at once; arrays are (n, N)."""
-    n, N = targets.shape
-    P = project_feasible(P0.T.copy(), species, gamma).T
-    vr = species.v_ratio[:, None]
+    N = log_a.shape[1]
+    s = np.zeros(N)
+    lo = np.full(N, _S_MIN)
+    hi = np.zeros(N)
     iters = np.zeros(N, dtype=int)
-    active = np.ones(N, dtype=bool)
-    for sweep in range(max_iter):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        # saturated nodes can round 1 - gamma*sum(v p) to either sign; the
-        # floor keeps the fractional powers defined (same policy as
-        # water_fraction)
-        w = np.maximum(1.0 - gamma * (species.v @ P[:, idx]), WATER_FLOOR)
-        F = P[:, idx] - targets[:, idx] * w ** vr * E[:, idx]
-        common = gamma * vr * targets[:, idx] * w ** (vr - 1.0) * E[:, idx]
-        # J = I + outer(common, v): invert by Sherman-Morrison, which stays
-        # exact when the rank-1 part dwarfs the identity (large exponentials)
-        denom = 1.0 + species.v @ common
-        step = (-F + common * ((species.v @ F) / denom)).T  # (N_active, n)
-        # keep iterates strictly positive (no component may lose more than
-        # 99% per step): with positivity the packing constraint bounds every
-        # component, so the huge cancelling excursions plain Newton produces
-        # at capped exponentials cannot occur
-        with np.errstate(divide="ignore"):
-            lim = np.where(step < 0.0, -0.99 * P[:, idx].T / step, np.inf)
-        scale = np.minimum(1.0, lim.min(axis=1))
-        step *= scale[:, None]
-        # clamp steps that overshoot the feasibility boundary by orders of
-        # magnitude (halving alone cannot recover such overshoots)
-        delta = gamma * (step @ species.v)
-        clamp = delta > 0.9 * w
-        if np.any(clamp):
-            step[clamp] *= (0.9 * w[clamp] / delta[clamp])[:, None]
-        for _ in range(MAX_HALVINGS):
-            trial = P[:, idx] + step.T
-            w_raw = 1.0 - gamma * (species.v @ trial)
-            bad = ~np.isfinite(w_raw) | (w_raw < -1.0e-12)
-            if not np.any(bad):
-                break
-            step[bad] *= 0.5
-        else:
-            raise NewtonError("feasibility halving failed at node %d" % idx[int(np.argmax(bad))])
-        P[:, idx] = trial
-        done = np.linalg.norm(step, axis=1) < tol * (1.0 + np.max(np.abs(trial), axis=0))
-        iters[idx] += 1
-        active[idx[done]] = False
-    if np.any(active):
-        mu = int(np.nonzero(active)[0][0])
-        raise NewtonError(
-            "node %d did not converge in %d Newton iterations; targets=%s u-exp=%s P=%s"
-            % (mu, max_iter, targets[:, mu], E[:, mu], P[:, mu]))
-    return np.where(P > 0.0, P, np.finfo(float).tiny), iters
+    active = np.arange(N)
+    for _ in range(MAX_NEWTON_ITER):
+        sa = s[active]
+        phi, slope = water_equation(sa, log_a[:, active], r)
+        hi[active] = np.where(phi > 0.0, sa, hi[active])
+        lo[active] = np.where(phi < 0.0, sa, lo[active])
+        s_new = sa - phi / slope
+        # at a root (phi exactly 0) s_new == sa may equal a bracket end: keep it
+        outside = (s_new < lo[active]) | (s_new > hi[active])
+        s_new = np.where(outside, 0.5 * (lo[active] + hi[active]), s_new)
+        s[active] = s_new
+        iters[active] += 1
+        active = active[np.abs(s_new - sa) > _S_TOL * (1.0 + np.abs(sa))]
+        if active.size == 0:
+            return s, iters
+    raise NewtonError("water-fraction root not found at node %d in %d iterations"
+                      % (active[0], MAX_NEWTON_ITER))
 
 
 def block2_update(targets, u_vals, c_prev, species: SpeciesSet,
                   constants: ModelConstants):
     """Solve every node system of one Block-2 pass.
 
-    ``targets``/``c_prev`` are (n, N) solvent nodal fields, ``u_vals`` the
-    (N,) potential w + Phi_tilde^k on the same nodes.  Returns the (n, N)
-    concentration fields and an aggregate NewtonReport (max iteration count
-    over nodes).
+    ``targets`` is the (n, N) field of transformed concentrations on the
+    solvent nodes and ``u_vals`` the (N,) potential w + Phi_tilde^k there.
+    ``c_prev`` (the previous concentrations) is not needed: the root is
+    unique and found from s = 0.  Returns the (n, N) concentration fields
+    and a NewtonReport with the largest iteration count over the nodes.
     """
     targets = np.asarray(targets, dtype=float)
-    u_vals = np.asarray(u_vals, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    E = capped_exp(-species.Z[:, None] * u_vals[None, :], constants.cap)
-    if not species.size_mode:
-        P = targets * E  # closed form: the systems are linear
-        return P, NewtonReport(True, 1, 0.0, P)
-    P, iters = _batched_newton(targets, E, species, constants.gamma,
-                               c_prev, constants.eps_newton)
-    if np.any(P <= 0.0):
+    if np.any(targets <= 0.0):
+        raise FeasibilityError("Block 2 needs positive transformed concentrations")
+    if not species.size_mode:  # the systems are linear
+        E = capped_exp(-species.Z[:, None] * np.asarray(u_vals, dtype=float)[None, :],
+                       constants.cap)
+        return targets * E, NewtonReport(1)
+    log_a, exponent = log_coefficients(targets, u_vals, species, constants)
+    r = species.v_ratio
+    s, iters = _log_water(log_a, r)
+    P = targets * np.exp(exponent + r[:, None] * s[None, :])
+    # minor species far below the dominant one can underflow to zero; their
+    # model value is positive but below double precision
+    P = np.maximum(P, np.finfo(float).tiny)
+    if not np.all(P > 0.0):
         raise FeasibilityError("Block 2 produced a nonpositive concentration")
     frac = constants.gamma * (species.v @ P)
     if np.any(frac >= 1.0 + 1.0e-12):  # roundoff slack at saturated nodes
         raise FeasibilityError("Block 2 violated the volume-fraction bound")
-    return P, NewtonReport(True, int(iters.max()), 0.0, P)
+    return P, NewtonReport(int(iters.max()))
 
 
 def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstants,
@@ -221,8 +130,9 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
 
     Damped fixed-point loop with the transformed concentrations frozen at
     the bulk constants: alternate the nodewise recovery of xi and the ionic
-    potential solve q = phi_solve(xi), damping q with the outer omega,
-    until successive q and xi differences drop below eps_outer in L2.
+    potential solve q = phi_solve(xi), damping q with the outer omega capped
+    at _INIT_OMEGA, until successive q and xi differences drop below
+    eps_outer in L2.
 
     ``phi_solve`` maps (n, Ns) solvent fields to a box-mesh potential;
     ``norm_omega``/``norm_solvent`` are L2 norms on the two meshes.
@@ -233,10 +143,11 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
     q = np.zeros(submesh.parent.num_vertices)
     targets = np.repeat(species.c_b[:, None], Ns, axis=1)
     xi = targets.copy()
+    omega = min(constants.omega, _INIT_OMEGA)
     for sweep in range(1, max_sweeps + 1):
         u_vals = submesh.restrict(w_field + q)
         xi_new, _ = block2_update(targets, u_vals, xi, species, constants)
-        q_new = q + constants.omega * (phi_solve(xi_new) - q)
+        q_new = q + omega * (phi_solve(xi_new) - q)
         dq = norm_omega(q_new - q)
         dxi = max(norm_solvent(xi_new[i] - xi[i]) for i in range(n))
         q, xi = q_new, xi_new

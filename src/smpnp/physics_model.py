@@ -158,7 +158,6 @@ class ModelConstants:
     cap: float = 45.0  # exponent truncation bound M
     omega: float = 0.41  # damping of the outer block iteration
     eps_outer: float = 1.0e-4
-    eps_newton: float = 1.0e-8
 
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:

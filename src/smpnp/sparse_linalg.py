@@ -1,7 +1,6 @@
 """Sparse linear solves: direct sparse LU, and conjugate gradients on the
 symmetrically Jacobi-scaled system with an ILU(0) preconditioner (IC(0) for
-the symmetric matrices solved here), plus dense partial-pivot elimination
-for the small per-node Newton systems.
+the symmetric matrices solved here).
 
 Matrices are scipy CSR with sorted, duplicate-free column indices.
 """
@@ -284,28 +283,4 @@ def solve(A, b, spec: LinearSolveSpec):
     if not (res <= target or backward_error(x) <= spec.rel_tol):
         raise LinearSolveError(
             "CG-ILU0 did not converge: final residual %.3e > %.3e" % (res, target))
-    return x
-
-
-def small_dense_solve(A, b):
-    """Gaussian elimination with partial pivoting for n <= 8 systems."""
-    A = np.array(A, dtype=float)
-    x = np.array(b, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or x.shape != (n,):
-        raise LinearSolveError("shape mismatch in small dense solve")
-    if n > 8:
-        raise LinearSolveError("small_dense_solve limited to n <= 8, got %d" % n)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) < 1.0e-14:
-            raise SingularMatrixError("singular pivot in column %d" % k)
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-        m = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k:] -= m[:, None] * A[k, k:]
-        x[k + 1:] -= m * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
     return x

@@ -100,6 +100,14 @@ def test_parse_config_rejects_restart(tmp_path):
         driver.parse_config(_write(tmp_path, text))
 
 
+def test_parse_config_rejects_eps_newton(tmp_path):
+    # Block 2 stops on a fixed tolerance, so the key is unknown
+    text = ZERO_FIELD.format(out=tmp_path).replace("solver = direct",
+                                                   "solver = direct\neps_newton = 1e-8")
+    with pytest.raises(ConfigError, match="unknown key 'eps_newton'"):
+        driver.parse_config(_write(tmp_path, text))
+
+
 def test_cli_mesh_synth_then_check(tmp_path, capsys):
     mesh_path = str(tmp_path / "chan.mesh")
     rc = driver.main(["mesh", "synth", "--out", mesh_path, "--resolution", "6"])

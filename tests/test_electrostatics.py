@@ -120,16 +120,16 @@ def test_solve_psi_membrane_charge_weak_residual(channel_mesh):
 
 def test_phi_tilde_zero_charge(channel_mesh, channel_submesh, species4):
     c = np.zeros((4, channel_submesh.num_vertices))
-    q = es.solve_phi_tilde(channel_mesh, channel_submesh, c, species4.Z,
-                           CONST, DIRECT)
+    q = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
+                          DIRECT).solve(c)
     assert np.allclose(q, 0.0, atol=1e-12)
 
 
 def test_phi_tilde_charge_neutral(channel_mesh, channel_submesh, species4, rng):
     base = 0.05 + 0.05 * rng.random(channel_submesh.num_vertices)
     c = np.stack([base, base, base, base])  # Z = (-1,-1,1,1) cancels
-    q = es.solve_phi_tilde(channel_mesh, channel_submesh, c, species4.Z,
-                           CONST, DIRECT)
+    q = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
+                          DIRECT).solve(c)
     assert np.max(np.abs(q)) < 1e-10
 
 
@@ -155,18 +155,18 @@ def test_phi_tilde_linearity(channel_mesh, channel_submesh, species4, rng):
 
 def test_phi_tilde_vanishes_on_dirichlet(channel_mesh, channel_submesh, species4, rng):
     c = 0.02 + 0.08 * rng.random((4, channel_submesh.num_vertices))
-    q = es.solve_phi_tilde(channel_mesh, channel_submesh, c, species4.Z,
-                           CONST, DIRECT)
+    q = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
+                          DIRECT).solve(c)
     nodes = fem_core.dirichlet_nodes(channel_mesh, meshmod.GAMMA_D)
     assert np.allclose(q[nodes], 0.0, atol=1e-12)
 
 
 def test_phi_tilde_krylov_matches_direct(channel_mesh, channel_submesh, species4, rng):
     c = 0.02 + 0.08 * rng.random((4, channel_submesh.num_vertices))
-    qd = es.solve_phi_tilde(channel_mesh, channel_submesh, c, species4.Z,
-                            CONST, DIRECT)
-    qk = es.solve_phi_tilde(channel_mesh, channel_submesh, c, species4.Z,
-                            CONST, sparse_linalg.LinearSolveSpec(method="krylov_ilu0"))
+    qd = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
+                           DIRECT).solve(c)
+    qk = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
+                           sparse_linalg.LinearSolveSpec(method="krylov_ilu0")).solve(c)
     assert np.allclose(qk, qd, atol=1e-6 * (1.0 + np.max(np.abs(qd))))
 
 

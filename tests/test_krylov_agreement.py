@@ -1,8 +1,10 @@
 """The two linear-solver paths agree on the forward solution.
 
-Block 1 at sigma = -1 on the R=12 channel has matrix diagonals spanning
-1e20: a backward-error stop says little about the forward error there, so
-the gate compares solutions, on stored Block-1 systems and end to end.
+A backward-error stop says little about the forward error when the matrix
+diagonals span many orders of magnitude, so the gate compares solutions:
+on the Block-1 systems of the R=12 sigma=-1 run, end to end on that run,
+and on Block-1 systems of the same submesh under potentials large enough
+to reach the exponent cap, whose diagonals span 1e20 and more.
 """
 
 import logging
@@ -11,18 +13,24 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from smpnp import driver, mesh as meshmod, sparse_linalg
+from smpnp import driver, fem_core, mesh as meshmod, sparse_linalg, transport
 from smpnp.physics_model import ModelConstants, mixture_species
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 KRYLOV = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
+GEOM12 = meshmod.ChannelGeometry(resolution=12)
 
 
 def _sigma12_config(spec):
     return driver.RunConfig(species=mixture_species(),
                             constants=ModelConstants().with_(sigma=-1.0),
-                            linear=spec,
-                            geometry=meshmod.ChannelGeometry(resolution=12))
+                            linear=spec, geometry=GEOM12)
+
+
+def _assert_forward_agreement(A, b):
+    xd = sparse_linalg.solve(A, b, DIRECT)
+    xk = sparse_linalg.solve(A, b, KRYLOV)
+    assert np.max(np.abs(xk - xd)) <= 1e-2 * np.max(np.abs(xd))
 
 
 @pytest.fixture(scope="module")
@@ -46,15 +54,61 @@ def direct_run():
 
 @pytest.mark.parametrize("sweep", [0, -1], ids=["equilibrium", "late"])
 def test_block1_forward_agreement(direct_run, sweep):
-    # sweep 0 solves at the equilibrium initial iterate; the last sweep at
-    # the converged high-potential state
+    # sweep 0 solves at the equilibrium initial iterate, the last sweep at
+    # the converged state; their diagonals span 1.9e2 to 2.7e2 (max |u| is
+    # about 1.2 there), so the large-span regime is covered below
     _, systems = direct_run
-    spans = [A.diagonal().max() / A.diagonal().min() for A, _ in systems[sweep]]
-    assert max(spans) >= 1e20
     for A, b in systems[sweep]:
-        xd = sparse_linalg.solve(A, b, DIRECT)
-        xk = sparse_linalg.solve(A, b, KRYLOV)
-        assert np.max(np.abs(xk - xd)) <= 1e-2 * np.max(np.abs(xd))
+        _assert_forward_agreement(A, b)
+
+
+def _capped_potential(sub, name):
+    """Submesh potentials that reach the exponent cap (45) somewhere."""
+    x, y, z = sub.vertices.T
+    geom = GEOM12
+    if name == "z-ramp":  # -45 at the bottom face to +45 at the top face
+        return 45.0 * (2.0 * (z - z.min()) / (z.max() - z.min()) - 1.0)
+    if name == "pore-well":  # -60 inside the pore, 0 elsewhere
+        pore = (x ** 2 + y ** 2 <= geom.pore_radius ** 2) & (np.abs(z) <= geom.z2)
+        return np.where(pore, -60.0, 0.0)
+    return 60.0 * (2.0 * (x - x.min()) / (x.max() - x.min()) - 1.0)  # x-ramp
+
+
+@pytest.fixture(scope="module")
+def submesh12():
+    return meshmod.extract_solvent_submesh(meshmod.synth_channel_mesh(GEOM12))
+
+
+_MISSES = "CG forward error above 1e-2 on a capped-potential Block-1 system"
+
+
+@pytest.mark.parametrize("field,species", [
+    pytest.param("z-ramp", "Cl-", marks=pytest.mark.xfail(strict=True, reason=_MISSES)),
+    pytest.param("z-ramp", "NO3-", marks=pytest.mark.xfail(strict=True, reason=_MISSES)),
+    pytest.param("z-ramp", "Na+", marks=pytest.mark.xfail(strict=True, reason=_MISSES)),
+    pytest.param("z-ramp", "K+", marks=pytest.mark.xfail(strict=True, reason=_MISSES)),
+    ("pore-well", "Cl-"),
+    ("pore-well", "NO3-"),
+    pytest.param("pore-well", "Na+", marks=pytest.mark.xfail(strict=True, reason=_MISSES)),
+    ("pore-well", "K+"),
+    ("x-ramp", "Cl-"),
+    ("x-ramp", "NO3-"),
+    ("x-ramp", "Na+"),
+    ("x-ramp", "K+"),
+])
+def test_capped_potential_forward_agreement(submesh12, field, species):
+    # bulk concentrations, so the span comes from the capped exponentials
+    sp = mixture_species()
+    constants = ModelConstants()
+    i = sp.names.index(species)
+    c = np.repeat(sp.c_b[:, None], submesh12.num_vertices, axis=1)
+    dhat = transport.transformed_diffusion_nodal(
+        submesh12, sp, i, _capped_potential(submesh12, field), c, constants)
+    A, b = fem_core.pinned_stiffness_system(
+        submesh12, dhat, transport.np_dirichlet(submesh12, sp, i, constants))
+    diagonal = A.diagonal()
+    assert diagonal.max() / diagonal.min() >= 1e20
+    _assert_forward_agreement(A, b)
 
 
 def test_krylov_run_matches_direct(direct_run, caplog):
@@ -64,8 +118,6 @@ def test_krylov_run_matches_direct(direct_run, caplog):
     assert result_d.converged and result_k.converged
     assert np.max(np.abs(result_k.u - result_d.u)) <= 1e-4
     assert abs(result_k.iterations - result_d.iterations) <= 3
-    # the maximum-principle monitor reports once per run, not per solve
-    monitor = [r for r in caplog.records
-               if r.name == "smpnp.transport" and "Dirichlet range" in r.getMessage()]
-    assert len(monitor) <= 1
-    assert not any("transformed solve leaves" in r.getMessage() for r in caplog.records)
+    # the maximum-principle monitor reports no excursion on the Krylov run
+    assert not any("Dirichlet range" in r.getMessage() or "transformed solve leaves"
+                   in r.getMessage() for r in caplog.records)

@@ -322,9 +322,9 @@ def test_submesh_names_solvent_boundary_face_missing_from_parent(channel_mesh):
                                                    channel_mesh.facets[drop])]]
     with pytest.raises(MeshError) as err:
         meshmod.extract_solvent_submesh(mesh)
-    named = tuple(np.sort(face).astype(np.int64))
-    assert str(err.value) == ("solvent boundary face %s missing from parent facets"
-                              % (named,))
+    named = ", ".join(str(v) for v in np.sort(face))
+    assert str(err.value) == ("solvent boundary face (%s) missing from parent facets"
+                              % named)
 
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from smpnp import nonlinear_node as nn
 from smpnp.errors import FeasibilityError
@@ -12,85 +13,75 @@ CONST = ModelConstants()
 CL = SpeciesSet([IonSpecies("Cl-", -1, 24.8384, 0.1, 0.203, 0.011)])
 
 
-def _sys(targets, u, species):
-    return nn.NodeSystem.at_potential(np.asarray(targets, dtype=float),
-                                      u, species, CONST)
+def _water_equation(targets, u, species, s):
+    """phi and dphi/ds of the node systems at (n,) or (n, N) targets."""
+    targets = np.asarray(targets, dtype=float).reshape(len(species), -1)
+    u = np.broadcast_to(np.asarray(u, dtype=float), targets.shape[1:])
+    log_a, _ = nn.log_coefficients(targets, u, species, CONST)
+    return nn.water_equation(np.asarray(s, dtype=float).reshape(-1), log_a,
+                             species.v_ratio)
 
 
-def test_residual_reduction_closed_form():
-    sp = mixture_species(sized=False)
-    u = 0.8
-    targets = np.array([0.2, 0.1, 0.3, 0.05])
-    sys = _sys(targets, u, sp)
-    root = targets * np.exp(-sp.Z * u)
-    assert np.allclose(nn.residual(sys, root), 0.0, atol=1e-15)
+def _solve(targets, u, species):
+    """block2_update at one node: the (n,) concentrations and the report."""
+    targets = np.asarray(targets, dtype=float)[:, None]
+    P, rep = nn.block2_update(targets, np.array([u]), np.full_like(targets, 0.1),
+                              species, CONST)
+    return P[:, 0], rep
 
 
 def test_residual_at_zero():
+    # at the start point s = 0 (w = 1), phi = log(1 + sum a_i) >= 0
     sp = mixture_species()
-    sys = _sys(np.full(4, 0.1), 0.5, sp)
-    assert np.allclose(nn.residual(sys, np.zeros(4)), -sys.targets * sys.E)
+    targets, u = np.full(4, 0.1), 0.5
+    phi, _ = _water_equation(targets, u, sp, 0.0)
+    a = CONST.gamma * sp.v * targets * np.exp(-sp.Z * u)
+    assert np.isclose(phi[0], np.log1p(a.sum()), rtol=1e-14)
 
 
 def test_residual_single_species_round_trip_value():
     cbar = slotboom_forward(0.0, np.array([0.1]), CL, CONST)
-    sys = _sys(cbar, 0.0, CL)
-    assert abs(nn.residual(sys, np.array([0.1]))[0]) < 1e-15
+    w = 1.0 - CONST.gamma * CL.v[0] * 0.1
+    phi, _ = _water_equation(cbar, 0.0, CL, np.log(w))
+    assert abs(phi[0]) < 1e-15
 
 
 def test_node_system_rejects_nonpositive_targets():
     with pytest.raises(FeasibilityError):
-        _sys([0.1, -0.1, 0.1, 0.1], 0.0, mixture_species())
-
-
-def test_jacobian_reduction_is_identity():
-    sp = mixture_species(sized=False)
-    sys = _sys(np.full(4, 0.1), 0.3, sp)
-    assert np.allclose(nn.jacobian(sys, np.full(4, 0.1)), np.eye(4))
+        _solve([0.1, -0.1, 0.1, 0.1], 0.0, mixture_species())
 
 
 def test_jacobian_matches_finite_differences(rng):
+    # the kernel's Jacobian is dphi/ds, a weighted mean of 1 and the r_i
     sp = mixture_species()
+    h = 1e-6
     for _ in range(200):
-        targets = 0.01 + 0.3 * rng.random(4)
-        u = rng.uniform(-2.0, 2.0)
-        P = 0.01 + 0.3 * rng.random(4)
-        sys = _sys(targets, u, sp)
-        J = nn.jacobian(sys, P)
-        h = 1e-6
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = h
-            fd = (nn.residual(sys, P + e) - nn.residual(sys, P - e)) / (2 * h)
-            assert np.allclose(J[:, j], fd, rtol=1e-6, atol=1e-9)
-
-
-def test_jacobian_diagonal_exceeds_one_and_rank1_structure():
-    sp = mixture_species()
-    sys = _sys(np.full(4, 0.12), -0.9, sp)
-    J = nn.jacobian(sys, np.full(4, 0.1))
-    assert np.all(np.diag(J) > 1.0)
-    # J - I is rank one with columns proportional to v: J_ij = delta_ij + a_i v_j
-    a = (J[:, 0] - np.eye(4)[:, 0]) / sp.v[0]
-    assert np.allclose(J, np.eye(4) + np.outer(a, sp.v), rtol=1e-12)
-    # matrix determinant lemma for the rank-one update
-    assert np.isclose(np.linalg.det(J), 1.0 + float(sp.v @ a), rtol=1e-10)
+        targets = 10.0 ** rng.uniform(-3.0, 2.0, size=4)
+        u = rng.uniform(-45.0, 45.0)
+        s = rng.uniform(-40.0, 0.0)
+        _, slope = _water_equation(targets, u, sp, s)
+        up, _ = _water_equation(targets, u, sp, s + h)
+        down, _ = _water_equation(targets, u, sp, s - h)
+        assert abs(slope[0] - (up[0] - down[0]) / (2 * h)) <= 1e-6 * slope[0]
+        assert 1.0 - 1e-12 <= slope[0] <= sp.v_ratio.max() * (1.0 + 1e-12)
 
 
 def test_newton_reduction_one_iteration():
     sp = mixture_species(sized=False)
     u = 1.1
     targets = np.array([0.2, 0.1, 0.3, 0.05])
-    rep = nn.newton_solve(_sys(targets, u, sp), np.full(4, 0.1))
-    assert rep.converged
+    P, rep = _solve(targets, u, sp)
     assert rep.iterations <= 1
-    assert np.allclose(rep.solution, targets * np.exp(-sp.Z * u), rtol=1e-12)
+    assert np.allclose(P, targets * np.exp(-sp.Z * u), rtol=1e-12)
 
 
-def _bisection_root(sys, lo, hi, tol=1e-14):
+def _bisection_root(target, u, species, lo, hi, tol=1e-14):
+    """Root of p - t (1 - gamma v p)^(v/v0) E in p, by plain bisection."""
+    E = np.exp(-species.Z[0] * u)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if nn.residual(sys, np.array([mid]))[0] > 0.0:
+        w = 1.0 - CONST.gamma * species.v[0] * mid
+        if mid - target * w ** species.v_ratio[0] * E > 0.0:
             hi = mid
         else:
             lo = mid
@@ -105,37 +96,25 @@ def test_newton_single_species_vs_bisection(rng):
     for _ in range(100):
         target = 10.0 ** rng.uniform(-3.0, 2.0)
         u = rng.uniform(-3.0, 3.0)
-        sys = _sys([target], u, CL)
-        rep = nn.newton_solve(sys, np.array([0.1]))
-        assert rep.converged
-        root = _bisection_root(sys, 0.0, cap * (1.0 - 1e-15))
-        assert abs(rep.solution[0] - root) <= 1e-8 * (1.0 + root)
+        P, _ = _solve([target], u, CL)
+        root = _bisection_root(target, u, CL, 0.0, cap * (1.0 - 1e-15))
+        assert abs(P[0] - root) <= 1e-8 * (1.0 + root)
 
 
 def test_newton_four_species_round_trip():
     sp = mixture_species()
     cbar = boundary_conc(sp, "bottom", CONST)
-    rep = nn.newton_solve(_sys(cbar, 0.0, sp), np.full(4, 0.05))
-    assert rep.converged
-    assert np.allclose(rep.solution, 0.1, atol=1e-8)
+    P, _ = _solve(cbar, 0.0, sp)
+    assert np.allclose(P, 0.1, atol=1e-8)
 
 
 def test_newton_projects_infeasible_start():
+    # the previous iterate does not enter the solve, even far beyond the
+    # packing bound
     sp = mixture_species()
-    cbar = boundary_conc(sp, "bottom", CONST)
-    start = np.full(4, 1.0e5)  # far beyond the packing bound
-    rep = nn.newton_solve(_sys(cbar, 0.0, sp), start)
-    assert rep.converged
-    assert np.allclose(rep.solution, 0.1, atol=1e-8)
-
-
-def test_project_feasible():
-    sp = mixture_species()
-    P = np.full(4, 1.0e5)
-    out = nn.project_feasible(P, sp, CONST.gamma)
-    assert CONST.gamma * float(sp.v @ out) <= 0.99 + 1e-12
-    mild = np.full(4, 0.1)
-    assert np.array_equal(nn.project_feasible(mild, sp, CONST.gamma), mild)
+    cbar = boundary_conc(sp, "bottom", CONST)[:, None]
+    P, _ = nn.block2_update(cbar, np.zeros(1), np.full((4, 1), 1.0e5), sp, CONST)
+    assert np.allclose(P, 0.1, atol=1e-8)
 
 
 def test_block2_uniform_inputs_identical_nodes():
@@ -145,7 +124,7 @@ def test_block2_uniform_inputs_identical_nodes():
     u = np.full(N, 0.35)
     c_prev = np.full((4, N), 0.1)
     P, rep = nn.block2_update(targets, u, c_prev, sp, CONST)
-    assert rep.converged
+    assert rep.iterations >= 1
     assert np.allclose(P, P[:, :1])
     # strict feasibility at every node
     assert np.all(P > 0.0)
@@ -163,6 +142,8 @@ def test_block2_reduction_closed_form(rng):
 
 
 def test_block2_matches_sequential_newton(rng):
+    # the batched solve equals node-by-node solves and a bracketing root
+    # finder on h(w) = w - 1 + gamma sum v_i t_i E_i w^(r_i)
     sp = mixture_species()
     N = 40
     targets = 0.02 + 0.2 * rng.random((4, N))
@@ -170,9 +151,23 @@ def test_block2_matches_sequential_newton(rng):
     c_prev = 0.02 + 0.2 * rng.random((4, N))
     P, _ = nn.block2_update(targets, u, c_prev, sp, CONST)
     for mu in range(N):
-        rep = nn.newton_solve(_sys(targets[:, mu], u[mu], sp), c_prev[:, mu])
-        assert rep.converged
-        assert np.allclose(P[:, mu], rep.solution, rtol=1e-6, atol=1e-10)
+        alone, _ = _solve(targets[:, mu], u[mu], sp)
+        assert np.array_equal(P[:, mu], alone)
+        a = CONST.gamma * sp.v * targets[:, mu] * np.exp(-sp.Z * u[mu])
+        w = brentq(lambda w: w - 1.0 + a @ w ** sp.v_ratio, 1e-300, 1.0,
+                   xtol=1e-15, rtol=1e-15)
+        expect = targets[:, mu] * w ** sp.v_ratio * np.exp(-sp.Z * u[mu])
+        assert np.allclose(P[:, mu], expect, rtol=1e-10, atol=0.0)
+
+
+def test_block2_root_at_bracket_end():
+    # phi(0) = log(1 + sum a_i) rounds to exactly 0: the start s = 0 is the
+    # root and the upper bracket end at once, and must not be bisected away
+    sp = mixture_species()
+    targets = np.full((4, 3), 1e-300)
+    P, rep = nn.block2_update(targets, np.zeros(3), targets, sp, CONST)
+    assert np.array_equal(P, targets)
+    assert rep.iterations == 1
 
 
 def test_block2_order_invariance(rng):
@@ -213,13 +208,13 @@ def test_solve_smpbic_boltzmann_reduction():
 
 
 def test_capped_exponentials_match_hand_evaluation():
+    # |Z u| = 100 for every species; c_i = t_i E_i w^(r_i) with E_i = e^(-+45)
     sp = mixture_species()
-    sys = _sys(np.full(4, 0.1), 100.0, sp)  # |Z u| = 100 for every species
+    P, _ = nn.block2_update(np.full((4, 1), 1e-21), np.array([100.0]),
+                            np.full((4, 1), 0.1), sp, CONST)
+    w = 1.0 - CONST.gamma * float(sp.v @ P[:, 0])
     expect = np.exp(np.where(sp.Z > 0, -45.0, 45.0))
-    assert np.array_equal(sys.E, expect)
-    P = np.full(4, 1.0e-6)
-    assert np.all(np.isfinite(nn.residual(sys, P)))
-    assert np.all(np.isfinite(nn.jacobian(sys, P)))
+    assert np.allclose(P[:, 0] / (1e-21 * w ** sp.v_ratio), expect, rtol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,10 +226,9 @@ def test_newton_random_feasible_systems(n, seed):
     sp = SpeciesSet(base)
     targets = 10.0 ** r.uniform(-3.0, 1.0, size=n)
     u = r.uniform(-4.0, 4.0)
-    rep = nn.newton_solve(_sys(targets, u, sp), np.full(n, 0.1))
-    assert rep.converged
-    P = rep.solution
+    P, _ = _solve(targets, u, sp)
     assert np.all(P > 0.0)
     w = 1.0 - CONST.gamma * float(sp.v @ P)
     assert w > 0.0
-    assert np.max(np.abs(nn.residual(_sys(targets, u, sp), P))) < 1e-6 * (1.0 + targets.max())
+    F = P - targets * w ** sp.v_ratio * np.exp(-sp.Z * u)
+    assert np.max(np.abs(F)) < 1e-6 * (1.0 + targets.max())

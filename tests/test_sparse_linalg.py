@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
 
 from smpnp import electrostatics, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import LinearSolveError, SingularMatrixError
 from smpnp.physics_model import ModelConstants
-from smpnp.sparse_linalg import Ilu0, LinearSolveSpec, small_dense_solve, solve
+from smpnp.sparse_linalg import Ilu0, LinearSolveSpec, solve
 
 DIRECT = LinearSolveSpec(method="direct")
 KRYLOV = LinearSolveSpec(method="krylov_ilu0")
@@ -249,48 +248,3 @@ def test_ilu0_zero_pivot_in_later_level_names_reference_row():
     with pytest.raises(SingularMatrixError) as new:
         Ilu0(A)
     assert str(new.value) == str(ref.value) == "ILU(0): zero pivot in row 2"
-
-
-def _cofactor_solve(A, b):
-    n = A.shape[0]
-    det = np.linalg.det(A)
-    x = np.empty(n)
-    for j in range(n):
-        Aj = A.copy()
-        Aj[:, j] = b
-        x[j] = np.linalg.det(Aj) / det
-    return x
-
-
-def test_small_dense_identity():
-    assert np.allclose(small_dense_solve(np.eye(3), [1.0, 2.0, 3.0]),
-                       [1.0, 2.0, 3.0])
-
-
-def test_small_dense_1x1():
-    assert np.allclose(small_dense_solve(np.array([[4.0]]), [2.0]), [0.5])
-
-
-def test_small_dense_vs_cofactor_oracle(rng):
-    for _ in range(20):
-        A = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-        b = rng.normal(size=4)
-        assert np.allclose(small_dense_solve(A, b), _cofactor_solve(A, b),
-                           atol=1e-12)
-
-
-def test_small_dense_rejects_large_and_singular():
-    with pytest.raises(LinearSolveError):
-        small_dense_solve(np.eye(9), np.zeros(9))
-    with pytest.raises(SingularMatrixError):
-        small_dense_solve(np.zeros((2, 2)), np.ones(2))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
-def test_small_dense_matches_numpy(n, seed):
-    r = np.random.default_rng(seed)
-    A = r.normal(size=(n, n)) + n * np.eye(n)
-    b = r.normal(size=n)
-    assert np.allclose(small_dense_solve(A, b), np.linalg.solve(A, b),
-                       rtol=1e-9, atol=1e-9)
