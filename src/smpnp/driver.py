@@ -271,6 +271,7 @@ class RunResult:
     converged: bool
     iterations: int
     history: list
+    init_sweeps: int  # sweeps of the equilibrium initializer
 
 
 def run(config: RunConfig):
@@ -290,11 +291,12 @@ def run(config: RunConfig):
     logger.info("mesh: %d vertices, %d tets (%d solvent); %d species; %d atoms",
                 mesh.num_vertices, mesh.num_tets, len(submesh.tets), n, len(atoms))
 
+    # builds the box factor that Psi reuses; first, as that lowers peak memory
+    phit_sys = electrostatics.PhiTildeSystem(mesh, submesh, species.Z, constants, spec)
     g_nodes = (electrostatics.eval_G(atoms, constants, mesh.vertices)
                if len(atoms) else np.zeros(mesh.num_vertices))
-    psi = electrostatics.solve_psi(mesh, atoms, constants, spec)
+    psi = electrostatics.solve_psi(mesh, atoms, constants)
     w = g_nodes + psi
-    phit_sys = electrostatics.PhiTildeSystem(mesh, submesh, species.Z, constants, spec)
 
     mass_box = fem_core.assemble_mass(mesh)
     mass_sub = fem_core.assemble_mass(submesh)
@@ -305,8 +307,8 @@ def run(config: RunConfig):
     def norm_sub(f):
         return fem_core.l2_norm(submesh, f, mass=mass_sub)
 
-    phi, c = nonlinear_node.solve_smpbic(submesh, w, species, constants,
-                                         phit_sys.solve, norm_box, norm_sub)
+    phi, c, init_sweeps = nonlinear_node.solve_smpbic(
+        submesh, w, species, constants, phit_sys.solve, norm_box, norm_sub)
     cbar = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
     d_nodal = transport.diffusion_nodal(submesh, species, constants)
 
@@ -352,7 +354,8 @@ def run(config: RunConfig):
     excursions.report(state.k)
     _check_residual_tail(state.history)
     result = RunResult(mesh, submesh, species, constants, w + phi, w, psi,
-                       g_nodes, phi, c, cbar, converged, state.k, state.history)
+                       g_nodes, phi, c, cbar, converged, state.k, state.history,
+                       init_sweeps)
     if not converged:
         err = ConvergenceError(
             "outer iteration did not converge in %d sweeps" % config.max_outer)
@@ -466,6 +469,7 @@ def export_summary(path, result: RunResult):
     lines = [
         ("converged", "yes" if result.converged else "no"),
         ("iterations", result.iterations),
+        ("init_sweeps", result.init_sweeps),
         ("res_cbar", "%.6e" % last["res_cbar"]),
         ("res_c", "%.6e" % last["res_c"]),
         ("res_phi", "%.6e" % last["res_phi"]),

@@ -4,7 +4,7 @@ G is the analytic Coulomb potential of the protein's atomic charges in a
 uniform protein dielectric; Psi corrects G to the box's piecewise
 dielectric, boundary data, and membrane surface charge (computed once);
 Phi_tilde carries the ionic charge and is re-solved inside the outer block
-iteration.
+iteration.  Both solve with one factored operator per mesh (BoxPoisson).
 
 The Psi weak form is assembled in the dielectric-mismatch form
     a(Psi, v) = -int_Omega (eps(r) - eps_p) grad(G).grad(v)
@@ -211,10 +211,9 @@ def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
 
 
 def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
-              constants: ModelConstants, spec: sparse_linalg.LinearSolveSpec):
+              constants: ModelConstants):
     """Boundary/interface correction potential Psi on the box mesh."""
     _check_atoms_in_protein(mesh, atoms)
-    A = poisson_operator(mesh, constants)
     n = mesh.num_vertices
     rhs = np.zeros(n)
     if len(atoms):
@@ -245,8 +244,7 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
             mesh, meshmod.GAMMA_M)
     g_nodes = eval_G(atoms, constants, mesh.vertices) if len(atoms) else None
     d = potential_dirichlet(mesh, constants, offset=g_nodes)
-    A, rhs = fem_core.apply_dirichlet(A, rhs, d)
-    return sparse_linalg.solve(A, rhs, spec)
+    return box_poisson(mesh, constants).solve(rhs, d)
 
 
 def _orient_outward(mesh, facets, normals):
@@ -261,50 +259,63 @@ def _orient_outward(mesh, facets, normals):
     return out
 
 
+class BoxPoisson:
+    """The dielectric stiffness of the box pinned on the Gamma_D nodes, and
+    its SuperLU factor, shared by Psi and every Phi_tilde solve.
+
+    Of the unpinned operator only the columns of the pinned nodes are kept,
+    to lift boundary values into the right-hand side.
+    """
+
+    def __init__(self, mesh: meshmod.LabeledMesh, constants: ModelConstants):
+        A = poisson_operator(mesh, constants)
+        nodes = fem_core.dirichlet_nodes(mesh, meshmod.GAMMA_D)
+        self.dirichlet = fem_core.DirichletSet(nodes, np.zeros(len(nodes)))
+        self._lift = A[:, nodes]
+        self.A, _ = fem_core.apply_dirichlet(A, np.zeros(mesh.num_vertices), self.dirichlet)
+        del A  # only the pinned operator stays alive while it is factored
+        self.factor = sparse_linalg.factorize(self.A)
+
+    def solve(self, rhs, boundary: fem_core.DirichletSet = None):
+        """Solve A x = rhs at the free nodes, with x on Gamma_D given by
+        ``boundary`` (a DirichletSet covering Gamma_D; zero when None)."""
+        d = boundary or self.dirichlet
+        g = np.zeros(len(rhs))
+        g[d.nodes] = d.values
+        b = rhs - self._lift @ g[self.dirichlet.nodes]
+        b[d.nodes] = d.values
+        return sparse_linalg.solve_factored(self.A, self.factor, b)
+
+
+def box_poisson(mesh: meshmod.LabeledMesh, constants: ModelConstants):
+    """The mesh's BoxPoisson, built on first use and stored on the mesh
+    with the permittivities it was built for."""
+    key = (constants.eps_s, constants.eps_p, constants.eps_m)
+    cached = getattr(mesh, "_box_poisson", (None, None))
+    if cached[0] != key:
+        cached = mesh._box_poisson = (key, BoxPoisson(mesh, constants))
+    return cached[1]
+
+
 class PhiTildeSystem:
     """Reusable ionic-potential solve: fixed operator, varying charge.
 
-    Precomputes the Dirichlet-constrained dielectric stiffness matrix, the
-    solvent-restricted mass matrix, and its LU factorization (direct path)
-    or its Jacobi-scaled CG solver (Krylov path).
+    Holds the solvent-restricted mass matrix and solves with the mesh's
+    BoxPoisson on either linear-solve path; ``spec`` is not used.
     """
 
     def __init__(self, mesh: meshmod.LabeledMesh, submesh: meshmod.SolventSubmesh,
                  species_Z, constants: ModelConstants,
                  spec: sparse_linalg.LinearSolveSpec):
-        self.mesh = mesh
         self.submesh = submesh
         self.Z = np.asarray(species_Z, dtype=float)
         self.beta = constants.beta
-        self.spec = spec
-        A = poisson_operator(mesh, constants)
-        nodes = fem_core.dirichlet_nodes(mesh, meshmod.GAMMA_D)
-        self.dirichlet = fem_core.DirichletSet(nodes, np.zeros(len(nodes)))
-        self.A, _ = fem_core.apply_dirichlet(A, np.zeros(mesh.num_vertices), self.dirichlet)
         self.solvent_mass = fem_core.assemble_mass(
             mesh, tet_mask=mesh.tet_regions == meshmod.SOLVENT)
-        self._factor = None
-        if spec.method == sparse_linalg.DIRECT:
-            self._factor = sparse_linalg.factorize(self.A)
-        else:
-            self._cg = sparse_linalg.ScaledCG(self.A)
+        self.box = box_poisson(mesh, constants)
 
     def solve(self, c_fields):
         """Phi_tilde candidate q for solvent concentration fields (n, Ns)."""
         c_fields = np.atleast_2d(np.asarray(c_fields, dtype=float))
         charge = self.Z @ self.submesh.prolong(c_fields)
-        rhs = self.beta * (self.solvent_mass @ charge)
-        rhs[self.dirichlet.nodes] = 0.0
-        if self._factor is not None:
-            q = self._factor.solve(rhs)
-            res = np.linalg.norm(self.A @ q - rhs)
-            if res > 1.0e-6 * (1.0 + np.linalg.norm(rhs)):
-                raise sparse_linalg.LinearSolveError("direct solve residual %.3e" % res)
-            return q
-        target = max(self.spec.abs_tol, self.spec.rel_tol * np.linalg.norm(rhs))
-        q = self._cg.solve(rhs, self.spec.max_iter)
-        res = np.linalg.norm(self.A @ q - rhs)
-        if not res <= target:
-            raise sparse_linalg.LinearSolveError(
-                "CG-ILU0 on Phi_tilde: residual %.3e > %.3e" % (res, target))
-        return q
+        return self.box.solve(self.beta * (self.solvent_mass @ charge))

@@ -136,7 +136,7 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
 
     ``phi_solve`` maps (n, Ns) solvent fields to a box-mesh potential;
     ``norm_omega``/``norm_solvent`` are L2 norms on the two meshes.
-    Returns (q, xi).
+    Returns (q, xi, sweeps).
     """
     n = len(species)
     Ns = submesh.num_vertices
@@ -152,6 +152,6 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
         dxi = max(norm_solvent(xi_new[i] - xi[i]) for i in range(n))
         q, xi = q_new, xi_new
         if max(dq, dxi) < constants.eps_outer:
-            logger.debug("equilibrium initializer converged in %d sweeps", sweep)
-            return q, xi
+            logger.info("equilibrium initializer converged in %d sweeps", sweep)
+            return q, xi, sweep
     raise NewtonError("equilibrium initializer did not converge in %d sweeps" % max_sweeps)

@@ -197,9 +197,6 @@ class Ilu0:
             raise SingularMatrixError("ILU(0) triangular solve failed (info %d)" % info)
         return x * self._inv_diag.reshape((-1,) + (1,) * (x.ndim - 1))
 
-    def as_operator(self):
-        return spla.LinearOperator((self.n, self.n), matvec=self.solve)
-
     def pattern_matrix(self):
         """Combined factor values on the original pattern (for testing)."""
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
@@ -219,68 +216,55 @@ def factorize(A):
         raise SingularMatrixError(str(exc)) from exc
 
 
-class ScaledCG:
-    """Preconditioned CG for a symmetric positive definite A.
+def _backward_error(A, x, b):
+    # normwise: transformed systems carry entries spanning e^(+-cap), so
+    # the raw residual alone has no fixed scale
+    scale = spla.norm(A, np.inf) * np.linalg.norm(x) + np.linalg.norm(b)
+    return np.linalg.norm(A @ x - b) / max(scale, 1.0e-300)
 
-    CG runs on As y = S b with As = S A S, S = diag(A)^-1/2, and returns
-    x = S y.  The transformed systems carry diagonals spanning e^(+-cap);
-    As has a unit diagonal instead, so that span leaves the stopping test
-    and the conditioning CG sees.  As keeps A's pattern, so its ILU(0)
-    (IC(0) up to rounding, A being symmetric) reuses the pattern's cached
-    plan.  The iterate is not checked here: callers check it against A.
-    """
 
-    def __init__(self, A):
-        A = _as_sorted_csr(A)
-        diag = A.diagonal()
-        bad = np.flatnonzero(~(diag > 0.0))
-        if bad.size:
-            raise LinearSolveError("CG needs a positive diagonal: row %d has %g"
-                                   % (bad[0], diag[bad[0]]))
-        self.scale = 1.0 / np.sqrt(diag)
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        self.A = sp.csr_matrix(
-            (A.data * self.scale[rows] * self.scale[A.indices], A.indices, A.indptr),
-            shape=A.shape)
-        self._precond = Ilu0(self.A).as_operator()
-
-    def solve(self, b, max_iter):
-        """CG iterate for A x = b after at most ``max_iter`` steps."""
-        y, _ = spla.cg(self.A, self.scale * b, rtol=_CG_TOL, atol=0.0,
-                       maxiter=max_iter, M=self._precond)
-        return self.scale * y
+def solve_factored(A, lu, b):
+    """Solve A x = b with ``lu``, a factorization of A, checking x: above
+    _DIRECT_CHECK one refinement step runs, and a backward error still above
+    1e-6, or NaN, raises LinearSolveError."""
+    x = lu.solve(b)
+    if not _backward_error(A, x, b) <= _DIRECT_CHECK:
+        x = x + lu.solve(b - A @ x)
+        err = _backward_error(A, x, b)
+        if not err <= 1.0e-6:
+            raise LinearSolveError("direct solve backward error %.3e too large" % err)
+        logger.warning("direct solve backward error %.3e above check bound", err)
+    return x
 
 
 def solve(A, b, spec: LinearSolveSpec):
-    """Solve A x = b per ``spec``; raises LinearSolveError on failure."""
+    """Solve A x = b per ``spec`` (the Block-1 systems); raises
+    LinearSolveError on failure.  CG runs on As y = S b, As = S A S with
+    S = diag(A)^-1/2: As has a unit diagonal, so the e^(+-cap) span of the
+    transformed diagonals leaves the stopping test, and keeps A's pattern,
+    so its ILU(0) (IC(0) up to rounding) reuses the pattern's cached plan."""
     A = _as_sorted_csr(A)
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
         raise LinearSolveError("shape mismatch: A %s, b %s" % (A.shape, b.shape))
-    bnorm = np.linalg.norm(b)
-    anorm = spla.norm(A, np.inf) if A.nnz else 0.0
-
-    def backward_error(x):
-        # normwise backward error: transformed systems carry entries spanning
-        # e^(+-cap), so the raw residual alone has no fixed scale
-        scale = anorm * np.linalg.norm(x) + bnorm
-        return np.linalg.norm(A @ x - b) / max(scale, 1.0e-300)
-
     if spec.method == DIRECT:
-        lu = factorize(A)
-        x = lu.solve(b)
-        if backward_error(x) > _DIRECT_CHECK:
-            x = x + lu.solve(b - A @ x)  # one refinement step
-            err = backward_error(x)
-            if err > 1.0e-6:
-                raise LinearSolveError("direct solve backward error %.3e too large" % err)
-            logger.warning("direct solve backward error %.3e above check bound", err)
-        return x
-    x = ScaledCG(A).solve(b, spec.max_iter)
+        return solve_factored(A, factorize(A), b)
+    diag = A.diagonal()
+    bad = np.flatnonzero(~(diag > 0.0))
+    if bad.size:
+        raise LinearSolveError("CG needs a positive diagonal: row %d has %g"
+                               % (bad[0], diag[bad[0]]))
+    scale = 1.0 / np.sqrt(diag)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    As = sp.csr_matrix((A.data * scale[rows] * scale[A.indices], A.indices, A.indptr),
+                       shape=A.shape)
+    y, _ = spla.cg(As, scale * b, rtol=_CG_TOL, atol=0.0, maxiter=spec.max_iter,
+                   M=spla.LinearOperator(A.shape, matvec=Ilu0(As).solve))
+    x = scale * y
     res = np.linalg.norm(A @ x - b)
-    target = max(spec.abs_tol, spec.rel_tol * bnorm)
+    target = max(spec.abs_tol, spec.rel_tol * np.linalg.norm(b))
     # written so that a NaN residual fails the check
-    if not (res <= target or backward_error(x) <= spec.rel_tol):
+    if not (res <= target or _backward_error(A, x, b) <= spec.rel_tol):
         raise LinearSolveError(
             "CG-ILU0 did not converge: final residual %.3e > %.3e" % (res, target))
     return x

@@ -250,7 +250,7 @@ def test_criterion_8_decomposition_vs_monolithic():
         mesh = meshmod.synth_channel_mesh(
             meshmod.ChannelGeometry(resolution=res))
         w = es.eval_G(atoms, CONST, mesh.vertices) + es.solve_psi(
-            mesh, atoms, CONST, DIRECT)
+            mesh, atoms, CONST)
         rho = es.gaussian_charge_density(atoms, mesh.vertices)
         A = es.poisson_operator(mesh, CONST)
         b = CONST.alpha * fem_core.assemble_load_volume(mesh, rho)

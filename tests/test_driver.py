@@ -1,10 +1,12 @@
+import logging
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from smpnp import driver, fem_core, mesh as meshmod
+from smpnp import driver, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import ConfigError, ConvergenceError
+from smpnp.physics_model import ModelConstants, mixture_species
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -173,6 +175,39 @@ def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
     assert len(meshes) <= 2
     assert len({id(m) for m in meshes}) == len(meshes)
     assert {id(m) for m in meshes} <= {id(result.mesh), id(result.submesh)}
+
+
+@pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
+def test_run_factors_box_operator_once(method):
+    # Psi and every Phi~ solve share one SuperLU factor of the box operator;
+    # the method selects the Block-1 solver only
+    config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(),
+                              linear=sparse_linalg.LinearSolveSpec(method=method),
+                              geometry=meshmod.ChannelGeometry(resolution=12))
+    with mock.patch.object(sparse_linalg, "factorize",
+                           wraps=sparse_linalg.factorize) as factorize, \
+            mock.patch.object(sparse_linalg, "Ilu0", wraps=sparse_linalg.Ilu0) as ilu0:
+        result = driver.run(config)
+    n = result.mesh.num_vertices
+    sizes = [call.args[0].shape[0] for call in factorize.call_args_list]
+    assert sizes.count(n) == 1
+    assert all(call.args[0].shape[0] != n for call in ilu0.call_args_list)
+    if method == "direct":
+        assert sizes.count(result.submesh.num_vertices) == 4 * result.iterations
+    else:
+        assert ilu0.call_count == 4 * result.iterations
+
+
+def test_run_reports_initializer_sweeps(tmp_path, caplog):
+    cfg = driver.parse_config(_write(tmp_path, ZERO_FIELD.format(out=tmp_path)))
+    with caplog.at_level(logging.INFO, logger="smpnp"):
+        result = driver.run(cfg)
+    driver.write_outputs(cfg, result)
+    assert result.init_sweeps >= 1
+    assert ("equilibrium initializer converged in %d sweeps" % result.init_sweeps
+            in caplog.messages)
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "init_sweeps = %d" % result.init_sweeps in summary
 
 
 def test_cli_run_nonconvergence_exit_code(tmp_path):

@@ -101,13 +101,13 @@ def test_atoms_file_bad_header(tmp_path):
 
 
 def test_solve_psi_zero_data(channel_mesh):
-    psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), CONST, DIRECT)
+    psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), CONST)
     assert np.allclose(psi, 0.0, atol=1e-12)
 
 
 def test_solve_psi_membrane_charge_weak_residual(channel_mesh):
     constants = CONST.with_(sigma=-1.0)
-    psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), constants, DIRECT)
+    psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), constants)
     A = es.poisson_operator(channel_mesh, constants)
     rhs = constants.tau * constants.sigma * fem_core.assemble_surface_load(
         channel_mesh, meshmod.GAMMA_M)
@@ -140,8 +140,8 @@ def test_phi_tilde_rhs_matches_load_assembly(channel_mesh, channel_submesh):
     oracle_rhs = -CONST.beta * fem_core.assemble_load_volume(
         channel_mesh, channel_submesh.prolong(c1),
         tet_mask=channel_mesh.tet_regions == meshmod.SOLVENT)
-    oracle_rhs[sys.dirichlet.nodes] = 0.0
-    resid = sys.A @ q - oracle_rhs
+    oracle_rhs[sys.box.dirichlet.nodes] = 0.0
+    resid = sys.box.A @ q - oracle_rhs
     assert np.max(np.abs(resid)) < 1e-8 * (1.0 + np.max(np.abs(oracle_rhs)))
 
 
@@ -171,11 +171,14 @@ def test_phi_tilde_krylov_matches_direct(channel_mesh, channel_submesh, species4
 
 
 def test_phi_tilde_krylov_checks_its_answer(channel_mesh, channel_submesh, species4, rng):
+    # both paths solve with the box factor; whatever it hands back is checked
     c = 0.02 + 0.08 * rng.random((4, channel_submesh.num_vertices))
-    sys = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
-                            sparse_linalg.LinearSolveSpec(method="krylov_ilu0"))
-    for bad in (np.zeros, lambda n: np.full(n, np.nan)):
-        with mock.patch.object(sparse_linalg.ScaledCG, "solve",
-                               return_value=bad(channel_mesh.num_vertices)), \
-                pytest.raises(LinearSolveError, match="Phi_tilde"):
-            sys.solve(c)
+    for method in ("direct", "krylov_ilu0"):
+        sys = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
+                                sparse_linalg.LinearSolveSpec(method=method))
+        for bad in (np.zeros, lambda n: np.full(n, np.nan)):
+            factor = mock.Mock(solve=mock.Mock(return_value=bad(channel_mesh.num_vertices)))
+            with mock.patch.object(sys.box, "factor", factor), \
+                    pytest.raises(LinearSolveError, match="backward error"):
+                sys.solve(c)
+            factor.solve.assert_called()

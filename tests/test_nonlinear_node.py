@@ -198,7 +198,7 @@ def test_solve_smpbic_boltzmann_reduction():
             return f
 
     w = np.linspace(-0.5, 0.5, 25)
-    q, xi = nn.solve_smpbic(FakeSub, w, sp, CONST,
+    q, xi, _ = nn.solve_smpbic(FakeSub, w, sp, CONST,
                             lambda c: np.zeros(25),
                             lambda f: float(np.linalg.norm(f)),
                             lambda f: float(np.linalg.norm(f)))

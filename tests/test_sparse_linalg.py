@@ -57,6 +57,13 @@ def test_direct_singular():
         solve(A, np.array([1.0, 2.0]), DIRECT)
 
 
+@pytest.mark.parametrize("spec", [DIRECT, KRYLOV], ids=["direct", "krylov"])
+def test_nan_right_hand_side_raises(spec):
+    A = sp.diags(np.full(5, 2.0), format="csr")
+    with pytest.raises(LinearSolveError):
+        solve(A, np.array([1.0, np.nan, 1.0, 1.0, 1.0]), spec)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         LinearSolveSpec(method="cholesky")
@@ -180,8 +187,8 @@ def ilu0_reference(A):
 
 @pytest.fixture(scope="module")
 def channel12_systems():
-    """R=12 pinned Block-1 system (nodal weights e^+-45) and the box
-    Poisson operator the ionic-potential solve factors."""
+    """R=12 pinned Block-1 system (nodal weights e^+-45) and the pinned box
+    Poisson operator, a second pattern."""
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
     sub = meshmod.extract_solvent_submesh(mesh)
     r = np.random.default_rng(12)
@@ -191,8 +198,8 @@ def channel12_systems():
                               np.concatenate([np.full(len(bottom), 0.1),
                                               np.full(len(top), 2.5)]))
     block1, b = fem_core.pinned_stiffness_system(sub, weight, d)
-    phit = electrostatics.PhiTildeSystem(mesh, sub, [1.0, -1.0], ModelConstants(), KRYLOV)
-    return {"block1": (block1, b), "box": (phit.A, None)}
+    box = electrostatics.box_poisson(mesh, ModelConstants())
+    return {"block1": (block1, b), "box": (box.A, None)}
 
 
 @pytest.mark.parametrize("which", ["block1", "box"])

@@ -87,10 +87,10 @@ def test_krylov_block1_at_charged_membrane_equilibrium(species4):
     consts = CONST.with_(sigma=-1.0)
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
     sub = meshmod.extract_solvent_submesh(mesh)
-    psi = es.solve_psi(mesh, es.AtomicCharges.none(), consts, DIRECT)
+    psi = es.solve_psi(mesh, es.AtomicCharges.none(), consts)
     phit = es.PhiTildeSystem(mesh, sub, species4.Z, consts, DIRECT)
     mass_box, mass_sub = fem_core.assemble_mass(mesh), fem_core.assemble_mass(sub)
-    phi, c = nonlinear_node.solve_smpbic(
+    phi, c, _ = nonlinear_node.solve_smpbic(
         sub, psi, species4, consts, phit.solve,
         lambda f: fem_core.l2_norm(mesh, f, mass=mass_box),
         lambda f: fem_core.l2_norm(sub, f, mass=mass_sub))
