@@ -4,7 +4,9 @@ and the command line front end.
 One outer sweep updates the three unknowns in order: Block 1 solves the n
 linear transformed problems at the frozen potential, Block 2 recovers the
 concentrations nodewise, Block 3 re-solves the ionic potential; each block
-output is blended into the iterate with the damping factor omega.
+output is blended into the iterate with the damping factor omega.  The
+sweeps run in nonlinear_node.damped_fixed_point, the Anderson-accelerated
+loop that the equilibrium initializer runs too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,22 +242,6 @@ def _build_species(blocks, theta):
 
 
 @dataclass
-class BlockIterState:
-    """State of the outer iteration after sweep k."""
-
-    k: int
-    cbar: np.ndarray  # (n, Ns)
-    c: np.ndarray  # (n, Ns)
-    phi_tilde: np.ndarray  # (N,)
-    omega: float
-    history: list = field(default_factory=list)  # per-sweep residual rows
-
-    def residuals(self):
-        row = self.history[-1]
-        return row["res_cbar"], row["res_c"], row["res_phi"]
-
-
-@dataclass
 class RunResult:
     mesh: meshmod.LabeledMesh
     submesh: meshmod.SolventSubmesh
@@ -298,81 +284,55 @@ def run(config: RunConfig):
     psi = electrostatics.solve_psi(mesh, atoms, constants)
     w = g_nodes + psi
 
-    mass_box = fem_core.assemble_mass(mesh)
-    mass_sub = fem_core.assemble_mass(submesh)
-
-    def norm_box(f):
-        return fem_core.l2_norm(mesh, f, mass=mass_box)
-
-    def norm_sub(f):
-        return fem_core.l2_norm(submesh, f, mass=mass_sub)
+    norm_box = fem_core.MassNorm(mesh, fem_core.assemble_mass(mesh))
+    norm_sub = fem_core.MassNorm(submesh, fem_core.assemble_mass(submesh))
 
     phi, c, init_sweeps = nonlinear_node.solve_smpbic(
         submesh, w, species, constants, phit_sys.solve, norm_box, norm_sub)
     cbar = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
     d_nodal = transport.diffusion_nodal(submesh, species, constants)
-
-    state = BlockIterState(0, cbar, c, phi, constants.omega)
-    omega = constants.omega
-    converged = False
     excursions = transport.RangeExcursions(species.names)
-    for k in range(1, config.max_outer + 1):
-        u_vals = submesh.restrict(w + phi)
 
+    def sweep(x, relax):
+        u_vals = submesh.restrict(w + x["phi"])
         t0 = time.perf_counter()
         pbar = np.stack([
-            transport.solve_transformed_np(submesh, species, i, u_vals, c,
+            transport.solve_transformed_np(submesh, species, i, u_vals, x["c"],
                                            constants, spec, d_nodal=d_nodal,
                                            excursions=excursions)
             for i in range(n)
         ])
-        cbar_new = cbar + omega * (pbar - cbar)
+        cbar = relax(x["cbar"], pbar)
         t1 = time.perf_counter()
-
-        p, _ = nonlinear_node.block2_update(cbar_new, u_vals, c, species, constants)
-        c_new = c + omega * (p - c)
+        p, _ = nonlinear_node.block2_update(cbar, u_vals, x["c"], species, constants)
+        c = relax(x["c"], p)
         t2 = time.perf_counter()
-
-        q = phit_sys.solve(c_new)
-        phi_new = phi + omega * (q - phi)
+        phi = relax(x["phi"], phit_sys.solve(c))
         t3 = time.perf_counter()
+        return ({"cbar": cbar, "c": c, "phi": phi},
+                {"t_block1": t1 - t0, "t_block2": t2 - t1, "t_block3": t3 - t2})
 
-        res_cbar = max(norm_sub(cbar_new[i] - cbar[i]) for i in range(n))
-        res_c = max(norm_sub(c_new[i] - c[i]) for i in range(n))
-        res_phi = norm_box(phi_new - phi)
-        state.history.append({
-            "k": k, "res_cbar": res_cbar, "res_c": res_c, "res_phi": res_phi,
-            "t_block1": t1 - t0, "t_block2": t2 - t1, "t_block3": t3 - t2,
-        })
-        cbar, c, phi = cbar_new, c_new, phi_new
-        state.k, state.cbar, state.c, state.phi_tilde = k, cbar, c, phi
-        logger.debug("sweep %3d: |d cbar| %.3e  |d c| %.3e  |d phi| %.3e",
-                     k, res_cbar, res_c, res_phi)
-        if max(res_cbar, res_c, res_phi) < constants.eps_outer:
-            converged = True
-            break
-    excursions.report(state.k)
-    _check_residual_tail(state.history)
+    def feasible(x):
+        water = 1.0 - constants.gamma * (species.v @ x["c"])
+        return bool(np.all(x["cbar"] > 0.0) and np.all(x["c"] > 0.0)
+                    and np.all(water > 0.0))
+
+    fp = nonlinear_node.damped_fixed_point(
+        sweep, {"cbar": cbar, "c": c, "phi": phi},
+        {"cbar": norm_sub, "c": norm_sub, "phi": norm_box}, feasible,
+        constants.omega, constants.eps_outer, config.max_outer, "outer iteration")
+    sweeps = len(fp.history)
+    excursions.report(sweeps)
+    cbar, c, phi = fp.state["cbar"], fp.state["c"], fp.state["phi"]
     result = RunResult(mesh, submesh, species, constants, w + phi, w, psi,
-                       g_nodes, phi, c, cbar, converged, state.k, state.history,
+                       g_nodes, phi, c, cbar, fp.converged, sweeps, fp.history,
                        init_sweeps)
-    if not converged:
+    if not fp.converged:
         err = ConvergenceError(
             "outer iteration did not converge in %d sweeps" % config.max_outer)
         err.result = result
         raise err
-    logger.info("converged in %d outer sweeps", state.k)
     return result
-
-
-def _check_residual_tail(history, window=10, slack=1.2):
-    """Soft check: the max residual is near-monotone over the final sweeps."""
-    tail = [max(row["res_cbar"], row["res_c"], row["res_phi"])
-            for row in history[-window:]]
-    for a, b in zip(tail, tail[1:]):
-        if b > slack * a:
-            logger.warning("residual tail not monotone: %.3e -> %.3e", a, b)
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +416,12 @@ def export_profiles(path, submesh: meshmod.SolventSubmesh, c_fields, names,
 
 def export_convergence(path, history):
     with open(path, "w") as fh:
-        fh.write("k,res_cbar,res_c,res_phi,t_block1,t_block2,t_block3\n")
+        fh.write("k,res_cbar,res_c,res_phi,t_block1,t_block2,t_block3,aa_depth\n")
         for row in history:
-            fh.write("%d,%.10e,%.10e,%.10e,%.6f,%.6f,%.6f\n"
+            fh.write("%d,%.10e,%.10e,%.10e,%.6f,%.6f,%.6f,%d\n"
                      % (row["k"], row["res_cbar"], row["res_c"], row["res_phi"],
-                        row["t_block1"], row["t_block2"], row["t_block3"]))
+                        row["t_block1"], row["t_block2"], row["t_block3"],
+                        row["aa_depth"]))
 
 
 def export_summary(path, result: RunResult):

@@ -351,6 +351,23 @@ def l2_diff(mesh, f, g, mass=None):
     return l2_norm(mesh, f - g, mass=mass)
 
 
+class MassNorm:
+    """The L2 norm of nodal fields on one mesh, with its mass matrix kept.
+
+    ``lumped_sqrt`` holds the square roots of the lumped (row-sum) masses:
+    a field scaled by it nodewise has Euclidean norm close to its L2 norm,
+    which is how the fixed-point loop weights fields when it mixes them.
+    """
+
+    def __init__(self, mesh, mass):
+        self.mesh = mesh
+        self.mass = mass
+        self.lumped_sqrt = np.sqrt(np.asarray(mass.sum(axis=1)).ravel())
+
+    def __call__(self, f):
+        return l2_norm(self.mesh, f, mass=self.mass)
+
+
 def dirichlet_nodes(mesh, label):
     """Unique node indices of facets carrying ``label``."""
     return np.unique(mesh.facets[mesh.facet_labels == label])

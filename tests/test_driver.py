@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from smpnp import driver, fem_core, mesh as meshmod, sparse_linalg
+from smpnp import driver, fem_core, mesh as meshmod, nonlinear_node, sparse_linalg
 from smpnp.errors import ConfigError, ConvergenceError
 from smpnp.physics_model import ModelConstants, mixture_species
 
@@ -206,8 +206,48 @@ def test_run_reports_initializer_sweeps(tmp_path, caplog):
     assert result.init_sweeps >= 1
     assert ("equilibrium initializer converged in %d sweeps" % result.init_sweeps
             in caplog.messages)
+    # one line per phase with its sweep count and fallbacks
+    assert ("outer iteration: converged after %d sweeps, 0 fallbacks to the "
+            "plain damped step" % result.iterations in caplog.messages)
+    assert sum("fallbacks" in m for m in caplog.messages) == 2
     summary = (tmp_path / "summary.txt").read_text().splitlines()
     assert "init_sweeps = %d" % result.init_sweeps in summary
+
+
+def test_run_enters_shared_loop_once_per_phase(tmp_path):
+    cfg = driver.parse_config(_write(tmp_path, ZERO_FIELD.format(out=tmp_path)))
+    with mock.patch.object(nonlinear_node, "damped_fixed_point",
+                           wraps=nonlinear_node.damped_fixed_point) as loop:
+        driver.run(cfg)
+    assert loop.call_count == 2
+
+
+def test_run_anderson_sweep_counts():
+    # damped Picard took 23 outer and 22 initializer sweeps on this case
+    config = driver.RunConfig(species=mixture_species(),
+                              constants=ModelConstants(sigma=-1.0),
+                              linear=sparse_linalg.LinearSolveSpec(method="direct"),
+                              geometry=meshmod.ChannelGeometry(resolution=12))
+    result = driver.run(config)
+    assert result.converged
+    assert result.iterations <= 16
+    assert result.init_sweeps <= 16
+
+
+def test_convergence_csv_records_mixing_depth(tmp_path):
+    cfg = driver.RunConfig(species=mixture_species(),
+                           constants=ModelConstants(sigma=-1.0),
+                           linear=sparse_linalg.LinearSolveSpec(method="direct"),
+                           geometry=meshmod.ChannelGeometry(resolution=6),
+                           output_dir=str(tmp_path))
+    result = driver.run(cfg)
+    driver.write_outputs(cfg, result)
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert rows[0] == "k,res_cbar,res_c,res_phi,t_block1,t_block2,t_block3,aa_depth"
+    assert len(rows) == 1 + result.iterations
+    depths = [int(row.split(",")[-1]) for row in rows[1:]]
+    assert depths == [row["aa_depth"] for row in result.history]
+    assert depths[0] == 0 and max(depths) == nonlinear_node.ANDERSON_DEPTH
 
 
 def test_cli_run_nonconvergence_exit_code(tmp_path):

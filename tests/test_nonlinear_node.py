@@ -207,6 +207,59 @@ def test_solve_smpbic_boltzmann_reduction():
     assert np.allclose(xi, expect, rtol=1e-10)
 
 
+def _affine_problem(rng, dim=20, radius=0.95):
+    """x -> A x + b with symmetric A of spectral radius ``radius``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    A = (Q * np.linspace(-radius, radius, dim)) @ Q.T
+    b = rng.standard_normal(dim)
+    return A, b, np.linalg.solve(np.eye(dim) - A, b)
+
+
+def _affine_sweep(A, b):
+    def sweep(x, relax):
+        return {"x": relax(x["x"], A @ x["x"] + b)}, {}
+    return sweep
+
+
+def test_fixed_point_loop_accelerates_affine_contraction(rng):
+    A, b, x_star = _affine_problem(rng)
+    omega, eps = 0.41, 1e-12
+    fp = nn.damped_fixed_point(_affine_sweep(A, b), {"x": np.zeros(20)},
+                               {"x": np.linalg.norm}, lambda x: True, omega, eps,
+                               5000, "affine")
+    assert fp.converged and fp.fallbacks == 0
+    assert np.max(np.abs(fp.state["x"] - x_star)) <= 1e-10
+    assert max(row["aa_depth"] for row in fp.history) == nn.ANDERSON_DEPTH
+    # the plain damped iteration, by hand, with the same stopping test
+    x, plain = np.zeros(20), 0
+    while True:
+        plain += 1
+        step = omega * (A @ x + b - x)
+        x = x + step
+        if np.linalg.norm(step) < eps:
+            break
+    assert np.max(np.abs(x - x_star)) <= 1e-10
+    assert 3 * len(fp.history) <= plain
+
+
+def test_fixed_point_loop_falls_back_on_infeasible_mix(rng):
+    A, b, x_star = _affine_problem(rng)
+    calls = []
+
+    def feasible(x):
+        calls.append(1)
+        return len(calls) != 4  # reject the fourth mixed iterate only
+
+    fp = nn.damped_fixed_point(_affine_sweep(A, b), {"x": np.zeros(20)},
+                               {"x": np.linalg.norm}, feasible, 0.41, 1e-12,
+                               5000, "affine")
+    assert fp.converged and fp.fallbacks == 1
+    depths = [row["aa_depth"] for row in fp.history]
+    # mixing starts at sweep 2, so the fourth test is sweep 5's
+    assert depths[:6] == [0, 1, 2, 3, 0, 1]  # the history restarts
+    assert np.max(np.abs(fp.state["x"] - x_star)) <= 1e-10
+
+
 def test_capped_exponentials_match_hand_evaluation():
     # |Z u| = 100 for every species; c_i = t_i E_i w^(r_i) with E_i = e^(-+45)
     sp = mixture_species()
