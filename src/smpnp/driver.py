@@ -145,10 +145,12 @@ def _build_config(scalars, species_blocks):
         box = defaults.box
         if "box" in scalars:
             ln, val = scalars.pop("box")
-            parts = val.split()
-            if len(parts) != 6:
-                raise ConfigError("line %d: box needs 6 numbers" % ln)
-            box = tuple(float(x) for x in parts)
+            try:
+                box = tuple(float(x) for x in val.split())
+            except ValueError:
+                box = ()
+            if len(box) != 6:
+                raise ConfigError("line %d: box needs 6 numbers, got %r" % (ln, val))
         geometry = meshmod.ChannelGeometry(
             box=box,
             z1=_pop_float(scalars, "membrane_z1", defaults.z1),
@@ -174,14 +176,9 @@ def _build_config(scalars, species_blocks):
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    method = _pop_str(scalars, "solver", sparse_linalg.KRYLOV_ILU0)
     try:
         linear = sparse_linalg.LinearSolveSpec(
-            method=method,
-            abs_tol=_pop_float(scalars, "abs_tol", 1.0e-8),
-            rel_tol=_pop_float(scalars, "rel_tol", 1.0e-8),
-            max_iter=_pop_int(scalars, "solver_max_iter", 2000),
-        )
+            _pop_str(scalars, "solver", sparse_linalg.KRYLOV_ILU0))
     except ValueError as exc:
         raise ConfigError(str(exc))
 

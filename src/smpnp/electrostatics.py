@@ -73,15 +73,14 @@ class AtomicCharges:
 def load_atoms(path):
     """Read an atom list file: 'atoms n' then n lines 'x y z charge'."""
     with open(path) as fh:
-        lines = [ln.split() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0][0] != "atoms" or len(lines[0]) != 2:
+        lines = [(ln, raw.split()) for ln, raw in enumerate(fh, start=1) if raw.strip()]
+    if not lines:
         raise MeshFormatError("expected header 'atoms n'", line=1)
-    n = int(lines[0][1])
+    n = meshmod.parse_count(lines[0][1], lines[0][0], "atoms", "header 'atoms n'")
     if len(lines) - 1 < n:
-        raise MeshFormatError("expected %d atom lines" % n, line=len(lines))
-    rows = np.array([[float(x) for x in ln] for ln in lines[1:n + 1]])
-    if rows.shape[1] != 4:
-        raise MeshFormatError("atom lines need 'x y z charge'")
+        raise MeshFormatError("expected %d atom lines" % n, line=lines[-1][0])
+    rows = np.array([meshmod.parse_numbers(float, tok, ln, "'x y z charge'", 4)
+                     for ln, tok in lines[1:n + 1]]).reshape(n, 4)
     return AtomicCharges(rows[:, :3], rows[:, 3])
 
 

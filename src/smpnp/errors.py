@@ -24,7 +24,7 @@ class FeasibilityError(SmpnpError):
 
 
 class LinearSolveError(SmpnpError):
-    """Linear solver failed to reach its residual tolerance."""
+    """A linear solve failed, or its answer failed the backward-error check."""
 
 
 class SingularMatrixError(LinearSolveError):

@@ -182,6 +182,26 @@ def _face_owners(tets, n):
 # ---------------------------------------------------------------------------
 # mesh file I/O (plain-text format, see README)
 
+def parse_numbers(kind, tok, ln, expected, count):
+    """The ``count`` tokens ``tok`` of line ``ln`` converted by ``kind`` (int
+    or float); another count, or a token ``kind`` rejects, raises
+    MeshFormatError "expected <expected>"."""
+    try:
+        if len(tok) == count:
+            return [kind(x) for x in tok]
+    except ValueError:
+        pass
+    raise MeshFormatError("expected %s" % expected, line=ln)
+
+
+def parse_count(tok, ln, name, expected):
+    """N of a 'name N' line, N a nonnegative integer."""
+    n = parse_numbers(int, tok[1:], ln, expected, 1)[0] if tok[0] == name else -1
+    if n < 0:
+        raise MeshFormatError("expected %s" % expected, line=ln)
+    return n
+
+
 def load_mesh(path):
     """Read a labeled mesh from the plain-text format and validate it."""
     with open(path) as fh:
@@ -200,44 +220,25 @@ def load_mesh(path):
     tok, ln = next_line()
     if tok != ["smpnp-mesh", "1"]:
         raise MeshFormatError("bad header, expected 'smpnp-mesh 1'", line=ln)
-    tok, ln = next_line()
-    if len(tok) != 2 or tok[0] != "vertices":
-        raise MeshFormatError("expected 'vertices N'", line=ln)
-    nv = int(tok[1])
+    nv = parse_count(*next_line(), "vertices", "'vertices N'")
     verts = np.empty((nv, 3))
     for i in range(nv):
-        tok, ln = next_line()
-        try:
-            verts[i] = [float(x) for x in tok]
-        except ValueError:
-            raise MeshFormatError("bad vertex coordinates", line=ln)
-        if len(tok) != 3:
-            raise MeshFormatError("expected 3 coordinates", line=ln)
-    tok, ln = next_line()
-    if len(tok) != 2 or tok[0] != "tets":
-        raise MeshFormatError("expected 'tets M'", line=ln)
-    nt = int(tok[1])
+        verts[i] = parse_numbers(float, *next_line(), "3 coordinates", 3)
+    nt = parse_count(*next_line(), "tets", "'tets M'")
     tets = np.empty((nt, 4), dtype=np.int64)
     regions = np.empty(nt, dtype=np.int64)
     for i in range(nt):
         tok, ln = next_line()
-        if len(tok) != 5:
-            raise MeshFormatError("expected 'i0 i1 i2 i3 region'", line=ln)
-        vals = [int(x) for x in tok]
+        vals = parse_numbers(int, tok, ln, "'i0 i1 i2 i3 region'", 5)
         if vals[4] not in _REGIONS:
             raise MeshFormatError("unknown region tag %d" % vals[4], line=ln)
         tets[i], regions[i] = vals[:4], vals[4]
-    tok, ln = next_line()
-    if len(tok) != 2 or tok[0] != "facets":
-        raise MeshFormatError("expected 'facets K'", line=ln)
-    nf = int(tok[1])
+    nf = parse_count(*next_line(), "facets", "'facets K'")
     facets = np.empty((nf, 3), dtype=np.int64)
     labels = np.empty(nf, dtype=np.int64)
     for i in range(nf):
         tok, ln = next_line()
-        if len(tok) != 4:
-            raise MeshFormatError("expected 'i0 i1 i2 label'", line=ln)
-        vals = [int(x) for x in tok]
+        vals = parse_numbers(int, tok, ln, "'i0 i1 i2 label'", 4)
         if vals[3] not in _FACET_LABELS:
             raise MeshFormatError("unknown facet label %d" % vals[3], line=ln)
         facets[i], labels[i] = vals[:3], vals[3]
@@ -248,9 +249,10 @@ def load_mesh(path):
     except MeshFormatError:
         tok = None
     if tok is not None:
-        if len(tok) != 9 or tok[0] != "box":
-            raise MeshFormatError("expected 'box x1 x2 y1 y2 z1 z2 Z1 Z2'", line=ln)
-        nums = [float(x) for x in tok[1:]]
+        expected = "'box x1 x2 y1 y2 z1 z2 Z1 Z2'"
+        if tok[0] != "box":
+            raise MeshFormatError("expected %s" % expected, line=ln)
+        nums = parse_numbers(float, tok[1:], ln, expected, 8)
         box, z1, z2 = tuple(nums[:6]), nums[6], nums[7]
     else:
         box = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 1].min(),

@@ -256,6 +256,4 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
     if not fp.converged:
         raise NewtonError("equilibrium initializer did not converge in %d sweeps"
                           % max_sweeps)
-    sweeps = len(fp.history)
-    logger.info("equilibrium initializer converged in %d sweeps", sweeps)
-    return fp.state["q"], fp.state["xi"], sweeps
+    return fp.state["q"], fp.state["xi"], len(fp.history)

@@ -70,7 +70,8 @@ class SpeciesSet:
 
     Sizes are either all positive (size-modified mode) or all zero (classical
     PNP reduction); mixing is rejected.  In reduction mode the reference
-    volume v0 is conventionally 1 and every size term is bypassed.
+    volume v0 is conventionally 1, so every exponent v_i/v0 is 0 and each
+    size factor w^(v_i/v0) is exactly 1.
     """
 
     def __init__(self, species):
@@ -105,8 +106,6 @@ class SpeciesSet:
     @property
     def v_ratio(self):
         """Exponents v_i / v0 (zeros in reduction mode)."""
-        if not self.size_mode:
-            return np.zeros(len(self))
         return self.v / self.v0
 
     def check_bulk_feasible(self, gamma):
@@ -228,10 +227,7 @@ def boundary_conc(species: SpeciesSet, side, constants: ModelConstants):
         raise ValueError("side must be 'bottom' or 'top'")
     species.check_bulk_feasible(constants.gamma)
     w_b = water_fraction(species, species.c_b, constants.gamma)
-    gbar = species.c_b * capped_exp(species.Z * u, constants.cap)
-    if species.size_mode:
-        gbar = gbar / w_b ** species.v_ratio
-    return gbar
+    return species.c_b * capped_exp(species.Z * u, constants.cap) / w_b ** species.v_ratio
 
 
 def slotboom_forward(u, c, species: SpeciesSet, constants: ModelConstants):
@@ -245,10 +241,7 @@ def slotboom_forward(u, c, species: SpeciesSet, constants: ModelConstants):
         raise FeasibilityError("concentrations must be positive")
     w = water_fraction(species, c, constants.gamma)
     ez = capped_exp(np.multiply.outer(species.Z, u), constants.cap)
-    cbar = c * ez
-    if species.size_mode:
-        cbar = cbar / np.power.outer(w, species.v_ratio).T if c.ndim == 2 else cbar / w ** species.v_ratio
-    return cbar
+    return c * ez / np.power.outer(w, species.v_ratio).T
 
 
 def transformed_diffusion(species: SpeciesSet, i, u, c, d_value, constants: ModelConstants):
@@ -259,10 +252,8 @@ def transformed_diffusion(species: SpeciesSet, i, u, c, d_value, constants: Mode
     point(s); shapes follow slotboom_forward.
     """
     w = water_fraction(species, c, constants.gamma)
-    dhat = d_value * capped_exp(-species.Z[i] * np.asarray(u, dtype=float), constants.cap)
-    if species.size_mode:
-        dhat = dhat * w ** species.v_ratio[i]
-    return dhat
+    return (d_value * capped_exp(-species.Z[i] * np.asarray(u, dtype=float), constants.cap)
+            * w ** species.v_ratio[i])
 
 
 def electrochemical_potential(species: SpeciesSet, i, u, c, constants: ModelConstants):
@@ -271,7 +262,5 @@ def electrochemical_potential(species: SpeciesSet, i, u, c, constants: ModelCons
     if np.any(c[i] <= 0.0):
         raise FeasibilityError("c_%d must be positive" % i)
     w = water_fraction(species, c, constants.gamma)
-    val = species.Z[i] * np.asarray(u, dtype=float) + np.log(c[i] / species.c_b[i])
-    if species.size_mode:
-        val = val - species.v_ratio[i] * np.log(w)
-    return val
+    return (species.Z[i] * np.asarray(u, dtype=float) + np.log(c[i] / species.c_b[i])
+            - species.v_ratio[i] * np.log(w))

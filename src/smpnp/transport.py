@@ -136,11 +136,9 @@ def compute_flux(submesh, species: SpeciesSet, i, c_fields, u_vals,
     w_tet = 1.0 - constants.gamma * (species.v @ c_tet)
 
     drift = species.Z[i] * c_tet[i][:, None] * grad_u
-    term = grads_c[i] + drift
-    if species.size_mode:
-        sum_vdc = np.einsum("j,jtk->tk", species.v, grads_c)
-        term = term + (species.v_ratio[i] * c_tet[i] * constants.gamma / w_tet)[:, None] * sum_vdc
-    J = -d_tet[:, None] * term
+    sum_vdc = np.einsum("j,jtk->tk", species.v, grads_c)
+    size = (species.v_ratio[i] * c_tet[i] * constants.gamma / w_tet)[:, None] * sum_vdc
+    J = -d_tet[:, None] * (grads_c[i] + drift + size)
 
     cbar = slotboom_forward(u_vals, c_fields, species, constants)
     dhat = transformed_diffusion_nodal(submesh, species, i, u_vals, c_fields,

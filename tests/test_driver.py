@@ -50,7 +50,6 @@ resolution = 6
 sigma = -1.5
 omega = 0.3
 solver = direct
-abs_tol = 1e-9
 max_outer = 40
 theta = 0.1
 
@@ -65,7 +64,7 @@ D_b = 0.196
     assert cfg.geometry.z1 == -5 and cfg.geometry.z2 == 5
     assert cfg.geometry.pore_radius == 3 and cfg.geometry.resolution == 6
     assert cfg.constants.sigma == -1.5 and cfg.constants.omega == 0.3
-    assert cfg.linear.method == "direct" and cfg.linear.abs_tol == 1e-9
+    assert cfg.linear.method == "direct"
     assert cfg.max_outer == 40
     assert cfg.species.names == ["K+"]
     assert np.isclose(cfg.species.v[0], 9.8547, atol=1e-3)  # from the radius
@@ -88,6 +87,11 @@ D_b = 0.196
     ("mesh = synth\nomega = 2\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n", "omega"),
     ("mesh = synth\n", "at least one"),
     ("mesh = synth\nnot a pair\n", "key = value"),
+    ("mesh = synth\nbox = -20 20 -20 20 -30 abc\n", "line 2: box needs 6 numbers"),
+    ("mesh = synth\nbox = 0 1 0 1 0 1e\n", "line 2: box needs 6 numbers"),
+    # every linear solve is accepted by one fixed backward-error rule
+    *(("mesh = synth\n%s = 1\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n" % key,
+       "unknown key '%s'" % key) for key in ("abs_tol", "rel_tol", "solver_max_iter")),
 ])
 def test_parse_config_errors(tmp_path, text, match):
     with pytest.raises(ConfigError, match=match):
@@ -204,8 +208,8 @@ def test_run_reports_initializer_sweeps(tmp_path, caplog):
         result = driver.run(cfg)
     driver.write_outputs(cfg, result)
     assert result.init_sweeps >= 1
-    assert ("equilibrium initializer converged in %d sweeps" % result.init_sweeps
-            in caplog.messages)
+    assert ("equilibrium initializer: converged after %d sweeps, 0 fallbacks to the "
+            "plain damped step" % result.init_sweeps in caplog.messages)
     # one line per phase with its sweep count and fallbacks
     assert ("outer iteration: converged after %d sweeps, 0 fallbacks to the "
             "plain damped step" % result.iterations in caplog.messages)

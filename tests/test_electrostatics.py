@@ -100,6 +100,25 @@ def test_atoms_file_bad_header(tmp_path):
         es.load_atoms(path)
 
 
+def test_atoms_file_zero_atoms_round_trip(tmp_path):
+    path = tmp_path / "none.atoms"
+    es.save_atoms(es.AtomicCharges.none(), path)
+    back = es.load_atoms(path)
+    assert len(back) == 0 and back.positions.shape == (0, 3)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("atoms two\n0 0 0 1\n0 0 1 1\n", 1),
+    ("atoms 2\n0 0 0 1\n\n0 0 one 1\n", 4),
+    ("atoms 2\n0 0 0 1\n0 0 1\n", 3),
+])
+def test_atoms_file_malformed_reports_line(tmp_path, text, line):
+    path = tmp_path / "bad.atoms"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match="^line %d: expected" % line):
+        es.load_atoms(path)
+
+
 def test_solve_psi_zero_data(channel_mesh):
     psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), CONST)
     assert np.allclose(psi, 0.0, atol=1e-12)

@@ -38,6 +38,24 @@ def test_load_unknown_region_tag(tmp_path):
         meshmod.load_mesh(path)
 
 
+@pytest.mark.parametrize("old,new,line", [
+    ("vertices 8", "vertices eight", 2),
+    ("tets 6", "tets 6.0", 11),
+    ("facets 12", "facets 12x", 18),
+    ("0 6 2 7 1", "0 6 2 7.5 1", 14),
+    ("0 2 6 4", "0 2 six 4", 24),
+    ("box 0 1 0 1 0 1 0.25 0.75", "box 0 1 0 1 0 1 0.25 z2", 31),
+])
+def test_load_malformed_numbers_reports_line(tmp_path, old, new, line):
+    path = tmp_path / "bad.mesh"
+    meshmod.save_mesh(meshmod.unit_cube_mesh(1), path)
+    text = path.read_text()
+    assert text.count(old + "\n") == 1
+    path.write_text(text.replace(old + "\n", new + "\n"))
+    with pytest.raises(MeshFormatError, match="^line %d: expected" % line):
+        meshmod.load_mesh(path)
+
+
 def test_save_load_round_trip_is_identity(tmp_path, channel_mesh):
     p1 = tmp_path / "a.mesh"
     p2 = tmp_path / "b.mesh"

@@ -1,3 +1,5 @@
+import logging
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -67,8 +69,9 @@ def test_nan_right_hand_side_raises(spec):
 def test_spec_validation():
     with pytest.raises(ValueError):
         LinearSolveSpec(method="cholesky")
-    with pytest.raises(ValueError):
-        LinearSolveSpec(abs_tol=0.0)
+    # the acceptance rule is fixed: no tolerance to set
+    with pytest.raises(TypeError):
+        LinearSolveSpec(abs_tol=1e-8)
 
 
 def test_spec_has_no_restart():
@@ -113,8 +116,7 @@ def test_krylov_nonsymmetric_is_rejected_or_checked(skew, rng):
         return
     res = np.linalg.norm(A @ x - b)
     bwd = res / (spla.norm(A, np.inf) * np.linalg.norm(x) + np.linalg.norm(b))
-    assert (res <= max(KRYLOV.abs_tol, KRYLOV.rel_tol * np.linalg.norm(b))
-            or bwd <= KRYLOV.rel_tol)
+    assert bwd <= 1e-8
 
 
 @pytest.mark.parametrize("bad", [np.zeros, lambda n: np.full(n, np.nan)])
@@ -122,8 +124,42 @@ def test_krylov_returns_only_checked_answers(bad):
     # whatever the iteration hands back is checked against A and b
     A = lap1d(20)
     with mock.patch.object(spla, "cg", return_value=(bad(20), 0)), \
-            pytest.raises(LinearSolveError, match="did not converge"):
+            pytest.raises(LinearSolveError, match="backward error"):
         solve(A, np.ones(20), KRYLOV)
+
+
+def _inexact_once(offset):
+    """An exact solve of A x = rhs whose first answer is shifted by
+    ``offset``; returns it and the list of its right-hand sides."""
+    calls = []
+
+    def solve_(A, rhs):
+        calls.append(rhs)
+        x = spla.spsolve(sp.csc_matrix(A), rhs)
+        return x + offset if len(calls) == 1 else x
+    return solve_, calls
+
+
+@pytest.mark.parametrize("spec", [DIRECT, KRYLOV], ids=["direct", "krylov"])
+def test_inexact_answer_is_refined_once(spec, caplog):
+    # a first answer with backward error near 1e-9 takes one refinement
+    # step, logs one warning and is returned
+    A, b = lap1d(20), np.ones(20)
+    fake, calls = _inexact_once(1e-6)
+    if spec == DIRECT:
+        patch = mock.patch.object(sparse_linalg, "factorize",
+                                  return_value=SimpleNamespace(solve=lambda r: fake(A, r)))
+    else:
+        patch = mock.patch.object(spla, "cg", side_effect=lambda As, r, **kw: (fake(As, r), 0))
+    with patch, mock.patch.object(sparse_linalg, "_backward_error",
+                                  wraps=sparse_linalg._backward_error) as err, \
+            caplog.at_level(logging.WARNING, logger="smpnp.sparse_linalg"):
+        x = solve(A, b, spec)
+    assert len(calls) == 2
+    first, second = [sparse_linalg._backward_error(*c.args) for c in err.call_args_list]
+    assert 1e-10 < first < 1e-8 and second <= 1e-15
+    assert len(caplog.records) == 1 and "refinement" in caplog.messages[0]
+    assert np.allclose(x, spla.spsolve(A.tocsc(), b), rtol=1e-14)
 
 
 def test_ilu0_preserves_pattern(rng):

@@ -81,9 +81,9 @@ def test_transformed_solve_rejects_nonpositive_dhat(channel_submesh, species4):
 
 
 def test_krylov_block1_at_charged_membrane_equilibrium(species4):
-    # Block 1 at the sigma = -1 initial iterate: the full-size pinned system
-    # keeps the Dirichlet values in |b|, which the acceptance target
-    # max(abs_tol, rel_tol |b|) of the CG answer is scaled by
+    # Block 1 at the sigma = -1 initial iterate, where the transformed
+    # diagonals span the exponent cap: every CG answer must pass the
+    # backward-error check of the full-size pinned system
     consts = CONST.with_(sigma=-1.0)
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
     sub = meshmod.extract_solvent_submesh(mesh)
