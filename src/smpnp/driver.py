@@ -75,11 +75,10 @@ class RunConfig:
 
 
 def _config_lines(path):
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield ln, text
+    for ln, raw in enumerate(meshmod.read_text_lines(path, ConfigError), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield ln, text
 
 
 def parse_config(path):
@@ -288,6 +287,7 @@ def run(config: RunConfig):
         submesh, w, species, constants, phit_sys.solve, norm_box, norm_sub)
     cbar = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
     d_nodal = transport.diffusion_nodal(submesh, species, constants)
+    dirichlet = [transport.np_dirichlet(submesh, species, i, constants) for i in range(n)]
     excursions = transport.RangeExcursions(species.names)
 
     def sweep(x, relax):
@@ -296,7 +296,8 @@ def run(config: RunConfig):
         pbar = np.stack([
             transport.solve_transformed_np(submesh, species, i, u_vals, x["c"],
                                            constants, spec, d_nodal=d_nodal,
-                                           excursions=excursions)
+                                           excursions=excursions,
+                                           dirichlet=dirichlet[i])
             for i in range(n)
         ])
         cbar = relax(x["cbar"], pbar)

@@ -72,8 +72,8 @@ class AtomicCharges:
 
 def load_atoms(path):
     """Read an atom list file: 'atoms n' then n lines 'x y z charge'."""
-    with open(path) as fh:
-        lines = [(ln, raw.split()) for ln, raw in enumerate(fh, start=1) if raw.strip()]
+    lines = [(ln, raw.split())
+             for ln, raw in enumerate(meshmod.read_text_lines(path), start=1) if raw.strip()]
     if not lines:
         raise MeshFormatError("expected header 'atoms n'", line=1)
     n = meshmod.parse_count(lines[0][1], lines[0][0], "atoms", "header 'atoms n'")

@@ -61,7 +61,7 @@ class P1Operator:
 
     Holds the per-tet basis gradients (M, 4, 3), volumes (M,), and the
     geometric local stiffness vol * grad(phi_a).grad(phi_b), flattened to
-    (M, 16).  The scatter of the pinned stiffness pattern is kept per
+    (M, 16).  The weight map of the pinned stiffness pattern is kept per
     constrained node set, because Block 1 reassembles it every sweep, and
     the scatter of the full pattern for mass matrices, which the driver and
     the ionic-potential set-up assemble on the same mesh; the unconstrained
@@ -80,22 +80,29 @@ class P1Operator:
         self._mass_scatter = None
 
     def stiffness_scatter(self, nodes):
-        """Scatter of the stiffness pattern with ``nodes`` pinned.
+        """Weight map of the stiffness pattern with ``nodes`` pinned.
 
         Local entries that are zero for every weight (orthogonal gradient
         pairs) are left out, as the symmetric elimination in
         ``apply_dirichlet`` drops them.
         """
-        return _Scatter(self.tets, self.num_vertices,
-                        self.local_stiffness.ravel() != 0.0, nodes)
+        return _WeightMap(_Scatter(self.tets, self.num_vertices,
+                                   self.local_stiffness.ravel() != 0.0, nodes),
+                          self.local_stiffness)
 
     def pinned_scatter(self, nodes):
-        """``stiffness_scatter(nodes)``, cached per node set."""
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        key = nodes.tobytes()
-        if key not in self._pinned_scatters:
-            self._pinned_scatters[key] = self.stiffness_scatter(nodes)
-        return self._pinned_scatters[key]
+        """``stiffness_scatter(nodes)``, cached per node set; a node order
+        seen before is looked up without sorting."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        scatter = self._pinned_scatters.get(nodes.tobytes())
+        if scatter is None:
+            unique = np.unique(nodes)
+            scatter = self._pinned_scatters.get(unique.tobytes())
+            if scatter is None:
+                scatter = self._pinned_scatters[unique.tobytes()] = \
+                    self.stiffness_scatter(unique)
+            self._pinned_scatters[nodes.tobytes()] = scatter
+        return scatter
 
     def mass_scatter(self):
         """Scatter of the full P1 pattern (every local entry), cached."""
@@ -120,7 +127,8 @@ class _Scatter:
     Kept entries coupling two unconstrained nodes are summed into the CSR
     data; rows of the constrained ``nodes`` hold only a unit diagonal;
     kept entries in an unconstrained row and a constrained column form the
-    boundary lift.  Only int32 positions are stored.
+    boundary lift.  Only int32 positions are stored, and the pattern arrays
+    are read-only, as every matrix built here shares them.
     """
 
     def __init__(self, tets, n, keep, nodes):
@@ -162,20 +170,51 @@ class _Scatter:
         self.indices = (pattern % n).astype(np.int32)
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(pattern // n, minlength=n), out=self.indptr[1:])
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
 
     def matrix(self, local):
         """CSR matrix from flat local values; constrained rows are identity."""
         kept = local if self.src is None else local[self.src]
         data = np.bincount(self.dst, kept, minlength=self.indices.size)
         data[self.diag] = 1.0
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                             shape=(self.n, self.n))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
-    def lift(self, local, values):
+
+class _WeightMap:
+    """Map from per-tet weights w to the CSR data of sum_T w_T local_T.
+
+    Built from the _Scatter of the pattern and the (M, 16) unweighted local
+    values, which it folds into ``map``, a CSC matrix (CSR-data position x
+    tet): the matrix data is ``map @ w``.  Its columns list each tet's
+    entries in local order, so every datum sums its terms in the order of
+    the _Scatter (the same bits); the _Scatter's positions are not kept.
+    """
+
+    def __init__(self, scatter: _Scatter, local):
+        n_tets = local.shape[0]
+        local = local.ravel()
+        src = np.arange(local.size) if scatter.src is None else scatter.src
+        counts = np.bincount(src // 16, minlength=n_tets)
+        self.map = sp.csc_matrix(
+            (local[src], scatter.dst, np.concatenate([[0], np.cumsum(counts)])),
+            shape=(scatter.indices.size, n_tets))
+        self.n, self.diag = scatter.n, scatter.diag
+        self.indices, self.indptr = scatter.indices, scatter.indptr
+        self.lift_tet = scatter.lift_src // 16
+        self.lift_val = local[scatter.lift_src]
+        self.lift_row, self.lift_col = scatter.lift_row, scatter.lift_col
+
+    def matrix(self, w):
+        """CSR matrix from per-tet weights; constrained rows are identity."""
+        data = self.map @ w
+        data[self.diag] = 1.0
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def lift(self, w, values):
         """Right-hand side -A[free, constrained] @ values (values nodal)."""
         out = np.zeros(self.n)
-        out -= np.bincount(self.lift_row, local[self.lift_src] * values[self.lift_col],
-                           minlength=self.n)
+        out -= np.bincount(self.lift_row, w[self.lift_tet] * self.lift_val
+                           * values[self.lift_col], minlength=self.n)
         return out
 
 
@@ -208,12 +247,6 @@ def _tet_weight(op, weight, tet_mask=None):
     return w
 
 
-def _weighted_local_stiffness(mesh, weight, tet_mask=None):
-    op = p1_operator(mesh)
-    w = _tet_weight(op, weight, tet_mask)
-    return op, (w[:, None] * op.local_stiffness).ravel()
-
-
 def assemble_weighted_stiffness(mesh, weight=None, tet_mask=None):
     """CSR stiffness matrix sum_T w_T int_T grad(phi_a).grad(phi_b).
 
@@ -221,8 +254,8 @@ def assemble_weighted_stiffness(mesh, weight=None, tet_mask=None):
     over each tet's 4 vertices).  Tets outside ``tet_mask`` get weight zero.
     The unconstrained operator annihilates constants.
     """
-    op, local = _weighted_local_stiffness(mesh, weight, tet_mask)
-    return op.stiffness_scatter(_NO_NODES).matrix(local)
+    op = p1_operator(mesh)
+    return op.stiffness_scatter(_NO_NODES).matrix(_tet_weight(op, weight, tet_mask))
 
 
 def pinned_stiffness_system(mesh, weight, d: DirichletSet):
@@ -232,13 +265,14 @@ def pinned_stiffness_system(mesh, weight, d: DirichletSet):
     0, d)`` up to rounding, with the same sparsity pattern, but scattered
     from the mesh's cached operator.
     """
-    op, local = _weighted_local_stiffness(mesh, weight)
+    op = p1_operator(mesh)
+    w = _tet_weight(op, weight)
     scatter = op.pinned_scatter(d.nodes)
     g = np.zeros(op.num_vertices)
     g[d.nodes] = d.values
-    b = scatter.lift(local, g)
+    b = scatter.lift(w, g)
     b[d.nodes] = d.values
-    return scatter.matrix(local), b
+    return scatter.matrix(w), b
 
 
 _LOCAL_MASS = ((np.ones((4, 4)) + np.eye(4)) / 20.0).ravel()

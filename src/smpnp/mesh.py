@@ -202,10 +202,22 @@ def parse_count(tok, ln, name, expected):
     return n
 
 
+def read_text_lines(path, error=MeshFormatError):
+    """The lines of the UTF-8 text file ``path``; a byte that is not UTF-8
+    raises ``error`` naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error("%s: line %d: byte 0x%02x is not UTF-8 text"
+                    % (path, line, data[exc.start])) from exc
+
+
 def load_mesh(path):
     """Read a labeled mesh from the plain-text format and validate it."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text_lines(path)
     pos = 0
 
     def next_line():

@@ -49,7 +49,29 @@ def _as_sorted_csr(A):
 
 
 _PLAN_CACHE_SIZE = 8
-_plans = {}  # (indptr bytes, indices bytes) -> _Ilu0Plan, oldest first
+_plans = {}  # (indptr bytes, indices bytes) -> _PatternPlan, oldest first
+
+
+class _PatternPlan:
+    """What every factorization of one sorted CSR pattern shares, each part
+    built by the first factorization that needs it: the ILU(0) schedule
+    (``ilu0``, an _Ilu0Plan) and SuperLU's fill-reducing ordering
+    (``ordering``, an _Ordering)."""
+
+    def __init__(self):
+        self.ilu0 = None
+        self.ordering = None
+
+
+def _pattern_plan(A):
+    """The cached plan of sorted CSR A's pattern; an empty one on first use."""
+    key = (A.indptr.tobytes(), A.indices.tobytes())
+    plan = _plans.get(key)
+    if plan is None:
+        if len(_plans) >= _PLAN_CACHE_SIZE:
+            del _plans[next(iter(_plans))]
+        plan = _plans[key] = _PatternPlan()
+    return plan
 
 
 class _Ilu0Plan:
@@ -129,18 +151,6 @@ class _Ilu0Plan:
             [[0], np.cumsum(counts - n_lower)]).astype(np.int32)
 
 
-def _ilu0_plan(indptr, indices):
-    """The cached plan of a CSR pattern; built on first use."""
-    key = (indptr.tobytes(), indices.tobytes())
-    plan = _plans.get(key)
-    if plan is None:
-        plan = _Ilu0Plan(indptr, indices)
-        if len(_plans) >= _PLAN_CACHE_SIZE:
-            del _plans[next(iter(_plans))]
-        _plans[key] = plan
-    return plan
-
-
 class Ilu0:
     """ILU(0) factorization on the sparsity pattern of A.
 
@@ -153,7 +163,10 @@ class Ilu0:
     def __init__(self, A):
         A = _as_sorted_csr(A)
         n = A.shape[0]
-        plan = _ilu0_plan(A.indptr, A.indices)
+        shared = _pattern_plan(A)
+        if shared.ilu0 is None:
+            shared.ilu0 = _Ilu0Plan(A.indptr, A.indices)
+        plan = shared.ilu0
         data = A.data.astype(float)  # a copy
         # zero pivots are checked once every group has run: the first such
         # row is the one the IKJ loop stops at, as earlier rows never read it
@@ -199,24 +212,85 @@ class Ilu0:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
+class _Ordering:
+    """SuperLU's symmetric fill-reducing ordering of one CSR pattern.
+
+    With q = argsort(perm_c), the reordered matrix is B = A[q][:, q]: entry
+    a_rc moves to (perm_c[r], perm_c[c]).  ``gather`` takes A's CSR data to
+    B's CSC data, whose pattern is ``indices`` and ``indptr``; these arrays
+    are read-only, as every factorization of the pattern shares them.
+    """
+
+    def __init__(self, A, perm_c):
+        n = A.shape[0]
+        perm_c = np.asarray(perm_c, dtype=np.intp)
+        self.q = np.argsort(perm_c)
+        rows = perm_c[np.repeat(np.arange(n), np.diff(A.indptr))]
+        cols = perm_c[A.indices]
+        self.gather = np.lexsort((rows, cols))
+        self.indices = rows[self.gather].astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+        for a in (self.q, self.gather, self.indices, self.indptr):
+            a.flags.writeable = False
+
+    def reordered(self, A):
+        """B = A[q][:, q] in CSC form, for A of this pattern."""
+        return sp.csc_matrix((A.data[self.gather], self.indices, self.indptr),
+                             shape=A.shape)
+
+
+class _ReorderedLU:
+    """SuperLU factor ``lu`` of A[q][:, q], solving systems with A."""
+
+    def __init__(self, lu, q):
+        self.lu, self.q = lu, q
+
+    def solve(self, b):
+        y = self.lu.solve(np.asarray(b, dtype=float)[self.q])
+        x = np.empty_like(y)
+        x[self.q] = y
+        return x
+
+
 def factorize(A):
     """SuperLU factorization of A with a symmetric fill-reducing ordering.
 
     The matrices solved here have a symmetric pattern (stiffness operators
     with pinned Dirichlet rows), so minimum degree on A^T + A with diagonal
-    pivots preferred gives less fill than SuperLU's default COLAMD.
+    pivots preferred gives less fill than SuperLU's default COLAMD.  The
+    ordering depends on the pattern alone, so it is computed once per
+    pattern and kept in the pattern's cached plan; every factorization,
+    the first included, then factors the reordered matrix in natural order,
+    which gives the same fill without the ordering's cost, and the same
+    answer whether or not the pattern was factored before.  Threshold
+    pivoting runs on every factorization.
     """
+    A = _as_sorted_csr(A)
+    plan = _pattern_plan(A)
+    options = dict(SymmetricMode=True)
     try:
-        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                         options=dict(SymmetricMode=True))
+        if plan.ordering is None:
+            # the minimum-degree factor itself is dropped at once
+            perm_c = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options=options).perm_c
+            plan.ordering = _Ordering(A, perm_c)
+        lu = spla.splu(plan.ordering.reordered(A), permc_spec="NATURAL", options=options)
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SingularMatrixError(str(exc)) from exc
+    return _ReorderedLU(lu, plan.ordering.q)
+
+
+def _inf_norm(A):
+    """max_i sum_j |a_ij|, read from A's CSR data (rows may be empty)."""
+    A = sp.csr_matrix(A)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return np.bincount(rows, np.abs(A.data), minlength=A.shape[0]).max(initial=0.0)
 
 
 def _backward_error(A, x, b):
     # normwise: transformed systems carry entries spanning e^(+-cap), so
     # the raw residual alone has no fixed scale
-    scale = spla.norm(A, np.inf) * np.linalg.norm(x) + np.linalg.norm(b)
+    scale = _inf_norm(A) * np.linalg.norm(x) + np.linalg.norm(b)
     return np.linalg.norm(A @ x - b) / max(scale, 1.0e-300)
 
 

@@ -80,13 +80,15 @@ class RangeExcursions:
 
 def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
                          constants: ModelConstants, spec, d_nodal=None,
-                         excursions: RangeExcursions = None):
+                         excursions: RangeExcursions = None,
+                         dirichlet: fem_core.DirichletSet = None):
     """Solve the species-i transformed Nernst-Planck problem.
 
     ``u_vals`` is the restricted potential w + Phi_tilde^k and ``c_fields``
     the current concentrations, both nodal on the submesh.  Homogeneous
     Neumann conditions on the interface and side boundaries are natural;
-    g_bar_i is imposed on the Dirichlet nodes.  Returns the transformed
+    g_bar_i is imposed on the Dirichlet nodes; ``dirichlet``, when given,
+    is that data as ``np_dirichlet`` builds it.  Returns the transformed
     concentration field.  A solve that leaves the Dirichlet range is
     recorded in ``excursions``, or logged when none is given.
     """
@@ -94,7 +96,7 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
                                        constants, d_nodal=d_nodal)
     if np.any(dhat <= 0.0):
         raise FeasibilityError("nonpositive transformed diffusion for species %d" % i)
-    d = np_dirichlet(submesh, species, i, constants)
+    d = np_dirichlet(submesh, species, i, constants) if dirichlet is None else dirichlet
     A, b = fem_core.pinned_stiffness_system(submesh, dhat, d)
     cbar = sparse_linalg.solve(A, b, spec)
     lo, hi = d.values.min(), d.values.max()

@@ -1,8 +1,12 @@
 import logging
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from smpnp import driver, fem_core, mesh as meshmod, nonlinear_node, sparse_linalg
 from smpnp.errors import ConfigError, ConvergenceError
@@ -114,6 +118,24 @@ def test_parse_config_rejects_eps_newton(tmp_path):
         driver.parse_config(_write(tmp_path, text))
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"mesh = synth\n\xffresolution = 6\n")
+    with pytest.raises(ConfigError, match="run.cfg: line 2: byte 0xff is not UTF-8"):
+        driver.parse_config(str(path))
+    assert driver.main(["check", "--config", str(path)]) == 1
+
+
+def test_python_m_smpnp_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(driver.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-m", "smpnp", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: smpnp")
+
+
 def test_cli_mesh_synth_then_check(tmp_path, capsys):
     mesh_path = str(tmp_path / "chan.mesh")
     rc = driver.main(["mesh", "synth", "--out", mesh_path, "--resolution", "6"])
@@ -182,16 +204,21 @@ def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
-def test_run_factors_box_operator_once(method):
+def test_run_factors_box_operator_once(method, monkeypatch):
     # Psi and every Phi~ solve share one SuperLU factor of the box operator;
-    # the method selects the Block-1 solver only
+    # the method selects the Block-1 solver only.  Each pattern is ordered
+    # once: the box, and on the direct path the Block-1 pattern
+    monkeypatch.setattr(sparse_linalg, "_plans", {})
     config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(),
                               linear=sparse_linalg.LinearSolveSpec(method=method),
                               geometry=meshmod.ChannelGeometry(resolution=12))
     with mock.patch.object(sparse_linalg, "factorize",
                            wraps=sparse_linalg.factorize) as factorize, \
-            mock.patch.object(sparse_linalg, "Ilu0", wraps=sparse_linalg.Ilu0) as ilu0:
+            mock.patch.object(sparse_linalg, "Ilu0", wraps=sparse_linalg.Ilu0) as ilu0, \
+            mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
         result = driver.run(config)
+    orderings = [c.kwargs["permc_spec"] for c in splu.call_args_list].count("MMD_AT_PLUS_A")
+    assert orderings == (2 if method == "direct" else 1)
     n = result.mesh.num_vertices
     sizes = [call.args[0].shape[0] for call in factorize.call_args_list]
     assert sizes.count(n) == 1

@@ -100,6 +100,13 @@ def test_atoms_file_bad_header(tmp_path):
         es.load_atoms(path)
 
 
+def test_atoms_file_not_utf8(tmp_path):
+    path = tmp_path / "bad.atoms"
+    path.write_bytes(b"atoms 1\n0 0 \xe9 1\n")
+    with pytest.raises(MeshFormatError, match="bad.atoms: line 2: byte 0xe9 is not UTF-8"):
+        es.load_atoms(path)
+
+
 def test_atoms_file_zero_atoms_round_trip(tmp_path):
     path = tmp_path / "none.atoms"
     es.save_atoms(es.AtomicCharges.none(), path)

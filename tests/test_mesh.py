@@ -64,6 +64,14 @@ def test_save_load_round_trip_is_identity(tmp_path, channel_mesh):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_load_non_utf8_mesh_is_a_format_error(tmp_path):
+    path = tmp_path / "bad.mesh"
+    meshmod.save_mesh(meshmod.unit_cube_mesh(1), path)
+    path.write_bytes(path.read_bytes().replace(b"vertices 8\n", b"vertices 8\n\xff", 1))
+    with pytest.raises(MeshFormatError, match="bad.mesh: line 3: byte 0xff is not UTF-8"):
+        meshmod.load_mesh(path)
+
+
 def test_load_truncated_file_reports_line(tmp_path):
     path = tmp_path / "trunc.mesh"
     path.write_text("smpnp-mesh 1\nvertices 2\n0 0 0\n")

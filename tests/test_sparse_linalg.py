@@ -272,12 +272,82 @@ def test_ilu0_plan_built_once_per_pattern(monkeypatch, rng):
 
 
 def test_ilu0_plan_cache_is_bounded(monkeypatch):
+    # one entry per pattern holds both the ILU(0) schedule and the ordering
     monkeypatch.setattr(sparse_linalg, "_plans", {})
     for n in range(5, 5 + sparse_linalg._PLAN_CACHE_SIZE + 3):
         Ilu0(lap1d(n))
+        sparse_linalg.factorize(lap1d(n))
     assert len(sparse_linalg._plans) == sparse_linalg._PLAN_CACHE_SIZE
     A = lap1d(n)
-    assert (A.indptr.tobytes(), A.indices.tobytes()) in sparse_linalg._plans
+    plan = sparse_linalg._plans[(A.indptr.tobytes(), A.indices.tobytes())]
+    assert plan.ilu0 is not None and plan.ordering is not None
+
+
+def _mmd_lu(A):
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+
+
+def test_factorize_orders_each_pattern_once(monkeypatch, channel12_systems):
+    # the ordering is computed once per pattern; every factorization factors
+    # the reordered matrix in natural order, so the first and a later one
+    # give the same bits, with the fill of a fresh minimum-degree factor and
+    # an answer as accurate as its.  SuperLU visits the renumbered rows in
+    # another order, so the rounding differs from the fresh factor's: on
+    # this e^+-45 system the answers differ by 1e-11 (max norm, relative),
+    # less than either's distance to the refined solution (1.6e-11)
+    monkeypatch.setattr(sparse_linalg, "_plans", {})
+    A, b = channel12_systems["block1"]
+    with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+        first, second = sparse_linalg.factorize(A), sparse_linalg.factorize(A)
+    assert ([c.kwargs["permc_spec"] for c in splu.call_args_list]
+            == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"])
+    fresh = _mmd_lu(A)
+    assert first.lu.nnz == second.lu.nnz == fresh.nnz
+    x_fresh, x = fresh.solve(b), second.solve(b)
+    assert np.array_equal(first.solve(b), x)
+    x_fine = x_fresh
+    for _ in range(3):  # refinement with extended-precision residuals
+        r = b.astype(np.longdouble) - A.astype(np.longdouble) @ x_fine.astype(np.longdouble)
+        x_fine = x_fine + fresh.solve(r.astype(float))
+
+    def error(y):
+        return np.max(np.abs(y - x_fine)) / np.max(np.abs(x_fine))
+    assert np.max(np.abs(x - x_fresh)) <= error(x_fresh) * np.max(np.abs(x_fresh))
+    assert error(x) <= 1.1 * error(x_fresh)
+    assert sparse_linalg._backward_error(A, x, b) <= 1e-15
+
+
+def test_factorize_singular_after_ordering(monkeypatch):
+    # a later factorization of a pattern still reports a singular matrix
+    monkeypatch.setattr(sparse_linalg, "_plans", {})
+    A = lap1d(4)
+    sparse_linalg.factorize(A)
+    S = A.copy()
+    S.data[:] = 0.0
+    with pytest.raises(SingularMatrixError):
+        sparse_linalg.factorize(S)
+
+
+def test_shared_pattern_arrays_are_never_mutated(channel12_systems):
+    # Block-1 matrices share their pattern arrays with the mesh's cached
+    # scatter, and factorizations share the ordering's: both are read-only,
+    # and the solves' _as_sorted_csr leaves them as they are
+    A, b = channel12_systems["block1"]
+    indptr, indices = A.indptr.copy(), A.indices.copy()
+    for spec in (DIRECT, KRYLOV, DIRECT):
+        solve(A, b, spec)
+    assert np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)
+    ordering = sparse_linalg._plans[(indptr.tobytes(), indices.tobytes())].ordering
+    for a in (A.indptr, A.indices, ordering.indptr, ordering.indices, ordering.gather):
+        assert not a.flags.writeable
+
+
+def test_inf_norm_reads_csr_data(channel12_systems):
+    A, _ = channel12_systems["block1"]
+    empty_rows = sp.csr_matrix(np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 0.0],
+                                         [0.0, 3.0, -0.5], [0.0, 0.0, 0.0]]))
+    for M in (A, empty_rows, sp.csr_matrix((3, 3))):
+        assert sparse_linalg._inf_norm(M) == pytest.approx(spla.norm(M, np.inf), rel=1e-15)
 
 
 def test_ilu0_zero_pivot_in_later_level_names_reference_row():
