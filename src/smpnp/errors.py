@@ -28,7 +28,7 @@ class LinearSolveError(SmpnpError):
 
 
 class SingularMatrixError(LinearSolveError):
-    """Pivot breakdown in an elimination or ILU factorization."""
+    """SuperLU found the matrix singular: a zero pivot in its LU factorization."""
 
 
 class NewtonError(SmpnpError):

@@ -1,6 +1,5 @@
 """Block-1 solves: the linear self-adjoint transformed Nernst-Planck
-problem of each species on the solvent submesh, plus flux post-processing
-and cross-section currents.
+problem of each species on the solvent submesh, plus flux post-processing.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ import logging
 import numpy as np
 
 from . import fem_core, mesh as meshmod, sparse_linalg
-from .errors import FeasibilityError, MeshError
+from .errors import FeasibilityError
 from .physics_model import (ModelConstants, SpeciesSet, boundary_conc,
                             diffusion_profile, transformed_diffusion,
                             slotboom_forward, water_fraction)
@@ -148,53 +147,3 @@ def compute_flux(submesh, species: SpeciesSet, i, c_fields, u_vals,
     dhat_tet = dhat[submesh.tets].mean(axis=1)
     J_slot = -dhat_tet[:, None] * _tet_gradient_fields(submesh, cbar[i])
     return J, J_slot
-
-
-def _tet_plane_section_area(coords, z0):
-    """Area of the intersection of one tet with the plane z = z0."""
-    z = coords[:, 2] - z0
-    below, above = z < 0.0, z > 0.0
-    if not below.any() or not above.any():
-        return 0.0
-    pts = []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if z[a] * z[b] < 0.0:
-                t = z[a] / (z[a] - z[b])
-                pts.append(coords[a] + t * (coords[b] - coords[a]))
-    for a in range(4):
-        if z[a] == 0.0:
-            pts.append(coords[a])
-    if len(pts) < 3:
-        return 0.0
-    pts = np.asarray(pts)[:, :2]
-    center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-    pts = pts[order]
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def cross_section_current(submesh, J_fields, z_planes, species_Z):
-    """Net electric current through horizontal planes.
-
-    ``J_fields`` has shape (n, Ms, 3) (per-tet fluxes); the current at each
-    plane sums Z_i J_i.z times the plane's cross-section area within every
-    solvent tet it cuts.
-    """
-    J_fields = np.asarray(J_fields, dtype=float)
-    species_Z = np.asarray(species_Z, dtype=float)
-    box = submesh.parent.box
-    coords = submesh.vertices[submesh.tets]
-    out = []
-    for z0 in np.atleast_1d(z_planes):
-        if not box[4] <= z0 <= box[5]:
-            raise MeshError("plane z=%g outside the box" % z0)
-        zmin, zmax = coords[:, :, 2].min(axis=1), coords[:, :, 2].max(axis=1)
-        cut = np.nonzero((zmin < z0) & (zmax > z0))[0]
-        total = 0.0
-        for t in cut:
-            area = _tet_plane_section_area(coords[t], z0)
-            total += area * float(species_Z @ J_fields[:, t, 2])
-        out.append(total)
-    return np.asarray(out)

@@ -206,27 +206,30 @@ def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
 @pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
 def test_run_factors_box_operator_once(method, monkeypatch):
     # Psi and every Phi~ solve share one SuperLU factor of the box operator;
-    # the method selects the Block-1 solver only.  Each pattern is ordered
-    # once: the box, and on the direct path the Block-1 pattern
-    monkeypatch.setattr(sparse_linalg, "_plans", {})
+    # the method selects the Block-1 solver only.  Each factored pattern is
+    # ordered once: the box, and on the direct path the Block-1 pattern.  A
+    # Krylov run factors nothing on the Block-1 pattern
+    monkeypatch.setattr(sparse_linalg, "_orderings", {})
     config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(),
                               linear=sparse_linalg.LinearSolveSpec(method=method),
                               geometry=meshmod.ChannelGeometry(resolution=12))
     with mock.patch.object(sparse_linalg, "factorize",
                            wraps=sparse_linalg.factorize) as factorize, \
             mock.patch.object(sparse_linalg, "Ilu0", wraps=sparse_linalg.Ilu0) as ilu0, \
+            mock.patch.object(spla, "spilu", wraps=spla.spilu) as spilu, \
             mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
         result = driver.run(config)
-    orderings = [c.kwargs["permc_spec"] for c in splu.call_args_list].count("MMD_AT_PLUS_A")
+    orderings = [c.kwargs["permc_spec"] for c in spilu.call_args_list].count("MMD_AT_PLUS_A")
     assert orderings == (2 if method == "direct" else 1)
-    n = result.mesh.num_vertices
+    n, ns = result.mesh.num_vertices, result.submesh.num_vertices
     sizes = [call.args[0].shape[0] for call in factorize.call_args_list]
     assert sizes.count(n) == 1
-    assert all(call.args[0].shape[0] != n for call in ilu0.call_args_list)
     if method == "direct":
-        assert sizes.count(result.submesh.num_vertices) == 4 * result.iterations
+        assert sizes.count(ns) == 4 * result.iterations
     else:
-        assert ilu0.call_count == 4 * result.iterations
+        factored = [c.args[0].shape[0] for c in splu.call_args_list + spilu.call_args_list]
+        assert ns not in sizes and ns not in factored
+        ilu0.assert_not_called()
 
 
 def test_run_reports_initializer_sweeps(tmp_path, caplog):

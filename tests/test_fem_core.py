@@ -197,8 +197,8 @@ def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
     A_ref, b_ref = apply_dirichlet(_reference_stiffness(mesh, weight), np.zeros(n), d)
     A_old, b_old = apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
                                    np.zeros(n), d)
-    # same CSR structure as symmetric elimination, so orderings and ILU(0)
-    # see the same matrix
+    # same CSR structure as symmetric elimination, so orderings see the
+    # same matrix
     for other in (A_ref, A_old):
         assert np.array_equal(A.indptr, other.indptr)
         assert np.array_equal(A.indices, other.indices)

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from smpnp import electrostatics, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import LinearSolveError, SingularMatrixError
 from smpnp.physics_model import ModelConstants
-from smpnp.sparse_linalg import Ilu0, LinearSolveSpec, solve
+from smpnp.sparse_linalg import LinearSolveSpec, solve
 
 DIRECT = LinearSolveSpec(method="direct")
 KRYLOV = LinearSolveSpec(method="krylov_ilu0")
@@ -87,10 +87,10 @@ def test_krylov_rejects_nonpositive_diagonal(diag):
     # the check comes before S = diag(A)^-1/2 is formed: a square root or
     # division of the bad entry would raise FloatingPointError here
     with np.errstate(all="raise"), \
-            mock.patch.object(sparse_linalg, "Ilu0") as ilu, \
+            mock.patch.object(spla, "cg") as cg, \
             pytest.raises(LinearSolveError, match="positive diagonal: row 3"):
         solve(A.tocsr(), np.ones(6), KRYLOV)
-    ilu.assert_not_called()
+    cg.assert_not_called()
 
 
 def _convection_diffusion(m, skew):
@@ -162,65 +162,6 @@ def test_inexact_answer_is_refined_once(spec, caplog):
     assert np.allclose(x, spla.spsolve(A.tocsc(), b), rtol=1e-14)
 
 
-def test_ilu0_preserves_pattern(rng):
-    A = lap1d(20)
-    fac = Ilu0(A)
-    P = fac.pattern_matrix()
-    assert np.array_equal(P.indptr, A.indptr)
-    assert np.array_equal(P.indices, A.indices)
-
-
-def test_ilu0_exact_on_tridiagonal(rng):
-    # no fill occurs, so ILU(0) is an exact factorization
-    A = lap1d(15)
-    b = rng.normal(size=15)
-    x = Ilu0(A).solve(b)
-    assert np.allclose(A @ x, b, atol=1e-10)
-    B = rng.normal(size=(15, 2))
-    assert np.allclose(A @ Ilu0(A).solve(B), B, atol=1e-10)
-
-
-def test_ilu0_missing_diagonal():
-    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    A.eliminate_zeros()
-    with pytest.raises(SingularMatrixError):
-        Ilu0(A)
-
-
-def ilu0_reference(A):
-    """Row-by-row IKJ ILU(0): the combined factor values on A's pattern."""
-    A = sp.csr_matrix(A)
-    A.sort_indices()
-    n = A.shape[0]
-    indptr, indices = A.indptr, A.indices
-    data = A.data.astype(float).copy()
-    diag_ptr = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        row = indices[indptr[i]:indptr[i + 1]]
-        pos = np.searchsorted(row, i)
-        if pos == len(row) or row[pos] != i:
-            raise SingularMatrixError("ILU(0): missing diagonal in row %d" % i)
-        diag_ptr[i] = indptr[i] + pos
-    col_pos = [dict(zip(indices[indptr[i]:indptr[i + 1]].tolist(),
-                        range(indptr[i], indptr[i + 1])))
-               for i in range(n)]
-    for i in range(n):
-        for kk in range(indptr[i], diag_ptr[i]):
-            k = indices[kk]
-            piv = data[diag_ptr[k]]
-            if piv == 0.0:
-                raise SingularMatrixError("ILU(0): zero pivot in row %d" % k)
-            lik = data[kk] / piv
-            data[kk] = lik
-            for jj in range(diag_ptr[k] + 1, indptr[k + 1]):
-                tgt = col_pos[i].get(indices[jj])
-                if tgt is not None:
-                    data[tgt] -= lik * data[jj]
-        if data[diag_ptr[i]] == 0.0:
-            raise SingularMatrixError("ILU(0): zero pivot in row %d" % i)
-    return data
-
-
 @pytest.fixture(scope="module")
 def channel12_systems():
     """R=12 pinned Block-1 system (nodal weights e^+-45) and the pinned box
@@ -238,53 +179,28 @@ def channel12_systems():
     return {"block1": (block1, b), "box": (box.A, None)}
 
 
-@pytest.mark.parametrize("which", ["block1", "box"])
-def test_ilu0_factor_equals_reference_loop(which, channel12_systems):
-    A, _ = channel12_systems[which]
-    assert np.array_equal(Ilu0(A).data, ilu0_reference(A))
-
-
-def test_ilu0_solve_equals_spsolve_triangular(channel12_systems, rng):
-    # Ilu0.solve calls SuperLU's private triangular solve with the arguments
-    # spsolve_triangular builds; a scipy that changes them fails here
-    A, b = channel12_systems["block1"]
-    fac = Ilu0(A)
-    P = fac.pattern_matrix()
-    L = (sp.tril(P, k=-1) + sp.eye(A.shape[0])).tocsr()
-    U = sp.triu(P).tocsr()
-    for rhs in (b, rng.normal(size=A.shape[0])):
-        y = spla.spsolve_triangular(L, rhs, lower=True, unit_diagonal=True)
-        assert np.array_equal(fac.solve(rhs), spla.spsolve_triangular(U, y, lower=False))
-
-
-def test_ilu0_plan_built_once_per_pattern(monkeypatch, rng):
-    monkeypatch.setattr(sparse_linalg, "_plans", {})
-    A = lap1d(40)
-    B = A.copy()
-    B.data = rng.uniform(1.0, 2.0, size=B.nnz) * np.sign(B.data)
-    with mock.patch.object(sparse_linalg, "_Ilu0Plan",
-                           wraps=sparse_linalg._Ilu0Plan) as build:
-        for M in (A, B):
-            assert np.array_equal(Ilu0(M).data, ilu0_reference(M))
-        assert build.call_count == 1
-        Ilu0(lap1d(41))
-        assert build.call_count == 2
-
-
-def test_ilu0_plan_cache_is_bounded(monkeypatch):
-    # one entry per pattern holds both the ILU(0) schedule and the ordering
-    monkeypatch.setattr(sparse_linalg, "_plans", {})
-    for n in range(5, 5 + sparse_linalg._PLAN_CACHE_SIZE + 3):
-        Ilu0(lap1d(n))
-        sparse_linalg.factorize(lap1d(n))
-    assert len(sparse_linalg._plans) == sparse_linalg._PLAN_CACHE_SIZE
-    A = lap1d(n)
-    plan = sparse_linalg._plans[(A.indptr.tobytes(), A.indices.tobytes())]
-    assert plan.ilu0 is not None and plan.ordering is not None
-
-
 def _mmd_lu(A):
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+
+
+def test_ordering_cache_is_bounded(monkeypatch):
+    # one ordering per pattern, the oldest dropped first
+    monkeypatch.setattr(sparse_linalg, "_orderings", {})
+    sizes = range(5, 5 + sparse_linalg._ORDERING_CACHE_SIZE + 3)
+    for n in sizes:
+        sparse_linalg.factorize(lap1d(n))
+    keys = [(A.indptr.tobytes(), A.indices.tobytes()) for A in map(lap1d, sizes)]
+    assert list(sparse_linalg._orderings) == keys[3:]
+
+
+@pytest.mark.parametrize("which", ["block1", "box"])
+def test_ordering_equals_minimum_degree_splu(which, channel12_systems):
+    # the throwaway incomplete factor orders the columns as a full
+    # minimum-degree factorization does, so the factors stay bitwise
+    A, _ = channel12_systems[which]
+    A = sparse_linalg._as_sorted_csr(A)
+    perm_c = _mmd_lu(A).perm_c
+    assert np.array_equal(sparse_linalg._Ordering(A).q, np.argsort(perm_c))
 
 
 def test_factorize_orders_each_pattern_once(monkeypatch, channel12_systems):
@@ -295,12 +211,13 @@ def test_factorize_orders_each_pattern_once(monkeypatch, channel12_systems):
     # another order, so the rounding differs from the fresh factor's: on
     # this e^+-45 system the answers differ by 1e-11 (max norm, relative),
     # less than either's distance to the refined solution (1.6e-11)
-    monkeypatch.setattr(sparse_linalg, "_plans", {})
+    monkeypatch.setattr(sparse_linalg, "_orderings", {})
     A, b = channel12_systems["block1"]
-    with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+    with mock.patch.object(spla, "spilu", wraps=spla.spilu) as spilu, \
+            mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
         first, second = sparse_linalg.factorize(A), sparse_linalg.factorize(A)
-    assert ([c.kwargs["permc_spec"] for c in splu.call_args_list]
-            == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"])
+    assert [c.kwargs["permc_spec"] for c in spilu.call_args_list] == ["MMD_AT_PLUS_A"]
+    assert [c.kwargs["permc_spec"] for c in splu.call_args_list] == ["NATURAL", "NATURAL"]
     fresh = _mmd_lu(A)
     assert first.lu.nnz == second.lu.nnz == fresh.nnz
     x_fresh, x = fresh.solve(b), second.solve(b)
@@ -319,7 +236,7 @@ def test_factorize_orders_each_pattern_once(monkeypatch, channel12_systems):
 
 def test_factorize_singular_after_ordering(monkeypatch):
     # a later factorization of a pattern still reports a singular matrix
-    monkeypatch.setattr(sparse_linalg, "_plans", {})
+    monkeypatch.setattr(sparse_linalg, "_orderings", {})
     A = lap1d(4)
     sparse_linalg.factorize(A)
     S = A.copy()
@@ -337,7 +254,7 @@ def test_shared_pattern_arrays_are_never_mutated(channel12_systems):
     for spec in (DIRECT, KRYLOV, DIRECT):
         solve(A, b, spec)
     assert np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)
-    ordering = sparse_linalg._plans[(indptr.tobytes(), indices.tobytes())].ordering
+    ordering = sparse_linalg._orderings[(indptr.tobytes(), indices.tobytes())]
     for a in (A.indptr, A.indices, ordering.indptr, ordering.indices, ordering.gather):
         assert not a.flags.writeable
 
@@ -348,16 +265,3 @@ def test_inf_norm_reads_csr_data(channel12_systems):
                                          [0.0, 3.0, -0.5], [0.0, 0.0, 0.0]]))
     for M in (A, empty_rows, sp.csr_matrix((3, 3))):
         assert sparse_linalg._inf_norm(M) == pytest.approx(spla.norm(M, np.inf), rel=1e-15)
-
-
-def test_ilu0_zero_pivot_in_later_level_names_reference_row():
-    # u_22 = 1 - 1 / (2 - 1 / 1) = 0 exactly, in elimination level 2; row 3
-    # is level 0 with a stored zero diagonal, found first level by level
-    T = sp.diags([np.ones(2), [1.0, 2.0, 1.0], np.ones(2)], [-1, 0, 1])
-    A = sp.block_diag([T, sp.coo_matrix(([0.0], ([0], [0])), shape=(1, 1))], format="csr")
-    assert A.nnz == 8
-    with pytest.raises(SingularMatrixError) as ref:
-        ilu0_reference(A)
-    with pytest.raises(SingularMatrixError) as new:
-        Ilu0(A)
-    assert str(new.value) == str(ref.value) == "ILU(0): zero pivot in row 2"

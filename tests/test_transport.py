@@ -5,7 +5,7 @@ import pytest
 
 from smpnp import (electrostatics as es, fem_core, mesh as meshmod, nonlinear_node,
                    sparse_linalg, transport)
-from smpnp.errors import FeasibilityError, MeshError
+from smpnp.errors import FeasibilityError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  boundary_conc, mixture_species)
 
@@ -130,31 +130,6 @@ def test_flux_zero_at_uniform_state(channel_submesh, species4):
         J, J_slot = transport.compute_flux(channel_submesh, species4, i, c, u, CONST)
         assert np.max(np.abs(J)) < 1e-14
         assert np.max(np.abs(J_slot)) < 1e-14
-
-
-def test_cross_section_current_linear_slab(cube_sub):
-    sp = _flat_diffusion_species()
-    z = cube_sub.vertices[:, 2]
-    c = (0.1 + 0.05 * z)[None, :]
-    J, _ = transport.compute_flux(cube_sub, sp, 0, c, np.zeros(len(z)), CONST)
-    # avoid grid-aligned planes: tets touching a plane are not cut by it
-    planes = [0.1, 0.37, 0.81]
-    I = transport.cross_section_current(cube_sub, J[None, :, :].reshape(1, -1, 3),
-                                        planes, sp.Z)
-    expect = -0.2 * 0.05 * 1.0  # J_z times unit cross-section area
-    assert np.allclose(I, expect, rtol=0.02)
-    # sign flips with the driving gradient
-    J2, _ = transport.compute_flux(cube_sub, sp, 0, (0.1 - 0.05 * z)[None, :],
-                                   np.zeros(len(z)), CONST)
-    I2 = transport.cross_section_current(cube_sub, J2[None, :, :].reshape(1, -1, 3),
-                                         planes, sp.Z)
-    assert np.allclose(I2, -np.asarray(I), rtol=1e-10)
-
-
-def test_cross_section_current_rejects_outside_plane(cube_sub):
-    with pytest.raises(MeshError):
-        transport.cross_section_current(cube_sub, np.zeros((1, len(cube_sub.tets), 3)),
-                                        [2.0], [1.0])
 
 
 def test_range_excursions_report_once(caplog):
