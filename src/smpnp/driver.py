@@ -24,7 +24,7 @@ from . import (electrostatics, fem_core, mesh as meshmod, nonlinear_node,
                sparse_linalg, transport)
 from .errors import ConfigError, ConvergenceError, SmpnpError
 from .physics_model import (IonSpecies, ModelConstants, SpeciesSet,
-                            capped_exp, volume_from_radius)
+                            slotboom_forward, volume_from_radius)
 
 logger = logging.getLogger(__name__)
 
@@ -285,7 +285,9 @@ def run(config: RunConfig):
 
     phi, c, init_sweeps = nonlinear_node.solve_smpbic(
         submesh, w, species, constants, phit_sys.solve, norm_box, norm_sub)
-    cbar = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
+    # the transform of the starting state, so that an equilibrium start is
+    # already the fixed point and one sweep confirms it
+    cbar = slotboom_forward(submesh.restrict(w + phi), c, species, constants)
     d_nodal = transport.diffusion_nodal(submesh, species, constants)
     dirichlet = [transport.np_dirichlet(submesh, species, i, constants) for i in range(n)]
     excursions = transport.RangeExcursions(species.names)

@@ -91,7 +91,7 @@ def save_atoms(atoms: AtomicCharges, path):
             fh.write("%.17g %.17g %.17g %.17g\n" % (p[0], p[1], p[2], z))
 
 
-def _pair_distances(points, atoms: AtomicCharges, guard=True, first=0):
+def _pair_distances(points, atoms: AtomicCharges, first=0):
     """Offsets and distances from each point to each atom.
 
     ``first`` is the index of ``points[0]`` among all evaluation points,
@@ -99,7 +99,7 @@ def _pair_distances(points, atoms: AtomicCharges, guard=True, first=0):
     """
     diff = points[:, None, :] - atoms.positions[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
-    if guard and atoms.smoothing == 0.0 and dist.size and dist.min() < _COLLISION_TOL:
+    if atoms.smoothing == 0.0 and dist.size and dist.min() < _COLLISION_TOL:
         i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
         raise MeshError("atom %d within %.1e A of evaluation point %d"
                         % (j, _COLLISION_TOL, first + i))
@@ -157,17 +157,6 @@ def grad_G(atoms: AtomicCharges, constants: ModelConstants, points):
         out[first:first + len(block)] = -coef * np.einsum(
             "nj,njk->nk", radial * atoms.charges[None, :], diff)
     return out
-
-
-def gaussian_charge_density(atoms: AtomicCharges, points):
-    """Charge density of Gaussian-smoothed atoms (for monolithic oracles)."""
-    if atoms.smoothing <= 0.0:
-        raise ValueError("density requires smoothing > 0")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    _, dist = _pair_distances(points, atoms, guard=False)
-    s = atoms.smoothing
-    g = np.exp(-dist**2 / (2.0 * s**2)) / (2.0 * np.pi * s**2) ** 1.5
-    return g @ atoms.charges
 
 
 def region_eps(mesh: meshmod.LabeledMesh, constants: ModelConstants):

@@ -289,20 +289,6 @@ def assemble_mass(mesh, tet_mask=None, weight=None):
     return op.mass_scatter().matrix(local)
 
 
-def assemble_load_volume(mesh, density, tet_mask=None, dirichlet=None):
-    """Load vector int density phi_a over the (masked) tets.
-
-    ``density`` is nodal; the P1*P1 product is integrated exactly through
-    the element mass matrix.  Rows of ``dirichlet`` nodes are zeroed when a
-    set is supplied (test space with essential constraints).
-    """
-    density = np.asarray(density, dtype=float)
-    out = assemble_mass(mesh, tet_mask=tet_mask) @ density
-    if dirichlet is not None and dirichlet.nodes.size:
-        out[dirichlet.nodes] = 0.0
-    return out
-
-
 def triangle_areas_normals(mesh, facets):
     """Areas and unit normals (unoriented) of the given triangles."""
     p = mesh.vertices[facets]
@@ -375,14 +361,6 @@ def l2_norm(mesh, f, mass=None):
     if mass is None:
         mass = assemble_mass(mesh)
     return float(np.sqrt(max(f @ (mass @ f), 0.0)))
-
-
-def l2_diff(mesh, f, g, mass=None):
-    """L2 norm of f - g on a common mesh."""
-    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-    if f.shape != g.shape:
-        raise MeshError("field shapes differ")
-    return l2_norm(mesh, f - g, mass=mass)
 
 
 class MassNorm:

@@ -102,10 +102,6 @@ class LabeledMesh:
             raise MeshError("facet %d does not separate the regions of label %d"
                             % (k, self.facet_labels[k]))
 
-    def region_volume(self, region):
-        vols = tet_volumes(self.vertices, self.tets)
-        return float(vols[self.tet_regions == region].sum())
-
     def dirichlet_side_nodes(self):
         """(bottom_nodes, top_nodes) on the Dirichlet facets, disjoint."""
         z1 = self.box[4]

@@ -4,11 +4,12 @@ initializer and the outer iteration run, and the initializer itself.
 
 Each node carries the n x n system
     p_i = t_i w^(v_i/v0) E_i,   w = 1 - gamma sum_j v_j p_j,
-with targets t_i (the transformed concentrations, or the bulk constants for
-the equilibrium variant) and capped exponentials E_i = exp(-Z_i u).  Its
-Jacobian is the identity plus a rank-one term, so the system reduces to one
-scalar equation for the water fraction: with a_i = gamma v_i t_i E_i and
-r_i = v_i/v0 >= 1, w solves w + sum_i a_i w^(r_i) = 1.  In s = ln w,
+with targets t_i (the transformed concentrations, or their bulk values
+c_i^b / w_b^(v_i/v0) for the equilibrium variant) and capped exponentials
+E_i = exp(-Z_i u).  Its Jacobian is the identity plus a rank-one term, so
+the system reduces to one scalar equation for the water fraction: with
+a_i = gamma v_i t_i E_i and r_i = v_i/v0 >= 1, w solves
+w + sum_i a_i w^(r_i) = 1.  In s = ln w,
     phi(s) = log(e^s + sum_i a_i e^(r_i s)) = 0,
 phi is convex and increasing with phi(0) >= 0, so the root is unique and
 Newton from s = 0 descends to it.  Every node is solved at once.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, NewtonError
-from .physics_model import ModelConstants, SpeciesSet, capped_exp
+from .physics_model import ModelConstants, SpeciesSet, capped_exp, slotboom_forward
 
 logger = logging.getLogger(__name__)
 
@@ -152,12 +153,16 @@ def damped_fixed_point(sweep, state, norms, feasible, omega, eps, max_sweeps, la
     before the next block uses it.
 
     Sweep k stops the loop when the increment F(x_k) - x_k of every block
-    (the max over its rows) is below ``eps``, and F(x_k) is returned.
+    (the max over its rows) is below ``omega * eps``, and F(x_k) is
+    returned.  For a damped block that increment is omega times its
+    undamped residual G(x_k) - x_k, so the test reads ||G(x_k) - x_k|| <
+    ``eps`` (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+    SIAM 1995); a block the sweep does not damp meets the stricter bound.
     Otherwise the next sweep starts from the mixed iterate, unless
     ``feasible`` rejects it; then it starts from F(x_k), the plain damped
     step, and the stored differences are dropped.  Each history row holds
-    k, res_<block>, the extra values and aa_depth, the number of
-    differences mixed (0 for a plain damped step).
+    k, res_<block> (the damped increment), the extra values and aa_depth,
+    the number of differences mixed (0 for a plain damped step).
     """
     names = list(state)
     shapes = [np.shape(state[name]) for name in names]
@@ -190,7 +195,7 @@ def damped_fixed_point(sweep, state, norms, feasible, omega, eps, max_sweeps, la
         row = {"k": k}
         for name in names:
             row["res_" + name] = max(norms[name](d) for d in np.atleast_2d(diff[name]))
-        converged = max(row["res_" + name] for name in names) < eps
+        converged = max(row["res_" + name] for name in names) < omega * eps
         row.update(extra)
         row["aa_depth"] = 0
         history.append(row)
@@ -228,18 +233,22 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
                  phi_solve, norm_omega, norm_solvent, max_sweeps=500):
     """Equilibrium (size-modified Poisson-Boltzmann) initializer.
 
-    The transformed concentrations stay frozen at the bulk constants.  One
-    sweep recovers xi nodewise at the potential w + q and relaxes q toward
-    the ionic potential phi_solve(xi); damped_fixed_point runs it on the
-    blocks (xi, q) at the outer omega until both increments drop below
-    eps_outer in L2.
+    The transformed concentrations stay frozen at their bulk values
+    t_i = c_i^b / w_b^(v_i/v0), the Dirichlet data of Block 1 at zero
+    potential, so that at zero potential the recovery returns c^b itself
+    (the size-modified Boltzmann law).  One sweep recovers xi nodewise at
+    the potential w + q and relaxes q toward the ionic potential
+    phi_solve(xi); damped_fixed_point runs it on the blocks (xi, q) from
+    (c^b, 0) at the outer omega until its stop test at eps_outer holds.
 
     ``phi_solve`` maps (n, Ns) solvent fields to a box-mesh potential;
     ``norm_omega``/``norm_solvent`` are L2 norms on the two meshes.
     Returns (q, xi, sweeps); raises NewtonError when ``max_sweeps`` do not
     converge.
     """
-    targets = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
+    bulk = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
+    targets = np.repeat(slotboom_forward(0.0, species.c_b, species, constants)[:, None],
+                        submesh.num_vertices, axis=1)
 
     def sweep(x, relax):
         u_vals = submesh.restrict(w_field + x["q"])
@@ -250,7 +259,7 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
         return bool(np.all(x["xi"] > 0.0))
 
     fp = damped_fixed_point(
-        sweep, {"xi": targets, "q": np.zeros(submesh.parent.num_vertices)},
+        sweep, {"xi": bulk, "q": np.zeros(submesh.parent.num_vertices)},
         {"xi": norm_solvent, "q": norm_omega}, feasible, constants.omega,
         constants.eps_outer, max_sweeps, "equilibrium initializer")
     if not fp.converged:

@@ -155,7 +155,7 @@ class ModelConstants:
     sigma: float = 0.0  # membrane surface charge, uC/cm^2
     eta: float = 3.0  # diffusion buffer thickness, A
     cap: float = 45.0  # exponent truncation bound M
-    omega: float = 0.41  # damping of the outer block iteration
+    omega: float = 0.7  # damping of the outer block iteration
     eps_outer: float = 1.0e-4
 
     def __post_init__(self):
@@ -254,13 +254,3 @@ def transformed_diffusion(species: SpeciesSet, i, u, c, d_value, constants: Mode
     w = water_fraction(species, c, constants.gamma)
     return (d_value * capped_exp(-species.Z[i] * np.asarray(u, dtype=float), constants.cap)
             * w ** species.v_ratio[i])
-
-
-def electrochemical_potential(species: SpeciesSet, i, u, c, constants: ModelConstants):
-    """Diagnostic mu_i / (kT gamma) = Z_i u + ln(c_i/c_i^b) - (v_i/v0) ln w."""
-    c = np.asarray(c, dtype=float)
-    if np.any(c[i] <= 0.0):
-        raise FeasibilityError("c_%d must be positive" % i)
-    w = water_fraction(species, c, constants.gamma)
-    return (species.Z[i] * np.asarray(u, dtype=float) + np.log(c[i] / species.c_b[i])
-            - species.v_ratio[i] * np.log(w))

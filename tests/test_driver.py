@@ -257,20 +257,22 @@ def test_run_enters_shared_loop_once_per_phase(tmp_path):
 
 
 def test_run_anderson_sweep_counts():
-    # damped Picard took 23 outer and 22 initializer sweeps on this case
-    config = driver.RunConfig(species=mixture_species(),
-                              constants=ModelConstants(sigma=-1.0),
-                              linear=sparse_linalg.LinearSolveSpec(method="direct"),
-                              geometry=meshmod.ChannelGeometry(resolution=12))
-    result = driver.run(config)
-    assert result.converged
-    assert result.iterations <= 16
-    assert result.init_sweeps <= 16
+    # at u_t = 0 the outer loop starts at the equilibrium; at u_t = 1.5 it
+    # iterates with Anderson mixing
+    for u_t, max_init, max_outer in ((0.0, 15, 1), (1.5, 14, 15)):
+        config = driver.RunConfig(species=mixture_species(),
+                                  constants=ModelConstants(sigma=-1.0, u_t=u_t),
+                                  linear=sparse_linalg.LinearSolveSpec(method="direct"),
+                                  geometry=meshmod.ChannelGeometry(resolution=12))
+        result = driver.run(config)
+        assert result.converged
+        assert result.init_sweeps <= max_init
+        assert result.iterations <= max_outer
 
 
 def test_convergence_csv_records_mixing_depth(tmp_path):
     cfg = driver.RunConfig(species=mixture_species(),
-                           constants=ModelConstants(sigma=-1.0),
+                           constants=ModelConstants(sigma=-1.0, u_t=1.5),
                            linear=sparse_linalg.LinearSolveSpec(method="direct"),
                            geometry=meshmod.ChannelGeometry(resolution=6),
                            output_dir=str(tmp_path))
@@ -291,6 +293,7 @@ mesh = synth
 resolution = 6
 solver = direct
 sigma = -1
+u_t = 1.5
 max_outer = 1
 output_dir = %s
 
@@ -320,6 +323,7 @@ mesh = synth
 resolution = 6
 solver = direct
 sigma = -1
+u_t = 1.5
 max_outer = 1
 
 [species]

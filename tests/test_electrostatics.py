@@ -7,6 +7,8 @@ from smpnp import electrostatics as es, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import LinearSolveError, MeshError, MeshFormatError
 from smpnp.physics_model import ModelConstants
 
+from helpers import assemble_load_volume
+
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 CONST = ModelConstants()
 
@@ -163,7 +165,7 @@ def test_phi_tilde_rhs_matches_load_assembly(channel_mesh, channel_submesh):
     c1 = np.full(channel_submesh.num_vertices, 0.1)
     sys = es.PhiTildeSystem(channel_mesh, channel_submesh, [-1.0], CONST, DIRECT)
     q = sys.solve(c1[None, :])
-    oracle_rhs = -CONST.beta * fem_core.assemble_load_volume(
+    oracle_rhs = -CONST.beta * assemble_load_volume(
         channel_mesh, channel_submesh.prolong(c1),
         tet_mask=channel_mesh.tet_regions == meshmod.SOLVENT)
     oracle_rhs[sys.box.dirichlet.nodes] = 0.0

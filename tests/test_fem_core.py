@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from smpnp import fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import MeshError
 from smpnp.fem_core import (DirichletSet, apply_dirichlet, assemble_mass,
-                            assemble_load_volume, assemble_surface_load,
-                            assemble_weighted_stiffness, l2_diff, l2_norm,
-                            pinned_stiffness_system)
+                            assemble_surface_load, assemble_weighted_stiffness,
+                            l2_norm, pinned_stiffness_system)
+
+from helpers import assemble_load_volume, l2_diff
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 

@@ -4,6 +4,8 @@ import pytest
 from smpnp import fem_core, mesh as meshmod
 from smpnp.errors import MeshError, MeshFormatError
 
+from helpers import region_volume
+
 
 def test_structured_box_counts():
     verts, tets = meshmod.structured_box((0, 10, 0, 10, 0, 10), 4)
@@ -118,8 +120,8 @@ def test_region_volumes_near_analytic(channel_mesh):
     pore_area = np.pi * geom.pore_radius**2
     expect_protein = (shell_area - pore_area) * slab
     expect_membrane = ((x2 - x1) * (y2 - y1) - shell_area) * slab
-    got_protein = channel_mesh.region_volume(meshmod.PROTEIN)
-    got_membrane = channel_mesh.region_volume(meshmod.MEMBRANE)
+    got_protein = region_volume(channel_mesh, meshmod.PROTEIN)
+    got_membrane = region_volume(channel_mesh, meshmod.MEMBRANE)
     # centroid classification: allow one cell layer around each interface
     tol = cell * 2.0 * np.pi * geom.shell_radius * slab
     assert abs(got_protein - expect_protein) < tol

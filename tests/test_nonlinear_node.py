@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +209,21 @@ def test_solve_smpbic_boltzmann_reduction():
     assert np.allclose(xi, expect, rtol=1e-10)
 
 
+def test_solve_smpbic_returns_bulk_at_zero_potential():
+    # the targets are the bulk transformed concentrations c_b / w_b^(v/v0),
+    # so at zero potential the sized recovery returns c_b, which is neutral
+    sp = mixture_species()
+    N = 25
+    sub = SimpleNamespace(num_vertices=N, parent=SimpleNamespace(num_vertices=N),
+                          restrict=lambda f: f)
+    norm = lambda f: float(np.linalg.norm(f))  # noqa: E731
+    q, xi, sweeps = nn.solve_smpbic(sub, np.zeros(N), sp, CONST,
+                                    lambda c: np.zeros(N), norm, norm)
+    assert np.max(np.abs(xi - sp.c_b[:, None])) <= 1e-12
+    assert np.max(np.abs(sp.Z @ xi)) <= 1e-12
+    assert sweeps == 1 and np.all(q == 0.0)
+
+
 def _affine_problem(rng, dim=20, radius=0.95):
     """x -> A x + b with symmetric A of spectral radius ``radius``."""
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -230,16 +247,32 @@ def test_fixed_point_loop_accelerates_affine_contraction(rng):
     assert fp.converged and fp.fallbacks == 0
     assert np.max(np.abs(fp.state["x"] - x_star)) <= 1e-10
     assert max(row["aa_depth"] for row in fp.history) == nn.ANDERSON_DEPTH
-    # the plain damped iteration, by hand, with the same stopping test
+    # the plain damped iteration, by hand, with the same stopping test: the
+    # undamped residual of the sweep's input
     x, plain = np.zeros(20), 0
     while True:
         plain += 1
-        step = omega * (A @ x + b - x)
-        x = x + step
-        if np.linalg.norm(step) < eps:
+        residual = A @ x + b - x
+        x = x + omega * residual
+        if np.linalg.norm(residual) < eps:
             break
     assert np.max(np.abs(x - x_star)) <= 1e-10
     assert 3 * len(fp.history) <= plain
+
+
+def test_fixed_point_loop_stops_on_undamped_residual():
+    # every mix rejected, so plain damped steps on x -> x/2: sweep k starts
+    # at x_k = (1 - omega/2)^(k-1) with undamped residual x_k/2, and the
+    # history records the damped increment omega x_k/2
+    omega, eps = 0.5, 0.01
+    fp = nn.damped_fixed_point(lambda x, relax: ({"x": relax(x["x"], x["x"] / 2)}, {}),
+                               {"x": np.ones(1)}, {"x": np.linalg.norm},
+                               lambda x: False, omega, eps, 100, "halving")
+    undamped = [0.75 ** k / 2 for k in range(len(fp.history))]
+    assert fp.converged
+    assert undamped[-1] < eps <= undamped[-2]
+    assert [row["res_x"] for row in fp.history] == pytest.approx(
+        [omega * r for r in undamped], rel=1e-12)
 
 
 def test_fixed_point_loop_falls_back_on_infeasible_mix(rng):

@@ -8,9 +8,11 @@ from smpnp.errors import FeasibilityError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  boundary_conc, capped_exp,
                                  compute_coupling_constants, diffusion_profile,
-                                 electrochemical_potential, mixture_species,
-                                 slotboom_forward, transformed_diffusion,
-                                 volume_from_radius, water_fraction)
+                                 mixture_species, slotboom_forward,
+                                 transformed_diffusion, volume_from_radius,
+                                 water_fraction)
+
+from helpers import electrochemical_potential
 
 CONST = ModelConstants()
 

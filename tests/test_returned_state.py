@@ -1,10 +1,10 @@
 """The returned state solves the Block-2 node equations.
 
-The outer loop stops on small damped increments, which a state can show
-without solving the discrete equations.  These runs check the undamped
-Block-2 residual max |c_i - cbar_i w^(v_i/v0) E_i| / c_i at the returned
-state, on both linear-solver paths, at membrane charges and top potentials
-where the equilibrium initializer once overshot into saturated states.
+Small loop increments alone do not show that a state solves the discrete
+equations.  These runs check the undamped Block-2 residual
+max |c_i - cbar_i w^(v_i/v0) E_i| / c_i at the returned state, on both
+linear-solver paths, at membrane charges and top potentials where the
+equilibrium initializer once overshot into saturated states.
 """
 
 import numpy as np
@@ -48,3 +48,16 @@ def test_returned_state_solves_block2(case):
     assert result.converged
     assert block2_residual(result) <= 1e-4
     assert np.max(np.abs(result.u)) < result.constants.cap
+
+
+def test_equilibrium_start_takes_one_sweep():
+    # with u_b = u_t the initializer returns the equilibrium and the outer
+    # loop starts at its transform, so one sweep confirms it
+    config = driver.RunConfig(
+        species=mixture_species(),
+        constants=ModelConstants(sigma=-1.0),
+        linear=sparse_linalg.LinearSolveSpec(method="direct"),
+        geometry=meshmod.ChannelGeometry(resolution=12))
+    result = driver.run(config)
+    assert result.converged and result.iterations == 1
+    assert block2_residual(result) <= 1e-6
