@@ -268,7 +268,9 @@ def run(config: RunConfig):
     constants = config.constants
     species = config.species
     species.check_bulk_feasible(constants.gamma)
-    spec = config.linear
+    # a fresh spec, so the factors its direct solves keep die with the run
+    spec = sparse_linalg.LinearSolveSpec(config.linear.method)
+    kept = spec.kept
     n = len(species)
     logger.info("mesh: %d vertices, %d tets (%d solvent); %d species; %d atoms",
                 mesh.num_vertices, mesh.num_tets, len(submesh.tets), n, len(atoms))
@@ -294,6 +296,7 @@ def run(config: RunConfig):
 
     def sweep(x, relax):
         u_vals = submesh.restrict(w + x["phi"])
+        factors, steps = kept.factorizations, kept.pcg_steps
         t0 = time.perf_counter()
         pbar = np.stack([
             transport.solve_transformed_np(submesh, species, i, u_vals, x["c"],
@@ -310,7 +313,9 @@ def run(config: RunConfig):
         phi = relax(x["phi"], phit_sys.solve(c))
         t3 = time.perf_counter()
         return ({"cbar": cbar, "c": c, "phi": phi},
-                {"t_block1": t1 - t0, "t_block2": t2 - t1, "t_block3": t3 - t2})
+                {"t_block1": t1 - t0, "t_block2": t2 - t1, "t_block3": t3 - t2,
+                 "block1_factors": kept.factorizations - factors,
+                 "block1_pcg_steps": kept.pcg_steps - steps})
 
     def feasible(x):
         water = 1.0 - constants.gamma * (species.v @ x["c"])
@@ -416,11 +421,13 @@ def export_profiles(path, submesh: meshmod.SolventSubmesh, c_fields, names,
 
 def export_convergence(path, history):
     with open(path, "w") as fh:
-        fh.write("k,res_cbar,res_c,res_phi,t_block1,t_block2,t_block3,aa_depth\n")
+        fh.write("k,res_cbar,res_c,res_phi,t_block1,t_block2,t_block3,"
+                 "block1_factors,block1_pcg_steps,aa_depth\n")
         for row in history:
-            fh.write("%d,%.10e,%.10e,%.10e,%.6f,%.6f,%.6f,%d\n"
+            fh.write("%d,%.10e,%.10e,%.10e,%.6f,%.6f,%.6f,%d,%d,%d\n"
                      % (row["k"], row["res_cbar"], row["res_c"], row["res_phi"],
                         row["t_block1"], row["t_block2"], row["t_block3"],
+                        row["block1_factors"], row["block1_pcg_steps"],
                         row["aa_depth"]))
 
 

@@ -1,5 +1,7 @@
-"""Sparse linear solves: direct sparse LU, and unpreconditioned conjugate
-gradients on the symmetrically Jacobi-scaled system.
+"""Sparse linear solves: direct sparse LU, whose factors a run keeps and
+reuses as conjugate-gradient preconditioners for nearby systems, and
+unpreconditioned conjugate gradients on the symmetrically Jacobi-scaled
+system.
 
 Matrices are scipy CSR with sorted, duplicate-free column indices.
 """
@@ -7,7 +9,8 @@ Matrices are scipy CSR with sorted, duplicate-free column indices.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,12 +28,66 @@ _ACCEPT_BELOW = 1.0e-8  # backward error a returned solution must meet
 _CG_TOL = 1.0e-12  # CG stopping bound on the scaled residual (relative)
 _CG_MAX_ITER = 2000
 
+_KEEP = 2  # SuperLU factors a spec keeps for reuse
+_SPAN_BOUND = 1.5  # largest diagonal-ratio span a kept factor is tried on
+_PCG_TOL = 1.0e-12  # PCG stops when max|M^-1 r| <= _PCG_TOL max|x|
+_PCG_MAX_STEPS = 40
+
+# a SuperLU factor with the pattern key and the diagonal of its matrix
+_Kept = namedtuple("_Kept", "key diag lu")
+
+
+class KeptFactors:
+    """The SuperLU factors of recent direct solves, kept for reuse.
+
+    ``entries`` holds at most _KEEP _Kept factors, least recently used
+    first.  ``factorizations`` and ``pcg_steps`` count the fresh
+    factorizations and preconditioned CG steps of the solves that used
+    this store.
+    """
+
+    def __init__(self):
+        self.entries = []
+        self.factorizations = 0
+        self.pcg_steps = 0
+
+    def closest(self, key, diag):
+        """The kept entry of pattern ``key`` whose diagonal ratio to ``diag``
+        has the smallest span max(d/d_F) / min(d/d_F), if that span is at
+        most _SPAN_BOUND; else None."""
+        best, best_span = None, _SPAN_BOUND
+        for entry in self.entries:
+            if entry.key != key:
+                continue
+            ratio = diag / entry.diag
+            lo, hi = ratio.min(), ratio.max()
+            if lo > 0.0 and hi / lo <= best_span:
+                best, best_span = entry, hi / lo
+        return best
+
+    def use(self, entry):
+        """Mark ``entry`` most recently used."""
+        self.entries = [e for e in self.entries if e is not entry] + [entry]
+
+    def make_room(self):
+        """Drop the least recently used entries until one more fits, before
+        a new factor is built: at most _KEEP factors are alive at a time."""
+        del self.entries[:max(0, len(self.entries) + 1 - _KEEP)]
+
 
 @dataclass(frozen=True)
 class LinearSolveSpec:
-    """Method of a Block-1 linear solve."""
+    """Method of a Block-1 linear solve, plus the factors that direct
+    solves with this spec keep (see ``solve``).
+
+    ``kept`` is left out of the constructor, of equality and of repr: two
+    specs of one method are equal, and each spec starts with no factors.
+    A run builds its own spec, so its factors die with the run.
+    """
 
     method: str = KRYLOV_ILU0
+    kept: KeptFactors = field(default_factory=KeptFactors, init=False,
+                              compare=False, repr=False)
 
     def __post_init__(self):
         if self.method not in (DIRECT, KRYLOV_ILU0):
@@ -42,6 +99,10 @@ def _as_sorted_csr(A):
     A.sum_duplicates()
     A.sort_indices()
     return A
+
+
+def _pattern_key(A):
+    return A.indptr.tobytes(), A.indices.tobytes()
 
 
 _ORDERING_CACHE_SIZE = 8
@@ -118,7 +179,7 @@ def factorize(A):
     factorization.
     """
     A = _as_sorted_csr(A)
-    key = (A.indptr.tobytes(), A.indices.tobytes())
+    key = _pattern_key(A)
     try:
         ordering = _orderings.get(key)
         if ordering is None:
@@ -167,20 +228,79 @@ def solve_factored(A, lu, b):
     return _checked_solve(A, b, lu.solve, "direct solve")
 
 
+def _pcg(A, b, lu, kept):
+    """CG on A x = b preconditioned by ``lu``, the factor of a nearby
+    matrix, from x = 0.  It stops when max|M^-1 r| <= _PCG_TOL max|x|: with
+    M close to A, M^-1 r estimates the forward error x* - x.  Raises
+    LinearSolveError when it has not stopped after _PCG_MAX_STEPS steps."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = lu.solve(r)
+    p = z
+    rz = r @ z
+    for _ in range(_PCG_MAX_STEPS):
+        q = A @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = lu.solve(r)
+        kept.pcg_steps += 1
+        if np.max(np.abs(z)) <= _PCG_TOL * np.max(np.abs(x)):
+            return x
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise LinearSolveError("PCG did not stop in %d steps" % _PCG_MAX_STEPS)
+
+
+def _direct_solve(A, b, kept: KeptFactors):
+    """Solve A x = b by PCG on the closest kept factor of A's pattern, or,
+    when none is close or PCG fails, with a fresh factor that is kept."""
+    key, diag = _pattern_key(A), A.diagonal()
+    entry = kept.closest(key, diag)
+    if entry is not None:
+        try:
+            x = _checked_solve(A, b, lambda rhs: _pcg(A, rhs, entry.lu, kept),
+                               "PCG solve")
+        except LinearSolveError:
+            pass
+        else:
+            kept.use(entry)
+            return x
+    kept.make_room()
+    lu = factorize(A)
+    kept.factorizations += 1
+    kept.use(_Kept(key, diag, lu))
+    return solve_factored(A, lu, b)
+
+
 def solve(A, b, spec: LinearSolveSpec):
     """Solve A x = b per ``spec`` (the Block-1 systems); raises
-    LinearSolveError on failure.  CG runs on As y = S b, As = S A S with
-    S = diag(A)^-1/2, and no preconditioner: As has a unit diagonal, so the
-    e^(+-cap) span of the transformed diagonals leaves the stopping test,
-    and for a symmetric positive definite A this scaling is within a small
-    factor of the best diagonal one (van der Sluis, Numer. Math. 14, 1969).
-    Either answer passes the backward-error check of _checked_solve."""
+    LinearSolveError on failure.
+
+    Direct: the coefficients of a run's Block-1 systems change little from
+    sweep to sweep, so a factor of one is a near-perfect preconditioner for
+    the next (Knoll & Keyes, J. Comput. Phys. 193, 2004).  ``spec.kept``
+    holds the _KEEP SuperLU factors most recently built or used.  A matrix
+    whose diagonal ratio to a kept factor's matrix of its pattern spans at
+    most _SPAN_BOUND is solved by PCG preconditioned by the closest such
+    factor (see _pcg); for per-tet weighted stiffness matrices of one
+    pattern the eigenvalues of M^-1 A lie within the range of the per-tet
+    weight ratios.  A system with no close factor, or whose PCG fails, gets
+    a fresh factor, which is kept.
+
+    Krylov: CG runs on As y = S b, As = S A S with S = diag(A)^-1/2, and no
+    preconditioner: As has a unit diagonal, so the e^(+-cap) span of the
+    transformed diagonals leaves the stopping test, and for a symmetric
+    positive definite A this scaling is within a small factor of the best
+    diagonal one (van der Sluis, Numer. Math. 14, 1969).
+
+    Every answer passes the backward-error check of _checked_solve."""
     A = _as_sorted_csr(A)
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
         raise LinearSolveError("shape mismatch: A %s, b %s" % (A.shape, b.shape))
     if spec.method == DIRECT:
-        return solve_factored(A, factorize(A), b)
+        return _direct_solve(A, b, spec.kept)
     diag = A.diagonal()
     bad = np.flatnonzero(~(diag > 0.0))
     if bad.size:

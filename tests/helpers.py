@@ -2,10 +2,12 @@
 
 import numpy as np
 
-from smpnp import fem_core
+from smpnp import fem_core, transport
 from smpnp.errors import FeasibilityError, MeshError
 from smpnp.mesh import tet_volumes
-from smpnp.physics_model import water_fraction
+from smpnp.physics_model import ModelConstants, mixture_species, water_fraction
+
+CAPPED_FIELDS = ("z-ramp", "pore-well", "x-ramp")
 
 
 def gaussian_charge_density(atoms, points):
@@ -50,3 +52,29 @@ def electrochemical_potential(species, i, u, c, constants):
     w = water_fraction(species, c, constants.gamma)
     return (species.Z[i] * np.asarray(u, dtype=float) + np.log(c[i] / species.c_b[i])
             - species.v_ratio[i] * np.log(w))
+
+
+def capped_potential(sub, geom, name):
+    """Potentials on the submesh ``sub`` of channel ``geom`` that reach the
+    exponent cap (45) somewhere: one of CAPPED_FIELDS."""
+    x, y, z = sub.vertices.T
+    if name == "z-ramp":  # -45 at the bottom face to +45 at the top face
+        return 45.0 * (2.0 * (z - z.min()) / (z.max() - z.min()) - 1.0)
+    if name == "pore-well":  # -60 inside the pore, 0 elsewhere
+        pore = (x ** 2 + y ** 2 <= geom.pore_radius ** 2) & (np.abs(z) <= geom.z2)
+        return np.where(pore, -60.0, 0.0)
+    return 60.0 * (2.0 * (x - x.min()) / (x.max() - x.min()) - 1.0)  # x-ramp
+
+
+def capped_block1_weights(sub, geom, field, species):
+    """Nodal transformed diffusion and Dirichlet data of the mixture
+    species named ``species`` at bulk concentrations under the capped
+    potential ``field``: the span of its weights comes from the capped
+    exponentials."""
+    sp = mixture_species()
+    constants = ModelConstants()
+    i = sp.names.index(species)
+    c = np.repeat(sp.c_b[:, None], sub.num_vertices, axis=1)
+    dhat = transport.transformed_diffusion_nodal(
+        sub, sp, i, capped_potential(sub, geom, field), c, constants)
+    return dhat, transport.np_dirichlet(sub, sp, i, constants)

@@ -13,8 +13,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from smpnp import driver, fem_core, mesh as meshmod, sparse_linalg, transport
+from smpnp import driver, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.physics_model import ModelConstants, mixture_species
+
+from helpers import capped_block1_weights
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 KRYLOV = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
@@ -62,18 +64,6 @@ def test_block1_forward_agreement(direct_run, sweep):
         _assert_forward_agreement(A, b)
 
 
-def _capped_potential(sub, name):
-    """Submesh potentials that reach the exponent cap (45) somewhere."""
-    x, y, z = sub.vertices.T
-    geom = GEOM12
-    if name == "z-ramp":  # -45 at the bottom face to +45 at the top face
-        return 45.0 * (2.0 * (z - z.min()) / (z.max() - z.min()) - 1.0)
-    if name == "pore-well":  # -60 inside the pore, 0 elsewhere
-        pore = (x ** 2 + y ** 2 <= geom.pore_radius ** 2) & (np.abs(z) <= geom.z2)
-        return np.where(pore, -60.0, 0.0)
-    return 60.0 * (2.0 * (x - x.min()) / (x.max() - x.min()) - 1.0)  # x-ramp
-
-
 @pytest.fixture(scope="module")
 def submesh12():
     return meshmod.extract_solvent_submesh(meshmod.synth_channel_mesh(GEOM12))
@@ -98,14 +88,8 @@ _MISSES = "CG forward error above 1e-2 on a capped-potential Block-1 system"
 ])
 def test_capped_potential_forward_agreement(submesh12, field, species):
     # bulk concentrations, so the span comes from the capped exponentials
-    sp = mixture_species()
-    constants = ModelConstants()
-    i = sp.names.index(species)
-    c = np.repeat(sp.c_b[:, None], submesh12.num_vertices, axis=1)
-    dhat = transport.transformed_diffusion_nodal(
-        submesh12, sp, i, _capped_potential(submesh12, field), c, constants)
     A, b = fem_core.pinned_stiffness_system(
-        submesh12, dhat, transport.np_dirichlet(submesh12, sp, i, constants))
+        submesh12, *capped_block1_weights(submesh12, GEOM12, field, species))
     diagonal = A.diagonal()
     assert diagonal.max() / diagonal.min() >= 1e20
     _assert_forward_agreement(A, b)

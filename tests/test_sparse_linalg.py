@@ -12,6 +12,8 @@ from smpnp.errors import LinearSolveError, SingularMatrixError
 from smpnp.physics_model import ModelConstants
 from smpnp.sparse_linalg import LinearSolveSpec, solve
 
+from helpers import CAPPED_FIELDS, capped_block1_weights
+
 DIRECT = LinearSolveSpec(method="direct")
 KRYLOV = LinearSolveSpec(method="krylov_ilu0")
 
@@ -143,7 +145,9 @@ def _inexact_once(offset):
 @pytest.mark.parametrize("spec", [DIRECT, KRYLOV], ids=["direct", "krylov"])
 def test_inexact_answer_is_refined_once(spec, caplog):
     # a first answer with backward error near 1e-9 takes one refinement
-    # step, logs one warning and is returned
+    # step, logs one warning and is returned; a fresh spec has no kept
+    # factor to solve with in place of the patched one
+    spec = LinearSolveSpec(spec.method)
     A, b = lap1d(20), np.ones(20)
     fake, calls = _inexact_once(1e-6)
     if spec == DIRECT:
@@ -265,3 +269,147 @@ def test_inf_norm_reads_csr_data(channel12_systems):
                                          [0.0, 3.0, -0.5], [0.0, 0.0, 0.0]]))
     for M in (A, empty_rows, sp.csr_matrix((3, 3))):
         assert sparse_linalg._inf_norm(M) == pytest.approx(spla.norm(M, np.inf), rel=1e-15)
+
+
+# kept factors: a direct spec reuses the SuperLU factor of a nearby system
+# of its pattern as a CG preconditioner
+
+GEOM12 = meshmod.ChannelGeometry(resolution=12)
+
+
+@pytest.fixture(scope="module")
+def submesh12():
+    return meshmod.extract_solvent_submesh(meshmod.synth_channel_mesh(GEOM12))
+
+
+def _relative_error(x, x_ref):
+    return np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref))
+
+
+@pytest.mark.parametrize("species", ["Cl-", "NO3-", "Na+", "K+"])
+@pytest.mark.parametrize("field", CAPPED_FIELDS)
+def test_reused_factor_keeps_forward_accuracy(submesh12, field, species):
+    # diagonals spanning 1e20 and more, where CG on the Jacobi-scaled system
+    # loses the forward solution: the answer after a 20% perturbation of the
+    # weights matches a fresh factorization's, whether PCG on the kept
+    # factor gave it or a fresh factor did after PCG failed
+    dhat, d = capped_block1_weights(submesh12, GEOM12, field, species)
+    spec = LinearSolveSpec(method="direct")
+    solve(*fem_core.pinned_stiffness_system(submesh12, dhat, d), spec)
+    scale = np.random.default_rng(13).uniform(1.0, 1.2, size=dhat.shape)
+    A, b = fem_core.pinned_stiffness_system(submesh12, scale * dhat, d)
+    diagonal = A.diagonal()
+    assert diagonal.max() / diagonal.min() >= 1e20
+    x = solve(A, b, spec)
+    assert spec.kept.factorizations in (1, 2)
+    x_fresh = sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b)
+    assert _relative_error(x, x_fresh) <= 1e-10
+
+
+def _scaled(A, s):
+    """S A S with S = diag(s): the pattern of A, diagonal ratio s^2."""
+    S = sp.diags(s)
+    return sparse_linalg._as_sorted_csr(S @ A @ S)
+
+
+def test_far_system_gets_fresh_factor(rng):
+    # the kept factors' diagonal ratios span 4 and 16 against the new
+    # system, beyond the 1.5 bound: no PCG, a fresh SuperLU factor
+    A = lap1d(40)
+    half = np.arange(40) < 20
+    spec = LinearSolveSpec(method="direct")
+    b = rng.normal(size=40)
+    for s in (np.ones(40), np.where(half, 2.0, 1.0)):
+        solve(_scaled(A, s), b, spec)
+    far = _scaled(A, np.where(half, 1.0, 2.0))
+    with mock.patch.object(sparse_linalg, "_pcg") as pcg, \
+            mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+        x = solve(far, b, spec)
+    pcg.assert_not_called()
+    assert splu.call_count == 1 and spec.kept.factorizations == 3
+    assert len(spec.kept.entries) == 2
+    assert np.array_equal(spec.kept.entries[-1].diag, far.diagonal())
+    assert np.allclose(far @ x, b, atol=1e-12 * np.max(np.abs(b)))
+
+
+def test_closest_kept_factor_preconditions(rng):
+    # the kept factors' diagonal ratios span 1.6 against each other, and
+    # 1.3 and 1.23 against the new system: PCG runs on the closer one, and
+    # nothing is factored
+    A = lap1d(40)
+    half = np.arange(40) < 20
+    spec = LinearSolveSpec(method="direct")
+    b = rng.normal(size=40)
+    for s in (np.ones(40), np.where(half, np.sqrt(1.6), 1.0)):
+        solve(_scaled(A, s), b, spec)
+    factors = [entry.lu for entry in spec.kept.entries]
+    B = _scaled(A, np.where(half, np.sqrt(1.3), 1.0))
+    with mock.patch.object(sparse_linalg, "_pcg", wraps=sparse_linalg._pcg) as pcg, \
+            mock.patch.object(sparse_linalg, "factorize") as factorize:
+        x = solve(B, b, spec)
+    factorize.assert_not_called()
+    assert len(factors) == 2 and pcg.call_args.args[2] is factors[1]
+    assert [entry.lu for entry in spec.kept.entries] == factors
+    assert spec.kept.pcg_steps >= 1
+    assert np.allclose(B @ x, b, atol=1e-12 * np.max(np.abs(b)))
+
+
+def test_pcg_that_does_not_stop_falls_back(monkeypatch, channel12_systems):
+    # one PCG step cannot meet the stopping test after a 20% perturbation:
+    # the solve factors afresh, and its answer passes the backward-error check
+    A, b = channel12_systems["block1"]
+    spec = LinearSolveSpec(method="direct")
+    solve(A, b, spec)
+    monkeypatch.setattr(sparse_linalg, "_PCG_MAX_STEPS", 1)
+    s = np.sqrt(np.random.default_rng(14).uniform(1.0, 1.2, size=A.shape[0]))
+    B = _scaled(A, s)
+    with mock.patch.object(sparse_linalg, "_checked_solve",
+                           wraps=sparse_linalg._checked_solve) as checked:
+        x = solve(B, b, spec)
+    assert spec.kept.pcg_steps == 1 and spec.kept.factorizations == 2
+    assert [c.args[3] for c in checked.call_args_list] == ["PCG solve", "direct solve"]
+    assert sparse_linalg._backward_error(B, x, b) <= 1e-10
+    fresh = sparse_linalg.solve_factored(B, sparse_linalg.factorize(B), b)
+    assert np.array_equal(x, fresh)
+
+
+def test_kept_factor_is_tried_on_its_pattern_only():
+    # one spec alternates between R=6 and R=8 Block-1 systems: each
+    # perturbed system is preconditioned by the factor of its own mesh
+    spec = LinearSolveSpec(method="direct")
+    systems = []
+    for resolution in (6, 8):
+        geom = meshmod.ChannelGeometry(resolution=resolution)
+        sub = meshmod.extract_solvent_submesh(meshmod.synth_channel_mesh(geom))
+        dhat, d = capped_block1_weights(sub, geom, "x-ramp", "Cl-")
+        systems.append([fem_core.pinned_stiffness_system(sub, f * dhat, d)
+                        for f in (1.0, 1.1)])
+    factored = {}
+    factorize = sparse_linalg.factorize
+
+    def spy(A):
+        lu = factorize(A)
+        factored[id(lu)] = sparse_linalg._pattern_key(A)
+        return lu
+
+    with mock.patch.object(sparse_linalg, "factorize", spy), \
+            mock.patch.object(sparse_linalg, "_pcg", wraps=sparse_linalg._pcg) as pcg:
+        for k in (0, 1):
+            for per_mesh in systems:
+                A, b = per_mesh[k]
+                x = solve(A, b, spec)
+                fresh = sparse_linalg.solve_factored(A, factorize(A), b)
+                assert _relative_error(x, fresh) <= 1e-10
+    assert spec.kept.factorizations == 2 and pcg.call_count == 2
+    for call in pcg.call_args_list:
+        A, lu = sparse_linalg._as_sorted_csr(call.args[0]), call.args[2]
+        assert factored[id(lu)] == sparse_linalg._pattern_key(A)
+
+
+def test_spec_factors_stay_out_of_equality_and_repr(channel12_systems):
+    A, b = channel12_systems["block1"]
+    used = LinearSolveSpec(method="direct")
+    solve(A, b, used)
+    assert used.kept.entries and used == LinearSolveSpec(method="direct")
+    assert repr(used) == "LinearSolveSpec(method='direct')"
+    assert not LinearSolveSpec(method="direct").kept.entries
