@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -112,9 +113,12 @@ def _pop_float(table, key, default=None):
         return default
     ln, val = table.pop(key)
     try:
-        return float(val)
+        num = float(val)
     except ValueError:
-        raise ConfigError("line %d: %s must be a number, got %r" % (ln, key, val))
+        num = math.nan
+    if not math.isfinite(num):
+        raise ConfigError("line %d: %s must be a finite number, got %r" % (ln, key, val))
+    return num
 
 
 def _pop_int(table, key, default=None):
@@ -148,7 +152,7 @@ def _build_config(scalars, species_blocks):
                 box = tuple(float(x) for x in val.split())
             except ValueError:
                 box = ()
-            if len(box) != 6:
+            if len(box) != 6 or not all(map(math.isfinite, box)):
                 raise ConfigError("line %d: box needs 6 numbers, got %r" % (ln, val))
         geometry = meshmod.ChannelGeometry(
             box=box,
@@ -283,7 +287,7 @@ def run(config: RunConfig):
     w = g_nodes + psi
 
     norm_box = fem_core.MassNorm(mesh, fem_core.assemble_mass(mesh))
-    norm_sub = fem_core.MassNorm(submesh, fem_core.assemble_mass(submesh))
+    norm_sub = fem_core.MassNorm(submesh, phit_sys.mass)
 
     phi, c, init_sweeps = nonlinear_node.solve_smpbic(
         submesh, w, species, constants, phit_sys.solve, norm_box, norm_sub)

@@ -166,11 +166,6 @@ def region_eps(mesh: meshmod.LabeledMesh, constants: ModelConstants):
     return np.vectorize(eps.get)(mesh.tet_regions).astype(float)
 
 
-def poisson_operator(mesh: meshmod.LabeledMesh, constants: ModelConstants):
-    """Stiffness matrix of the dielectric bilinear form a(.,.)."""
-    return fem_core.assemble_weighted_stiffness(mesh, region_eps(mesh, constants))
-
-
 def potential_dirichlet(mesh: meshmod.LabeledMesh, constants: ModelConstants,
                         offset=None):
     """DirichletSet for the potential: u_b on the bottom face, u_t on top.
@@ -178,13 +173,10 @@ def potential_dirichlet(mesh: meshmod.LabeledMesh, constants: ModelConstants,
     ``offset`` (nodal field) is subtracted from the boundary values; used to
     impose Psi = g - G.
     """
-    bottom, top = mesh.dirichlet_side_nodes()
-    nodes = np.concatenate([bottom, top])
-    vals = np.concatenate([np.full(len(bottom), constants.u_b),
-                           np.full(len(top), constants.u_t)])
+    d = fem_core.side_dirichlet(mesh, constants.u_b, constants.u_t)
     if offset is not None:
-        vals = vals - np.asarray(offset)[nodes]
-    return fem_core.DirichletSet(nodes, vals)
+        d.values -= np.asarray(offset)[d.nodes]
+    return d
 
 
 def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
@@ -251,27 +243,22 @@ class BoxPoisson:
     """The dielectric stiffness of the box pinned on the Gamma_D nodes, and
     its SuperLU factor, shared by Psi and every Phi_tilde solve.
 
-    Of the unpinned operator only the columns of the pinned nodes are kept,
-    to lift boundary values into the right-hand side.
+    Built from the pinned P1 weight map of the per-tet permittivities, as
+    Block 1's systems are; of the map only the boundary lift is kept.
     """
 
     def __init__(self, mesh: meshmod.LabeledMesh, constants: ModelConstants):
-        A = poisson_operator(mesh, constants)
-        nodes = fem_core.dirichlet_nodes(mesh, meshmod.GAMMA_D)
-        self.dirichlet = fem_core.DirichletSet(nodes, np.zeros(len(nodes)))
-        self._lift = A[:, nodes]
-        self.A, _ = fem_core.apply_dirichlet(A, np.zeros(mesh.num_vertices), self.dirichlet)
-        del A  # only the pinned operator stays alive while it is factored
+        self.dirichlet = fem_core.side_dirichlet(mesh, 0.0, 0.0)
+        self.eps = region_eps(mesh, constants)
+        weights = fem_core.p1_operator(mesh).stiffness_scatter(self.dirichlet.nodes)
+        self.A, self.lift = weights.matrix(self.eps), weights.lift
+        del weights  # the map dies before the factorization, the lift lives on
         self.factor = sparse_linalg.factorize(self.A)
 
     def solve(self, rhs, boundary: fem_core.DirichletSet = None):
         """Solve A x = rhs at the free nodes, with x on Gamma_D given by
         ``boundary`` (a DirichletSet covering Gamma_D; zero when None)."""
-        d = boundary or self.dirichlet
-        g = np.zeros(len(rhs))
-        g[d.nodes] = d.values
-        b = rhs - self._lift @ g[self.dirichlet.nodes]
-        b[d.nodes] = d.values
+        b = self.lift(self.eps, boundary or self.dirichlet, rhs)
         return sparse_linalg.solve_factored(self.A, self.factor, b)
 
 
@@ -288,8 +275,9 @@ def box_poisson(mesh: meshmod.LabeledMesh, constants: ModelConstants):
 class PhiTildeSystem:
     """Reusable ionic-potential solve: fixed operator, varying charge.
 
-    Holds the solvent-restricted mass matrix and solves with the mesh's
-    BoxPoisson on either linear-solve path; ``spec`` is not used.
+    The load is beta times the submesh mass matrix ``mass`` (which the
+    driver's submesh norm shares) applied to the charge, prolonged to the
+    box by zero; solves with the mesh's BoxPoisson; ``spec`` is not used.
     """
 
     def __init__(self, mesh: meshmod.LabeledMesh, submesh: meshmod.SolventSubmesh,
@@ -298,12 +286,11 @@ class PhiTildeSystem:
         self.submesh = submesh
         self.Z = np.asarray(species_Z, dtype=float)
         self.beta = constants.beta
-        self.solvent_mass = fem_core.assemble_mass(
-            mesh, tet_mask=mesh.tet_regions == meshmod.SOLVENT)
+        self.mass = fem_core.assemble_mass(submesh)
         self.box = box_poisson(mesh, constants)
 
     def solve(self, c_fields):
         """Phi_tilde candidate q for solvent concentration fields (n, Ns)."""
         c_fields = np.atleast_2d(np.asarray(c_fields, dtype=float))
-        charge = self.Z @ self.submesh.prolong(c_fields)
-        return self.box.solve(self.beta * (self.solvent_mass @ charge))
+        load = self.submesh.prolong(self.beta * (self.mass @ (self.Z @ c_fields)))
+        return self.box.solve(load)

@@ -5,12 +5,15 @@ All assembly routines accept either the box mesh or the solvent submesh
 exact closed-form P1 element integrals; general volume loads go through the
 P1 mass matrix, which integrates P1*P1 products exactly.  Every assembly
 reads the element geometry from the mesh's ``P1Operator``, built once per
-mesh.
+mesh.  The solver's Dirichlet data (``side_dirichlet``) are imposed one way,
+by pinned weight maps (``P1Operator.stiffness_scatter``); the unpinned
+``assemble_weighted_stiffness`` and ``apply_dirichlet`` are their reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,9 +36,13 @@ class DirichletSet:
         if self.values.shape != self.nodes.shape:
             raise MeshError("Dirichlet values/nodes length mismatch")
 
-    @staticmethod
-    def empty():
-        return DirichletSet(np.empty(0, dtype=np.int64), np.empty(0))
+
+def side_dirichlet(mesh, bottom, top):
+    """DirichletSet holding ``bottom`` on the mesh's bottom-face Dirichlet
+    nodes and ``top`` on its top-face ones (``dirichlet_side_nodes``)."""
+    lo, hi = mesh.dirichlet_side_nodes()
+    return DirichletSet(np.concatenate([lo, hi]),
+                        np.repeat([float(bottom), float(top)], [len(lo), len(hi)]))
 
 
 def p1_gradients(mesh):
@@ -63,10 +70,10 @@ class P1Operator:
     geometric local stiffness vol * grad(phi_a).grad(phi_b), flattened to
     (M, 16).  The weight map of the pinned stiffness pattern is kept per
     constrained node set, because Block 1 reassembles it every sweep, and
-    the scatter of the full pattern for mass matrices, which the driver and
-    the ionic-potential set-up assemble on the same mesh; the unconstrained
-    stiffness builds its pattern when called.  Obtain the operator through
-    ``p1_operator``; the mesh must not be mutated afterwards.
+    the scatter of the full pattern for mass matrices; a weight map built
+    once, as the box operator's is, comes from ``stiffness_scatter`` and is
+    not kept.  Obtain the operator through ``p1_operator``; the mesh must
+    not be mutated afterwards.
     """
 
     def __init__(self, mesh):
@@ -94,15 +101,13 @@ class P1Operator:
         """``stiffness_scatter(nodes)``, cached per node set; a node order
         seen before is looked up without sorting."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        scatter = self._pinned_scatters.get(nodes.tobytes())
-        if scatter is None:
+        scatters, key = self._pinned_scatters, nodes.tobytes()
+        if key not in scatters:
             unique = np.unique(nodes)
-            scatter = self._pinned_scatters.get(unique.tobytes())
-            if scatter is None:
-                scatter = self._pinned_scatters[unique.tobytes()] = \
-                    self.stiffness_scatter(unique)
-            self._pinned_scatters[nodes.tobytes()] = scatter
-        return scatter
+            if unique.tobytes() not in scatters:
+                scatters[unique.tobytes()] = self.stiffness_scatter(unique)
+            scatters[key] = scatters[unique.tobytes()]
+        return scatters[key]
 
     def mass_scatter(self):
         """Scatter of the full P1 pattern (every local entry), cached."""
@@ -200,9 +205,9 @@ class _WeightMap:
             shape=(scatter.indices.size, n_tets))
         self.n, self.diag = scatter.n, scatter.diag
         self.indices, self.indptr = scatter.indices, scatter.indptr
-        self.lift_tet = scatter.lift_src // 16
-        self.lift_val = local[scatter.lift_src]
-        self.lift_row, self.lift_col = scatter.lift_row, scatter.lift_col
+        # a partial, so that a caller can keep the lift without the map
+        self.lift = partial(_lift, scatter.n, scatter.lift_src // 16,
+                            local[scatter.lift_src], scatter.lift_row, scatter.lift_col)
 
     def matrix(self, w):
         """CSR matrix from per-tet weights; constrained rows are identity."""
@@ -210,12 +215,17 @@ class _WeightMap:
         data[self.diag] = 1.0
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
-    def lift(self, w, values):
-        """Right-hand side -A[free, constrained] @ values (values nodal)."""
-        out = np.zeros(self.n)
-        out -= np.bincount(self.lift_row, w[self.lift_tet] * self.lift_val
-                           * values[self.lift_col], minlength=self.n)
-        return out
+
+def _lift(n, tet, val, row, col, w, d: DirichletSet, load=None):
+    """``lift(w, d, load)``: the right-hand side of the weight map's matrix
+    at per-tet weights w for the data ``d``: ``load`` (zero when None)
+    minus A[free, constrained] @ d.values, and d.values on the pinned rows."""
+    g = np.zeros(n)
+    g[d.nodes] = d.values
+    b = np.zeros(n) if load is None else np.array(load, dtype=float)
+    b -= np.bincount(row, w[tet] * val * g[col], minlength=n)
+    b[d.nodes] = d.values
+    return b
 
 
 _NO_NODES = np.empty(0, dtype=np.int64)
@@ -227,19 +237,16 @@ def _tet_weight(op, weight, tet_mask=None):
     Tets outside ``tet_mask`` get weight zero.
     """
     n_tets = op.volumes.shape[0]
-    if weight is None:
-        w = np.ones(n_tets)
+    weight = np.asarray(1.0 if weight is None else weight, dtype=float)
+    if weight.ndim == 0:
+        w = np.full(n_tets, float(weight))
+    elif weight.shape == (n_tets,):
+        w = weight
+    elif weight.shape == (op.num_vertices,):
+        w = weight[op.tets].mean(axis=1)  # vertex mean per tet
     else:
-        weight = np.asarray(weight, dtype=float)
-        if weight.ndim == 0:
-            w = np.full(n_tets, float(weight))
-        elif weight.shape == (n_tets,):
-            w = weight
-        elif weight.shape == (op.num_vertices,):
-            w = weight[op.tets].mean(axis=1)  # vertex mean per tet
-        else:
-            raise MeshError("weight shape %s matches neither tets nor nodes"
-                            % (weight.shape,))
+        raise MeshError("weight shape %s matches neither tets nor nodes"
+                        % (weight.shape,))
     if not np.all(np.isfinite(w)):
         raise MeshError("non-finite element weight")
     if tet_mask is not None:
@@ -252,7 +259,8 @@ def assemble_weighted_stiffness(mesh, weight=None, tet_mask=None):
 
     ``weight`` may be a scalar, per-tet array, or per-node array (averaged
     over each tet's 4 vertices).  Tets outside ``tet_mask`` get weight zero.
-    The unconstrained operator annihilates constants.
+    The unconstrained operator annihilates constants.  A reference for the
+    pinned route; the solver does not call it.
     """
     op = p1_operator(mesh)
     return op.stiffness_scatter(_NO_NODES).matrix(_tet_weight(op, weight, tet_mask))
@@ -263,30 +271,25 @@ def pinned_stiffness_system(mesh, weight, d: DirichletSet):
 
     Equal to ``apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
     0, d)`` up to rounding, with the same sparsity pattern, but scattered
-    from the mesh's cached operator.
+    from the mesh's cached weight map of ``d.nodes``.
     """
     op = p1_operator(mesh)
     w = _tet_weight(op, weight)
     scatter = op.pinned_scatter(d.nodes)
-    g = np.zeros(op.num_vertices)
-    g[d.nodes] = d.values
-    b = scatter.lift(w, g)
-    b[d.nodes] = d.values
-    return scatter.matrix(w), b
+    return scatter.matrix(w), scatter.lift(w, d)
 
 
 _LOCAL_MASS = ((np.ones((4, 4)) + np.eye(4)) / 20.0).ravel()
 
 
-def assemble_mass(mesh, tet_mask=None, weight=None):
-    """CSR P1 mass matrix int w phi_a phi_b (exact closed form).
+def assemble_mass(mesh, tet_mask=None):
+    """CSR P1 mass matrix int phi_a phi_b (exact closed form).
 
-    Tets outside ``tet_mask`` get weight zero.
+    Tets outside ``tet_mask`` contribute zeros, in the same pattern.
     """
     op = p1_operator(mesh)
-    w = _tet_weight(op, weight, tet_mask)
-    local = ((w * op.volumes)[:, None] * _LOCAL_MASS).ravel()
-    return op.mass_scatter().matrix(local)
+    vols = op.volumes if tet_mask is None else np.where(tet_mask, op.volumes, 0.0)
+    return op.mass_scatter().matrix((vols[:, None] * _LOCAL_MASS).ravel())
 
 
 def triangle_areas_normals(mesh, facets):
@@ -333,7 +336,8 @@ def apply_dirichlet(A, b, d: DirichletSet):
     """Return (A', b') with constrained dofs eliminated symmetrically.
 
     Constrained rows/columns become identity; known values move to the
-    right-hand side of the free rows.
+    right-hand side of the free rows.  A reference for the pinned route;
+    the solver does not call it.
     """
     if d.nodes.size == 0:
         return A.tocsr(), np.asarray(b, dtype=float).copy()
@@ -379,7 +383,3 @@ class MassNorm:
     def __call__(self, f):
         return l2_norm(self.mesh, f, mass=self.mass)
 
-
-def dirichlet_nodes(mesh, label):
-    """Unique node indices of facets carrying ``label``."""
-    return np.unique(mesh.facets[mesh.facet_labels == label])

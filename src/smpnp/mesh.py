@@ -442,12 +442,12 @@ class SolventSubmesh:
         out[..., self.vertex_map] = f_s
         return out
 
-    def dirichlet_side_nodes(self):
-        """(bottom, top) solvent-local node sets on the Dirichlet facets."""
-        z1 = self.parent.box[4]
-        nodes = np.unique(self.facets[self.facet_labels == SUB_DIRICHLET])
-        on_bottom = np.abs(self.vertices[nodes, 2] - z1) < _GEOM_TOL
-        return nodes[on_bottom], nodes[~on_bottom]
+    @property
+    def box(self):
+        return self.parent.box
+
+    # SUB_DIRICHLET is GAMMA_D, so the parent's rule finds the local nodes
+    dirichlet_side_nodes = LabeledMesh.dirichlet_side_nodes
 
 
 def extract_solvent_submesh(mesh: LabeledMesh):

@@ -9,7 +9,7 @@ state only their ratios influence concentrations and potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.constants as sc
@@ -39,6 +39,15 @@ def compute_coupling_constants(T=TEMPERATURE):
 _ALPHA, _BETA, _TAU, _GAMMA = compute_coupling_constants()
 
 
+def _require_finite(obj):
+    """Raise ValueError naming a numeric field of dataclass ``obj`` that is
+    not finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name != "name" and not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (f.name, value))
+
+
 def volume_from_radius(radius):
     """Ball volume 4*pi*r^3/3 in A^3 for a radius in A."""
     return 4.0 * math.pi * radius**3 / 3.0
@@ -57,6 +66,7 @@ class IonSpecies:
     D_c: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.c_b <= 0:
             raise ValueError("bulk concentration must be positive: %s" % self.name)
         if self.D_b <= 0 or self.D_c <= 0:
@@ -159,10 +169,15 @@ class ModelConstants:
     eps_outer: float = 1.0e-4
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 < self.omega < 1.0:
             raise ValueError("damping omega must lie in (0, 1)")
-        if min(self.alpha, self.beta, self.tau, self.gamma, self.cap) <= 0:
-            raise ValueError("alpha, beta, tau, gamma, cap must be positive")
+        if min(self.alpha, self.beta, self.tau, self.gamma, self.cap, self.eps_s,
+               self.eps_p, self.eps_m, self.eps_outer) <= 0:
+            raise ValueError("alpha, beta, tau, gamma, cap, eps_s, eps_p, eps_m, "
+                             "eps_outer must be positive")
+        if self.eta < 0:
+            raise ValueError("buffer thickness eta must be nonnegative")
 
     def with_(self, **kw):
         return replace(self, **kw)
@@ -216,18 +231,14 @@ def water_fraction(species: SpeciesSet, c, gamma):
 def boundary_conc(species: SpeciesSet, side, constants: ModelConstants):
     """Transformed Dirichlet data g_bar_i on the bottom or top surface.
 
-    g_bar_i = c_i^b exp(Z_i u) / (1 - gamma sum v_j c_j^b)^(v_i/v0) with
-    u = u_b (side='bottom') or u_t (side='top').  Returns an (n,) array.
+    The Slotboom transform of the bulk c_i^b at u = u_b (side='bottom') or
+    u_t (side='top').  Returns an (n,) array.
     """
-    if side == "bottom":
-        u = constants.u_b
-    elif side == "top":
-        u = constants.u_t
-    else:
+    u = {"bottom": constants.u_b, "top": constants.u_t}.get(side)
+    if u is None:
         raise ValueError("side must be 'bottom' or 'top'")
     species.check_bulk_feasible(constants.gamma)
-    w_b = water_fraction(species, species.c_b, constants.gamma)
-    return species.c_b * capped_exp(species.Z * u, constants.cap) / w_b ** species.v_ratio
+    return slotboom_forward(u, species.c_b, species, constants)
 
 
 def slotboom_forward(u, c, species: SpeciesSet, constants: ModelConstants):

@@ -1,5 +1,5 @@
 """Block-1 solves: the linear self-adjoint transformed Nernst-Planck
-problem of each species on the solvent submesh, plus flux post-processing.
+problem of each species on the solvent submesh.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ import numpy as np
 from . import fem_core, mesh as meshmod, sparse_linalg
 from .errors import FeasibilityError
 from .physics_model import (ModelConstants, SpeciesSet, boundary_conc,
-                            diffusion_profile, transformed_diffusion,
-                            slotboom_forward, water_fraction)
+                            diffusion_profile, transformed_diffusion)
 
 logger = logging.getLogger(__name__)
 
@@ -39,12 +38,8 @@ def transformed_diffusion_nodal(submesh, species: SpeciesSet, i, u_vals, c_field
 def np_dirichlet(submesh: meshmod.SolventSubmesh, species: SpeciesSet, i,
                  constants: ModelConstants):
     """Dirichlet data g_bar_i on the submesh's bottom/top boundary nodes."""
-    bottom, top = submesh.dirichlet_side_nodes()
-    g_bot = boundary_conc(species, "bottom", constants)[i]
-    g_top = boundary_conc(species, "top", constants)[i]
-    nodes = np.concatenate([bottom, top])
-    vals = np.concatenate([np.full(len(bottom), g_bot), np.full(len(top), g_top)])
-    return fem_core.DirichletSet(nodes, vals)
+    return fem_core.side_dirichlet(submesh, boundary_conc(species, "bottom", constants)[i],
+                                   boundary_conc(species, "top", constants)[i])
 
 
 class RangeExcursions:
@@ -110,40 +105,3 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
     # tiny negatives in components far below the system scale
     return np.maximum(cbar, np.finfo(float).tiny)
 
-
-def _tet_gradient_fields(submesh, fields):
-    """Per-tet gradients of one or more nodal fields: (..., Ms, 3)."""
-    grads = fem_core.p1_operator(submesh).grads
-    vals = np.asarray(fields)[..., submesh.tets]  # (..., Ms, 4)
-    return np.einsum("...ta,tak->...tk", vals, grads)
-
-
-def compute_flux(submesh, species: SpeciesSet, i, c_fields, u_vals,
-                 constants: ModelConstants):
-    """Per-tet flux of species i in both equivalent forms.
-
-    Returns (J, J_slotboom): the primitive-variable expression
-    -D_i [grad c_i + Z_i c_i grad u + size term] and -D_hat_i grad c_bar_i
-    with c_bar from the forward transform.  The two agree elementwise for
-    consistent (u, c) data.
-    """
-    c_fields = np.asarray(c_fields, dtype=float)
-    w = water_fraction(species, c_fields, constants.gamma)
-    d_nodal = diffusion_nodal(submesh, species, constants)
-    grads_c = _tet_gradient_fields(submesh, c_fields)  # (n, Ms, 3)
-    grad_u = _tet_gradient_fields(submesh, u_vals)  # (Ms, 3)
-    d_tet = d_nodal[i][submesh.tets].mean(axis=1)
-    c_tet = c_fields[:, submesh.tets].mean(axis=2)  # (n, Ms)
-    w_tet = 1.0 - constants.gamma * (species.v @ c_tet)
-
-    drift = species.Z[i] * c_tet[i][:, None] * grad_u
-    sum_vdc = np.einsum("j,jtk->tk", species.v, grads_c)
-    size = (species.v_ratio[i] * c_tet[i] * constants.gamma / w_tet)[:, None] * sum_vdc
-    J = -d_tet[:, None] * (grads_c[i] + drift + size)
-
-    cbar = slotboom_forward(u_vals, c_fields, species, constants)
-    dhat = transformed_diffusion_nodal(submesh, species, i, u_vals, c_fields,
-                                       constants, d_nodal=d_nodal)
-    dhat_tet = dhat[submesh.tets].mean(axis=1)
-    J_slot = -dhat_tet[:, None] * _tet_gradient_fields(submesh, cbar[i])
-    return J, J_slot

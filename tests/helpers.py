@@ -5,7 +5,8 @@ import numpy as np
 from smpnp import fem_core, transport
 from smpnp.errors import FeasibilityError, MeshError
 from smpnp.mesh import tet_volumes
-from smpnp.physics_model import ModelConstants, mixture_species, water_fraction
+from smpnp.physics_model import (ModelConstants, SpeciesSet, mixture_species,
+                                 slotboom_forward, water_fraction)
 
 CAPPED_FIELDS = ("z-ramp", "pore-well", "x-ramp")
 
@@ -52,6 +53,44 @@ def electrochemical_potential(species, i, u, c, constants):
     w = water_fraction(species, c, constants.gamma)
     return (species.Z[i] * np.asarray(u, dtype=float) + np.log(c[i] / species.c_b[i])
             - species.v_ratio[i] * np.log(w))
+
+
+def _tet_gradient_fields(submesh, fields):
+    """Per-tet gradients of one or more nodal fields: (..., Ms, 3)."""
+    grads = fem_core.p1_operator(submesh).grads
+    vals = np.asarray(fields)[..., submesh.tets]  # (..., Ms, 4)
+    return np.einsum("...ta,tak->...tk", vals, grads)
+
+
+def compute_flux(submesh, species: SpeciesSet, i, c_fields, u_vals,
+                 constants: ModelConstants):
+    """Per-tet flux of species i in both equivalent forms.
+
+    Returns (J, J_slotboom): the primitive-variable expression
+    -D_i [grad c_i + Z_i c_i grad u + size term] and -D_hat_i grad c_bar_i
+    with c_bar from the forward transform.  The two agree elementwise for
+    consistent (u, c) data.
+    """
+    c_fields = np.asarray(c_fields, dtype=float)
+    water_fraction(species, c_fields, constants.gamma)  # raises on overpacking
+    d_nodal = transport.diffusion_nodal(submesh, species, constants)
+    grads_c = _tet_gradient_fields(submesh, c_fields)  # (n, Ms, 3)
+    grad_u = _tet_gradient_fields(submesh, u_vals)  # (Ms, 3)
+    d_tet = d_nodal[i][submesh.tets].mean(axis=1)
+    c_tet = c_fields[:, submesh.tets].mean(axis=2)  # (n, Ms)
+    w_tet = 1.0 - constants.gamma * (species.v @ c_tet)
+
+    drift = species.Z[i] * c_tet[i][:, None] * grad_u
+    sum_vdc = np.einsum("j,jtk->tk", species.v, grads_c)
+    size = (species.v_ratio[i] * c_tet[i] * constants.gamma / w_tet)[:, None] * sum_vdc
+    J = -d_tet[:, None] * (grads_c[i] + drift + size)
+
+    cbar = slotboom_forward(u_vals, c_fields, species, constants)
+    dhat = transport.transformed_diffusion_nodal(submesh, species, i, u_vals, c_fields,
+                                                 constants, d_nodal=d_nodal)
+    dhat_tet = dhat[submesh.tets].mean(axis=1)
+    J_slot = -dhat_tet[:, None] * _tet_gradient_fields(submesh, cbar[i])
+    return J, J_slot
 
 
 def capped_potential(sub, geom, name):

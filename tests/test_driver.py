@@ -93,9 +93,23 @@ D_b = 0.196
     ("mesh = synth\nnot a pair\n", "key = value"),
     ("mesh = synth\nbox = -20 20 -20 20 -30 abc\n", "line 2: box needs 6 numbers"),
     ("mesh = synth\nbox = 0 1 0 1 0 1e\n", "line 2: box needs 6 numbers"),
+    ("mesh = synth\nbox = nan 1 0 1 0 1\n", "line 2: box needs 6 numbers"),
     # every linear solve is accepted by one fixed backward-error rule
     *(("mesh = synth\n%s = 1\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n" % key,
        "unknown key '%s'" % key) for key in ("abs_tol", "rel_tol", "solver_max_iter")),
+    # non-finite numbers name their line; out-of-range constants are refused
+    *(("mesh = synth\n%s\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n" % line,
+       match) for line, match in (
+           ("u_t = nan", "line 2: u_t must be a finite number, got 'nan'"),
+           ("theta = nan", "line 2: theta must be a finite number"),
+           ("cap = inf", "line 2: cap must be a finite number"),
+           ("sigma = -inf", "line 2: sigma must be a finite number"),
+           ("eps_s = -80", "eps_outer must be positive"),
+           ("eps_p = 0", "eps_outer must be positive"),
+           ("eps_outer = 0", "eps_outer must be positive"),
+           ("eta = -3", "eta must be nonnegative"))),
+    ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 0\nc_b = nan\nD_b = 0.1\n",
+     "line 6: c_b must be a finite number"),
 ])
 def test_parse_config_errors(tmp_path, text, match):
     with pytest.raises(ConfigError, match=match):
@@ -201,6 +215,22 @@ def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
     assert len(meshes) <= 2
     assert len({id(m) for m in meshes}) == len(meshes)
     assert {id(m) for m in meshes} <= {id(result.mesh), id(result.submesh)}
+
+
+@pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
+def test_run_pins_dirichlet_data_one_way(method):
+    # Block 1, Psi and Phi~ all come from pinned weight maps; the unpinned
+    # assembly and the symmetric elimination are only references
+    config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(u_t=1.5),
+                              linear=sparse_linalg.LinearSolveSpec(method=method),
+                              geometry=meshmod.ChannelGeometry(resolution=6))
+    with mock.patch.object(fem_core, "apply_dirichlet",
+                           side_effect=AssertionError("apply_dirichlet called")), \
+            mock.patch.object(fem_core, "assemble_weighted_stiffness",
+                              side_effect=AssertionError("unpinned stiffness assembled")):
+        result = driver.run(config)
+    assert result.converged and result.iterations > 1
+    assert np.all(result.u[result.mesh.vertices[:, 2] == result.mesh.box[5]] == 1.5)
 
 
 @pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])

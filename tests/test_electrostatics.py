@@ -13,6 +13,11 @@ DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 CONST = ModelConstants()
 
 
+def _gamma_d_nodes(mesh):
+    """Nodes of the Dirichlet facets, found apart from the solver's rule."""
+    return np.unique(mesh.facets[mesh.facet_labels == meshmod.GAMMA_D])
+
+
 def test_eval_g_no_atoms():
     pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     assert np.all(es.eval_G(es.AtomicCharges.none(), CONST, pts) == 0.0)
@@ -136,12 +141,13 @@ def test_solve_psi_zero_data(channel_mesh):
 def test_solve_psi_membrane_charge_weak_residual(channel_mesh):
     constants = CONST.with_(sigma=-1.0)
     psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), constants)
-    A = es.poisson_operator(channel_mesh, constants)
+    A = fem_core.assemble_weighted_stiffness(channel_mesh,
+                                             es.region_eps(channel_mesh, constants))
     rhs = constants.tau * constants.sigma * fem_core.assemble_surface_load(
         channel_mesh, meshmod.GAMMA_M)
     resid = A @ psi - rhs
     free = np.ones(channel_mesh.num_vertices, dtype=bool)
-    free[fem_core.dirichlet_nodes(channel_mesh, meshmod.GAMMA_D)] = False
+    free[_gamma_d_nodes(channel_mesh)] = False
     assert np.max(np.abs(resid[free])) < 1e-8 * (1.0 + np.max(np.abs(rhs)))
     assert np.allclose(psi[~free], 0.0, atol=1e-12)
 
@@ -161,13 +167,16 @@ def test_phi_tilde_charge_neutral(channel_mesh, channel_submesh, species4, rng):
     assert np.max(np.abs(q)) < 1e-10
 
 
-def test_phi_tilde_rhs_matches_load_assembly(channel_mesh, channel_submesh):
-    c1 = np.full(channel_submesh.num_vertices, 0.1)
-    sys = es.PhiTildeSystem(channel_mesh, channel_submesh, [-1.0], CONST, DIRECT)
-    q = sys.solve(c1[None, :])
-    oracle_rhs = -CONST.beta * assemble_load_volume(
-        channel_mesh, channel_submesh.prolong(c1),
+def test_phi_tilde_rhs_matches_load_assembly(channel_mesh, channel_submesh, species4, rng):
+    c = 0.02 + 0.08 * rng.random((4, channel_submesh.num_vertices))
+    sys = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST, DIRECT)
+    with mock.patch.object(sys.box, "solve", wraps=sys.box.solve) as solve:
+        q = sys.solve(c)
+    # the submesh mass gives the load of the solvent-masked box mass, bitwise
+    oracle_rhs = CONST.beta * assemble_load_volume(
+        channel_mesh, species4.Z @ channel_submesh.prolong(c),
         tet_mask=channel_mesh.tet_regions == meshmod.SOLVENT)
+    assert np.array_equal(solve.call_args.args[0], oracle_rhs)
     oracle_rhs[sys.box.dirichlet.nodes] = 0.0
     resid = sys.box.A @ q - oracle_rhs
     assert np.max(np.abs(resid)) < 1e-8 * (1.0 + np.max(np.abs(oracle_rhs)))
@@ -185,7 +194,7 @@ def test_phi_tilde_vanishes_on_dirichlet(channel_mesh, channel_submesh, species4
     c = 0.02 + 0.08 * rng.random((4, channel_submesh.num_vertices))
     q = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST,
                           DIRECT).solve(c)
-    nodes = fem_core.dirichlet_nodes(channel_mesh, meshmod.GAMMA_D)
+    nodes = _gamma_d_nodes(channel_mesh)
     assert np.allclose(q[nodes], 0.0, atol=1e-12)
 
 

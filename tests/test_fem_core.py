@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from smpnp import fem_core, mesh as meshmod, sparse_linalg
+from smpnp import electrostatics as es, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import MeshError
+from smpnp.physics_model import ModelConstants
 from smpnp.fem_core import (DirichletSet, apply_dirichlet, assemble_mass,
                             assemble_surface_load, assemble_weighted_stiffness,
                             l2_norm, pinned_stiffness_system)
@@ -114,7 +115,7 @@ def test_surface_load_unknown_label(cube_mesh):
 def test_apply_dirichlet_empty(cube_mesh, rng):
     A = assemble_weighted_stiffness(cube_mesh)
     b = rng.normal(size=cube_mesh.num_vertices)
-    A2, b2 = apply_dirichlet(A, b, DirichletSet.empty())
+    A2, b2 = apply_dirichlet(A, b, DirichletSet([], []))
     assert abs(A2 - A).max() == 0.0
     assert np.array_equal(b2, b)
 
@@ -186,8 +187,30 @@ def submesh12():
     return meshmod.extract_solvent_submesh(mesh)
 
 
-@pytest.mark.parametrize("which", ["cube", "submesh12"])
+def _check_box_operator(mesh, rng):
+    """The box Poisson operator (per-tet permittivities, pinned on Gamma_D)
+    equals symmetric elimination bitwise, and its lift the unpinned
+    operator's columns."""
+    box = es.BoxPoisson(mesh, ModelConstants())
+    A_full = assemble_weighted_stiffness(mesh, es.region_eps(mesh, ModelConstants()))
+    n = mesh.num_vertices
+    A_old, _ = apply_dirichlet(A_full, np.zeros(n), box.dirichlet)
+    assert np.array_equal(box.A.indptr, A_old.indptr)
+    assert np.array_equal(box.A.indices, A_old.indices)
+    assert np.array_equal(box.A.data, A_old.data)
+    d = DirichletSet(box.dirichlet.nodes, rng.uniform(-3.0, 3.0, size=len(box.dirichlet.nodes)))
+    g = np.zeros(n)
+    g[d.nodes] = d.values
+    b_old = -(A_full @ g)
+    b_old[d.nodes] = d.values
+    assert np.allclose(box.lift(box.eps, d), b_old, rtol=0.0, atol=1e-14 * np.abs(b_old).max())
+
+
+@pytest.mark.parametrize("which", ["cube", "submesh12", "box12"])
 def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
+    if which == "box12":
+        _check_box_operator(request.getfixturevalue("submesh12").parent, rng)
+        return
     mesh = cube_mesh if which == "cube" else request.getfixturevalue("submesh12")
     n = mesh.num_vertices
     weight = np.exp(rng.uniform(-45.0, 45.0, size=n))

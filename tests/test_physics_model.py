@@ -56,6 +56,11 @@ def test_species_set_validation():
         IonSpecies("C", 1, 10.0, -0.1, 1.0, 0.1)
     with pytest.raises(ValueError):
         IonSpecies("C", 1, 10.0, 0.1, 0.0, 0.1)
+    for bad in ((math.nan, 0.1, 1.0, 0.1), (10.0, math.nan, 1.0, 0.1),
+                (10.0, math.inf, 1.0, 0.1), (10.0, 0.1, math.inf, 0.1),
+                (10.0, 0.1, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            IonSpecies("C", 1, *bad)
 
 
 def test_reduction_mode_exponents():
@@ -69,6 +74,13 @@ def test_model_constants_validation():
         ModelConstants(omega=1.0)
     with pytest.raises(ValueError):
         ModelConstants(gamma=-1.0)
+    # every field finite, permittivities and the tolerance positive, eta >= 0
+    for bad in (dict(eps_s=-80.0), dict(eps_p=0.0), dict(eps_m=-2.0), dict(u_t=math.nan),
+                dict(sigma=math.inf), dict(eps_outer=0.0), dict(cap=math.inf),
+                dict(eta=-3.0)):
+        with pytest.raises(ValueError):
+            ModelConstants(**bad)
+    assert ModelConstants(eta=0.0).eta == 0.0
 
 
 def test_capped_exp():

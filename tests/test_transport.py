@@ -9,6 +9,8 @@ from smpnp.errors import FeasibilityError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  boundary_conc, mixture_species)
 
+from helpers import compute_flux
+
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 CONST = ModelConstants()
 
@@ -105,7 +107,7 @@ def test_flux_reduction_pure_gradient(cube_sub):
     sp = _flat_diffusion_species()
     z = cube_sub.vertices[:, 2]
     c = (0.1 + 0.05 * z)[None, :]
-    J, J_slot = transport.compute_flux(cube_sub, sp, 0, c, np.zeros(len(z)), CONST)
+    J, J_slot = compute_flux(cube_sub, sp, 0, c, np.zeros(len(z)), CONST)
     expect = np.zeros(3)
     expect[2] = -0.2 * 0.05
     assert np.allclose(J, expect[None, :], atol=1e-12)
@@ -118,7 +120,7 @@ def test_flux_forms_agree_constant_potential(cube_sub):
     z = cube_sub.vertices[:, 2]
     c = (0.1 + 0.03 * z)[None, :]
     u = np.full(len(z), 0.7)
-    J, J_slot = transport.compute_flux(cube_sub, sp, 0, c, u, CONST)
+    J, J_slot = compute_flux(cube_sub, sp, 0, c, u, CONST)
     assert np.allclose(J, J_slot, rtol=1e-10)
 
 
@@ -127,7 +129,7 @@ def test_flux_zero_at_uniform_state(channel_submesh, species4):
     c = np.full((4, Ns), 0.1)
     u = np.zeros(Ns)
     for i in range(4):
-        J, J_slot = transport.compute_flux(channel_submesh, species4, i, c, u, CONST)
+        J, J_slot = compute_flux(channel_submesh, species4, i, c, u, CONST)
         assert np.max(np.abs(J)) < 1e-14
         assert np.max(np.abs(J_slot)) < 1e-14
 
