@@ -258,6 +258,31 @@ class RunResult:
     iterations: int
     history: list
     init_sweeps: int  # sweeps of the equilibrium initializer
+    phase_s: dict  # wall seconds per phase: SETUP_PHASES, then "init", "outer"
+
+    @property
+    def setup_s(self):
+        """Wall seconds of the set-up phases: all of run before the initializer."""
+        return sum(self.phase_s[p] for p in SETUP_PHASES)
+
+
+#: Phases of run before the equilibrium initializer: mesh synthesis or
+#: loading, submesh extraction, the box operator and its factor, Psi (with
+#: the atom file and G at the nodes), and the mass matrices of the norms.
+SETUP_PHASES = ("mesh", "submesh", "box", "psi", "masses")
+
+
+class _PhaseClock:
+    """Wall seconds between successive ``time.perf_counter`` marks."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._last = time.perf_counter()
+
+    def mark(self, phase):
+        now = time.perf_counter()
+        self.seconds[phase] = now - self._last
+        self._last = now
 
 
 def run(config: RunConfig):
@@ -266,31 +291,41 @@ def run(config: RunConfig):
     Raises ConvergenceError (with the state attached) when the outer
     iteration exhausts ``config.max_outer`` sweeps.
     """
-    mesh = config.build_mesh()
-    submesh = meshmod.extract_solvent_submesh(mesh)
-    atoms = config.build_atoms()
+    clock = _PhaseClock()
     constants = config.constants
     species = config.species
     species.check_bulk_feasible(constants.gamma)
+    mesh = config.build_mesh()
+    clock.mark("mesh")
+    submesh = meshmod.extract_solvent_submesh(mesh)
+    clock.mark("submesh")
     # a fresh spec, so the factors its direct solves keep die with the run
     spec = sparse_linalg.LinearSolveSpec(config.linear.method)
     kept = spec.kept
     n = len(species)
+
+    # the box factor that Psi and Phi~ share; first, as that lowers peak memory
+    electrostatics.box_poisson(mesh, constants)
+    clock.mark("box")
+    atoms = config.build_atoms()
     logger.info("mesh: %d vertices, %d tets (%d solvent); %d species; %d atoms",
                 mesh.num_vertices, mesh.num_tets, len(submesh.tets), n, len(atoms))
-
-    # builds the box factor that Psi reuses; first, as that lowers peak memory
-    phit_sys = electrostatics.PhiTildeSystem(mesh, submesh, species.Z, constants, spec)
     g_nodes = (electrostatics.eval_G(atoms, constants, mesh.vertices)
                if len(atoms) else np.zeros(mesh.num_vertices))
-    psi = electrostatics.solve_psi(mesh, atoms, constants)
+    psi = electrostatics.solve_psi(mesh, atoms, constants, g_nodes)
     w = g_nodes + psi
+    clock.mark("psi")
 
+    phit_sys = electrostatics.PhiTildeSystem(mesh, submesh, species.Z, constants, spec)
     norm_box = fem_core.MassNorm(mesh, fem_core.assemble_mass(mesh))
     norm_sub = fem_core.MassNorm(submesh, phit_sys.mass)
+    clock.mark("masses")
+    logger.debug("set-up %.3f s: %s", sum(clock.seconds.values()),
+                 ", ".join("%s %.3f s" % item for item in clock.seconds.items()))
 
     phi, c, init_sweeps = nonlinear_node.solve_smpbic(
         submesh, w, species, constants, phit_sys.solve, norm_box, norm_sub)
+    clock.mark("init")
     # the transform of the starting state, so that an equilibrium start is
     # already the fixed point and one sweep confirms it
     cbar = slotboom_forward(submesh.restrict(w + phi), c, species, constants)
@@ -333,9 +368,10 @@ def run(config: RunConfig):
     sweeps = len(fp.history)
     excursions.report(sweeps)
     cbar, c, phi = fp.state["cbar"], fp.state["c"], fp.state["phi"]
+    clock.mark("outer")
     result = RunResult(mesh, submesh, species, constants, w + phi, w, psi,
                        g_nodes, phi, c, cbar, fp.converged, sweeps, fp.history,
-                       init_sweeps)
+                       init_sweeps, clock.seconds)
     if not fp.converged:
         err = ConvergenceError(
             "outer iteration did not converge in %d sweeps" % config.max_outer)
@@ -442,6 +478,9 @@ def export_summary(path, result: RunResult):
         ("converged", "yes" if result.converged else "no"),
         ("iterations", result.iterations),
         ("init_sweeps", result.init_sweeps),
+        ("setup_s", "%.6f" % result.setup_s),
+        ("init_s", "%.6f" % result.phase_s["init"]),
+        ("outer_s", "%.6f" % result.phase_s["outer"]),
         ("res_cbar", "%.6e" % last["res_cbar"]),
         ("res_c", "%.6e" % last["res_c"]),
         ("res_phi", "%.6e" % last["res_phi"]),

@@ -28,7 +28,7 @@ from .physics_model import ModelConstants
 logger = logging.getLogger(__name__)
 
 _COLLISION_TOL = 1.0e-6  # A, minimum atom-to-evaluation-point distance
-# evaluation points per block in eval_G/grad_G: bounds the (points x atoms x 3)
+# evaluation points per block in eval_G/grad_G: bounds the (3 x atoms x points)
 # temporaries, which on the box mesh's quadrature points set the peak memory
 _POINT_CHUNK = 4096
 
@@ -91,19 +91,23 @@ def save_atoms(atoms: AtomicCharges, path):
             fh.write("%.17g %.17g %.17g %.17g\n" % (p[0], p[1], p[2], z))
 
 
-def _pair_distances(points, atoms: AtomicCharges, first=0):
-    """Offsets and distances from each point to each atom.
+def _pair_offsets(points, atoms: AtomicCharges, first=0):
+    """Offsets (3, atoms, points) from each atom to each point, and the
+    squared distances (atoms, points).
 
-    ``first`` is the index of ``points[0]`` among all evaluation points,
-    for the collision message.
+    Points run along the last axis, so that every elementwise pass runs
+    over a long contiguous row.  ``first`` is the index of ``points[0]``
+    among all evaluation points, for the collision message.
     """
-    diff = points[:, None, :] - atoms.positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    if atoms.smoothing == 0.0 and dist.size and dist.min() < _COLLISION_TOL:
-        i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+    diff = np.ascontiguousarray(points.T)[:, None, :] - atoms.positions.T[:, :, None]
+    dist2 = diff[0] * diff[0]
+    dist2 += diff[1] * diff[1]
+    dist2 += diff[2] * diff[2]
+    if atoms.smoothing == 0.0 and dist2.size and dist2.min() < _COLLISION_TOL ** 2:
+        j, i = np.unravel_index(int(np.argmin(dist2)), dist2.shape)
         raise MeshError("atom %d within %.1e A of evaluation point %d"
                         % (j, _COLLISION_TOL, first + i))
-    return diff, dist
+    return diff, dist2
 
 
 def _point_chunks(points):
@@ -124,7 +128,8 @@ def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
         return out
     coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
     for first, block in _point_chunks(points):
-        _, dist = _pair_distances(block, atoms, first=first)
+        _, dist2 = _pair_offsets(block, atoms, first=first)
+        dist = np.sqrt(dist2)
         if atoms.smoothing > 0.0:
             s = atoms.smoothing
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -132,7 +137,7 @@ def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
             kern = np.where(dist < 1.0e-12, np.sqrt(2.0 / np.pi) / s, kern)
         else:
             kern = 1.0 / dist
-        out[first:first + len(block)] = coef * (kern @ atoms.charges)
+        out[first:first + len(block)] = coef * (atoms.charges @ kern)
     return out
 
 
@@ -144,26 +149,29 @@ def grad_G(atoms: AtomicCharges, constants: ModelConstants, points):
         return out
     coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
     for first, block in _point_chunks(points):
-        diff, dist = _pair_distances(block, atoms, first=first)
+        diff, dist2 = _pair_offsets(block, atoms, first=first)
+        dist = np.sqrt(dist2)
+        dist3 = dist2 * dist
         if atoms.smoothing > 0.0:
             s = atoms.smoothing
             with np.errstate(invalid="ignore", divide="ignore"):
-                radial = (erf(dist / (np.sqrt(2.0) * s)) / dist**3
-                          - np.sqrt(2.0 / np.pi) / (s * dist**2)
-                          * np.exp(-dist**2 / (2.0 * s**2)))
+                radial = (erf(dist / (np.sqrt(2.0) * s)) / dist3
+                          - np.sqrt(2.0 / np.pi) / (s * dist2)
+                          * np.exp(-dist2 / (2.0 * s**2)))
             radial = np.where(dist < 1.0e-12, 0.0, radial)
         else:
-            radial = 1.0 / dist**3
-        out[first:first + len(block)] = -coef * np.einsum(
-            "nj,njk->nk", radial * atoms.charges[None, :], diff)
+            radial = 1.0 / dist3
+        radial *= atoms.charges[:, None]
+        out[first:first + len(block)] = -coef * np.einsum("kjn,jn->nk", diff, radial)
     return out
 
 
 def region_eps(mesh: meshmod.LabeledMesh, constants: ModelConstants):
     """Per-tet relative permittivity."""
-    eps = {meshmod.SOLVENT: constants.eps_s, meshmod.PROTEIN: constants.eps_p,
-           meshmod.MEMBRANE: constants.eps_m}
-    return np.vectorize(eps.get)(mesh.tet_regions).astype(float)
+    regions = [meshmod.SOLVENT, meshmod.PROTEIN, meshmod.MEMBRANE]
+    eps = np.full(max(regions) + 1, np.nan)  # indexed by region tag
+    eps[regions] = constants.eps_s, constants.eps_p, constants.eps_m
+    return eps[mesh.tet_regions]
 
 
 def potential_dirichlet(mesh: meshmod.LabeledMesh, constants: ModelConstants,
@@ -185,14 +193,19 @@ def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
         return
     cent = mesh.vertices[mesh.tets].mean(axis=1)
     for j, p in enumerate(atoms.positions):
-        t = int(np.argmin(np.linalg.norm(cent - p[None, :], axis=1)))
+        offset = cent - p
+        t = int(np.argmin(np.einsum("tk,tk->t", offset, offset)))
         if mesh.tet_regions[t] != meshmod.PROTEIN:
             logger.warning("atom %d does not sit in the protein region", j)
 
 
 def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
-              constants: ModelConstants):
-    """Boundary/interface correction potential Psi on the box mesh."""
+              constants: ModelConstants, g_nodes=None):
+    """Boundary/interface correction potential Psi on the box mesh.
+
+    ``g_nodes`` is ``eval_G(atoms, constants, mesh.vertices)`` when the
+    caller has already evaluated it; None evaluates it here.
+    """
     _check_atoms_in_protein(mesh, atoms)
     n = mesh.num_vertices
     rhs = np.zeros(n)
@@ -222,7 +235,8 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
     if constants.sigma != 0.0:
         rhs += constants.tau * constants.sigma * fem_core.assemble_surface_load(
             mesh, meshmod.GAMMA_M)
-    g_nodes = eval_G(atoms, constants, mesh.vertices) if len(atoms) else None
+    if g_nodes is None and len(atoms):
+        g_nodes = eval_G(atoms, constants, mesh.vertices)
     d = potential_dirichlet(mesh, constants, offset=g_nodes)
     return box_poisson(mesh, constants).solve(rhs, d)
 

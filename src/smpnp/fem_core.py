@@ -1,12 +1,13 @@
 """P1 Lagrange finite element machinery on tetrahedral meshes.
 
 All assembly routines accept either the box mesh or the solvent submesh
-(anything exposing ``vertices`` and ``tets``).  Stiffness and mass use the
-exact closed-form P1 element integrals; general volume loads go through the
-P1 mass matrix, which integrates P1*P1 products exactly.  Every assembly
-reads the element geometry from the mesh's ``P1Operator``, built once per
-mesh.  The solver's Dirichlet data (``side_dirichlet``) are imposed one way,
-by pinned weight maps (``P1Operator.stiffness_scatter``); the unpinned
+(anything exposing ``vertices``, ``tets`` and ``num_vertices``).  Stiffness
+and mass use the exact closed-form P1 element integrals; general volume
+loads go through the P1 mass matrix, which integrates P1*P1 products
+exactly.  Every assembly reads the element geometry from the mesh's
+``P1Operator``, built once per mesh; a submesh's takes its parent's rows.
+The solver's Dirichlet data (``side_dirichlet``) are imposed one way, by
+pinned weight maps (``P1Operator.stiffness_scatter``); the unpinned
 ``assemble_weighted_stiffness`` and ``apply_dirichlet`` are their reference.
 """
 
@@ -74,15 +75,26 @@ class P1Operator:
     once, as the box operator's is, comes from ``stiffness_scatter`` and is
     not kept.  Obtain the operator through ``p1_operator``; the mesh must
     not be mutated afterwards.
+
+    A submesh (a mesh with ``parent`` and ``parent_tet_ids``) takes its
+    geometry as the rows of its parent's operator at ``parent_tet_ids``:
+    its tets are those tets on the same vertex coordinates, so these are
+    the rows ``p1_gradients`` would compute for it, bit for bit.
     """
 
     def __init__(self, mesh):
-        self.grads, self.volumes = p1_gradients(mesh)
-        self.local_stiffness = np.einsum("taj,tbj->tab", self.grads,
-                                         self.grads).reshape(-1, 16)
-        self.local_stiffness *= self.volumes[:, None]
+        ids = getattr(mesh, "parent_tet_ids", None)
+        if ids is None:
+            self.grads, self.volumes = p1_gradients(mesh)
+            self.local_stiffness = np.einsum("taj,tbj->tab", self.grads,
+                                             self.grads).reshape(-1, 16)
+            self.local_stiffness *= self.volumes[:, None]
+        else:
+            parent = p1_operator(mesh.parent)
+            self.grads, self.volumes = parent.grads[ids], parent.volumes[ids]
+            self.local_stiffness = parent.local_stiffness[ids]
         self.tets = mesh.tets
-        self.num_vertices = mesh.vertices.shape[0]
+        self.num_vertices = mesh.num_vertices
         self._pinned_scatters = {}
         self._mass_scatter = None
 
@@ -137,10 +149,7 @@ class _Scatter:
     """
 
     def __init__(self, tets, n, keep, nodes):
-        # CSR keys row * n + col; 32-bit where they fit, to halve the
-        # temporaries of the build
-        key_type = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-        tets = tets.astype(key_type)
+        tets = tets.astype(np.int32)
         rows = np.repeat(tets, 4, axis=1).ravel()
         cols = np.tile(tets, (1, 4)).ravel()
         pinned = np.zeros(n, dtype=bool)
@@ -151,30 +160,30 @@ class _Scatter:
         to_pinned = pinned[cols]
         lift = np.flatnonzero(kept & to_pinned)
         self.lift_src = lift.astype(np.int32)
-        self.lift_row = rows[lift].astype(np.int32)
-        self.lift_col = cols[lift].astype(np.int32)
+        self.lift_row = rows[lift]
+        self.lift_col = cols[lift]
         kept &= ~to_pinned
         del lift, to_pinned
         if kept.all():
-            self.src, keys = None, rows  # None: every entry
+            self.src = None  # every entry
         else:
             self.src = np.flatnonzero(kept).astype(np.int32)
-            keys, cols = rows[self.src], cols[self.src]
-        del rows, kept
-        keys *= n
-        keys += cols
-        del cols
-        n_kept = keys.size
-        if len(nodes):
-            keys = np.concatenate([keys, np.asarray(nodes, dtype=key_type) * (n + 1)])
-        pattern = np.unique(keys)  # row-major, sorted columns
-        pos = np.searchsorted(pattern, keys).astype(np.int32)
-        del keys
+            rows, cols = rows[self.src], cols[self.src]
+        del kept
+        n_kept = rows.size
+        nodes = np.asarray(nodes, dtype=np.int32)
+        if nodes.size:  # the unit diagonal of the constrained rows
+            rows, cols = np.concatenate([rows, nodes]), np.concatenate([cols, nodes])
+        # scipy's COO -> CSR conversion sorts the pattern row-major with
+        # sorted, summed columns; a CSR over it whose data are 0 .. nnz-1
+        # then gives every entry's data position by sampling
+        pattern = sp.coo_array((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                               shape=(n, n)).tocsr()
+        pattern.data = np.arange(pattern.nnz, dtype=np.int32)
         self.n = n
-        self.dst, self.diag = pos[:n_kept], pos[n_kept:]
-        self.indices = (pattern % n).astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(pattern // n, minlength=n), out=self.indptr[1:])
+        positions = _data_positions(pattern, rows, cols)
+        self.dst, self.diag = positions[:n_kept], positions[n_kept:]
+        self.indices, self.indptr = pattern.indices, pattern.indptr
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
     def matrix(self, local):
@@ -183,6 +192,19 @@ class _Scatter:
         data = np.bincount(self.dst, kept, minlength=self.indices.size)
         data[self.diag] = 1.0
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+# samples per block in _data_positions: bounds its index temporaries
+_SAMPLE_CHUNK = 1 << 16
+
+
+def _data_positions(pattern, rows, cols):
+    """int32 ``pattern[rows, cols]``, sampled in blocks of _SAMPLE_CHUNK."""
+    out = np.empty(rows.size, dtype=np.int32)
+    for first in range(0, rows.size, _SAMPLE_CHUNK):
+        block = slice(first, first + _SAMPLE_CHUNK)
+        out[block] = pattern[rows[block], cols[block]]
+    return out
 
 
 class _WeightMap:
@@ -312,8 +334,7 @@ def assemble_surface_load(mesh, label, density=1.0):
         raise MeshError("no facets carry label %s" % label)
     areas, _ = triangle_areas_normals(mesh, facets)
     dens = np.broadcast_to(np.asarray(density, dtype=float), areas.shape)
-    n = mesh.vertices.shape[0]
-    out = np.zeros(n)
+    out = np.zeros(mesh.num_vertices)
     np.add.at(out, facets.ravel(), np.repeat(dens * areas / 3.0, 3))
     return out
 
@@ -326,8 +347,7 @@ def assemble_surface_load_nodal(mesh, facets, values):
     """
     areas, _ = triangle_areas_normals(mesh, facets)
     coef = (values + values.sum(axis=1, keepdims=True)) * (areas / 12.0)[:, None]
-    n = mesh.vertices.shape[0]
-    out = np.zeros(n)
+    out = np.zeros(mesh.num_vertices)
     np.add.at(out, facets.ravel(), coef.ravel())
     return out
 
@@ -360,7 +380,7 @@ def apply_dirichlet(A, b, d: DirichletSet):
 def l2_norm(mesh, f, mass=None):
     """L2 norm sqrt(int f^2) with the exact P1 mass matrix."""
     f = np.asarray(f, dtype=float)
-    if f.shape[0] != mesh.vertices.shape[0]:
+    if f.shape[0] != mesh.num_vertices:
         raise MeshError("field length does not match mesh")
     if mass is None:
         mass = assemble_mass(mesh)

@@ -59,8 +59,12 @@ class LabeledMesh:
     def num_tets(self):
         return self.tets.shape[0]
 
-    def validate(self):
-        """Check every LabeledMesh invariant; raise MeshError on failure."""
+    def validate(self, face_table=None):
+        """Check every LabeledMesh invariant; raise MeshError on failure.
+
+        ``face_table`` is ``_face_owners(self.tets, self.num_vertices)``
+        when the caller has already built it; None builds it here.
+        """
         vols = tet_volumes(self.vertices, self.tets)
         bad = np.nonzero(vols <= 0.0)[0]
         if bad.size:
@@ -84,12 +88,12 @@ class LabeledMesh:
               | _all_near(pts[..., 1], y1) | _all_near(pts[..., 1], y2))
         if not ok.all():
             raise MeshError("Neumann facet %d not on a side plane" % neumann[np.argmin(ok)])
-        self._validate_interface_facets()
+        self._validate_interface_facets(face_table)
         return self
 
-    def _validate_interface_facets(self):
+    def _validate_interface_facets(self, face_table):
         n = self.num_vertices
-        faces, owners = _face_owners(self.tets, n)
+        faces, owners = _face_owners(self.tets, n) if face_table is None else face_table
         iface = np.nonzero(np.isin(self.facet_labels, (GAMMA_P, GAMMA_M, GAMMA_PM)))[0]
         found = _find_faces(_face_keys(faces, n),
                             _face_keys(np.sort(self.facets[iface], axis=1), n))
@@ -361,10 +365,15 @@ def _classify_regions(geom: ChannelGeometry, centroids):
                     np.where(in_shell, PROTEIN, MEMBRANE)).astype(np.int64)
 
 
-def derive_facets(vertices, tets, regions, box):
-    """Interface and boundary facet lists from tet adjacency."""
+def derive_facets(vertices, tets, regions, box, face_table=None):
+    """Interface and boundary facet lists from tet adjacency.
+
+    ``face_table`` is ``_face_owners(tets, len(vertices))`` when the caller
+    has already built it; None builds it here.
+    """
     z1, z2 = box[4], box[5]
-    faces, owners = _face_owners(tets, len(vertices))
+    faces, owners = (_face_owners(tets, len(vertices)) if face_table is None
+                     else face_table)
     boundary = owners[:, 1] < 0
     labels = _PAIR_LABEL[regions[owners[:, 0]], regions[owners[:, 1]]]
     zc = vertices[faces[boundary], 2]
@@ -377,15 +386,17 @@ def synth_channel_mesh(geom: ChannelGeometry):
     """Build the synthetic channel mesh for ``geom`` and validate it.
 
     Regions are decided by the tet centroid (``_classify_regions`` gives
-    the side of a centroid exactly on an interface).
+    the side of a centroid exactly on an interface).  The face table that
+    derives the facets also validates them.
     """
     verts, tets = structured_box(geom.box, geom.resolution)
     centroids = verts[tets].mean(axis=1)
     regions = _classify_regions(geom, centroids)
-    facets, labels = derive_facets(verts, tets, regions, geom.box)
+    face_table = _face_owners(tets, len(verts))
+    facets, labels = derive_facets(verts, tets, regions, geom.box, face_table)
     mesh = LabeledMesh(verts, tets, regions, facets, labels,
                        geom.box, geom.z1, geom.z2)
-    return mesh.validate()
+    return mesh.validate(face_table)
 
 
 def unit_cube_mesh(n=2, box=(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)):

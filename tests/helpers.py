@@ -1,5 +1,7 @@
 """Oracles and diagnostics that only the tests use."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from smpnp import fem_core, transport
@@ -117,3 +119,32 @@ def capped_block1_weights(sub, geom, field, species):
     dhat = transport.transformed_diffusion_nodal(
         sub, sp, i, capped_potential(sub, geom, field), c, constants)
     return dhat, transport.np_dirichlet(sub, sp, i, constants)
+
+
+def reference_scatter(tets, n, keep, nodes):
+    """The fields of ``fem_core._Scatter(tets, n, keep, nodes)`` built by
+    sorting int64 CSR keys row * n + col with ``np.unique`` and locating
+    each entry with ``np.searchsorted``."""
+    rows = np.repeat(tets, 4, axis=1).ravel().astype(np.int64)
+    cols = np.tile(tets, (1, 4)).ravel().astype(np.int64)
+    pinned = np.zeros(n, dtype=bool)
+    pinned[nodes] = True
+    kept = ~pinned[rows]
+    if keep is not None:
+        kept &= keep
+    to_pinned = pinned[cols]
+    lift = np.flatnonzero(kept & to_pinned)
+    kept &= ~to_pinned
+    src = None if kept.all() else np.flatnonzero(kept).astype(np.int32)
+    sel = slice(None) if src is None else src
+    keys = np.concatenate([rows[sel] * n + cols[sel],
+                           np.asarray(nodes, dtype=np.int64) * (n + 1)])
+    pattern = np.unique(keys)  # row-major, sorted columns
+    pos = np.searchsorted(pattern, keys).astype(np.int32)
+    n_kept = keys.size - len(nodes)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pattern // n, minlength=n), out=indptr[1:])
+    return SimpleNamespace(
+        indptr=indptr, indices=(pattern % n).astype(np.int32), src=src,
+        dst=pos[:n_kept], diag=pos[n_kept:], lift_src=lift.astype(np.int32),
+        lift_row=rows[lift].astype(np.int32), lift_col=cols[lift].astype(np.int32))

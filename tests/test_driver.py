@@ -211,10 +211,9 @@ def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
     cfg = driver.parse_config(_write(tmp_path, ZERO_FIELD.format(out=tmp_path)))
     with mock.patch.object(fem_core, "p1_gradients", wraps=fem_core.p1_gradients) as spy:
         result = driver.run(cfg)
-    meshes = [call.args[0] for call in spy.call_args_list]
-    assert len(meshes) <= 2
-    assert len({id(m) for m in meshes}) == len(meshes)
-    assert {id(m) for m in meshes} <= {id(result.mesh), id(result.submesh)}
+    # the submesh's operator takes the box operator's rows
+    assert spy.call_count == 1
+    assert spy.call_args.args[0] is result.mesh
 
 
 @pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
@@ -278,6 +277,25 @@ def test_run_reports_initializer_sweeps(tmp_path, caplog):
     assert sum("fallbacks" in m for m in caplog.messages) == 2
     summary = (tmp_path / "summary.txt").read_text().splitlines()
     assert "init_sweeps = %d" % result.init_sweeps in summary
+
+
+def test_run_reports_phase_times(tmp_path, caplog):
+    cfg = driver.parse_config(_write(tmp_path, ZERO_FIELD.format(out=tmp_path)))
+    with caplog.at_level(logging.DEBUG, logger="smpnp.driver"):
+        result = driver.run(cfg)
+    driver.write_outputs(cfg, result)
+    assert list(result.phase_s) == list(driver.SETUP_PHASES) + ["init", "outer"]
+    assert all(t > 0.0 for t in result.phase_s.values())
+    assert result.setup_s == sum(result.phase_s[p] for p in driver.SETUP_PHASES)
+    summary = dict(line.split(" = ", 1)
+                   for line in (tmp_path / "summary.txt").read_text().splitlines())
+    for key, value in (("setup_s", result.setup_s), ("init_s", result.phase_s["init"]),
+                       ("outer_s", result.phase_s["outer"])):
+        assert float(summary[key]) == pytest.approx(value, abs=1e-6)
+    breakdown = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.DEBUG and r.getMessage().startswith("set-up")]
+    assert len(breakdown) == 1
+    assert all(" %s " % p in breakdown[0] for p in driver.SETUP_PHASES)
 
 
 def test_run_enters_shared_loop_once_per_phase(tmp_path):

@@ -37,13 +37,32 @@ def test_g_chunked_matches_one_shot(monkeypatch, rng):
 
 
 def test_g_collision_in_later_chunk_raises(rng):
-    atoms = es.AtomicCharges(np.zeros((1, 3)), np.ones(1))
+    # the message names the colliding atom and the point's global index
+    atoms = es.AtomicCharges([[10.0, 10.0, 10.0], [-10.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                             np.ones(3))
     pts = rng.uniform(1.0, 2.0, size=(es._POINT_CHUNK + 10, 3))
     hit = es._POINT_CHUNK + 3
     pts[hit] = 0.0
     for fn in (es.eval_G, es.grad_G):
-        with pytest.raises(MeshError, match="evaluation point %d" % hit):
+        with pytest.raises(MeshError, match="^atom 2 within 1.0e-06 A of evaluation point %d$"
+                           % hit):
             fn(atoms, CONST, pts)
+
+
+def test_g_matches_pairwise_reference(rng):
+    # G and grad G of point charges summed atom by atom from |r - r_j|
+    atoms = es.AtomicCharges(rng.uniform(-5.0, 5.0, size=(6, 3)), rng.normal(size=6))
+    pts = rng.uniform(-20.0, 20.0, size=(300, 3))
+    coef = CONST.alpha / (4.0 * np.pi * CONST.eps_p)
+    g, grad = np.zeros(len(pts)), np.zeros((len(pts), 3))
+    for a, z in zip(atoms.positions, atoms.charges):
+        diff = pts - a
+        dist = np.linalg.norm(diff, axis=1)
+        g += coef * z / dist
+        grad -= coef * z * diff / dist[:, None] ** 3
+    assert np.allclose(es.eval_G(atoms, CONST, pts), g, rtol=0.0, atol=1e-13 * np.abs(g).max())
+    assert np.allclose(es.grad_G(atoms, CONST, pts), grad, rtol=0.0,
+                       atol=1e-13 * np.abs(grad).max())
 
 
 def test_eval_g_single_atom_radial_constant():

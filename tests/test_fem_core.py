@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,7 @@ from smpnp.fem_core import (DirichletSet, apply_dirichlet, assemble_mass,
                             assemble_surface_load, assemble_weighted_stiffness,
                             l2_norm, pinned_stiffness_system)
 
-from helpers import assemble_load_volume, l2_diff
+from helpers import assemble_load_volume, l2_diff, reference_scatter
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 
@@ -21,6 +23,7 @@ class _SingleTet:
     vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     tets = np.array([[0, 1, 2, 3]])
+    num_vertices = 4
 
 
 def test_stiffness_annihilates_constants(cube_mesh):
@@ -253,3 +256,39 @@ def test_operator_is_built_once_per_mesh(cube_mesh):
     masked = fem_core.assemble_mass(cube_mesh, tet_mask=np.arange(len(cube_mesh.tets)) % 2 == 0)
     assert np.array_equal(masked.indptr, mass.indptr)
     assert np.array_equal(masked.indices, mass.indices)
+
+
+@pytest.mark.parametrize("case", ["mass", "pinned", "pinned-unordered"])
+@pytest.mark.parametrize("which", ["box", "submesh"])
+def test_scatter_matches_sorted_key_reference(case, which, channel_mesh, channel_submesh):
+    # the CSR pattern, every data position and the lift are the same
+    # arrays as those of the sorted-key build
+    mesh = channel_mesh if which == "box" else channel_submesh
+    op = fem_core.p1_operator(mesh)
+    keep, nodes = None, fem_core._NO_NODES
+    if case != "mass":
+        keep = op.local_stiffness.ravel() != 0.0
+        nodes = np.concatenate(mesh.dirichlet_side_nodes())
+        if case == "pinned-unordered":
+            nodes = np.random.default_rng(7).permutation(nodes)
+    got = fem_core._Scatter(op.tets, op.num_vertices, keep, nodes)
+    want = reference_scatter(op.tets, op.num_vertices, keep, nodes)
+    assert (got.src is None) == (want.src is None) == (case == "mass")
+    for name in ("indptr", "indices", "src", "dst", "diag", "lift_src", "lift_row", "lift_col"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_submesh_operator_is_its_parents_rows(channel_mesh):
+    # the submesh's geometry is the parent's rows at parent_tet_ids, and
+    # bitwise what its own vertices give
+    sub = meshmod.extract_solvent_submesh(channel_mesh)
+    box, op = fem_core.p1_operator(channel_mesh), fem_core.p1_operator(sub)
+    own = fem_core.P1Operator(SimpleNamespace(vertices=sub.vertices, tets=sub.tets,
+                                              num_vertices=sub.num_vertices))
+    for name in ("grads", "volumes", "local_stiffness"):
+        rows = getattr(box, name)[sub.parent_tet_ids]
+        assert getattr(op, name).tobytes() == rows.tobytes(), name
+        assert getattr(own, name).tobytes() == rows.tobytes(), name
+    assert op.num_vertices == sub.num_vertices and op.tets is sub.tets

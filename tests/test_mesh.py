@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,36 @@ def test_validate_names_first_interface_facet_on_the_boundary(channel_mesh):
         _relabelled(channel_mesh, labels=labels).validate()
     assert str(err.value) == ("facet %d does not separate the regions of label %d"
                               % (first, labels[first]))
+
+
+def test_synth_builds_one_face_table_and_still_checks_labels(tmp_path):
+    # derive_facets and validate share one face table; a wrong interface
+    # label still fails, whether it comes out of derive_facets or is
+    # written after construction, and a loaded mesh builds its own table
+    geom = meshmod.ChannelGeometry(resolution=6)
+    with mock.patch.object(meshmod, "_face_owners", wraps=meshmod._face_owners) as spy:
+        mesh = meshmod.synth_channel_mesh(geom)
+    assert spy.call_count == 1
+    k = np.nonzero(mesh.facet_labels == meshmod.GAMMA_P)[0][0]
+    message = "facet %d does not separate the regions of label %d" % (k, meshmod.GAMMA_M)
+    derive = meshmod.derive_facets
+
+    def corrupted(*args):
+        facets, labels = derive(*args)
+        labels[k] = meshmod.GAMMA_M
+        return facets, labels
+
+    with mock.patch.object(meshmod, "derive_facets", corrupted), \
+            pytest.raises(MeshError, match="^%s$" % message):
+        meshmod.synth_channel_mesh(geom)
+    path = tmp_path / "chan.mesh"
+    meshmod.save_mesh(mesh, path)
+    with mock.patch.object(meshmod, "_face_owners", wraps=meshmod._face_owners) as spy:
+        meshmod.load_mesh(path)
+    assert spy.call_count == 1
+    mesh.facet_labels[k] = meshmod.GAMMA_M
+    with pytest.raises(MeshError, match="^%s$" % message):
+        mesh.validate()
 
 
 def test_validate_rejects_interface_facet_not_a_tet_face(cube_mesh):
