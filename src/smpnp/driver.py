@@ -108,7 +108,7 @@ def parse_config(path):
     return _build_config(scalars, species_blocks)
 
 
-def _pop_float(table, key, default=None):
+def _pop_float(table, key, default=None, nonnegative=False):
     if key not in table:
         return default
     ln, val = table.pop(key)
@@ -118,6 +118,8 @@ def _pop_float(table, key, default=None):
         num = math.nan
     if not math.isfinite(num):
         raise ConfigError("line %d: %s must be a finite number, got %r" % (ln, key, val))
+    if nonnegative and num < 0:
+        raise ConfigError("line %d: %s must not be negative, got %r" % (ln, key, val))
     return num
 
 
@@ -154,12 +156,17 @@ def _build_config(scalars, species_blocks):
                 box = ()
             if len(box) != 6 or not all(map(math.isfinite, box)):
                 raise ConfigError("line %d: box needs 6 numbers, got %r" % (ln, val))
+            if not (box[0] < box[1] and box[2] < box[3]):
+                raise ConfigError("line %d: box needs x1 < x2 and y1 < y2, got %r"
+                                  % (ln, val))
         geometry = meshmod.ChannelGeometry(
             box=box,
             z1=_pop_float(scalars, "membrane_z1", defaults.z1),
             z2=_pop_float(scalars, "membrane_z2", defaults.z2),
-            pore_radius=_pop_float(scalars, "pore_radius", defaults.pore_radius),
-            shell_radius=_pop_float(scalars, "shell_radius", defaults.shell_radius),
+            pore_radius=_pop_float(scalars, "pore_radius", defaults.pore_radius,
+                                   nonnegative=True),
+            shell_radius=_pop_float(scalars, "shell_radius", defaults.shell_radius,
+                                    nonnegative=True),
             resolution=_pop_int(scalars, "resolution", defaults.resolution),
         )
     else:
@@ -196,7 +203,7 @@ def _build_config(scalars, species_blocks):
         output_dir=_pop_str(scalars, "output_dir", "."),
         max_outer=_pop_int(scalars, "max_outer", MAX_OUTER_DEFAULT),
         profile_bins=_pop_int(scalars, "profile_bins", PROFILE_BINS_DEFAULT),
-        pore_mask_radius=_pop_float(scalars, "pore_mask_radius"),
+        pore_mask_radius=_pop_float(scalars, "pore_mask_radius", nonnegative=True),
     )
     if scalars:
         key = sorted(scalars)[0]
@@ -346,7 +353,7 @@ def run(config: RunConfig):
         ])
         cbar = relax(x["cbar"], pbar)
         t1 = time.perf_counter()
-        p, _ = nonlinear_node.block2_update(cbar, u_vals, x["c"], species, constants)
+        p, block2 = nonlinear_node.block2_update(cbar, u_vals, x["c"], species, constants)
         c = relax(x["c"], p)
         t2 = time.perf_counter()
         phi = relax(x["phi"], phit_sys.solve(c))
@@ -354,7 +361,8 @@ def run(config: RunConfig):
         return ({"cbar": cbar, "c": c, "phi": phi},
                 {"t_block1": t1 - t0, "t_block2": t2 - t1, "t_block3": t3 - t2,
                  "block1_factors": kept.factorizations - factors,
-                 "block1_pcg_steps": kept.pcg_steps - steps})
+                 "block1_pcg_steps": kept.pcg_steps - steps,
+                 "block2_iters": block2.iterations})
 
     def feasible(x):
         water = 1.0 - constants.gamma * (species.v @ x["c"])
@@ -462,13 +470,13 @@ def export_profiles(path, submesh: meshmod.SolventSubmesh, c_fields, names,
 def export_convergence(path, history):
     with open(path, "w") as fh:
         fh.write("k,res_cbar,res_c,res_phi,t_block1,t_block2,t_block3,"
-                 "block1_factors,block1_pcg_steps,aa_depth\n")
+                 "block1_factors,block1_pcg_steps,block2_iters,aa_depth\n")
         for row in history:
-            fh.write("%d,%.10e,%.10e,%.10e,%.6f,%.6f,%.6f,%d,%d,%d\n"
+            fh.write("%d,%.10e,%.10e,%.10e,%.6f,%.6f,%.6f,%d,%d,%d,%d\n"
                      % (row["k"], row["res_cbar"], row["res_c"], row["res_phi"],
                         row["t_block1"], row["t_block2"], row["t_block3"],
                         row["block1_factors"], row["block1_pcg_steps"],
-                        row["aa_depth"]))
+                        row["block2_iters"], row["aa_depth"]))
 
 
 def export_summary(path, result: RunResult):

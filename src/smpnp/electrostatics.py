@@ -19,6 +19,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import erf
 
 from . import fem_core, mesh as meshmod, sparse_linalg
@@ -188,15 +189,18 @@ def potential_dirichlet(mesh: meshmod.LabeledMesh, constants: ModelConstants,
 
 
 def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
-    """Warn when an atom's nearest tet is not protein (synthetic setups)."""
+    """Warn once when any atom's nearest tet centroid is not protein
+    (synthetic setups), with the count and the first such atom."""
     if len(atoms) == 0:
         return
-    cent = mesh.vertices[mesh.tets].mean(axis=1)
-    for j, p in enumerate(atoms.positions):
-        offset = cent - p
-        t = int(np.argmin(np.einsum("tk,tk->t", offset, offset)))
-        if mesh.tet_regions[t] != meshmod.PROTEIN:
-            logger.warning("atom %d does not sit in the protein region", j)
+    # a tree for one query: the unbalanced build is about 3x faster
+    tree = cKDTree(mesh.vertices[mesh.tets].mean(axis=1), balanced_tree=False,
+                   compact_nodes=False)
+    _, nearest = tree.query(atoms.positions)
+    outside = np.flatnonzero(mesh.tet_regions[nearest] != meshmod.PROTEIN)
+    if outside.size:
+        logger.warning("%d of %d atoms do not sit in the protein region (first: atom %d)",
+                       outside.size, len(atoms), outside[0])
 
 
 def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
@@ -264,7 +268,7 @@ class BoxPoisson:
     def __init__(self, mesh: meshmod.LabeledMesh, constants: ModelConstants):
         self.dirichlet = fem_core.side_dirichlet(mesh, 0.0, 0.0)
         self.eps = region_eps(mesh, constants)
-        weights = fem_core.p1_operator(mesh).stiffness_scatter(self.dirichlet.nodes)
+        weights = fem_core.p1_operator(mesh).stiffness_map(self.dirichlet.nodes)
         self.A, self.lift = weights.matrix(self.eps), weights.lift
         del weights  # the map dies before the factorization, the lift lives on
         self.factor = sparse_linalg.factorize(self.A)

@@ -7,7 +7,7 @@ loads go through the P1 mass matrix, which integrates P1*P1 products
 exactly.  Every assembly reads the element geometry from the mesh's
 ``P1Operator``, built once per mesh; a submesh's takes its parent's rows.
 The solver's Dirichlet data (``side_dirichlet``) are imposed one way, by
-pinned weight maps (``P1Operator.stiffness_scatter``); the unpinned
+pinned weight maps (``P1Operator.stiffness_map``); the unpinned
 ``assemble_weighted_stiffness`` and ``apply_dirichlet`` are their reference.
 """
 
@@ -70,11 +70,10 @@ class P1Operator:
     Holds the per-tet basis gradients (M, 4, 3), volumes (M,), and the
     geometric local stiffness vol * grad(phi_a).grad(phi_b), flattened to
     (M, 16).  The weight map of the pinned stiffness pattern is kept per
-    constrained node set, because Block 1 reassembles it every sweep, and
-    the scatter of the full pattern for mass matrices; a weight map built
-    once, as the box operator's is, comes from ``stiffness_scatter`` and is
-    not kept.  Obtain the operator through ``p1_operator``; the mesh must
-    not be mutated afterwards.
+    constrained node array (``pinned_map``), because Block 1 reassembles it
+    every sweep; a weight map built once, as the box operator's and every
+    mass matrix's are, is not kept.  Obtain the operator through
+    ``p1_operator``; the mesh must not be mutated afterwards.
 
     A submesh (a mesh with ``parent`` and ``parent_tet_ids``) takes its
     geometry as the rows of its parent's operator at ``parent_tet_ids``:
@@ -95,37 +94,26 @@ class P1Operator:
             self.local_stiffness = parent.local_stiffness[ids]
         self.tets = mesh.tets
         self.num_vertices = mesh.num_vertices
-        self._pinned_scatters = {}
-        self._mass_scatter = None
+        self._pinned_maps = {}
 
-    def stiffness_scatter(self, nodes):
+    def stiffness_map(self, nodes):
         """Weight map of the stiffness pattern with ``nodes`` pinned.
 
-        Local entries that are zero for every weight (orthogonal gradient
-        pairs) are left out, as the symmetric elimination in
-        ``apply_dirichlet`` drops them.
+        The pattern keeps every local entry ``!= 0.0``.  On the synthetic
+        meshes' Kuhn tets, 6 of the 16 entries pair orthogonal gradients
+        and are zero in exact arithmetic, but come out as exactly 0.0 only
+        on some grids: at R=12, 20,736 of the 62,208 are roundoff nonzeros
+        and stay in the pattern (R=16: 16,384; R=20: none).
         """
-        return _WeightMap(_Scatter(self.tets, self.num_vertices,
-                                   self.local_stiffness.ravel() != 0.0, nodes),
-                          self.local_stiffness)
+        return _WeightMap(self.tets, self.num_vertices, self.local_stiffness, nodes)
 
-    def pinned_scatter(self, nodes):
-        """``stiffness_scatter(nodes)``, cached per node set; a node order
-        seen before is looked up without sorting."""
+    def pinned_map(self, nodes):
+        """``stiffness_map(nodes)``, cached per node array (its bytes)."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        scatters, key = self._pinned_scatters, nodes.tobytes()
-        if key not in scatters:
-            unique = np.unique(nodes)
-            if unique.tobytes() not in scatters:
-                scatters[unique.tobytes()] = self.stiffness_scatter(unique)
-            scatters[key] = scatters[unique.tobytes()]
-        return scatters[key]
-
-    def mass_scatter(self):
-        """Scatter of the full P1 pattern (every local entry), cached."""
-        if self._mass_scatter is None:
-            self._mass_scatter = _Scatter(self.tets, self.num_vertices, None, _NO_NODES)
-        return self._mass_scatter
+        key = nodes.tobytes()
+        if key not in self._pinned_maps:
+            self._pinned_maps[key] = self.stiffness_map(nodes)
+        return self._pinned_maps[key]
 
 
 def p1_operator(mesh):
@@ -137,59 +125,62 @@ def p1_operator(mesh):
     return op
 
 
-class _Scatter:
-    """Map from local element entries (M*16, row-major a, b) to CSR data.
+class _WeightMap:
+    """Map from per-tet weights w to the CSR data of sum_T w_T local_T.
 
-    ``keep`` selects the local entries that may be nonzero (None: all).
-    Kept entries coupling two unconstrained nodes are summed into the CSR
-    data; rows of the constrained ``nodes`` hold only a unit diagonal;
-    kept entries in an unconstrained row and a constrained column form the
-    boundary lift.  Only int32 positions are stored, and the pattern arrays
-    are read-only, as every matrix built here shares them.
+    ``local`` holds the (M, 16) unweighted local values of ``tets``
+    (row-major a, b); an entry enters the pattern when it is ``!= 0.0``.
+    Kept entries coupling two unconstrained nodes form ``map``, a CSC
+    matrix (CSR-data position x tet), so the matrix data is ``map @ w``;
+    its columns list each tet's entries in local order, so every datum
+    sums its terms in tet order.  Rows of the constrained ``nodes`` hold
+    only a unit diagonal (data positions ``diag``); kept entries in an
+    unconstrained row and a constrained column form the boundary lift.
+    The pattern arrays are read-only, as every matrix built here shares
+    them.
     """
 
-    def __init__(self, tets, n, keep, nodes):
+    def __init__(self, tets, n, local, nodes):
+        n_tets = local.shape[0]
+        local = local.ravel()
         tets = tets.astype(np.int32)
         rows = np.repeat(tets, 4, axis=1).ravel()
         cols = np.tile(tets, (1, 4)).ravel()
         pinned = np.zeros(n, dtype=bool)
         pinned[nodes] = True
-        kept = ~pinned[rows]
-        if keep is not None:
-            kept &= keep
-        to_pinned = pinned[cols]
+        corner_pinned = pinned[tets]
+        kept = (local != 0.0) & ~np.repeat(corner_pinned, 4, axis=1).ravel()
+        to_pinned = np.tile(corner_pinned, (1, 4)).ravel()
         lift = np.flatnonzero(kept & to_pinned)
-        self.lift_src = lift.astype(np.int32)
-        self.lift_row = rows[lift]
-        self.lift_col = cols[lift]
+        # a partial, so that a caller can keep the lift without the map
+        self.lift = partial(_lift, n, lift // 16, local[lift], rows[lift], cols[lift])
         kept &= ~to_pinned
         del lift, to_pinned
-        if kept.all():
-            self.src = None  # every entry
-        else:
-            self.src = np.flatnonzero(kept).astype(np.int32)
-            rows, cols = rows[self.src], cols[self.src]
+        per_tet = np.count_nonzero(kept.reshape(n_tets, 16), axis=1)
+        if not kept.all():  # a mass matrix keeps every entry: no copies
+            rows, cols, local = rows[kept], cols[kept], local[kept]
         del kept
-        n_kept = rows.size
         nodes = np.asarray(nodes, dtype=np.int32)
-        if nodes.size:  # the unit diagonal of the constrained rows
-            rows, cols = np.concatenate([rows, nodes]), np.concatenate([cols, nodes])
         # scipy's COO -> CSR conversion sorts the pattern row-major with
-        # sorted, summed columns; a CSR over it whose data are 0 .. nnz-1
-        # then gives every entry's data position by sampling
-        pattern = sp.coo_array((np.ones(rows.size, dtype=np.int8), (rows, cols)),
-                               shape=(n, n)).tocsr()
+        # sorted, summed columns (the constrained rows add their diagonal);
+        # a CSR over it whose data are 0 .. nnz-1 then gives every entry's
+        # data position by sampling
+        pattern = sp.coo_array(
+            (np.ones(rows.size + nodes.size, dtype=np.int8),
+             (np.concatenate([rows, nodes]), np.concatenate([cols, nodes]))),
+            shape=(n, n)).tocsr()
         pattern.data = np.arange(pattern.nnz, dtype=np.int32)
-        self.n = n
-        positions = _data_positions(pattern, rows, cols)
-        self.dst, self.diag = positions[:n_kept], positions[n_kept:]
+        self.map = sp.csc_matrix(
+            (local, _data_positions(pattern, rows, cols),
+             np.concatenate([[0], np.cumsum(per_tet)])),
+            shape=(pattern.nnz, n_tets))
+        self.n, self.diag = n, _data_positions(pattern, nodes, nodes)
         self.indices, self.indptr = pattern.indices, pattern.indptr
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
-    def matrix(self, local):
-        """CSR matrix from flat local values; constrained rows are identity."""
-        kept = local if self.src is None else local[self.src]
-        data = np.bincount(self.dst, kept, minlength=self.indices.size)
+    def matrix(self, w):
+        """CSR matrix from per-tet weights; constrained rows are identity."""
+        data = self.map @ w
         data[self.diag] = 1.0
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
@@ -205,37 +196,6 @@ def _data_positions(pattern, rows, cols):
         block = slice(first, first + _SAMPLE_CHUNK)
         out[block] = pattern[rows[block], cols[block]]
     return out
-
-
-class _WeightMap:
-    """Map from per-tet weights w to the CSR data of sum_T w_T local_T.
-
-    Built from the _Scatter of the pattern and the (M, 16) unweighted local
-    values, which it folds into ``map``, a CSC matrix (CSR-data position x
-    tet): the matrix data is ``map @ w``.  Its columns list each tet's
-    entries in local order, so every datum sums its terms in the order of
-    the _Scatter (the same bits); the _Scatter's positions are not kept.
-    """
-
-    def __init__(self, scatter: _Scatter, local):
-        n_tets = local.shape[0]
-        local = local.ravel()
-        src = np.arange(local.size) if scatter.src is None else scatter.src
-        counts = np.bincount(src // 16, minlength=n_tets)
-        self.map = sp.csc_matrix(
-            (local[src], scatter.dst, np.concatenate([[0], np.cumsum(counts)])),
-            shape=(scatter.indices.size, n_tets))
-        self.n, self.diag = scatter.n, scatter.diag
-        self.indices, self.indptr = scatter.indices, scatter.indptr
-        # a partial, so that a caller can keep the lift without the map
-        self.lift = partial(_lift, scatter.n, scatter.lift_src // 16,
-                            local[scatter.lift_src], scatter.lift_row, scatter.lift_col)
-
-    def matrix(self, w):
-        """CSR matrix from per-tet weights; constrained rows are identity."""
-        data = self.map @ w
-        data[self.diag] = 1.0
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def _lift(n, tet, val, row, col, w, d: DirichletSet, load=None):
@@ -285,20 +245,20 @@ def assemble_weighted_stiffness(mesh, weight=None, tet_mask=None):
     pinned route; the solver does not call it.
     """
     op = p1_operator(mesh)
-    return op.stiffness_scatter(_NO_NODES).matrix(_tet_weight(op, weight, tet_mask))
+    return op.stiffness_map(_NO_NODES).matrix(_tet_weight(op, weight, tet_mask))
 
 
 def pinned_stiffness_system(mesh, weight, d: DirichletSet):
     """(A, b) of the weighted stiffness problem with zero load and data ``d``.
 
     Equal to ``apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
-    0, d)`` up to rounding, with the same sparsity pattern, but scattered
+    0, d)`` up to rounding, with the same sparsity pattern, but assembled
     from the mesh's cached weight map of ``d.nodes``.
     """
     op = p1_operator(mesh)
     w = _tet_weight(op, weight)
-    scatter = op.pinned_scatter(d.nodes)
-    return scatter.matrix(w), scatter.lift(w, d)
+    weights = op.pinned_map(d.nodes)
+    return weights.matrix(w), weights.lift(w, d)
 
 
 _LOCAL_MASS = ((np.ones((4, 4)) + np.eye(4)) / 20.0).ravel()
@@ -311,7 +271,8 @@ def assemble_mass(mesh, tet_mask=None):
     """
     op = p1_operator(mesh)
     vols = op.volumes if tet_mask is None else np.where(tet_mask, op.volumes, 0.0)
-    return op.mass_scatter().matrix((vols[:, None] * _LOCAL_MASS).ravel())
+    local = np.broadcast_to(_LOCAL_MASS, (len(vols), 16))
+    return _WeightMap(op.tets, op.num_vertices, local, _NO_NODES).matrix(vols)
 
 
 def triangle_areas_normals(mesh, facets):
@@ -325,18 +286,15 @@ def triangle_areas_normals(mesh, facets):
 def assemble_surface_load(mesh, label, density=1.0):
     """Load vector int_{facets with label} density phi_a dS.
 
-    ``density`` is a scalar or per-facet array; exact for P1 test functions
-    against facetwise-constant data (area/3 to each corner node).
+    ``density`` is a scalar or per-facet array: facetwise-constant data,
+    which ``assemble_surface_load_nodal`` integrates exactly as equal corner
+    values (area/3 to each corner node).
     """
-    labels = mesh.facet_labels
-    facets = mesh.facets[labels == label]
+    facets = mesh.facets[mesh.facet_labels == label]
     if facets.shape[0] == 0:
         raise MeshError("no facets carry label %s" % label)
-    areas, _ = triangle_areas_normals(mesh, facets)
-    dens = np.broadcast_to(np.asarray(density, dtype=float), areas.shape)
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, facets.ravel(), np.repeat(dens * areas / 3.0, 3))
-    return out
+    dens = np.asarray(density, dtype=float)[..., None]
+    return assemble_surface_load_nodal(mesh, facets, np.broadcast_to(dens, facets.shape))
 
 
 def assemble_surface_load_nodal(mesh, facets, values):

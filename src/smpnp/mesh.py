@@ -320,8 +320,12 @@ class ChannelGeometry:
 
     def __post_init__(self):
         x1, x2, y1, y2, zlo, zhi = self.box
+        if not (x1 < x2 and y1 < y2):
+            raise MeshError("box must satisfy x1 < x2 and y1 < y2")
         if not (zlo < self.z1 < self.z2 < zhi):
             raise MeshError("membrane planes must satisfy L_z1 < Z1 < Z2 < L_z2")
+        if not (self.pore_radius >= 0 and self.shell_radius >= 0):
+            raise MeshError("pore and shell radii must not be negative")
         if self.pore_radius > 0 and self.pore_radius >= self.shell_radius:
             raise MeshError("pore radius must be smaller than shell radius")
         if self.resolution < 2:

@@ -122,9 +122,14 @@ def capped_block1_weights(sub, geom, field, species):
 
 
 def reference_scatter(tets, n, keep, nodes):
-    """The fields of ``fem_core._Scatter(tets, n, keep, nodes)`` built by
-    sorting int64 CSR keys row * n + col with ``np.unique`` and locating
-    each entry with ``np.searchsorted``."""
+    """The P1 pattern of the local entries ``keep`` (None: all) of
+    ``tets`` with ``nodes`` pinned, as ``fem_core._WeightMap`` lays it out,
+    built by sorting int64 CSR keys row * n + col with ``np.unique`` and
+    locating each entry with ``np.searchsorted``: the CSR ``indptr`` and
+    ``indices``, the flat local indices ``src`` of the entries summed into
+    the data (None: all) and their data positions ``dst``, the positions
+    ``diag`` of the pinned diagonal, and the flat local indices, rows and
+    columns of the lift entries."""
     rows = np.repeat(tets, 4, axis=1).ravel().astype(np.int64)
     cols = np.tile(tets, (1, 4)).ravel().astype(np.int64)
     pinned = np.zeros(n, dtype=bool)

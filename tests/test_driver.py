@@ -110,6 +110,14 @@ D_b = 0.196
            ("eta = -3", "eta must be nonnegative"))),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 0\nc_b = nan\nD_b = 0.1\n",
      "line 6: c_b must be a finite number"),
+    # geometry that would otherwise be read as another one or fail later
+    *(("mesh = synth\n%s\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n" % line,
+       match) for line, match in (
+           ("pore_radius = -6", "line 2: pore_radius must not be negative, got '-6'"),
+           ("shell_radius = -1", "line 2: shell_radius must not be negative"),
+           ("box = 20 -20 -20 20 -30 30", "line 2: box needs x1 < x2 and y1 < y2"),
+           ("box = -20 20 5 5 -30 30", "line 2: box needs x1 < x2 and y1 < y2"),
+           ("pore_mask_radius = -3", "line 2: pore_mask_radius must not be negative"))),
 ])
 def test_parse_config_errors(tmp_path, text, match):
     with pytest.raises(ConfigError, match=match):
@@ -214,6 +222,28 @@ def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
     # the submesh's operator takes the box operator's rows
     assert spy.call_count == 1
     assert spy.call_args.args[0] is result.mesh
+
+
+def test_run_builds_each_weight_map_once(monkeypatch):
+    # box stiffness, Block-1 pinned stiffness, box mass and submesh mass:
+    # however many sweeps run, every later assembly reuses these
+    built = []
+
+    class CountedMap(fem_core._WeightMap):
+        def __init__(self, *args):
+            built.append(args[0].shape)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fem_core, "_WeightMap", CountedMap)
+    config = driver.RunConfig(species=mixture_species(),
+                              constants=ModelConstants(sigma=-1.0, u_t=1.5),
+                              linear=sparse_linalg.LinearSolveSpec(method="direct"),
+                              geometry=meshmod.ChannelGeometry(resolution=6))
+    with mock.patch.object(fem_core, "p1_gradients", wraps=fem_core.p1_gradients) as spy:
+        result = driver.run(config)
+    assert result.iterations > 1
+    assert len(built) == 4
+    assert spy.call_count == 1
 
 
 @pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
@@ -330,11 +360,15 @@ def test_convergence_csv_records_mixing_depth(tmp_path):
     driver.write_outputs(cfg, result)
     rows = (tmp_path / "convergence.csv").read_text().splitlines()
     assert rows[0] == ("k,res_cbar,res_c,res_phi,t_block1,t_block2,t_block3,"
-                       "block1_factors,block1_pcg_steps,aa_depth")
+                       "block1_factors,block1_pcg_steps,block2_iters,aa_depth")
     assert len(rows) == 1 + result.iterations
     depths = [int(row.split(",")[-1]) for row in rows[1:]]
     assert depths == [row["aa_depth"] for row in result.history]
     assert depths[0] == 0 and max(depths) == nonlinear_node.ANDERSON_DEPTH
+    # the sized mixture's node systems take Newton steps in every sweep
+    newton = [int(row.split(",")[-2]) for row in rows[1:]]
+    assert newton == [row["block2_iters"] for row in result.history]
+    assert min(newton) >= 1
 
 
 def test_cli_run_nonconvergence_exit_code(tmp_path):

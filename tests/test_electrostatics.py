@@ -1,3 +1,4 @@
+import logging
 from unittest import mock
 
 import numpy as np
@@ -107,6 +108,21 @@ def test_grad_g_matches_finite_differences():
         q2[ax] += h
         fd = (es.eval_G(atoms, CONST, q2)[0] - es.eval_G(atoms, CONST, q1)[0]) / (2 * h)
         assert np.isclose(grad[ax], fd, rtol=1e-6)
+
+
+def test_misplaced_atoms_give_one_warning(channel_mesh, caplog):
+    # one nearest-centroid query for all atoms and one summary record
+    ring = meshmod.protein_ring_sites(channel_mesh, 8)
+    solvent = channel_mesh.vertices[channel_mesh.tets[
+        channel_mesh.tet_regions == meshmod.SOLVENT]].mean(axis=1)[:3]
+    with caplog.at_level(logging.WARNING, logger=es.__name__):
+        es._check_atoms_in_protein(channel_mesh, es.AtomicCharges(ring, np.ones(len(ring))))
+        assert caplog.records == []
+        atoms = np.concatenate([ring[:2], solvent, ring[2:]])
+        es._check_atoms_in_protein(channel_mesh, es.AtomicCharges(atoms, np.ones(len(atoms))))
+    assert len(caplog.records) == 1
+    assert caplog.records[0].getMessage() == (
+        "3 of %d atoms do not sit in the protein region (first: atom 2)" % len(atoms))
 
 
 def test_atoms_file_round_trip(tmp_path):

@@ -249,10 +249,9 @@ def test_stiffness_matches_reference_assembly(channel_submesh, rng):
 def test_operator_is_built_once_per_mesh(cube_mesh):
     op = fem_core.p1_operator(cube_mesh)
     assert fem_core.p1_operator(cube_mesh) is op
-    scatter = op.pinned_scatter(np.array([3, 0]))
-    assert op.pinned_scatter(np.array([0, 3])) is scatter
+    weights = op.pinned_map(np.array([3, 0]))
+    assert op.pinned_map(np.array([3, 0])) is weights
     mass = fem_core.assemble_mass(cube_mesh)
-    assert op.mass_scatter() is op.mass_scatter()
     masked = fem_core.assemble_mass(cube_mesh, tet_mask=np.arange(len(cube_mesh.tets)) % 2 == 0)
     assert np.array_equal(masked.indptr, mass.indptr)
     assert np.array_equal(masked.indices, mass.indices)
@@ -261,23 +260,32 @@ def test_operator_is_built_once_per_mesh(cube_mesh):
 @pytest.mark.parametrize("case", ["mass", "pinned", "pinned-unordered"])
 @pytest.mark.parametrize("which", ["box", "submesh"])
 def test_scatter_matches_sorted_key_reference(case, which, channel_mesh, channel_submesh):
-    # the CSR pattern, every data position and the lift are the same
-    # arrays as those of the sorted-key build
+    # the CSR pattern, every data position, the per-tet entries and the
+    # lift are the same arrays as those of the sorted-key build
     mesh = channel_mesh if which == "box" else channel_submesh
     op = fem_core.p1_operator(mesh)
-    keep, nodes = None, fem_core._NO_NODES
-    if case != "mass":
-        keep = op.local_stiffness.ravel() != 0.0
-        nodes = np.concatenate(mesh.dirichlet_side_nodes())
-        if case == "pinned-unordered":
-            nodes = np.random.default_rng(7).permutation(nodes)
-    got = fem_core._Scatter(op.tets, op.num_vertices, keep, nodes)
-    want = reference_scatter(op.tets, op.num_vertices, keep, nodes)
-    assert (got.src is None) == (want.src is None) == (case == "mass")
-    for name in ("indptr", "indices", "src", "dst", "diag", "lift_src", "lift_row", "lift_col"):
-        a, b = getattr(got, name), getattr(want, name)
-        if b is not None:
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    local, nodes = op.local_stiffness, np.concatenate(mesh.dirichlet_side_nodes())
+    if case == "mass":
+        local, nodes = np.broadcast_to(fem_core._LOCAL_MASS, local.shape), fem_core._NO_NODES
+    elif case == "pinned-unordered":
+        nodes = np.random.default_rng(7).permutation(nodes)
+    got = fem_core._WeightMap(op.tets, op.num_vertices, local, nodes)
+    want = reference_scatter(op.tets, op.num_vertices, local.ravel() != 0.0, nodes)
+    assert (want.src is None) == (case == "mass")
+    src = np.arange(local.size) if want.src is None else want.src
+    tet, val, row, col = got.lift.args[1:]
+    for name, a, b in (("indptr", got.indptr, want.indptr),
+                       ("indices", got.indices, want.indices),
+                       ("positions", got.map.indices, want.dst),
+                       ("diag", got.diag, want.diag),
+                       ("lift_row", row, want.lift_row), ("lift_col", col, want.lift_col)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    # each tet's column holds its kept entries in local order
+    per_tet = np.searchsorted(src // 16, np.arange(len(local) + 1))
+    assert np.array_equal(got.map.indptr, per_tet)
+    assert got.map.data.tobytes() == local.ravel()[src].tobytes()
+    assert np.array_equal(tet, want.lift_src // 16)
+    assert val.tobytes() == local.ravel()[want.lift_src].tobytes()
 
 
 def test_submesh_operator_is_its_parents_rows(channel_mesh):

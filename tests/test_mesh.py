@@ -113,6 +113,19 @@ def test_synth_rejects_pore_not_smaller_than_shell():
         meshmod.ChannelGeometry(pore_radius=14.0, shell_radius=14.0)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(pore_radius=-6.0), "radii must not be negative"),
+    (dict(pore_radius=0.0, shell_radius=-1.0), "radii must not be negative"),
+    (dict(box=(20.0, -20.0, -20.0, 20.0, -30.0, 30.0)), "x1 < x2 and y1 < y2"),
+    (dict(box=(-20.0, 20.0, 5.0, 5.0, -30.0, 30.0)), "x1 < x2 and y1 < y2"),
+])
+def test_geometry_rejects_bad_box_and_radii(kwargs, match):
+    # unchecked, a negative radius acts as zero and a reversed box gives
+    # inverted tets
+    with pytest.raises(MeshError, match=match):
+        meshmod.ChannelGeometry(**kwargs)
+
+
 def test_region_volumes_near_analytic(channel_mesh):
     geom = meshmod.ChannelGeometry(resolution=8)
     x1, x2, y1, y2, zlo, zhi = geom.box
