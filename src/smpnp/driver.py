@@ -12,6 +12,7 @@ loop that the equilibrium initializer runs too.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import (electrostatics, fem_core, mesh as meshmod, nonlinear_node,
                sparse_linalg, transport)
-from .errors import ConfigError, ConvergenceError, SmpnpError
+from .errors import ConfigError, ConvergenceError, SmpnpError, require
 from .physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                             slotboom_forward, volume_from_radius)
 
@@ -36,9 +37,15 @@ _DEFAULT_THETA = 0.055
 
 _CONSTANT_KEYS = ("u_b", "u_t", "sigma", "eta", "cap", "omega",
                   "eps_outer", "eps_s", "eps_p", "eps_m")
-_GEOMETRY_KEYS = ("membrane_z1", "membrane_z2", "pore_radius",
+_GEOMETRY_KEYS = ("box", "membrane_z1", "membrane_z2", "pore_radius",
                   "shell_radius", "resolution")
+_GLOBAL_KEYS = _CONSTANT_KEYS + _GEOMETRY_KEYS + (
+    "mesh", "solver", "theta", "atoms", "output_dir", "max_outer", "profile_bins",
+    "pore_mask_radius")
 _SPECIES_KEYS = ("name", "Z", "v", "radius", "c_b", "D_b", "D_c")
+#: The config keys of each field whose name is not its key.
+_FIELD_KEYS = {"z1": ("membrane_z1",), "z2": ("membrane_z2",), "method": ("solver",),
+               "v": ("v", "radius")}
 
 
 @dataclass
@@ -55,6 +62,18 @@ class RunConfig:
     max_outer: int = MAX_OUTER_DEFAULT
     profile_bins: int = PROFILE_BINS_DEFAULT
     pore_mask_radius: float = None
+
+    def __post_init__(self):
+        require(self.mesh_file or self.geometry is not None, ConfigError,
+                "give a mesh file or a geometry")
+        for name in ("max_outer", "profile_bins"):
+            value = getattr(self, name)
+            require(value >= 1, ConfigError, "%s must be at least 1, got %r" % (name, value),
+                    name)
+        radius = self.pore_mask_radius
+        require(radius is None or 0.0 <= radius < math.inf, ConfigError,
+                "pore_mask_radius must be finite and not negative, got %r" % radius,
+                "pore_mask_radius")
 
     def build_mesh(self):
         if self.mesh_file:
@@ -87,7 +106,9 @@ def parse_config(path):
 
     Global keys come first; each ``[species]`` line opens a species block
     whose keys are name, Z, one of v/radius, c_b, D_b, and optionally D_c
-    (default theta * D_b).  Unknown keys are rejected.
+    (default theta * D_b).  Unknown keys are rejected.  The parser checks
+    the syntax; each value's range is checked by the type that holds it,
+    and an error names the lines of the keys it is about.
     """
     scalars = {}
     species_blocks = []
@@ -102,45 +123,51 @@ def parse_config(path):
         key, val = (part.strip() for part in text.split("=", 1))
         if key in current:
             raise ConfigError("line %d: duplicate key %r" % (ln, key))
+        if current is scalars and key not in _GLOBAL_KEYS:
+            raise ConfigError("line %d: unknown key %r" % (ln, key))
         if current is not scalars and key not in _SPECIES_KEYS:
             raise ConfigError("line %d: unknown species key %r" % (ln, key))
         current[key] = (ln, val)
     return _build_config(scalars, species_blocks)
 
 
-def _pop_float(table, key, default=None, nonnegative=False):
+@contextlib.contextmanager
+def _naming_lines(*tables):
+    """Re-raise a ValueError or SmpnpError of the block as a ConfigError
+    that names the lines, in ``tables``, of the keys of the fields whose
+    rule failed (the error's ``fields``, see ``errors.require``)."""
+    try:
+        yield
+    except (ValueError, SmpnpError) as exc:
+        found = sorted(table[key][0] for name in getattr(exc, "fields", ())
+                       for key in _FIELD_KEYS.get(name, (name,))
+                       for table in tables if key in table)
+        where = "line%s %s: " % ("s" * (len(found) > 1), ", ".join(map(str, found)))
+        raise ConfigError((where if found else "") + str(exc)) from exc
+
+
+def _number(table, key, default=None, kind=float):
+    """The finite ``kind`` (float or int) on the line of ``key``, or
+    ``default`` when the key is absent."""
     if key not in table:
         return default
-    ln, val = table.pop(key)
+    ln, val = table[key]
     try:
-        num = float(val)
+        num = kind(val)
     except ValueError:
         num = math.nan
     if not math.isfinite(num):
-        raise ConfigError("line %d: %s must be a finite number, got %r" % (ln, key, val))
-    if nonnegative and num < 0:
-        raise ConfigError("line %d: %s must not be negative, got %r" % (ln, key, val))
+        raise ConfigError("line %d: %s must be %s, got %r" % (
+            ln, key, "an integer" if kind is int else "a finite number", val))
     return num
 
 
-def _pop_int(table, key, default=None):
-    if key not in table:
-        return default
-    ln, val = table.pop(key)
-    try:
-        return int(val)
-    except ValueError:
-        raise ConfigError("line %d: %s must be an integer, got %r" % (ln, key, val))
-
-
-def _pop_str(table, key, default=""):
-    if key not in table:
-        return default
-    return table.pop(key)[1]
+def _text(table, key, default=""):
+    return table[key][1] if key in table else default
 
 
 def _build_config(scalars, species_blocks):
-    mesh_val = _pop_str(scalars, "mesh")
+    mesh_val = _text(scalars, "mesh")
     if not mesh_val:
         raise ConfigError("missing required key 'mesh' (a path, or 'synth')")
     geometry = None
@@ -149,103 +176,76 @@ def _build_config(scalars, species_blocks):
         defaults = meshmod.ChannelGeometry()
         box = defaults.box
         if "box" in scalars:
-            ln, val = scalars.pop("box")
+            ln, val = scalars["box"]
             try:
                 box = tuple(float(x) for x in val.split())
             except ValueError:
                 box = ()
             if len(box) != 6 or not all(map(math.isfinite, box)):
                 raise ConfigError("line %d: box needs 6 numbers, got %r" % (ln, val))
-            if not (box[0] < box[1] and box[2] < box[3]):
-                raise ConfigError("line %d: box needs x1 < x2 and y1 < y2, got %r"
-                                  % (ln, val))
-        geometry = meshmod.ChannelGeometry(
-            box=box,
-            z1=_pop_float(scalars, "membrane_z1", defaults.z1),
-            z2=_pop_float(scalars, "membrane_z2", defaults.z2),
-            pore_radius=_pop_float(scalars, "pore_radius", defaults.pore_radius,
-                                   nonnegative=True),
-            shell_radius=_pop_float(scalars, "shell_radius", defaults.shell_radius,
-                                    nonnegative=True),
-            resolution=_pop_int(scalars, "resolution", defaults.resolution),
-        )
+        with _naming_lines(scalars):
+            geometry = meshmod.ChannelGeometry(
+                box=box,
+                z1=_number(scalars, "membrane_z1", defaults.z1),
+                z2=_number(scalars, "membrane_z2", defaults.z2),
+                pore_radius=_number(scalars, "pore_radius", defaults.pore_radius),
+                shell_radius=_number(scalars, "shell_radius", defaults.shell_radius),
+                resolution=_number(scalars, "resolution", defaults.resolution, int),
+            )
     else:
         mesh_file = mesh_val
-        for key in _GEOMETRY_KEYS + ("box",):
+        for key in _GEOMETRY_KEYS:
             if key in scalars:
                 ln, _ = scalars[key]
                 raise ConfigError("line %d: %s only applies to mesh = synth" % (ln, key))
 
-    overrides = {}
-    for key in _CONSTANT_KEYS:
-        val = _pop_float(scalars, key)
-        if val is not None:
-            overrides[key] = val
-    try:
-        constants = ModelConstants().with_(**overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    try:
-        linear = sparse_linalg.LinearSolveSpec(
-            _pop_str(scalars, "solver", sparse_linalg.KRYLOV_ILU0))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    theta = _pop_float(scalars, "theta", _DEFAULT_THETA)
-    config = RunConfig(
-        species=_build_species(species_blocks, theta),
-        constants=constants,
-        linear=linear,
-        mesh_file=mesh_file,
-        geometry=geometry,
-        atoms_file=_pop_str(scalars, "atoms"),
-        output_dir=_pop_str(scalars, "output_dir", "."),
-        max_outer=_pop_int(scalars, "max_outer", MAX_OUTER_DEFAULT),
-        profile_bins=_pop_int(scalars, "profile_bins", PROFILE_BINS_DEFAULT),
-        pore_mask_radius=_pop_float(scalars, "pore_mask_radius", nonnegative=True),
-    )
-    if scalars:
-        key = sorted(scalars)[0]
-        raise ConfigError("line %d: unknown key %r" % (scalars[key][0], key))
-    if config.max_outer < 1 or config.profile_bins < 1:
-        raise ConfigError("max_outer and profile_bins must be positive")
-    return config
+    theta = _number(scalars, "theta", _DEFAULT_THETA)
+    if theta <= 0:
+        raise ConfigError("line %d: theta must be positive, got %r"
+                          % (scalars["theta"][0], theta))
+    with _naming_lines(scalars):
+        return RunConfig(
+            species=_build_species(species_blocks, theta),
+            constants=ModelConstants(**{key: _number(scalars, key)
+                                        for key in _CONSTANT_KEYS if key in scalars}),
+            linear=sparse_linalg.LinearSolveSpec(
+                _text(scalars, "solver", sparse_linalg.KRYLOV_ILU0)),
+            mesh_file=mesh_file,
+            geometry=geometry,
+            atoms_file=_text(scalars, "atoms"),
+            output_dir=_text(scalars, "output_dir", "."),
+            max_outer=_number(scalars, "max_outer", MAX_OUTER_DEFAULT, int),
+            profile_bins=_number(scalars, "profile_bins", PROFILE_BINS_DEFAULT, int),
+            pore_mask_radius=_number(scalars, "pore_mask_radius"),
+        )
 
 
 def _build_species(blocks, theta):
     if not blocks:
         raise ConfigError("at least one [species] block is required")
-    if theta <= 0:
-        raise ConfigError("theta must be positive")
     out = []
     for idx, block in enumerate(blocks):
         label = "species block %d" % (idx + 1)
-        name = _pop_str(block, "name")
-        if not name:
-            raise ConfigError("%s: missing name" % label)
-        Z = _pop_int(block, "Z")
-        if Z is None:
-            raise ConfigError("%s: missing Z" % label)
-        v = _pop_float(block, "v")
-        radius = _pop_float(block, "radius")
+        for key in ("name", "Z", "c_b", "D_b"):
+            if not _text(block, key):
+                raise ConfigError("%s: missing %s" % (label, key))
+        v = _number(block, "v")
+        radius = _number(block, "radius")
         if (v is None) == (radius is None):
             raise ConfigError("%s: give exactly one of v, radius" % label)
         if radius is not None:
-            v = volume_from_radius(radius)
-        c_b = _pop_float(block, "c_b")
-        D_b = _pop_float(block, "D_b")
-        if c_b is None or D_b is None:
-            raise ConfigError("%s: missing c_b or D_b" % label)
-        D_c = _pop_float(block, "D_c", theta * D_b)
-        try:
-            out.append(IonSpecies(name, Z, v, c_b, D_b, D_c))
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (label, exc))
-    try:
+            try:
+                v = volume_from_radius(radius)
+            except OverflowError:
+                raise ConfigError("line %d: radius %r has no finite volume"
+                                  % (block["radius"][0], radius)) from None
+        D_b = _number(block, "D_b")
+        with _naming_lines(block):
+            out.append(IonSpecies(_text(block, "name"), _number(block, "Z", kind=int), v,
+                                  _number(block, "c_b"), D_b,
+                                  _number(block, "D_c", theta * D_b)))
+    with _naming_lines(*blocks):
         return SpeciesSet(out)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
 
 @dataclass
@@ -301,7 +301,6 @@ def run(config: RunConfig):
     clock = _PhaseClock()
     constants = config.constants
     species = config.species
-    species.check_bulk_feasible(constants.gamma)
     mesh = config.build_mesh()
     clock.mark("mesh")
     submesh = meshmod.extract_solvent_submesh(mesh)
@@ -401,24 +400,21 @@ def export_vtk(path, mesh: meshmod.LabeledMesh, point_data):
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("smpnp solution\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.num_vertices)
-        for p in mesh.vertices:
-            fh.write("%g %g %g\n" % tuple(p))
+        meshmod.write_rows(fh, "%g %g %g\n", mesh.vertices)
         m = mesh.num_tets
         fh.write("CELLS %d %d\n" % (m, 5 * m))
-        for tet in mesh.tets:
-            fh.write("4 %d %d %d %d\n" % tuple(tet))
+        meshmod.write_rows(fh, "4 %d %d %d %d\n", mesh.tets)
         fh.write("CELL_TYPES %d\n" % m)
         fh.write("10\n" * m)
         fh.write("CELL_DATA %d\nSCALARS region int 1\nLOOKUP_TABLE default\n" % m)
-        for r in mesh.tet_regions:
-            fh.write("%d\n" % r)
+        meshmod.write_rows(fh, "%d\n", mesh.tet_regions)
         fh.write("POINT_DATA %d\n" % mesh.num_vertices)
         for name, values in point_data.items():
             values = np.asarray(values, dtype=float)
             if values.shape != (mesh.num_vertices,):
                 raise ValueError("field %r is not nodal on the box mesh" % name)
             fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % _vtk_name(name))
-            fh.write("".join("%g\n" % v for v in values))
+            meshmod.write_rows(fh, "%g\n", values)
 
 
 def solution_point_data(result: RunResult):
@@ -542,7 +538,6 @@ def _cmd_check(args):
     mesh = config.build_mesh()
     meshmod.extract_solvent_submesh(mesh)
     config.build_atoms()
-    config.species.check_bulk_feasible(config.constants.gamma)
     print("config ok: %d vertices, %d tets, %d species"
           % (mesh.num_vertices, mesh.num_tets, len(config.species)))
     return 0

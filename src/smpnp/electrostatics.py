@@ -88,8 +88,8 @@ def load_atoms(path):
 def save_atoms(atoms: AtomicCharges, path):
     with open(path, "w") as fh:
         fh.write("atoms %d\n" % len(atoms))
-        for p, z in zip(atoms.positions, atoms.charges):
-            fh.write("%.17g %.17g %.17g %.17g\n" % (p[0], p[1], p[2], z))
+        meshmod.write_rows(fh, "%.17g %.17g %.17g %.17g\n",
+                           np.column_stack([atoms.positions, atoms.charges]))
 
 
 def _pair_offsets(points, atoms: AtomicCharges, first=0):

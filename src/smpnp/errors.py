@@ -1,6 +1,16 @@
 """Exception types shared across the solver."""
 
 
+def require(ok, error, message, *fields):
+    """Raise ``error(message)`` unless ``ok``; its ``fields`` attribute names
+    the input fields whose rule failed, so that a parser can name the lines
+    they came from."""
+    if not ok:
+        exc = error(message)
+        exc.fields = fields
+        raise exc
+
+
 class SmpnpError(Exception):
     """Base class for all solver errors."""
 

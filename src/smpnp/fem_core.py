@@ -56,7 +56,8 @@ def p1_gradients(mesh):
     jac = p[:, 1:] - p[:, :1]  # rows: edge vectors
     det = np.linalg.det(jac)
     if np.any(det <= 0.0):
-        raise MeshError("inverted element %d" % int(np.argmax(det <= 0.0)))
+        t = int(np.argmax(det <= 0.0))
+        raise MeshError("inverted tet index %d (signed volume %.3e)" % (t, det[t] / 6.0))
     inv = np.linalg.inv(jac)
     grads = np.empty((len(det), 4, 3))
     grads[:, 1:] = np.transpose(inv, (0, 2, 1))

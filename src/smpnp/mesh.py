@@ -9,11 +9,12 @@ On the solvent submesh the two solvent-facing interface labels collapse to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError, MeshFormatError
+from . import fem_core
+from .errors import MeshError, MeshFormatError, require
 
 SOLVENT, PROTEIN, MEMBRANE = 1, 2, 3
 GAMMA_P, GAMMA_M, GAMMA_PM, GAMMA_D, GAMMA_N = 1, 2, 3, 4, 5
@@ -26,20 +27,14 @@ _FACET_LABELS = (GAMMA_P, GAMMA_M, GAMMA_PM, GAMMA_D, GAMMA_N)
 _GEOM_TOL = 1.0e-9
 
 
-def tet_volumes(vertices, tets):
-    """Signed volumes of the given tets."""
-    p = vertices[tets]
-    return np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
-
-
 @dataclass
 class LabeledMesh:
     """Tetrahedral mesh of the box with region and facet labels.
 
     ``box`` is (x1, x2, y1, y2, z1, z2) in A; ``z1``/``z2`` are the membrane
     plane heights.  Immutable by convention after construction/validation:
-    ``fem_core.p1_operator`` stores the mesh's P1 geometry on it at the
-    first assembly.
+    ``validate`` stores the mesh's P1 geometry (``fem_core.p1_operator``)
+    on it, and every assembly reuses it.
     """
 
     vertices: np.ndarray  # (N, 3) float
@@ -63,12 +58,10 @@ class LabeledMesh:
         """Check every LabeledMesh invariant; raise MeshError on failure.
 
         ``face_table`` is ``_face_owners(self.tets, self.num_vertices)``
-        when the caller has already built it; None builds it here.
+        when the caller has already built it; None builds it here.  The P1
+        geometry built here rejects an inverted tet.
         """
-        vols = tet_volumes(self.vertices, self.tets)
-        bad = np.nonzero(vols <= 0.0)[0]
-        if bad.size:
-            raise MeshError("inverted tet index %d (signed volume %.3e)" % (bad[0], vols[bad[0]]))
+        fem_core.p1_operator(self)
         unknown = set(np.unique(self.tet_regions)) - set(_REGIONS)
         if unknown:
             raise MeshError("unknown region tag %s" % sorted(unknown)[0])
@@ -202,6 +195,19 @@ def parse_count(tok, ln, name, expected):
     return n
 
 
+# rows per ``%`` in write_rows: bounds the formatted block's size
+_ROW_BLOCK = 4096
+
+
+def write_rows(fh, fmt, rows):
+    """Write ``fmt % tuple(row)`` for each row of the array ``rows`` (the
+    rows of a 1-D array are its entries), formatting a block of _ROW_BLOCK
+    rows with one ``%``."""
+    for first in range(0, len(rows), _ROW_BLOCK):
+        block = rows[first:first + _ROW_BLOCK]
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def read_text_lines(path, error=MeshFormatError):
     """The lines of the UTF-8 text file ``path``; a byte that is not UTF-8
     raises ``error`` naming the file and the line."""
@@ -287,14 +293,11 @@ def save_mesh(mesh: LabeledMesh, path):
     with open(path, "w") as fh:
         fh.write("smpnp-mesh 1\n")
         fh.write("vertices %d\n" % mesh.num_vertices)
-        for p in mesh.vertices:
-            fh.write("%.17g %.17g %.17g\n" % tuple(p))
+        write_rows(fh, "%.17g %.17g %.17g\n", mesh.vertices)
         fh.write("tets %d\n" % mesh.num_tets)
-        for tet, reg in zip(mesh.tets, mesh.tet_regions):
-            fh.write("%d %d %d %d %d\n" % (tet[0], tet[1], tet[2], tet[3], reg))
+        write_rows(fh, "%d %d %d %d %d\n", np.column_stack([mesh.tets, mesh.tet_regions]))
         fh.write("facets %d\n" % len(mesh.facets))
-        for f, lab in zip(mesh.facets, mesh.facet_labels):
-            fh.write("%d %d %d %d\n" % (f[0], f[1], f[2], lab))
+        write_rows(fh, "%d %d %d %d\n", np.column_stack([mesh.facets, mesh.facet_labels]))
         fh.write("box %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g\n"
                  % (mesh.box + (mesh.z1, mesh.z2)))
 
@@ -319,17 +322,23 @@ class ChannelGeometry:
     resolution: int = 12
 
     def __post_init__(self):
+        for name in ("box", "z1", "z2", "pore_radius", "shell_radius"):
+            value = getattr(self, name)
+            require(np.all(np.isfinite(value)), MeshError,
+                    "%s must be finite, got %r" % (name, value), name)
         x1, x2, y1, y2, zlo, zhi = self.box
-        if not (x1 < x2 and y1 < y2):
-            raise MeshError("box must satisfy x1 < x2 and y1 < y2")
-        if not (zlo < self.z1 < self.z2 < zhi):
-            raise MeshError("membrane planes must satisfy L_z1 < Z1 < Z2 < L_z2")
-        if not (self.pore_radius >= 0 and self.shell_radius >= 0):
-            raise MeshError("pore and shell radii must not be negative")
-        if self.pore_radius > 0 and self.pore_radius >= self.shell_radius:
-            raise MeshError("pore radius must be smaller than shell radius")
-        if self.resolution < 2:
-            raise MeshError("resolution must be at least 2 cells per direction")
+        require(x1 < x2 and y1 < y2, MeshError, "box must satisfy x1 < x2 and y1 < y2", "box")
+        require(zlo < self.z1 < self.z2 < zhi, MeshError,
+                "membrane planes must satisfy L_z1 < Z1 < Z2 < L_z2", "box", "z1", "z2")
+        for name in ("pore_radius", "shell_radius"):
+            value = getattr(self, name)
+            require(value >= 0, MeshError, "pore and shell radii must not be negative, "
+                    "got %s = %r" % (name, value), name)
+        require(self.pore_radius == 0 or self.pore_radius < self.shell_radius, MeshError,
+                "pore radius must be smaller than shell radius", "pore_radius", "shell_radius")
+        require(isinstance(self.resolution, (int, np.integer)) and self.resolution >= 2,
+                MeshError, "resolution must be an integer of at least 2 cells per "
+                "direction, got %r" % (self.resolution,), "resolution")
 
 
 def structured_box(box, n):

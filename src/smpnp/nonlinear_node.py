@@ -164,6 +164,8 @@ def damped_fixed_point(sweep, state, norms, feasible, omega, eps, max_sweeps, la
     k, res_<block> (the damped increment), the extra values and aa_depth,
     the number of differences mixed (0 for a plain damped step).
     """
+    if max_sweeps < 1:
+        raise ValueError("%s: max_sweeps must be at least 1, got %r" % (label, max_sweeps))
     names = list(state)
     shapes = [np.shape(state[name]) for name in names]
     sizes = [int(np.prod(shape)) for shape in shapes]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import scipy.constants as sc
 
-from .errors import FeasibilityError
+from .errors import FeasibilityError, require
 
 TEMPERATURE = 298.15  # Kelvin
 
@@ -36,16 +36,13 @@ def compute_coupling_constants(T=TEMPERATURE):
     return alpha, beta, tau, gamma
 
 
-_ALPHA, _BETA, _TAU, _GAMMA = compute_coupling_constants()
-
-
 def _require_finite(obj):
     """Raise ValueError naming a numeric field of dataclass ``obj`` that is
     not finite."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.name != "name" and not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (f.name, value))
+        require(f.name == "name" or math.isfinite(value), ValueError,
+                "%s must be finite, got %r" % (f.name, value), f.name)
 
 
 def volume_from_radius(radius):
@@ -67,19 +64,18 @@ class IonSpecies:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.c_b <= 0:
-            raise ValueError("bulk concentration must be positive: %s" % self.name)
-        if self.D_b <= 0 or self.D_c <= 0:
-            raise ValueError("diffusion constants must be positive: %s" % self.name)
-        if self.v < 0:
-            raise ValueError("ion volume must be nonnegative: %s" % self.name)
+        for name in ("c_b", "D_b", "D_c"):
+            require(getattr(self, name) > 0, ValueError,
+                    "%s must be positive: %s" % (name, self.name), name)
+        require(self.v >= 0, ValueError, "ion volume must be nonnegative: %s" % self.name, "v")
 
 
 class SpeciesSet:
     """Ordered collection of at most 8 species with cached numpy views.
 
     Sizes are either all positive (size-modified mode) or all zero (classical
-    PNP reduction); mixing is rejected.  In reduction mode the reference
+    PNP reduction); mixing is rejected, and so is a bulk packing fraction
+    gamma * sum(v_i c_i^b) of 1 or more.  In reduction mode the reference
     volume v0 is conventionally 1, so every exponent v_i/v0 is 0 and each
     size factor w^(v_i/v0) is exactly 1.
     """
@@ -94,14 +90,13 @@ class SpeciesSet:
         self.c_b = np.array([s.c_b for s in species], dtype=float)
         self.D_b = np.array([s.D_b for s in species], dtype=float)
         self.D_c = np.array([s.D_c for s in species], dtype=float)
-        if np.all(self.v == 0.0):
-            self.size_mode = False
-            self.v0 = 1.0
-        elif np.all(self.v > 0.0):
-            self.size_mode = True
-            self.v0 = float(self.v.min())
-        else:
-            raise ValueError("ion volumes must be all positive or all zero")
+        self.size_mode = bool(np.all(self.v > 0.0))
+        require(self.size_mode or np.all(self.v == 0.0), ValueError,
+                "ion volumes must be all positive or all zero", "v")
+        self.v0 = float(self.v.min()) if self.size_mode else 1.0
+        frac = ModelConstants.gamma * float(self.v @ self.c_b)
+        require(frac < 1.0, FeasibilityError, "bulk volume fraction %.6f >= 1; species set "
+                "infeasible" % frac, "v", "c_b")
 
     def __len__(self):
         return len(self.species)
@@ -117,14 +112,6 @@ class SpeciesSet:
     def v_ratio(self):
         """Exponents v_i / v0 (zeros in reduction mode)."""
         return self.v / self.v0
-
-    def check_bulk_feasible(self, gamma):
-        """Raise if the bulk packing fraction gamma*sum(v_i c_i^b) >= 1."""
-        frac = gamma * float(self.v @ self.c_b)
-        if frac >= 1.0:
-            raise FeasibilityError(
-                "bulk volume fraction %.6f >= 1; species set infeasible" % frac
-            )
 
 
 #: Ionic radii (A) behind the four-species mixture Cl-, NO3-, Na+, K+.
@@ -151,12 +138,10 @@ def mixture_species(c_b=0.1, theta=0.055, sized=True):
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """All scalar model parameters of a run."""
+    """All scalar model parameters of a run, and the CODATA coupling
+    constants, which are class constants, not parameters."""
 
-    alpha: float = _ALPHA
-    beta: float = _BETA
-    tau: float = _TAU
-    gamma: float = _GAMMA
+    alpha, beta, tau, gamma = compute_coupling_constants()
     eps_p: float = 2.0
     eps_m: float = 2.0
     eps_s: float = 80.0
@@ -170,14 +155,13 @@ class ModelConstants:
 
     def __post_init__(self):
         _require_finite(self)
-        if not 0.0 < self.omega < 1.0:
-            raise ValueError("damping omega must lie in (0, 1)")
-        if min(self.alpha, self.beta, self.tau, self.gamma, self.cap, self.eps_s,
-               self.eps_p, self.eps_m, self.eps_outer) <= 0:
-            raise ValueError("alpha, beta, tau, gamma, cap, eps_s, eps_p, eps_m, "
-                             "eps_outer must be positive")
-        if self.eta < 0:
-            raise ValueError("buffer thickness eta must be nonnegative")
+        require(0.0 < self.omega < 1.0, ValueError,
+                "damping omega must lie in (0, 1), got %r" % self.omega, "omega")
+        for name in ("cap", "eps_s", "eps_p", "eps_m", "eps_outer"):
+            value = getattr(self, name)
+            require(value > 0, ValueError, "%s must be positive, got %r" % (name, value), name)
+        require(self.eta >= 0, ValueError,
+                "buffer thickness eta must be nonnegative, got %r" % self.eta, "eta")
 
     def with_(self, **kw):
         return replace(self, **kw)
@@ -237,7 +221,6 @@ def boundary_conc(species: SpeciesSet, side, constants: ModelConstants):
     u = {"bottom": constants.u_b, "top": constants.u_t}.get(side)
     if u is None:
         raise ValueError("side must be 'bottom' or 'top'")
-    species.check_bulk_feasible(constants.gamma)
     return slotboom_forward(u, species.c_b, species, constants)
 
 

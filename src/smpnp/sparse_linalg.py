@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import LinearSolveError, SingularMatrixError
+from .errors import LinearSolveError, SingularMatrixError, require
 
 logger = logging.getLogger(__name__)
 
@@ -90,8 +90,8 @@ class LinearSolveSpec:
                               compare=False, repr=False)
 
     def __post_init__(self):
-        if self.method not in (DIRECT, KRYLOV_ILU0):
-            raise ValueError("unknown linear solve method %r" % self.method)
+        require(self.method in (DIRECT, KRYLOV_ILU0), ValueError,
+                "unknown linear solve method %r" % self.method, "method")
 
 
 def _as_sorted_csr(A):

@@ -6,7 +6,6 @@ import numpy as np
 
 from smpnp import fem_core, transport
 from smpnp.errors import FeasibilityError, MeshError
-from smpnp.mesh import tet_volumes
 from smpnp.physics_model import (ModelConstants, SpeciesSet, mixture_species,
                                  slotboom_forward, water_fraction)
 
@@ -43,7 +42,7 @@ def l2_diff(mesh, f, g, mass=None):
 
 def region_volume(mesh, region):
     """Total volume of the tets labelled ``region``."""
-    vols = tet_volumes(mesh.vertices, mesh.tets)
+    vols = fem_core.p1_operator(mesh).volumes
     return float(vols[mesh.tet_regions == region].sum())
 
 

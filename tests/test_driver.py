@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -88,7 +89,8 @@ D_b = 0.196
      "only applies"),
     ("mesh = synth\nresolution = small\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n",
      "must be an integer"),
-    ("mesh = synth\nomega = 2\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n", "omega"),
+    ("mesh = synth\nomega = 2\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n",
+     r"line 2: damping omega must lie in \(0, 1\), got 2.0"),
     ("mesh = synth\n", "at least one"),
     ("mesh = synth\nnot a pair\n", "key = value"),
     ("mesh = synth\nbox = -20 20 -20 20 -30 abc\n", "line 2: box needs 6 numbers"),
@@ -104,24 +106,91 @@ D_b = 0.196
            ("theta = nan", "line 2: theta must be a finite number"),
            ("cap = inf", "line 2: cap must be a finite number"),
            ("sigma = -inf", "line 2: sigma must be a finite number"),
-           ("eps_s = -80", "eps_outer must be positive"),
-           ("eps_p = 0", "eps_outer must be positive"),
-           ("eps_outer = 0", "eps_outer must be positive"),
-           ("eta = -3", "eta must be nonnegative"))),
+           ("eps_s = -80", "line 2: eps_s must be positive, got -80.0"),
+           ("eps_p = 0", "line 2: eps_p must be positive, got 0.0"),
+           ("eps_outer = 0", "line 2: eps_outer must be positive"),
+           ("eta = -3", "line 2: buffer thickness eta must be nonnegative"),
+           ("cap = 0", "line 2: cap must be positive"),
+           ("theta = -1", "line 2: theta must be positive"),
+           ("solver = gmres", "line 2: unknown linear solve method 'gmres'"),
+           ("max_outer = 0", "line 2: max_outer must be at least 1, got 0"),
+           ("profile_bins = 0", "line 2: profile_bins must be at least 1, got 0"))),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 0\nc_b = nan\nD_b = 0.1\n",
      "line 6: c_b must be a finite number"),
+    ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 0\nc_b = -1\nD_b = 0.1\n",
+     "line 6: c_b must be positive: A"),
+    # the volumes of all species blocks are one rule: it names every v line
+    ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n"
+     "[species]\nname = B\nZ = -1\nradius = 1\nc_b = 0.1\nD_b = 0.1\n",
+     "lines 5, 11: ion volumes must be all positive or all zero"),
+    ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 1000\nc_b = 10\nD_b = 0.1\n",
+     "lines 5, 6: bulk volume fraction 6.02"),
+    ("mesh = synth\n[species]\nname = A\nZ = 1\nradius = 1e200\nc_b = 0.1\nD_b = 0.1\n",
+     "line 5: radius 1e[+]200 has no finite volume"),
+    ("mesh = synth\n[species]\nname = A\nZ = 1\nradius = -1\nc_b = 0.1\nD_b = 0.1\n",
+     "line 5: ion volume must be nonnegative"),
     # geometry that would otherwise be read as another one or fail later
     *(("mesh = synth\n%s\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n" % line,
        match) for line, match in (
-           ("pore_radius = -6", "line 2: pore_radius must not be negative, got '-6'"),
-           ("shell_radius = -1", "line 2: shell_radius must not be negative"),
-           ("box = 20 -20 -20 20 -30 30", "line 2: box needs x1 < x2 and y1 < y2"),
-           ("box = -20 20 5 5 -30 30", "line 2: box needs x1 < x2 and y1 < y2"),
-           ("pore_mask_radius = -3", "line 2: pore_mask_radius must not be negative"))),
+           ("pore_radius = -6",
+            "line 2: pore and shell radii must not be negative, got pore_radius = -6.0"),
+           ("shell_radius = -1",
+            "line 2: pore and shell radii must not be negative, got shell_radius = -1.0"),
+           ("box = 20 -20 -20 20 -30 30", "line 2: box must satisfy x1 < x2 and y1 < y2"),
+           ("box = -20 20 5 5 -30 30", "line 2: box must satisfy x1 < x2 and y1 < y2"),
+           ("pore_mask_radius = -3",
+            "line 2: pore_mask_radius must be finite and not negative"),
+           ("membrane_z1 = 40", "line 2: membrane planes must satisfy"),
+           ("membrane_z1 = 5\nmembrane_z2 = -5", "lines 2, 3: membrane planes must satisfy"),
+           ("box = -20 20 -20 20 -10 10\nresolution = 6",
+            "line 2: membrane planes must satisfy"),
+           ("resolution = 1", "line 2: resolution must be an integer of at least 2"),
+           ("pore_radius = 20", "line 2: pore radius must be smaller than shell radius"),
+           ("shell_radius = 4\npore_radius = 5",
+            "lines 2, 3: pore radius must be smaller than shell radius"))),
 ])
 def test_parse_config_errors(tmp_path, text, match):
     with pytest.raises(ConfigError, match=match):
         driver.parse_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(max_outer=0), "max_outer must be at least 1"),
+    (dict(profile_bins=0), "profile_bins must be at least 1"),
+    (dict(pore_mask_radius=-3.0), "pore_mask_radius must be finite and not negative"),
+    (dict(pore_mask_radius=float("nan")), "pore_mask_radius must be finite"),
+    (dict(geometry=None), "give a mesh file or a geometry"),
+])
+def test_run_config_rejects_bad_values(kwargs, match):
+    # refused when built, not deep inside run or write_outputs
+    fields = dict(species=mixture_species(), constants=ModelConstants(),
+                  linear=sparse_linalg.LinearSolveSpec(),
+                  geometry=meshmod.ChannelGeometry(resolution=4))
+    fields.update(kwargs)
+    with pytest.raises(ConfigError, match=match):
+        driver.RunConfig(**fields)
+
+
+def test_readme_config_example_parses(tmp_path):
+    # the documented keys cannot drift away from the parser
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Configuration file", 1)[1]
+    example = section.split("```", 2)[1].split("\n", 1)[1]
+    config = driver.parse_config(_write(tmp_path, example))
+    assert len(config.species) >= 1
+
+
+def test_cli_mesh_synth_rejects_infinite_box(tmp_path, caplog):
+    out = tmp_path / "inf.mesh"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = driver.main(["mesh", "synth", "--out", str(out),
+                          "--box", "-20", "20", "-20", "20", "-30", "inf"])
+    assert rc == 1
+    assert "box must be finite" in caplog.text
+    assert not out.exists()
 
 
 def test_parse_config_rejects_restart(tmp_path):
@@ -239,11 +308,14 @@ def test_run_builds_each_weight_map_once(monkeypatch):
                               constants=ModelConstants(sigma=-1.0, u_t=1.5),
                               linear=sparse_linalg.LinearSolveSpec(method="direct"),
                               geometry=meshmod.ChannelGeometry(resolution=6))
-    with mock.patch.object(fem_core, "p1_gradients", wraps=fem_core.p1_gradients) as spy:
+    with mock.patch.object(fem_core, "p1_gradients", wraps=fem_core.p1_gradients) as spy, \
+            mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det:
         result = driver.run(config)
     assert result.iterations > 1
     assert len(built) == 4
     assert spy.call_count == 1
+    # mesh validation takes its volumes from the same P1 geometry
+    assert det.call_count == 1
 
 
 @pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])

@@ -1,3 +1,5 @@
+import io
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,8 +19,22 @@ def test_structured_box_counts():
 
 def test_structured_box_positive_volumes():
     verts, tets = meshmod.structured_box((0, 1, 0, 1, 0, 1), 2)
-    assert np.all(meshmod.tet_volumes(verts, tets) > 0)
-    assert np.isclose(meshmod.tet_volumes(verts, tets).sum(), 1.0)
+    _, vols = fem_core.p1_gradients(SimpleNamespace(vertices=verts, tets=tets))
+    assert np.all(vols > 0)
+    assert np.isclose(vols.sum(), 1.0)
+
+
+def test_write_rows_matches_one_line_per_row():
+    # blocks of _ROW_BLOCK rows, a partial last block, 1-D and 2-D arrays
+    rng = np.random.default_rng(3)
+    reals = rng.standard_normal((2 * meshmod._ROW_BLOCK + 5, 3)) * 1e3
+    ints = rng.integers(-9, 10 ** 6, size=(meshmod._ROW_BLOCK + 1, 4))
+    for fmt, rows in (("%g %g %g\n", reals), ("%.17g %.17g %.17g\n", reals),
+                      ("%d %d %d %d\n", ints), ("%d\n", ints[:, 0]), ("%g\n", reals[:, 0]),
+                      ("%d\n", ints[:0, 0])):
+        out = io.StringIO()
+        meshmod.write_rows(out, fmt, rows)
+        assert out.getvalue() == "".join(fmt % tuple(np.atleast_1d(row)) for row in rows)
 
 
 def test_load_minimal_cube(tmp_path):
@@ -124,6 +140,27 @@ def test_geometry_rejects_bad_box_and_radii(kwargs, match):
     # inverted tets
     with pytest.raises(MeshError, match=match):
         meshmod.ChannelGeometry(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,fields", [
+    (dict(box=(-20.0, 20.0, -20.0, 20.0, -30.0, np.inf)), ("box",)),
+    (dict(box=(np.nan, 20.0, -20.0, 20.0, -30.0, 30.0)), ("box",)),
+    (dict(z1=-np.inf), ("z1",)),
+    (dict(z2=np.nan), ("z2",)),
+    (dict(pore_radius=np.nan), ("pore_radius",)),
+    (dict(shell_radius=np.inf), ("shell_radius",)),
+    (dict(resolution=12.5), ("resolution",)),
+    (dict(resolution=12.0), ("resolution",)),
+    (dict(z1=40.0), ("box", "z1", "z2")),
+    (dict(pore_radius=20.0), ("pore_radius", "shell_radius")),
+    (dict(resolution=1), ("resolution",)),
+])
+def test_geometry_names_the_fields_of_a_broken_rule(kwargs, fields):
+    # a non-finite number or a non-integer resolution is refused before it
+    # reaches the mesh; the error names the fields, for the config lines
+    with pytest.raises(MeshError) as err:
+        meshmod.ChannelGeometry(**kwargs)
+    assert err.value.fields == fields
 
 
 def test_region_volumes_near_analytic(channel_mesh):

@@ -275,6 +275,22 @@ def test_fixed_point_loop_stops_on_undamped_residual():
         [omega * r for r in undamped], rel=1e-12)
 
 
+def test_fixed_point_loop_rejects_no_sweeps():
+    # refused up front, naming the loop, before a sweep runs
+    def sweep(x, relax):
+        raise AssertionError("sweep ran")
+
+    with pytest.raises(ValueError, match="halving: max_sweeps must be at least 1, got 0"):
+        nn.damped_fixed_point(sweep, {"x": np.ones(1)}, {"x": np.linalg.norm},
+                              lambda x: True, 0.5, 0.01, 0, "halving")
+    sub = SimpleNamespace(num_vertices=4, parent=SimpleNamespace(num_vertices=4),
+                          restrict=lambda f: f)
+    norm = lambda f: float(np.linalg.norm(f))  # noqa: E731
+    with pytest.raises(ValueError, match="equilibrium initializer: max_sweeps"):
+        nn.solve_smpbic(sub, np.zeros(4), mixture_species(), CONST,
+                        lambda c: np.zeros(4), norm, norm, max_sweeps=0)
+
+
 def test_fixed_point_loop_falls_back_on_infeasible_mix(rng):
     A, b, x_star = _affine_problem(rng)
     calls = []

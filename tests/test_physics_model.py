@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,6 +53,10 @@ def test_species_set_validation():
         SpeciesSet([good] * 9)
     with pytest.raises(ValueError, match="all positive or all zero"):
         SpeciesSet([good, zero])
+    # the bulk packing fraction gamma * v * c_b = 6.0 is refused with the set
+    with pytest.raises(FeasibilityError, match="bulk volume fraction") as err:
+        SpeciesSet([IonSpecies("A", 1, 1000.0, 10.0, 1.0, 0.1)])
+    assert err.value.fields == ("v", "c_b")
     with pytest.raises(ValueError):
         IonSpecies("C", 1, 10.0, -0.1, 1.0, 0.1)
     with pytest.raises(ValueError):
@@ -70,17 +75,23 @@ def test_reduction_mode_exponents():
 
 
 def test_model_constants_validation():
-    with pytest.raises(ValueError):
-        ModelConstants(omega=1.0)
-    with pytest.raises(ValueError):
-        ModelConstants(gamma=-1.0)
-    # every field finite, permittivities and the tolerance positive, eta >= 0
-    for bad in (dict(eps_s=-80.0), dict(eps_p=0.0), dict(eps_m=-2.0), dict(u_t=math.nan),
-                dict(sigma=math.inf), dict(eps_outer=0.0), dict(cap=math.inf),
-                dict(eta=-3.0)):
-        with pytest.raises(ValueError):
+    # every field finite, omega in (0, 1), permittivities, cap and the
+    # tolerance positive, eta >= 0; each message names its one field
+    for bad in (dict(omega=1.0), dict(eps_s=-80.0), dict(eps_p=0.0), dict(eps_m=-2.0),
+                dict(u_t=math.nan), dict(sigma=math.inf), dict(eps_outer=0.0),
+                dict(cap=math.inf), dict(cap=0.0), dict(eta=-3.0)):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name) as err:
             ModelConstants(**bad)
+        assert err.value.fields == (name,)
     assert ModelConstants(eta=0.0).eta == 0.0
+
+
+def test_coupling_constants_are_not_parameters():
+    assert {"alpha", "beta", "tau", "gamma"}.isdisjoint(
+        f.name for f in dataclasses.fields(ModelConstants))
+    assert ((CONST.alpha, CONST.beta, CONST.tau, CONST.gamma)
+            == compute_coupling_constants())
 
 
 def test_capped_exp():
