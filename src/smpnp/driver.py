@@ -39,9 +39,6 @@ _CONSTANT_KEYS = ("u_b", "u_t", "sigma", "eta", "cap", "omega",
                   "eps_outer", "eps_s", "eps_p", "eps_m")
 _GEOMETRY_KEYS = ("box", "membrane_z1", "membrane_z2", "pore_radius",
                   "shell_radius", "resolution")
-_GLOBAL_KEYS = _CONSTANT_KEYS + _GEOMETRY_KEYS + (
-    "mesh", "solver", "theta", "atoms", "output_dir", "max_outer", "profile_bins",
-    "pore_mask_radius")
 _SPECIES_KEYS = ("name", "Z", "v", "radius", "c_b", "D_b", "D_c")
 #: The config keys of each field whose name is not its key.
 _FIELD_KEYS = {"z1": ("membrane_z1",), "z2": ("membrane_z2",), "method": ("solver",),
@@ -94,6 +91,17 @@ class RunConfig:
         return None  # no pore: average over all solvent nodes
 
 
+class _Section(dict):
+    """Global config keys -> (line, text); a key never read is unknown."""
+
+    def __init__(self):
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return dict.__getitem__(self, key)
+
+
 def _config_lines(path):
     for ln, raw in enumerate(meshmod.read_text_lines(path, ConfigError), start=1):
         text = raw.split("#", 1)[0].strip()
@@ -110,7 +118,7 @@ def parse_config(path):
     the syntax; each value's range is checked by the type that holds it,
     and an error names the lines of the keys it is about.
     """
-    scalars = {}
+    scalars = _Section()
     species_blocks = []
     current = scalars
     for ln, text in _config_lines(path):
@@ -123,8 +131,6 @@ def parse_config(path):
         key, val = (part.strip() for part in text.split("=", 1))
         if key in current:
             raise ConfigError("line %d: duplicate key %r" % (ln, key))
-        if current is scalars and key not in _GLOBAL_KEYS:
-            raise ConfigError("line %d: unknown key %r" % (ln, key))
         if current is not scalars and key not in _SPECIES_KEYS:
             raise ConfigError("line %d: unknown species key %r" % (ln, key))
         current[key] = (ln, val)
@@ -132,15 +138,16 @@ def parse_config(path):
 
 
 @contextlib.contextmanager
-def _naming_lines(*tables):
+def _naming_lines(*tables, keys=_FIELD_KEYS):
     """Re-raise a ValueError or SmpnpError of the block as a ConfigError
     that names the lines, in ``tables``, of the keys of the fields whose
-    rule failed (the error's ``fields``, see ``errors.require``)."""
+    rule failed (the error's ``fields``, see ``errors.require``); ``keys``
+    maps each field whose keys are not just its name to those keys."""
     try:
         yield
     except (ValueError, SmpnpError) as exc:
         found = sorted(table[key][0] for name in getattr(exc, "fields", ())
-                       for key in _FIELD_KEYS.get(name, (name,))
+                       for key in keys.get(name, (name,))
                        for table in tables if key in table)
         where = "line%s %s: " % ("s" * (len(found) > 1), ", ".join(map(str, found)))
         raise ConfigError((where if found else "") + str(exc)) from exc
@@ -199,13 +206,9 @@ def _build_config(scalars, species_blocks):
                 ln, _ = scalars[key]
                 raise ConfigError("line %d: %s only applies to mesh = synth" % (ln, key))
 
-    theta = _number(scalars, "theta", _DEFAULT_THETA)
-    if theta <= 0:
-        raise ConfigError("line %d: theta must be positive, got %r"
-                          % (scalars["theta"][0], theta))
     with _naming_lines(scalars):
-        return RunConfig(
-            species=_build_species(species_blocks, theta),
+        config = RunConfig(
+            species=_build_species(species_blocks, scalars),
             constants=ModelConstants(**{key: _number(scalars, key)
                                         for key in _CONSTANT_KEYS if key in scalars}),
             linear=sparse_linalg.LinearSolveSpec(
@@ -218,11 +221,19 @@ def _build_config(scalars, species_blocks):
             profile_bins=_number(scalars, "profile_bins", PROFILE_BINS_DEFAULT, int),
             pore_mask_radius=_number(scalars, "pore_mask_radius"),
         )
+    unknown = sorted(set(scalars) - scalars.read)
+    if unknown:
+        raise ConfigError("line %d: unknown key %r" % (scalars[unknown[0]][0], unknown[0]))
+    return config
 
 
-def _build_species(blocks, theta):
+def _build_species(blocks, scalars):
     if not blocks:
         raise ConfigError("at least one [species] block is required")
+    theta_line = {"theta": scalars["theta"]} if "theta" in scalars else {}
+    theta = _number(theta_line, "theta", _DEFAULT_THETA)
+    with _naming_lines(theta_line):
+        require(theta > 0, ValueError, "theta must be positive, got %r" % theta, "theta")
     out = []
     for idx, block in enumerate(blocks):
         label = "species block %d" % (idx + 1)
@@ -240,12 +251,16 @@ def _build_species(blocks, theta):
                 raise ConfigError("line %d: radius %r has no finite volume"
                                   % (block["radius"][0], radius)) from None
         D_b = _number(block, "D_b")
-        with _naming_lines(block):
+        # a D_c left out is theta * D_b: its errors name those lines
+        keys = _FIELD_KEYS if "D_c" in block else {**_FIELD_KEYS, "D_c": ("D_b", "theta")}
+        with _naming_lines(block, theta_line, keys=keys):
             out.append(IonSpecies(_text(block, "name"), _number(block, "Z", kind=int), v,
                                   _number(block, "c_b"), D_b,
                                   _number(block, "D_c", theta * D_b)))
     with _naming_lines(*blocks):
-        return SpeciesSet(out)
+        species = SpeciesSet(out)
+        species.check_bulk_feasible(ModelConstants.gamma)
+    return species
 
 
 @dataclass
@@ -301,6 +316,7 @@ def run(config: RunConfig):
     clock = _PhaseClock()
     constants = config.constants
     species = config.species
+    species.check_bulk_feasible(constants.gamma)
     mesh = config.build_mesh()
     clock.mark("mesh")
     submesh = meshmod.extract_solvent_submesh(mesh)

@@ -58,10 +58,11 @@ class LabeledMesh:
         """Check every LabeledMesh invariant; raise MeshError on failure.
 
         ``face_table`` is ``_face_owners(self.tets, self.num_vertices)``
-        when the caller has already built it; None builds it here.  The P1
-        geometry built here rejects an inverted tet.
+        when the caller has already built it; None builds it here.  Each
+        call builds the mesh's P1 geometry afresh, which rejects an inverted
+        tet, and stores it for ``fem_core.p1_operator``.
         """
-        fem_core.p1_operator(self)
+        self._p1_operator = fem_core.P1Operator(self)
         unknown = set(np.unique(self.tet_regions)) - set(_REGIONS)
         if unknown:
             raise MeshError("unknown region tag %s" % sorted(unknown)[0])

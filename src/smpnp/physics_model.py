@@ -74,8 +74,7 @@ class SpeciesSet:
     """Ordered collection of at most 8 species with cached numpy views.
 
     Sizes are either all positive (size-modified mode) or all zero (classical
-    PNP reduction); mixing is rejected, and so is a bulk packing fraction
-    gamma * sum(v_i c_i^b) of 1 or more.  In reduction mode the reference
+    PNP reduction); mixing is rejected.  In reduction mode the reference
     volume v0 is conventionally 1, so every exponent v_i/v0 is 0 and each
     size factor w^(v_i/v0) is exactly 1.
     """
@@ -94,9 +93,6 @@ class SpeciesSet:
         require(self.size_mode or np.all(self.v == 0.0), ValueError,
                 "ion volumes must be all positive or all zero", "v")
         self.v0 = float(self.v.min()) if self.size_mode else 1.0
-        frac = ModelConstants.gamma * float(self.v @ self.c_b)
-        require(frac < 1.0, FeasibilityError, "bulk volume fraction %.6f >= 1; species set "
-                "infeasible" % frac, "v", "c_b")
 
     def __len__(self):
         return len(self.species)
@@ -112,6 +108,12 @@ class SpeciesSet:
     def v_ratio(self):
         """Exponents v_i / v0 (zeros in reduction mode)."""
         return self.v / self.v0
+
+    def check_bulk_feasible(self, gamma):
+        """Raise if the bulk packing fraction gamma*sum(v_i c_i^b) >= 1."""
+        frac = gamma * float(self.v @ self.c_b)
+        require(frac < 1.0, FeasibilityError, "bulk volume fraction %.6f >= 1; species set "
+                "infeasible" % frac, "v", "c_b")
 
 
 #: Ionic radii (A) behind the four-species mixture Cl-, NO3-, Na+, K+.
@@ -221,6 +223,7 @@ def boundary_conc(species: SpeciesSet, side, constants: ModelConstants):
     u = {"bottom": constants.u_b, "top": constants.u_t}.get(side)
     if u is None:
         raise ValueError("side must be 'bottom' or 'top'")
+    species.check_bulk_feasible(constants.gamma)
     return slotboom_forward(u, species.c_b, species, constants)
 
 

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from smpnp import driver, fem_core, mesh as meshmod, nonlinear_node, sparse_linalg
-from smpnp.errors import ConfigError, ConvergenceError
+from smpnp.errors import ConfigError, ConvergenceError, FeasibilityError
 from smpnp.physics_model import ModelConstants, mixture_species
 
 
@@ -127,6 +127,16 @@ D_b = 0.196
      "lines 5, 6: bulk volume fraction 6.02"),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nradius = 1e200\nc_b = 0.1\nD_b = 0.1\n",
      "line 5: radius 1e[+]200 has no finite volume"),
+    # a D_c left out is theta * D_b: its errors name the lines of both
+    ("mesh = synth\ntheta = 1e300\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 1e10\n",
+     "lines 2, 8: D_c must be finite, got inf"),
+    ("mesh = synth\ntheta = 1e-300\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\n"
+     "D_b = 1e-300\n", "lines 2, 8: D_c must be positive: A"),
+    # a species key above the first [species] line is an unknown global key
+    ("mesh = synth\nc_b = 0.1\n[species]\nname = A\nZ = 1\nv = 0\nc_b = -1\nD_b = 0.1\n",
+     "line 7: c_b must be positive: A"),
+    ("mesh = synth\nc_b = 0.1\n[species]\nname = A\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n",
+     "line 2: unknown key 'c_b'"),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nradius = -1\nc_b = 0.1\nD_b = 0.1\n",
      "line 5: ion volume must be nonnegative"),
     # geometry that would otherwise be read as another one or fail later
@@ -169,6 +179,18 @@ def test_run_config_rejects_bad_values(kwargs, match):
     fields.update(kwargs)
     with pytest.raises(ConfigError, match=match):
         driver.RunConfig(**fields)
+
+
+def test_run_refuses_crowded_bulk_before_set_up():
+    # a set whose bulk packing fraction is 1.389 builds, and run refuses it
+    # before it builds the mesh
+    config = driver.RunConfig(species=mixture_species(c_b=20.0), constants=ModelConstants(),
+                              linear=sparse_linalg.LinearSolveSpec(),
+                              geometry=meshmod.ChannelGeometry(resolution=4))
+    with mock.patch.object(driver.RunConfig, "build_mesh") as build, \
+            pytest.raises(FeasibilityError, match="bulk volume fraction 1.389"):
+        driver.run(config)
+    assert build.call_count == 0
 
 
 def test_readme_config_example_parses(tmp_path):

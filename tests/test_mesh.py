@@ -110,6 +110,14 @@ def test_validate_rejects_inverted_tet():
         bad.validate()
 
 
+def test_validate_rechecks_a_tet_flipped_after_validation():
+    # each validate recomputes the geometry, not the stored operator's
+    mesh = meshmod.unit_cube_mesh(1)
+    mesh.tets[0, [0, 1]] = mesh.tets[0, [1, 0]]
+    with pytest.raises(MeshError, match="inverted tet index 0"):
+        mesh.validate()
+
+
 def test_synth_slab_only_geometry():
     geom = meshmod.ChannelGeometry(pore_radius=0.0, shell_radius=0.0,
                                    resolution=6)

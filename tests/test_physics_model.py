@@ -53,9 +53,11 @@ def test_species_set_validation():
         SpeciesSet([good] * 9)
     with pytest.raises(ValueError, match="all positive or all zero"):
         SpeciesSet([good, zero])
-    # the bulk packing fraction gamma * v * c_b = 6.0 is refused with the set
+    # a bulk packing fraction gamma * v * c_b = 6.0 builds a set that fails
+    # its feasibility check, naming the fields of the rule
+    crowded = SpeciesSet([IonSpecies("A", 1, 1000.0, 10.0, 1.0, 0.1)])
     with pytest.raises(FeasibilityError, match="bulk volume fraction") as err:
-        SpeciesSet([IonSpecies("A", 1, 1000.0, 10.0, 1.0, 0.1)])
+        crowded.check_bulk_feasible(ModelConstants.gamma)
     assert err.value.fields == ("v", "c_b")
     with pytest.raises(ValueError):
         IonSpecies("C", 1, 10.0, -0.1, 1.0, 0.1)
