@@ -59,9 +59,12 @@ class LabeledMesh:
 
         ``face_table`` is ``_face_owners(self.tets, self.num_vertices)``
         when the caller has already built it; None builds it here.  Each
-        call builds the mesh's P1 geometry afresh, which rejects an inverted
-        tet, and stores it for ``fem_core.p1_operator``.
+        call checks the vertex ids first, then builds the mesh's P1 geometry
+        afresh, which rejects an inverted tet, and stores it for
+        ``fem_core.p1_operator``.
         """
+        _check_vertex_ids(self.tets, self.num_vertices, "tet")
+        _check_vertex_ids(self.facets, self.num_vertices, "facet")
         self._p1_operator = fem_core.P1Operator(self)
         unknown = set(np.unique(self.tet_regions)) - set(_REGIONS)
         if unknown:
@@ -147,6 +150,12 @@ def _find_faces(keys, queries):
     return np.where((pos >= 0) & (keys[idx] == queries), idx, -1)
 
 
+def _check_vertex_ids(ids, n, what):
+    """Raise MeshError unless every vertex id in ``ids`` is in [0, n)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise MeshError("%s vertex index out of range" % what)
+
+
 def _face_owners(tets, n):
     """Unique faces of ``tets`` (vertex ids below ``n``) and their owners.
 
@@ -156,8 +165,7 @@ def _face_owners(tets, n):
     MeshError for a face shared by three or more tets.
     """
     tets = np.asarray(tets, dtype=np.int64)
-    if tets.size and (tets.min() < 0 or tets.max() >= n):
-        raise MeshError("tet vertex index out of range")
+    _check_vertex_ids(tets, n, "tet")
     slots = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
     _, first, inverse, counts = np.unique(_face_keys(slots, n), return_index=True,
                                           return_inverse=True, return_counts=True)

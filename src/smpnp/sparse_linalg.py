@@ -1,20 +1,23 @@
-"""Sparse linear solves: direct sparse LU, whose factors a run keeps and
-reuses as conjugate-gradient preconditioners for nearby systems, and
-unpreconditioned conjugate gradients on the symmetrically Jacobi-scaled
-system.
+"""Sparse linear solves: direct sparse LU, and one preconditioned
+conjugate-gradient loop (``_pcg``) with one stopping rule, preconditioned
+either by the SuperLU factor of a nearby system, which a run keeps, or by
+the Jacobi diagonal.
 
 Matrices are scipy CSR with sorted, duplicate-free column indices.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import idamax
 
 from .errors import LinearSolveError, SingularMatrixError, require
 
@@ -25,26 +28,23 @@ KRYLOV_ILU0 = "krylov_ilu0"
 
 _REFINE_ABOVE = 1.0e-10  # backward error that triggers one refinement step
 _ACCEPT_BELOW = 1.0e-8  # backward error a returned solution must meet
-_CG_TOL = 1.0e-12  # CG stopping bound on the scaled residual (relative)
-_CG_MAX_ITER = 2000
+_PCG_TOL = 1.0e-12  # CG stops when max|M^-1 r| <= _PCG_TOL max|x|
+_PCG_MAX_STEPS = 40  # CG steps preconditioned by a kept factor
+_CG_MAX_ITER = 2000  # CG steps preconditioned by the Jacobi diagonal
 
 _KEEP = 2  # SuperLU factors a spec keeps for reuse
 _SPAN_BOUND = 1.5  # largest diagonal-ratio span a kept factor is tried on
-_PCG_TOL = 1.0e-12  # PCG stops when max|M^-1 r| <= _PCG_TOL max|x|
-_PCG_MAX_STEPS = 40
 
 # a SuperLU factor with the pattern key and the diagonal of its matrix
 _Kept = namedtuple("_Kept", "key diag lu")
 
 
 class KeptFactors:
-    """The SuperLU factors of recent direct solves, kept for reuse.
-
+    """The SuperLU factors of recent direct solves, kept for reuse:
     ``entries`` holds at most _KEEP _Kept factors, least recently used
     first.  ``factorizations`` and ``pcg_steps`` count the fresh
-    factorizations and preconditioned CG steps of the solves that used
-    this store.
-    """
+    factorizations and the CG steps (of either path) of the solves that
+    used this store."""
 
     def __init__(self):
         self.entries = []
@@ -77,13 +77,11 @@ class KeptFactors:
 
 @dataclass(frozen=True)
 class LinearSolveSpec:
-    """Method of a Block-1 linear solve, plus the factors that direct
-    solves with this spec keep (see ``solve``).
-
-    ``kept`` is left out of the constructor, of equality and of repr: two
-    specs of one method are equal, and each spec starts with no factors.
-    A run builds its own spec, so its factors die with the run.
-    """
+    """Method of a Block-1 linear solve, plus the store of its kept factors
+    and step counts (see ``solve``).  ``kept`` is left out of the
+    constructor, of equality and of repr: two specs of one method are equal,
+    and each starts with no factors.  A run builds its own spec, so its
+    factors die with the run."""
 
     method: str = KRYLOV_ILU0
     kept: KeptFactors = field(default_factory=KeptFactors, init=False,
@@ -110,10 +108,8 @@ _orderings = {}  # (indptr bytes, indices bytes) -> _Ordering, oldest first
 
 
 class Ilu0:
-    """Placeholder kept so that ``sparse_linalg.Ilu0`` still names a class
-    of this module for the benchmark's tracer, which wraps it.  No solve
-    builds it: CG runs on the Jacobi-scaled system without a
-    preconditioner (see ``solve``)."""
+    """Placeholder that the benchmark's tracer wraps; no solve builds it
+    (the Krylov path preconditions CG by the Jacobi diagonal)."""
 
 
 class _Ordering:
@@ -228,28 +224,49 @@ def solve_factored(A, lu, b):
     return _checked_solve(A, b, lu.solve, "direct solve")
 
 
-def _pcg(A, b, lu, kept):
-    """CG on A x = b preconditioned by ``lu``, the factor of a nearby
-    matrix, from x = 0.  It stops when max|M^-1 r| <= _PCG_TOL max|x|: with
-    M close to A, M^-1 r estimates the forward error x* - x.  Raises
-    LinearSolveError when it has not stopped after _PCG_MAX_STEPS steps."""
+class _Jacobi:
+    """The preconditioner M = diag(A) of a positive diagonal."""
+
+    def __init__(self, diag):
+        bad = np.flatnonzero(~(diag > 0.0))
+        if bad.size:
+            raise LinearSolveError("CG needs a positive diagonal: row %d has %g"
+                                   % (bad[0], diag[bad[0]]))
+        self.inverse = 1.0 / diag
+
+    def solve(self, r):
+        return r * self.inverse
+
+
+def _pcg(A, b, M, kept, max_steps):
+    """CG on A x = b preconditioned by M (``M.solve`` applies M^-1), from
+    x = 0, each step counted in ``kept.pcg_steps``.  It stops when
+    max|M^-1 r| <= _PCG_TOL max|x|, an estimate of the forward error when M
+    is close to A; a zero b gives x = 0.  Raises LinearSolveError on a p^T A p
+    that is zero or not finite, and when ``max_steps`` steps do not stop."""
     x = np.zeros_like(b)
+    if not b.any():
+        return x
     r = b.copy()
-    z = lu.solve(r)
-    p = z
+    p = z = M.solve(r)
     rz = r @ z
-    for _ in range(_PCG_MAX_STEPS):
+    buf = np.empty_like(b)
+    for _ in range(max_steps):
         q = A @ p
-        alpha = rz / (p @ q)
-        x += alpha * p
-        r -= alpha * q
-        z = lu.solve(r)
+        pq = p @ q
+        if pq == 0.0 or not math.isfinite(pq):
+            raise LinearSolveError("CG step with p^T A p = %g" % pq)
+        alpha = rz / pq
+        x += np.multiply(p, alpha, out=buf)
+        r -= np.multiply(q, alpha, out=buf)
+        z = M.solve(r)
         kept.pcg_steps += 1
-        if np.max(np.abs(z)) <= _PCG_TOL * np.max(np.abs(x)):
+        if abs(z[idamax(z)]) <= _PCG_TOL * abs(x[idamax(x)]):
             return x
         rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    raise LinearSolveError("PCG did not stop in %d steps" % _PCG_MAX_STEPS)
+        p *= rz / rz_old
+        p += z
+    raise LinearSolveError("CG did not stop in %d steps" % max_steps)
 
 
 def _direct_solve(A, b, kept: KeptFactors):
@@ -258,12 +275,9 @@ def _direct_solve(A, b, kept: KeptFactors):
     key, diag = _pattern_key(A), A.diagonal()
     entry = kept.closest(key, diag)
     if entry is not None:
-        try:
-            x = _checked_solve(A, b, lambda rhs: _pcg(A, rhs, entry.lu, kept),
+        with contextlib.suppress(LinearSolveError):
+            x = _checked_solve(A, b, lambda rhs: _pcg(A, rhs, entry.lu, kept, _PCG_MAX_STEPS),
                                "PCG solve")
-        except LinearSolveError:
-            pass
-        else:
             kept.use(entry)
             return x
     kept.make_room()
@@ -274,45 +288,30 @@ def _direct_solve(A, b, kept: KeptFactors):
 
 
 def solve(A, b, spec: LinearSolveSpec):
-    """Solve A x = b per ``spec`` (the Block-1 systems); raises
-    LinearSolveError on failure.
+    """Solve A x = b per ``spec`` (the Block-1 systems) with _pcg, which
+    stops on a forward-error estimate, not a residual norm (Arioli, Numer.
+    Math. 97, 2004); answers pass _checked_solve, else LinearSolveError.
 
-    Direct: the coefficients of a run's Block-1 systems change little from
-    sweep to sweep, so a factor of one is a near-perfect preconditioner for
-    the next (Knoll & Keyes, J. Comput. Phys. 193, 2004).  ``spec.kept``
-    holds the _KEEP SuperLU factors most recently built or used.  A matrix
-    whose diagonal ratio to a kept factor's matrix of its pattern spans at
-    most _SPAN_BOUND is solved by PCG preconditioned by the closest such
-    factor (see _pcg); for per-tet weighted stiffness matrices of one
-    pattern the eigenvalues of M^-1 A lie within the range of the per-tet
-    weight ratios.  A system with no close factor, or whose PCG fails, gets
-    a fresh factor, which is kept.
+    Direct: a run's Block-1 coefficients change little from sweep to sweep,
+    so one system's factor is a near-perfect preconditioner for the next
+    (Knoll & Keyes, J. Comput. Phys. 193, 2004): for per-tet weighted
+    stiffness matrices of one pattern the eigenvalues of M^-1 A lie within
+    the range of the per-tet weight ratios.  ``spec.kept`` holds the _KEEP
+    SuperLU factors most recently built or used; a system gets
+    _PCG_MAX_STEPS steps on the closest one of its pattern (see
+    KeptFactors.closest), or else a fresh factor, which is kept.
 
-    Krylov: CG runs on As y = S b, As = S A S with S = diag(A)^-1/2, and no
-    preconditioner: As has a unit diagonal, so the e^(+-cap) span of the
-    transformed diagonals leaves the stopping test, and for a symmetric
-    positive definite A this scaling is within a small factor of the best
-    diagonal one (van der Sluis, Numer. Math. 14, 1969).
-
-    Every answer passes the backward-error check of _checked_solve."""
+    Krylov: _CG_MAX_ITER steps preconditioned by a positive diag(A), which
+    is CG on S A S y = S b, S = diag(A)^-1/2.  The unit diagonal of S A S
+    takes the e^(+-cap) span of the transformed diagonals out of the
+    iteration and is within a small factor of the best diagonal scaling of
+    an SPD matrix (van der Sluis, Numer. Math. 14, 1969)."""
     A = _as_sorted_csr(A)
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
         raise LinearSolveError("shape mismatch: A %s, b %s" % (A.shape, b.shape))
     if spec.method == DIRECT:
         return _direct_solve(A, b, spec.kept)
-    diag = A.diagonal()
-    bad = np.flatnonzero(~(diag > 0.0))
-    if bad.size:
-        raise LinearSolveError("CG needs a positive diagonal: row %d has %g"
-                               % (bad[0], diag[bad[0]]))
-    scale = 1.0 / np.sqrt(diag)
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    As = sp.csr_matrix((A.data * scale[rows] * scale[A.indices], A.indices, A.indptr),
-                       shape=A.shape)
-
-    def cg(rhs):
-        y, _ = spla.cg(As, scale * rhs, rtol=_CG_TOL, atol=0.0, maxiter=_CG_MAX_ITER)
-        return scale * y
-
-    return _checked_solve(A, b, cg, "CG solve")
+    jacobi = _Jacobi(A.diagonal())
+    return _checked_solve(A, b, lambda rhs: _pcg(A, rhs, jacobi, spec.kept, _CG_MAX_ITER),
+                          "CG solve")

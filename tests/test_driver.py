@@ -580,3 +580,23 @@ def test_kept_factors_never_outlive_a_run(tmp_path):
     rows = [row.split(",") for row in
             (tmp_path / "convergence.csv").read_text().splitlines()[1:]]
     assert [(int(r[7]), int(r[8])) for r in rows] == list(zip(factors, steps))
+
+
+def test_krylov_run_records_its_cg_steps(tmp_path):
+    # the Krylov path runs the one CG loop of sparse_linalg, never scipy's,
+    # factors no Block-1 system and counts its steps per sweep
+    config = driver.RunConfig(species=mixture_species(),
+                              constants=ModelConstants(sigma=-1.0, u_t=1.5),
+                              linear=sparse_linalg.LinearSolveSpec(method="krylov_ilu0"),
+                              geometry=meshmod.ChannelGeometry(resolution=6),
+                              output_dir=str(tmp_path))
+    with mock.patch.object(spla, "cg", side_effect=AssertionError("scipy cg called")):
+        result = driver.run(config)
+    assert result.converged and result.iterations > 1
+    factors = [row["block1_factors"] for row in result.history]
+    steps = [row["block1_pcg_steps"] for row in result.history]
+    assert set(factors) == {0} and min(steps) > 0
+    driver.write_outputs(config, result)
+    rows = [row.split(",") for row in
+            (tmp_path / "convergence.csv").read_text().splitlines()[1:]]
+    assert [(int(r[7]), int(r[8])) for r in rows] == list(zip(factors, steps))

@@ -313,6 +313,19 @@ def _first_meeting(tets, faces):
     raise AssertionError("no face met")
 
 
+@pytest.mark.parametrize("vertex", [99, -1])
+@pytest.mark.parametrize("array", ["tets", "facets"])
+def test_validate_checks_vertex_ids_first(array, vertex):
+    # before the P1 geometry gathers vertices[tets]: 99 would raise
+    # IndexError there, and -1 would read as an inverted tet
+    mesh = meshmod.unit_cube_mesh(1)
+    ids = getattr(mesh, array).copy()
+    ids[0, 0] = vertex
+    bad = _relabelled(mesh, **{array: ids})
+    with pytest.raises(MeshError, match="^%s vertex index out of range$" % array[:-1]):
+        bad.validate()
+
+
 def test_validate_names_first_dirichlet_facet_off_its_plane(cube_mesh):
     # side facets touching the bottom edge: two vertices on z=0, one above
     zc = cube_mesh.vertices[cube_mesh.facets, 2]

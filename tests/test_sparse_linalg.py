@@ -86,13 +86,43 @@ def test_spec_has_no_restart():
 def test_krylov_rejects_nonpositive_diagonal(diag):
     A = lap1d(6).tolil()
     A[3, 3] = diag
-    # the check comes before S = diag(A)^-1/2 is formed: a square root or
-    # division of the bad entry would raise FloatingPointError here
+    # the check comes before the Jacobi preconditioner diag(A)^-1 is formed:
+    # a division by the bad entry would raise FloatingPointError here
     with np.errstate(all="raise"), \
-            mock.patch.object(spla, "cg") as cg, \
+            mock.patch.object(sparse_linalg, "_pcg") as pcg, \
             pytest.raises(LinearSolveError, match="positive diagonal: row 3"):
         solve(A.tocsr(), np.ones(6), KRYLOV)
-    cg.assert_not_called()
+    pcg.assert_not_called()
+
+
+@pytest.mark.parametrize("spec", [DIRECT, KRYLOV], ids=["direct", "krylov"])
+def test_zero_right_hand_side_takes_no_step(spec):
+    # on the direct path the second solve is tried on the kept factor
+    spec = LinearSolveSpec(spec.method)
+    A = lap1d(20)
+    solve(A, np.ones(20), spec)
+    factors, steps = spec.kept.factorizations, spec.kept.pcg_steps
+    with mock.patch.object(sparse_linalg, "_pcg", wraps=sparse_linalg._pcg) as pcg:
+        x = solve(A, np.zeros(20), spec)
+    assert pcg.call_count == 1
+    assert np.array_equal(x, np.zeros(20))
+    assert (spec.kept.factorizations, spec.kept.pcg_steps) == (factors, steps)
+
+
+# p^T A p is 0 on the singular [[1, 1], [1, 1]] with b = (1, -1), and NaN
+# when A has a NaN entry
+@pytest.mark.parametrize("off", [1.0, np.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("precond", ["kept-factor", "jacobi"])
+def test_cg_refuses_a_step_it_cannot_take(precond, off):
+    A = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
+    if precond == "jacobi":
+        M = sparse_linalg._Jacobi(A.diagonal())
+    else:  # the factor of a nearby matrix of A's pattern
+        M = sparse_linalg.factorize(sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]])))
+    kept = sparse_linalg.KeptFactors()
+    with pytest.raises(LinearSolveError, match=r"p\^T A p = (0|nan)"):
+        sparse_linalg._pcg(A, np.array([1.0, -1.0]), M, kept, 40)
+    assert kept.pcg_steps == 0
 
 
 def _convection_diffusion(m, skew):
@@ -125,7 +155,7 @@ def test_krylov_nonsymmetric_is_rejected_or_checked(skew, rng):
 def test_krylov_returns_only_checked_answers(bad):
     # whatever the iteration hands back is checked against A and b
     A = lap1d(20)
-    with mock.patch.object(spla, "cg", return_value=(bad(20), 0)), \
+    with mock.patch.object(sparse_linalg, "_pcg", return_value=bad(20)), \
             pytest.raises(LinearSolveError, match="backward error"):
         solve(A, np.ones(20), KRYLOV)
 
@@ -154,7 +184,8 @@ def test_inexact_answer_is_refined_once(spec, caplog):
         patch = mock.patch.object(sparse_linalg, "factorize",
                                   return_value=SimpleNamespace(solve=lambda r: fake(A, r)))
     else:
-        patch = mock.patch.object(spla, "cg", side_effect=lambda As, r, **kw: (fake(As, r), 0))
+        patch = mock.patch.object(sparse_linalg, "_pcg",
+                                  side_effect=lambda A_, r, *args: fake(A_, r))
     with patch, mock.patch.object(sparse_linalg, "_backward_error",
                                   wraps=sparse_linalg._backward_error) as err, \
             caplog.at_level(logging.WARNING, logger="smpnp.sparse_linalg"):
