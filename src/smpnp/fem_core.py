@@ -6,6 +6,10 @@ and mass use the exact closed-form P1 element integrals; general volume
 loads go through the P1 mass matrix, which integrates P1*P1 products
 exactly.  Every assembly reads the element geometry from the mesh's
 ``P1Operator``, built once per mesh; a submesh's takes its parent's rows.
+Which local stiffness entries are zero is decided once there, per tet: an
+entry at most 1e-13 of its tet's largest is an exact zero (orthogonal
+gradients) left over by rounding and is set to 0.0, so every stiffness
+pattern holds the structural nonzeros only, whatever the grid spacing.
 The solver's Dirichlet data (``side_dirichlet``) are imposed one way, by
 pinned weight maps (``P1Operator.stiffness_map``); the unpinned
 ``assemble_weighted_stiffness`` and ``apply_dirichlet`` are their reference.
@@ -65,16 +69,25 @@ def p1_gradients(mesh):
     return grads, det / 6.0
 
 
+# relative size, against the largest entry of its tet, up to which a local
+# stiffness entry is set to 0.0.  On the synthetic meshes the zeros of exact
+# arithmetic come out at most 1.7e-16 of it, the other entries at least 0.22
+_ROUNDOFF_ZERO = 1e-13
+
+
 class P1Operator:
     """Per-mesh P1 geometry, built once per mesh.
 
     Holds the per-tet basis gradients (M, 4, 3), volumes (M,), and the
     geometric local stiffness vol * grad(phi_a).grad(phi_b), flattened to
-    (M, 16).  The weight map of the pinned stiffness pattern is kept per
-    constrained node array (``pinned_map``), because Block 1 reassembles it
-    every sweep; a weight map built once, as the box operator's and every
-    mass matrix's are, is not kept.  Obtain the operator through
-    ``p1_operator``; the mesh must not be mutated afterwards.
+    (M, 16), with every entry at most ``_ROUNDOFF_ZERO`` times its tet's
+    largest set to 0.0: which entries are zero is decided per tet by
+    structure, not by the rounding of the grid spacings.  The weight map
+    of the pinned stiffness pattern is kept per constrained node array
+    (``pinned_map``), because Block 1 reassembles it every sweep; a weight
+    map built once, as the box operator's and every mass matrix's are, is
+    not kept.  Obtain the operator through ``p1_operator``; the mesh must
+    not be mutated afterwards.
 
     A submesh (a mesh with ``parent`` and ``parent_tet_ids``) takes its
     geometry as the rows of its parent's operator at ``parent_tet_ids``:
@@ -86,9 +99,11 @@ class P1Operator:
         ids = getattr(mesh, "parent_tet_ids", None)
         if ids is None:
             self.grads, self.volumes = p1_gradients(mesh)
-            self.local_stiffness = np.einsum("taj,tbj->tab", self.grads,
-                                             self.grads).reshape(-1, 16)
-            self.local_stiffness *= self.volumes[:, None]
+            local = np.einsum("taj,tbj->tab", self.grads, self.grads).reshape(-1, 16)
+            local *= self.volumes[:, None]
+            peak = np.abs(local).max(axis=1, keepdims=True)
+            local[np.abs(local) <= _ROUNDOFF_ZERO * peak] = 0.0
+            self.local_stiffness = local
         else:
             parent = p1_operator(mesh.parent)
             self.grads, self.volumes = parent.grads[ids], parent.volumes[ids]
@@ -100,11 +115,12 @@ class P1Operator:
     def stiffness_map(self, nodes):
         """Weight map of the stiffness pattern with ``nodes`` pinned.
 
-        The pattern keeps every local entry ``!= 0.0``.  On the synthetic
-        meshes' Kuhn tets, 6 of the 16 entries pair orthogonal gradients
-        and are zero in exact arithmetic, but come out as exactly 0.0 only
-        on some grids: at R=12, 20,736 of the 62,208 are roundoff nonzeros
-        and stay in the pattern (R=16: 16,384; R=20: none).
+        The pattern keeps the local entries that the per-tet rule of
+        ``__init__`` leaves nonzero.  On the synthetic meshes' Kuhn tets, 6
+        of the 16 entries pair orthogonal gradients: they are zero in exact
+        arithmetic, and the rule zeroes them on every grid, where rounding
+        alone would leave 20,736 of them nonzero at R=12 (R=16: 16,384;
+        R=20: none), nearly doubling the pattern.
         """
         return _WeightMap(self.tets, self.num_vertices, self.local_stiffness, nodes)
 
@@ -131,6 +147,9 @@ class _WeightMap:
 
     ``local`` holds the (M, 16) unweighted local values of ``tets``
     (row-major a, b); an entry enters the pattern when it is ``!= 0.0``.
+    A stiffness ``local`` comes from ``P1Operator``, whose per-tet rule has
+    already set its roundoff entries to 0.0, so this keeps exactly the
+    structural nonzeros; a mass matrix keeps all 16.
     Kept entries coupling two unconstrained nodes form ``map``, a CSC
     matrix (CSR-data position x tet), so the matrix data is ``map @ w``;
     its columns list each tet's entries in local order, so every datum

@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from smpnp import fem_core, transport
 from smpnp.errors import FeasibilityError, MeshError
@@ -118,6 +119,26 @@ def capped_block1_weights(sub, geom, field, species):
     dhat = transport.transformed_diffusion_nodal(
         sub, sp, i, capped_potential(sub, geom, field), c, constants)
     return dhat, transport.np_dirichlet(sub, sp, i, constants)
+
+
+def reference_stiffness(mesh, nodal_weight, drop_roundoff=True):
+    """CSR stiffness sum_T w_T int_T grad(phi_a).grad(phi_b), w_T the mean
+    of ``nodal_weight`` over T's corners: per-call einsum + COO assembly,
+    independent of the cached operator.  With ``drop_roundoff`` the
+    entries at most 1e-13 of their tet's largest weighted entry are left
+    out, as exact zeros that rounding made nonzero; without, the pattern
+    holds every entry that is not exactly 0.0."""
+    grads, vols = fem_core.p1_gradients(mesh)
+    tets = mesh.tets
+    w = nodal_weight[tets].mean(axis=1)
+    ke = np.einsum("t,taj,tbj->tab", w * vols, grads, grads).reshape(-1, 16)
+    keep = ke != 0.0
+    if drop_roundoff:
+        keep &= np.abs(ke) > 1e-13 * np.abs(ke).max(axis=1, keepdims=True)
+    rows = np.repeat(tets, 4, axis=1).ravel()[keep.ravel()]
+    cols = np.tile(tets, (1, 4)).ravel()[keep.ravel()]
+    n = mesh.num_vertices
+    return sp.coo_matrix((ke[keep], (rows, cols)), shape=(n, n)).tocsr()
 
 
 def reference_scatter(tets, n, keep, nodes):

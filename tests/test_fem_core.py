@@ -2,7 +2,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from smpnp import electrostatics as es, fem_core, mesh as meshmod, sparse_linalg
@@ -12,7 +11,7 @@ from smpnp.fem_core import (DirichletSet, apply_dirichlet, assemble_mass,
                             assemble_surface_load, assemble_weighted_stiffness,
                             l2_norm, pinned_stiffness_system)
 
-from helpers import assemble_load_volume, l2_diff, reference_scatter
+from helpers import assemble_load_volume, l2_diff, reference_scatter, reference_stiffness
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 
@@ -172,18 +171,6 @@ def test_dirichlet_set_validation():
         DirichletSet(np.array([1, 2]), np.array([0.0]))
 
 
-def _reference_stiffness(mesh, nodal_weight):
-    """Per-call einsum + COO assembly, independent of the cached operator."""
-    grads, vols = fem_core.p1_gradients(mesh)
-    tets = mesh.tets
-    w = nodal_weight[tets].mean(axis=1)
-    ke = np.einsum("t,taj,tbj->tab", w * vols, grads, grads)
-    n = mesh.vertices.shape[0]
-    rows = np.repeat(tets, 4, axis=1).ravel()
-    cols = np.tile(tets, (1, 4)).ravel()
-    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 @pytest.fixture(scope="module")
 def submesh12():
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
@@ -221,7 +208,7 @@ def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
     d = DirichletSet(np.concatenate([top, bottom]),
                      np.concatenate([np.full(len(top), 2.5), np.full(len(bottom), 0.1)]))
     A, b = pinned_stiffness_system(mesh, weight, d)
-    A_ref, b_ref = apply_dirichlet(_reference_stiffness(mesh, weight), np.zeros(n), d)
+    A_ref, b_ref = apply_dirichlet(reference_stiffness(mesh, weight), np.zeros(n), d)
     A_old, b_old = apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
                                    np.zeros(n), d)
     # same CSR structure as symmetric elimination, so orderings see the
@@ -231,7 +218,7 @@ def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
         assert np.array_equal(A.indices, other.indices)
     # entries sum terms spanning e^90 in different orders: compare per row
     # against the row's largest unconstrained entry
-    row_scale = np.asarray(abs(_reference_stiffness(mesh, weight)).max(axis=1).todense()).ravel()
+    row_scale = np.asarray(abs(reference_stiffness(mesh, weight)).max(axis=1).todense()).ravel()
     for other, b_other in ((A_ref, b_ref), (A_old, b_old)):
         dA = np.asarray(abs(A - other).max(axis=1).todense()).ravel()
         assert np.all(dA <= 1e-14 * row_scale)
@@ -242,7 +229,7 @@ def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
 def test_stiffness_matches_reference_assembly(channel_submesh, rng):
     w = np.exp(rng.uniform(-5.0, 5.0, size=channel_submesh.num_vertices))
     A = assemble_weighted_stiffness(channel_submesh, w)
-    ref = _reference_stiffness(channel_submesh, w)
+    ref = reference_stiffness(channel_submesh, w)
     assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
 
 
@@ -300,3 +287,44 @@ def test_submesh_operator_is_its_parents_rows(channel_mesh):
         assert getattr(op, name).tobytes() == rows.tobytes(), name
         assert getattr(own, name).tobytes() == rows.tobytes(), name
     assert op.num_vertices == sub.num_vertices and op.tets is sub.tets
+
+
+# stored entries of the pinned box Poisson operator and of the pinned
+# Block-1 (submesh) stiffness, per resolution: the 10 structural nonzeros
+# of every Kuhn tet, whether or not the grid spacings 40/R and 60/R round
+PATTERN_NNZ = {12: (12441, 8999), 16: (29325, 19893), 20: (57057, 36985)}
+
+
+@pytest.fixture(scope="module")
+def synth_boxes():
+    return {r: meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=r))
+            for r in PATTERN_NNZ}
+
+
+@pytest.mark.parametrize("resolution", sorted(PATTERN_NNZ))
+def test_stiffness_zeros_are_structural(resolution, synth_boxes):
+    # 6 of each Kuhn tet's 16 local entries pair orthogonal gradients
+    mesh = synth_boxes[resolution]
+    local = fem_core.p1_operator(mesh).local_stiffness
+    assert np.all(np.count_nonzero(local == 0.0, axis=1) == 6)
+    sub = meshmod.extract_solvent_submesh(mesh)
+    block1, _ = pinned_stiffness_system(sub, 1.0, fem_core.side_dirichlet(sub, 0.1, 2.5))
+    box = es.box_poisson(mesh, ModelConstants())
+    assert (box.A.nnz, block1.nnz) == PATTERN_NNZ[resolution]
+
+
+def test_translated_mesh_keeps_the_pattern(synth_boxes):
+    # translating the R=20 grid, whose spacings are binary fractions, rounds
+    # its edge vectors, so exact zeros come out as roundoff nonzeros: the
+    # pattern holds the structural entries all the same
+    mesh = synth_boxes[20]
+    shift = np.array([0.1, -0.3, 0.7])
+    moved = meshmod.LabeledMesh(
+        mesh.vertices + shift, mesh.tets, mesh.tet_regions, mesh.facets, mesh.facet_labels,
+        tuple(np.asarray(mesh.box) + np.repeat(shift, 2)),
+        mesh.z1 + shift[2], mesh.z2 + shift[2]).validate()
+    ones = np.ones(mesh.num_vertices)
+    assert reference_stiffness(moved, ones, drop_roundoff=False).nnz > 62181
+    A, B = assemble_weighted_stiffness(mesh), assemble_weighted_stiffness(moved)
+    assert A.nnz == 62181
+    assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
