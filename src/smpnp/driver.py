@@ -25,15 +25,13 @@ import numpy as np
 from . import (electrostatics, fem_core, mesh as meshmod, nonlinear_node,
                sparse_linalg, transport)
 from .errors import ConfigError, ConvergenceError, SmpnpError, require
-from .physics_model import (IonSpecies, ModelConstants, SpeciesSet,
+from .physics_model import (DEFAULT_THETA, IonSpecies, ModelConstants, SpeciesSet,
                             slotboom_forward, volume_from_radius)
 
 logger = logging.getLogger(__name__)
 
 MAX_OUTER_DEFAULT = 500
 PROFILE_BINS_DEFAULT = 60
-
-_DEFAULT_THETA = 0.055
 
 _CONSTANT_KEYS = ("u_b", "u_t", "sigma", "eta", "cap", "omega",
                   "eps_outer", "eps_s", "eps_p", "eps_m")
@@ -231,7 +229,7 @@ def _build_species(blocks, scalars):
     if not blocks:
         raise ConfigError("at least one [species] block is required")
     theta_line = {"theta": scalars["theta"]} if "theta" in scalars else {}
-    theta = _number(theta_line, "theta", _DEFAULT_THETA)
+    theta = _number(theta_line, "theta", DEFAULT_THETA)
     with _naming_lines(theta_line):
         require(theta > 0, ValueError, "theta must be positive, got %r" % theta, "theta")
     out = []
@@ -332,8 +330,7 @@ def run(config: RunConfig):
     atoms = config.build_atoms()
     logger.info("mesh: %d vertices, %d tets (%d solvent); %d species; %d atoms",
                 mesh.num_vertices, mesh.num_tets, len(submesh.tets), n, len(atoms))
-    g_nodes = (electrostatics.eval_G(atoms, constants, mesh.vertices)
-               if len(atoms) else np.zeros(mesh.num_vertices))
+    g_nodes = electrostatics.eval_G(atoms, constants, mesh.vertices)
     psi = electrostatics.solve_psi(mesh, atoms, constants, g_nodes)
     w = g_nodes + psi
     clock.mark("psi")
@@ -492,8 +489,7 @@ def export_convergence(path, history):
 
 
 def export_summary(path, result: RunResult):
-    last = result.history[-1] if result.history else {
-        "res_cbar": 0.0, "res_c": 0.0, "res_phi": 0.0}
+    last = result.history[-1]
     lines = [
         ("converged", "yes" if result.converged else "no"),
         ("iterations", result.iterations),
@@ -540,11 +536,10 @@ def _cmd_run(args):
         logger.error("%s", exc)
         return 2
     write_outputs(config, result)
-    last = result.history[-1] if result.history else None
+    last = result.history[-1]
     print("converged in %d outer sweeps" % result.iterations)
-    if last:
-        print("final residuals: cbar %.3e  c %.3e  phi %.3e"
-              % (last["res_cbar"], last["res_c"], last["res_phi"]))
+    print("final residuals: cbar %.3e  c %.3e  phi %.3e"
+          % (last["res_cbar"], last["res_c"], last["res_phi"]))
     print("outputs written to %s" % config.output_dir)
     return 0
 

@@ -204,11 +204,11 @@ def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
 
 
 def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
-              constants: ModelConstants, g_nodes=None):
+              constants: ModelConstants, g_nodes):
     """Boundary/interface correction potential Psi on the box mesh.
 
-    ``g_nodes`` is ``eval_G(atoms, constants, mesh.vertices)`` when the
-    caller has already evaluated it; None evaluates it here.
+    ``g_nodes`` is ``eval_G(atoms, constants, mesh.vertices)``, the
+    singular potential at the nodes.
     """
     _check_atoms_in_protein(mesh, atoms)
     n = mesh.num_vertices
@@ -239,8 +239,6 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
     if constants.sigma != 0.0:
         rhs += constants.tau * constants.sigma * fem_core.assemble_surface_load(
             mesh, meshmod.GAMMA_M)
-    if g_nodes is None and len(atoms):
-        g_nodes = eval_G(atoms, constants, mesh.vertices)
     d = potential_dirichlet(mesh, constants, offset=g_nodes)
     return box_poisson(mesh, constants).solve(rhs, d)
 

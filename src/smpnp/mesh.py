@@ -513,21 +513,20 @@ def extract_solvent_submesh(mesh: LabeledMesh):
     return SolventSubmesh(mesh, vmap, sub_tets, faces, labels.astype(np.int64), keep)
 
 
-def protein_ring_sites(mesh: LabeledMesh, n_sites, z_half_width=None):
+def protein_ring_sites(mesh: LabeledMesh, n_sites):
     """Deterministic atom sites inside the protein region.
 
-    Returns centroids of protein tets nearest the mid-membrane plane,
-    spread in polar angle; tet centroids are strictly interior so the
-    atom-node collision guard holds by construction.
+    Returns centroids of protein tets within a quarter of the slab
+    thickness of the mid-membrane plane, spread in polar angle; tet
+    centroids are strictly interior so the atom-node collision guard holds
+    by construction.
     """
     ids = np.nonzero(mesh.tet_regions == PROTEIN)[0]
     if ids.size == 0:
         raise MeshError("mesh has no protein tets")
     cent = mesh.vertices[mesh.tets[ids]].mean(axis=1)
     zmid = 0.5 * (mesh.z1 + mesh.z2)
-    if z_half_width is None:
-        z_half_width = 0.25 * (mesh.z2 - mesh.z1)
-    near = np.abs(cent[:, 2] - zmid) <= z_half_width
+    near = np.abs(cent[:, 2] - zmid) <= 0.25 * (mesh.z2 - mesh.z1)
     if near.sum() >= n_sites:
         cent = cent[near]
     order = np.argsort(np.arctan2(cent[:, 1], cent[:, 0]), kind="stable")

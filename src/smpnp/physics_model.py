@@ -9,7 +9,7 @@ state only their ratios influence concentrations and potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.constants as sc
@@ -121,8 +121,11 @@ MIXTURE_RADII = {"Cl-": 1.81, "NO3-": 2.64, "Na+": 0.95, "K+": 1.33}
 MIXTURE_BULK_DIFFUSION = {"Cl-": 0.203, "NO3-": 0.190, "Na+": 0.133, "K+": 0.196}
 MIXTURE_CHARGES = {"Cl-": -1, "NO3-": -1, "Na+": 1, "K+": 1}
 
+#: Default ratio D_c / D_b of channel to bulk diffusion.
+DEFAULT_THETA = 0.055
 
-def mixture_species(c_b=0.1, theta=0.055, sized=True):
+
+def mixture_species(c_b=0.1, theta=DEFAULT_THETA, sized=True):
     """The NaCl + KNO3 four-species set (Cl-, NO3-, Na+, K+).
 
     ``theta`` sets the channel diffusion D_c = theta * D_b. With
@@ -164,9 +167,6 @@ class ModelConstants:
             require(value > 0, ValueError, "%s must be positive, got %r" % (name, value), name)
         require(self.eta >= 0, ValueError,
                 "buffer thickness eta must be nonnegative, got %r" % self.eta, "eta")
-
-    def with_(self, **kw):
-        return replace(self, **kw)
 
 
 def capped_exp(x, cap):

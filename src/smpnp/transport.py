@@ -27,14 +27,6 @@ def diffusion_nodal(submesh: meshmod.SolventSubmesh, species: SpeciesSet,
     ])
 
 
-def transformed_diffusion_nodal(submesh, species: SpeciesSet, i, u_vals, c_fields,
-                                constants: ModelConstants, d_nodal=None):
-    """Nodal transformed diffusion D_hat_i on the solvent submesh."""
-    if d_nodal is None:
-        d_nodal = diffusion_nodal(submesh, species, constants)
-    return transformed_diffusion(species, i, u_vals, c_fields, d_nodal[i], constants)
-
-
 def np_dirichlet(submesh: meshmod.SolventSubmesh, species: SpeciesSet, i,
                  constants: ModelConstants):
     """Dirichlet data g_bar_i on the submesh's bottom/top boundary nodes."""
@@ -73,21 +65,21 @@ class RangeExcursions:
 
 
 def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
-                         constants: ModelConstants, spec, d_nodal=None,
+                         constants: ModelConstants, spec, d_nodal,
                          excursions: RangeExcursions = None,
                          dirichlet: fem_core.DirichletSet = None):
     """Solve the species-i transformed Nernst-Planck problem.
 
     ``u_vals`` is the restricted potential w + Phi_tilde^k and ``c_fields``
-    the current concentrations, both nodal on the submesh.  Homogeneous
-    Neumann conditions on the interface and side boundaries are natural;
-    g_bar_i is imposed on the Dirichlet nodes; ``dirichlet``, when given,
+    the current concentrations, both nodal on the submesh, and ``d_nodal``
+    the raw coefficients ``diffusion_nodal`` returns.  Homogeneous Neumann
+    conditions on the interface and side boundaries are natural; g_bar_i
+    is imposed on the Dirichlet nodes; ``dirichlet``, when given,
     is that data as ``np_dirichlet`` builds it.  Returns the transformed
     concentration field.  A solve that leaves the Dirichlet range is
     recorded in ``excursions``, or logged when none is given.
     """
-    dhat = transformed_diffusion_nodal(submesh, species, i, u_vals, c_fields,
-                                       constants, d_nodal=d_nodal)
+    dhat = transformed_diffusion(species, i, u_vals, c_fields, d_nodal[i], constants)
     if np.any(dhat <= 0.0):
         raise FeasibilityError("nonpositive transformed diffusion for species %d" % i)
     d = np_dirichlet(submesh, species, i, constants) if dirichlet is None else dirichlet

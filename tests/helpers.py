@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from smpnp import fem_core, transport
 from smpnp.errors import FeasibilityError, MeshError
 from smpnp.physics_model import (ModelConstants, SpeciesSet, mixture_species,
-                                 slotboom_forward, water_fraction)
+                                 slotboom_forward, transformed_diffusion,
+                                 water_fraction)
 
 CAPPED_FIELDS = ("z-ramp", "pore-well", "x-ramp")
 
@@ -88,8 +89,7 @@ def compute_flux(submesh, species: SpeciesSet, i, c_fields, u_vals,
     J = -d_tet[:, None] * (grads_c[i] + drift + size)
 
     cbar = slotboom_forward(u_vals, c_fields, species, constants)
-    dhat = transport.transformed_diffusion_nodal(submesh, species, i, u_vals, c_fields,
-                                                 constants, d_nodal=d_nodal)
+    dhat = transformed_diffusion(species, i, u_vals, c_fields, d_nodal[i], constants)
     dhat_tet = dhat[submesh.tets].mean(axis=1)
     J_slot = -dhat_tet[:, None] * _tet_gradient_fields(submesh, cbar[i])
     return J, J_slot
@@ -116,8 +116,9 @@ def capped_block1_weights(sub, geom, field, species):
     constants = ModelConstants()
     i = sp.names.index(species)
     c = np.repeat(sp.c_b[:, None], sub.num_vertices, axis=1)
-    dhat = transport.transformed_diffusion_nodal(
-        sub, sp, i, capped_potential(sub, geom, field), c, constants)
+    d_nodal = transport.diffusion_nodal(sub, sp, constants)
+    dhat = transformed_diffusion(sp, i, capped_potential(sub, geom, field), c,
+                                 d_nodal[i], constants)
     return dhat, transport.np_dirichlet(sub, sp, i, constants)
 
 

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_criterion_5_reduction_to_pnp():
             dhat = transformed_diffusion(sp, i, u, c, 0.2, CONST)
             exact &= bool(dhat == 0.2 * np.exp(-sp.Z[i] * u))
     # (b) full solver vs an independently coded classical-PNP iteration
-    constants = CONST.with_(u_t=1.0, eps_outer=1e-9)
+    constants = replace(CONST, u_t=1.0, eps_outer=1e-9)
     cfg = driver.RunConfig(species=sp, constants=constants, linear=DIRECT,
                            geometry=GEOM12)
     result = driver.run(cfg)
@@ -252,8 +253,8 @@ def test_criterion_8_decomposition_vs_monolithic():
     for res in (8, 16):
         mesh = meshmod.synth_channel_mesh(
             meshmod.ChannelGeometry(resolution=res))
-        w = es.eval_G(atoms, CONST, mesh.vertices) + es.solve_psi(
-            mesh, atoms, CONST)
+        g_nodes = es.eval_G(atoms, CONST, mesh.vertices)
+        w = g_nodes + es.solve_psi(mesh, atoms, CONST, g_nodes)
         rho = gaussian_charge_density(atoms, mesh.vertices)
         A = fem_core.assemble_weighted_stiffness(mesh, es.region_eps(mesh, CONST))
         b = CONST.alpha * assemble_load_volume(mesh, rho)
@@ -273,7 +274,7 @@ def test_criterion_9_damping_sweep():
     for method, spec in (("direct", DIRECT), ("krylov_ilu0", KRYLOV)):
         for u_t, omega in itertools.product((0.0, 1.5), (0.30, 0.35, 0.38, 0.40, 0.41)):
             cfg = _sized_config()
-            cfg.constants = CONST.with_(sigma=-1.0, u_t=u_t, omega=omega)
+            cfg.constants = replace(CONST, sigma=-1.0, u_t=u_t, omega=omega)
             cfg.linear = spec
             result = driver.run(cfg)
             # the loop's safeguard takes the plain damped step whenever the

@@ -1,14 +1,18 @@
-"""The solver names that the benchmark's tracer (bench/tracing.py) patches.
+"""The calls the benchmark makes into smpnp.
 
-``tracing.install`` wraps module attributes of smpnp by name; a refactor
-that drops or moves one of them fails here, not only in a traced benchmark
-run.
+``tracing.install`` (bench/tracing.py) wraps module attributes of smpnp by
+name, and ``bench/checks.py`` calls the solver's functions and reads the
+files ``driver.write_outputs`` writes; a refactor that drops, moves or
+re-signs one of them fails here, not only in a benchmark run.
 """
 
 import importlib
 import os
 
-from smpnp import driver, sparse_linalg
+import pytest
+
+from smpnp import driver, mesh as meshmod, sparse_linalg
+from smpnp.physics_model import ModelConstants, mixture_species
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -21,3 +25,22 @@ def test_tracer_patches_and_restores_solver_names(monkeypatch):
     # the module names bench/harness_checks.py expects once a traced case ends
     assert driver.run.__module__ == "smpnp.driver"
     assert sparse_linalg.Ilu0.__module__ == "smpnp.sparse_linalg"
+
+
+@pytest.mark.parametrize("method", [sparse_linalg.DIRECT, sparse_linalg.KRYLOV_ILU0])
+def test_benchmark_output_checks_pass(monkeypatch, tmp_path, method):
+    # a small biased solve passes every check the benchmark runs on its
+    # output, and each true block residual is computed without an error
+    monkeypatch.syspath_prepend(BENCH)
+    checks = importlib.import_module("checks")
+    config = driver.RunConfig(species=mixture_species(),
+                              constants=ModelConstants(sigma=-1.0, u_t=1.5),
+                              linear=sparse_linalg.LinearSolveSpec(method),
+                              geometry=meshmod.ChannelGeometry(resolution=6),
+                              output_dir=str(tmp_path))
+    result = driver.run(config)
+    driver.write_outputs(config, result)
+    assert checks.check_solve(config, result) == []
+    residuals, errors = checks.true_residuals(config, result)
+    assert errors == {}
+    assert sorted(residuals) == ["block1", "block2", "block2_kernel", "block3"]

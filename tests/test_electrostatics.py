@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -169,13 +170,15 @@ def test_atoms_file_malformed_reports_line(tmp_path, text, line):
 
 
 def test_solve_psi_zero_data(channel_mesh):
-    psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), CONST)
+    psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), CONST,
+                       np.zeros(channel_mesh.num_vertices))
     assert np.allclose(psi, 0.0, atol=1e-12)
 
 
 def test_solve_psi_membrane_charge_weak_residual(channel_mesh):
-    constants = CONST.with_(sigma=-1.0)
-    psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), constants)
+    constants = replace(CONST, sigma=-1.0)
+    psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), constants,
+                       np.zeros(channel_mesh.num_vertices))
     A = fem_core.assemble_weighted_stiffness(channel_mesh,
                                              es.region_eps(channel_mesh, constants))
     rhs = constants.tau * constants.sigma * fem_core.assemble_surface_load(

@@ -26,7 +26,7 @@ GEOM12 = meshmod.ChannelGeometry(resolution=12)
 
 def _sigma12_config(spec):
     return driver.RunConfig(species=mixture_species(),
-                            constants=ModelConstants().with_(sigma=-1.0),
+                            constants=ModelConstants(sigma=-1.0),
                             linear=spec, geometry=GEOM12)
 
 

@@ -162,14 +162,42 @@ def test_block2_matches_sequential_newton(rng):
         assert np.allclose(P[:, mu], expect, rtol=1e-10, atol=0.0)
 
 
-def test_block2_root_at_bracket_end():
+def test_block2_root_at_start():
     # phi(0) = log(1 + sum a_i) rounds to exactly 0: the start s = 0 is the
-    # root and the upper bracket end at once, and must not be bisected away
+    # root, and the first Newton step, of length 0, stops there
     sp = mixture_species()
     targets = np.full((4, 3), 1e-300)
     P, rep = nn.block2_update(targets, np.zeros(3), targets, sp, CONST)
     assert np.array_equal(P, targets)
     assert rep.iterations == 1
+
+
+# sizes 1, 500 and 3000 A^3: exponents v_i/v0 up to 3000
+WIDE = SpeciesSet([IonSpecies("a", -1, 1.0, 0.1, 1.0, 1.0),
+                   IonSpecies("b", 1, 500.0, 0.1, 1.0, 1.0),
+                   IonSpecies("c", 2, 3000.0, 0.1, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("species", [mixture_species(), WIDE], ids=["mixture", "wide"])
+def test_block2_extreme_inputs(rng, species):
+    # targets from 1e-300 to 1e8 and potentials far past the cap: Newton from
+    # s = 0 stops without a bracket, on brentq's root of phi over [-750, 0],
+    # and the recovered concentrations keep the volume-fraction bound
+    N = 2000
+    targets = 10.0 ** rng.uniform(-300.0, 8.0, size=(len(species), N))
+    u = rng.uniform(-80.0, 80.0, size=N)
+    log_a, _ = nn.log_coefficients(targets, u, species, CONST)
+    r = species.v_ratio
+    # raises NewtonError unless every node stops within MAX_NEWTON_ITER steps
+    s, _ = nn._log_water(log_a, r)
+    for mu in range(N):
+        def phi(x):
+            return nn.water_equation(np.array([x]), log_a[:, mu:mu + 1], r)[0][0]
+        root = brentq(phi, -750.0, 0.0, xtol=1e-300, rtol=8.9e-16)
+        assert abs(s[mu] - root) <= 1e-13 * (1.0 + abs(root))
+    P, _ = nn.block2_update(targets, u, targets, species, CONST)
+    assert np.all(P > 0.0)
+    assert np.all(CONST.gamma * (species.v @ P) < 1.0 + 1.0e-12)
 
 
 def test_block2_order_invariance(rng):

@@ -150,7 +150,7 @@ def test_boundary_conc_exponent_law():
     sp = mixture_species()
     u_t = 0.7
     base = boundary_conc(sp, "top", CONST)
-    shifted = boundary_conc(sp, "top", CONST.with_(u_t=u_t))
+    shifted = boundary_conc(sp, "top", dataclasses.replace(CONST, u_t=u_t))
     assert np.allclose(shifted, base * np.exp(sp.Z * u_t))
     with pytest.raises(ValueError):
         boundary_conc(sp, "left", CONST)

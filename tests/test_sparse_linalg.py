@@ -247,7 +247,9 @@ def test_factorize_orders_each_pattern_once(monkeypatch, channel12_systems):
     # this e^+-45 system the answers differ by 1.4e-12 (max norm, relative),
     # less than either's distance to the refined solution (2.7e-12 and
     # 2.4e-12).  The ratio of these two rounding errors reads 0.59-1.42 over
-    # weight seeds 1-7 and 12, so "as accurate" means within a factor 2
+    # weight seeds 1-7 and 12, so "as accurate" means within a factor 2, and
+    # by the triangle inequality the answers then differ by at most 3 times
+    # the fresh factor's error (they read 0.15-1.29 times it there)
     monkeypatch.setattr(sparse_linalg, "_orderings", {})
     A, b = channel12_systems["block1"]
     with mock.patch.object(spla, "spilu", wraps=spla.spilu) as spilu, \
@@ -266,7 +268,7 @@ def test_factorize_orders_each_pattern_once(monkeypatch, channel12_systems):
 
     def error(y):
         return np.max(np.abs(y - x_fine)) / np.max(np.abs(x_fine))
-    assert np.max(np.abs(x - x_fresh)) <= error(x_fresh) * np.max(np.abs(x_fresh))
+    assert np.max(np.abs(x - x_fresh)) <= 3.0 * error(x_fresh) * np.max(np.abs(x_fresh))
     assert error(x) <= 2.0 * error(x_fresh)
     assert sparse_linalg._backward_error(A, x, b) <= 1e-15
 

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from smpnp import (electrostatics as es, fem_core, mesh as meshmod, nonlinear_no
                    sparse_linalg, transport)
 from smpnp.errors import FeasibilityError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
-                                 boundary_conc, mixture_species)
+                                 boundary_conc, mixture_species,
+                                 transformed_diffusion)
 
 from helpers import compute_flux
 
@@ -44,8 +46,9 @@ def test_transformed_solve_constant_dirichlet(channel_submesh, species4):
     Ns = channel_submesh.num_vertices
     c = np.full((4, Ns), 0.1)
     u = np.zeros(Ns)
+    d_nodal = transport.diffusion_nodal(channel_submesh, species4, CONST)
     cbar = transport.solve_transformed_np(channel_submesh, species4, 1, u, c,
-                                          CONST, DIRECT)
+                                          CONST, DIRECT, d_nodal=d_nodal)
     gb = boundary_conc(species4, "bottom", CONST)[1]
     assert np.allclose(cbar, gb, rtol=1e-10)
 
@@ -53,11 +56,11 @@ def test_transformed_solve_constant_dirichlet(channel_submesh, species4):
 def test_transformed_solve_linear_slab_profile(cube_sub):
     # reduction mode, u = 0, constant D: harmonic with plane Dirichlet data
     sp = _flat_diffusion_species()
-    consts = CONST.with_(u_t=np.log(2.0))  # top g = 0.1 e^{u_t} = 0.2
+    consts = replace(CONST, u_t=np.log(2.0))  # top g = 0.1 e^{u_t} = 0.2
     Ns = cube_sub.num_vertices
     c = np.full((1, Ns), 0.1)
-    cbar = transport.solve_transformed_np(cube_sub, sp, 0, np.zeros(Ns), c,
-                                          consts, DIRECT)
+    cbar = transport.solve_transformed_np(cube_sub, sp, 0, np.zeros(Ns), c, consts, DIRECT,
+                                          d_nodal=transport.diffusion_nodal(cube_sub, sp, consts))
     z = cube_sub.vertices[:, 2]
     assert np.allclose(cbar, 0.1 + 0.1 * z, atol=1e-9)
 
@@ -66,8 +69,8 @@ def test_transformed_operator_symmetric(channel_submesh, species4, rng):
     Ns = channel_submesh.num_vertices
     c = np.full((4, Ns), 0.1)
     u = rng.uniform(-1.0, 1.0, size=Ns)
-    dhat = transport.transformed_diffusion_nodal(channel_submesh, species4, 0,
-                                                 u, c, CONST)
+    d_nodal = transport.diffusion_nodal(channel_submesh, species4, CONST)
+    dhat = transformed_diffusion(species4, 0, u, c, d_nodal[0], CONST)
     A = fem_core.assemble_weighted_stiffness(channel_submesh, dhat)
     assert abs(A - A.T).max() < 1e-12
 
@@ -86,10 +89,10 @@ def test_krylov_block1_at_charged_membrane_equilibrium(species4):
     # Block 1 at the sigma = -1 initial iterate, where the transformed
     # diagonals span the exponent cap: every CG answer must pass the
     # backward-error check of the full-size pinned system
-    consts = CONST.with_(sigma=-1.0)
+    consts = replace(CONST, sigma=-1.0)
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
     sub = meshmod.extract_solvent_submesh(mesh)
-    psi = es.solve_psi(mesh, es.AtomicCharges.none(), consts)
+    psi = es.solve_psi(mesh, es.AtomicCharges.none(), consts, np.zeros(mesh.num_vertices))
     phit = es.PhiTildeSystem(mesh, sub, species4.Z, consts, DIRECT)
     mass_box, mass_sub = fem_core.assemble_mass(mesh), fem_core.assemble_mass(sub)
     phi, c, _ = nonlinear_node.solve_smpbic(
@@ -98,8 +101,10 @@ def test_krylov_block1_at_charged_membrane_equilibrium(species4):
         lambda f: fem_core.l2_norm(sub, f, mass=mass_sub))
     u = sub.restrict(psi + phi)
     krylov = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
+    d_nodal = transport.diffusion_nodal(sub, species4, consts)
     for i in range(len(species4)):
-        cbar = transport.solve_transformed_np(sub, species4, i, u, c, consts, krylov)
+        cbar = transport.solve_transformed_np(sub, species4, i, u, c, consts, krylov,
+                                              d_nodal=d_nodal)
         assert np.all(np.isfinite(cbar)) and np.all(cbar > 0.0)
 
 
