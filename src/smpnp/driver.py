@@ -328,8 +328,9 @@ def run(config: RunConfig):
     electrostatics.box_poisson(mesh, constants)
     clock.mark("box")
     atoms = config.build_atoms()
-    logger.info("mesh: %d vertices, %d tets (%d solvent); %d species; %d atoms",
-                mesh.num_vertices, mesh.num_tets, len(submesh.tets), n, len(atoms))
+    logger.info("mesh: %d vertices, %d tets (%d solvent, %d distinct shapes); "
+                "%d species; %d atoms", mesh.num_vertices, mesh.num_tets,
+                len(submesh.tets), fem_core.p1_operator(mesh).num_shapes, n, len(atoms))
     g_nodes = electrostatics.eval_G(atoms, constants, mesh.vertices)
     psi = electrostatics.solve_psi(mesh, atoms, constants, g_nodes)
     w = g_nodes + psi

@@ -175,16 +175,13 @@ def region_eps(mesh: meshmod.LabeledMesh, constants: ModelConstants):
     return eps[mesh.tet_regions]
 
 
-def potential_dirichlet(mesh: meshmod.LabeledMesh, constants: ModelConstants,
-                        offset=None):
-    """DirichletSet for the potential: u_b on the bottom face, u_t on top.
-
-    ``offset`` (nodal field) is subtracted from the boundary values; used to
+def potential_dirichlet(mesh: meshmod.LabeledMesh, constants: ModelConstants, offset):
+    """DirichletSet for the potential: u_b on the bottom face, u_t on top,
+    less the nodal field ``offset`` there; Psi takes G as the offset, to
     impose Psi = g - G.
     """
     d = fem_core.side_dirichlet(mesh, constants.u_b, constants.u_t)
-    if offset is not None:
-        d.values -= np.asarray(offset)[d.nodes]
+    d.values -= np.asarray(offset)[d.nodes]
     return d
 
 

@@ -51,22 +51,32 @@ def side_dirichlet(mesh, bottom, top):
 
 
 def p1_gradients(mesh):
-    """Per-tet constant gradients of the 4 barycentric basis functions.
+    """Constant gradients of the 4 barycentric basis functions, per tet shape.
 
-    Returns (grads, volumes): grads has shape (M, 4, 3).  Raises on
-    non-positive tet volume.
+    A tet's shape is its edge matrix ``p[1:] - p[0]``, compared bit for
+    bit, and LAPACK sees each distinct shape once: the synthetic meshes
+    hold at most a few hundred (R=12: 96, R=20: 6), an unstructured mesh
+    about one per tet.  Returns (grads, volumes, shape): grads (S, 4, 3)
+    and volumes (S,) of the S distinct shapes, and the shape index (M,)
+    of each tet.  Equal edge matrices give equal LAPACK outputs, so
+    ``grads[shape]`` is bitwise the per-tet result.  Raises on
+    non-positive tet volume, naming the first such tet.
     """
     p = mesh.vertices[mesh.tets]
-    jac = p[:, 1:] - p[:, :1]  # rows: edge vectors
+    edges = p[:, 1:] - p[:, :1]  # rows: edge vectors
+    rows = edges.reshape(len(edges), 9).view(np.dtype((np.void, 9 * edges.itemsize)))
+    _, first, shape = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    jac = edges[first]
     det = np.linalg.det(jac)
     if np.any(det <= 0.0):
-        t = int(np.argmax(det <= 0.0))
-        raise MeshError("inverted tet index %d (signed volume %.3e)" % (t, det[t] / 6.0))
+        t = int(np.argmax(det[shape] <= 0.0))
+        raise MeshError("inverted tet index %d (signed volume %.3e)"
+                        % (t, det[shape[t]] / 6.0))
     inv = np.linalg.inv(jac)
     grads = np.empty((len(det), 4, 3))
     grads[:, 1:] = np.transpose(inv, (0, 2, 1))
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
-    return grads, det / 6.0
+    return grads, det / 6.0, shape
 
 
 # relative size, against the largest entry of its tet, up to which a local
@@ -82,7 +92,9 @@ class P1Operator:
     geometric local stiffness vol * grad(phi_a).grad(phi_b), flattened to
     (M, 16), with every entry at most ``_ROUNDOFF_ZERO`` times its tet's
     largest set to 0.0: which entries are zero is decided per tet by
-    structure, not by the rounding of the grid spacings.  The weight map
+    structure, not by the rounding of the grid spacings.  All three are
+    computed once per distinct tet shape (``p1_gradients``) and gathered
+    to the tets; ``num_shapes`` counts the shapes.  The weight map
     of the pinned stiffness pattern is kept per constrained node array
     (``pinned_map``), because Block 1 reassembles it every sweep; a weight
     map built once, as the box operator's and every mass matrix's are, is
@@ -92,22 +104,26 @@ class P1Operator:
     A submesh (a mesh with ``parent`` and ``parent_tet_ids``) takes its
     geometry as the rows of its parent's operator at ``parent_tet_ids``:
     its tets are those tets on the same vertex coordinates, so these are
-    the rows ``p1_gradients`` would compute for it, bit for bit.
+    the rows ``p1_gradients`` would compute for it, bit for bit.  Its
+    ``num_shapes`` is its parent's: it computes no shape of its own.
     """
 
     def __init__(self, mesh):
         ids = getattr(mesh, "parent_tet_ids", None)
         if ids is None:
-            self.grads, self.volumes = p1_gradients(mesh)
-            local = np.einsum("taj,tbj->tab", self.grads, self.grads).reshape(-1, 16)
-            local *= self.volumes[:, None]
+            grads, volumes, shape = p1_gradients(mesh)
+            local = np.einsum("taj,tbj->tab", grads, grads).reshape(-1, 16)
+            local *= volumes[:, None]
             peak = np.abs(local).max(axis=1, keepdims=True)
             local[np.abs(local) <= _ROUNDOFF_ZERO * peak] = 0.0
-            self.local_stiffness = local
+            self.grads, self.volumes = grads[shape], volumes[shape]
+            self.local_stiffness = local[shape]
+            self.num_shapes = len(volumes)
         else:
             parent = p1_operator(mesh.parent)
             self.grads, self.volumes = parent.grads[ids], parent.volumes[ids]
             self.local_stiffness = parent.local_stiffness[ids]
+            self.num_shapes = parent.num_shapes
         self.tets = mesh.tets
         self.num_vertices = mesh.num_vertices
         self._pinned_maps = {}

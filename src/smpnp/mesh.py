@@ -61,7 +61,8 @@ class LabeledMesh:
         when the caller has already built it; None builds it here.  Each
         call checks the vertex ids first, then builds the mesh's P1 geometry
         afresh, which rejects an inverted tet, and stores it for
-        ``fem_core.p1_operator``.
+        ``fem_core.p1_operator``.  The face table is stored too, for the
+        next ``extract_solvent_submesh``, which takes it off the mesh.
         """
         _check_vertex_ids(self.tets, self.num_vertices, "tet")
         _check_vertex_ids(self.facets, self.num_vertices, "facet")
@@ -85,12 +86,14 @@ class LabeledMesh:
               | _all_near(pts[..., 1], y1) | _all_near(pts[..., 1], y2))
         if not ok.all():
             raise MeshError("Neumann facet %d not on a side plane" % neumann[np.argmin(ok)])
-        self._validate_interface_facets(face_table)
+        if face_table is None:
+            face_table = _face_owners(self.tets, self.num_vertices)
+        self._validate_interface_facets(*face_table)
+        self._face_table = face_table
         return self
 
-    def _validate_interface_facets(self, face_table):
+    def _validate_interface_facets(self, faces, owners):
         n = self.num_vertices
-        faces, owners = _face_owners(self.tets, n) if face_table is None else face_table
         iface = np.nonzero(np.isin(self.facet_labels, (GAMMA_P, GAMMA_M, GAMMA_PM)))[0]
         found = _find_faces(_face_keys(faces, n),
                             _face_keys(np.sort(self.facets[iface], axis=1), n))
@@ -484,7 +487,12 @@ class SolventSubmesh:
 
 
 def extract_solvent_submesh(mesh: LabeledMesh):
-    """Build the solvent submesh of ``mesh`` (errors if no solvent tets)."""
+    """Build the solvent submesh of ``mesh`` (errors if no solvent tets).
+
+    The submesh's boundary faces come from the box's face table: the one
+    ``validate`` stored, which this takes off the mesh so that it does not
+    outlive the extraction, or else a new one.
+    """
     keep = np.nonzero(mesh.tet_regions == SOLVENT)[0]
     if keep.size == 0:
         raise MeshError("mesh has no solvent tets")
@@ -494,13 +502,24 @@ def extract_solvent_submesh(mesh: LabeledMesh):
     inverse[vmap] = np.arange(vmap.size)
     sub_tets = inverse[sub_tets_parent]
 
-    # boundary facets of the submesh, tagged from the parent facet list (the
-    # last parent facet wins on a repeated face); vmap is increasing, so a
-    # sorted local triple maps to a sorted parent triple
-    faces, owners = _face_owners(sub_tets, vmap.size)
-    faces = faces[owners[:, 1] < 0]
-    parent_faces = vmap[faces]
+    # a submesh boundary face is a box face with exactly one solvent owner;
+    # ordered by that owner's tet id and local face slot, the faces come in
+    # the order of a face scan over the submesh's own tets
     n = mesh.num_vertices
+    table = vars(mesh).pop("_face_table", None)
+    faces, owners = _face_owners(mesh.tets, n) if table is None else table
+    solvent = (owners >= 0) & (mesh.tet_regions[owners] == SOLVENT)
+    one = solvent[:, 0] != solvent[:, 1]
+    parent_faces, owners, solvent = faces[one], owners[one], solvent[one]
+    owner = np.where(solvent[:, 0], owners[:, 0], owners[:, 1])
+    # local slot s is the face opposite the owner's local vertex s
+    slot = np.argmax(np.all(mesh.tets[owner][:, :, None] != parent_faces[:, None, :],
+                            axis=2), axis=1)
+    parent_faces = parent_faces[np.argsort(owner * 4 + slot)]
+    # tagged from the parent facet list (the last parent facet wins on a
+    # repeated face); vmap is increasing, so a sorted parent triple maps to
+    # a sorted local triple
+    faces = inverse[parent_faces]
     found = _find_faces(_face_keys(np.sort(mesh.facets, axis=1), n),
                         _face_keys(parent_faces, n))
     parent_labels = np.append(mesh.facet_labels, 0)[found]  # 0: not a parent facet

@@ -37,9 +37,12 @@ def np_dirichlet(submesh: meshmod.SolventSubmesh, species: SpeciesSet, i,
 class RangeExcursions:
     """Per-species tally of Block-1 solves that leave the Dirichlet range.
 
-    The discrete maximum principle can fail on non-acute tets, so a
-    transformed solve may leave [min g_bar_i, max g_bar_i].  A run records
-    how many solves of each species did and by how much at worst, and
+    A transformed solve may leave [min g_bar_i, max g_bar_i].  On a
+    synthesized mesh every stiffness off-diagonal is at most 0, so every
+    Block-1 matrix is an M-matrix and the discrete maximum principle holds:
+    there an excursion measures solve error.  On a loaded mesh with
+    non-acute tets the principle itself can fail.  A run records how many
+    solves of each species left the range and by how much at worst, and
     ``report`` logs one summary line for the whole run.
     """
 

@@ -122,6 +122,28 @@ def capped_block1_weights(sub, geom, field, species):
     return dhat, transport.np_dirichlet(sub, sp, i, constants)
 
 
+def p1_geometry_reference(mesh):
+    """(grads, volumes, local_stiffness) of every tet as ``fem_core.P1Operator``
+    holds them, with LAPACK ``det`` and ``inv`` and the einsum run per tet,
+    not per distinct tet shape.  Raises MeshError naming the first tet of
+    non-positive volume."""
+    p = mesh.vertices[mesh.tets]
+    jac = p[:, 1:] - p[:, :1]
+    det = np.linalg.det(jac)
+    if np.any(det <= 0.0):
+        t = int(np.argmax(det <= 0.0))
+        raise MeshError("inverted tet index %d (signed volume %.3e)" % (t, det[t] / 6.0))
+    grads = np.empty((len(det), 4, 3))
+    grads[:, 1:] = np.transpose(np.linalg.inv(jac), (0, 2, 1))
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    vols = det / 6.0
+    local = np.einsum("taj,tbj->tab", grads, grads).reshape(-1, 16)
+    local *= vols[:, None]
+    peak = np.abs(local).max(axis=1, keepdims=True)
+    local[np.abs(local) <= 1e-13 * peak] = 0.0
+    return grads, vols, local
+
+
 def reference_stiffness(mesh, nodal_weight, drop_roundoff=True):
     """CSR stiffness sum_T w_T int_T grad(phi_a).grad(phi_b), w_T the mean
     of ``nodal_weight`` over T's corners: per-call einsum + COO assembly,
@@ -129,7 +151,7 @@ def reference_stiffness(mesh, nodal_weight, drop_roundoff=True):
     entries at most 1e-13 of their tet's largest weighted entry are left
     out, as exact zeros that rounding made nonzero; without, the pattern
     holds every entry that is not exactly 0.0."""
-    grads, vols = fem_core.p1_gradients(mesh)
+    grads, vols, _ = p1_geometry_reference(mesh)
     tets = mesh.tets
     w = nodal_weight[tets].mean(axis=1)
     ke = np.einsum("t,taj,tbj->tab", w * vols, grads, grads).reshape(-1, 16)

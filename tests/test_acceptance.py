@@ -258,7 +258,8 @@ def test_criterion_8_decomposition_vs_monolithic():
         rho = gaussian_charge_density(atoms, mesh.vertices)
         A = fem_core.assemble_weighted_stiffness(mesh, es.region_eps(mesh, CONST))
         b = CONST.alpha * assemble_load_volume(mesh, rho)
-        A, b = fem_core.apply_dirichlet(A, b, es.potential_dirichlet(mesh, CONST))
+        d = es.potential_dirichlet(mesh, CONST, np.zeros(mesh.num_vertices))
+        A, b = fem_core.apply_dirichlet(A, b, d)
         mono = sparse_linalg.solve(A, b, DIRECT)
         errs.append(l2_diff(mesh, w, mono) / fem_core.l2_norm(mesh, mono))
     ratio = errs[0] / errs[1]

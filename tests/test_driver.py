@@ -340,6 +340,18 @@ def test_run_builds_each_weight_map_once(monkeypatch):
     assert det.call_count == 1
 
 
+def test_run_inverts_one_matrix_per_tet_shape():
+    # the R=12 box holds 10,368 tets of 96 distinct edge matrices; a count
+    # of the matrices LAPACK inverts, not a timing
+    config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(),
+                              linear=sparse_linalg.LinearSolveSpec(method="direct"),
+                              geometry=meshmod.ChannelGeometry(resolution=12))
+    with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+        result = driver.run(config)
+    assert result.mesh.num_tets == 10368
+    assert sum(len(call.args[0]) for call in inv.call_args_list) <= 96
+
+
 @pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
 def test_run_pins_dirichlet_data_one_way(method):
     # Block 1, Psi and Phi~ all come from pinned weight maps; the unpinned

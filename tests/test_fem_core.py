@@ -11,7 +11,8 @@ from smpnp.fem_core import (DirichletSet, apply_dirichlet, assemble_mass,
                             assemble_surface_load, assemble_weighted_stiffness,
                             l2_norm, pinned_stiffness_system)
 
-from helpers import assemble_load_volume, l2_diff, reference_scatter, reference_stiffness
+from helpers import (assemble_load_volume, l2_diff, p1_geometry_reference, reference_scatter,
+                     reference_stiffness)
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 
@@ -287,6 +288,55 @@ def test_submesh_operator_is_its_parents_rows(channel_mesh):
         assert getattr(op, name).tobytes() == rows.tobytes(), name
         assert getattr(own, name).tobytes() == rows.tobytes(), name
     assert op.num_vertices == sub.num_vertices and op.tets is sub.tets
+    assert op.num_shapes == box.num_shapes
+
+
+# distinct tet edge matrices of the synthetic meshes, per resolution
+SYNTH_SHAPES = {4: 6, 6: 54, 12: 96, 14: 288}
+
+
+def _jittered_mesh():
+    # every vertex of the R=4 channel box moved by up to 0.2 A (cells are
+    # 10 x 10 x 15 A): each tet is its own shape, and none turns over
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4))
+    shift = np.random.default_rng(11).uniform(-0.2, 0.2, mesh.vertices.shape)
+    return SimpleNamespace(vertices=mesh.vertices + shift, tets=mesh.tets,
+                           num_vertices=mesh.num_vertices)
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_SHAPES) + ["jittered"])
+def test_p1_operator_is_bitwise_the_per_tet_geometry(case):
+    # LAPACK, the einsum and the roundoff rule run once per distinct tet
+    # shape; gathered to the tets, every array is the per-tet result
+    if case == "jittered":
+        mesh = _jittered_mesh()
+    else:
+        mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=case))
+    op = fem_core.P1Operator(mesh)
+    for name, want in zip(("grads", "volumes", "local_stiffness"),
+                          p1_geometry_reference(mesh)):
+        got = getattr(op, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert op.num_shapes == (len(mesh.tets) if case == "jittered" else SYNTH_SHAPES[case])
+
+
+@pytest.mark.parametrize("flip, flat", [([30, 7, 19], []), ([40, 41], []), ([2], []),
+                                        ([], [5]), ([9], [5])])
+def test_bad_tet_error_names_the_first_bad_tet(flip, flat):
+    # turned-over and flattened tets share shapes with each other and with
+    # good tets; the error names the first bad tet in tet order and its
+    # signed volume, as a per-tet check does
+    mesh = meshmod.unit_cube_mesh(2)
+    tets = mesh.tets.copy()
+    tets[flip] = tets[flip][:, [1, 0, 2, 3]]
+    tets[flat, 1] = tets[flat, 0]
+    bad = SimpleNamespace(vertices=mesh.vertices, tets=tets, num_vertices=mesh.num_vertices)
+    with pytest.raises(MeshError) as want:
+        p1_geometry_reference(bad)
+    with pytest.raises(MeshError) as got:
+        fem_core.P1Operator(bad)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("inverted tet index %d " % min(flip + flat))
 
 
 # stored entries of the pinned box Poisson operator and of the pinned

@@ -8,7 +8,7 @@ import pytest
 from smpnp import fem_core, mesh as meshmod
 from smpnp.errors import MeshError, MeshFormatError
 
-from helpers import region_volume
+from helpers import p1_geometry_reference, region_volume
 
 
 def test_structured_box_counts():
@@ -19,7 +19,7 @@ def test_structured_box_counts():
 
 def test_structured_box_positive_volumes():
     verts, tets = meshmod.structured_box((0, 1, 0, 1, 0, 1), 2)
-    _, vols = fem_core.p1_gradients(SimpleNamespace(vertices=verts, tets=tets))
+    _, vols, _ = p1_geometry_reference(SimpleNamespace(vertices=verts, tets=tets))
     assert np.all(vols > 0)
     assert np.isclose(vols.sum(), 1.0)
 
@@ -407,7 +407,10 @@ def test_synth_builds_one_face_table_and_still_checks_labels(tmp_path):
     geom = meshmod.ChannelGeometry(resolution=6)
     with mock.patch.object(meshmod, "_face_owners", wraps=meshmod._face_owners) as spy:
         mesh = meshmod.synth_channel_mesh(geom)
+        meshmod.extract_solvent_submesh(mesh)
+    # the extraction reused the table, and dropped it
     assert spy.call_count == 1
+    assert not hasattr(mesh, "_face_table")
     k = np.nonzero(mesh.facet_labels == meshmod.GAMMA_P)[0][0]
     message = "facet %d does not separate the regions of label %d" % (k, meshmod.GAMMA_M)
     derive = meshmod.derive_facets
@@ -423,7 +426,7 @@ def test_synth_builds_one_face_table_and_still_checks_labels(tmp_path):
     path = tmp_path / "chan.mesh"
     meshmod.save_mesh(mesh, path)
     with mock.patch.object(meshmod, "_face_owners", wraps=meshmod._face_owners) as spy:
-        meshmod.load_mesh(path)
+        meshmod.extract_solvent_submesh(meshmod.load_mesh(path))
     assert spy.call_count == 1
     mesh.facet_labels[k] = meshmod.GAMMA_M
     with pytest.raises(MeshError, match="^%s$" % message):
@@ -651,6 +654,41 @@ def test_structured_box_matches_loop_reference():
         assert verts.dtype == want_verts.dtype and tets.dtype == want_tets.dtype
         assert np.array_equal(verts, want_verts)
         assert np.array_equal(tets, want_tets)
+
+
+def submesh_by_own_face_scan(mesh):
+    """The solvent submesh with its boundary faces from a face scan over
+    its own tets, ``_face_owners(sub_tets)``, not from the box's table."""
+    keep = np.nonzero(mesh.tet_regions == meshmod.SOLVENT)[0]
+    vmap = np.unique(mesh.tets[keep])
+    sub_tets = np.searchsorted(vmap, mesh.tets[keep])
+    faces, owners = meshmod._face_owners(sub_tets, vmap.size)
+    faces = faces[owners[:, 1] < 0]
+    n = mesh.num_vertices
+    found = meshmod._find_faces(meshmod._face_keys(np.sort(mesh.facets, axis=1), n),
+                                meshmod._face_keys(vmap[faces], n))
+    labels = mesh.facet_labels[found]
+    labels[np.isin(labels, (meshmod.GAMMA_P, meshmod.GAMMA_M))] = meshmod.SUB_INTERFACE
+    return meshmod.SolventSubmesh(mesh, vmap, sub_tets, faces, labels, keep)
+
+
+@pytest.mark.parametrize("resolution, loaded", [(4, False), (12, False), (20, False),
+                                                (12, True)])
+def test_submesh_faces_from_box_table_match_own_face_scan(resolution, loaded, tmp_path):
+    # the box's faces with one solvent owner, in owner-slot order, are the
+    # submesh's own boundary faces in its own scan order; the first
+    # extraction takes the table validate stored, a later one builds one
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=resolution))
+    if loaded:
+        meshmod.save_mesh(mesh, tmp_path / "chan.mesh")
+        mesh = meshmod.load_mesh(tmp_path / "chan.mesh")
+    want = submesh_by_own_face_scan(mesh)
+    assert hasattr(mesh, "_face_table")
+    first = meshmod.extract_solvent_submesh(mesh)
+    assert not hasattr(mesh, "_face_table")
+    again = meshmod.extract_solvent_submesh(mesh)
+    for got in (first, again):
+        _assert_arrays_identical(got, want, _SUBMESH_FIELDS)
 
 
 def test_loaded_mesh_matches_loop_reference(tmp_path, channel_mesh):
