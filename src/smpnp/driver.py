@@ -26,7 +26,7 @@ from . import (electrostatics, fem_core, mesh as meshmod, nonlinear_node,
                sparse_linalg, transport)
 from .errors import ConfigError, ConvergenceError, SmpnpError, require
 from .physics_model import (DEFAULT_THETA, IonSpecies, ModelConstants, SpeciesSet,
-                            slotboom_forward, volume_from_radius)
+                            output_name, slotboom_forward, volume_from_radius)
 
 logger = logging.getLogger(__name__)
 
@@ -330,7 +330,7 @@ def run(config: RunConfig):
     atoms = config.build_atoms()
     logger.info("mesh: %d vertices, %d tets (%d solvent, %d distinct shapes); "
                 "%d species; %d atoms", mesh.num_vertices, mesh.num_tets,
-                len(submesh.tets), fem_core.p1_operator(mesh).num_shapes, n, len(atoms))
+                len(submesh.tets), len(fem_core.p1_operator(mesh).volumes), n, len(atoms))
     g_nodes = electrostatics.eval_G(atoms, constants, mesh.vertices)
     psi = electrostatics.solve_psi(mesh, atoms, constants, g_nodes)
     w = g_nodes + psi
@@ -404,10 +404,6 @@ def run(config: RunConfig):
 # ---------------------------------------------------------------------------
 # outputs
 
-def _vtk_name(name):
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-
-
 def export_vtk(path, mesh: meshmod.LabeledMesh, point_data):
     """Legacy ASCII VTK unstructured grid with the given nodal scalars."""
     with open(path, "w") as fh:
@@ -427,7 +423,7 @@ def export_vtk(path, mesh: meshmod.LabeledMesh, point_data):
             values = np.asarray(values, dtype=float)
             if values.shape != (mesh.num_vertices,):
                 raise ValueError("field %r is not nodal on the box mesh" % name)
-            fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % _vtk_name(name))
+            fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % output_name(name))
             meshmod.write_rows(fh, "%g\n", values)
 
 
@@ -463,7 +459,7 @@ def export_profiles(path, submesh: meshmod.SolventSubmesh, c_fields, names,
     which = np.clip(np.searchsorted(edges, pts[:, 2], side="right") - 1, 0, bins - 1)
     c_fields = np.asarray(c_fields, dtype=float)
     with open(path, "w") as fh:
-        fh.write("z_center," + ",".join("mean_c_%s" % _vtk_name(n) for n in names)
+        fh.write("z_center," + ",".join("mean_c_%s" % output_name(n) for n in names)
                  + ",count\n")
         for b in range(bins):
             sel = keep & (which == b)

@@ -213,17 +213,17 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
     if len(atoms):
         # dielectric-mismatch volume term, protein tets drop out
         op = fem_core.p1_operator(mesh)
-        grads, vols = op.grads, op.volumes
         eps = region_eps(mesh, constants)
         active = np.nonzero(eps != constants.eps_p)[0]
         if active.size:
+            shape = op.shape[active]
             coords = mesh.vertices[mesh.tets[active]]  # (M,4,3)
             qpts = np.einsum("qa,mak->mqk", _TET_QPTS, coords)
             gq = grad_G(atoms, constants, qpts.reshape(-1, 3)).reshape(len(active), 4, 3)
             mean_grad = gq.mean(axis=1)
             contrib = -np.einsum("m,mak,mk->ma",
-                                 (eps[active] - constants.eps_p) * vols[active],
-                                 grads[active], mean_grad)
+                                 (eps[active] - constants.eps_p) * op.volumes[shape],
+                                 op.grads[shape], mean_grad)
             np.add.at(rhs, mesh.tets[active].ravel(), contrib.ravel())
         # -eps_p dG/dn on the side boundary
         nfac = mesh.facets[mesh.facet_labels == meshmod.GAMMA_N]

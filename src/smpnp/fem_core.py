@@ -5,9 +5,10 @@ All assembly routines accept either the box mesh or the solvent submesh
 and mass use the exact closed-form P1 element integrals; general volume
 loads go through the P1 mass matrix, which integrates P1*P1 products
 exactly.  Every assembly reads the element geometry from the mesh's
-``P1Operator``, built once per mesh; a submesh's takes its parent's rows.
-Which local stiffness entries are zero is decided once there, per tet: an
-entry at most 1e-13 of its tet's largest is an exact zero (orthogonal
+``P1Operator``, built once per mesh and held per distinct tet shape; a
+submesh's shares its parent's arrays.
+Which local stiffness entries are zero is decided once there, per shape: an
+entry at most 1e-13 of its shape's largest is an exact zero (orthogonal
 gradients) left over by rounding and is set to 0.0, so every stiffness
 pattern holds the structural nonzeros only, whatever the grid spacing.
 The solver's Dirichlet data (``side_dirichlet``) are imposed one way, by
@@ -88,42 +89,40 @@ _ROUNDOFF_ZERO = 1e-13
 class P1Operator:
     """Per-mesh P1 geometry, built once per mesh.
 
-    Holds the per-tet basis gradients (M, 4, 3), volumes (M,), and the
-    geometric local stiffness vol * grad(phi_a).grad(phi_b), flattened to
-    (M, 16), with every entry at most ``_ROUNDOFF_ZERO`` times its tet's
-    largest set to 0.0: which entries are zero is decided per tet by
-    structure, not by the rounding of the grid spacings.  All three are
-    computed once per distinct tet shape (``p1_gradients``) and gathered
-    to the tets; ``num_shapes`` counts the shapes.  The weight map
-    of the pinned stiffness pattern is kept per constrained node array
-    (``pinned_map``), because Block 1 reassembles it every sweep; a weight
-    map built once, as the box operator's and every mass matrix's are, is
-    not kept.  Obtain the operator through ``p1_operator``; the mesh must
-    not be mutated afterwards.
+    Holds, per distinct tet shape (``p1_gradients``), the basis gradients
+    (S, 4, 3), the volumes (S,), and the geometric local stiffness
+    vol * grad(phi_a).grad(phi_b), flattened to (S, 16), with every entry
+    at most ``_ROUNDOFF_ZERO`` times its shape's largest set to 0.0: which
+    entries are zero is decided by structure, not by the rounding of the
+    grid spacings.  ``shape`` (M,) is each tet's shape index, so a tet's
+    arrays are ``grads[shape]`` and so on; readers index at the point of
+    use.  The weight map of the pinned stiffness pattern is kept per
+    constrained node array (``pinned_map``), because Block 1 reassembles
+    it every sweep; a weight map built once, as the box operator's and
+    every mass matrix's are, is not kept.  Obtain the operator through
+    ``p1_operator``; the mesh must not be mutated afterwards.
 
-    A submesh (a mesh with ``parent`` and ``parent_tet_ids``) takes its
-    geometry as the rows of its parent's operator at ``parent_tet_ids``:
-    its tets are those tets on the same vertex coordinates, so these are
-    the rows ``p1_gradients`` would compute for it, bit for bit.  Its
-    ``num_shapes`` is its parent's: it computes no shape of its own.
+    A submesh (a mesh with ``parent`` and ``parent_tet_ids``) shares its
+    parent's per-shape arrays, and its ``shape`` is the parent's at
+    ``parent_tet_ids``: its tets are those tets on the same vertex
+    coordinates, so this is the geometry ``p1_gradients`` would compute
+    for it, bit for bit.
     """
 
     def __init__(self, mesh):
         ids = getattr(mesh, "parent_tet_ids", None)
         if ids is None:
-            grads, volumes, shape = p1_gradients(mesh)
-            local = np.einsum("taj,tbj->tab", grads, grads).reshape(-1, 16)
-            local *= volumes[:, None]
+            self.grads, self.volumes, self.shape = p1_gradients(mesh)
+            local = np.einsum("taj,tbj->tab", self.grads, self.grads).reshape(-1, 16)
+            local *= self.volumes[:, None]
             peak = np.abs(local).max(axis=1, keepdims=True)
             local[np.abs(local) <= _ROUNDOFF_ZERO * peak] = 0.0
-            self.grads, self.volumes = grads[shape], volumes[shape]
-            self.local_stiffness = local[shape]
-            self.num_shapes = len(volumes)
+            self.local_stiffness = local
         else:
             parent = p1_operator(mesh.parent)
-            self.grads, self.volumes = parent.grads[ids], parent.volumes[ids]
-            self.local_stiffness = parent.local_stiffness[ids]
-            self.num_shapes = parent.num_shapes
+            self.grads, self.volumes = parent.grads, parent.volumes
+            self.local_stiffness = parent.local_stiffness
+            self.shape = parent.shape[ids]
         self.tets = mesh.tets
         self.num_vertices = mesh.num_vertices
         self._pinned_maps = {}
@@ -131,14 +130,15 @@ class P1Operator:
     def stiffness_map(self, nodes):
         """Weight map of the stiffness pattern with ``nodes`` pinned.
 
-        The pattern keeps the local entries that the per-tet rule of
+        The pattern keeps the local entries that the per-shape rule of
         ``__init__`` leaves nonzero.  On the synthetic meshes' Kuhn tets, 6
         of the 16 entries pair orthogonal gradients: they are zero in exact
         arithmetic, and the rule zeroes them on every grid, where rounding
         alone would leave 20,736 of them nonzero at R=12 (R=16: 16,384;
         R=20: none), nearly doubling the pattern.
         """
-        return _WeightMap(self.tets, self.num_vertices, self.local_stiffness, nodes)
+        return _WeightMap(self.tets, self.num_vertices, self.local_stiffness[self.shape],
+                          nodes)
 
     def pinned_map(self, nodes):
         """``stiffness_map(nodes)``, cached per node array (its bytes)."""
@@ -163,7 +163,7 @@ class _WeightMap:
 
     ``local`` holds the (M, 16) unweighted local values of ``tets``
     (row-major a, b); an entry enters the pattern when it is ``!= 0.0``.
-    A stiffness ``local`` comes from ``P1Operator``, whose per-tet rule has
+    A stiffness ``local`` comes from ``P1Operator``, whose per-shape rule has
     already set its roundoff entries to 0.0, so this keeps exactly the
     structural nonzeros; a mass matrix keeps all 16.
     Kept entries coupling two unconstrained nodes form ``map``, a CSC
@@ -254,7 +254,7 @@ def _tet_weight(op, weight, tet_mask=None):
 
     Tets outside ``tet_mask`` get weight zero.
     """
-    n_tets = op.volumes.shape[0]
+    n_tets = len(op.tets)
     weight = np.asarray(1.0 if weight is None else weight, dtype=float)
     if weight.ndim == 0:
         w = np.full(n_tets, float(weight))
@@ -306,7 +306,9 @@ def assemble_mass(mesh, tet_mask=None):
     Tets outside ``tet_mask`` contribute zeros, in the same pattern.
     """
     op = p1_operator(mesh)
-    vols = op.volumes if tet_mask is None else np.where(tet_mask, op.volumes, 0.0)
+    vols = op.volumes[op.shape]
+    if tet_mask is not None:
+        vols = np.where(tet_mask, vols, 0.0)
     local = np.broadcast_to(_LOCAL_MASS, (len(vols), 16))
     return _WeightMap(op.tets, op.num_vertices, local, _NO_NODES).matrix(vols)
 

@@ -4,7 +4,9 @@ the restriction/prolongation maps between the two P1 spaces.
 Regions: 1 = Solvent, 2 = Protein, 3 = Membrane.
 Facet labels: 1 = protein-solvent, 2 = membrane-solvent, 3 = protein-membrane
 interfaces; 4 = Dirichlet (bottom/top box faces); 5 = Neumann (side faces).
-On the solvent submesh the two solvent-facing interface labels collapse to 1.
+The solvent submesh holds indices into its box and no facets: its
+Dirichlet nodes are the box's, which ``LabeledMesh.validate`` makes all
+solvent nodes.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from .errors import MeshError, MeshFormatError, require
 
 SOLVENT, PROTEIN, MEMBRANE = 1, 2, 3
 GAMMA_P, GAMMA_M, GAMMA_PM, GAMMA_D, GAMMA_N = 1, 2, 3, 4, 5
-#: Submesh facet labels: solvent-facing interface, Dirichlet, Neumann.
-SUB_INTERFACE, SUB_DIRICHLET, SUB_NEUMANN = 1, GAMMA_D, GAMMA_N
 
 _REGIONS = (SOLVENT, PROTEIN, MEMBRANE)
 _FACET_LABELS = (GAMMA_P, GAMMA_M, GAMMA_PM, GAMMA_D, GAMMA_N)
@@ -61,8 +61,11 @@ class LabeledMesh:
         when the caller has already built it; None builds it here.  Each
         call checks the vertex ids first, then builds the mesh's P1 geometry
         afresh, which rejects an inverted tet, and stores it for
-        ``fem_core.p1_operator``.  The face table is stored too, for the
-        next ``extract_solvent_submesh``, which takes it off the mesh.
+        ``fem_core.p1_operator``.  One lookup of the facets in the face
+        table then checks that every interface facet separates the regions
+        of its label, that every Dirichlet facet bounds a solvent tet (so
+        the box's Dirichlet nodes are all solvent-submesh nodes), and that
+        every face with exactly one solvent owner carries a facet.
         """
         _check_vertex_ids(self.tets, self.num_vertices, "tet")
         _check_vertex_ids(self.facets, self.num_vertices, "facet")
@@ -86,25 +89,29 @@ class LabeledMesh:
               | _all_near(pts[..., 1], y1) | _all_near(pts[..., 1], y2))
         if not ok.all():
             raise MeshError("Neumann facet %d not on a side plane" % neumann[np.argmin(ok)])
-        if face_table is None:
-            face_table = _face_owners(self.tets, self.num_vertices)
-        self._validate_interface_facets(*face_table)
-        self._face_table = face_table
-        return self
-
-    def _validate_interface_facets(self, faces, owners):
-        n = self.num_vertices
-        iface = np.nonzero(np.isin(self.facet_labels, (GAMMA_P, GAMMA_M, GAMMA_PM)))[0]
-        found = _find_faces(_face_keys(faces, n),
-                            _face_keys(np.sort(self.facets[iface], axis=1), n))
-        own = owners[found]
-        ra, rb = self.tet_regions[own[:, 0]], self.tet_regions[own[:, 1]]
-        ok = ((found >= 0) & (own[:, 1] >= 0)
-              & (_PAIR_LABEL[ra, rb] == self.facet_labels[iface]))
-        if not ok.all():
-            k = iface[np.argmin(ok)]
+        faces, owners = (_face_owners(self.tets, self.num_vertices) if face_table is None
+                         else face_table)
+        n, labels = self.num_vertices, self.facet_labels
+        found = _find_faces(_face_keys(faces, n), _face_keys(np.sort(self.facets, axis=1), n))
+        # owner regions, 0 for a missing owner (a boundary face's second)
+        region = np.append(self.tet_regions, 0)[owners]
+        ra, rb = np.where(found >= 0, region[found].T, 0)
+        bad = (np.isin(labels, (GAMMA_P, GAMMA_M, GAMMA_PM))
+               & (_PAIR_LABEL[ra, rb] != labels))
+        if bad.any():
+            k = np.argmax(bad)
             raise MeshError("facet %d does not separate the regions of label %d"
-                            % (k, self.facet_labels[k]))
+                            % (k, labels[k]))
+        bad = (labels == GAMMA_D) & (ra != SOLVENT) & (rb != SOLVENT)
+        if bad.any():
+            raise MeshError("Dirichlet facet %d does not bound a solvent tet" % np.argmax(bad))
+        solvent = region == SOLVENT
+        missing = solvent[:, 0] != solvent[:, 1]
+        missing[found[found >= 0]] = False
+        if missing.any():
+            raise MeshError("solvent boundary face (%d, %d, %d) carries no facet"
+                            % tuple(faces[np.argmax(missing)].tolist()))
+        return self
 
     def dirichlet_side_nodes(self):
         """(bottom_nodes, top_nodes) on the Dirichlet facets, disjoint."""
@@ -428,12 +435,13 @@ def unit_cube_mesh(n=2, box=(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)):
     """All-solvent structured box mesh (Dirichlet top/bottom, Neumann sides)."""
     verts, tets = structured_box(box, n)
     regions = np.full(len(tets), SOLVENT, dtype=np.int64)
-    facets, labels = derive_facets(verts, tets, regions, box)
+    face_table = _face_owners(tets, len(verts))
+    facets, labels = derive_facets(verts, tets, regions, box, face_table)
     # membrane planes unused; park them inside the box to satisfy validation
     z1, z2 = box[4], box[5]
     mesh = LabeledMesh(verts, tets, regions, facets, labels, box,
                        z1 + 0.25 * (z2 - z1), z1 + 0.75 * (z2 - z1))
-    return mesh.validate()
+    return mesh.validate(face_table)
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +449,16 @@ def unit_cube_mesh(n=2, box=(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)):
 
 @dataclass
 class SolventSubmesh:
-    """Solvent-region submesh with maps to/from the parent box mesh.
+    """Solvent-region submesh: indices into the parent box mesh, with maps
+    to/from it.
 
     Immutable by convention, like its parent: ``fem_core.p1_operator``
     stores the submesh's P1 geometry on it at the first assembly.
     """
 
     parent: LabeledMesh
-    vertex_map: np.ndarray  # solvent-local index -> parent index
+    vertex_map: np.ndarray  # solvent-local index -> parent index, increasing
     tets: np.ndarray  # (Ms, 4) solvent-local indices
-    facets: np.ndarray  # (Ks, 3) solvent-local indices
-    facet_labels: np.ndarray  # SUB_* labels
     parent_tet_ids: np.ndarray
 
     @property
@@ -482,17 +489,16 @@ class SolventSubmesh:
     def box(self):
         return self.parent.box
 
-    # SUB_DIRICHLET is GAMMA_D, so the parent's rule finds the local nodes
-    dirichlet_side_nodes = LabeledMesh.dirichlet_side_nodes
+    def dirichlet_side_nodes(self):
+        """The parent's (bottom_nodes, top_nodes) as local indices: every
+        Dirichlet facet bounds a solvent tet (``LabeledMesh.validate``)."""
+        return tuple(np.searchsorted(self.vertex_map, nodes)
+                     for nodes in self.parent.dirichlet_side_nodes())
 
 
 def extract_solvent_submesh(mesh: LabeledMesh):
-    """Build the solvent submesh of ``mesh`` (errors if no solvent tets).
-
-    The submesh's boundary faces come from the box's face table: the one
-    ``validate`` stored, which this takes off the mesh so that it does not
-    outlive the extraction, or else a new one.
-    """
+    """Build the solvent submesh of a validated ``mesh`` (errors if no
+    solvent tets)."""
     keep = np.nonzero(mesh.tet_regions == SOLVENT)[0]
     if keep.size == 0:
         raise MeshError("mesh has no solvent tets")
@@ -500,36 +506,7 @@ def extract_solvent_submesh(mesh: LabeledMesh):
     vmap = np.unique(sub_tets_parent)
     inverse = np.full(mesh.num_vertices, -1, dtype=np.int64)
     inverse[vmap] = np.arange(vmap.size)
-    sub_tets = inverse[sub_tets_parent]
-
-    # a submesh boundary face is a box face with exactly one solvent owner;
-    # ordered by that owner's tet id and local face slot, the faces come in
-    # the order of a face scan over the submesh's own tets
-    n = mesh.num_vertices
-    table = vars(mesh).pop("_face_table", None)
-    faces, owners = _face_owners(mesh.tets, n) if table is None else table
-    solvent = (owners >= 0) & (mesh.tet_regions[owners] == SOLVENT)
-    one = solvent[:, 0] != solvent[:, 1]
-    parent_faces, owners, solvent = faces[one], owners[one], solvent[one]
-    owner = np.where(solvent[:, 0], owners[:, 0], owners[:, 1])
-    # local slot s is the face opposite the owner's local vertex s
-    slot = np.argmax(np.all(mesh.tets[owner][:, :, None] != parent_faces[:, None, :],
-                            axis=2), axis=1)
-    parent_faces = parent_faces[np.argsort(owner * 4 + slot)]
-    # tagged from the parent facet list (the last parent facet wins on a
-    # repeated face); vmap is increasing, so a sorted parent triple maps to
-    # a sorted local triple
-    faces = inverse[parent_faces]
-    found = _find_faces(_face_keys(np.sort(mesh.facets, axis=1), n),
-                        _face_keys(parent_faces, n))
-    parent_labels = np.append(mesh.facet_labels, 0)[found]  # 0: not a parent facet
-    missing = np.nonzero(~np.isin(parent_labels, (GAMMA_P, GAMMA_M, GAMMA_D, GAMMA_N)))[0]
-    if missing.size:
-        raise MeshError("solvent boundary face (%d, %d, %d) missing from parent facets"
-                        % tuple(parent_faces[missing[0]].tolist()))
-    # SUB_DIRICHLET and SUB_NEUMANN keep the parent's labels
-    labels = np.where(np.isin(parent_labels, (GAMMA_P, GAMMA_M)), SUB_INTERFACE, parent_labels)
-    return SolventSubmesh(mesh, vmap, sub_tets, faces, labels.astype(np.int64), keep)
+    return SolventSubmesh(mesh, vmap, inverse[sub_tets_parent], keep)
 
 
 def protein_ring_sites(mesh: LabeledMesh, n_sites):

@@ -70,19 +70,32 @@ class IonSpecies:
         require(self.v >= 0, ValueError, "ion volume must be nonnegative: %s" % self.name, "v")
 
 
+def output_name(name):
+    """The form of ``name`` in output field and column names: each character
+    that is not alphanumeric or ``_`` becomes ``_``."""
+    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
+
+
 class SpeciesSet:
     """Ordered collection of at most 8 species with cached numpy views.
 
-    Sizes are either all positive (size-modified mode) or all zero (classical
-    PNP reduction); mixing is rejected.  In reduction mode the reference
-    volume v0 is conventionally 1, so every exponent v_i/v0 is 0 and each
-    size factor w^(v_i/v0) is exactly 1.
+    Names must differ in their output form (``output_name``), so that every
+    species has its own output fields.  Sizes are either all positive
+    (size-modified mode) or all zero (classical PNP reduction); mixing is
+    rejected.  In reduction mode the reference volume v0 is conventionally
+    1, so every exponent v_i/v0 is 0 and each size factor w^(v_i/v0) is
+    exactly 1.
     """
 
     def __init__(self, species):
         species = tuple(species)
         if not 1 <= len(species) <= 8:
             raise ValueError("expected 1..8 species, got %d" % len(species))
+        forms = [output_name(s.name) for s in species]
+        for j, form in enumerate(forms):
+            require(form not in forms[:j], ValueError, "species names %r and %r are both "
+                    "written as %r" % (species[forms.index(form)].name, species[j].name, form),
+                    "name")
         self.species = species
         self.Z = np.array([s.Z for s in species], dtype=float)
         self.v = np.array([s.v for s in species], dtype=float)

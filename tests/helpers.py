@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from smpnp import fem_core, transport
+from smpnp import fem_core, mesh as meshmod, transport
 from smpnp.errors import FeasibilityError, MeshError
 from smpnp.physics_model import (ModelConstants, SpeciesSet, mixture_species,
                                  slotboom_forward, transformed_diffusion,
@@ -44,8 +44,25 @@ def l2_diff(mesh, f, g, mass=None):
 
 def region_volume(mesh, region):
     """Total volume of the tets labelled ``region``."""
-    vols = fem_core.p1_operator(mesh).volumes
-    return float(vols[mesh.tet_regions == region].sum())
+    op = fem_core.p1_operator(mesh)
+    return float(op.volumes[op.shape][mesh.tet_regions == region].sum())
+
+
+def solvent_dirichlet_nodes(submesh):
+    """(bottom, top) submesh-local nodes of the box's Dirichlet faces that
+    bound a solvent tet, found from the geometry alone: the faces of the
+    solvent tets whose three vertices all lie on z = L_z1 (bottom) or on
+    z = L_z2 (top), not from any facet list."""
+    mesh = submesh.parent
+    tets = mesh.tets[mesh.tet_regions == meshmod.SOLVENT]
+    faces = tets[:, [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]]  # (Ms, 4, 3)
+    z = mesh.vertices[faces, 2]
+    local = dict(zip(submesh.vertex_map.tolist(), range(submesh.num_vertices)))
+    sides = []
+    for plane in mesh.box[4:]:
+        on = np.all(np.abs(z - plane) < 1e-9, axis=2)
+        sides.append(np.unique([local[v] for v in faces[on].ravel().tolist()]).astype(np.int64))
+    return tuple(sides)
 
 
 def electrochemical_potential(species, i, u, c, constants):
@@ -60,7 +77,8 @@ def electrochemical_potential(species, i, u, c, constants):
 
 def _tet_gradient_fields(submesh, fields):
     """Per-tet gradients of one or more nodal fields: (..., Ms, 3)."""
-    grads = fem_core.p1_operator(submesh).grads
+    op = fem_core.p1_operator(submesh)
+    grads = op.grads[op.shape]
     vals = np.asarray(fields)[..., submesh.tets]  # (..., Ms, 4)
     return np.einsum("...ta,tak->...tk", vals, grads)
 
@@ -123,8 +141,8 @@ def capped_block1_weights(sub, geom, field, species):
 
 
 def p1_geometry_reference(mesh):
-    """(grads, volumes, local_stiffness) of every tet as ``fem_core.P1Operator``
-    holds them, with LAPACK ``det`` and ``inv`` and the einsum run per tet,
+    """(grads, volumes, local_stiffness) of every tet, as ``fem_core.P1Operator``
+    gives them indexed by ``shape``, with LAPACK ``det`` and ``inv`` and the einsum run per tet,
     not per distinct tet shape.  Raises MeshError naming the first tet of
     non-positive volume."""
     p = mesh.vertices[mesh.tets]

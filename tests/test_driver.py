@@ -125,6 +125,10 @@ D_b = 0.196
      "lines 5, 11: ion volumes must be all positive or all zero"),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 1000\nc_b = 10\nD_b = 0.1\n",
      "lines 5, 6: bulk volume fraction 6.02"),
+    # names that write the same output fields: the rule names every name line
+    ("mesh = synth\n[species]\nname = Na+\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n"
+     "[species]\nname = Na-\nZ = -1\nv = 0\nc_b = 0.1\nD_b = 0.1\n",
+     "^lines 3, 9: species names 'Na[+]' and 'Na-' are both written as 'Na_'$"),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nradius = 1e200\nc_b = 0.1\nD_b = 0.1\n",
      "line 5: radius 1e[+]200 has no finite volume"),
     # a D_c left out is theta * D_b: its errors name the lines of both

@@ -252,7 +252,7 @@ def test_scatter_matches_sorted_key_reference(case, which, channel_mesh, channel
     # lift are the same arrays as those of the sorted-key build
     mesh = channel_mesh if which == "box" else channel_submesh
     op = fem_core.p1_operator(mesh)
-    local, nodes = op.local_stiffness, np.concatenate(mesh.dirichlet_side_nodes())
+    local, nodes = op.local_stiffness[op.shape], np.concatenate(mesh.dirichlet_side_nodes())
     if case == "mass":
         local, nodes = np.broadcast_to(fem_core._LOCAL_MASS, local.shape), fem_core._NO_NODES
     elif case == "pinned-unordered":
@@ -277,18 +277,20 @@ def test_scatter_matches_sorted_key_reference(case, which, channel_mesh, channel
 
 
 def test_submesh_operator_is_its_parents_rows(channel_mesh):
-    # the submesh's geometry is the parent's rows at parent_tet_ids, and
-    # bitwise what its own vertices give
+    # the submesh shares its parent's per-shape arrays, its tets' shapes are
+    # the parent's at parent_tet_ids, and its per-tet geometry is bitwise
+    # what its own vertices give
     sub = meshmod.extract_solvent_submesh(channel_mesh)
     box, op = fem_core.p1_operator(channel_mesh), fem_core.p1_operator(sub)
     own = fem_core.P1Operator(SimpleNamespace(vertices=sub.vertices, tets=sub.tets,
                                               num_vertices=sub.num_vertices))
+    assert np.array_equal(op.shape, box.shape[sub.parent_tet_ids])
     for name in ("grads", "volumes", "local_stiffness"):
-        rows = getattr(box, name)[sub.parent_tet_ids]
-        assert getattr(op, name).tobytes() == rows.tobytes(), name
-        assert getattr(own, name).tobytes() == rows.tobytes(), name
+        assert getattr(op, name) is getattr(box, name), name
+        rows = getattr(box, name)[box.shape][sub.parent_tet_ids]
+        assert getattr(op, name)[op.shape].tobytes() == rows.tobytes(), name
+        assert getattr(own, name)[own.shape].tobytes() == rows.tobytes(), name
     assert op.num_vertices == sub.num_vertices and op.tets is sub.tets
-    assert op.num_shapes == box.num_shapes
 
 
 # distinct tet edge matrices of the synthetic meshes, per resolution
@@ -307,7 +309,7 @@ def _jittered_mesh():
 @pytest.mark.parametrize("case", sorted(SYNTH_SHAPES) + ["jittered"])
 def test_p1_operator_is_bitwise_the_per_tet_geometry(case):
     # LAPACK, the einsum and the roundoff rule run once per distinct tet
-    # shape; gathered to the tets, every array is the per-tet result
+    # shape; indexed by each tet's shape, every array is the per-tet result
     if case == "jittered":
         mesh = _jittered_mesh()
     else:
@@ -315,9 +317,9 @@ def test_p1_operator_is_bitwise_the_per_tet_geometry(case):
     op = fem_core.P1Operator(mesh)
     for name, want in zip(("grads", "volumes", "local_stiffness"),
                           p1_geometry_reference(mesh)):
-        got = getattr(op, name)
+        got = getattr(op, name)[op.shape]
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-    assert op.num_shapes == (len(mesh.tets) if case == "jittered" else SYNTH_SHAPES[case])
+    assert len(op.volumes) == (len(mesh.tets) if case == "jittered" else SYNTH_SHAPES[case])
 
 
 @pytest.mark.parametrize("flip, flat", [([30, 7, 19], []), ([40, 41], []), ([2], []),
@@ -355,7 +357,8 @@ def synth_boxes():
 def test_stiffness_zeros_are_structural(resolution, synth_boxes):
     # 6 of each Kuhn tet's 16 local entries pair orthogonal gradients
     mesh = synth_boxes[resolution]
-    local = fem_core.p1_operator(mesh).local_stiffness
+    op = fem_core.p1_operator(mesh)
+    local = op.local_stiffness[op.shape]
     assert np.all(np.count_nonzero(local == 0.0, axis=1) == 6)
     sub = meshmod.extract_solvent_submesh(mesh)
     block1, _ = pinned_stiffness_system(sub, 1.0, fem_core.side_dirichlet(sub, 0.1, 2.5))

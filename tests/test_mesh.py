@@ -8,7 +8,7 @@ import pytest
 from smpnp import fem_core, mesh as meshmod
 from smpnp.errors import MeshError, MeshFormatError
 
-from helpers import p1_geometry_reference, region_volume
+from helpers import p1_geometry_reference, region_volume, solvent_dirichlet_nodes
 
 
 def test_structured_box_counts():
@@ -194,13 +194,6 @@ def test_submesh_all_solvent_cube(cube_mesh):
     assert sub.num_vertices == cube_mesh.num_vertices
 
 
-def test_submesh_facet_tags_restricted(channel_submesh):
-    present = set(np.unique(channel_submesh.facet_labels))
-    assert present <= {meshmod.SUB_INTERFACE, meshmod.SUB_DIRICHLET,
-                       meshmod.SUB_NEUMANN}
-    assert meshmod.SUB_DIRICHLET in present
-
-
 def test_submesh_requires_solvent(cube_mesh):
     mesh = meshmod.LabeledMesh(cube_mesh.vertices, cube_mesh.tets,
                                np.full(cube_mesh.num_tets, meshmod.PROTEIN),
@@ -266,8 +259,6 @@ def test_face_shared_by_three_tets_is_rejected(tmp_path):
         meshmod.derive_facets(bad.vertices, tets, regions, bad.box)
     with pytest.raises(MeshError, match=message):
         bad.validate()
-    with pytest.raises(MeshError, match=message):
-        meshmod.extract_solvent_submesh(bad)
     path = tmp_path / "dup.mesh"
     meshmod.save_mesh(bad, path)
     with pytest.raises(MeshError, match=message):
@@ -284,7 +275,7 @@ def test_protein_ring_sites(channel_mesh):
 
 
 # ---------------------------------------------------------------------------
-# error paths of validate and extract_solvent_submesh
+# error paths of validate
 
 
 _INTERFACES = (meshmod.GAMMA_P, meshmod.GAMMA_M, meshmod.GAMMA_PM)
@@ -299,6 +290,19 @@ def _relabelled(mesh, facets=None, labels=None, tets=None, regions=None):
         mesh.facets if facets is None else facets,
         mesh.facet_labels if labels is None else labels,
         mesh.box, mesh.z1, mesh.z2)
+
+
+def _rejection(mesh, tmp_path):
+    """The MeshError message of ``mesh.validate()``, which loading the
+    saved mesh must give too."""
+    with pytest.raises(MeshError) as err:
+        mesh.validate()
+    path = tmp_path / "bad.mesh"
+    meshmod.save_mesh(mesh, path)
+    with pytest.raises(MeshError) as loaded:
+        meshmod.load_mesh(path)
+    assert str(loaded.value) == str(err.value)
+    return str(err.value)
 
 
 def _first_meeting(tets, faces):
@@ -401,16 +405,16 @@ def test_validate_names_first_interface_facet_on_the_boundary(channel_mesh):
 
 
 def test_synth_builds_one_face_table_and_still_checks_labels(tmp_path):
-    # derive_facets and validate share one face table; a wrong interface
-    # label still fails, whether it comes out of derive_facets or is
-    # written after construction, and a loaded mesh builds its own table
+    # derive_facets and validate share one face table, in synthesis and in
+    # unit_cube_mesh, and the extraction needs none; a wrong interface label
+    # still fails, whether it comes out of derive_facets or is written after
+    # construction, and a loaded mesh builds its own table
     geom = meshmod.ChannelGeometry(resolution=6)
     with mock.patch.object(meshmod, "_face_owners", wraps=meshmod._face_owners) as spy:
         mesh = meshmod.synth_channel_mesh(geom)
         meshmod.extract_solvent_submesh(mesh)
-    # the extraction reused the table, and dropped it
-    assert spy.call_count == 1
-    assert not hasattr(mesh, "_face_table")
+        meshmod.unit_cube_mesh(2)
+    assert spy.call_count == 2
     k = np.nonzero(mesh.facet_labels == meshmod.GAMMA_P)[0][0]
     message = "facet %d does not separate the regions of label %d" % (k, meshmod.GAMMA_M)
     derive = meshmod.derive_facets
@@ -444,29 +448,58 @@ def test_validate_rejects_interface_facet_not_a_tet_face(cube_mesh):
                               % (len(facets) - 1))
 
 
-def test_submesh_names_solvent_boundary_face_missing_from_parent(channel_mesh):
+def test_submesh_names_solvent_boundary_face_missing_from_parent(channel_mesh, tmp_path):
+    # validate names the first face of the solvent boundary, in the box's
+    # face scan, that carries no facet
     gm = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_M)[0]
     gd = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_D)[0]
     drop = [gm[4], gd[-2]]
     keep = np.setdiff1d(np.arange(len(channel_mesh.facets)), drop)
     mesh = _relabelled(channel_mesh, facets=channel_mesh.facets[keep],
                        labels=channel_mesh.facet_labels[keep])
-    solvent_tets = channel_mesh.tets[channel_mesh.tet_regions == meshmod.SOLVENT]
-    face = channel_mesh.facets[drop[_first_meeting(solvent_tets,
+    face = channel_mesh.facets[drop[_first_meeting(channel_mesh.tets,
                                                    channel_mesh.facets[drop])]]
-    with pytest.raises(MeshError) as err:
-        meshmod.extract_solvent_submesh(mesh)
     named = ", ".join(str(v) for v in np.sort(face))
-    assert str(err.value) == ("solvent boundary face (%s) missing from parent facets"
-                              % named)
+    assert _rejection(mesh, tmp_path) == "solvent boundary face (%s) carries no facet" % named
 
 
-
-def test_submesh_of_mesh_without_facets_names_first_boundary_face(cube_mesh):
+def test_submesh_of_mesh_without_facets_names_first_boundary_face(cube_mesh, tmp_path):
     mesh = _relabelled(cube_mesh, facets=np.empty((0, 3), dtype=np.int64),
                        labels=np.empty(0, dtype=np.int64))
-    with pytest.raises(MeshError, match="^solvent boundary face .* missing from parent"):
-        meshmod.extract_solvent_submesh(mesh)
+    faces, owners = meshmod._face_owners(cube_mesh.tets, cube_mesh.num_vertices)
+    first = faces[np.argmax(owners[:, 1] < 0)]
+    assert _rejection(mesh, tmp_path) == ("solvent boundary face (%d, %d, %d) carries no facet"
+                                          % tuple(first))
+
+
+def test_validate_rejects_dirichlet_facet_on_a_protein_tet(channel_mesh, tmp_path):
+    # a bottom-layer solvent tet turned protein, with the facets derived
+    # for the new regions: every other rule holds, but its Dirichlet facet
+    # bounds no solvent tet, and its nodes would be left out of Block 1's
+    # Dirichlet data
+    bottom = channel_mesh.vertices[channel_mesh.tets, 2] == channel_mesh.box[4]
+    owner = np.nonzero(bottom.sum(axis=1) == 3)[0][5]
+    regions = channel_mesh.tet_regions.copy()
+    regions[owner] = meshmod.PROTEIN
+    facets, labels = meshmod.derive_facets(channel_mesh.vertices, channel_mesh.tets,
+                                           regions, channel_mesh.box)
+    k = next(j for j, f in enumerate(facets) if labels[j] == meshmod.GAMMA_D
+             and set(f) <= set(channel_mesh.tets[owner]))
+    bad = _relabelled(channel_mesh, facets=facets, labels=labels, regions=regions)
+    assert _rejection(bad, tmp_path) == "Dirichlet facet %d does not bound a solvent tet" % k
+
+
+def test_validate_rejects_dirichlet_facet_not_a_tet_face(tmp_path):
+    # three corners of the box's bottom face lie on z = L_z1 but span no
+    # tet face
+    mesh = meshmod.unit_cube_mesh(2)
+    corners = [0, 6, 18]
+    assert np.array_equal(mesh.vertices[corners], [[0, 0, 0], [0, 1, 0], [1, 0, 0]])
+    facets = np.vstack([mesh.facets, [corners]])
+    labels = np.append(mesh.facet_labels, meshmod.GAMMA_D)
+    bad = _relabelled(mesh, facets=facets, labels=labels)
+    assert _rejection(bad, tmp_path) == ("Dirichlet facet %d does not bound a solvent tet"
+                                         % (len(facets) - 1))
 
 
 def test_face_table_rejects_bad_vertex_ids():
@@ -582,21 +615,7 @@ def extract_solvent_submesh_reference(mesh):
     vmap = np.unique(sub_tets_parent)
     inverse = np.full(mesh.num_vertices, -1, dtype=np.int64)
     inverse[vmap] = np.arange(vmap.size)
-    sub_tets = inverse[sub_tets_parent]
-    parent_label = {}
-    for f, lab in zip(mesh.facets, mesh.facet_labels):
-        parent_label[tuple(sorted(f))] = int(lab)
-    facets, labels = [], []
-    for face, owners in _face_table_reference(sub_tets).items():
-        if len(owners) != 1:
-            continue
-        lab = parent_label[tuple(sorted(vmap[list(face)]))]
-        labels.append(meshmod.SUB_INTERFACE if lab in (meshmod.GAMMA_P, meshmod.GAMMA_M)
-                      else lab)
-        facets.append(face)
-    return meshmod.SolventSubmesh(mesh, vmap, sub_tets,
-                                  np.asarray(facets, dtype=np.int64).reshape(-1, 3),
-                                  np.asarray(labels, dtype=np.int64), keep)
+    return meshmod.SolventSubmesh(mesh, vmap, inverse[sub_tets_parent], keep)
 
 
 def _assert_arrays_identical(got, want, fields):
@@ -612,7 +631,7 @@ def _assert_arrays_identical(got, want, fields):
 
 _MESH_FIELDS = ("vertices", "tets", "tet_regions", "facets", "facet_labels",
                 "box", "z1", "z2")
-_SUBMESH_FIELDS = ("vertex_map", "tets", "facets", "facet_labels", "parent_tet_ids")
+_SUBMESH_FIELDS = ("vertex_map", "tets", "parent_tet_ids")
 
 _ORACLE_GEOMETRIES = {
     "R2": meshmod.ChannelGeometry(resolution=2),
@@ -656,39 +675,20 @@ def test_structured_box_matches_loop_reference():
         assert np.array_equal(tets, want_tets)
 
 
-def submesh_by_own_face_scan(mesh):
-    """The solvent submesh with its boundary faces from a face scan over
-    its own tets, ``_face_owners(sub_tets)``, not from the box's table."""
-    keep = np.nonzero(mesh.tet_regions == meshmod.SOLVENT)[0]
-    vmap = np.unique(mesh.tets[keep])
-    sub_tets = np.searchsorted(vmap, mesh.tets[keep])
-    faces, owners = meshmod._face_owners(sub_tets, vmap.size)
-    faces = faces[owners[:, 1] < 0]
-    n = mesh.num_vertices
-    found = meshmod._find_faces(meshmod._face_keys(np.sort(mesh.facets, axis=1), n),
-                                meshmod._face_keys(vmap[faces], n))
-    labels = mesh.facet_labels[found]
-    labels[np.isin(labels, (meshmod.GAMMA_P, meshmod.GAMMA_M))] = meshmod.SUB_INTERFACE
-    return meshmod.SolventSubmesh(mesh, vmap, sub_tets, faces, labels, keep)
-
-
 @pytest.mark.parametrize("resolution, loaded", [(4, False), (12, False), (20, False),
                                                 (12, True)])
-def test_submesh_faces_from_box_table_match_own_face_scan(resolution, loaded, tmp_path):
-    # the box's faces with one solvent owner, in owner-slot order, are the
-    # submesh's own boundary faces in its own scan order; the first
-    # extraction takes the table validate stored, a later one builds one
+def test_submesh_dirichlet_nodes_match_solvent_gamma_d_faces(resolution, loaded, tmp_path):
+    # the box's Dirichlet pair mapped into the submesh is the node set of
+    # the solvent tets' faces on z = L_z1 and z = L_z2
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=resolution))
     if loaded:
         meshmod.save_mesh(mesh, tmp_path / "chan.mesh")
         mesh = meshmod.load_mesh(tmp_path / "chan.mesh")
-    want = submesh_by_own_face_scan(mesh)
-    assert hasattr(mesh, "_face_table")
-    first = meshmod.extract_solvent_submesh(mesh)
-    assert not hasattr(mesh, "_face_table")
-    again = meshmod.extract_solvent_submesh(mesh)
-    for got in (first, again):
-        _assert_arrays_identical(got, want, _SUBMESH_FIELDS)
+    sub = meshmod.extract_solvent_submesh(mesh)
+    got, want = sub.dirichlet_side_nodes(), solvent_dirichlet_nodes(sub)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert all(len(side) for side in got)
 
 
 def test_loaded_mesh_matches_loop_reference(tmp_path, channel_mesh):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpnp.errors import FeasibilityError
-from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
+from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet, output_name,
                                  boundary_conc, capped_exp,
                                  compute_coupling_constants, diffusion_profile,
                                  mixture_species, slotboom_forward,
@@ -42,6 +42,20 @@ def test_mixture_species_table():
     assert np.allclose(sp.D_c, 0.055 * sp.D_b)
     assert np.isclose(sp.v0, sp.v.min())
     assert sp.size_mode
+
+
+@pytest.mark.parametrize("names, match", [
+    (("Na+", "Na+", "Cl-"), "'Na[+]' and 'Na[+]' are both written as 'Na_'"),
+    (("Cl-", "Na+", "Na_"), "'Na[+]' and 'Na_' are both written as 'Na_'"),
+    (("K+", "Cl-", "K-"), "'K[+]' and 'K-' are both written as 'K_'"),
+])
+def test_species_set_rejects_names_equal_in_output_form(names, match):
+    # two such species would share one VTK field and one profile column
+    species = [IonSpecies(name, 1, 0.0, 0.1, 1.0, 0.1) for name in names]
+    with pytest.raises(ValueError, match="^species names %s$" % match) as err:
+        SpeciesSet(species)
+    assert err.value.fields == ("name",)
+    assert output_name("Na+ (aq)") == "Na___aq_"
 
 
 def test_species_set_validation():
