@@ -6,7 +6,11 @@ linear transformed problems at the frozen potential, Block 2 recovers the
 concentrations nodewise, Block 3 re-solves the ionic potential; each block
 output is blended into the iterate with the damping factor omega.  The
 sweeps run in nonlinear_node.damped_fixed_point, the Anderson-accelerated
-loop that the equilibrium initializer runs too.
+loop that the equilibrium initializer runs too.  A sweep starts its inner
+iterations from its iterate x: Block 1's CG from x's cbar, carried in the
+spec (``LinearSolveSpec.starting_at``) as ``sparse_linalg.solve`` takes
+(A, b, spec) only, and Block 2's Newton from x's c.  So the sweep stays a
+function of x alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from . import (electrostatics, fem_core, mesh as meshmod, nonlinear_node,
                sparse_linalg, transport)
 from .errors import ConfigError, ConvergenceError, SmpnpError, require
 from .physics_model import (DEFAULT_THETA, IonSpecies, ModelConstants, SpeciesSet,
-                            output_name, slotboom_forward, volume_from_radius)
+                            output_name, output_name_clash, slotboom_forward,
+                            volume_from_radius)
 
 logger = logging.getLogger(__name__)
 
@@ -255,7 +260,9 @@ def _build_species(blocks, scalars):
             out.append(IonSpecies(_text(block, "name"), _number(block, "Z", kind=int), v,
                                   _number(block, "c_b"), D_b,
                                   _number(block, "D_c", theta * D_b)))
-    with _naming_lines(*blocks):
+    # a name clash is a rule of two blocks: its error names their name lines
+    clash = output_name_clash([s.name for s in out])
+    with _naming_lines(*(blocks if clash is None else [blocks[k] for k in clash])):
         species = SpeciesSet(out)
         species.check_bulk_feasible(ModelConstants.gamma)
     return species
@@ -359,8 +366,8 @@ def run(config: RunConfig):
         t0 = time.perf_counter()
         pbar = np.stack([
             transport.solve_transformed_np(submesh, species, i, u_vals, x["c"],
-                                           constants, spec, d_nodal=d_nodal,
-                                           excursions=excursions,
+                                           constants, spec.starting_at(x["cbar"][i]),
+                                           d_nodal=d_nodal, excursions=excursions,
                                            dirichlet=dirichlet[i])
             for i in range(n)
         ])

@@ -253,8 +253,9 @@ def _orient_outward(mesh, facets, normals):
 
 
 class BoxPoisson:
-    """The dielectric stiffness of the box pinned on the Gamma_D nodes, and
-    its SuperLU factor, shared by Psi and every Phi_tilde solve.
+    """The dielectric stiffness of the box pinned on the Gamma_D nodes, its
+    SuperLU factor and its infinity norm, shared by Psi and every Phi_tilde
+    solve.
 
     Built from the pinned P1 weight map of the per-tet permittivities, as
     Block 1's systems are; of the map only the boundary lift is kept.
@@ -267,12 +268,13 @@ class BoxPoisson:
         self.A, self.lift = weights.matrix(self.eps), weights.lift
         del weights  # the map dies before the factorization, the lift lives on
         self.factor = sparse_linalg.factorize(self.A)
+        self.a_norm = sparse_linalg.inf_norm(self.A)  # of every backward-error check
 
     def solve(self, rhs, boundary: fem_core.DirichletSet = None):
         """Solve A x = rhs at the free nodes, with x on Gamma_D given by
         ``boundary`` (a DirichletSet covering Gamma_D; zero when None)."""
         b = self.lift(self.eps, boundary or self.dirichlet, rhs)
-        return sparse_linalg.solve_factored(self.A, self.factor, b)
+        return sparse_linalg.solve_factored(self.A, self.factor, b, self.a_norm)
 
 
 def box_poisson(mesh: meshmod.LabeledMesh, constants: ModelConstants):

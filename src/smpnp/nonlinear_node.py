@@ -11,8 +11,12 @@ the system reduces to one scalar equation for the water fraction: with
 a_i = gamma v_i t_i E_i and r_i = v_i/v0 >= 1, w solves
 w + sum_i a_i w^(r_i) = 1.  In s = ln w,
     phi(s) = log(e^s + sum_i a_i e^(r_i s)) = 0,
-phi is convex and increasing with phi(0) >= 0, so the root is unique and
-Newton from s = 0 descends to it.  Every node is solved at once.
+phi is convex and increasing, with slope in [1, max r_i] and
+phi(0) >= 0, so the root is unique and Newton reaches it from any start:
+from the right of the root the iterates descend to it, and from the left
+the first step lands at or past the root.  Each pass starts from the water
+fraction of the current concentrations, which the sweeps change little
+once the outer loop settles.  Every node is solved at once.
 
 The fixed-point loop accelerates the damped sweep map F by type-II
 Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): the next
@@ -33,7 +37,11 @@ from .physics_model import ModelConstants, SpeciesSet, capped_exp, slotboom_forw
 
 logger = logging.getLogger(__name__)
 
-MAX_NEWTON_ITER = 100  # channel runs and extreme test inputs take at most 13 steps
+# Channel runs and the extreme test inputs take at most 13 steps, from
+# s = 0 or from any start in [-745, 0]: from the left of the root the first
+# step may overshoot it by up to (max r - 1) times the start's distance,
+# and the descent from there is short, as phi is nearly linear far right
+MAX_NEWTON_ITER = 100
 _S_TOL = 1.0e-14  # stop on |ds| <= _S_TOL (1 + |s|)
 
 # Difference columns of the Anderson mixing; depths 3 and 8 took about as
@@ -66,18 +74,21 @@ def water_equation(s, log_a, r):
     return top + np.log(total), slope
 
 
-def _log_water(log_a, r):
+def _log_water(log_a, r, s0=None):
     """ln w at every node: the root of phi for each column of ``log_a``.
 
-    Newton from s = 0.  phi is convex and increasing with phi(0) >= 0, so
-    the iterates descend monotonically to the root and stay in [s*, 0]
+    Newton from ``s0`` (s = 0 when None), which may be any finite (N,)
+    start.  phi is convex and increasing with slope in [1, max r], so
+    from the right of the root the iterates descend monotonically to it
     (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-    1995); no bracket is needed.  Rounding can leave an iterate just below
+    1995); from the left, the tangent lies below the convex phi, so the
+    first step lands at or past the root, and the iterates descend from
+    there.  No bracket is needed.  Rounding can leave an iterate just below
     the root, and the next step returns past it.  Returns (s, per-node
     step counts).
     """
     N = log_a.shape[1]
-    s = np.zeros(N)
+    s = np.zeros(N) if s0 is None else np.array(s0, dtype=float)
     iters = np.zeros(N, dtype=int)
     active = np.arange(N)
     for _ in range(MAX_NEWTON_ITER):
@@ -99,9 +110,12 @@ def block2_update(targets, u_vals, c_prev, species: SpeciesSet,
 
     ``targets`` is the (n, N) field of transformed concentrations on the
     solvent nodes and ``u_vals`` the (N,) potential w + Phi_tilde^k there.
-    ``c_prev`` (the previous concentrations) is not needed: the root is
-    unique and found from s = 0.  Returns the (n, N) concentration fields
-    and a NewtonReport with the largest iteration count over the nodes.
+    ``c_prev``, the (n, N) current concentrations, gives Newton its start:
+    the log water fraction s0 = ln(1 - gamma v.c_prev), or s0 = 0 at nodes
+    where that fraction is not positive.  The root is unique, so the start
+    moves the step count only, not the answer.  Returns the (n, N)
+    concentration fields and a NewtonReport with the largest iteration
+    count over the nodes.
     """
     targets = np.asarray(targets, dtype=float)
     if np.any(targets <= 0.0):
@@ -112,7 +126,8 @@ def block2_update(targets, u_vals, c_prev, species: SpeciesSet,
         return targets * E, NewtonReport(1)
     log_a, exponent = log_coefficients(targets, u_vals, species, constants)
     r = species.v_ratio
-    s, iters = _log_water(log_a, r)
+    water = 1.0 - constants.gamma * (species.v @ np.asarray(c_prev, dtype=float))
+    s, iters = _log_water(log_a, r, np.log(np.where(water > 0.0, water, 1.0)))
     P = targets * np.exp(exponent + r[:, None] * s[None, :])
     # minor species far below the dominant one can underflow to zero; their
     # model value is positive but below double precision

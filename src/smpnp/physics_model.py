@@ -76,6 +76,16 @@ def output_name(name):
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
 
 
+def output_name_clash(names):
+    """(i, j), i < j, for the first ``names[j]`` whose output form
+    (``output_name``) ``names[i]`` has too; None when all forms differ."""
+    forms = [output_name(name) for name in names]
+    for j, form in enumerate(forms):
+        if form in forms[:j]:
+            return forms.index(form), j
+    return None
+
+
 class SpeciesSet:
     """Ordered collection of at most 8 species with cached numpy views.
 
@@ -91,10 +101,11 @@ class SpeciesSet:
         species = tuple(species)
         if not 1 <= len(species) <= 8:
             raise ValueError("expected 1..8 species, got %d" % len(species))
-        forms = [output_name(s.name) for s in species]
-        for j, form in enumerate(forms):
-            require(form not in forms[:j], ValueError, "species names %r and %r are both "
-                    "written as %r" % (species[forms.index(form)].name, species[j].name, form),
+        clash = output_name_clash([s.name for s in species])
+        if clash is not None:
+            i, j = clash
+            require(False, ValueError, "species names %r and %r are both written as %r"
+                    % (species[i].name, species[j].name, output_name(species[j].name)),
                     "name")
         self.species = species
         self.Z = np.array([s.Z for s in species], dtype=float)

@@ -9,6 +9,7 @@ Matrices are scipy CSR with sorted, duplicate-free column indices.
 from __future__ import annotations
 
 import contextlib
+import copy
 import logging
 import math
 from collections import namedtuple
@@ -78,18 +79,26 @@ class KeptFactors:
 @dataclass(frozen=True)
 class LinearSolveSpec:
     """Method of a Block-1 linear solve, plus the store of its kept factors
-    and step counts (see ``solve``).  ``kept`` is left out of the
-    constructor, of equality and of repr: two specs of one method are equal,
-    and each starts with no factors.  A run builds its own spec, so its
-    factors die with the run."""
+    and step counts, and the start of its CG iteration (see ``solve``).
+    ``kept`` and ``start`` are left out of the constructor, of equality and
+    of repr: two specs of one method are equal, and each starts with no
+    factors, from x = 0.  A run builds its own spec, so its factors die with
+    the run."""
 
     method: str = KRYLOV_ILU0
     kept: KeptFactors = field(default_factory=KeptFactors, init=False,
                               compare=False, repr=False)
+    start: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         require(self.method in (DIRECT, KRYLOV_ILU0), ValueError,
                 "unknown linear solve method %r" % self.method, "method")
+
+    def starting_at(self, x0):
+        """This spec with CG started from ``x0``: a copy that shares ``kept``."""
+        spec = copy.copy(self)
+        object.__setattr__(spec, "start", x0)
+        return spec
 
 
 def _as_sorted_csr(A):
@@ -189,39 +198,44 @@ def factorize(A):
     return _ReorderedLU(lu, ordering.q)
 
 
-def _inf_norm(A):
-    """max_i sum_j |a_ij|, read from A's CSR data (rows may be empty)."""
+def inf_norm(A):
+    """max_i sum_j |a_ij|: the row sums of |A| by one sparse product with
+    the ones vector (rows may be empty)."""
     A = sp.csr_matrix(A)
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    return np.bincount(rows, np.abs(A.data), minlength=A.shape[0]).max(initial=0.0)
+    return (abs(A) @ np.ones(A.shape[1])).max(initial=0.0)
 
 
-def _backward_error(A, x, b):
+def _backward_error(A, x, b, a_norm=None):
     # normwise: transformed systems carry entries spanning e^(+-cap), so
-    # the raw residual alone has no fixed scale
-    scale = _inf_norm(A) * np.linalg.norm(x) + np.linalg.norm(b)
+    # the raw residual alone has no fixed scale; a_norm is inf_norm(A), or
+    # None to compute it here
+    if a_norm is None:
+        a_norm = inf_norm(A)
+    scale = a_norm * np.linalg.norm(x) + np.linalg.norm(b)
     return np.linalg.norm(A @ x - b) / max(scale, 1.0e-300)
 
 
-def _checked_solve(A, b, apply, label):
-    """x = apply(b), accepted by its normwise backward error: above
-    _REFINE_ABOVE one refinement step x += apply(b - A x) runs and logs a
+def _checked_solve(A, b, apply, label, a_norm, start=None):
+    """x = apply(b, start), accepted by its normwise backward error with
+    ``a_norm`` = inf_norm(A) (see _backward_error): above _REFINE_ABOVE one refinement step
+    x += apply(b - A x, None), a correction from zero, runs and logs a
     warning, and an error still above _ACCEPT_BELOW, or NaN, raises
     LinearSolveError."""
-    x = apply(b)
-    if not _backward_error(A, x, b) <= _REFINE_ABOVE:
-        x = x + apply(b - A @ x)
-        err = _backward_error(A, x, b)
+    x = apply(b, start)
+    if not _backward_error(A, x, b, a_norm) <= _REFINE_ABOVE:
+        x = x + apply(b - A @ x, None)
+        err = _backward_error(A, x, b, a_norm)
         if not err <= _ACCEPT_BELOW:
             raise LinearSolveError("%s backward error %.3e too large" % (label, err))
         logger.warning("%s backward error %.3e after one refinement step", label, err)
     return x
 
 
-def solve_factored(A, lu, b):
+def solve_factored(A, lu, b, a_norm=None):
     """Solve A x = b with ``lu``, a SuperLU factorization of A; the answer
-    passes the backward-error check of _checked_solve."""
-    return _checked_solve(A, b, lu.solve, "direct solve")
+    passes the backward-error check of _checked_solve.  ``a_norm`` is
+    inf_norm(A), computed by each check when None."""
+    return _checked_solve(A, b, lambda rhs, _: lu.solve(rhs), "direct solve", a_norm)
 
 
 class _Jacobi:
@@ -238,16 +252,23 @@ class _Jacobi:
         return r * self.inverse
 
 
-def _pcg(A, b, M, kept, max_steps):
+def _pcg(A, b, M, kept, max_steps, start=None):
     """CG on A x = b preconditioned by M (``M.solve`` applies M^-1), from
-    x = 0, each step counted in ``kept.pcg_steps``.  It stops when
-    max|M^-1 r| <= _PCG_TOL max|x|, an estimate of the forward error when M
-    is close to A; a zero b gives x = 0.  Raises LinearSolveError on a p^T A p
-    that is zero or not finite, and when ``max_steps`` steps do not stop."""
-    x = np.zeros_like(b)
+    the spec's start (``start``; x = 0 when None), each step counted in
+    ``kept.pcg_steps``.  It stops when max|M^-1 r| <= _PCG_TOL max|x|, an
+    estimate of the forward error when M is close to A; a zero b gives
+    x = 0 whatever the start, and a start with a zero residual is returned
+    as it is.  Raises LinearSolveError on a p^T A p that is zero or not
+    finite, and when ``max_steps`` steps do not stop."""
     if not b.any():
-        return x
-    r = b.copy()
+        return np.zeros_like(b)
+    if start is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.array(start, dtype=float)
+        r = b - A @ x
+        if not r.any():
+            return x
     p = z = M.solve(r)
     rz = r @ z
     buf = np.empty_like(b)
@@ -269,28 +290,32 @@ def _pcg(A, b, M, kept, max_steps):
     raise LinearSolveError("CG did not stop in %d steps" % max_steps)
 
 
-def _direct_solve(A, b, kept: KeptFactors):
-    """Solve A x = b by PCG on the closest kept factor of A's pattern, or,
-    when none is close or PCG fails, with a fresh factor that is kept."""
+def _direct_solve(A, b, kept: KeptFactors, start, a_norm):
+    """Solve A x = b by PCG from ``start`` on the closest kept factor of A's
+    pattern, or, when none is close or PCG fails, with a fresh factor that
+    is kept."""
     key, diag = _pattern_key(A), A.diagonal()
     entry = kept.closest(key, diag)
     if entry is not None:
         with contextlib.suppress(LinearSolveError):
-            x = _checked_solve(A, b, lambda rhs: _pcg(A, rhs, entry.lu, kept, _PCG_MAX_STEPS),
-                               "PCG solve")
+            x = _checked_solve(A, b,
+                               lambda rhs, x0: _pcg(A, rhs, entry.lu, kept, _PCG_MAX_STEPS, x0),
+                               "PCG solve", a_norm, start)
             kept.use(entry)
             return x
     kept.make_room()
     lu = factorize(A)
     kept.factorizations += 1
     kept.use(_Kept(key, diag, lu))
-    return solve_factored(A, lu, b)
+    return solve_factored(A, lu, b, a_norm)
 
 
 def solve(A, b, spec: LinearSolveSpec):
     """Solve A x = b per ``spec`` (the Block-1 systems) with _pcg, which
-    stops on a forward-error estimate, not a residual norm (Arioli, Numer.
-    Math. 97, 2004); answers pass _checked_solve, else LinearSolveError.
+    starts from ``spec.start`` and stops on a forward-error estimate, not a
+    residual norm (Arioli, Numer. Math. 97, 2004); answers pass
+    _checked_solve, else LinearSolveError.  The start only moves where CG
+    begins: each stop rule and check is the one of a cold solve.
 
     Direct: a run's Block-1 coefficients change little from sweep to sweep,
     so one system's factor is a near-perfect preconditioner for the next
@@ -310,8 +335,9 @@ def solve(A, b, spec: LinearSolveSpec):
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
         raise LinearSolveError("shape mismatch: A %s, b %s" % (A.shape, b.shape))
+    a_norm = inf_norm(A)
     if spec.method == DIRECT:
-        return _direct_solve(A, b, spec.kept)
+        return _direct_solve(A, b, spec.kept, spec.start, a_norm)
     jacobi = _Jacobi(A.diagonal())
-    return _checked_solve(A, b, lambda rhs: _pcg(A, rhs, jacobi, spec.kept, _CG_MAX_ITER),
-                          "CG solve")
+    return _checked_solve(A, b, lambda rhs, x0: _pcg(A, rhs, jacobi, spec.kept, _CG_MAX_ITER, x0),
+                          "CG solve", a_norm, spec.start)

@@ -125,10 +125,17 @@ D_b = 0.196
      "lines 5, 11: ion volumes must be all positive or all zero"),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 1000\nc_b = 10\nD_b = 0.1\n",
      "lines 5, 6: bulk volume fraction 6.02"),
-    # names that write the same output fields: the rule names every name line
+    # names that write the same output fields: the rule names both name lines
     ("mesh = synth\n[species]\nname = Na+\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n"
      "[species]\nname = Na-\nZ = -1\nv = 0\nc_b = 0.1\nD_b = 0.1\n",
      "^lines 3, 9: species names 'Na[+]' and 'Na-' are both written as 'Na_'$"),
+    # a third species' name line is no part of the clash
+    ("mesh = synth\n" + "".join("[species]\nname = %s\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n"
+                                % name for name in ("Na+", "Na+", "Cl-")),
+     "^lines 3, 9: species names 'Na[+]' and 'Na[+]' are both written as 'Na_'$"),
+    ("mesh = synth\n" + "".join("[species]\nname = %s\nZ = 1\nv = 0\nc_b = 0.1\nD_b = 0.1\n"
+                                % name for name in ("Na+", "Cl-", "Na-")),
+     "^lines 3, 15: species names 'Na[+]' and 'Na-' are both written as 'Na_'$"),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nradius = 1e200\nc_b = 0.1\nD_b = 0.1\n",
      "line 5: radius 1e[+]200 has no finite volume"),
     # a D_c left out is theta * D_b: its errors name the lines of both
@@ -401,6 +408,48 @@ def test_run_factors_box_operator_once(method, monkeypatch):
         factored = [c.args[0].shape[0] for c in splu.call_args_list + spilu.call_args_list]
         assert ns not in sizes and ns not in factored
         ilu0.assert_not_called()
+
+
+def test_sweep_starts_its_inner_solves_from_its_iterate():
+    # each outer sweep starts Block 1 from its iterate's cbar, passed inside
+    # the spec of the three-argument sparse_linalg.solve, and Block 2 from
+    # its iterate's c, not from an answer stored by an earlier sweep; each
+    # initializer sweep starts Block 2 from its iterate's xi
+    config = driver.RunConfig(species=mixture_species(),
+                              constants=ModelConstants(sigma=-1.0, u_t=1.5),
+                              linear=sparse_linalg.LinearSolveSpec(method="direct"),
+                              geometry=meshmod.ChannelGeometry(resolution=6))
+    iterates, starts, c_prevs = [], [], []
+    loop, solve = nonlinear_node.damped_fixed_point, sparse_linalg.solve
+    block2 = nonlinear_node.block2_update
+
+    def loop_spy(sweep, state, *args):
+        def recorded(x, relax):
+            iterates.append(x)
+            return sweep(x, relax)
+        return loop(recorded, state, *args)
+
+    def solve_spy(A, b, spec):
+        starts.append(spec.start)
+        return solve(A, b, spec)
+
+    def block2_spy(targets, u_vals, c_prev, *args):
+        c_prevs.append(c_prev)
+        return block2(targets, u_vals, c_prev, *args)
+
+    with mock.patch.object(nonlinear_node, "damped_fixed_point", loop_spy), \
+            mock.patch.object(sparse_linalg, "solve", solve_spy), \
+            mock.patch.object(nonlinear_node, "block2_update", block2_spy):
+        result = driver.run(config)
+    ns, k = len(result.species), result.iterations
+    outer = iterates[-k:]  # the initializer's sweeps come first
+    assert k > 1 and len(starts) == ns * k
+    for x, first in zip(outer, range(0, len(starts), ns)):
+        for i in range(ns):
+            assert np.array_equal(starts[first + i], x["cbar"][i])
+    assert len(c_prevs) == len(iterates)
+    for x, c_prev in zip(iterates, c_prevs):
+        assert c_prev is x["c" if "c" in x else "xi"]
 
 
 def test_run_reports_initializer_sweeps(tmp_path, caplog):

@@ -381,3 +381,17 @@ def test_translated_mesh_keeps_the_pattern(synth_boxes):
     A, B = assemble_weighted_stiffness(mesh), assemble_weighted_stiffness(moved)
     assert A.nnz == 62181
     assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+
+
+@pytest.mark.parametrize("resolution", [12, 20])
+def test_vertex_mean_is_the_gathered_mean_bitwise(resolution, synth_boxes):
+    # the per-tet mean of a nodal weight, as Block 1 forms it on the submesh
+    # and a nodal weight on the box: one sparse product, the gather's bits
+    box = synth_boxes[resolution]
+    rng = np.random.default_rng(resolution)
+    for mesh in (meshmod.extract_solvent_submesh(box), box):
+        op = fem_core.p1_operator(mesh)
+        weight = np.exp(rng.uniform(-45.0, 45.0, size=mesh.num_vertices))
+        assert np.array_equal(op.vertex_mean @ weight, weight[op.tets].mean(axis=1))
+        assert np.array_equal(fem_core._tet_weight(op, weight),
+                              weight[op.tets].mean(axis=1))

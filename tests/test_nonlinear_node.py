@@ -24,11 +24,12 @@ def _water_equation(targets, u, species, s):
                              species.v_ratio)
 
 
-def _solve(targets, u, species):
-    """block2_update at one node: the (n,) concentrations and the report."""
+def _solve(targets, u, species, c_prev=0.1):
+    """block2_update at one node from the (n,) or scalar ``c_prev``: the
+    (n,) concentrations and the report."""
     targets = np.asarray(targets, dtype=float)[:, None]
-    P, rep = nn.block2_update(targets, np.array([u]), np.full_like(targets, 0.1),
-                              species, CONST)
+    c_prev = np.broadcast_to(np.asarray(c_prev, dtype=float)[..., None], targets.shape)
+    P, rep = nn.block2_update(targets, np.array([u]), c_prev, species, CONST)
     return P[:, 0], rep
 
 
@@ -111,8 +112,8 @@ def test_newton_four_species_round_trip():
 
 
 def test_newton_projects_infeasible_start():
-    # the previous iterate does not enter the solve, even far beyond the
-    # packing bound
+    # a previous iterate far beyond the packing bound has no positive water
+    # fraction: Newton starts from s = 0 there
     sp = mixture_species()
     cbar = boundary_conc(sp, "bottom", CONST)[:, None]
     P, _ = nn.block2_update(cbar, np.zeros(1), np.full((4, 1), 1.0e5), sp, CONST)
@@ -153,7 +154,7 @@ def test_block2_matches_sequential_newton(rng):
     c_prev = 0.02 + 0.2 * rng.random((4, N))
     P, _ = nn.block2_update(targets, u, c_prev, sp, CONST)
     for mu in range(N):
-        alone, _ = _solve(targets[:, mu], u[mu], sp)
+        alone, _ = _solve(targets[:, mu], u[mu], sp, c_prev[:, mu])
         assert np.array_equal(P[:, mu], alone)
         a = CONST.gamma * sp.v * targets[:, mu] * np.exp(-sp.Z * u[mu])
         w = brentq(lambda w: w - 1.0 + a @ w ** sp.v_ratio, 1e-300, 1.0,
@@ -170,6 +171,41 @@ def test_block2_root_at_start():
     P, rep = nn.block2_update(targets, np.zeros(3), targets, sp, CONST)
     assert np.array_equal(P, targets)
     assert rep.iterations == 1
+
+
+def _cold_and_warm(rng, c_prev_of):
+    """block2_update on random mixture nodes from s = 0 (P0) and from
+    c_prev = c_prev_of(P0): P0, the second answer and its report."""
+    N = 400
+    targets = 10.0 ** rng.uniform(-3.0, 1.0, size=(4, N))
+    u = rng.uniform(-4.0, 4.0, size=N)
+    sp = mixture_species()
+    # no positive water fraction at c_prev = 1e5: Newton starts from s = 0
+    P0, _ = nn.block2_update(targets, u, np.full((4, N), 1.0e5), sp, CONST)
+    P, rep = nn.block2_update(targets, u, c_prev_of(P0), sp, CONST)
+    return P0, P, rep
+
+
+@pytest.mark.parametrize("start", ["feasible", "no-water"])
+def test_block2_from_c_prev_finds_the_s0_root(rng, start):
+    # Newton from ln(1 - gamma v.c_prev) reaches the root of the s = 0
+    # start to 1e-14 relative, from a random feasible c_prev and from one
+    # with water fraction <= 0
+    def c_prev_of(P0):
+        c = rng.random(P0.shape)
+        frac = CONST.gamma * (mixture_species().v @ c)
+        scale = rng.uniform(0.0, 1.0, size=frac.shape) if start == "feasible" \
+            else rng.uniform(1.0, 3.0, size=frac.shape)
+        return c * (scale / frac)
+
+    P0, P, _ = _cold_and_warm(rng, c_prev_of)
+    assert np.all(np.abs(P - P0) <= 1e-14 * P0)
+
+
+def test_block2_from_converged_c_prev_takes_at_most_two_steps(rng):
+    P0, P, rep = _cold_and_warm(rng, lambda P0: P0)
+    assert rep.iterations <= 2
+    assert np.all(np.abs(P - P0) <= 1e-14 * P0)
 
 
 # sizes 1, 500 and 3000 A^3: exponents v_i/v0 up to 3000

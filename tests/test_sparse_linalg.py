@@ -328,7 +328,7 @@ def test_inf_norm_reads_csr_data(channel12_systems):
     empty_rows = sp.csr_matrix(np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 0.0],
                                          [0.0, 3.0, -0.5], [0.0, 0.0, 0.0]]))
     for M in (A, empty_rows, sp.csr_matrix((3, 3))):
-        assert sparse_linalg._inf_norm(M) == pytest.approx(spla.norm(M, np.inf), rel=1e-15)
+        assert sparse_linalg.inf_norm(M) == pytest.approx(spla.norm(M, np.inf), rel=1e-15)
 
 
 # kept factors: a direct spec reuses the SuperLU factor of a nearby system
@@ -473,3 +473,65 @@ def test_spec_factors_stay_out_of_equality_and_repr(channel12_systems):
     assert used.kept.entries and used == LinearSolveSpec(method="direct")
     assert repr(used) == "LinearSolveSpec(method='direct')"
     assert not LinearSolveSpec(method="direct").kept.entries
+
+
+# a spec's start: CG begins from the current iterate, with every stop rule
+# and check of a cold solve
+
+def _started_systems(path, channel12_systems):
+    """(spec, A, b, start) on a path: a kept factor of a nearby system, or
+    the Jacobi diagonal; ``start`` is the nearby system's answer."""
+    sub, weight, d = channel12_systems["block1_data"]
+    weight = np.exp(np.log(weight) / 15.0)  # diagonals spanning e^+-3
+    spec = LinearSolveSpec("direct" if path == "kept-factor" else "krylov_ilu0")
+    start = solve(*fem_core.pinned_stiffness_system(sub, weight, d), spec)
+    scale = np.random.default_rng(15).uniform(1.0, 1.2, size=weight.shape)
+    A, b = fem_core.pinned_stiffness_system(sub, scale * weight, d)
+    return spec, A, b, start
+
+
+@pytest.mark.parametrize("path", ["kept-factor", "jacobi"])
+def test_started_solve_agrees_with_cold_solve(path, channel12_systems):
+    # both answers meet the forward-error stop max|M^-1 r| <= 1e-12 max|x|,
+    # an estimate: here they differ by 1.7e-13 (kept factor, 9 -> 7 CG
+    # steps) and 2.5e-12 (Jacobi, 122 -> 103 steps) of max|x|, and each is
+    # within 2.4e-12 of a fresh factor's answer
+    spec, A, b, start = _started_systems(path, channel12_systems)
+    factors = spec.kept.factorizations
+    steps = spec.kept.pcg_steps
+    cold = solve(A, b, spec)
+    cold_steps, steps = spec.kept.pcg_steps - steps, spec.kept.pcg_steps
+    warm = solve(A, b, spec.starting_at(start))
+    assert spec.kept.factorizations == factors  # both ran CG, no fresh factor
+    assert 0 < spec.kept.pcg_steps - steps < cold_steps
+    fresh = sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b)
+    for x in (cold, warm):
+        assert _relative_error(x, fresh) <= 10 * sparse_linalg._PCG_TOL
+    assert _relative_error(warm, cold) <= 10 * sparse_linalg._PCG_TOL
+
+
+@pytest.mark.parametrize("path", ["kept-factor", "jacobi"])
+def test_started_solve_of_zero_right_hand_side_is_zero(path, channel12_systems):
+    spec, A, b, start = _started_systems(path, channel12_systems)
+    steps = spec.kept.pcg_steps
+    x = solve(A, np.zeros_like(b), spec.starting_at(start))
+    assert np.array_equal(x, np.zeros_like(b)) and spec.kept.pcg_steps == steps
+
+
+@pytest.mark.parametrize("path", ["kept-factor", "jacobi"])
+def test_solve_started_at_the_answer_takes_one_step(path, channel12_systems):
+    spec, A, b, _ = _started_systems(path, channel12_systems)
+    answer = solve(A, b, spec)
+    assert (b - A @ answer).any()  # a rounding residual: CG takes its step
+    steps = spec.kept.pcg_steps
+    x = solve(A, b, spec.starting_at(answer))
+    assert spec.kept.pcg_steps - steps == 1
+    assert _relative_error(x, answer) <= sparse_linalg._PCG_TOL
+
+
+def test_started_spec_shares_the_kept_factors():
+    spec = LinearSolveSpec(method="direct")
+    started = spec.starting_at(np.ones(3))
+    assert started.kept is spec.kept and started == spec
+    assert spec.start is None and np.array_equal(started.start, np.ones(3))
+    assert repr(started) == "LinearSolveSpec(method='direct')"
