@@ -191,7 +191,7 @@ def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
     if len(atoms) == 0:
         return
     # a tree for one query: the unbalanced build is about 3x faster
-    tree = cKDTree(mesh.vertices[mesh.tets].mean(axis=1), balanced_tree=False,
+    tree = cKDTree(meshmod.tet_centroids(mesh.vertices, mesh.tets), balanced_tree=False,
                    compact_nodes=False)
     _, nearest = tree.query(atoms.positions)
     outside = np.flatnonzero(mesh.tet_regions[nearest] != meshmod.PROTEIN)

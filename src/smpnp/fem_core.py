@@ -4,9 +4,11 @@ All assembly routines accept either the box mesh or the solvent submesh
 (anything exposing ``vertices``, ``tets`` and ``num_vertices``).  Stiffness
 and mass use the exact closed-form P1 element integrals; general volume
 loads go through the P1 mass matrix, which integrates P1*P1 products
-exactly.  Every assembly reads the element geometry from the mesh's
-``P1Operator``, built once per mesh and held per distinct tet shape; a
-submesh's shares its parent's arrays.
+exactly.  Every stiffness pattern is built by a weight map
+(``_WeightMap``), the mass matrix by one sparse product.  Every assembly
+reads the element geometry from the mesh's ``P1Operator``, built once per
+mesh and held per distinct tet shape; a submesh's shares its parent's
+arrays.
 Which local stiffness entries are zero is decided once there, per shape: an
 entry at most 1e-13 of its shape's largest is an exact zero (orthogonal
 gradients) left over by rounding and is set to 0.0, so every stiffness
@@ -98,9 +100,9 @@ class P1Operator:
     arrays are ``grads[shape]`` and so on; readers index at the point of
     use.  The weight map of the pinned stiffness pattern is kept per
     constrained node array (``pinned_map``), because Block 1 reassembles
-    it every sweep; a weight map built once, as the box operator's and
-    every mass matrix's are, is not kept.  Obtain the operator through
-    ``p1_operator``; the mesh must not be mutated afterwards.
+    it every sweep; a weight map built once, as the box operator's is,
+    is not kept.  Obtain the operator through ``p1_operator``; the mesh
+    must not be mutated afterwards.
 
     A submesh (a mesh with ``parent`` and ``parent_tet_ids``) shares its
     parent's per-shape arrays, and its ``shape`` is the parent's at
@@ -175,7 +177,7 @@ class _WeightMap:
     (row-major a, b); an entry enters the pattern when it is ``!= 0.0``.
     A stiffness ``local`` comes from ``P1Operator``, whose per-shape rule has
     already set its roundoff entries to 0.0, so this keeps exactly the
-    structural nonzeros; a mass matrix keeps all 16.
+    structural nonzeros.
     Kept entries coupling two unconstrained nodes form ``map``, a CSC
     matrix (CSR-data position x tet), so the matrix data is ``map @ w``;
     its columns list each tet's entries in local order, so every datum
@@ -203,7 +205,7 @@ class _WeightMap:
         kept &= ~to_pinned
         del lift, to_pinned
         per_tet = np.count_nonzero(kept.reshape(n_tets, 16), axis=1)
-        if not kept.all():  # a mass matrix keeps every entry: no copies
+        if not kept.all():  # when every entry is kept, no copies
             rows, cols, local = rows[kept], cols[kept], local[kept]
         del kept
         nodes = np.asarray(nodes, dtype=np.int32)
@@ -307,9 +309,6 @@ def pinned_stiffness_system(mesh, weight, d: DirichletSet):
     return weights.matrix(w), weights.lift(w, d)
 
 
-_LOCAL_MASS = ((np.ones((4, 4)) + np.eye(4)) / 20.0).ravel()
-
-
 def assemble_mass(mesh, tet_mask=None):
     """CSR P1 mass matrix int phi_a phi_b (exact closed form).
 
@@ -317,10 +316,35 @@ def assemble_mass(mesh, tet_mask=None):
     """
     op = p1_operator(mesh)
     vols = op.volumes[op.shape]
+    mass = _mass_product(op, vols)
     if tet_mask is not None:
-        vols = np.where(tet_mask, vols, 0.0)
-    local = np.broadcast_to(_LOCAL_MASS, (len(vols), 16))
-    return _WeightMap(op.tets, op.num_vertices, local, _NO_NODES).matrix(vols)
+        # the product leaves out the entries that only masked tets reach:
+        # read the masked values at the unmasked pattern's positions
+        masked = _mass_product(op, np.where(tet_mask, vols, 0.0))
+        rows = np.repeat(np.arange(op.num_vertices), np.diff(mass.indptr))
+        mass.data = np.asarray(masked[rows, mass.indices]).ravel()
+    return mass
+
+
+def _mass_product(op, vols):
+    """The mass matrix of per-tet volumes ``vols`` as one sparse product.
+
+    With E the (M, N) tet-vertex incidence matrix, E^T diag(vols/20) E
+    holds vol/20 on every pair of a tet's vertices, and doubling its
+    diagonal gives vol/10 there, exactly (0.1 is 2 * 0.05 in binary).
+    scipy's product (SMMP) sums each entry over the rows of E^T, whose
+    columns are in tet order, so every datum sums its terms in tet order;
+    it leaves out entries that sum to 0.0 (tets of zero volume).
+    """
+    m, n = len(op.tets), op.num_vertices
+    indptr, indices = np.arange(0, 4 * m + 1, 4), op.tets.ravel()
+    incidence = sp.csr_matrix((np.ones(4 * m), indices, indptr), shape=(m, n))
+    scaled = sp.csr_matrix((np.repeat(0.05 * vols, 4), indices, indptr), shape=(m, n))
+    mass = incidence.T.tocsr() @ scaled
+    mass.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(mass.indptr))
+    mass.data[mass.indices == rows] *= 2.0
+    return mass
 
 
 def triangle_areas_normals(mesh, facets):

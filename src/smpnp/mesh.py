@@ -140,13 +140,18 @@ def _all_near(coords, value):
 def _face_keys(faces, n):
     """int64 key ``(a*n + b)*n + c`` of each sorted vertex triple (a, b, c);
     -1 for a triple with a vertex id outside ``[0, n)``."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    keys = _triple_keys(faces[:, 0], faces[:, 1], faces[:, 2], n)
+    keys[np.any((faces < 0) | (faces >= n), axis=1)] = -1
+    return keys
+
+
+def _triple_keys(a, b, c, n):
+    """int64 key ``(a*n + b)*n + c`` of the sorted vertex triples (a, b, c),
+    ids in ``[0, n)``; raises MeshError when ``n**3`` overflows int64."""
     if int(n) ** 3 > np.iinfo(np.int64).max:
         raise MeshError("%d vertices overflow the int64 face keys" % n)
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
-    outside = np.any((faces < 0) | (faces >= n), axis=1)
-    keys[outside] = -1
-    return keys
+    return (a * n + b) * n + c
 
 
 def _find_faces(keys, queries):
@@ -172,23 +177,39 @@ def _face_owners(tets, n):
     Returns ``(faces, owners)``: the sorted vertex triples in the order a
     scan over the tets and their local faces first meets them, and the
     (F, 2) owning tet ids, the second -1 on a boundary face.  Raises
-    MeshError for a face shared by three or more tets.
+    MeshError for a face shared by three or more tets, naming the first
+    such face in scan order.
     """
     tets = np.asarray(tets, dtype=np.int64)
     _check_vertex_ids(tets, n, "tet")
-    slots = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
-    _, first, inverse, counts = np.unique(_face_keys(slots, n), return_index=True,
-                                          return_inverse=True, return_counts=True)
-    order = np.argsort(first)  # first-occurrence order
+    # each face slot's triple, sorted by a min/max network
+    a, b, c = (tets[:, _LOCAL_FACES[:, k]].ravel() for k in range(3))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, mid, hi = np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)
+    keys = _triple_keys(lo, mid, hi, n)
+    # a stable sort keeps each face's slots in scan order: a face's first
+    # slot starts its run of equal keys, and its second slot follows
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.empty(keys.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    start = np.flatnonzero(start)
+    counts = np.diff(np.append(start, keys.size))
+    first = order[start]
     if np.any(counts > 2):
-        f = order[np.argmax(counts[order] > 2)]
+        bad = np.flatnonzero(counts > 2)
+        f = bad[np.argmin(first[bad])]
         raise MeshError("face %s is shared by %d tets"
-                        % (tuple(int(v) for v in slots[first[f]]), counts[f]))
-    second = np.full(first.size, -1, dtype=np.int64)
-    later = np.nonzero(first[inverse] != np.arange(slots.shape[0]))[0]
-    second[inverse[later]] = later // 4
-    owners = np.column_stack([first // 4, second])[order]
-    return slots[first[order]], owners
+                        % ((int(lo[first[f]]), int(mid[first[f]]), int(hi[first[f]])),
+                           counts[f]))
+    # per slot: -2 unless it is a face's first, else the face's second slot
+    # (-1 on a boundary face); the first slots in scan order are the faces
+    second = np.full(keys.size, -2, dtype=np.int64)
+    second[first] = np.where(counts > 1, order[np.minimum(start + 1, keys.size - 1)], -1)
+    scan = np.flatnonzero(second > -2)
+    return (np.column_stack([lo[scan], mid[scan], hi[scan]]),
+            np.column_stack([scan // 4, second[scan] // 4]))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +406,14 @@ def structured_box(box, n):
     return verts, tets.reshape(-1, 4).astype(np.int64, copy=False)
 
 
+def tet_centroids(vertices, tets):
+    """(M, 3) centroids of ``tets``: bitwise ``vertices[tets].mean(axis=1)``,
+    which sums the four corners in order and divides by 4, without the
+    (M, 4, 3) gather."""
+    return (((vertices[tets[:, 0]] + vertices[tets[:, 1]]) + vertices[tets[:, 2]])
+            + vertices[tets[:, 3]]) / 4
+
+
 def _classify_regions(geom: ChannelGeometry, centroids):
     """Region of each tet from its centroid; ties on the slab planes and the
     shell cylinder go inside, ties on the pore cylinder go to the protein."""
@@ -422,8 +451,7 @@ def synth_channel_mesh(geom: ChannelGeometry):
     derives the facets also validates them.
     """
     verts, tets = structured_box(geom.box, geom.resolution)
-    centroids = verts[tets].mean(axis=1)
-    regions = _classify_regions(geom, centroids)
+    regions = _classify_regions(geom, tet_centroids(verts, tets))
     face_table = _face_owners(tets, len(verts))
     facets, labels = derive_facets(verts, tets, regions, geom.box, face_table)
     mesh = LabeledMesh(verts, tets, regions, facets, labels,
@@ -520,7 +548,7 @@ def protein_ring_sites(mesh: LabeledMesh, n_sites):
     ids = np.nonzero(mesh.tet_regions == PROTEIN)[0]
     if ids.size == 0:
         raise MeshError("mesh has no protein tets")
-    cent = mesh.vertices[mesh.tets[ids]].mean(axis=1)
+    cent = tet_centroids(mesh.vertices, mesh.tets[ids])
     zmid = 0.5 * (mesh.z1 + mesh.z2)
     near = np.abs(cent[:, 2] - zmid) <= 0.25 * (mesh.z2 - mesh.z1)
     if near.sum() >= n_sites:

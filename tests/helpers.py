@@ -214,3 +214,43 @@ def reference_scatter(tets, n, keep, nodes):
         indptr=indptr, indices=(pattern % n).astype(np.int32), src=src,
         dst=pos[:n_kept], diag=pos[n_kept:], lift_src=lift.astype(np.int32),
         lift_row=rows[lift].astype(np.int32), lift_col=cols[lift].astype(np.int32))
+
+
+#: Local P1 mass entries int phi_a phi_b / vol (row-major a, b): 1/10 on the
+#: diagonal, 1/20 off it.
+LOCAL_MASS = ((np.ones((4, 4)) + np.eye(4)) / 20.0).ravel()
+
+
+def reference_mass(mesh, tet_mask=None):
+    """CSR P1 mass matrix by a weight map: ``fem_core._WeightMap`` over all
+    16 entries LOCAL_MASS of every tet, weighted by the tet volumes (zero
+    outside ``tet_mask``), so the pattern holds every pair of a tet's
+    vertices and every datum sums its terms in tet order."""
+    op = fem_core.p1_operator(mesh)
+    vols = op.volumes[op.shape]
+    if tet_mask is not None:
+        vols = np.where(tet_mask, vols, 0.0)
+    local = np.broadcast_to(LOCAL_MASS, (len(vols), 16))
+    return fem_core._WeightMap(op.tets, op.num_vertices, local, fem_core._NO_NODES).matrix(vols)
+
+
+def face_owners_reference(tets, n):
+    """``mesh._face_owners`` by ``np.sort`` of each triple and ``np.unique``
+    of the int64 face keys with index, inverse and counts: the unique
+    faces in first-occurrence order and their (F, 2) owners, the second
+    -1 on a boundary face; raises MeshError for the first face, in that
+    order, that three or more tets share."""
+    tets = np.asarray(tets, dtype=np.int64)
+    slots = np.sort(tets[:, meshmod._LOCAL_FACES], axis=2).reshape(-1, 3)
+    _, first, inverse, counts = np.unique(meshmod._face_keys(slots, n), return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)  # first-occurrence order
+    if np.any(counts > 2):
+        f = order[np.argmax(counts[order] > 2)]
+        raise MeshError("face %s is shared by %d tets"
+                        % (tuple(int(v) for v in slots[first[f]]), counts[f]))
+    second = np.full(first.size, -1, dtype=np.int64)
+    later = np.nonzero(first[inverse] != np.arange(slots.shape[0]))[0]
+    second[inverse[later]] = later // 4
+    owners = np.column_stack([first // 4, second])[order]
+    return slots[first[order]], owners

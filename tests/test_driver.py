@@ -327,16 +327,24 @@ def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
 
 
 def test_run_builds_each_weight_map_once(monkeypatch):
-    # box stiffness, Block-1 pinned stiffness, box mass and submesh mass:
-    # however many sweeps run, every later assembly reuses these
-    built = []
+    # weight maps of the box stiffness and the Block-1 pinned stiffness,
+    # mass products of the box and the submesh: however many sweeps run,
+    # every later assembly reuses these
+    built, products = [], []
 
     class CountedMap(fem_core._WeightMap):
         def __init__(self, *args):
             built.append(args[0].shape)
             super().__init__(*args)
 
+    mass_product = fem_core._mass_product
+
+    def counted_product(op, vols):
+        products.append(op.tets.shape)
+        return mass_product(op, vols)
+
     monkeypatch.setattr(fem_core, "_WeightMap", CountedMap)
+    monkeypatch.setattr(fem_core, "_mass_product", counted_product)
     config = driver.RunConfig(species=mixture_species(),
                               constants=ModelConstants(sigma=-1.0, u_t=1.5),
                               linear=sparse_linalg.LinearSolveSpec(method="direct"),
@@ -345,7 +353,8 @@ def test_run_builds_each_weight_map_once(monkeypatch):
             mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det:
         result = driver.run(config)
     assert result.iterations > 1
-    assert len(built) == 4
+    assert built == [result.mesh.tets.shape, result.submesh.tets.shape]
+    assert sorted(products) == sorted([result.mesh.tets.shape, result.submesh.tets.shape])
     assert spy.call_count == 1
     # mesh validation takes its volumes from the same P1 geometry
     assert det.call_count == 1

@@ -11,8 +11,8 @@ from smpnp.fem_core import (DirichletSet, apply_dirichlet, assemble_mass,
                             assemble_surface_load, assemble_weighted_stiffness,
                             l2_norm, pinned_stiffness_system)
 
-from helpers import (assemble_load_volume, l2_diff, p1_geometry_reference, reference_scatter,
-                     reference_stiffness)
+from helpers import (LOCAL_MASS, assemble_load_volume, l2_diff, p1_geometry_reference,
+                     reference_mass, reference_scatter, reference_stiffness)
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 
@@ -254,7 +254,7 @@ def test_scatter_matches_sorted_key_reference(case, which, channel_mesh, channel
     op = fem_core.p1_operator(mesh)
     local, nodes = op.local_stiffness[op.shape], np.concatenate(mesh.dirichlet_side_nodes())
     if case == "mass":
-        local, nodes = np.broadcast_to(fem_core._LOCAL_MASS, local.shape), fem_core._NO_NODES
+        local, nodes = np.broadcast_to(LOCAL_MASS, local.shape), fem_core._NO_NODES
     elif case == "pinned-unordered":
         nodes = np.random.default_rng(7).permutation(nodes)
     got = fem_core._WeightMap(op.tets, op.num_vertices, local, nodes)
@@ -320,6 +320,32 @@ def test_p1_operator_is_bitwise_the_per_tet_geometry(case):
         got = getattr(op, name)[op.shape]
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     assert len(op.volumes) == (len(mesh.tets) if case == "jittered" else SYNTH_SHAPES[case])
+
+
+@pytest.mark.parametrize("case", ["R4-box", "R4-submesh", "R12-box", "R12-submesh", "jittered",
+                                  "masked-alternate", "masked-solvent"])
+def test_mass_product_is_bitwise_the_weight_map_mass(case):
+    # the sparse product sums every entry in tet order, as the weight map
+    # does, and a masked mass keeps the unmasked pattern: the solvent mask
+    # zeroes every entry among protein and membrane nodes
+    mask = None
+    if case == "jittered":
+        mesh = _jittered_mesh()
+    else:
+        resolution = int(case[1:case.index("-")]) if case[0] == "R" else 4
+        mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=resolution))
+        if case.endswith("submesh"):
+            mesh = meshmod.extract_solvent_submesh(mesh)
+        elif case == "masked-alternate":
+            mask = np.arange(mesh.num_tets) % 2 == 0
+        elif case == "masked-solvent":
+            mask = mesh.tet_regions == meshmod.SOLVENT
+    got, want = assemble_mass(mesh, tet_mask=mask), reference_mass(mesh, tet_mask=mask)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if mask is not None:
+        assert np.count_nonzero(got.data == 0.0) > 0
 
 
 @pytest.mark.parametrize("flip, flat", [([30, 7, 19], []), ([40, 41], []), ([2], []),

@@ -8,7 +8,8 @@ import pytest
 from smpnp import fem_core, mesh as meshmod
 from smpnp.errors import MeshError, MeshFormatError
 
-from helpers import p1_geometry_reference, region_volume, solvent_dirichlet_nodes
+from helpers import (face_owners_reference, p1_geometry_reference, region_volume,
+                     solvent_dirichlet_nodes)
 
 
 def test_structured_box_counts():
@@ -515,6 +516,49 @@ def test_face_table_rejects_bad_vertex_ids():
     assert int(meshmod._face_keys(top, n)[0]) == ((n - 3) * n + n - 2) * n + n - 1
     with pytest.raises(MeshError, match="overflow"):
         meshmod._face_keys(top, n + 1)
+
+@pytest.mark.parametrize("case", ["R4", "R12", "R20", "loaded", "unit-cube", "shuffled",
+                                  "shared-by-three"])
+def test_face_table_matches_unique_reference(case, tmp_path):
+    # the stable-sort face table is the np.unique one: faces in first-
+    # occurrence order, owners, and the error naming the first face in
+    # scan order that three tets share.  The table reads the tets alone,
+    # so moved vertices change nothing; shuffled tets change the scan
+    if case == "unit-cube":
+        mesh = meshmod.unit_cube_mesh(3)
+    else:
+        resolution = int(case[1:]) if case[0] == "R" else 4
+        mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=resolution))
+    tets = mesh.tets
+    if case == "loaded":
+        meshmod.save_mesh(mesh, tmp_path / "chan.mesh")
+        tets = meshmod.load_mesh(tmp_path / "chan.mesh").tets
+    elif case == "shuffled":
+        # tets in random order, each with its corners rolled by a random step
+        rng = np.random.default_rng(5)
+        tets = tets[rng.permutation(len(tets))]
+        tets = np.take_along_axis(tets, (np.arange(4) + rng.integers(0, 4, (len(tets), 1))) % 4,
+                                  axis=1)
+    elif case == "shared-by-three":
+        tets = np.vstack([tets, tets[[40, 7]], tets[[3]][:, [1, 0, 2, 3]]])
+    try:
+        want = face_owners_reference(tets, mesh.num_vertices)
+    except MeshError as err:
+        with pytest.raises(MeshError) as got:
+            meshmod._face_owners(tets, mesh.num_vertices)
+        assert str(got.value) == str(err)
+        return
+    assert case != "shared-by-three"
+    for a, b in zip(meshmod._face_owners(tets, mesh.num_vertices), want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("resolution", [12, 20])
+def test_tet_centroids_are_bitwise_the_gathered_mean(resolution):
+    verts, tets = meshmod.structured_box(meshmod.ChannelGeometry().box, resolution)
+    got, want = meshmod.tet_centroids(verts, tets), verts[tets].mean(axis=1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # bitwise oracle: the loop implementations the vectorized mesh layer replaced
