@@ -357,7 +357,7 @@ def run(config: RunConfig):
     # already the fixed point and one sweep confirms it
     cbar = slotboom_forward(submesh.restrict(w + phi), c, species, constants)
     d_nodal = transport.diffusion_nodal(submesh, species, constants)
-    dirichlet = [transport.np_dirichlet(submesh, species, i, constants) for i in range(n)]
+    g_bar = [transport.np_dirichlet(submesh, species, i, constants) for i in range(n)]
     excursions = transport.RangeExcursions(species.names)
 
     def sweep(x, relax):
@@ -368,7 +368,7 @@ def run(config: RunConfig):
             transport.solve_transformed_np(submesh, species, i, u_vals, x["c"],
                                            constants, spec.starting_at(x["cbar"][i]),
                                            d_nodal=d_nodal, excursions=excursions,
-                                           dirichlet=dirichlet[i])
+                                           g_bar=g_bar[i])
             for i in range(n)
         ])
         cbar = relax(x["cbar"], pbar)

@@ -62,6 +62,8 @@ class AtomicCharges:
                            np.asarray(self.charges, dtype=float).ravel())
         if len(self.positions) != len(self.charges):
             raise ValueError("positions/charges length mismatch")
+        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.charges))):
+            raise ValueError("atom positions and charges must be finite")
 
     def __len__(self):
         return len(self.charges)
@@ -72,14 +74,16 @@ class AtomicCharges:
 
 
 def load_atoms(path):
-    """Read an atom list file: 'atoms n' then n lines 'x y z charge'."""
+    """Read an atom list file: 'atoms n' then n lines 'x y z charge', each
+    number finite; a further non-blank line is an error."""
     lines = [(ln, raw.split())
              for ln, raw in enumerate(meshmod.read_text_lines(path), start=1) if raw.strip()]
     if not lines:
         raise MeshFormatError("expected header 'atoms n'", line=1)
     n = meshmod.parse_count(lines[0][1], lines[0][0], "atoms", "header 'atoms n'")
-    if len(lines) - 1 < n:
-        raise MeshFormatError("expected %d atom lines" % n, line=lines[-1][0])
+    if len(lines) - 1 != n:  # names the last line, or the first one past n
+        raise MeshFormatError("expected %d atom lines" % n,
+                              line=lines[min(n + 1, len(lines) - 1)][0])
     rows = np.array([meshmod.parse_numbers(float, tok, ln, "'x y z charge'", 4)
                      for ln, tok in lines[1:n + 1]]).reshape(n, 4)
     return AtomicCharges(rows[:, :3], rows[:, 3])
@@ -175,16 +179,6 @@ def region_eps(mesh: meshmod.LabeledMesh, constants: ModelConstants):
     return eps[mesh.tet_regions]
 
 
-def potential_dirichlet(mesh: meshmod.LabeledMesh, constants: ModelConstants, offset):
-    """DirichletSet for the potential: u_b on the bottom face, u_t on top,
-    less the nodal field ``offset`` there; Psi takes G as the offset, to
-    impose Psi = g - G.
-    """
-    d = fem_core.side_dirichlet(mesh, constants.u_b, constants.u_t)
-    d.values -= np.asarray(offset)[d.nodes]
-    return d
-
-
 def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
     """Warn once when any atom's nearest tet centroid is not protein
     (synthetic setups), with the count and the first such atom."""
@@ -236,8 +230,8 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
     if constants.sigma != 0.0:
         rhs += constants.tau * constants.sigma * fem_core.assemble_surface_load(
             mesh, meshmod.GAMMA_M)
-    d = potential_dirichlet(mesh, constants, offset=g_nodes)
-    return box_poisson(mesh, constants).solve(rhs, d)
+    g = fem_core.face_values(mesh, constants.u_b, constants.u_t) - g_nodes
+    return box_poisson(mesh, constants).solve(rhs, g)
 
 
 def _orient_outward(mesh, facets, normals):
@@ -262,18 +256,17 @@ class BoxPoisson:
     """
 
     def __init__(self, mesh: meshmod.LabeledMesh, constants: ModelConstants):
-        self.dirichlet = fem_core.side_dirichlet(mesh, 0.0, 0.0)
         self.eps = region_eps(mesh, constants)
-        weights = fem_core.p1_operator(mesh).stiffness_map(self.dirichlet.nodes)
+        weights = fem_core.p1_operator(mesh).stiffness_map()
         self.A, self.lift = weights.matrix(self.eps), weights.lift
         del weights  # the map dies before the factorization, the lift lives on
         self.factor = sparse_linalg.factorize(self.A)
         self.a_norm = sparse_linalg.inf_norm(self.A)  # of every backward-error check
 
-    def solve(self, rhs, boundary: fem_core.DirichletSet = None):
-        """Solve A x = rhs at the free nodes, with x on Gamma_D given by
-        ``boundary`` (a DirichletSet covering Gamma_D; zero when None)."""
-        b = self.lift(self.eps, boundary or self.dirichlet, rhs)
+    def solve(self, rhs, g):
+        """Solve A x = rhs at the free nodes, with x = g on Gamma_D (``g``
+        nodal, read there only)."""
+        b = self.lift(self.eps, g, rhs)
         return sparse_linalg.solve_factored(self.A, self.factor, b, self.a_norm)
 
 
@@ -308,4 +301,4 @@ class PhiTildeSystem:
         """Phi_tilde candidate q for solvent concentration fields (n, Ns)."""
         c_fields = np.atleast_2d(np.asarray(c_fields, dtype=float))
         load = self.submesh.prolong(self.beta * (self.mass @ (self.Z @ c_fields)))
-        return self.box.solve(load)
+        return self.box.solve(load, np.zeros_like(load))

@@ -1,7 +1,8 @@
 """P1 Lagrange finite element machinery on tetrahedral meshes.
 
 All assembly routines accept either the box mesh or the solvent submesh
-(anything exposing ``vertices``, ``tets`` and ``num_vertices``).  Stiffness
+(anything exposing ``vertices``, ``tets``, ``num_vertices`` and
+``dirichlet_side_nodes()``).  Stiffness
 and mass use the exact closed-form P1 element integrals; general volume
 loads go through the P1 mass matrix, which integrates P1*P1 products
 exactly.  Every stiffness pattern is built by a weight map
@@ -13,44 +14,22 @@ Which local stiffness entries are zero is decided once there, per shape: an
 entry at most 1e-13 of its shape's largest is an exact zero (orthogonal
 gradients) left over by rounding and is set to 0.0, so every stiffness
 pattern holds the structural nonzeros only, whatever the grid spacing.
-The solver's Dirichlet data (``side_dirichlet``) are imposed one way, by
-pinned weight maps (``P1Operator.stiffness_map``); the unpinned
-``assemble_weighted_stiffness`` and ``apply_dirichlet`` are their reference.
+The operator also holds the mesh's Gamma_D nodes (bottom face, then top),
+and the solver's Dirichlet data are imposed one way: a pinned weight map
+(``P1Operator.stiffness_map``) whose lift reads a nodal boundary field
+there, built by ``face_values`` with one value per face.  The unpinned
+``assemble_weighted_stiffness`` and ``apply_dirichlet`` are their
+reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshError
-
-
-@dataclass
-class DirichletSet:
-    """Constrained node indices with their boundary values."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.nodes.size != np.unique(self.nodes).size:
-            raise MeshError("Dirichlet node indices must be unique")
-        if self.values.shape != self.nodes.shape:
-            raise MeshError("Dirichlet values/nodes length mismatch")
-
-
-def side_dirichlet(mesh, bottom, top):
-    """DirichletSet holding ``bottom`` on the mesh's bottom-face Dirichlet
-    nodes and ``top`` on its top-face ones (``dirichlet_side_nodes``)."""
-    lo, hi = mesh.dirichlet_side_nodes()
-    return DirichletSet(np.concatenate([lo, hi]),
-                        np.repeat([float(bottom), float(top)], [len(lo), len(hi)]))
 
 
 def p1_gradients(mesh):
@@ -98,11 +77,12 @@ class P1Operator:
     entries are zero is decided by structure, not by the rounding of the
     grid spacings.  ``shape`` (M,) is each tet's shape index, so a tet's
     arrays are ``grads[shape]`` and so on; readers index at the point of
-    use.  The weight map of the pinned stiffness pattern is kept per
-    constrained node array (``pinned_map``), because Block 1 reassembles
-    it every sweep; a weight map built once, as the box operator's is,
-    is not kept.  Obtain the operator through ``p1_operator``; the mesh
-    must not be mutated afterwards.
+    use.  ``dirichlet_sides`` holds the mesh's ``dirichlet_side_nodes()``
+    and ``pinned`` the same nodes in one array, bottom then top: every
+    stiffness map pins them.  The weight map is kept (``pinned_map``),
+    because Block 1 reassembles it every sweep; a weight map built once,
+    as the box operator's is, is not kept.  Obtain the operator through
+    ``p1_operator``; the mesh must not be mutated afterwards.
 
     A submesh (a mesh with ``parent`` and ``parent_tet_ids``) shares its
     parent's per-shape arrays, and its ``shape`` is the parent's at
@@ -127,7 +107,8 @@ class P1Operator:
             self.shape = parent.shape[ids]
         self.tets = mesh.tets
         self.num_vertices = mesh.num_vertices
-        self._pinned_maps = {}
+        self.dirichlet_sides = mesh.dirichlet_side_nodes()
+        self.pinned = np.concatenate(self.dirichlet_sides)
 
     @cached_property
     def vertex_mean(self):
@@ -139,8 +120,8 @@ class P1Operator:
         return sp.csr_matrix((np.full(4 * m, 0.25), self.tets.ravel(),
                               np.arange(0, 4 * m + 1, 4)), shape=(m, self.num_vertices))
 
-    def stiffness_map(self, nodes):
-        """Weight map of the stiffness pattern with ``nodes`` pinned.
+    def stiffness_map(self):
+        """Weight map of the stiffness pattern with the ``pinned`` nodes pinned.
 
         The pattern keeps the local entries that the per-shape rule of
         ``__init__`` leaves nonzero.  On the synthetic meshes' Kuhn tets, 6
@@ -150,15 +131,12 @@ class P1Operator:
         R=20: none), nearly doubling the pattern.
         """
         return _WeightMap(self.tets, self.num_vertices, self.local_stiffness[self.shape],
-                          nodes)
+                          self.pinned)
 
-    def pinned_map(self, nodes):
-        """``stiffness_map(nodes)``, cached per node array (its bytes)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        key = nodes.tobytes()
-        if key not in self._pinned_maps:
-            self._pinned_maps[key] = self.stiffness_map(nodes)
-        return self._pinned_maps[key]
+    @cached_property
+    def pinned_map(self):
+        """``stiffness_map()``, built on first use and kept."""
+        return self.stiffness_map()
 
 
 def p1_operator(mesh):
@@ -183,7 +161,8 @@ class _WeightMap:
     its columns list each tet's entries in local order, so every datum
     sums its terms in tet order.  Rows of the constrained ``nodes`` hold
     only a unit diagonal (data positions ``diag``); kept entries in an
-    unconstrained row and a constrained column form the boundary lift.
+    unconstrained row and a constrained column form the boundary lift,
+    which reads the boundary values at the constrained nodes only.
     The pattern arrays are read-only, as every matrix built here shares
     them.
     """
@@ -201,7 +180,7 @@ class _WeightMap:
         to_pinned = np.tile(corner_pinned, (1, 4)).ravel()
         lift = np.flatnonzero(kept & to_pinned)
         # a partial, so that a caller can keep the lift without the map
-        self.lift = partial(_lift, n, lift // 16, local[lift], rows[lift], cols[lift])
+        self.lift = partial(_lift, n, nodes, lift // 16, local[lift], rows[lift], cols[lift])
         kept &= ~to_pinned
         del lift, to_pinned
         per_tet = np.count_nonzero(kept.reshape(n_tets, 16), axis=1)
@@ -246,15 +225,15 @@ def _data_positions(pattern, rows, cols):
     return out
 
 
-def _lift(n, tet, val, row, col, w, d: DirichletSet, load=None):
-    """``lift(w, d, load)``: the right-hand side of the weight map's matrix
-    at per-tet weights w for the data ``d``: ``load`` (zero when None)
-    minus A[free, constrained] @ d.values, and d.values on the pinned rows."""
-    g = np.zeros(n)
-    g[d.nodes] = d.values
+def _lift(n, nodes, tet, val, row, col, w, g, load=None):
+    """``lift(w, g, load)``: the right-hand side of the weight map's matrix
+    at per-tet weights w for the nodal boundary field ``g``: ``load`` (zero
+    when None) minus A[free, constrained] @ g[constrained], and g on the
+    pinned rows.  Only the values of ``g`` at the constrained ``nodes`` are
+    read."""
     b = np.zeros(n) if load is None else np.array(load, dtype=float)
     b -= np.bincount(row, w[tet] * val * g[col], minlength=n)
-    b[d.nodes] = d.values
+    b[nodes] = g[nodes]
     return b
 
 
@@ -293,37 +272,37 @@ def assemble_weighted_stiffness(mesh, weight=None, tet_mask=None):
     pinned route; the solver does not call it.
     """
     op = p1_operator(mesh)
-    return op.stiffness_map(_NO_NODES).matrix(_tet_weight(op, weight, tet_mask))
+    weights = _WeightMap(op.tets, op.num_vertices, op.local_stiffness[op.shape], _NO_NODES)
+    return weights.matrix(_tet_weight(op, weight, tet_mask))
 
 
-def pinned_stiffness_system(mesh, weight, d: DirichletSet):
-    """(A, b) of the weighted stiffness problem with zero load and data ``d``.
+def pinned_stiffness_system(mesh, weight, g):
+    """(A, b) of the weighted stiffness problem with zero load and the
+    nodal boundary field ``g`` on the mesh's Gamma_D nodes.
 
     Equal to ``apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
-    0, d)`` up to rounding, with the same sparsity pattern, but assembled
-    from the mesh's cached weight map of ``d.nodes``.
+    0, nodes, g)`` up to rounding, with the same sparsity pattern, but
+    assembled from the mesh's kept ``pinned_map``.
     """
     op = p1_operator(mesh)
     w = _tet_weight(op, weight)
-    weights = op.pinned_map(d.nodes)
-    return weights.matrix(w), weights.lift(w, d)
+    return op.pinned_map.matrix(w), op.pinned_map.lift(w, g)
 
 
-def assemble_mass(mesh, tet_mask=None):
-    """CSR P1 mass matrix int phi_a phi_b (exact closed form).
+def face_values(mesh, bottom, top):
+    """Nodal field holding ``bottom`` on the mesh's bottom-face Gamma_D
+    nodes, ``top`` on its top-face ones and 0 elsewhere: the boundary data
+    of a pinned system, whose lift reads it on Gamma_D only."""
+    lo, hi = p1_operator(mesh).dirichlet_sides
+    g = np.zeros(mesh.num_vertices)
+    g[lo], g[hi] = bottom, top
+    return g
 
-    Tets outside ``tet_mask`` contribute zeros, in the same pattern.
-    """
+
+def assemble_mass(mesh):
+    """CSR P1 mass matrix int phi_a phi_b (exact closed form)."""
     op = p1_operator(mesh)
-    vols = op.volumes[op.shape]
-    mass = _mass_product(op, vols)
-    if tet_mask is not None:
-        # the product leaves out the entries that only masked tets reach:
-        # read the masked values at the unmasked pattern's positions
-        masked = _mass_product(op, np.where(tet_mask, vols, 0.0))
-        rows = np.repeat(np.arange(op.num_vertices), np.diff(mass.indptr))
-        mass.data = np.asarray(masked[rows, mass.indices]).ravel()
-    return mass
+    return _mass_product(op, op.volumes[op.shape])
 
 
 def _mass_product(op, vols):
@@ -382,38 +361,37 @@ def assemble_surface_load_nodal(mesh, facets, values):
     return out
 
 
-def apply_dirichlet(A, b, d: DirichletSet):
-    """Return (A', b') with constrained dofs eliminated symmetrically.
+def apply_dirichlet(A, b, nodes, g):
+    """Return (A', b') with the ``nodes`` eliminated symmetrically.
 
-    Constrained rows/columns become identity; known values move to the
-    right-hand side of the free rows.  A reference for the pinned route;
-    the solver does not call it.
+    Constrained rows/columns become identity; the known values, the nodal
+    field ``g`` read at ``nodes`` only, move to the right-hand side of the
+    free rows.  A reference for the pinned route; the solver does not call
+    it.
     """
-    if d.nodes.size == 0:
+    if nodes.size == 0:
         return A.tocsr(), np.asarray(b, dtype=float).copy()
     n = A.shape[0]
     b2 = np.asarray(b, dtype=float).copy()
-    g = np.zeros(n)
-    g[d.nodes] = d.values
-    b2 -= A @ g
+    known = np.zeros(n)
+    known[nodes] = g[nodes]
+    b2 -= A @ known
     keep = np.ones(n)
-    keep[d.nodes] = 0.0
+    keep[nodes] = 0.0
     D = sp.diags(keep)
     pin = sp.diags(1.0 - keep)
     A2 = (D @ A @ D + pin).tocsr()
     A2.sum_duplicates()
     A2.sort_indices()
-    b2[d.nodes] = d.values
+    b2[nodes] = g[nodes]
     return A2, b2
 
 
-def l2_norm(mesh, f, mass=None):
-    """L2 norm sqrt(int f^2) with the exact P1 mass matrix."""
+def l2_norm(mesh, f, mass):
+    """L2 norm sqrt(int f^2) with the mesh's P1 mass matrix ``mass``."""
     f = np.asarray(f, dtype=float)
     if f.shape[0] != mesh.num_vertices:
         raise MeshError("field length does not match mesh")
-    if mass is None:
-        mass = assemble_mass(mesh)
     return float(np.sqrt(max(f @ (mass @ f), 0.0)))
 
 

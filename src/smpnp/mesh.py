@@ -218,10 +218,14 @@ def _face_owners(tets, n):
 def parse_numbers(kind, tok, ln, expected, count):
     """The ``count`` tokens ``tok`` of line ``ln`` converted by ``kind`` (int
     or float); another count, or a token ``kind`` rejects, raises
-    MeshFormatError "expected <expected>"."""
+    MeshFormatError "expected <expected>", and a float that is not finite
+    (nan, inf) "expected <expected>, all finite"."""
     try:
         if len(tok) == count:
-            return [kind(x) for x in tok]
+            vals = [kind(x) for x in tok]
+            if kind is not float or np.all(np.isfinite(vals)):
+                return vals
+            raise MeshFormatError("expected %s, all finite" % expected, line=ln)
     except ValueError:
         pass
     raise MeshFormatError("expected %s" % expected, line=ln)

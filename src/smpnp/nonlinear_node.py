@@ -74,21 +74,20 @@ def water_equation(s, log_a, r):
     return top + np.log(total), slope
 
 
-def _log_water(log_a, r, s0=None):
+def _log_water(log_a, r, s0):
     """ln w at every node: the root of phi for each column of ``log_a``.
 
-    Newton from ``s0`` (s = 0 when None), which may be any finite (N,)
-    start.  phi is convex and increasing with slope in [1, max r], so
-    from the right of the root the iterates descend monotonically to it
-    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-    1995); from the left, the tangent lies below the convex phi, so the
-    first step lands at or past the root, and the iterates descend from
-    there.  No bracket is needed.  Rounding can leave an iterate just below
-    the root, and the next step returns past it.  Returns (s, per-node
-    step counts).
+    Newton from ``s0``, which may be any finite (N,) start.  phi is convex
+    and increasing with slope in [1, max r], so from the right of the root
+    the iterates descend monotonically to it (Kelley, Iterative Methods for
+    Linear and Nonlinear Equations, SIAM 1995); from the left, the tangent
+    lies below the convex phi, so the first step lands at or past the root,
+    and the iterates descend from there.  No bracket is needed.  Rounding
+    can leave an iterate just below the root, and the next step returns
+    past it.  Returns (s, per-node step counts).
     """
     N = log_a.shape[1]
-    s = np.zeros(N) if s0 is None else np.array(s0, dtype=float)
+    s = np.array(s0, dtype=float)
     iters = np.zeros(N, dtype=int)
     active = np.arange(N)
     for _ in range(MAX_NEWTON_ITER):

@@ -205,12 +205,9 @@ def inf_norm(A):
     return (abs(A) @ np.ones(A.shape[1])).max(initial=0.0)
 
 
-def _backward_error(A, x, b, a_norm=None):
+def _backward_error(A, x, b, a_norm):
     # normwise: transformed systems carry entries spanning e^(+-cap), so
-    # the raw residual alone has no fixed scale; a_norm is inf_norm(A), or
-    # None to compute it here
-    if a_norm is None:
-        a_norm = inf_norm(A)
+    # the raw residual alone has no fixed scale; a_norm is inf_norm(A)
     scale = a_norm * np.linalg.norm(x) + np.linalg.norm(b)
     return np.linalg.norm(A @ x - b) / max(scale, 1.0e-300)
 
@@ -231,10 +228,10 @@ def _checked_solve(A, b, apply, label, a_norm, start=None):
     return x
 
 
-def solve_factored(A, lu, b, a_norm=None):
+def solve_factored(A, lu, b, a_norm):
     """Solve A x = b with ``lu``, a SuperLU factorization of A; the answer
     passes the backward-error check of _checked_solve.  ``a_norm`` is
-    inf_norm(A), computed by each check when None."""
+    inf_norm(A)."""
     return _checked_solve(A, b, lambda rhs, _: lu.solve(rhs), "direct solve", a_norm)
 
 

@@ -29,9 +29,10 @@ def diffusion_nodal(submesh: meshmod.SolventSubmesh, species: SpeciesSet,
 
 def np_dirichlet(submesh: meshmod.SolventSubmesh, species: SpeciesSet, i,
                  constants: ModelConstants):
-    """Dirichlet data g_bar_i on the submesh's bottom/top boundary nodes."""
-    return fem_core.side_dirichlet(submesh, boundary_conc(species, "bottom", constants)[i],
-                                   boundary_conc(species, "top", constants)[i])
+    """Dirichlet data g_bar_i: its bottom and top values on the submesh's
+    Gamma_D nodes (``fem_core.face_values``)."""
+    return fem_core.face_values(submesh, boundary_conc(species, "bottom", constants)[i],
+                                boundary_conc(species, "top", constants)[i])
 
 
 class RangeExcursions:
@@ -69,26 +70,26 @@ class RangeExcursions:
 
 def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
                          constants: ModelConstants, spec, d_nodal,
-                         excursions: RangeExcursions = None,
-                         dirichlet: fem_core.DirichletSet = None):
+                         excursions: RangeExcursions = None, g_bar=None):
     """Solve the species-i transformed Nernst-Planck problem.
 
     ``u_vals`` is the restricted potential w + Phi_tilde^k and ``c_fields``
     the current concentrations, both nodal on the submesh, and ``d_nodal``
     the raw coefficients ``diffusion_nodal`` returns.  Homogeneous Neumann
     conditions on the interface and side boundaries are natural; g_bar_i
-    is imposed on the Dirichlet nodes; ``dirichlet``, when given,
-    is that data as ``np_dirichlet`` builds it.  Returns the transformed
+    is imposed on the Dirichlet nodes; ``g_bar``, when given, is that
+    data as ``np_dirichlet`` builds it.  Returns the transformed
     concentration field.  A solve that leaves the Dirichlet range is
     recorded in ``excursions``, or logged when none is given.
     """
     dhat = transformed_diffusion(species, i, u_vals, c_fields, d_nodal[i], constants)
     if np.any(dhat <= 0.0):
         raise FeasibilityError("nonpositive transformed diffusion for species %d" % i)
-    d = np_dirichlet(submesh, species, i, constants) if dirichlet is None else dirichlet
-    A, b = fem_core.pinned_stiffness_system(submesh, dhat, d)
+    g = np_dirichlet(submesh, species, i, constants) if g_bar is None else g_bar
+    A, b = fem_core.pinned_stiffness_system(submesh, dhat, g)
     cbar = sparse_linalg.solve(A, b, spec)
-    lo, hi = d.values.min(), d.values.max()
+    on_faces = g[fem_core.p1_operator(submesh).pinned]
+    lo, hi = on_faces.min(), on_faces.max()
     excess = max(lo - cbar.min(), cbar.max() - hi)
     if excess > 1.0e-8 * (1.0 + hi):
         if excursions is not None:

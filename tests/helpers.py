@@ -31,15 +31,15 @@ def assemble_load_volume(mesh, density, tet_mask=None):
     ``density`` is nodal; the P1*P1 product is integrated exactly through
     the element mass matrix.
     """
-    return fem_core.assemble_mass(mesh, tet_mask=tet_mask) @ np.asarray(density, dtype=float)
+    return reference_mass(mesh, tet_mask) @ np.asarray(density, dtype=float)
 
 
-def l2_diff(mesh, f, g, mass=None):
+def l2_diff(mesh, f, g):
     """L2 norm of f - g on a common mesh."""
     f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
     if f.shape != g.shape:
         raise MeshError("field shapes differ")
-    return fem_core.l2_norm(mesh, f - g, mass=mass)
+    return fem_core.l2_norm(mesh, f - g, mass=fem_core.assemble_mass(mesh))
 
 
 def region_volume(mesh, region):

@@ -17,7 +17,8 @@ from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  slotboom_forward, transformed_diffusion,
                                  volume_from_radius, water_fraction)
 
-from helpers import assemble_load_volume, compute_flux, gaussian_charge_density, l2_diff
+from helpers import (assemble_load_volume, compute_flux, gaussian_charge_density, l2_diff,
+                     reference_mass)
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 KRYLOV = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
@@ -123,14 +124,10 @@ def _classical_pnp_oracle(mesh, sub, species, constants, tol=1e-10,
                meshmod.MEMBRANE: constants.eps_m}
     eps = np.vectorize(eps_tab.get)(mesh.tet_regions).astype(float)
     A_eps = fem_core.assemble_weighted_stiffness(mesh, eps)
-    bottom, top = mesh.dirichlet_side_nodes()
-    d_pot = fem_core.DirichletSet(
-        np.concatenate([bottom, top]),
-        np.concatenate([np.full(len(bottom), constants.u_b),
-                        np.full(len(top), constants.u_t)]))
-    mass_solv = fem_core.assemble_mass(
-        mesh, tet_mask=mesh.tet_regions == meshmod.SOLVENT)
-    sb, st = sub.dirichlet_side_nodes()
+    pinned = fem_core.p1_operator(mesh).pinned
+    g_pot = fem_core.face_values(mesh, constants.u_b, constants.u_t)
+    mass_solv = reference_mass(mesh, mesh.tet_regions == meshmod.SOLVENT)
+    sub_pinned = fem_core.p1_operator(sub).pinned
     z_sub = sub.vertices[:, 2]
     d_prof = np.stack([diffusion_profile(sp, z_sub, mesh.z1, mesh.z2, constants.eta)
                        for sp in species])
@@ -146,10 +143,8 @@ def _classical_pnp_oracle(mesh, sub, species, constants, tol=1e-10,
                 sub, d_prof[i] * np.exp(-Z[i] * u_sub))
             gb = species.c_b[i] * np.exp(Z[i] * constants.u_b)
             gt = species.c_b[i] * np.exp(Z[i] * constants.u_t)
-            d = fem_core.DirichletSet(
-                np.concatenate([sb, st]),
-                np.concatenate([np.full(len(sb), gb), np.full(len(st), gt)]))
-            A, b = fem_core.apply_dirichlet(A, np.zeros(sub.num_vertices), d)
+            A, b = fem_core.apply_dirichlet(A, np.zeros(sub.num_vertices), sub_pinned,
+                                            fem_core.face_values(sub, gb, gt))
             cbar = sparse_linalg.solve(A, b, DIRECT)
             c_new.append(cbar * np.exp(-Z[i] * u_sub))
         c_new = np.stack(c_new)
@@ -157,7 +152,7 @@ def _classical_pnp_oracle(mesh, sub, species, constants, tol=1e-10,
         charge = np.zeros(mesh.num_vertices)
         charge[sub.vertex_map] = Z @ c_new
         rhs = constants.beta * (mass_solv @ charge)
-        A2, b2 = fem_core.apply_dirichlet(A_eps, rhs, d_pot)
+        A2, b2 = fem_core.apply_dirichlet(A_eps, rhs, pinned, g_pot)
         u_next = sparse_linalg.solve(A2, b2, DIRECT)
 
         du = np.max(np.abs(u_next - u))
@@ -237,8 +232,7 @@ def test_criterion_7_fem_order():
         A = fem_core.assemble_weighted_stiffness(mesh)
         b = assemble_load_volume(mesh, f)
         bnodes = np.unique(mesh.facets)
-        A, b = fem_core.apply_dirichlet(
-            A, b, fem_core.DirichletSet(bnodes, np.zeros(len(bnodes))))
+        A, b = fem_core.apply_dirichlet(A, b, bnodes, np.zeros(mesh.num_vertices))
         uh = sparse_linalg.solve(A, b, DIRECT)
         errs.append(l2_diff(mesh, uh, exact))
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
@@ -258,10 +252,11 @@ def test_criterion_8_decomposition_vs_monolithic():
         rho = gaussian_charge_density(atoms, mesh.vertices)
         A = fem_core.assemble_weighted_stiffness(mesh, es.region_eps(mesh, CONST))
         b = CONST.alpha * assemble_load_volume(mesh, rho)
-        d = es.potential_dirichlet(mesh, CONST, np.zeros(mesh.num_vertices))
-        A, b = fem_core.apply_dirichlet(A, b, d)
+        A, b = fem_core.apply_dirichlet(A, b, fem_core.p1_operator(mesh).pinned,
+                                        fem_core.face_values(mesh, CONST.u_b, CONST.u_t))
         mono = sparse_linalg.solve(A, b, DIRECT)
-        errs.append(l2_diff(mesh, w, mono) / fem_core.l2_norm(mesh, mono))
+        errs.append(l2_diff(mesh, w, mono)
+                    / fem_core.l2_norm(mesh, mono, fem_core.assemble_mass(mesh)))
     ratio = errs[0] / errs[1]
     _verdict(8, ratio >= 3.0, "relative L2 gaps %.3e -> %.3e (ratio %.2f)"
              % (errs[0], errs[1], ratio))

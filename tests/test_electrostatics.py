@@ -161,12 +161,46 @@ def test_atoms_file_zero_atoms_round_trip(tmp_path):
     ("atoms two\n0 0 0 1\n0 0 1 1\n", 1),
     ("atoms 2\n0 0 0 1\n\n0 0 one 1\n", 4),
     ("atoms 2\n0 0 0 1\n0 0 1\n", 3),
+    ("atoms 1\n0 0 0 nan\n", 2),  # a non-finite number
+    ("atoms 1\n\ninf 0 0 1\n", 3),
+    ("atoms 1\n0 0 0 1\n0 0 1 1\n", 3),  # a line past the count
+    ("atoms 0\n\n0 0 0 1\n", 3),
 ])
 def test_atoms_file_malformed_reports_line(tmp_path, text, line):
     path = tmp_path / "bad.atoms"
     path.write_text(text)
     with pytest.raises(MeshFormatError, match="^line %d: expected" % line):
         es.load_atoms(path)
+
+
+@pytest.mark.parametrize("positions, charges", [
+    ([[0.0, np.nan, 0.0]], [1.0]),
+    ([[0.0, 0.0, 0.0]], [np.inf]),
+])
+def test_atomic_charges_must_be_finite(positions, charges):
+    with pytest.raises(ValueError, match="finite"):
+        es.AtomicCharges(positions, charges)
+
+
+def test_psi_lift_matches_symmetric_elimination(channel_mesh, rng):
+    # Psi's boundary field u - G on the charged 16-site ring: the pinned box
+    # operator's lift is symmetric elimination of the unpinned operator,
+    # and Psi holds u - G on Gamma_D
+    sites = meshmod.protein_ring_sites(channel_mesh, 16)
+    atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
+    constants = replace(CONST, u_t=1.5)
+    g_nodes = es.eval_G(atoms, constants, channel_mesh.vertices)
+    g = fem_core.face_values(channel_mesh, constants.u_b, constants.u_t) - g_nodes
+    pinned = fem_core.p1_operator(channel_mesh).pinned
+    box = es.box_poisson(channel_mesh, constants)
+    load = rng.normal(size=channel_mesh.num_vertices)
+    _, b_ref = fem_core.apply_dirichlet(
+        fem_core.assemble_weighted_stiffness(channel_mesh, box.eps), load, pinned, g)
+    b = box.lift(box.eps, g, load)
+    assert np.allclose(b, b_ref, rtol=0.0, atol=1e-14 * np.abs(b_ref).max())
+    assert np.array_equal(b[pinned], g[pinned])
+    psi = es.solve_psi(channel_mesh, atoms, constants, g_nodes)
+    assert np.array_equal(psi[pinned], g[pinned])
 
 
 def test_solve_psi_zero_data(channel_mesh):
@@ -215,7 +249,7 @@ def test_phi_tilde_rhs_matches_load_assembly(channel_mesh, channel_submesh, spec
         channel_mesh, species4.Z @ channel_submesh.prolong(c),
         tet_mask=channel_mesh.tet_regions == meshmod.SOLVENT)
     assert np.array_equal(solve.call_args.args[0], oracle_rhs)
-    oracle_rhs[sys.box.dirichlet.nodes] = 0.0
+    oracle_rhs[fem_core.p1_operator(channel_mesh).pinned] = 0.0
     resid = sys.box.A @ q - oracle_rhs
     assert np.max(np.abs(resid)) < 1e-8 * (1.0 + np.max(np.abs(oracle_rhs)))
 

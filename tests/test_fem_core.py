@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from smpnp import electrostatics as es, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import MeshError
 from smpnp.physics_model import ModelConstants
-from smpnp.fem_core import (DirichletSet, apply_dirichlet, assemble_mass,
-                            assemble_surface_load, assemble_weighted_stiffness,
-                            l2_norm, pinned_stiffness_system)
+from smpnp.fem_core import (apply_dirichlet, assemble_mass, assemble_surface_load,
+                            assemble_weighted_stiffness, face_values, l2_norm,
+                            pinned_stiffness_system)
 
 from helpers import (LOCAL_MASS, assemble_load_volume, l2_diff, p1_geometry_reference,
                      reference_mass, reference_scatter, reference_stiffness)
@@ -24,6 +24,10 @@ class _SingleTet:
                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     tets = np.array([[0, 1, 2, 3]])
     num_vertices = 4
+
+    @staticmethod
+    def dirichlet_side_nodes():
+        return np.array([0, 1, 2]), np.array([3])  # z = 0, z = 1
 
 
 def test_stiffness_annihilates_constants(cube_mesh):
@@ -118,7 +122,7 @@ def test_surface_load_unknown_label(cube_mesh):
 def test_apply_dirichlet_empty(cube_mesh, rng):
     A = assemble_weighted_stiffness(cube_mesh)
     b = rng.normal(size=cube_mesh.num_vertices)
-    A2, b2 = apply_dirichlet(A, b, DirichletSet([], []))
+    A2, b2 = apply_dirichlet(A, b, fem_core._NO_NODES, np.zeros(cube_mesh.num_vertices))
     assert abs(A2 - A).max() == 0.0
     assert np.array_equal(b2, b)
 
@@ -127,7 +131,7 @@ def test_apply_dirichlet_all_constrained(cube_mesh):
     n = cube_mesh.num_vertices
     A = assemble_weighted_stiffness(cube_mesh)
     g = np.linspace(0.0, 1.0, n)
-    A2, b2 = apply_dirichlet(A, np.zeros(n), DirichletSet(np.arange(n), g))
+    A2, b2 = apply_dirichlet(A, np.zeros(n), np.arange(n), g)
     x = sparse_linalg.solve(A2, b2, DIRECT)
     assert np.allclose(x, g, atol=1e-12)
 
@@ -135,22 +139,22 @@ def test_apply_dirichlet_all_constrained(cube_mesh):
 def test_laplace_linear_boundary_data_exact(cube_mesh):
     # u = z is harmonic and P1-exact; sides are natural Neumann
     A = assemble_weighted_stiffness(cube_mesh)
-    bottom, top = cube_mesh.dirichlet_side_nodes()
-    d = DirichletSet(np.concatenate([bottom, top]),
-                     np.concatenate([np.zeros(len(bottom)), np.ones(len(top))]))
-    A2, b2 = apply_dirichlet(A, np.zeros(cube_mesh.num_vertices), d)
+    A2, b2 = apply_dirichlet(A, np.zeros(cube_mesh.num_vertices),
+                             fem_core.p1_operator(cube_mesh).pinned,
+                             face_values(cube_mesh, 0.0, 1.0))
     x = sparse_linalg.solve(A2, b2, DIRECT)
     assert np.allclose(x, cube_mesh.vertices[:, 2], atol=1e-10)
 
 
 def test_l2_norm_zero_and_constant(cube_mesh):
-    assert l2_norm(cube_mesh, np.zeros(cube_mesh.num_vertices)) == 0.0
-    assert np.isclose(l2_norm(cube_mesh, np.ones(cube_mesh.num_vertices)), 1.0)
+    mass = assemble_mass(cube_mesh)
+    assert l2_norm(cube_mesh, np.zeros(cube_mesh.num_vertices), mass) == 0.0
+    assert np.isclose(l2_norm(cube_mesh, np.ones(cube_mesh.num_vertices), mass), 1.0)
 
 
 def test_l2_norm_length_mismatch(cube_mesh):
     with pytest.raises(MeshError):
-        l2_norm(cube_mesh, np.zeros(3))
+        l2_norm(cube_mesh, np.zeros(3), assemble_mass(cube_mesh))
     with pytest.raises(MeshError):
         l2_diff(cube_mesh, np.zeros(cube_mesh.num_vertices), np.zeros(3))
 
@@ -162,14 +166,8 @@ def test_l2_triangle_inequality(seed):
     r = np.random.default_rng(seed)
     f = r.normal(size=mesh.num_vertices)
     g = r.normal(size=mesh.num_vertices)
-    assert l2_norm(mesh, f + g) <= l2_norm(mesh, f) + l2_norm(mesh, g) + 1e-12
-
-
-def test_dirichlet_set_validation():
-    with pytest.raises(MeshError):
-        DirichletSet(np.array([1, 1]), np.array([0.0, 0.0]))
-    with pytest.raises(MeshError):
-        DirichletSet(np.array([1, 2]), np.array([0.0]))
+    mass = assemble_mass(mesh)
+    assert l2_norm(mesh, f + g, mass) <= l2_norm(mesh, f, mass) + l2_norm(mesh, g, mass) + 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -184,17 +182,16 @@ def _check_box_operator(mesh, rng):
     operator's columns."""
     box = es.BoxPoisson(mesh, ModelConstants())
     A_full = assemble_weighted_stiffness(mesh, es.region_eps(mesh, ModelConstants()))
-    n = mesh.num_vertices
-    A_old, _ = apply_dirichlet(A_full, np.zeros(n), box.dirichlet)
+    n, pinned = mesh.num_vertices, fem_core.p1_operator(mesh).pinned
+    A_old, _ = apply_dirichlet(A_full, np.zeros(n), pinned, np.zeros(n))
     assert np.array_equal(box.A.indptr, A_old.indptr)
     assert np.array_equal(box.A.indices, A_old.indices)
     assert np.array_equal(box.A.data, A_old.data)
-    d = DirichletSet(box.dirichlet.nodes, rng.uniform(-3.0, 3.0, size=len(box.dirichlet.nodes)))
     g = np.zeros(n)
-    g[d.nodes] = d.values
+    g[pinned] = rng.uniform(-3.0, 3.0, size=len(pinned))
     b_old = -(A_full @ g)
-    b_old[d.nodes] = d.values
-    assert np.allclose(box.lift(box.eps, d), b_old, rtol=0.0, atol=1e-14 * np.abs(b_old).max())
+    b_old[pinned] = g[pinned]
+    assert np.allclose(box.lift(box.eps, g), b_old, rtol=0.0, atol=1e-14 * np.abs(b_old).max())
 
 
 @pytest.mark.parametrize("which", ["cube", "submesh12", "box12"])
@@ -205,13 +202,11 @@ def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
     mesh = cube_mesh if which == "cube" else request.getfixturevalue("submesh12")
     n = mesh.num_vertices
     weight = np.exp(rng.uniform(-45.0, 45.0, size=n))
-    bottom, top = mesh.dirichlet_side_nodes()
-    d = DirichletSet(np.concatenate([top, bottom]),
-                     np.concatenate([np.full(len(top), 2.5), np.full(len(bottom), 0.1)]))
-    A, b = pinned_stiffness_system(mesh, weight, d)
-    A_ref, b_ref = apply_dirichlet(reference_stiffness(mesh, weight), np.zeros(n), d)
+    pinned, g = fem_core.p1_operator(mesh).pinned, face_values(mesh, 0.1, 2.5)
+    A, b = pinned_stiffness_system(mesh, weight, g)
+    A_ref, b_ref = apply_dirichlet(reference_stiffness(mesh, weight), np.zeros(n), pinned, g)
     A_old, b_old = apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
-                                   np.zeros(n), d)
+                                   np.zeros(n), pinned, g)
     # same CSR structure as symmetric elimination, so orderings see the
     # same matrix
     for other in (A_ref, A_old):
@@ -223,8 +218,47 @@ def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
     for other, b_other in ((A_ref, b_ref), (A_old, b_old)):
         dA = np.asarray(abs(A - other).max(axis=1).todense()).ravel()
         assert np.all(dA <= 1e-14 * row_scale)
-        assert np.all(np.abs(b - b_other) <= 1e-14 * row_scale * np.abs(d.values).max())
-    assert np.array_equal(b[d.nodes], d.values)
+        assert np.all(np.abs(b - b_other) <= 1e-14 * row_scale * np.abs(g).max())
+    assert np.array_equal(b[pinned], g[pinned])
+
+
+@pytest.mark.parametrize("which", ["box", "submesh", "loaded"])
+def test_operator_pins_the_dirichlet_side_nodes(which, channel_mesh, tmp_path):
+    # the operator's pinned nodes are the mesh's Dirichlet pair, bottom then
+    # top, and face_values puts one value on each side and 0 elsewhere
+    mesh = channel_mesh
+    if which == "submesh":
+        mesh = meshmod.extract_solvent_submesh(channel_mesh)
+    elif which == "loaded":
+        meshmod.save_mesh(channel_mesh, tmp_path / "chan.mesh")
+        mesh = meshmod.load_mesh(tmp_path / "chan.mesh")
+    op = fem_core.p1_operator(mesh)
+    bottom, top = mesh.dirichlet_side_nodes()
+    assert len(bottom) and len(top)
+    assert all(np.array_equal(a, b) for a, b in zip(op.dirichlet_sides, (bottom, top)))
+    assert np.array_equal(op.pinned, np.concatenate([bottom, top]))
+    want = np.zeros(mesh.num_vertices)
+    want[bottom], want[top] = 0.1, 2.5
+    assert np.array_equal(face_values(mesh, 0.1, 2.5), want)
+
+
+@pytest.mark.parametrize("which", ["box", "submesh"])
+def test_lift_reads_the_boundary_field_on_gamma_d_only(which, channel_mesh, rng):
+    # changing g off Gamma_D leaves the right-hand side bitwise unchanged:
+    # the box operator's lift with a load, and the Block-1 system
+    mesh = channel_mesh if which == "box" else meshmod.extract_solvent_submesh(channel_mesh)
+    n, pinned = mesh.num_vertices, fem_core.p1_operator(mesh).pinned
+    g = face_values(mesh, 0.1, 2.5)
+    noisy = rng.uniform(-5.0, 5.0, size=n)
+    noisy[pinned] = g[pinned]
+    if which == "box":
+        box = es.box_poisson(mesh, ModelConstants())
+        load = rng.normal(size=n)
+        b, b_noisy = (box.lift(box.eps, f, load) for f in (g, noisy))
+    else:
+        weight = np.exp(rng.uniform(-5.0, 5.0, size=n))
+        (_, b), (_, b_noisy) = (pinned_stiffness_system(mesh, weight, f) for f in (g, noisy))
+    assert b.tobytes() == b_noisy.tobytes()
 
 
 def test_stiffness_matches_reference_assembly(channel_submesh, rng):
@@ -237,12 +271,7 @@ def test_stiffness_matches_reference_assembly(channel_submesh, rng):
 def test_operator_is_built_once_per_mesh(cube_mesh):
     op = fem_core.p1_operator(cube_mesh)
     assert fem_core.p1_operator(cube_mesh) is op
-    weights = op.pinned_map(np.array([3, 0]))
-    assert op.pinned_map(np.array([3, 0])) is weights
-    mass = fem_core.assemble_mass(cube_mesh)
-    masked = fem_core.assemble_mass(cube_mesh, tet_mask=np.arange(len(cube_mesh.tets)) % 2 == 0)
-    assert np.array_equal(masked.indptr, mass.indptr)
-    assert np.array_equal(masked.indices, mass.indices)
+    assert op.pinned_map is op.pinned_map
 
 
 @pytest.mark.parametrize("case", ["mass", "pinned", "pinned-unordered"])
@@ -252,7 +281,7 @@ def test_scatter_matches_sorted_key_reference(case, which, channel_mesh, channel
     # lift are the same arrays as those of the sorted-key build
     mesh = channel_mesh if which == "box" else channel_submesh
     op = fem_core.p1_operator(mesh)
-    local, nodes = op.local_stiffness[op.shape], np.concatenate(mesh.dirichlet_side_nodes())
+    local, nodes = op.local_stiffness[op.shape], op.pinned
     if case == "mass":
         local, nodes = np.broadcast_to(LOCAL_MASS, local.shape), fem_core._NO_NODES
     elif case == "pinned-unordered":
@@ -261,7 +290,7 @@ def test_scatter_matches_sorted_key_reference(case, which, channel_mesh, channel
     want = reference_scatter(op.tets, op.num_vertices, local.ravel() != 0.0, nodes)
     assert (want.src is None) == (case == "mass")
     src = np.arange(local.size) if want.src is None else want.src
-    tet, val, row, col = got.lift.args[1:]
+    tet, val, row, col = got.lift.args[2:]
     for name, a, b in (("indptr", got.indptr, want.indptr),
                        ("indices", got.indices, want.indices),
                        ("positions", got.map.indices, want.dst),
@@ -283,7 +312,8 @@ def test_submesh_operator_is_its_parents_rows(channel_mesh):
     sub = meshmod.extract_solvent_submesh(channel_mesh)
     box, op = fem_core.p1_operator(channel_mesh), fem_core.p1_operator(sub)
     own = fem_core.P1Operator(SimpleNamespace(vertices=sub.vertices, tets=sub.tets,
-                                              num_vertices=sub.num_vertices))
+                                              num_vertices=sub.num_vertices,
+                                              dirichlet_side_nodes=sub.dirichlet_side_nodes))
     assert np.array_equal(op.shape, box.shape[sub.parent_tet_ids])
     for name in ("grads", "volumes", "local_stiffness"):
         assert getattr(op, name) is getattr(box, name), name
@@ -303,7 +333,8 @@ def _jittered_mesh():
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4))
     shift = np.random.default_rng(11).uniform(-0.2, 0.2, mesh.vertices.shape)
     return SimpleNamespace(vertices=mesh.vertices + shift, tets=mesh.tets,
-                           num_vertices=mesh.num_vertices)
+                           num_vertices=mesh.num_vertices,
+                           dirichlet_side_nodes=mesh.dirichlet_side_nodes)
 
 
 @pytest.mark.parametrize("case", sorted(SYNTH_SHAPES) + ["jittered"])
@@ -322,30 +353,20 @@ def test_p1_operator_is_bitwise_the_per_tet_geometry(case):
     assert len(op.volumes) == (len(mesh.tets) if case == "jittered" else SYNTH_SHAPES[case])
 
 
-@pytest.mark.parametrize("case", ["R4-box", "R4-submesh", "R12-box", "R12-submesh", "jittered",
-                                  "masked-alternate", "masked-solvent"])
+@pytest.mark.parametrize("case", ["R4-box", "R4-submesh", "R12-box", "R12-submesh", "jittered"])
 def test_mass_product_is_bitwise_the_weight_map_mass(case):
-    # the sparse product sums every entry in tet order, as the weight map
-    # does, and a masked mass keeps the unmasked pattern: the solvent mask
-    # zeroes every entry among protein and membrane nodes
-    mask = None
+    # the sparse product sums every entry in tet order, as the weight map does
     if case == "jittered":
         mesh = _jittered_mesh()
     else:
-        resolution = int(case[1:case.index("-")]) if case[0] == "R" else 4
-        mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=resolution))
+        mesh = meshmod.synth_channel_mesh(
+            meshmod.ChannelGeometry(resolution=int(case[1:case.index("-")])))
         if case.endswith("submesh"):
             mesh = meshmod.extract_solvent_submesh(mesh)
-        elif case == "masked-alternate":
-            mask = np.arange(mesh.num_tets) % 2 == 0
-        elif case == "masked-solvent":
-            mask = mesh.tet_regions == meshmod.SOLVENT
-    got, want = assemble_mass(mesh, tet_mask=mask), reference_mass(mesh, tet_mask=mask)
+    got, want = assemble_mass(mesh), reference_mass(mesh)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    if mask is not None:
-        assert np.count_nonzero(got.data == 0.0) > 0
 
 
 @pytest.mark.parametrize("flip, flat", [([30, 7, 19], []), ([40, 41], []), ([2], []),
@@ -387,7 +408,7 @@ def test_stiffness_zeros_are_structural(resolution, synth_boxes):
     local = op.local_stiffness[op.shape]
     assert np.all(np.count_nonzero(local == 0.0, axis=1) == 6)
     sub = meshmod.extract_solvent_submesh(mesh)
-    block1, _ = pinned_stiffness_system(sub, 1.0, fem_core.side_dirichlet(sub, 0.1, 2.5))
+    block1, _ = pinned_stiffness_system(sub, 1.0, face_values(sub, 0.1, 2.5))
     box = es.box_poisson(mesh, ModelConstants())
     assert (box.A.nnz, block1.nnz) == PATTERN_NNZ[resolution]
 

@@ -33,7 +33,7 @@ def _sigma12_config(spec):
 def _assert_forward_agreement(A, b, tol=1e-2):
     # the reference is a fresh SuperLU solve, not PCG on a factor that an
     # earlier test's system left in a shared spec
-    xd = sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b)
+    xd = sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b, sparse_linalg.inf_norm(A))
     xk = sparse_linalg.solve(A, b, KRYLOV)
     assert np.max(np.abs(xk - xd)) <= tol * np.max(np.abs(xd))
 

@@ -8,8 +8,8 @@ import pytest
 from smpnp import fem_core, mesh as meshmod
 from smpnp.errors import MeshError, MeshFormatError
 
-from helpers import (face_owners_reference, p1_geometry_reference, region_volume,
-                     solvent_dirichlet_nodes)
+from helpers import (face_owners_reference, p1_geometry_reference, reference_mass,
+                     region_volume, solvent_dirichlet_nodes)
 
 
 def test_structured_box_counts():
@@ -66,6 +66,9 @@ def test_load_unknown_region_tag(tmp_path):
     ("0 6 2 7 1", "0 6 2 7.5 1", 14),
     ("0 2 6 4", "0 2 six 4", 24),
     ("box 0 1 0 1 0 1 0.25 0.75", "box 0 1 0 1 0 1 0.25 z2", 31),
+    ("0 1 1", "0 nan 1", 6),  # non-finite numbers
+    ("1 1 1", "1 1 -inf", 10),
+    ("box 0 1 0 1 0 1 0.25 0.75", "box 0 1 0 1 0 inf 0.25 0.75", 31),
 ])
 def test_load_malformed_numbers_reports_line(tmp_path, old, new, line):
     path = tmp_path / "bad.mesh"
@@ -228,8 +231,7 @@ def test_prolong_adjoint_quadrature_identity(channel_mesh, channel_submesh, rng)
     # int_{D_s} P(f) v on the box mesh equals int f R(v) on the submesh
     f = rng.normal(size=channel_submesh.num_vertices)
     v = rng.normal(size=channel_mesh.num_vertices)
-    mass_box = fem_core.assemble_mass(
-        channel_mesh, tet_mask=channel_mesh.tet_regions == meshmod.SOLVENT)
+    mass_box = reference_mass(channel_mesh, channel_mesh.tet_regions == meshmod.SOLVENT)
     mass_sub = fem_core.assemble_mass(channel_submesh)
     lhs = channel_submesh.prolong(f) @ (mass_box @ v)
     rhs = f @ (mass_sub @ channel_submesh.restrict(v))

@@ -225,7 +225,7 @@ def test_block2_extreme_inputs(rng, species):
     log_a, _ = nn.log_coefficients(targets, u, species, CONST)
     r = species.v_ratio
     # raises NewtonError unless every node stops within MAX_NEWTON_ITER steps
-    s, _ = nn._log_water(log_a, r)
+    s, _ = nn._log_water(log_a, r, np.zeros(N))
     for mu in range(N):
         def phi(x):
             return nn.water_equation(np.array([x]), log_a[:, mu:mu + 1], r)[0][0]

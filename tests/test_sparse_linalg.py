@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from smpnp import electrostatics, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import LinearSolveError, SingularMatrixError
 from smpnp.physics_model import ModelConstants
-from smpnp.sparse_linalg import LinearSolveSpec, solve
+from smpnp.sparse_linalg import LinearSolveSpec, inf_norm, solve
 
 from helpers import CAPPED_FIELDS, capped_block1_weights, reference_stiffness
 
@@ -205,13 +205,10 @@ def channel12_systems():
     sub = meshmod.extract_solvent_submesh(mesh)
     r = np.random.default_rng(12)
     weight = np.exp(r.uniform(-45.0, 45.0, size=sub.num_vertices))
-    bottom, top = sub.dirichlet_side_nodes()
-    d = fem_core.DirichletSet(np.concatenate([bottom, top]),
-                              np.concatenate([np.full(len(bottom), 0.1),
-                                              np.full(len(top), 2.5)]))
-    block1, b = fem_core.pinned_stiffness_system(sub, weight, d)
+    g = fem_core.face_values(sub, 0.1, 2.5)
+    block1, b = fem_core.pinned_stiffness_system(sub, weight, g)
     box = electrostatics.box_poisson(mesh, ModelConstants())
-    return {"block1": (block1, b), "box": (box.A, None), "block1_data": (sub, weight, d)}
+    return {"block1": (block1, b), "box": (box.A, None), "block1_data": (sub, weight, g)}
 
 
 def _mmd_lu(A):
@@ -270,7 +267,7 @@ def test_factorize_orders_each_pattern_once(monkeypatch, channel12_systems):
         return np.max(np.abs(y - x_fine)) / np.max(np.abs(x_fine))
     assert np.max(np.abs(x - x_fresh)) <= 3.0 * error(x_fresh) * np.max(np.abs(x_fresh))
     assert error(x) <= 2.0 * error(x_fresh)
-    assert sparse_linalg._backward_error(A, x, b) <= 1e-15
+    assert sparse_linalg._backward_error(A, x, b, inf_norm(A)) <= 1e-15
 
 
 def _componentwise_backward_error(A, x, b):
@@ -288,9 +285,10 @@ def test_roundoff_entries_do_not_move_the_answer(channel12_systems):
     # assembling the pruned pattern in another order moves its refined
     # solution by 2.1e-11
     A, b = channel12_systems["block1"]
-    sub, weight, d = channel12_systems["block1_data"]
+    sub, weight, g = channel12_systems["block1_data"]
     A_kept, b_kept = fem_core.apply_dirichlet(
-        reference_stiffness(sub, weight, drop_roundoff=False), np.zeros(len(b)), d)
+        reference_stiffness(sub, weight, drop_roundoff=False), np.zeros(len(b)),
+        fem_core.p1_operator(sub).pinned, g)
     assert A_kept.nnz > A.nnz
     x, x_kept = _mmd_lu(A).solve(b), _mmd_lu(A_kept).solve(b_kept)
     for M, rhs in ((A, b), (A_kept, b_kept)):
@@ -328,7 +326,7 @@ def test_inf_norm_reads_csr_data(channel12_systems):
     empty_rows = sp.csr_matrix(np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 0.0],
                                          [0.0, 3.0, -0.5], [0.0, 0.0, 0.0]]))
     for M in (A, empty_rows, sp.csr_matrix((3, 3))):
-        assert sparse_linalg.inf_norm(M) == pytest.approx(spla.norm(M, np.inf), rel=1e-15)
+        assert inf_norm(M) == pytest.approx(spla.norm(M, np.inf), rel=1e-15)
 
 
 # kept factors: a direct spec reuses the SuperLU factor of a nearby system
@@ -353,16 +351,16 @@ def test_reused_factor_keeps_forward_accuracy(submesh12, field, species):
     # loses the forward solution: the answer after a 20% perturbation of the
     # weights matches a fresh factorization's, whether PCG on the kept
     # factor gave it or a fresh factor did after PCG failed
-    dhat, d = capped_block1_weights(submesh12, GEOM12, field, species)
+    dhat, g = capped_block1_weights(submesh12, GEOM12, field, species)
     spec = LinearSolveSpec(method="direct")
-    solve(*fem_core.pinned_stiffness_system(submesh12, dhat, d), spec)
+    solve(*fem_core.pinned_stiffness_system(submesh12, dhat, g), spec)
     scale = np.random.default_rng(13).uniform(1.0, 1.2, size=dhat.shape)
-    A, b = fem_core.pinned_stiffness_system(submesh12, scale * dhat, d)
+    A, b = fem_core.pinned_stiffness_system(submesh12, scale * dhat, g)
     diagonal = A.diagonal()
     assert diagonal.max() / diagonal.min() >= 1e20
     x = solve(A, b, spec)
     assert spec.kept.factorizations in (1, 2)
-    x_fresh = sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b)
+    x_fresh = sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b, inf_norm(A))
     assert _relative_error(x, x_fresh) <= 1e-10
 
 
@@ -428,8 +426,8 @@ def test_pcg_that_does_not_stop_falls_back(monkeypatch, channel12_systems):
         x = solve(B, b, spec)
     assert spec.kept.pcg_steps == 1 and spec.kept.factorizations == 2
     assert [c.args[3] for c in checked.call_args_list] == ["PCG solve", "direct solve"]
-    assert sparse_linalg._backward_error(B, x, b) <= 1e-10
-    fresh = sparse_linalg.solve_factored(B, sparse_linalg.factorize(B), b)
+    assert sparse_linalg._backward_error(B, x, b, inf_norm(B)) <= 1e-10
+    fresh = sparse_linalg.solve_factored(B, sparse_linalg.factorize(B), b, inf_norm(B))
     assert np.array_equal(x, fresh)
 
 
@@ -441,8 +439,8 @@ def test_kept_factor_is_tried_on_its_pattern_only():
     for resolution in (6, 8):
         geom = meshmod.ChannelGeometry(resolution=resolution)
         sub = meshmod.extract_solvent_submesh(meshmod.synth_channel_mesh(geom))
-        dhat, d = capped_block1_weights(sub, geom, "x-ramp", "Cl-")
-        systems.append([fem_core.pinned_stiffness_system(sub, f * dhat, d)
+        dhat, g = capped_block1_weights(sub, geom, "x-ramp", "Cl-")
+        systems.append([fem_core.pinned_stiffness_system(sub, f * dhat, g)
                         for f in (1.0, 1.1)])
     factored = {}
     factorize = sparse_linalg.factorize
@@ -458,7 +456,7 @@ def test_kept_factor_is_tried_on_its_pattern_only():
             for per_mesh in systems:
                 A, b = per_mesh[k]
                 x = solve(A, b, spec)
-                fresh = sparse_linalg.solve_factored(A, factorize(A), b)
+                fresh = sparse_linalg.solve_factored(A, factorize(A), b, inf_norm(A))
                 assert _relative_error(x, fresh) <= 1e-10
     assert spec.kept.factorizations == 2 and pcg.call_count == 2
     for call in pcg.call_args_list:
@@ -481,12 +479,12 @@ def test_spec_factors_stay_out_of_equality_and_repr(channel12_systems):
 def _started_systems(path, channel12_systems):
     """(spec, A, b, start) on a path: a kept factor of a nearby system, or
     the Jacobi diagonal; ``start`` is the nearby system's answer."""
-    sub, weight, d = channel12_systems["block1_data"]
+    sub, weight, g = channel12_systems["block1_data"]
     weight = np.exp(np.log(weight) / 15.0)  # diagonals spanning e^+-3
     spec = LinearSolveSpec("direct" if path == "kept-factor" else "krylov_ilu0")
-    start = solve(*fem_core.pinned_stiffness_system(sub, weight, d), spec)
+    start = solve(*fem_core.pinned_stiffness_system(sub, weight, g), spec)
     scale = np.random.default_rng(15).uniform(1.0, 1.2, size=weight.shape)
-    A, b = fem_core.pinned_stiffness_system(sub, scale * weight, d)
+    A, b = fem_core.pinned_stiffness_system(sub, scale * weight, g)
     return spec, A, b, start
 
 
@@ -504,7 +502,7 @@ def test_started_solve_agrees_with_cold_solve(path, channel12_systems):
     warm = solve(A, b, spec.starting_at(start))
     assert spec.kept.factorizations == factors  # both ran CG, no fresh factor
     assert 0 < spec.kept.pcg_steps - steps < cold_steps
-    fresh = sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b)
+    fresh = sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b, inf_norm(A))
     for x in (cold, warm):
         assert _relative_error(x, fresh) <= 10 * sparse_linalg._PCG_TOL
     assert _relative_error(warm, cold) <= 10 * sparse_linalg._PCG_TOL
