@@ -315,8 +315,9 @@ class _PhaseClock:
 def run(config: RunConfig):
     """Execute a full solve; returns a RunResult.
 
-    Raises ConvergenceError (with the state attached) when the outer
-    iteration exhausts ``config.max_outer`` sweeps.
+    Raises ConvergenceError when the equilibrium initializer exhausts its
+    sweeps, and (with the state attached) when the outer iteration
+    exhausts ``config.max_outer`` sweeps.
     """
     clock = _PhaseClock()
     constants = config.constants
@@ -338,7 +339,7 @@ def run(config: RunConfig):
     logger.info("mesh: %d vertices, %d tets (%d solvent, %d distinct shapes); "
                 "%d species; %d atoms", mesh.num_vertices, mesh.num_tets,
                 len(submesh.tets), len(fem_core.p1_operator(mesh).volumes), n, len(atoms))
-    g_nodes = electrostatics.eval_G(atoms, constants, mesh.vertices)
+    g_nodes = electrostatics.nodal_G(mesh, atoms, constants)
     psi = electrostatics.solve_psi(mesh, atoms, constants, g_nodes)
     w = g_nodes + psi
     clock.mark("psi")
@@ -552,7 +553,7 @@ def _cmd_check(args):
     config = parse_config(args.config)
     mesh = config.build_mesh()
     meshmod.extract_solvent_submesh(mesh)
-    config.build_atoms()
+    electrostatics.nodal_G(mesh, config.build_atoms(), config.constants)
     print("config ok: %d vertices, %d tets, %d species"
           % (mesh.num_vertices, mesh.num_tets, len(config.species)))
     return 0

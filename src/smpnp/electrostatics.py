@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from scipy.special import erf
 
 from . import fem_core, mesh as meshmod, sparse_linalg
-from .errors import MeshError, MeshFormatError
+from .errors import MeshError
 from .physics_model import ModelConstants
 
 logger = logging.getLogger(__name__)
@@ -76,16 +76,9 @@ class AtomicCharges:
 def load_atoms(path):
     """Read an atom list file: 'atoms n' then n lines 'x y z charge', each
     number finite; a further non-blank line is an error."""
-    lines = [(ln, raw.split())
-             for ln, raw in enumerate(meshmod.read_text_lines(path), start=1) if raw.strip()]
-    if not lines:
-        raise MeshFormatError("expected header 'atoms n'", line=1)
-    n = meshmod.parse_count(lines[0][1], lines[0][0], "atoms", "header 'atoms n'")
-    if len(lines) - 1 != n:  # names the last line, or the first one past n
-        raise MeshFormatError("expected %d atom lines" % n,
-                              line=lines[min(n + 1, len(lines) - 1)][0])
-    rows = np.array([meshmod.parse_numbers(float, tok, ln, "'x y z charge'", 4)
-                     for ln, tok in lines[1:n + 1]]).reshape(n, 4)
+    lines = meshmod.nonblank_lines(path)
+    rows, end = meshmod.read_section(lines, 0, "atoms", "'x y z charge'", float)
+    meshmod.expect_end(lines, end)
     return AtomicCharges(rows[:, :3], rows[:, 3])
 
 
@@ -194,14 +187,21 @@ def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
                        outside.size, len(atoms), outside[0])
 
 
+def nodal_G(mesh: meshmod.LabeledMesh, atoms: AtomicCharges, constants: ModelConstants):
+    """G at the nodes of ``mesh``, after the two rules on ``atoms``: one
+    warning when some sit outside the protein region, and MeshError for an
+    atom on a node (eval_G)."""
+    _check_atoms_in_protein(mesh, atoms)
+    return eval_G(atoms, constants, mesh.vertices)
+
+
 def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
               constants: ModelConstants, g_nodes):
     """Boundary/interface correction potential Psi on the box mesh.
 
-    ``g_nodes`` is ``eval_G(atoms, constants, mesh.vertices)``, the
-    singular potential at the nodes.
+    ``g_nodes`` is ``nodal_G(mesh, atoms, constants)``, the singular
+    potential at the nodes.
     """
-    _check_atoms_in_protein(mesh, atoms)
     n = mesh.num_vertices
     rhs = np.zeros(n)
     if len(atoms):

@@ -50,4 +50,5 @@ class ConfigError(SmpnpError):
 
 
 class ConvergenceError(SmpnpError):
-    """Outer block iteration exceeded its iteration budget."""
+    """The outer block iteration or the equilibrium initializer exceeded
+    its sweep budget."""

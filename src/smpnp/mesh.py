@@ -216,27 +216,19 @@ def _face_owners(tets, n):
 # mesh file I/O (plain-text format, see README)
 
 def parse_numbers(kind, tok, ln, expected, count):
-    """The ``count`` tokens ``tok`` of line ``ln`` converted by ``kind`` (int
-    or float); another count, or a token ``kind`` rejects, raises
-    MeshFormatError "expected <expected>", and a float that is not finite
-    (nan, inf) "expected <expected>, all finite"."""
+    """The array of the ``count`` tokens ``tok`` of line ``ln`` converted by
+    ``kind`` (int or float); another count, or a token ``kind`` rejects or
+    int64 cannot hold, raises MeshFormatError "expected <expected>", and a
+    float that is not finite (nan, inf) "expected <expected>, all finite"."""
     try:
         if len(tok) == count:
-            vals = [kind(x) for x in tok]
+            vals = np.array([kind(x) for x in tok], dtype=kind)
             if kind is not float or np.all(np.isfinite(vals)):
                 return vals
             raise MeshFormatError("expected %s, all finite" % expected, line=ln)
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     raise MeshFormatError("expected %s" % expected, line=ln)
-
-
-def parse_count(tok, ln, name, expected):
-    """N of a 'name N' line, N a nonnegative integer."""
-    n = parse_numbers(int, tok[1:], ln, expected, 1)[0] if tok[0] == name else -1
-    if n < 0:
-        raise MeshFormatError("expected %s" % expected, line=ln)
-    return n
 
 
 # rows per ``%`` in write_rows: bounds the formatted block's size
@@ -265,70 +257,73 @@ def read_text_lines(path, error=MeshFormatError):
                     % (path, line, data[exc.start])) from exc
 
 
+def nonblank_lines(path):
+    """(line number, text) of each non-blank line of the text file ``path``;
+    the readers split a line when they reach it, so the tokens of a whole
+    file never live at once."""
+    return [(ln, raw) for ln, raw in enumerate(read_text_lines(path), start=1) if raw.strip()]
+
+
+def _line(lines, at, expected):
+    """(line number, tokens) of ``lines[at]`` of the ``nonblank_lines``
+    pairs ``lines``; past the end raises MeshFormatError "expected
+    <expected>, found end of file" naming the last line."""
+    if at < len(lines):
+        return lines[at][0], lines[at][1].split()
+    raise MeshFormatError("expected %s, found end of file" % expected,
+                          line=lines[-1][0] if lines else 1)
+
+
+def read_section(lines, at, name, row, kind, tags=None):
+    """The section at ``lines[at]`` of the ``nonblank_lines`` pairs ``lines``:
+    a 'name N' line, N a nonnegative integer, then N rows of the form
+    ``row``, as many numbers as it has words, each converted by ``kind``
+    (int or float, see parse_numbers).  ``tags`` = (what, known) refuses a
+    row whose last number is not in ``known``, naming its line.  Returns
+    the (N, width) array and the index of the line after the section."""
+    header = "'%s N'" % name
+    ln, tok = _line(lines, at, header)
+    n = parse_numbers(int, tok[1:], ln, header, 1)[0] if tok[0] == name else -1
+    if n < 0:
+        raise MeshFormatError("expected %s" % header, line=ln)
+    _line(lines, at + n, row)  # the last row is there
+    rows = lines[at + 1:at + 1 + n]
+    width = len(row.split())
+    values = np.array([parse_numbers(kind, raw.split(), ln, row, width) for ln, raw in rows],
+                      dtype=kind).reshape(n, width)
+    if tags is not None:
+        unknown = np.flatnonzero(~np.isin(values[:, -1], tags[1]))
+        if unknown.size:
+            k = unknown[0]
+            raise MeshFormatError("unknown %s %d" % (tags[0], values[k, -1]), line=rows[k][0])
+    return values, at + 1 + n
+
+
+def expect_end(lines, at):
+    """Raise MeshFormatError naming ``lines[at]`` unless the file ends before it."""
+    if at < len(lines):
+        raise MeshFormatError("expected end of file", line=lines[at][0])
+
+
 def load_mesh(path):
     """Read a labeled mesh from the plain-text format and validate it."""
-    lines = read_text_lines(path)
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise MeshFormatError("unexpected end of file", line=len(lines))
-        pos += 1
-        return lines[pos - 1].split(), pos
-
-    tok, ln = next_line()
+    lines = nonblank_lines(path)
+    ln, tok = _line(lines, 0, "'smpnp-mesh 1'")
     if tok != ["smpnp-mesh", "1"]:
         raise MeshFormatError("bad header, expected 'smpnp-mesh 1'", line=ln)
-    nv = parse_count(*next_line(), "vertices", "'vertices N'")
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        verts[i] = parse_numbers(float, *next_line(), "3 coordinates", 3)
-    nt = parse_count(*next_line(), "tets", "'tets M'")
-    tets = np.empty((nt, 4), dtype=np.int64)
-    regions = np.empty(nt, dtype=np.int64)
-    for i in range(nt):
-        tok, ln = next_line()
-        vals = parse_numbers(int, tok, ln, "'i0 i1 i2 i3 region'", 5)
-        if vals[4] not in _REGIONS:
-            raise MeshFormatError("unknown region tag %d" % vals[4], line=ln)
-        tets[i], regions[i] = vals[:4], vals[4]
-    nf = parse_count(*next_line(), "facets", "'facets K'")
-    facets = np.empty((nf, 3), dtype=np.int64)
-    labels = np.empty(nf, dtype=np.int64)
-    for i in range(nf):
-        tok, ln = next_line()
-        vals = parse_numbers(int, tok, ln, "'i0 i1 i2 label'", 4)
-        if vals[3] not in _FACET_LABELS:
-            raise MeshFormatError("unknown facet label %d" % vals[3], line=ln)
-        facets[i], labels[i] = vals[:3], vals[3]
-    # optional trailing metadata; absent -> box from vertex bounds,
-    # membrane planes from the membrane tets (or box quartiles)
-    try:
-        tok, ln = next_line()
-    except MeshFormatError:
-        tok = None
-    if tok is not None:
-        expected = "'box x1 x2 y1 y2 z1 z2 Z1 Z2'"
-        if tok[0] != "box":
-            raise MeshFormatError("expected %s" % expected, line=ln)
-        nums = parse_numbers(float, tok[1:], ln, expected, 8)
-        box, z1, z2 = tuple(nums[:6]), nums[6], nums[7]
-    else:
-        box = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 1].min(),
-               verts[:, 1].max(), verts[:, 2].min(), verts[:, 2].max())
-        memb = regions == MEMBRANE
-        if np.any(memb):
-            zc = verts[np.unique(tets[memb]), 2]
-            z1, z2 = float(zc.min()), float(zc.max())
-        else:
-            z1 = box[4] + 0.25 * (box[5] - box[4])
-            z2 = box[4] + 0.75 * (box[5] - box[4])
-    if np.any(tets >= nv) or np.any(tets < 0) or (nf and (np.any(facets >= nv) or np.any(facets < 0))):
-        raise MeshFormatError("vertex index out of range")
-    mesh = LabeledMesh(verts, tets, regions, facets, labels, box, z1, z2)
+    verts, at = read_section(lines, 1, "vertices", "'x y z'", float)
+    tets, at = read_section(lines, at, "tets", "'i0 i1 i2 i3 region'", int,
+                            ("region tag", _REGIONS))
+    facets, at = read_section(lines, at, "facets", "'i0 i1 i2 label'", int,
+                              ("facet label", _FACET_LABELS))
+    expected = "'box x1 x2 y1 y2 z1 z2 Z1 Z2'"
+    ln, tok = _line(lines, at, expected)
+    if tok[0] != "box":
+        raise MeshFormatError("expected %s" % expected, line=ln)
+    box = parse_numbers(float, tok[1:], ln, expected, 8).tolist()
+    expect_end(lines, at + 1)
+    mesh = LabeledMesh(verts, tets[:, :4].copy(), tets[:, 4].copy(), facets[:, :3].copy(),
+                       facets[:, 3].copy(), tuple(box[:6]), box[6], box[7])
     return mesh.validate()
 
 

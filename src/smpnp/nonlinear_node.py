@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeasibilityError, NewtonError
+from .errors import ConvergenceError, FeasibilityError, NewtonError
 from .physics_model import ModelConstants, SpeciesSet, capped_exp, slotboom_forward
 
 logger = logging.getLogger(__name__)
@@ -254,8 +254,8 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
 
     ``phi_solve`` maps (n, Ns) solvent fields to a box-mesh potential;
     ``norm_omega``/``norm_solvent`` are L2 norms on the two meshes.
-    Returns (q, xi, sweeps); raises NewtonError when ``max_sweeps`` do not
-    converge.
+    Returns (q, xi, sweeps); raises ConvergenceError when ``max_sweeps`` do
+    not converge.
     """
     bulk = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
     targets = np.repeat(slotboom_forward(0.0, species.c_b, species, constants)[:, None],
@@ -274,6 +274,6 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
         {"xi": norm_solvent, "q": norm_omega}, feasible, constants.omega,
         constants.eps_outer, max_sweeps, "equilibrium initializer")
     if not fp.converged:
-        raise NewtonError("equilibrium initializer did not converge in %d sweeps"
-                          % max_sweeps)
+        raise ConvergenceError("equilibrium initializer did not converge in %d sweeps"
+                               % max_sweeps)
     return fp.state["q"], fp.state["xi"], len(fp.history)

@@ -1,3 +1,4 @@
+import functools
 import logging
 import os
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from smpnp import driver, fem_core, mesh as meshmod, nonlinear_node, sparse_linalg
+from smpnp import (driver, electrostatics, fem_core, mesh as meshmod, nonlinear_node,
+                   sparse_linalg)
 from smpnp.errors import ConfigError, ConvergenceError, FeasibilityError
 from smpnp.physics_model import ModelConstants, mixture_species
 
@@ -277,6 +279,33 @@ D_b = 0.1
 """ % mesh_path)
     assert driver.main(["check", "--config", cfg_path]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+def test_check_applies_the_atom_rules_of_run(tmp_path, caplog):
+    # an atom on a node passes no command: check refuses it as run does
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
+    atoms_path = tmp_path / "on_node.atoms"
+    electrostatics.save_atoms(electrostatics.AtomicCharges(mesh.vertices[100], [1.0]),
+                              atoms_path)
+    cfg_path = _write(tmp_path, ZERO_FIELD.format(out=tmp_path / "out").replace(
+        "solver = direct", "solver = direct\natoms = %s" % atoms_path))
+    message = "atom 0 within 1.0e-06 A of evaluation point 100"
+    for command in ("check", "run"):
+        caplog.clear()
+        assert driver.main([command, "--config", cfg_path]) == 1
+        assert message in caplog.text
+        assert "do not sit in the protein region" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_initializer_stall_exits_2(tmp_path, caplog):
+    out = tmp_path / "out"
+    text = ZERO_FIELD.format(out=out).replace("solver = direct", "solver = direct\nsigma = -1")
+    one_sweep = functools.partial(nonlinear_node.solve_smpbic, max_sweeps=1)
+    with mock.patch.object(nonlinear_node, "solve_smpbic", one_sweep):
+        assert driver.main(["run", "--config", _write(tmp_path, text)]) == 2
+    assert "equilibrium initializer did not converge in 1 sweeps" in caplog.text
+    assert not out.exists()
 
 
 def test_run_zero_field_is_flat(tmp_path):

@@ -69,6 +69,8 @@ def test_load_unknown_region_tag(tmp_path):
     ("0 1 1", "0 nan 1", 6),  # non-finite numbers
     ("1 1 1", "1 1 -inf", 10),
     ("box 0 1 0 1 0 1 0.25 0.75", "box 0 1 0 1 0 inf 0.25 0.75", 31),
+    ("facets 12", "facets 13", 31),  # a count above its rows: box read as a row
+    ("0 2 6 4", "0 2 99999999999999999999 4", 24),  # past int64
 ])
 def test_load_malformed_numbers_reports_line(tmp_path, old, new, line):
     path = tmp_path / "bad.mesh"
@@ -99,7 +101,39 @@ def test_load_non_utf8_mesh_is_a_format_error(tmp_path):
 def test_load_truncated_file_reports_line(tmp_path):
     path = tmp_path / "trunc.mesh"
     path.write_text("smpnp-mesh 1\nvertices 2\n0 0 0\n")
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(MeshFormatError, match="^line 3: expected 'x y z', found end of file$"):
+        meshmod.load_mesh(path)
+
+
+def _cube_mesh_text(tmp_path):
+    path = tmp_path / "cube.mesh"
+    meshmod.save_mesh(meshmod.unit_cube_mesh(1), path)
+    return path, path.read_text()
+
+
+def test_load_refuses_lines_after_box(tmp_path):
+    path, text = _cube_mesh_text(tmp_path)
+    path.write_text(text + "\n0 0 0\nfacets 3\n")
+    with pytest.raises(MeshFormatError, match="^line 33: expected end of file$"):
+        meshmod.load_mesh(path)
+
+
+def test_load_requires_box_line(tmp_path):
+    # no box or membrane planes are made up from the vertices
+    path, text = _cube_mesh_text(tmp_path)
+    lines = text.splitlines()
+    assert lines[-1].startswith("box ") and len(lines) == 31
+    path.write_text("\n".join(lines[:-1]) + "\n\n")
+    with pytest.raises(MeshFormatError, match="^line 30: expected 'box x1 x2 y1 y2 z1 z2 "
+                                              "Z1 Z2', found end of file$"):
+        meshmod.load_mesh(path)
+
+
+def test_load_unknown_facet_label_names_its_line(tmp_path):
+    path, text = _cube_mesh_text(tmp_path)
+    assert text.count("0 2 6 4\n") == 1
+    path.write_text(text.replace("0 2 6 4\n", "0 2 6 9\n"))
+    with pytest.raises(MeshFormatError, match="^line 24: unknown facet label 9$"):
         meshmod.load_mesh(path)
 
 

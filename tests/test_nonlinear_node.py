@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from smpnp import nonlinear_node as nn
-from smpnp.errors import FeasibilityError
+from smpnp.errors import ConvergenceError, FeasibilityError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  boundary_conc, mixture_species,
                                  slotboom_forward)
@@ -286,6 +286,20 @@ def test_solve_smpbic_returns_bulk_at_zero_potential():
     assert np.max(np.abs(xi - sp.c_b[:, None])) <= 1e-12
     assert np.max(np.abs(sp.Z @ xi)) <= 1e-12
     assert sweeps == 1 and np.all(q == 0.0)
+
+
+def test_solve_smpbic_stall_is_a_convergence_error():
+    # a non-zero potential needs more than one sweep; running out of sweeps
+    # is non-convergence, not a failed node solve
+    sp = mixture_species()
+    N = 25
+    sub = SimpleNamespace(num_vertices=N, parent=SimpleNamespace(num_vertices=N),
+                          restrict=lambda f: f)
+    norm = lambda f: float(np.linalg.norm(f))  # noqa: E731
+    with pytest.raises(ConvergenceError,
+                       match="^equilibrium initializer did not converge in 1 sweeps$"):
+        nn.solve_smpbic(sub, np.linspace(-0.5, 0.5, N), sp, CONST,
+                        lambda c: np.zeros(N), norm, norm, max_sweeps=1)
 
 
 def _affine_problem(rng, dim=20, radius=0.95):
