@@ -357,19 +357,18 @@ def run(config: RunConfig):
     # the transform of the starting state, so that an equilibrium start is
     # already the fixed point and one sweep confirms it
     cbar = slotboom_forward(submesh.restrict(w + phi), c, species, constants)
-    d_nodal = transport.diffusion_nodal(submesh, species, constants)
-    g_bar = [transport.np_dirichlet(submesh, species, i, constants) for i in range(n)]
+    block1 = transport.Block1(submesh, species, constants)
     excursions = transport.RangeExcursions(species.names)
 
     def sweep(x, relax):
         u_vals = submesh.restrict(w + x["phi"])
         factors, steps = kept.factorizations, kept.pcg_steps
         t0 = time.perf_counter()
+        systems = block1.systems(u_vals, x["c"])
         pbar = np.stack([
             transport.solve_transformed_np(submesh, species, i, u_vals, x["c"],
                                            constants, spec.starting_at(x["cbar"][i]),
-                                           d_nodal=d_nodal, excursions=excursions,
-                                           g_bar=g_bar[i])
+                                           excursions=excursions, system=systems[i])
             for i in range(n)
         ])
         cbar = relax(x["cbar"], pbar)
@@ -495,6 +494,9 @@ def export_convergence(path, history):
 
 def export_summary(path, result: RunResult):
     last = result.history[-1]
+    # the outer loop's seconds per block: convergence.csv's columns summed
+    block_s = [("block%d_s" % b, "%.6f" % sum(row["t_block%d" % b] for row in result.history))
+               for b in (1, 2, 3)]
     lines = [
         ("converged", "yes" if result.converged else "no"),
         ("iterations", result.iterations),
@@ -502,6 +504,7 @@ def export_summary(path, result: RunResult):
         ("setup_s", "%.6f" % result.setup_s),
         ("init_s", "%.6f" % result.phase_s["init"]),
         ("outer_s", "%.6f" % result.phase_s["outer"]),
+        *block_s,
         ("res_cbar", "%.6e" % last["res_cbar"]),
         ("res_c", "%.6e" % last["res_c"]),
         ("res_phi", "%.6e" % last["res_phi"]),

@@ -80,8 +80,8 @@ class P1Operator:
     use.  ``dirichlet_sides`` holds the mesh's ``dirichlet_side_nodes()``
     and ``pinned`` the same nodes in one array, bottom then top: every
     stiffness map pins them.  The weight map is kept (``pinned_map``),
-    because Block 1 reassembles it every sweep; a weight map built once,
-    as the box operator's is, is not kept.  Obtain the operator through
+    because Block 1 assembles its matrices every sweep; a weight map used
+    once, as the box operator's is, is not kept.  Obtain the operator through
     ``p1_operator``; the mesh must not be mutated afterwards.
 
     A submesh (a mesh with ``parent`` and ``parent_tet_ids``) shares its
@@ -207,9 +207,23 @@ class _WeightMap:
 
     def matrix(self, w):
         """CSR matrix from per-tet weights; constrained rows are identity."""
-        data = self.map @ w
-        data[self.diag] = 1.0
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        return self.matrices(w[:, None])[0]
+
+    def matrices(self, W):
+        """One CSR matrix per column of the (M, k) per-tet weights ``W``,
+        all data from one product ``map @ W``.  Its rows sum each datum's
+        terms in tet order, as ``map @ W[:, j]`` does, so every matrix is
+        ``matrix(W[:, j])`` bit for bit.  Each matrix is flagged canonical
+        (``has_canonical_format``), as the pattern is, so no solve checks
+        it again."""
+        out = []
+        for column in (self.map @ W).T:
+            data = column.copy()  # scipy would copy a view of the (nnz, k) product
+            data[self.diag] = 1.0
+            A = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+            A.has_canonical_format = True
+            out.append(A)
+        return out
 
 
 # samples per block in _data_positions: bounds its index temporaries
@@ -282,7 +296,8 @@ def pinned_stiffness_system(mesh, weight, g):
 
     Equal to ``apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
     0, nodes, g)`` up to rounding, with the same sparsity pattern, but
-    assembled from the mesh's kept ``pinned_map``.
+    assembled from the mesh's kept ``pinned_map``.  Block 1 assembles the
+    same systems for all species at once (``transport.Block1``).
     """
     op = p1_operator(mesh)
     w = _tet_weight(op, weight)
@@ -411,3 +426,14 @@ class MassNorm:
     def __call__(self, f):
         return l2_norm(self.mesh, f, mass=self.mass)
 
+    def rows(self, F):
+        """The norm of each row of the (k, N) fields ``F``, each bitwise
+        ``self(F[j])``: the mass products of all rows are one product, and
+        each row's dot product is still its own."""
+        F = np.asarray(F, dtype=float)
+        if F.shape[1] != self.mesh.num_vertices:
+            raise MeshError("field length does not match mesh")
+        # contiguous rows, as l2_norm's are: BLAS sums a strided dot
+        # product in another order
+        MF = np.ascontiguousarray((self.mass @ F.T).T)
+        return [float(np.sqrt(max(f @ mf, 0.0))) for f, mf in zip(F, MF)]

@@ -66,9 +66,13 @@ def log_coefficients(targets, u_vals, species: SpeciesSet, constants: ModelConst
 def water_equation(s, log_a, r):
     """phi(s) = log(e^s + sum_i a_i e^(r_i s)) and dphi/ds, per column of
     the (n, N) ``log_a``; ``s`` is (N,) and ``r`` the (n,) exponents v_i/v0."""
-    terms = np.vstack([s, log_a + r[:, None] * s])
+    terms = np.empty((len(r) + 1, np.size(s)))  # rows: s, then log_a + r s
+    terms[0] = s
+    np.multiply(r[:, None], s, out=terms[1:])
+    terms[1:] += log_a
     top = terms.max(axis=0)
-    weights = np.exp(terms - top)
+    terms -= top
+    weights = np.exp(terms, out=terms)
     total = weights.sum(axis=0)
     slope = (weights[0] + r @ weights[1:]) / total  # a weighted mean of 1 and r
     return top + np.log(total), slope
@@ -84,7 +88,8 @@ def _log_water(log_a, r, s0):
     lies below the convex phi, so the first step lands at or past the root,
     and the iterates descend from there.  No bracket is needed.  Rounding
     can leave an iterate just below the root, and the next step returns
-    past it.  Returns (s, per-node step counts).
+    past it.  Returns (s, per-node step counts); raises NewtonError naming
+    the node of a non-finite iterate.
     """
     N = log_a.shape[1]
     s = np.array(s0, dtype=float)
@@ -92,8 +97,12 @@ def _log_water(log_a, r, s0):
     active = np.arange(N)
     for _ in range(MAX_NEWTON_ITER):
         sa = s[active]
-        phi, slope = water_equation(sa, log_a[:, active], r)
+        phi, slope = water_equation(sa, np.take(log_a, active, axis=1), r)
         s_new = sa - phi / slope
+        finite = np.isfinite(s_new)
+        if not finite.all():
+            raise NewtonError("non-finite water-fraction iterate at node %d"
+                              % active[np.argmin(finite)])
         s[active] = s_new
         iters[active] += 1
         active = active[np.abs(s_new - sa) > _S_TOL * (1.0 + np.abs(sa))]
@@ -117,7 +126,7 @@ def block2_update(targets, u_vals, c_prev, species: SpeciesSet,
     count over the nodes.
     """
     targets = np.asarray(targets, dtype=float)
-    if np.any(targets <= 0.0):
+    if not np.all(targets > 0.0):
         raise FeasibilityError("Block 2 needs positive transformed concentrations")
     if not species.size_mode:  # the systems are linear
         E = capped_exp(-species.Z[:, None] * np.asarray(u_vals, dtype=float)[None, :],
@@ -139,6 +148,14 @@ def block2_update(targets, u_vals, c_prev, species: SpeciesSet,
     return P, NewtonReport(int(iters.max()))
 
 
+def _largest_row_norm(norm, d):
+    """The largest ``norm`` of a row of ``d`` (an (N,) field is one row); a
+    norm with a ``rows`` method (fem_core.MassNorm) takes all at once."""
+    d = np.atleast_2d(d)
+    rows = getattr(norm, "rows", None)
+    return max(rows(d) if rows is not None else map(norm, d))
+
+
 @dataclass
 class FixedPoint:
     """Outcome of damped_fixed_point."""
@@ -156,10 +173,11 @@ def damped_fixed_point(sweep, state, norms, feasible, omega, eps, max_sweeps, la
     and ``norms`` maps the same names to the L2 norm of one (N,) field.  A
     norm with a ``lumped_sqrt`` attribute (fem_core.MassNorm) also weights
     its block nodewise in the mixing; any other norm's block mixes
-    unweighted.  ``sweep(x, relax)`` runs one sweep from the blocks ``x``
-    and returns (F(x), extra history values).  It blends each block output
-    into the iterate with ``relax(old, new) = old + omega (new - old)``
-    before the next block uses it.
+    unweighted.  A norm with a ``rows`` method (MassNorm again) gives the
+    norms of all rows of a block at once.  ``sweep(x, relax)`` runs one
+    sweep from the blocks ``x`` and returns (F(x), extra history values).
+    It blends each block output into the iterate with ``relax(old, new) =
+    old + omega (new - old)`` before the next block uses it.
 
     Sweep k stops the loop when the increment F(x_k) - x_k of every block
     (the max over its rows) is below ``omega * eps``, and F(x_k) is
@@ -205,7 +223,7 @@ def damped_fixed_point(sweep, state, norms, feasible, omega, eps, max_sweeps, la
         diff = {name: fx[name] - x[name] for name in names}
         row = {"k": k}
         for name in names:
-            row["res_" + name] = max(norms[name](d) for d in np.atleast_2d(diff[name]))
+            row["res_" + name] = _largest_row_norm(norms[name], diff[name])
         converged = max(row["res_" + name] for name in names) < omega * eps
         row.update(extra)
         row["aa_depth"] = 0

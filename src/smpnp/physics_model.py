@@ -233,7 +233,7 @@ def water_fraction(species: SpeciesSet, c, gamma):
     """
     c = np.asarray(c, dtype=float)
     w = 1.0 - gamma * np.tensordot(species.v, c, axes=1)
-    if np.any(w < -1.0e-12):
+    if not np.all(w >= -1.0e-12):
         raise FeasibilityError("volume-fraction constraint violated: min water fraction %.3e" % np.min(w))
     return np.maximum(w, WATER_FLOOR)
 
@@ -258,7 +258,7 @@ def slotboom_forward(u, c, species: SpeciesSet, constants: ModelConstants):
     ``c`` has shape (n,) or (n, N); ``u`` is scalar or (N,).
     """
     c = np.asarray(c, dtype=float)
-    if np.any(c <= 0.0):
+    if not np.all(c > 0.0):
         raise FeasibilityError("concentrations must be positive")
     w = water_fraction(species, c, constants.gamma)
     ez = capped_exp(np.multiply.outer(species.Z, u), constants.cap)
@@ -270,7 +270,8 @@ def transformed_diffusion(species: SpeciesSet, i, u, c, d_value, constants: Mode
 
     D_hat_i = D_i(r) exp(-Z_i u) w^(v_i/v0) with the exponent clamped to
     +-cap.  ``d_value`` is the raw diffusion coefficient D_i at the same
-    point(s); shapes follow slotboom_forward.
+    point(s); shapes follow slotboom_forward.  Block 1 forms it for every
+    species from one water fraction (``transport.Block1``).
     """
     w = water_fraction(species, c, constants.gamma)
     return (d_value * capped_exp(-species.Z[i] * np.asarray(u, dtype=float), constants.cap)

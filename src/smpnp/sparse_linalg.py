@@ -102,6 +102,11 @@ class LinearSolveSpec:
 
 
 def _as_sorted_csr(A):
+    """A as a CSR matrix with sorted, duplicate-free column indices: A
+    itself when it is a CSR matrix flagged so (``has_canonical_format``),
+    as every assembled matrix is."""
+    if isinstance(A, sp.csr_matrix) and A.has_canonical_format:
+        return A
     A = sp.csr_matrix(A)
     A.sum_duplicates()
     A.sort_indices()
@@ -200,9 +205,10 @@ def factorize(A):
 
 def inf_norm(A):
     """max_i sum_j |a_ij|: the row sums of |A| by one sparse product with
-    the ones vector (rows may be empty)."""
+    the ones vector (rows may be empty), |A| taking A's own index arrays."""
     A = sp.csr_matrix(A)
-    return (abs(A) @ np.ones(A.shape[1])).max(initial=0.0)
+    abs_a = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    return (abs_a @ np.ones(A.shape[1])).max(initial=0.0)
 
 
 def _backward_error(A, x, b, a_norm):

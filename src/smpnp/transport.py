@@ -5,13 +5,14 @@ problem of each species on the solvent submesh.
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 
 import numpy as np
 
 from . import fem_core, mesh as meshmod, sparse_linalg
-from .errors import FeasibilityError
-from .physics_model import (ModelConstants, SpeciesSet, boundary_conc,
-                            diffusion_profile, transformed_diffusion)
+from .errors import FeasibilityError, MeshError
+from .physics_model import (ModelConstants, SpeciesSet, boundary_conc, capped_exp,
+                            diffusion_profile, water_fraction)
 
 logger = logging.getLogger(__name__)
 
@@ -68,28 +69,81 @@ class RangeExcursions:
                           for i in hit))
 
 
+# a species' pinned Block-1 system: matrix, right-hand side, and the range
+# [lo, hi] of its Dirichlet data
+PinnedSystem = namedtuple("PinnedSystem", "A b lo hi")
+
+
+class Block1:
+    """What a run's Block 1 never changes, and the assembly of its pinned
+    systems at each iterate.
+
+    Holds the raw nodal coefficients D_i (``d_nodal``, from
+    ``diffusion_nodal`` when not given), each species' Dirichlet data
+    g_bar_i (``np_dirichlet``) with its range [min, max] on Gamma_D, and
+    the submesh's kept ``pinned_map``, whose pattern and CSR index arrays
+    every Block-1 matrix shares.
+    """
+
+    def __init__(self, submesh, species: SpeciesSet, constants: ModelConstants,
+                 d_nodal=None):
+        op = fem_core.p1_operator(submesh)
+        self.species, self.constants = species, constants
+        self.weights, self.vertex_mean = op.pinned_map, op.vertex_mean
+        self.d_nodal = (diffusion_nodal(submesh, species, constants) if d_nodal is None
+                        else np.asarray(d_nodal, dtype=float))
+        self.g_bar = [np_dirichlet(submesh, species, i, constants)
+                      for i in range(len(species))]
+        self.ranges = [(g[op.pinned].min(), g[op.pinned].max()) for g in self.g_bar]
+
+    def systems(self, u_vals, c_fields, which=None):
+        """The PinnedSystem of each species in ``which`` (default: all) at
+        the nodal potential ``u_vals`` and concentrations ``c_fields``.
+
+        D_hat_i is ``physics_model.transformed_diffusion`` with the water
+        fraction computed once; the per-tet weights of all species are one
+        ``vertex_mean`` product and the matrix data one weight-map product
+        (``_WeightMap.matrices``).  Every system is bitwise the one
+        ``fem_core.pinned_stiffness_system`` assembles from D_hat_i and
+        g_bar_i alone.
+        """
+        species, cap = self.species, self.constants.cap
+        which = range(len(species)) if which is None else which
+        u = np.asarray(u_vals, dtype=float)
+        w = water_fraction(species, c_fields, self.constants.gamma)
+        dhat = np.stack([self.d_nodal[i] * capped_exp(-species.Z[i] * u, cap)
+                         * w ** species.v_ratio[i] for i in which])
+        positive = np.all(dhat > 0.0, axis=1)
+        if not positive.all():
+            raise FeasibilityError("nonpositive transformed diffusion for species %d"
+                                   % which[int(np.argmin(positive))])
+        W = self.vertex_mean @ dhat.T  # (M, len(which)) per-tet weights
+        if not np.all(np.isfinite(W)):
+            raise MeshError("non-finite element weight")
+        return [PinnedSystem(A, self.weights.lift(W[:, j], self.g_bar[i]), *self.ranges[i])
+                for j, (i, A) in enumerate(zip(which, self.weights.matrices(W)))]
+
+
 def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
-                         constants: ModelConstants, spec, d_nodal,
-                         excursions: RangeExcursions = None, g_bar=None):
+                         constants: ModelConstants, spec, d_nodal=None,
+                         excursions: RangeExcursions = None, system: PinnedSystem = None):
     """Solve the species-i transformed Nernst-Planck problem.
 
     ``u_vals`` is the restricted potential w + Phi_tilde^k and ``c_fields``
     the current concentrations, both nodal on the submesh, and ``d_nodal``
-    the raw coefficients ``diffusion_nodal`` returns.  Homogeneous Neumann
-    conditions on the interface and side boundaries are natural; g_bar_i
-    is imposed on the Dirichlet nodes; ``g_bar``, when given, is that
-    data as ``np_dirichlet`` builds it.  Returns the transformed
-    concentration field.  A solve that leaves the Dirichlet range is
-    recorded in ``excursions``, or logged when none is given.
+    the raw coefficients ``diffusion_nodal`` returns (computed when None).
+    Homogeneous Neumann conditions on the interface and side boundaries
+    are natural; g_bar_i is imposed on the Dirichlet nodes.  ``system`` is
+    the species' system as a run's ``Block1.systems`` assembles it for all
+    species at once; when None, this species' system is assembled alone,
+    by the same route.  Returns the transformed concentration field.  A
+    solve that leaves the Dirichlet range is recorded in ``excursions``,
+    or logged when none is given.
     """
-    dhat = transformed_diffusion(species, i, u_vals, c_fields, d_nodal[i], constants)
-    if np.any(dhat <= 0.0):
-        raise FeasibilityError("nonpositive transformed diffusion for species %d" % i)
-    g = np_dirichlet(submesh, species, i, constants) if g_bar is None else g_bar
-    A, b = fem_core.pinned_stiffness_system(submesh, dhat, g)
-    cbar = sparse_linalg.solve(A, b, spec)
-    on_faces = g[fem_core.p1_operator(submesh).pinned]
-    lo, hi = on_faces.min(), on_faces.max()
+    if system is None:
+        system = Block1(submesh, species, constants, d_nodal).systems(u_vals, c_fields, [i])[0]
+    cbar = sparse_linalg.solve(system.A, system.b, spec)
+    lo, hi = system.lo, system.hi
     excess = max(lo - cbar.min(), cbar.max() - hi)
     if excess > 1.0e-8 * (1.0 + hi):
         if excursions is not None:
@@ -100,4 +154,3 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
     # transformed concentrations are positive; linear-solver noise can leave
     # tiny negatives in components far below the system scale
     return np.maximum(cbar, np.finfo(float).tiny)
-

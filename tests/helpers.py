@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from smpnp import fem_core, mesh as meshmod, transport
-from smpnp.errors import FeasibilityError, MeshError
+from smpnp.errors import FeasibilityError, MeshError, NewtonError
 from smpnp.physics_model import (ModelConstants, SpeciesSet, mixture_species,
                                  slotboom_forward, transformed_diffusion,
                                  water_fraction)
@@ -254,3 +254,55 @@ def face_owners_reference(tets, n):
     second[inverse[later]] = later // 4
     owners = np.column_stack([first // 4, second])[order]
     return slots[first[order]], owners
+
+
+def reference_block1_system(submesh, species, i, u_vals, c_fields, constants, d_nodal):
+    """(A, b) of the species-i Block-1 system, assembled for that species
+    alone: ``transformed_diffusion`` with its own water fraction, the
+    positivity check, ``np_dirichlet`` and ``fem_core.pinned_stiffness_system``,
+    whose one-weight product and matrix are the ``vertex_mean`` and
+    weight-map products of one column."""
+    dhat = transformed_diffusion(species, i, u_vals, c_fields, d_nodal[i], constants)
+    if not np.all(dhat > 0.0):
+        raise FeasibilityError("nonpositive transformed diffusion for species %d" % i)
+    g = transport.np_dirichlet(submesh, species, i, constants)
+    op = fem_core.p1_operator(submesh)
+    w = fem_core._tet_weight(op, dhat)
+    data = op.pinned_map.map @ w
+    data[op.pinned_map.diag] = 1.0
+    n = op.num_vertices
+    A = sp.csr_matrix((data, op.pinned_map.indices, op.pinned_map.indptr), shape=(n, n))
+    return A, op.pinned_map.lift(w, g)
+
+
+def reference_water_equation(s, log_a, r):
+    """``nonlinear_node.water_equation`` with the terms stacked by ``np.vstack``
+    and each step in a new array."""
+    terms = np.vstack([s, log_a + r[:, None] * s])
+    top = terms.max(axis=0)
+    weights = np.exp(terms - top)
+    total = weights.sum(axis=0)
+    slope = (weights[0] + r @ weights[1:]) / total
+    return top + np.log(total), slope
+
+
+def reference_log_water(log_a, r, s0, max_iter=100, s_tol=1.0e-14):
+    """``nonlinear_node._log_water`` with the active columns gathered by
+    fancy indexing and the steps of ``reference_water_equation``; a
+    non-finite iterate raises NewtonError, as there."""
+    N = log_a.shape[1]
+    s = np.array(s0, dtype=float)
+    iters = np.zeros(N, dtype=int)
+    active = np.arange(N)
+    for _ in range(max_iter):
+        sa = s[active]
+        phi, slope = reference_water_equation(sa, log_a[:, active], r)
+        s_new = sa - phi / slope
+        if not np.all(np.isfinite(s_new)):
+            raise NewtonError("non-finite iterate")
+        s[active] = s_new
+        iters[active] += 1
+        active = active[np.abs(s_new - sa) > s_tol * (1.0 + np.abs(sa))]
+        if active.size == 0:
+            return s, iters
+    raise NewtonError("no root in %d iterations" % max_iter)

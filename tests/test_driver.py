@@ -519,6 +519,9 @@ def test_run_reports_phase_times(tmp_path, caplog):
     for key, value in (("setup_s", result.setup_s), ("init_s", result.phase_s["init"]),
                        ("outer_s", result.phase_s["outer"])):
         assert float(summary[key]) == pytest.approx(value, abs=1e-6)
+    for b in (1, 2, 3):  # the per-sweep block times of convergence.csv, summed
+        total = sum(row["t_block%d" % b] for row in result.history)
+        assert 0.0 < float(summary["block%d_s" % b]) == pytest.approx(total, abs=1e-6)
     breakdown = [r.getMessage() for r in caplog.records
                  if r.levelno == logging.DEBUG and r.getMessage().startswith("set-up")]
     assert len(breakdown) == 1

@@ -442,3 +442,31 @@ def test_vertex_mean_is_the_gathered_mean_bitwise(resolution, synth_boxes):
         assert np.array_equal(op.vertex_mean @ weight, weight[op.tets].mean(axis=1))
         assert np.array_equal(fem_core._tet_weight(op, weight),
                               weight[op.tets].mean(axis=1))
+        # several weights at once, as Block 1 takes its species
+        weights = np.exp(rng.uniform(-45.0, 45.0, size=(4, mesh.num_vertices)))
+        assert np.array_equal(op.vertex_mean @ weights.T, weights[:, op.tets].mean(axis=2).T)
+
+
+@pytest.mark.parametrize("which", ["box", "submesh"])
+def test_weight_map_matrices_are_the_one_column_matrices(which, channel_mesh,
+                                                         channel_submesh, rng):
+    # one product for all columns gives each column's matrix bit for bit,
+    # flagged canonical on the shared pattern, which no solve sorts again
+    mesh = channel_mesh if which == "box" else channel_submesh
+    op = fem_core.p1_operator(mesh)
+    weights = op.pinned_map
+    W = np.exp(rng.uniform(-45.0, 45.0, size=(len(op.tets), 3)))
+    for j, A in enumerate(weights.matrices(W)):
+        data = weights.map @ W[:, j]
+        data[weights.diag] = 1.0
+        assert np.array_equal(A.data, data)
+        assert np.shares_memory(A.indices, weights.indices)
+        assert A.has_canonical_format and sparse_linalg._as_sorted_csr(A) is A
+
+
+def test_mass_norm_rows_are_the_one_row_norms(channel_submesh, rng):
+    norm = fem_core.MassNorm(channel_submesh, assemble_mass(channel_submesh))
+    F = rng.normal(size=(4, channel_submesh.num_vertices))
+    assert norm.rows(F) == [norm(f) for f in F]
+    with pytest.raises(MeshError):
+        norm.rows(F[:, :-1])

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from smpnp import nonlinear_node as nn
-from smpnp.errors import ConvergenceError, FeasibilityError
+from smpnp.errors import ConvergenceError, FeasibilityError, NewtonError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  boundary_conc, mixture_species,
                                  slotboom_forward)
+
+from helpers import reference_log_water, reference_water_equation
 
 CONST = ModelConstants()
 CL = SpeciesSet([IonSpecies("Cl-", -1, 24.8384, 0.1, 0.203, 0.011)])
@@ -52,6 +54,23 @@ def test_residual_single_species_round_trip_value():
 def test_node_system_rejects_nonpositive_targets():
     with pytest.raises(FeasibilityError):
         _solve([0.1, -0.1, 0.1, 0.1], 0.0, mixture_species())
+
+
+@pytest.mark.parametrize("sized", [True, False])
+def test_node_system_rejects_nan_targets(sized):
+    # a NaN target is not positive either, also where the systems are linear
+    with pytest.raises(FeasibilityError, match="needs positive transformed"):
+        _solve([0.1, np.nan, 0.1, 0.1], 0.0, mixture_species(sized=sized))
+
+
+def test_log_water_refuses_a_non_finite_iterate():
+    # a NaN column does not count as converged after one step
+    sp = mixture_species()
+    targets = np.full((4, 5), 0.1)
+    log_a, _ = nn.log_coefficients(targets, np.zeros(5), sp, CONST)
+    log_a[2, 3] = np.nan
+    with pytest.raises(NewtonError, match="non-finite water-fraction iterate at node 3$"):
+        nn._log_water(log_a, sp.v_ratio, np.zeros(5))
 
 
 def test_jacobian_matches_finite_differences(rng):
@@ -225,7 +244,14 @@ def test_block2_extreme_inputs(rng, species):
     log_a, _ = nn.log_coefficients(targets, u, species, CONST)
     r = species.v_ratio
     # raises NewtonError unless every node stops within MAX_NEWTON_ITER steps
-    s, _ = nn._log_water(log_a, r, np.zeros(N))
+    s, iters = nn._log_water(log_a, r, np.zeros(N))
+    # the one-buffer kernel takes the steps of the reference bit for bit
+    s_ref, iters_ref = reference_log_water(log_a, r, np.zeros(N))
+    assert np.array_equal(s, s_ref) and np.array_equal(iters, iters_ref)
+    for start in (np.zeros(N), s):
+        for got, ref in zip(nn.water_equation(start, log_a, r),
+                            reference_water_equation(start, log_a, r)):
+            assert np.array_equal(got, ref)
     for mu in range(N):
         def phi(x):
             return nn.water_equation(np.array([x]), log_a[:, mu:mu + 1], r)[0][0]

@@ -146,6 +146,13 @@ def test_water_fraction_and_violation():
         water_fraction(sp, np.full(4, 1.0e9), CONST.gamma)
 
 
+def test_water_fraction_rejects_nan():
+    # a NaN fraction is a violation, not a fraction to clamp
+    c = np.array([0.1, np.nan, 0.1, 0.1])
+    with pytest.raises(FeasibilityError, match="volume-fraction constraint violated"):
+        water_fraction(mixture_species(), c, CONST.gamma)
+
+
 def test_boundary_conc_reduction():
     sp = mixture_species(sized=False)
     assert np.allclose(boundary_conc(sp, "bottom", CONST), 0.1)
@@ -191,6 +198,11 @@ def test_slotboom_rejects_nonpositive():
     sp = mixture_species()
     with pytest.raises(FeasibilityError):
         slotboom_forward(0.0, np.array([0.1, -0.1, 0.1, 0.1]), sp, CONST)
+
+
+def test_slotboom_rejects_nan():
+    with pytest.raises(FeasibilityError, match="concentrations must be positive"):
+        slotboom_forward(0.0, np.array([0.1, np.nan, 0.1, 0.1]), mixture_species(), CONST)
 
 
 def test_transformed_diffusion_reduction():

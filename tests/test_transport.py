@@ -1,17 +1,18 @@
 import logging
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from smpnp import (electrostatics as es, fem_core, mesh as meshmod, nonlinear_node,
+from smpnp import (driver, electrostatics as es, fem_core, mesh as meshmod, nonlinear_node,
                    sparse_linalg, transport)
 from smpnp.errors import FeasibilityError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  boundary_conc, mixture_species,
                                  transformed_diffusion)
 
-from helpers import compute_flux
+from helpers import compute_flux, reference_block1_system
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 CONST = ModelConstants()
@@ -86,6 +87,18 @@ def test_transformed_solve_rejects_nonpositive_dhat(channel_submesh, species4):
                                        d_nodal=bad_d)
 
 
+def test_transformed_solve_rejects_nan_dhat(channel_submesh, species4):
+    # a NaN coefficient is not positive either, so it is not a mesh error
+    Ns = channel_submesh.num_vertices
+    c = np.full((4, Ns), 0.1)
+    bad_d = transport.diffusion_nodal(channel_submesh, species4, CONST)
+    bad_d[1, Ns // 2] = np.nan
+    with pytest.raises(FeasibilityError, match="transformed diffusion for species 1$"):
+        transport.solve_transformed_np(channel_submesh, species4, 1,
+                                       np.zeros(Ns), c, CONST, DIRECT,
+                                       d_nodal=bad_d)
+
+
 def test_krylov_block1_at_charged_membrane_equilibrium(species4):
     # Block 1 at the sigma = -1 initial iterate, where the transformed
     # diagonals span the exponent cap: every CG answer must pass the
@@ -154,3 +167,44 @@ def test_range_excursions_report_once(caplog):
     assert "A in 1 of 5 sweeps, worst by 1.000e-07" in msg
     assert "C in 3 of 5 sweeps, worst by 3.000e-04" in msg
     assert "B in" not in msg
+
+
+@pytest.fixture(scope="module")
+def r12_sweep_inputs():
+    """(submesh, species, constants, [(u_vals, c_fields), ...]): the Block-1
+    inputs of every outer sweep of an R=12 run at sigma = -1, u_t = 1.5."""
+    config = driver.RunConfig(species=mixture_species(),
+                              constants=ModelConstants(sigma=-1.0, u_t=1.5),
+                              linear=sparse_linalg.LinearSolveSpec(method="direct"),
+                              geometry=meshmod.ChannelGeometry(resolution=12))
+    captured = []
+    systems = transport.Block1.systems
+
+    def capture(self, u_vals, c_fields, which=None):
+        captured.append((u_vals, c_fields))
+        return systems(self, u_vals, c_fields, which)
+
+    with mock.patch.object(transport.Block1, "systems", capture):
+        result = driver.run(config)
+    assert len(captured) == result.iterations > 1
+    return result.submesh, result.species, result.constants, captured
+
+
+def test_block1_systems_match_per_species_assembly_bitwise(r12_sweep_inputs):
+    # the batched assembly of a sweep, and the one-species route of
+    # solve_transformed_np, give the per-species systems bit for bit
+    sub, species, constants, captured = r12_sweep_inputs
+    block1 = transport.Block1(sub, species, constants)
+    for u_vals, c_fields in captured[::4] + captured[-1:]:
+        for i, system in enumerate(block1.systems(u_vals, c_fields)):
+            (alone,) = block1.systems(u_vals, c_fields, [i])
+            A_ref, b_ref = reference_block1_system(sub, species, i, u_vals, c_fields,
+                                                   constants, block1.d_nodal)
+            for A, b in ((system.A, system.b), (alone.A, alone.b)):
+                assert A.has_canonical_format
+                assert np.shares_memory(A.indices, block1.weights.indices)
+                assert np.array_equal(A.indptr, A_ref.indptr)
+                assert np.array_equal(A.indices, A_ref.indices)
+                assert np.array_equal(A.data, A_ref.data) and np.array_equal(b, b_ref)
+            g = block1.g_bar[i][fem_core.p1_operator(sub).pinned]
+            assert (system.lo, system.hi) == (g.min(), g.max())
