@@ -252,27 +252,23 @@ class BoxPoisson:
     solve.
 
     Built from the pinned P1 weight map of the per-tet permittivities, as
-    Block 1's systems are; of the map only the boundary lift is kept.
+    Block 1's systems are; of the map only the boundary lift is kept, which
+    every solve runs: Psi's boundary field is the face values minus G,
+    Phi_tilde's zero.
     """
 
     def __init__(self, mesh: meshmod.LabeledMesh, constants: ModelConstants):
         self.eps = region_eps(mesh, constants)
-        op = fem_core.p1_operator(mesh)
-        weights = op.stiffness_map()
-        self.A, self.lift, self.pinned = weights.matrix(self.eps), weights.lift, op.pinned
+        weights = fem_core.p1_operator(mesh).stiffness_map()
+        self.A, self.lift = weights.matrix(self.eps), weights.lift
         del weights  # the map dies before the factorization, the lift lives on
         self.factor = sparse_linalg.factorize(self.A)
         self.a_norm = sparse_linalg.inf_norm(self.A)  # of every backward-error check
 
-    def solve(self, rhs, g=None):
+    def solve(self, rhs, g):
         """Solve A x = rhs at the free nodes, with x = g on Gamma_D (``g``
-        nodal, read there only); x = 0 there when ``g`` is None, which
-        needs no lift."""
-        if g is None:
-            b = np.array(rhs, dtype=float)
-            b[self.pinned] = 0.0
-        else:
-            b = self.lift(self.eps, g, rhs)
+        nodal, read there only)."""
+        b = self.lift(self.eps, g, rhs)
         return sparse_linalg.solve_factored(self.A, self.factor, b, self.a_norm)
 
 
@@ -307,4 +303,4 @@ class PhiTildeSystem:
         """Phi_tilde candidate q for solvent concentration fields (n, Ns)."""
         c_fields = np.atleast_2d(np.asarray(c_fields, dtype=float))
         load = self.submesh.prolong(self.beta * (self.mass @ (self.Z @ c_fields)))
-        return self.box.solve(load)
+        return self.box.solve(load, np.zeros_like(load))

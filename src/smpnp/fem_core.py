@@ -162,9 +162,12 @@ class _WeightMap:
     sums its terms in tet order.  Rows of the constrained ``nodes`` hold
     only a unit diagonal (data positions ``diag``); kept entries in an
     unconstrained row and a constrained column form the boundary lift,
-    which reads the boundary values at the constrained nodes only.
-    The pattern arrays are read-only, as every matrix built here shares
-    them.
+    which reads the boundary values at the constrained nodes only;
+    ``lift`` holds its own arrays, not the map, so a caller can keep it
+    alone (BoxPoisson does).  Every kept entry is masked out of the full
+    (M * 16) lists and its data position read by one sample of the
+    pattern.  The pattern arrays are read-only, as every matrix built here
+    shares them.
     """
 
     def __init__(self, tets, n, local, nodes):
@@ -179,14 +182,10 @@ class _WeightMap:
         kept = (local != 0.0) & ~np.repeat(corner_pinned, 4, axis=1).ravel()
         to_pinned = np.tile(corner_pinned, (1, 4)).ravel()
         lift = np.flatnonzero(kept & to_pinned)
-        # a partial, so that a caller can keep the lift without the map
         self.lift = partial(_lift, n, nodes, lift // 16, local[lift], rows[lift], cols[lift])
         kept &= ~to_pinned
-        del lift, to_pinned
         per_tet = np.count_nonzero(kept.reshape(n_tets, 16), axis=1)
-        if not kept.all():  # when every entry is kept, no copies
-            rows, cols, local = rows[kept], cols[kept], local[kept]
-        del kept
+        rows, cols, local = rows[kept], cols[kept], local[kept]
         nodes = np.asarray(nodes, dtype=np.int32)
         # scipy's COO -> CSR conversion sorts the pattern row-major with
         # sorted, summed columns (the constrained rows add their diagonal);
@@ -226,17 +225,12 @@ class _WeightMap:
         return out
 
 
-# samples per block in _data_positions: bounds its index temporaries
-_SAMPLE_CHUNK = 1 << 16
-
-
 def _data_positions(pattern, rows, cols):
-    """int32 ``pattern[rows, cols]``, sampled in blocks of _SAMPLE_CHUNK."""
-    out = np.empty(rows.size, dtype=np.int32)
-    for first in range(0, rows.size, _SAMPLE_CHUNK):
-        block = slice(first, first + _SAMPLE_CHUNK)
-        out[block] = pattern[rows[block], cols[block]]
-    return out
+    """int32 ``pattern[rows, cols]``.  scipy answers empty indices with a
+    sparse array, and a map with no constrained nodes samples none."""
+    if rows.size == 0:
+        return np.empty(0, dtype=np.int32)
+    return pattern[rows, cols]
 
 
 def _lift(n, nodes, tet, val, row, col, w, g, load=None):
@@ -349,18 +343,13 @@ def triangle_areas_normals(mesh, facets):
     return 0.5 * nrm, cr / nrm[:, None]
 
 
-def assemble_surface_load(mesh, label, density=1.0):
-    """Load vector int_{facets with label} density phi_a dS.
-
-    ``density`` is a scalar or per-facet array: facetwise-constant data,
-    which ``assemble_surface_load_nodal`` integrates exactly as equal corner
-    values (area/3 to each corner node).
-    """
+def assemble_surface_load(mesh, label):
+    """Load vector int_{facets with label} phi_a dS: area/3 to each corner
+    node of each facet, ``assemble_surface_load_nodal`` of unit values."""
     facets = mesh.facets[mesh.facet_labels == label]
     if facets.shape[0] == 0:
         raise MeshError("no facets carry label %s" % label)
-    dens = np.asarray(density, dtype=float)[..., None]
-    return assemble_surface_load_nodal(mesh, facets, np.broadcast_to(dens, facets.shape))
+    return assemble_surface_load_nodal(mesh, facets, np.ones(facets.shape))
 
 
 def assemble_surface_load_nodal(mesh, facets, values):
@@ -416,6 +405,8 @@ class MassNorm:
     ``lumped_sqrt`` holds the square roots of the lumped (row-sum) masses:
     a field scaled by it nodewise has Euclidean norm close to its L2 norm,
     which is how the fixed-point loop weights fields when it mixes them.
+    A call takes the norm of one (N,) field; the loop calls it on each row
+    of an (n, N) block in turn.
     """
 
     def __init__(self, mesh, mass):
@@ -425,15 +416,3 @@ class MassNorm:
 
     def __call__(self, f):
         return l2_norm(self.mesh, f, mass=self.mass)
-
-    def rows(self, F):
-        """The norm of each row of the (k, N) fields ``F``, each bitwise
-        ``self(F[j])``: the mass products of all rows are one product, and
-        each row's dot product is still its own."""
-        F = np.asarray(F, dtype=float)
-        if F.shape[1] != self.mesh.num_vertices:
-            raise MeshError("field length does not match mesh")
-        # contiguous rows, as l2_norm's are: BLAS sums a strided dot
-        # product in another order
-        MF = np.ascontiguousarray((self.mass @ F.T).T)
-        return [float(np.sqrt(max(f @ mf, 0.0))) for f, mf in zip(F, MF)]

@@ -11,6 +11,7 @@ solvent nodes.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,10 +246,14 @@ def write_rows(fh, fmt, rows):
 
 
 def read_text_lines(path, error=MeshFormatError):
-    """The lines of the UTF-8 text file ``path``; a byte that is not UTF-8
-    raises ``error`` naming the file and the line."""
+    """The lines of the UTF-8 text file ``path``, after one leading byte
+    order mark if there is one; a byte that is not UTF-8 raises ``error``
+    naming the file, the line and the byte."""
     with open(path, "rb") as fh:
         data = fh.read()
+    # stripped from the bytes, not decoded as "utf-8-sig", so that the
+    # decoder's error offsets index ``data``
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

@@ -66,13 +66,9 @@ def log_coefficients(targets, u_vals, species: SpeciesSet, constants: ModelConst
 def water_equation(s, log_a, r):
     """phi(s) = log(e^s + sum_i a_i e^(r_i s)) and dphi/ds, per column of
     the (n, N) ``log_a``; ``s`` is (N,) and ``r`` the (n,) exponents v_i/v0."""
-    terms = np.empty((len(r) + 1, np.size(s)))  # rows: s, then log_a + r s
-    terms[0] = s
-    np.multiply(r[:, None], s, out=terms[1:])
-    terms[1:] += log_a
+    terms = np.vstack([s, log_a + r[:, None] * s])
     top = terms.max(axis=0)
-    terms -= top
-    weights = np.exp(terms, out=terms)
+    weights = np.exp(terms - top)
     total = weights.sum(axis=0)
     slope = (weights[0] + r @ weights[1:]) / total  # a weighted mean of 1 and r
     return top + np.log(total), slope
@@ -148,14 +144,6 @@ def block2_update(targets, u_vals, c_prev, species: SpeciesSet,
     return P, NewtonReport(int(iters.max()))
 
 
-def _largest_row_norm(norm, d):
-    """The largest ``norm`` of a row of ``d`` (an (N,) field is one row); a
-    norm with a ``rows`` method (fem_core.MassNorm) takes all at once."""
-    d = np.atleast_2d(d)
-    rows = getattr(norm, "rows", None)
-    return max(rows(d) if rows is not None else map(norm, d))
-
-
 @dataclass
 class FixedPoint:
     """Outcome of damped_fixed_point."""
@@ -173,11 +161,10 @@ def damped_fixed_point(sweep, state, norms, feasible, omega, eps, max_sweeps, la
     and ``norms`` maps the same names to the L2 norm of one (N,) field.  A
     norm with a ``lumped_sqrt`` attribute (fem_core.MassNorm) also weights
     its block nodewise in the mixing; any other norm's block mixes
-    unweighted.  A norm with a ``rows`` method (MassNorm again) gives the
-    norms of all rows of a block at once.  ``sweep(x, relax)`` runs one
-    sweep from the blocks ``x`` and returns (F(x), extra history values).
-    It blends each block output into the iterate with ``relax(old, new) =
-    old + omega (new - old)`` before the next block uses it.
+    unweighted.  ``sweep(x, relax)`` runs one sweep from the blocks ``x``
+    and returns (F(x), extra history values).  It blends each block output
+    into the iterate with ``relax(old, new) = old + omega (new - old)``
+    before the next block uses it.
 
     Sweep k stops the loop when the increment F(x_k) - x_k of every block
     (the max over its rows) is below ``omega * eps``, and F(x_k) is
@@ -223,7 +210,7 @@ def damped_fixed_point(sweep, state, norms, feasible, omega, eps, max_sweeps, la
         diff = {name: fx[name] - x[name] for name in names}
         row = {"k": k}
         for name in names:
-            row["res_" + name] = _largest_row_norm(norms[name], diff[name])
+            row["res_" + name] = max(map(norms[name], np.atleast_2d(diff[name])))
         converged = max(row["res_" + name] for name in names) < omega * eps
         row.update(extra)
         row["aa_depth"] = 0

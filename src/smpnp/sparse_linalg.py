@@ -277,15 +277,14 @@ def _pcg(A, b, M, kept, max_steps, start=None):
             return x
     p = z = M.solve(r)
     rz = r @ z
-    buf = np.empty_like(b)
     for _ in range(max_steps):
         q = A @ p
         pq = p @ q
         if pq == 0.0 or not math.isfinite(pq):
             raise LinearSolveError("CG step with p^T A p = %g" % pq)
         alpha = rz / pq
-        x += np.multiply(p, alpha, out=buf)
-        r -= np.multiply(q, alpha, out=buf)
+        x += alpha * p
+        r -= alpha * q
         z = M.solve(r)
         kept.pcg_steps += 1
         if abs(z[idamax(z)]) <= _PCG_TOL * abs(x[idamax(x)]):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from smpnp import fem_core, mesh as meshmod, transport
+from smpnp import fem_core, mesh as meshmod, nonlinear_node, transport
 from smpnp.errors import FeasibilityError, MeshError, NewtonError
 from smpnp.physics_model import (ModelConstants, SpeciesSet, mixture_species,
                                  slotboom_forward, transformed_diffusion,
@@ -275,28 +275,17 @@ def reference_block1_system(submesh, species, i, u_vals, c_fields, constants, d_
     return A, op.pinned_map.lift(w, g)
 
 
-def reference_water_equation(s, log_a, r):
-    """``nonlinear_node.water_equation`` with the terms stacked by ``np.vstack``
-    and each step in a new array."""
-    terms = np.vstack([s, log_a + r[:, None] * s])
-    top = terms.max(axis=0)
-    weights = np.exp(terms - top)
-    total = weights.sum(axis=0)
-    slope = (weights[0] + r @ weights[1:]) / total
-    return top + np.log(total), slope
-
-
 def reference_log_water(log_a, r, s0, max_iter=100, s_tol=1.0e-14):
     """``nonlinear_node._log_water`` with the active columns gathered by
-    fancy indexing and the steps of ``reference_water_equation``; a
-    non-finite iterate raises NewtonError, as there."""
+    fancy indexing, not ``np.take``; a non-finite iterate raises
+    NewtonError, as there."""
     N = log_a.shape[1]
     s = np.array(s0, dtype=float)
     iters = np.zeros(N, dtype=int)
     active = np.arange(N)
     for _ in range(max_iter):
         sa = s[active]
-        phi, slope = reference_water_equation(sa, log_a[:, active], r)
+        phi, slope = nonlinear_node.water_equation(sa, log_a[:, active], r)
         s_new = sa - phi / slope
         if not np.all(np.isfinite(s_new)):
             raise NewtonError("non-finite iterate")

@@ -1,3 +1,4 @@
+import codecs
 import functools
 import logging
 import os
@@ -250,6 +251,21 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="run.cfg: line 2: byte 0xff is not UTF-8"):
         driver.parse_config(str(path))
     assert driver.main(["check", "--config", str(path)]) == 1
+
+
+def test_config_with_byte_order_mark_reads_as_without(tmp_path):
+    text = ZERO_FIELD.format(out=tmp_path).lstrip()  # line 1 is "mesh = synth"
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    got, want = driver.parse_config(str(path)), driver.parse_config(_write(tmp_path, text))
+    assert (got.geometry, got.constants, got.linear) == (want.geometry, want.constants,
+                                                         want.linear)
+    assert list(got.species) == list(want.species)
+    assert driver.main(["check", "--config", str(path)]) == 0
+    # a bad byte after the mark still names its line and its byte
+    path.write_bytes(codecs.BOM_UTF8 + b"mesh = synth\n\xffresolution = 6\n")
+    with pytest.raises(ConfigError, match="bom.cfg: line 2: byte 0xff is not UTF-8"):
+        driver.parse_config(str(path))
 
 
 def test_python_m_smpnp_runs_the_cli():

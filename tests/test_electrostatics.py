@@ -1,3 +1,4 @@
+import codecs
 import logging
 from dataclasses import replace
 from unittest import mock
@@ -150,6 +151,14 @@ def test_atoms_file_not_utf8(tmp_path):
         es.load_atoms(path)
 
 
+def test_atoms_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.atoms"
+    path.write_bytes(codecs.BOM_UTF8 + b"atoms 1\n0.5 0 0 -1\n")
+    atoms = es.load_atoms(path)
+    assert np.array_equal(atoms.positions, [[0.5, 0.0, 0.0]])
+    assert np.array_equal(atoms.charges, [-1.0])
+
+
 def test_atoms_file_zero_atoms_round_trip(tmp_path):
     path = tmp_path / "none.atoms"
     es.save_atoms(es.AtomicCharges.none(), path)
@@ -252,17 +261,6 @@ def test_phi_tilde_rhs_matches_load_assembly(channel_mesh, channel_submesh, spec
     oracle_rhs[fem_core.p1_operator(channel_mesh).pinned] = 0.0
     resid = sys.box.A @ q - oracle_rhs
     assert np.max(np.abs(resid)) < 1e-8 * (1.0 + np.max(np.abs(oracle_rhs)))
-
-
-def test_box_solve_with_zero_boundary_needs_no_lift(channel_mesh, rng):
-    # Phi~'s zero boundary field: the pinned rows are set to 0, bitwise the
-    # lift of a zero field
-    box = es.box_poisson(channel_mesh, CONST)
-    rhs = rng.normal(size=channel_mesh.num_vertices)
-    with mock.patch.object(box, "lift", wraps=box.lift) as lift:
-        x = box.solve(rhs)
-    lift.assert_not_called()
-    assert np.array_equal(x, box.solve(rhs, np.zeros_like(rhs)))
 
 
 def test_phi_tilde_linearity(channel_mesh, channel_submesh, species4, rng):

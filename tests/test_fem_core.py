@@ -94,22 +94,17 @@ def test_load_volume_dual_assembly(channel_mesh, rng):
     assert np.allclose(box_side[sub.vertex_map], sub_side, atol=1e-12)
 
 
-def test_surface_load_zero_density(cube_mesh):
-    out = assemble_surface_load(cube_mesh, meshmod.GAMMA_D, density=0.0)
-    assert np.all(out == 0.0)
-
-
 def test_surface_load_total_is_area(cube_mesh):
     # unit cube: top + bottom Dirichlet faces have total area 2
-    out = assemble_surface_load(cube_mesh, meshmod.GAMMA_D, density=3.0)
-    assert np.isclose(out.sum(), 6.0)
+    out = assemble_surface_load(cube_mesh, meshmod.GAMMA_D)
+    assert np.isclose(out.sum(), 2.0)
 
 
 def test_surface_load_single_triangle_thirds():
     mesh = _SingleTet()
     mesh.facets = np.array([[0, 1, 2]])  # unit right triangle, area 1/2
     mesh.facet_labels = np.array([1])
-    out = assemble_surface_load(mesh, 1, density=1.0)
+    out = assemble_surface_load(mesh, 1)
     assert np.allclose(out[:3], 1.0 / 6.0)
     assert out[3] == 0.0
 
@@ -462,11 +457,3 @@ def test_weight_map_matrices_are_the_one_column_matrices(which, channel_mesh,
         assert np.array_equal(A.data, data)
         assert np.shares_memory(A.indices, weights.indices)
         assert A.has_canonical_format and sparse_linalg._as_sorted_csr(A) is A
-
-
-def test_mass_norm_rows_are_the_one_row_norms(channel_submesh, rng):
-    norm = fem_core.MassNorm(channel_submesh, assemble_mass(channel_submesh))
-    F = rng.normal(size=(4, channel_submesh.num_vertices))
-    assert norm.rows(F) == [norm(f) for f in F]
-    with pytest.raises(MeshError):
-        norm.rows(F[:, :-1])

@@ -1,3 +1,4 @@
+import codecs
 import io
 from types import SimpleNamespace
 from unittest import mock
@@ -88,6 +89,17 @@ def test_save_load_round_trip_is_identity(tmp_path, channel_mesh):
     meshmod.save_mesh(channel_mesh, p1)
     meshmod.save_mesh(meshmod.load_mesh(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_load_mesh_with_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.mesh"
+    meshmod.save_mesh(meshmod.unit_cube_mesh(1), path)
+    plain = meshmod.load_mesh(path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    mesh = meshmod.load_mesh(path)
+    assert np.array_equal(mesh.vertices, plain.vertices)
+    assert np.array_equal(mesh.tets, plain.tets)
+    assert np.array_equal(mesh.facets, plain.facets)
 
 
 def test_load_non_utf8_mesh_is_a_format_error(tmp_path):
