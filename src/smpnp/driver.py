@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,14 +38,14 @@ logger = logging.getLogger(__name__)
 MAX_OUTER_DEFAULT = 500
 PROFILE_BINS_DEFAULT = 60
 
-_CONSTANT_KEYS = ("u_b", "u_t", "sigma", "eta", "cap", "omega",
-                  "eps_outer", "eps_s", "eps_p", "eps_m")
-_GEOMETRY_KEYS = ("box", "membrane_z1", "membrane_z2", "pore_radius",
-                  "shell_radius", "resolution")
 _SPECIES_KEYS = ("name", "Z", "v", "radius", "c_b", "D_b", "D_c")
 #: The config keys of each field whose name is not its key.
 _FIELD_KEYS = {"z1": ("membrane_z1",), "z2": ("membrane_z2",), "method": ("solver",),
                "v": ("v", "radius")}
+#: Each ChannelGeometry field with its config key, which with ``-`` for
+#: ``_`` is also its ``mesh synth`` flag.
+_GEOMETRY_FIELDS = tuple((f, _FIELD_KEYS.get(f.name, (f.name,))[0])
+                         for f in fields(meshmod.ChannelGeometry))
 
 
 @dataclass
@@ -66,6 +66,7 @@ class RunConfig:
     def __post_init__(self):
         require(self.mesh_file or self.geometry is not None, ConfigError,
                 "give a mesh file or a geometry")
+        require(self.output_dir, ConfigError, "output_dir must not be empty", "output_dir")
         for name in ("max_outer", "profile_bins"):
             value = getattr(self, name)
             require(value >= 1, ConfigError, "%s must be at least 1, got %r" % (name, value),
@@ -183,8 +184,7 @@ def _build_config(scalars, species_blocks):
     geometry = None
     mesh_file = ""
     if mesh_val == "synth":
-        defaults = meshmod.ChannelGeometry()
-        box = defaults.box
+        box = meshmod.ChannelGeometry().box
         if "box" in scalars:
             ln, val = scalars["box"]
             try:
@@ -194,17 +194,12 @@ def _build_config(scalars, species_blocks):
             if len(box) != 6 or not all(map(math.isfinite, box)):
                 raise ConfigError("line %d: box needs 6 numbers, got %r" % (ln, val))
         with _naming_lines(scalars):
-            geometry = meshmod.ChannelGeometry(
-                box=box,
-                z1=_number(scalars, "membrane_z1", defaults.z1),
-                z2=_number(scalars, "membrane_z2", defaults.z2),
-                pore_radius=_number(scalars, "pore_radius", defaults.pore_radius),
-                shell_radius=_number(scalars, "shell_radius", defaults.shell_radius),
-                resolution=_number(scalars, "resolution", defaults.resolution, int),
-            )
+            geometry = meshmod.ChannelGeometry(box=box, **{
+                f.name: _number(scalars, key, f.default, type(f.default))
+                for f, key in _GEOMETRY_FIELDS if f.name != "box"})
     else:
         mesh_file = mesh_val
-        for key in _GEOMETRY_KEYS:
+        for _, key in _GEOMETRY_FIELDS:
             if key in scalars:
                 ln, _ = scalars[key]
                 raise ConfigError("line %d: %s only applies to mesh = synth" % (ln, key))
@@ -212,8 +207,8 @@ def _build_config(scalars, species_blocks):
     with _naming_lines(scalars):
         config = RunConfig(
             species=_build_species(species_blocks, scalars),
-            constants=ModelConstants(**{key: _number(scalars, key)
-                                        for key in _CONSTANT_KEYS if key in scalars}),
+            constants=ModelConstants(**{f.name: _number(scalars, f.name)
+                                        for f in fields(ModelConstants) if f.name in scalars}),
             linear=sparse_linalg.LinearSolveSpec(
                 _text(scalars, "solver", sparse_linalg.KRYLOV_ILU0)),
             mesh_file=mesh_file,
@@ -263,9 +258,7 @@ def _build_species(blocks, scalars):
     # a name clash is a rule of two blocks: its error names their name lines
     clash = output_name_clash([s.name for s in out])
     with _naming_lines(*(blocks if clash is None else [blocks[k] for k in clash])):
-        species = SpeciesSet(out)
-        species.check_bulk_feasible(ModelConstants.gamma)
-    return species
+        return SpeciesSet(out)
 
 
 @dataclass
@@ -322,7 +315,6 @@ def run(config: RunConfig):
     clock = _PhaseClock()
     constants = config.constants
     species = config.species
-    species.check_bulk_feasible(constants.gamma)
     mesh = config.build_mesh()
     clock.mark("mesh")
     submesh = meshmod.extract_solvent_submesh(mesh)
@@ -563,10 +555,8 @@ def _cmd_check(args):
 
 
 def _cmd_mesh_synth(args):
-    geom = meshmod.ChannelGeometry(
-        box=tuple(args.box), z1=args.membrane_z1, z2=args.membrane_z2,
-        pore_radius=args.pore_radius, shell_radius=args.shell_radius,
-        resolution=args.resolution)
+    values = {f.name: getattr(args, key) for f, key in _GEOMETRY_FIELDS}
+    geom = meshmod.ChannelGeometry(**{**values, "box": tuple(args.box)})
     mesh = meshmod.synth_channel_mesh(geom)
     meshmod.save_mesh(mesh, args.out)
     print("wrote %s: %d vertices, %d tets" % (args.out, mesh.num_vertices,
@@ -593,14 +583,13 @@ def build_parser():
     msub = p.add_subparsers(dest="mesh_command", required=True)
     s = msub.add_parser("synth", help="write a synthetic channel mesh")
     s.add_argument("--out", required=True)
-    defaults = meshmod.ChannelGeometry()
-    s.add_argument("--box", type=float, nargs=6, default=list(defaults.box),
-                   metavar=("X1", "X2", "Y1", "Y2", "Z1", "Z2"))
-    s.add_argument("--membrane-z1", type=float, default=defaults.z1)
-    s.add_argument("--membrane-z2", type=float, default=defaults.z2)
-    s.add_argument("--pore-radius", type=float, default=defaults.pore_radius)
-    s.add_argument("--shell-radius", type=float, default=defaults.shell_radius)
-    s.add_argument("--resolution", type=int, default=defaults.resolution)
+    for f, key in _GEOMETRY_FIELDS:
+        if f.name == "box":
+            s.add_argument("--box", type=float, nargs=6, default=list(f.default),
+                           metavar=("X1", "X2", "Y1", "Y2", "Z1", "Z2"))
+        else:
+            s.add_argument("--" + key.replace("_", "-"), type=type(f.default),
+                           default=f.default)
     s.set_defaults(func=_cmd_mesh_synth)
     return parser
 

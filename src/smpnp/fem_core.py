@@ -284,20 +284,6 @@ def assemble_weighted_stiffness(mesh, weight=None, tet_mask=None):
     return weights.matrix(_tet_weight(op, weight, tet_mask))
 
 
-def pinned_stiffness_system(mesh, weight, g):
-    """(A, b) of the weighted stiffness problem with zero load and the
-    nodal boundary field ``g`` on the mesh's Gamma_D nodes.
-
-    Equal to ``apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
-    0, nodes, g)`` up to rounding, with the same sparsity pattern, but
-    assembled from the mesh's kept ``pinned_map``.  Block 1 assembles the
-    same systems for all species at once (``transport.Block1``).
-    """
-    op = p1_operator(mesh)
-    w = _tet_weight(op, weight)
-    return op.pinned_map.matrix(w), op.pinned_map.lift(w, g)
-
-
 def face_values(mesh, bottom, top):
     """Nodal field holding ``bottom`` on the mesh's bottom-face Gamma_D
     nodes, ``top`` on its top-face ones and 0 elsewhere: the boundary data

@@ -1,5 +1,6 @@
 """Model data and pointwise physics: species tables, coupling constants,
-diffusion profiles, boundary values, and the size-modified Slotboom transform.
+diffusion profiles, and the size-modified Slotboom transform, which also
+gives Block 1's coefficients and boundary values.
 
 Units: lengths in angstrom, concentrations in mol/L, potentials dimensionless
 (multiples of kT/e). Diffusion constants are used as given; in the steady
@@ -94,7 +95,8 @@ class SpeciesSet:
     (size-modified mode) or all zero (classical PNP reduction); mixing is
     rejected.  In reduction mode the reference volume v0 is conventionally
     1, so every exponent v_i/v0 is 0 and each size factor w^(v_i/v0) is
-    exactly 1.
+    exactly 1.  The bulk must leave room for water: a set whose bulk packing
+    fraction gamma * sum_i v_i c_i^b is not below 1 is refused.
     """
 
     def __init__(self, species):
@@ -117,6 +119,9 @@ class SpeciesSet:
         require(self.size_mode or np.all(self.v == 0.0), ValueError,
                 "ion volumes must be all positive or all zero", "v")
         self.v0 = float(self.v.min()) if self.size_mode else 1.0
+        frac = ModelConstants.gamma * float(self.v @ self.c_b)
+        require(frac < 1.0, FeasibilityError, "bulk volume fraction %.6f >= 1; species set "
+                "infeasible" % frac, "v", "c_b")
 
     def __len__(self):
         return len(self.species)
@@ -132,12 +137,6 @@ class SpeciesSet:
     def v_ratio(self):
         """Exponents v_i / v0 (zeros in reduction mode)."""
         return self.v / self.v0
-
-    def check_bulk_feasible(self, gamma):
-        """Raise if the bulk packing fraction gamma*sum(v_i c_i^b) >= 1."""
-        frac = gamma * float(self.v @ self.c_b)
-        require(frac < 1.0, FeasibilityError, "bulk volume fraction %.6f >= 1; species set "
-                "infeasible" % frac, "v", "c_b")
 
 
 #: Ionic radii (A) behind the four-species mixture Cl-, NO3-, Na+, K+.
@@ -238,19 +237,6 @@ def water_fraction(species: SpeciesSet, c, gamma):
     return np.maximum(w, WATER_FLOOR)
 
 
-def boundary_conc(species: SpeciesSet, side, constants: ModelConstants):
-    """Transformed Dirichlet data g_bar_i on the bottom or top surface.
-
-    The Slotboom transform of the bulk c_i^b at u = u_b (side='bottom') or
-    u_t (side='top').  Returns an (n,) array.
-    """
-    u = {"bottom": constants.u_b, "top": constants.u_t}.get(side)
-    if u is None:
-        raise ValueError("side must be 'bottom' or 'top'")
-    species.check_bulk_feasible(constants.gamma)
-    return slotboom_forward(u, species.c_b, species, constants)
-
-
 def slotboom_forward(u, c, species: SpeciesSet, constants: ModelConstants):
     """Size-modified Slotboom transform c -> c_bar at one point or nodewise.
 
@@ -265,14 +251,16 @@ def slotboom_forward(u, c, species: SpeciesSet, constants: ModelConstants):
     return c * ez / np.power.outer(w, species.v_ratio).T
 
 
-def transformed_diffusion(species: SpeciesSet, i, u, c, d_value, constants: ModelConstants):
-    """Transformed diffusion coefficient D_hat_i at one point or nodewise.
+def transformed_diffusion(species: SpeciesSet, u, c, d_nodal, constants: ModelConstants):
+    """Transformed diffusion coefficients D_hat_i of every species, nodewise.
 
-    D_hat_i = D_i(r) exp(-Z_i u) w^(v_i/v0) with the exponent clamped to
-    +-cap.  ``d_value`` is the raw diffusion coefficient D_i at the same
-    point(s); shapes follow slotboom_forward.  Block 1 forms it for every
-    species from one water fraction (``transport.Block1``).
+    D_hat_i = D_i(r) exp(-Z_i u) w^(v_i/v0), with the exponent clamped to
+    +-cap and one water fraction w of the concentrations ``c`` for all
+    species.  ``d_nodal`` holds the raw D_i at the same point(s), shaped as
+    ``c``; shapes follow slotboom_forward, and so does the result.  Block 1
+    takes its coefficients from here (``transport.Block1.systems``).
     """
     w = water_fraction(species, c, constants.gamma)
-    return (d_value * capped_exp(-species.Z[i] * np.asarray(u, dtype=float), constants.cap)
-            * w ** species.v_ratio[i])
+    u = np.asarray(u, dtype=float)
+    return np.stack([d_nodal[i] * capped_exp(-species.Z[i] * u, constants.cap)
+                     * w ** species.v_ratio[i] for i in range(len(species))])

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import fem_core, mesh as meshmod, sparse_linalg
 from .errors import FeasibilityError, MeshError
-from .physics_model import (ModelConstants, SpeciesSet, boundary_conc, capped_exp,
-                            diffusion_profile, water_fraction)
+from .physics_model import (ModelConstants, SpeciesSet, diffusion_profile, slotboom_forward,
+                            transformed_diffusion)
 
 logger = logging.getLogger(__name__)
 
@@ -26,14 +26,6 @@ def diffusion_nodal(submesh: meshmod.SolventSubmesh, species: SpeciesSet,
         diffusion_profile(sp, z, parent.z1, parent.z2, constants.eta)
         for sp in species
     ])
-
-
-def np_dirichlet(submesh: meshmod.SolventSubmesh, species: SpeciesSet, i,
-                 constants: ModelConstants):
-    """Dirichlet data g_bar_i: its bottom and top values on the submesh's
-    Gamma_D nodes (``fem_core.face_values``)."""
-    return fem_core.face_values(submesh, boundary_conc(species, "bottom", constants)[i],
-                                boundary_conc(species, "top", constants)[i])
 
 
 class RangeExcursions:
@@ -80,9 +72,10 @@ class Block1:
 
     Holds the raw nodal coefficients D_i (``d_nodal``, from
     ``diffusion_nodal`` when not given), each species' Dirichlet data
-    g_bar_i (``np_dirichlet``) with its range [min, max] on Gamma_D, and
-    the submesh's kept ``pinned_map``, whose pattern and CSR index arrays
-    every Block-1 matrix shares.
+    g_bar_i with its range [min, max] on Gamma_D, and the submesh's kept
+    ``pinned_map``, whose pattern and CSR index arrays every Block-1 matrix
+    shares.  g_bar_i is the Slotboom transform of the bulk c_i^b at u_b on
+    the bottom face and at u_t on the top face (``fem_core.face_values``).
     """
 
     def __init__(self, submesh, species: SpeciesSet, constants: ModelConstants,
@@ -92,36 +85,32 @@ class Block1:
         self.weights, self.vertex_mean = op.pinned_map, op.vertex_mean
         self.d_nodal = (diffusion_nodal(submesh, species, constants) if d_nodal is None
                         else np.asarray(d_nodal, dtype=float))
-        self.g_bar = [np_dirichlet(submesh, species, i, constants)
-                      for i in range(len(species))]
-        self.ranges = [(g[op.pinned].min(), g[op.pinned].max()) for g in self.g_bar]
+        bottom = slotboom_forward(constants.u_b, species.c_b, species, constants)
+        top = slotboom_forward(constants.u_t, species.c_b, species, constants)
+        self.g_bar = [fem_core.face_values(submesh, lo, hi) for lo, hi in zip(bottom, top)]
+        self.ranges = [(min(lo, hi), max(lo, hi)) for lo, hi in zip(bottom, top)]
 
-    def systems(self, u_vals, c_fields, which=None):
-        """The PinnedSystem of each species in ``which`` (default: all) at
-        the nodal potential ``u_vals`` and concentrations ``c_fields``.
+    def systems(self, u_vals, c_fields):
+        """The PinnedSystem of every species at the nodal potential
+        ``u_vals`` and concentrations ``c_fields``.
 
-        D_hat_i is ``physics_model.transformed_diffusion`` with the water
-        fraction computed once; the per-tet weights of all species are one
-        ``vertex_mean`` product and the matrix data one weight-map product
-        (``_WeightMap.matrices``).  Every system is bitwise the one
-        ``fem_core.pinned_stiffness_system`` assembles from D_hat_i and
-        g_bar_i alone.
+        D_hat is ``physics_model.transformed_diffusion``; the per-tet
+        weights of all species are one ``vertex_mean`` product and the
+        matrix data one weight-map product (``_WeightMap.matrices``), which
+        gives each species' matrix bit for bit as its own column would.
         """
-        species, cap = self.species, self.constants.cap
-        which = range(len(species)) if which is None else which
-        u = np.asarray(u_vals, dtype=float)
-        w = water_fraction(species, c_fields, self.constants.gamma)
-        dhat = np.stack([self.d_nodal[i] * capped_exp(-species.Z[i] * u, cap)
-                         * w ** species.v_ratio[i] for i in which])
+        dhat = transformed_diffusion(self.species, u_vals, c_fields, self.d_nodal,
+                                     self.constants)
         positive = np.all(dhat > 0.0, axis=1)
         if not positive.all():
             raise FeasibilityError("nonpositive transformed diffusion for species %d"
-                                   % which[int(np.argmin(positive))])
-        W = self.vertex_mean @ dhat.T  # (M, len(which)) per-tet weights
+                                   % int(np.argmin(positive)))
+        W = self.vertex_mean @ dhat.T  # (M, n) per-tet weights
         if not np.all(np.isfinite(W)):
             raise MeshError("non-finite element weight")
-        return [PinnedSystem(A, self.weights.lift(W[:, j], self.g_bar[i]), *self.ranges[i])
-                for j, (i, A) in enumerate(zip(which, self.weights.matrices(W)))]
+        return [PinnedSystem(A, self.weights.lift(W[:, i], g), *r)
+                for i, (A, g, r) in enumerate(zip(self.weights.matrices(W), self.g_bar,
+                                                  self.ranges))]
 
 
 def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
@@ -135,13 +124,13 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
     Homogeneous Neumann conditions on the interface and side boundaries
     are natural; g_bar_i is imposed on the Dirichlet nodes.  ``system`` is
     the species' system as a run's ``Block1.systems`` assembles it for all
-    species at once; when None, this species' system is assembled alone,
-    by the same route.  Returns the transformed concentration field.  A
+    species at once; when None, it is taken from a fresh ``Block1``.
+    Returns the transformed concentration field.  A
     solve that leaves the Dirichlet range is recorded in ``excursions``,
     or logged when none is given.
     """
     if system is None:
-        system = Block1(submesh, species, constants, d_nodal).systems(u_vals, c_fields, [i])[0]
+        system = Block1(submesh, species, constants, d_nodal).systems(u_vals, c_fields)[i]
     cbar = sparse_linalg.solve(system.A, system.b, spec)
     lo, hi = system.lo, system.hi
     excess = max(lo - cbar.min(), cbar.max() - hi)

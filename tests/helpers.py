@@ -107,7 +107,7 @@ def compute_flux(submesh, species: SpeciesSet, i, c_fields, u_vals,
     J = -d_tet[:, None] * (grads_c[i] + drift + size)
 
     cbar = slotboom_forward(u_vals, c_fields, species, constants)
-    dhat = transformed_diffusion(species, i, u_vals, c_fields, d_nodal[i], constants)
+    dhat = transformed_diffusion(species, u_vals, c_fields, d_nodal, constants)[i]
     dhat_tet = dhat[submesh.tets].mean(axis=1)
     J_slot = -dhat_tet[:, None] * _tet_gradient_fields(submesh, cbar[i])
     return J, J_slot
@@ -134,10 +134,18 @@ def capped_block1_weights(sub, geom, field, species):
     constants = ModelConstants()
     i = sp.names.index(species)
     c = np.repeat(sp.c_b[:, None], sub.num_vertices, axis=1)
-    d_nodal = transport.diffusion_nodal(sub, sp, constants)
-    dhat = transformed_diffusion(sp, i, capped_potential(sub, geom, field), c,
-                                 d_nodal[i], constants)
-    return dhat, transport.np_dirichlet(sub, sp, i, constants)
+    block1 = transport.Block1(sub, sp, constants)
+    dhat = transformed_diffusion(sp, capped_potential(sub, geom, field), c, block1.d_nodal,
+                                 constants)[i]
+    return dhat, block1.g_bar[i]
+
+
+def pinned_system(mesh, weight, g):
+    """(A, b) of the ``weight``ed stiffness problem with zero load and the
+    boundary field ``g`` on Gamma_D, from the mesh's kept ``pinned_map``."""
+    op = fem_core.p1_operator(mesh)
+    w = fem_core._tet_weight(op, weight)
+    return op.pinned_map.matrix(w), op.pinned_map.lift(w, g)
 
 
 def p1_geometry_reference(mesh):
@@ -258,14 +266,15 @@ def face_owners_reference(tets, n):
 
 def reference_block1_system(submesh, species, i, u_vals, c_fields, constants, d_nodal):
     """(A, b) of the species-i Block-1 system, assembled for that species
-    alone: ``transformed_diffusion`` with its own water fraction, the
-    positivity check, ``np_dirichlet`` and ``fem_core.pinned_stiffness_system``,
-    whose one-weight product and matrix are the ``vertex_mean`` and
-    weight-map products of one column."""
-    dhat = transformed_diffusion(species, i, u_vals, c_fields, d_nodal[i], constants)
+    alone: row i of ``transformed_diffusion``, the positivity check, the
+    face values of the Slotboom transform of the bulk at u_b and u_t, and
+    the one-weight ``vertex_mean`` and weight-map products of that
+    species' column."""
+    dhat = transformed_diffusion(species, u_vals, c_fields, d_nodal, constants)[i]
     if not np.all(dhat > 0.0):
         raise FeasibilityError("nonpositive transformed diffusion for species %d" % i)
-    g = transport.np_dirichlet(submesh, species, i, constants)
+    g = fem_core.face_values(submesh, *(slotboom_forward(u, species.c_b, species, constants)[i]
+                                        for u in (constants.u_b, constants.u_t)))
     op = fem_core.p1_operator(submesh)
     w = fem_core._tet_weight(op, dhat)
     data = op.pinned_map.map @ w

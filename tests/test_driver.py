@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from smpnp import (driver, electrostatics, fem_core, mesh as meshmod, nonlinear_node,
                    sparse_linalg)
-from smpnp.errors import ConfigError, ConvergenceError, FeasibilityError
+from smpnp.errors import ConfigError, ConvergenceError
 from smpnp.physics_model import ModelConstants, mixture_species
 
 
@@ -117,7 +117,9 @@ D_b = 0.196
            ("theta = -1", "line 2: theta must be positive"),
            ("solver = gmres", "line 2: unknown linear solve method 'gmres'"),
            ("max_outer = 0", "line 2: max_outer must be at least 1, got 0"),
-           ("profile_bins = 0", "line 2: profile_bins must be at least 1, got 0"))),
+           ("profile_bins = 0", "line 2: profile_bins must be at least 1, got 0"),
+           # refused before a solve whose outputs would have nowhere to go
+           ("output_dir =", "line 2: output_dir must not be empty"))),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 0\nc_b = nan\nD_b = 0.1\n",
      "line 6: c_b must be a finite number"),
     ("mesh = synth\n[species]\nname = A\nZ = 1\nv = 0\nc_b = -1\nD_b = 0.1\n",
@@ -184,6 +186,7 @@ def test_parse_config_errors(tmp_path, text, match):
     (dict(pore_mask_radius=-3.0), "pore_mask_radius must be finite and not negative"),
     (dict(pore_mask_radius=float("nan")), "pore_mask_radius must be finite"),
     (dict(geometry=None), "give a mesh file or a geometry"),
+    (dict(output_dir=""), "output_dir must not be empty"),
 ])
 def test_run_config_rejects_bad_values(kwargs, match):
     # refused when built, not deep inside run or write_outputs
@@ -193,18 +196,6 @@ def test_run_config_rejects_bad_values(kwargs, match):
     fields.update(kwargs)
     with pytest.raises(ConfigError, match=match):
         driver.RunConfig(**fields)
-
-
-def test_run_refuses_crowded_bulk_before_set_up():
-    # a set whose bulk packing fraction is 1.389 builds, and run refuses it
-    # before it builds the mesh
-    config = driver.RunConfig(species=mixture_species(c_b=20.0), constants=ModelConstants(),
-                              linear=sparse_linalg.LinearSolveSpec(),
-                              geometry=meshmod.ChannelGeometry(resolution=4))
-    with mock.patch.object(driver.RunConfig, "build_mesh") as build, \
-            pytest.raises(FeasibilityError, match="bulk volume fraction 1.389"):
-        driver.run(config)
-    assert build.call_count == 0
 
 
 def test_readme_config_example_parses(tmp_path):

@@ -8,11 +8,10 @@ from smpnp import electrostatics as es, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import MeshError
 from smpnp.physics_model import ModelConstants
 from smpnp.fem_core import (apply_dirichlet, assemble_mass, assemble_surface_load,
-                            assemble_weighted_stiffness, face_values, l2_norm,
-                            pinned_stiffness_system)
+                            assemble_weighted_stiffness, face_values, l2_norm)
 
 from helpers import (LOCAL_MASS, assemble_load_volume, l2_diff, p1_geometry_reference,
-                     reference_mass, reference_scatter, reference_stiffness)
+                     pinned_system, reference_mass, reference_scatter, reference_stiffness)
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 
@@ -198,7 +197,7 @@ def test_pinned_system_matches_apply_dirichlet(which, cube_mesh, request, rng):
     n = mesh.num_vertices
     weight = np.exp(rng.uniform(-45.0, 45.0, size=n))
     pinned, g = fem_core.p1_operator(mesh).pinned, face_values(mesh, 0.1, 2.5)
-    A, b = pinned_stiffness_system(mesh, weight, g)
+    A, b = pinned_system(mesh, weight, g)
     A_ref, b_ref = apply_dirichlet(reference_stiffness(mesh, weight), np.zeros(n), pinned, g)
     A_old, b_old = apply_dirichlet(assemble_weighted_stiffness(mesh, weight),
                                    np.zeros(n), pinned, g)
@@ -252,7 +251,7 @@ def test_lift_reads_the_boundary_field_on_gamma_d_only(which, channel_mesh, rng)
         b, b_noisy = (box.lift(box.eps, f, load) for f in (g, noisy))
     else:
         weight = np.exp(rng.uniform(-5.0, 5.0, size=n))
-        (_, b), (_, b_noisy) = (pinned_stiffness_system(mesh, weight, f) for f in (g, noisy))
+        (_, b), (_, b_noisy) = (pinned_system(mesh, weight, f) for f in (g, noisy))
     assert b.tobytes() == b_noisy.tobytes()
 
 
@@ -403,7 +402,7 @@ def test_stiffness_zeros_are_structural(resolution, synth_boxes):
     local = op.local_stiffness[op.shape]
     assert np.all(np.count_nonzero(local == 0.0, axis=1) == 6)
     sub = meshmod.extract_solvent_submesh(mesh)
-    block1, _ = pinned_stiffness_system(sub, 1.0, face_values(sub, 0.1, 2.5))
+    block1, _ = pinned_system(sub, 1.0, face_values(sub, 0.1, 2.5))
     box = es.box_poisson(mesh, ModelConstants())
     assert (box.A.nnz, block1.nnz) == PATTERN_NNZ[resolution]
 

@@ -13,11 +13,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from smpnp import driver, fem_core, mesh as meshmod, sparse_linalg
+from smpnp import driver, mesh as meshmod, sparse_linalg
 from smpnp.errors import LinearSolveError
 from smpnp.physics_model import ModelConstants, mixture_species
 
-from helpers import capped_block1_weights
+from helpers import capped_block1_weights, pinned_system
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 KRYLOV = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
@@ -99,8 +99,7 @@ _TOL = {"z-ramp": 1e-10, "x-ramp": 1e-10, "pore-well": 1e-2}
 ])
 def test_capped_potential_forward_agreement(submesh12, field, species):
     # bulk concentrations, so the span comes from the capped exponentials
-    A, b = fem_core.pinned_stiffness_system(
-        submesh12, *capped_block1_weights(submesh12, GEOM12, field, species))
+    A, b = pinned_system(submesh12, *capped_block1_weights(submesh12, GEOM12, field, species))
     diagonal = A.diagonal()
     assert diagonal.max() / diagonal.min() >= 1e20
     _assert_forward_agreement(A, b, _TOL[field])

@@ -7,8 +7,7 @@ from scipy.optimize import brentq
 
 from smpnp import nonlinear_node as nn
 from smpnp.errors import ConvergenceError, FeasibilityError, NewtonError
-from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
-                                 boundary_conc, mixture_species,
+from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet, mixture_species,
                                  slotboom_forward)
 
 from helpers import reference_log_water
@@ -125,7 +124,7 @@ def test_newton_single_species_vs_bisection(rng):
 
 def test_newton_four_species_round_trip():
     sp = mixture_species()
-    cbar = boundary_conc(sp, "bottom", CONST)
+    cbar = slotboom_forward(CONST.u_b, sp.c_b, sp, CONST)
     P, _ = _solve(cbar, 0.0, sp)
     assert np.allclose(P, 0.1, atol=1e-8)
 
@@ -134,7 +133,7 @@ def test_newton_projects_infeasible_start():
     # a previous iterate far beyond the packing bound has no positive water
     # fraction: Newton starts from s = 0 there
     sp = mixture_species()
-    cbar = boundary_conc(sp, "bottom", CONST)[:, None]
+    cbar = slotboom_forward(CONST.u_b, sp.c_b, sp, CONST)[:, None]
     P, _ = nn.block2_update(cbar, np.zeros(1), np.full((4, 1), 1.0e5), sp, CONST)
     assert np.allclose(P, 0.1, atol=1e-8)
 
@@ -142,7 +141,7 @@ def test_newton_projects_infeasible_start():
 def test_block2_uniform_inputs_identical_nodes():
     sp = mixture_species()
     N = 37
-    targets = np.repeat(boundary_conc(sp, "bottom", CONST)[:, None], N, axis=1)
+    targets = np.repeat(slotboom_forward(CONST.u_b, sp.c_b, sp, CONST)[:, None], N, axis=1)
     u = np.full(N, 0.35)
     c_prev = np.full((4, N), 0.1)
     P, rep = nn.block2_update(targets, u, c_prev, sp, CONST)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from smpnp.errors import FeasibilityError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet, output_name,
-                                 boundary_conc, capped_exp,
+                                 capped_exp,
                                  compute_coupling_constants, diffusion_profile,
                                  mixture_species, slotboom_forward,
                                  transformed_diffusion, volume_from_radius,
@@ -67,12 +67,6 @@ def test_species_set_validation():
         SpeciesSet([good] * 9)
     with pytest.raises(ValueError, match="all positive or all zero"):
         SpeciesSet([good, zero])
-    # a bulk packing fraction gamma * v * c_b = 6.0 builds a set that fails
-    # its feasibility check, naming the fields of the rule
-    crowded = SpeciesSet([IonSpecies("A", 1, 1000.0, 10.0, 1.0, 0.1)])
-    with pytest.raises(FeasibilityError, match="bulk volume fraction") as err:
-        crowded.check_bulk_feasible(ModelConstants.gamma)
-    assert err.value.fields == ("v", "c_b")
     with pytest.raises(ValueError):
         IonSpecies("C", 1, 10.0, -0.1, 1.0, 0.1)
     with pytest.raises(ValueError):
@@ -153,10 +147,25 @@ def test_water_fraction_rejects_nan():
         water_fraction(mixture_species(), c, CONST.gamma)
 
 
+def test_species_set_refuses_crowded_bulk():
+    # a bulk packing fraction gamma * sum v_i c_i^b of at least 1 leaves no
+    # room for water: the set is refused when built, naming the rule's fields
+    with pytest.raises(FeasibilityError, match="bulk volume fraction 6.02") as err:
+        SpeciesSet([IonSpecies("A", 1, 1000.0, 10.0, 1.0, 0.1)])
+    assert err.value.fields == ("v", "c_b")
+    with pytest.raises(FeasibilityError, match="bulk volume fraction 1.389"):
+        mixture_species(c_b=20.0)
+
+
+def _boundary_conc(sp, u):
+    # the transformed Dirichlet value of every species at the potential u
+    return slotboom_forward(u, sp.c_b, sp, CONST)
+
+
 def test_boundary_conc_reduction():
     sp = mixture_species(sized=False)
-    assert np.allclose(boundary_conc(sp, "bottom", CONST), 0.1)
-    assert np.allclose(boundary_conc(sp, "top", CONST), 0.1)
+    assert np.allclose(_boundary_conc(sp, CONST.u_b), 0.1)
+    assert np.allclose(_boundary_conc(sp, CONST.u_t), 0.1)
 
 
 def test_boundary_conc_sized_formula():
@@ -164,17 +173,13 @@ def test_boundary_conc_sized_formula():
     gamma = CONST.gamma
     denom = 1.0 - gamma * (24.8384 + 77.0727 + 3.5914 + 9.8547) * 0.1
     expect = 0.1 / denom ** (sp.v / sp.v0)
-    assert np.allclose(boundary_conc(sp, "bottom", CONST), expect, rtol=1e-5)
+    assert np.allclose(_boundary_conc(sp, CONST.u_b), expect, rtol=1e-5)
 
 
 def test_boundary_conc_exponent_law():
     sp = mixture_species()
     u_t = 0.7
-    base = boundary_conc(sp, "top", CONST)
-    shifted = boundary_conc(sp, "top", dataclasses.replace(CONST, u_t=u_t))
-    assert np.allclose(shifted, base * np.exp(sp.Z * u_t))
-    with pytest.raises(ValueError):
-        boundary_conc(sp, "left", CONST)
+    assert np.allclose(_boundary_conc(sp, u_t), _boundary_conc(sp, 0.0) * np.exp(sp.Z * u_t))
 
 
 def test_slotboom_reduction():
@@ -208,17 +213,30 @@ def test_slotboom_rejects_nan():
 def test_transformed_diffusion_reduction():
     sp = mixture_species(sized=False)
     c = np.full(4, 0.1)
-    assert np.isclose(transformed_diffusion(sp, 0, 0.0, c, 0.203, CONST), 0.203)
+    assert np.allclose(transformed_diffusion(sp, 0.0, c, sp.D_b, CONST), sp.D_b)
     # cap engages at |exponent| = 100
-    val = transformed_diffusion(sp, 0, -100.0, c, 1.0, CONST)
-    assert np.isclose(val, math.exp(-45.0))
+    val = transformed_diffusion(sp, -100.0, c, np.ones(4), CONST)
+    assert np.allclose(val, np.exp(45.0 * sp.Z))
 
 
 def test_transformed_diffusion_sized_positive():
     sp = mixture_species()
     c = np.full(4, 0.1)
+    assert np.all(transformed_diffusion(sp, 1.3, c, np.full(4, 0.2), CONST) > 0.0)
+
+
+def test_transformed_diffusion_is_each_species_formula(rng):
+    # one water fraction for all species, and each row D_i exp(-Z_i u) w^(v_i/v0)
+    sp = mixture_species()
+    N = 50
+    u = rng.uniform(-60.0, 60.0, size=N)
+    c = 0.1 * np.exp(rng.uniform(-3.0, 1.0, size=(4, N)))
+    d = rng.uniform(0.01, 0.2, size=(4, N))
+    dhat = transformed_diffusion(sp, u, c, d, CONST)
+    w = water_fraction(sp, c, CONST.gamma)
     for i in range(4):
-        assert transformed_diffusion(sp, i, 1.3, c, 0.2, CONST) > 0.0
+        want = d[i] * capped_exp(-sp.Z[i] * u, CONST.cap) * w ** sp.v_ratio[i]
+        assert dhat[i].tobytes() == want.tobytes()
 
 
 def test_electrochemical_potential_bulk_zero():

@@ -12,7 +12,7 @@ from smpnp.errors import LinearSolveError, SingularMatrixError
 from smpnp.physics_model import ModelConstants
 from smpnp.sparse_linalg import LinearSolveSpec, inf_norm, solve
 
-from helpers import CAPPED_FIELDS, capped_block1_weights, reference_stiffness
+from helpers import CAPPED_FIELDS, capped_block1_weights, pinned_system, reference_stiffness
 
 DIRECT = LinearSolveSpec(method="direct")
 KRYLOV = LinearSolveSpec(method="krylov_ilu0")
@@ -206,7 +206,7 @@ def channel12_systems():
     r = np.random.default_rng(12)
     weight = np.exp(r.uniform(-45.0, 45.0, size=sub.num_vertices))
     g = fem_core.face_values(sub, 0.1, 2.5)
-    block1, b = fem_core.pinned_stiffness_system(sub, weight, g)
+    block1, b = pinned_system(sub, weight, g)
     box = electrostatics.box_poisson(mesh, ModelConstants())
     return {"block1": (block1, b), "box": (box.A, None), "block1_data": (sub, weight, g)}
 
@@ -353,9 +353,9 @@ def test_reused_factor_keeps_forward_accuracy(submesh12, field, species):
     # factor gave it or a fresh factor did after PCG failed
     dhat, g = capped_block1_weights(submesh12, GEOM12, field, species)
     spec = LinearSolveSpec(method="direct")
-    solve(*fem_core.pinned_stiffness_system(submesh12, dhat, g), spec)
+    solve(*pinned_system(submesh12, dhat, g), spec)
     scale = np.random.default_rng(13).uniform(1.0, 1.2, size=dhat.shape)
-    A, b = fem_core.pinned_stiffness_system(submesh12, scale * dhat, g)
+    A, b = pinned_system(submesh12, scale * dhat, g)
     diagonal = A.diagonal()
     assert diagonal.max() / diagonal.min() >= 1e20
     x = solve(A, b, spec)
@@ -440,7 +440,7 @@ def test_kept_factor_is_tried_on_its_pattern_only():
         geom = meshmod.ChannelGeometry(resolution=resolution)
         sub = meshmod.extract_solvent_submesh(meshmod.synth_channel_mesh(geom))
         dhat, g = capped_block1_weights(sub, geom, "x-ramp", "Cl-")
-        systems.append([fem_core.pinned_stiffness_system(sub, f * dhat, g)
+        systems.append([pinned_system(sub, f * dhat, g)
                         for f in (1.0, 1.1)])
     factored = {}
     factorize = sparse_linalg.factorize
@@ -482,9 +482,9 @@ def _started_systems(path, channel12_systems):
     sub, weight, g = channel12_systems["block1_data"]
     weight = np.exp(np.log(weight) / 15.0)  # diagonals spanning e^+-3
     spec = LinearSolveSpec("direct" if path == "kept-factor" else "krylov_ilu0")
-    start = solve(*fem_core.pinned_stiffness_system(sub, weight, g), spec)
+    start = solve(*pinned_system(sub, weight, g), spec)
     scale = np.random.default_rng(15).uniform(1.0, 1.2, size=weight.shape)
-    A, b = fem_core.pinned_stiffness_system(sub, scale * weight, g)
+    A, b = pinned_system(sub, scale * weight, g)
     return spec, A, b, start
 
 

@@ -8,9 +8,8 @@ import pytest
 from smpnp import (driver, electrostatics as es, fem_core, mesh as meshmod, nonlinear_node,
                    sparse_linalg, transport)
 from smpnp.errors import FeasibilityError
-from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
-                                 boundary_conc, mixture_species,
-                                 transformed_diffusion)
+from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet, mixture_species,
+                                 slotboom_forward, transformed_diffusion)
 
 from helpers import compute_flux, reference_block1_system
 
@@ -36,11 +35,18 @@ def test_diffusion_nodal_shape(channel_submesh, species4):
     assert np.all(d > 0.0)
 
 
-def test_np_dirichlet_matches_boundary_conc(channel_submesh, species4):
-    g = transport.np_dirichlet(channel_submesh, species4, 0, CONST)
-    gb = boundary_conc(species4, "bottom", CONST)[0]
-    pinned = fem_core.p1_operator(channel_submesh).pinned
-    assert np.allclose(g[pinned], gb)  # u_b = u_t = 0: both sides equal
+def test_block1_g_bar_is_the_slotboom_value_on_each_face(channel_submesh, species4):
+    # g_bar_i is the transform of the bulk at u_b on the bottom face and at
+    # u_t on the top face, and its range spans the two values
+    constants = replace(CONST, u_b=-0.4, u_t=1.5)
+    block1 = transport.Block1(channel_submesh, species4, constants)
+    bottom, top = fem_core.p1_operator(channel_submesh).dirichlet_sides
+    for i, (g, (lo, hi)) in enumerate(zip(block1.g_bar, block1.ranges)):
+        g_b, g_t = (slotboom_forward(u, species4.c_b, species4, constants)[i]
+                    for u in (constants.u_b, constants.u_t))
+        assert np.all(g[bottom] == g_b) and np.all(g[top] == g_t)
+        assert (lo, hi) == (min(g_b, g_t), max(g_b, g_t))
+        assert g_b != g_t
 
 
 def test_transformed_solve_constant_dirichlet(channel_submesh, species4):
@@ -51,7 +57,7 @@ def test_transformed_solve_constant_dirichlet(channel_submesh, species4):
     d_nodal = transport.diffusion_nodal(channel_submesh, species4, CONST)
     cbar = transport.solve_transformed_np(channel_submesh, species4, 1, u, c,
                                           CONST, DIRECT, d_nodal=d_nodal)
-    gb = boundary_conc(species4, "bottom", CONST)[1]
+    gb = slotboom_forward(CONST.u_b, species4.c_b, species4, CONST)[1]
     assert np.allclose(cbar, gb, rtol=1e-10)
 
 
@@ -72,7 +78,7 @@ def test_transformed_operator_symmetric(channel_submesh, species4, rng):
     c = np.full((4, Ns), 0.1)
     u = rng.uniform(-1.0, 1.0, size=Ns)
     d_nodal = transport.diffusion_nodal(channel_submesh, species4, CONST)
-    dhat = transformed_diffusion(species4, 0, u, c, d_nodal[0], CONST)
+    dhat = transformed_diffusion(species4, u, c, d_nodal, CONST)[0]
     A = fem_core.assemble_weighted_stiffness(channel_submesh, dhat)
     assert abs(A - A.T).max() < 1e-12
 
@@ -180,9 +186,9 @@ def r12_sweep_inputs():
     captured = []
     systems = transport.Block1.systems
 
-    def capture(self, u_vals, c_fields, which=None):
+    def capture(self, u_vals, c_fields):
         captured.append((u_vals, c_fields))
-        return systems(self, u_vals, c_fields, which)
+        return systems(self, u_vals, c_fields)
 
     with mock.patch.object(transport.Block1, "systems", capture):
         result = driver.run(config)
@@ -191,20 +197,18 @@ def r12_sweep_inputs():
 
 
 def test_block1_systems_match_per_species_assembly_bitwise(r12_sweep_inputs):
-    # the batched assembly of a sweep, and the one-species route of
-    # solve_transformed_np, give the per-species systems bit for bit
+    # the batched assembly of a sweep gives the per-species systems bit for bit
     sub, species, constants, captured = r12_sweep_inputs
     block1 = transport.Block1(sub, species, constants)
     for u_vals, c_fields in captured[::4] + captured[-1:]:
         for i, system in enumerate(block1.systems(u_vals, c_fields)):
-            (alone,) = block1.systems(u_vals, c_fields, [i])
             A_ref, b_ref = reference_block1_system(sub, species, i, u_vals, c_fields,
                                                    constants, block1.d_nodal)
-            for A, b in ((system.A, system.b), (alone.A, alone.b)):
-                assert A.has_canonical_format
-                assert np.shares_memory(A.indices, block1.weights.indices)
-                assert np.array_equal(A.indptr, A_ref.indptr)
-                assert np.array_equal(A.indices, A_ref.indices)
-                assert np.array_equal(A.data, A_ref.data) and np.array_equal(b, b_ref)
+            A, b = system.A, system.b
+            assert A.has_canonical_format
+            assert np.shares_memory(A.indices, block1.weights.indices)
+            assert np.array_equal(A.indptr, A_ref.indptr)
+            assert np.array_equal(A.indices, A_ref.indices)
+            assert np.array_equal(A.data, A_ref.data) and np.array_equal(b, b_ref)
             g = block1.g_bar[i][fem_core.p1_operator(sub).pinned]
             assert (system.lo, system.hi) == (g.min(), g.max())
