@@ -486,9 +486,12 @@ def export_convergence(path, history):
 
 def export_summary(path, result: RunResult):
     last = result.history[-1]
-    # the outer loop's seconds per block: convergence.csv's columns summed
+    # the outer loop's seconds per block and Block-1 linear-solver work:
+    # convergence.csv's columns summed
     block_s = [("block%d_s" % b, "%.6f" % sum(row["t_block%d" % b] for row in result.history))
                for b in (1, 2, 3)]
+    block1_work = [(key, sum(row[key] for row in result.history))
+                   for key in ("block1_factors", "block1_pcg_steps")]
     lines = [
         ("converged", "yes" if result.converged else "no"),
         ("iterations", result.iterations),
@@ -497,6 +500,7 @@ def export_summary(path, result: RunResult):
         ("init_s", "%.6f" % result.phase_s["init"]),
         ("outer_s", "%.6f" % result.phase_s["outer"]),
         *block_s,
+        *block1_work,
         ("res_cbar", "%.6e" % last["res_cbar"]),
         ("res_c", "%.6e" % last["res_c"]),
         ("res_phi", "%.6e" % last["res_phi"]),

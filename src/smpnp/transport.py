@@ -76,6 +76,9 @@ class Block1:
     ``pinned_map``, whose pattern and CSR index arrays every Block-1 matrix
     shares.  g_bar_i is the Slotboom transform of the bulk c_i^b at u_b on
     the bottom face and at u_t on the top face (``fem_core.face_values``).
+    A species whose two face values are equal has that constant as its
+    Block-1 answer at every iterate; ``systems`` still assembles and checks
+    its matrix, and ``solve_transformed_np`` returns the constant unsolved.
     """
 
     def __init__(self, submesh, species: SpeciesSet, constants: ModelConstants,
@@ -128,11 +131,20 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
     Returns the transformed concentration field.  A
     solve that leaves the Dirichlet range is recorded in ``excursions``,
     or logged when none is given.
+
+    A system whose two face values are equal (``lo == hi``: u_b = u_t, a
+    Z = 0 species, or both face exponents at the cap) is not solved: its
+    answer is that constant, returned as ``np.full(N, lo)``.  This is exact
+    for every D_hat > 0, as the P1 stiffness annihilates constants, so the
+    constant satisfies every free row and every pinned one.  No factor, CG
+    step or kept factor is made for it.
     """
     if system is None:
         system = Block1(submesh, species, constants, d_nodal).systems(u_vals, c_fields)[i]
-    cbar = sparse_linalg.solve(system.A, system.b, spec)
     lo, hi = system.lo, system.hi
+    if lo == hi:
+        return np.full(system.A.shape[0], lo)
+    cbar = sparse_linalg.solve(system.A, system.b, spec)
     excess = max(lo - cbar.min(), cbar.max() - hi)
     if excess > 1.0e-8 * (1.0 + hi):
         if excursions is not None:

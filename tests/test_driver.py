@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from smpnp import (driver, electrostatics, fem_core, mesh as meshmod, nonlinear_node,
-                   sparse_linalg)
+                   sparse_linalg, transport)
 from smpnp.errors import ConfigError, ConvergenceError
 from smpnp.physics_model import ModelConstants, mixture_species
 
@@ -429,9 +429,11 @@ def test_run_factors_box_operator_once(method, monkeypatch):
     # Psi and every Phi~ solve share one SuperLU factor of the box operator;
     # the method selects the Block-1 solver only.  Each factored pattern is
     # ordered once: the box, and on the direct path the Block-1 pattern.  A
-    # Krylov run factors nothing on the Block-1 pattern
+    # Krylov run factors nothing on the Block-1 pattern.  The run is biased,
+    # so its Block-1 systems are solved, not taken as their face value
     monkeypatch.setattr(sparse_linalg, "_orderings", {})
-    config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(),
+    config = driver.RunConfig(species=mixture_species(),
+                              constants=ModelConstants(sigma=-1.0, u_t=1.5),
                               linear=sparse_linalg.LinearSolveSpec(method=method),
                               geometry=meshmod.ChannelGeometry(resolution=12))
     with mock.patch.object(sparse_linalg, "factorize",
@@ -453,6 +455,46 @@ def test_run_factors_box_operator_once(method, monkeypatch):
         factored = [c.args[0].shape[0] for c in splu.call_args_list + spilu.call_args_list]
         assert ns not in sizes and ns not in factored
         ilu0.assert_not_called()
+
+
+@pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
+def test_equilibrium_run_factors_only_the_box(method, tmp_path):
+    # at u_b = u_t every Block-1 system has equal face values, so the run
+    # makes no Block-1 linear solve on either path: the one factor is the box
+    config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(sigma=-1.0),
+                              linear=sparse_linalg.LinearSolveSpec(method=method),
+                              geometry=meshmod.ChannelGeometry(resolution=12),
+                              output_dir=str(tmp_path))
+    with mock.patch.object(sparse_linalg, "solve", wraps=sparse_linalg.solve) as solve, \
+            mock.patch.object(sparse_linalg, "factorize",
+                              wraps=sparse_linalg.factorize) as factorize:
+        result = driver.run(config)
+    assert result.converged and result.iterations == 1
+    assert solve.call_count == 0
+    assert [call.args[0].shape[0] for call in factorize.call_args_list] == [
+        result.mesh.num_vertices]
+    assert all(row["block1_factors"] == row["block1_pcg_steps"] == 0
+               for row in result.history)
+    driver.write_outputs(config, result)
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "block1_factors = 0" in summary and "block1_pcg_steps = 0" in summary
+    # undamped Block 1 at the returned state: the face value the run takes
+    # is what a fresh direct spec solves each system to, and the returned
+    # cbar, a damped blend, lies near it (5.5e-8 in relative L2)
+    sub, u_vals = result.submesh, result.submesh.restrict(result.u)
+    mass = fem_core.assemble_mass(sub)
+    systems = transport.Block1(sub, result.species, result.constants).systems(u_vals, result.c)
+
+    def rel_l2(x, ref):
+        return fem_core.l2_norm(sub, x - ref, mass=mass) / fem_core.l2_norm(sub, ref, mass=mass)
+
+    for i, system in enumerate(systems):
+        solved = sparse_linalg.solve(system.A, system.b,
+                                     sparse_linalg.LinearSolveSpec(method="direct"))
+        taken = transport.solve_transformed_np(sub, result.species, i, u_vals, result.c,
+                                               result.constants, config.linear, system=system)
+        assert rel_l2(taken, solved) <= 1e-12
+        assert rel_l2(result.cbar[i], solved) <= 1e-6
 
 
 def test_sweep_starts_its_inner_solves_from_its_iterate():
@@ -693,6 +735,10 @@ def test_kept_factors_never_outlive_a_run(tmp_path):
     rows = [row.split(",") for row in
             (tmp_path / "convergence.csv").read_text().splitlines()[1:]]
     assert [(int(r[7]), int(r[8])) for r in rows] == list(zip(factors, steps))
+    # summary.txt records their sums
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "block1_factors = %d" % sum(factors) in summary
+    assert "block1_pcg_steps = %d" % sum(steps) in summary
 
 
 def test_krylov_run_records_its_cg_steps(tmp_path):

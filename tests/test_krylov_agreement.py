@@ -2,9 +2,12 @@
 
 A backward-error stop says little about the forward error when the matrix
 diagonals span many orders of magnitude, so the gate compares solutions:
-on the Block-1 systems of the R=12 sigma=-1 run, end to end on that run,
-and on Block-1 systems of the same submesh under potentials large enough
-to reach the exponent cap, whose diagonals span 1e20 and more.
+on the Block-1 systems that the R=12 sigma=-1 equilibrium run assembles,
+end to end on the biased R=12 sigma=-1, u_t=1.5 run, and on Block-1
+systems of the same submesh under potentials large enough to reach the
+exponent cap, whose diagonals span 1e20 and more.  The equilibrium run
+solves none of its Block-1 systems (each has equal face values, so its
+answer is that constant), but the systems it assembles are still gated.
 """
 
 import logging
@@ -13,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from smpnp import driver, mesh as meshmod, sparse_linalg
+from smpnp import driver, mesh as meshmod, sparse_linalg, transport
 from smpnp.errors import LinearSolveError
 from smpnp.physics_model import ModelConstants, mixture_species
 
@@ -24,9 +27,9 @@ KRYLOV = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
 GEOM12 = meshmod.ChannelGeometry(resolution=12)
 
 
-def _sigma12_config(spec):
+def _sigma12_config(spec, u_t=0.0):
     return driver.RunConfig(species=mixture_species(),
-                            constants=ModelConstants(sigma=-1.0),
+                            constants=ModelConstants(sigma=-1.0, u_t=u_t),
                             linear=spec, geometry=GEOM12)
 
 
@@ -39,31 +42,30 @@ def _assert_forward_agreement(A, b, tol=1e-2):
 
 
 @pytest.fixture(scope="module")
-def direct_run():
-    """The direct R=12 sigma=-1 run and its Block-1 systems, per sweep."""
-    calls = []
-    solve = sparse_linalg.solve
+def equilibrium_systems():
+    """The (A, b) of each Block-1 system that the direct R=12 sigma=-1
+    equilibrium run assembles, per sweep."""
+    captured = []
+    systems = transport.Block1.systems
 
-    def spy(A, b, spec):
-        calls.append((A, b))
-        return solve(A, b, spec)
+    def capture(self, u_vals, c_fields):
+        captured.append(systems(self, u_vals, c_fields))
+        return captured[-1]
 
-    with mock.patch.object(sparse_linalg, "solve", spy):
+    with mock.patch.object(transport.Block1, "systems", capture):
         result = driver.run(_sigma12_config(DIRECT))
-    n = result.submesh.num_vertices
-    block1 = [(A, b) for A, b in calls if A.shape[0] == n]
-    ns = len(result.species)
-    assert len(block1) == ns * result.iterations
-    return result, [block1[k:k + ns] for k in range(0, len(block1), ns)]
+    assert len(captured) == result.iterations
+    assert all(len(sweep) == len(result.species) for sweep in captured)
+    return [[(s.A, s.b) for s in sweep] for sweep in captured]
 
 
 @pytest.mark.parametrize("sweep", [0, -1], ids=["equilibrium", "late"])
-def test_block1_forward_agreement(direct_run, sweep):
-    # sweep 0 solves at the equilibrium initial iterate, the last sweep at
-    # the converged state; their diagonals span 1.9e2 to 2.7e2 (max |u| is
-    # about 1.2 there), so the large-span regime is covered below
-    _, systems = direct_run
-    for A, b in systems[sweep]:
+def test_block1_forward_agreement(equilibrium_systems, sweep):
+    # sweep 0 assembles at the equilibrium initial iterate, the last sweep
+    # at the converged state (the one sweep of this run); their diagonals
+    # span 1.9e2 to 2.7e2 (max |u| is about 1.2 there), so the large-span
+    # regime is covered below
+    for A, b in equilibrium_systems[sweep]:
         _assert_forward_agreement(A, b)
 
 
@@ -105,10 +107,11 @@ def test_capped_potential_forward_agreement(submesh12, field, species):
     _assert_forward_agreement(A, b, _TOL[field])
 
 
-def test_krylov_run_matches_direct(direct_run, caplog):
-    result_d, _ = direct_run
+def test_krylov_run_matches_direct(caplog):
+    # a biased run, so both paths solve every Block-1 system of every sweep
+    result_d = driver.run(_sigma12_config(DIRECT, u_t=1.5))
     with caplog.at_level(logging.WARNING, logger="smpnp"):
-        result_k = driver.run(_sigma12_config(KRYLOV))
+        result_k = driver.run(_sigma12_config(KRYLOV, u_t=1.5))
     assert result_d.converged and result_k.converged
     assert np.max(np.abs(result_k.u - result_d.u)) <= 1e-4
     assert abs(result_k.iterations - result_d.iterations) <= 3

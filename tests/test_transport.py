@@ -61,6 +61,62 @@ def test_transformed_solve_constant_dirichlet(channel_submesh, species4):
     assert np.allclose(cbar, gb, rtol=1e-10)
 
 
+def _fresh_superlu(system):
+    A = system.A
+    return sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), system.b,
+                                        sparse_linalg.inf_norm(A))
+
+
+@pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
+def test_equal_face_system_returns_its_face_value(channel_submesh, species4, rng, method):
+    # at u_b = u_t each species' two face values are equal, and the constant
+    # solves its pinned system for any D_hat > 0: the solve returns it
+    # bitwise without calling the linear solver, and a fresh SuperLU solve
+    # of the same system agrees
+    Ns = channel_submesh.num_vertices
+    u = rng.uniform(-1.0, 1.0, size=Ns)
+    c = rng.uniform(0.05, 0.2, size=(4, Ns))
+    spec = sparse_linalg.LinearSolveSpec(method=method)
+    block1 = transport.Block1(channel_submesh, species4, CONST)
+    excursions = transport.RangeExcursions(species4.names)
+    for i, system in enumerate(block1.systems(u, c)):
+        assert system.lo == system.hi
+        with mock.patch.object(sparse_linalg, "solve",
+                               side_effect=AssertionError("linear solve called")):
+            cbar = transport.solve_transformed_np(channel_submesh, species4, i, u, c, CONST,
+                                                  spec, excursions=excursions, system=system)
+        assert cbar.dtype == float and np.array_equal(cbar, np.full(Ns, system.lo))
+        assert np.max(np.abs(_fresh_superlu(system) - system.lo)) <= 1e-13 * system.lo
+    assert not excursions.count.any()
+    assert not spec.kept.entries and spec.kept.pcg_steps == 0
+
+
+def test_only_the_neutral_species_takes_its_face_value(channel_submesh, species4, rng):
+    # at u_t = 1.5 a Z = 0 species still has equal face values, the charged
+    # ones do not: only the neutral species skips the linear solve
+    species = SpeciesSet(list(species4) + [IonSpecies("N0", 0, 30.0, 0.1, 0.2, 0.1)])
+    constants = replace(CONST, u_t=1.5)
+    Ns = channel_submesh.num_vertices
+    u = rng.uniform(0.0, 1.5, size=Ns)
+    c = np.full((len(species), Ns), 0.1)
+    block1 = transport.Block1(channel_submesh, species, constants)
+    solved = []
+    solve = sparse_linalg.solve
+
+    def spy(A, b, spec):
+        solved.append(i)
+        return solve(A, b, spec)
+
+    with mock.patch.object(sparse_linalg, "solve", spy):
+        for i, system in enumerate(block1.systems(u, c)):
+            cbar = transport.solve_transformed_np(channel_submesh, species, i, u, c,
+                                                  constants, DIRECT, system=system)
+    assert solved == [0, 1, 2, 3]
+    neutral = block1.systems(u, c)[4]
+    assert np.array_equal(cbar, np.full(Ns, neutral.lo))
+    assert np.max(np.abs(_fresh_superlu(neutral) - neutral.lo)) <= 1e-13 * neutral.lo
+
+
 def test_transformed_solve_linear_slab_profile(cube_sub):
     # reduction mode, u = 0, constant D: harmonic with plane Dirichlet data
     sp = _flat_diffusion_species()
@@ -108,7 +164,9 @@ def test_transformed_solve_rejects_nan_dhat(channel_submesh, species4):
 def test_krylov_block1_at_charged_membrane_equilibrium(species4):
     # Block 1 at the sigma = -1 initial iterate, where the transformed
     # diagonals span the exponent cap: every CG answer must pass the
-    # backward-error check of the full-size pinned system
+    # backward-error check of the full-size pinned system.  At u_b = u_t a
+    # run takes each species' face value unsolved, so the systems are
+    # solved here directly
     consts = replace(CONST, sigma=-1.0)
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
     sub = meshmod.extract_solvent_submesh(mesh)
@@ -121,11 +179,10 @@ def test_krylov_block1_at_charged_membrane_equilibrium(species4):
         lambda f: fem_core.l2_norm(sub, f, mass=mass_sub))
     u = sub.restrict(psi + phi)
     krylov = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
-    d_nodal = transport.diffusion_nodal(sub, species4, consts)
-    for i in range(len(species4)):
-        cbar = transport.solve_transformed_np(sub, species4, i, u, c, consts, krylov,
-                                              d_nodal=d_nodal)
+    for system in transport.Block1(sub, species4, consts).systems(u, c):
+        cbar = sparse_linalg.solve(system.A, system.b, krylov)
         assert np.all(np.isfinite(cbar)) and np.all(cbar > 0.0)
+    assert krylov.kept.pcg_steps > 0
 
 
 def test_flux_reduction_pure_gradient(cube_sub):
