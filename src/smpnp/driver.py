@@ -319,8 +319,8 @@ def run(config: RunConfig):
     clock.mark("mesh")
     submesh = meshmod.extract_solvent_submesh(mesh)
     clock.mark("submesh")
-    # a fresh spec, so the factors its direct solves keep die with the run
-    spec = sparse_linalg.LinearSolveSpec(config.linear.method)
+    # a store of this run's own, so the factors its direct solves keep die with it
+    spec = config.linear.keeping_factors()
     kept = spec.kept
     n = len(species)
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.special import erf
 
 from . import fem_core, mesh as meshmod, sparse_linalg
 from .errors import MeshError
@@ -45,15 +44,10 @@ _TET_QPTS = np.array([
 
 @dataclass(frozen=True)
 class AtomicCharges:
-    """Atomic point charges (positions in A, charges in elementary units).
-
-    ``smoothing`` > 0 replaces each point charge by a normalized Gaussian
-    of that width; used by consistency tests against monolithic solves.
-    """
+    """Atomic point charges (positions in A, charges in elementary units)."""
 
     positions: np.ndarray
     charges: np.ndarray
-    smoothing: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "positions",
@@ -101,7 +95,7 @@ def _pair_offsets(points, atoms: AtomicCharges, first=0):
     dist2 = diff[0] * diff[0]
     dist2 += diff[1] * diff[1]
     dist2 += diff[2] * diff[2]
-    if atoms.smoothing == 0.0 and dist2.size and dist2.min() < _COLLISION_TOL ** 2:
+    if dist2.size and dist2.min() < _COLLISION_TOL ** 2:
         j, i = np.unravel_index(int(np.argmin(dist2)), dist2.shape)
         raise MeshError("atom %d within %.1e A of evaluation point %d"
                         % (j, _COLLISION_TOL, first + i))
@@ -117,8 +111,7 @@ def _point_chunks(points):
 def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
     """Singular potential G at the given points.
 
-    G(r) = alpha/(4 pi eps_p) sum_j z_j / |r - r_j| for point charges;
-    Gaussian-smoothed charges use the erf-regularized kernel.
+    G(r) = alpha/(4 pi eps_p) sum_j z_j / |r - r_j|.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(len(points))
@@ -127,15 +120,7 @@ def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
     coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
     for first, block in _point_chunks(points):
         _, dist2 = _pair_offsets(block, atoms, first=first)
-        dist = np.sqrt(dist2)
-        if atoms.smoothing > 0.0:
-            s = atoms.smoothing
-            with np.errstate(invalid="ignore", divide="ignore"):
-                kern = erf(dist / (np.sqrt(2.0) * s)) / dist
-            kern = np.where(dist < 1.0e-12, np.sqrt(2.0 / np.pi) / s, kern)
-        else:
-            kern = 1.0 / dist
-        out[first:first + len(block)] = coef * (atoms.charges @ kern)
+        out[first:first + len(block)] = coef * (atoms.charges @ (1.0 / np.sqrt(dist2)))
     return out
 
 
@@ -148,17 +133,7 @@ def grad_G(atoms: AtomicCharges, constants: ModelConstants, points):
     coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
     for first, block in _point_chunks(points):
         diff, dist2 = _pair_offsets(block, atoms, first=first)
-        dist = np.sqrt(dist2)
-        dist3 = dist2 * dist
-        if atoms.smoothing > 0.0:
-            s = atoms.smoothing
-            with np.errstate(invalid="ignore", divide="ignore"):
-                radial = (erf(dist / (np.sqrt(2.0) * s)) / dist3
-                          - np.sqrt(2.0 / np.pi) / (s * dist2)
-                          * np.exp(-dist2 / (2.0 * s**2)))
-            radial = np.where(dist < 1.0e-12, 0.0, radial)
-        else:
-            radial = 1.0 / dist3
+        radial = 1.0 / (dist2 * np.sqrt(dist2))
         radial *= atoms.charges[:, None]
         out[first:first + len(block)] = -coef * np.einsum("kjn,jn->nk", diff, radial)
     return out

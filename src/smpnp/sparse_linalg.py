@@ -81,24 +81,32 @@ class LinearSolveSpec:
     """Method of a Block-1 linear solve, plus the store of its kept factors
     and step counts, and the start of its CG iteration (see ``solve``).
     ``kept`` and ``start`` are left out of the constructor, of equality and
-    of repr: two specs of one method are equal, and each starts with no
-    factors, from x = 0.  A run builds its own spec, so its factors die with
-    the run."""
+    of repr: two specs of one method are equal, and each has no store and
+    starts from x = 0.  A spec with no store keeps no factor beyond one
+    solve; a run gives its own copy a store (``keeping_factors``), so its
+    factors die with the run."""
 
     method: str = KRYLOV_ILU0
-    kept: KeptFactors = field(default_factory=KeptFactors, init=False,
-                              compare=False, repr=False)
+    kept: KeptFactors = field(default=None, init=False, compare=False, repr=False)
     start: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         require(self.method in (DIRECT, KRYLOV_ILU0), ValueError,
                 "unknown linear solve method %r" % self.method, "method")
 
+    def _with(self, name, value):
+        spec = copy.copy(self)
+        object.__setattr__(spec, name, value)
+        return spec
+
+    def keeping_factors(self):
+        """This spec with a fresh store: a copy whose solves keep their
+        factors and count their work in ``kept``."""
+        return self._with("kept", KeptFactors())
+
     def starting_at(self, x0):
         """This spec with CG started from ``x0``: a copy that shares ``kept``."""
-        spec = copy.copy(self)
-        object.__setattr__(spec, "start", x0)
-        return spec
+        return self._with("start", x0)
 
 
 def _as_sorted_csr(A):
@@ -260,10 +268,10 @@ def _pcg(A, b, M, kept, max_steps, start=None):
     the spec's start (``start``; x = 0 when None), each step counted in
     ``kept.pcg_steps``.  It stops when max|M^-1 r| <= _PCG_TOL max|x|, an
     estimate of the forward error when M is close to A, not a bound: the
-    true forward error can exceed it (seed-1 benchmark runs read 4.1e-12
-    on iv-r12-direct and 2.9e-12 on sigma-r12-krylov, and the tests
-    allow 1e-10).  A zero b gives x = 0 whatever the start, and a start
-    with a zero residual is returned as it is.  Raises LinearSolveError on
+    true forward error can exceed it (a seed-1 benchmark run reads 4.1e-12
+    on iv-r12-direct, and the tests allow 1e-10).  A zero b gives x = 0
+    whatever the start, and a start with a zero residual is returned as it
+    is.  Raises LinearSolveError on
     a p^T A p that is zero or not finite, and when ``max_steps`` steps do
     not stop."""
     if not b.any():
@@ -329,7 +337,8 @@ def solve(A, b, spec: LinearSolveSpec):
     the range of the per-tet weight ratios.  ``spec.kept`` holds the _KEEP
     SuperLU factors most recently built or used; a system gets
     _PCG_MAX_STEPS steps on the closest one of its pattern (see
-    KeptFactors.closest), or else a fresh factor, which is kept.
+    KeptFactors.closest), or else a fresh factor, which is kept.  A spec
+    with no store (``kept`` None) solves with a store of this call alone.
 
     Krylov: _CG_MAX_ITER steps preconditioned by a positive diag(A), which
     is CG on S A S y = S b, S = diag(A)^-1/2.  The unit diagonal of S A S
@@ -341,8 +350,9 @@ def solve(A, b, spec: LinearSolveSpec):
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
         raise LinearSolveError("shape mismatch: A %s, b %s" % (A.shape, b.shape))
     a_norm = inf_norm(A)
+    kept = KeptFactors() if spec.kept is None else spec.kept
     if spec.method == DIRECT:
-        return _direct_solve(A, b, spec.kept, spec.start, a_norm)
+        return _direct_solve(A, b, kept, spec.start, a_norm)
     jacobi = _Jacobi(A.diagonal())
-    return _checked_solve(A, b, lambda rhs, x0: _pcg(A, rhs, jacobi, spec.kept, _CG_MAX_ITER, x0),
+    return _checked_solve(A, b, lambda rhs, x0: _pcg(A, rhs, jacobi, kept, _CG_MAX_ITER, x0),
                           "CG solve", a_norm, spec.start)

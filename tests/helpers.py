@@ -14,15 +14,21 @@ from smpnp.physics_model import (ModelConstants, SpeciesSet, mixture_species,
 CAPPED_FIELDS = ("z-ramp", "pore-well", "x-ramp")
 
 
-def gaussian_charge_density(atoms, points):
-    """Charge density of Gaussian-smoothed atoms (for monolithic oracles)."""
-    if atoms.smoothing <= 0.0:
-        raise ValueError("density requires smoothing > 0")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = np.linalg.norm(points[:, None, :] - atoms.positions[None, :, :], axis=2)
-    s = atoms.smoothing
-    g = np.exp(-dist**2 / (2.0 * s**2)) / (2.0 * np.pi * s**2) ** 1.5
-    return g @ atoms.charges
+def point_charge_load(mesh, atoms):
+    """Load vector sum_j q_j phi_a(r_j) of point charges: an atom's P1 basis
+    values are its barycentric coordinates in a tet that holds it, which
+    agree on a shared face, so any such tet serves."""
+    corners = mesh.vertices[mesh.tets]  # (M, 4, 3)
+    edges = (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)  # columns v_a - v_0
+    load = np.zeros(mesh.num_vertices)
+    for position, charge in zip(atoms.positions, atoms.charges):
+        lam = np.linalg.solve(edges, (position - corners[:, 0])[:, :, None])[:, :, 0]
+        bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        tet = int(np.argmax(bary.min(axis=1)))
+        if bary[tet].min() < -1e-12:
+            raise MeshError("atom at %s lies outside the mesh" % position)
+        np.add.at(load, mesh.tets[tet], charge * bary[tet])
+    return load
 
 
 def assemble_load_volume(mesh, density, tet_mask=None):

@@ -17,7 +17,7 @@ from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet,
                                  slotboom_forward, transformed_diffusion,
                                  volume_from_radius, water_fraction)
 
-from helpers import (assemble_load_volume, compute_flux, gaussian_charge_density, l2_diff,
+from helpers import (assemble_load_volume, compute_flux, l2_diff, point_charge_load,
                      reference_mass)
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
@@ -239,18 +239,19 @@ def test_criterion_7_fem_order():
 
 
 def test_criterion_8_decomposition_vs_monolithic():
-    ring = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0],
-                     [-10.0, 0.0, 0.0], [0.0, -10.0, 0.0]])
-    atoms = es.AtomicCharges(ring, np.full(4, 0.3), smoothing=2.0)
+    # point charges off the grid of both meshes, against a monolithic P1
+    # solve whose load is each charge times the basis values at its atom
+    ring = np.array([[10.0, 0.0, 1.3], [0.0, 10.0, 1.3],
+                     [-10.0, 0.0, 1.3], [0.0, -10.0, 1.3]])
+    atoms = es.AtomicCharges(ring, np.full(4, 0.3))
     errs = []
     for res in (8, 16):
         mesh = meshmod.synth_channel_mesh(
             meshmod.ChannelGeometry(resolution=res))
         g_nodes = es.eval_G(atoms, CONST, mesh.vertices)
         w = g_nodes + es.solve_psi(mesh, atoms, CONST, g_nodes)
-        rho = gaussian_charge_density(atoms, mesh.vertices)
         A = fem_core.assemble_weighted_stiffness(mesh, es.region_eps(mesh, CONST))
-        b = CONST.alpha * assemble_load_volume(mesh, rho)
+        b = CONST.alpha * point_charge_load(mesh, atoms)
         A, b = fem_core.apply_dirichlet(A, b, fem_core.p1_operator(mesh).pinned,
                                         fem_core.face_values(mesh, CONST.u_b, CONST.u_t))
         mono = sparse_linalg.solve(A, b, DIRECT)

@@ -10,7 +10,7 @@ from smpnp import electrostatics as es, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import LinearSolveError, MeshError, MeshFormatError
 from smpnp.physics_model import ModelConstants
 
-from helpers import assemble_load_volume
+from helpers import assemble_load_volume, point_charge_load
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 CONST = ModelConstants()
@@ -28,15 +28,25 @@ def test_eval_g_no_atoms():
 
 def test_g_chunked_matches_one_shot(monkeypatch, rng):
     pts = rng.uniform(-20.0, 20.0, size=(2 * es._POINT_CHUNK + 17, 3))
-    for smoothing in (0.0, 0.7):
-        atoms = es.AtomicCharges(rng.uniform(-5.0, 5.0, size=(5, 3)),
-                                 rng.normal(size=5), smoothing=smoothing)
-        chunked = (es.eval_G(atoms, CONST, pts), es.grad_G(atoms, CONST, pts))
-        with monkeypatch.context() as patch:
-            patch.setattr(es, "_POINT_CHUNK", len(pts))
-            one_shot = (es.eval_G(atoms, CONST, pts), es.grad_G(atoms, CONST, pts))
-        for a, b in zip(chunked, one_shot):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    atoms = es.AtomicCharges(rng.uniform(-5.0, 5.0, size=(5, 3)), rng.normal(size=5))
+    chunked = (es.eval_G(atoms, CONST, pts), es.grad_G(atoms, CONST, pts))
+    monkeypatch.setattr(es, "_POINT_CHUNK", len(pts))
+    one_shot = (es.eval_G(atoms, CONST, pts), es.grad_G(atoms, CONST, pts))
+    for a, b in zip(chunked, one_shot):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_point_charge_load_integrates_linear_fields(channel_mesh, rng):
+    # criterion 8's load: sum_a b_a f(v_a) = sum_j q_j f(r_j) for a linear
+    # f, for atoms inside tets and one on an edge that several tets share
+    verts = channel_mesh.vertices
+    edge_mid = verts[channel_mesh.tets[0, :2]].mean(axis=0)
+    atoms = es.AtomicCharges(np.vstack([rng.uniform(-15.0, 15.0, size=(5, 3)), edge_mid]),
+                             rng.normal(size=6))
+    load = point_charge_load(channel_mesh, atoms)
+    for f in (np.ones(3), np.array([1.0, -2.0, 0.5])):
+        assert np.isclose(load @ (verts @ f), atoms.charges @ (atoms.positions @ f))
+    assert np.isclose(load.sum(), atoms.charges.sum())
 
 
 def test_g_collision_in_later_chunk_raises(rng):

@@ -98,7 +98,7 @@ def test_krylov_rejects_nonpositive_diagonal(diag):
 @pytest.mark.parametrize("spec", [DIRECT, KRYLOV], ids=["direct", "krylov"])
 def test_zero_right_hand_side_takes_no_step(spec):
     # on the direct path the second solve is tried on the kept factor
-    spec = LinearSolveSpec(spec.method)
+    spec = LinearSolveSpec(spec.method).keeping_factors()
     A = lap1d(20)
     solve(A, np.ones(20), spec)
     factors, steps = spec.kept.factorizations, spec.kept.pcg_steps
@@ -175,9 +175,8 @@ def _inexact_once(offset):
 @pytest.mark.parametrize("spec", [DIRECT, KRYLOV], ids=["direct", "krylov"])
 def test_inexact_answer_is_refined_once(spec, caplog):
     # a first answer with backward error near 1e-9 takes one refinement
-    # step, logs one warning and is returned; a fresh spec has no kept
-    # factor to solve with in place of the patched one
-    spec = LinearSolveSpec(spec.method)
+    # step, logs one warning and is returned; a spec with no store has no
+    # kept factor to solve with in place of the patched one
     A, b = lap1d(20), np.ones(20)
     fake, calls = _inexact_once(1e-6)
     if spec == DIRECT:
@@ -352,7 +351,7 @@ def test_reused_factor_keeps_forward_accuracy(submesh12, field, species):
     # weights matches a fresh factorization's, whether PCG on the kept
     # factor gave it or a fresh factor did after PCG failed
     dhat, g = capped_block1_weights(submesh12, GEOM12, field, species)
-    spec = LinearSolveSpec(method="direct")
+    spec = LinearSolveSpec(method="direct").keeping_factors()
     solve(*pinned_system(submesh12, dhat, g), spec)
     scale = np.random.default_rng(13).uniform(1.0, 1.2, size=dhat.shape)
     A, b = pinned_system(submesh12, scale * dhat, g)
@@ -375,7 +374,7 @@ def test_far_system_gets_fresh_factor(rng):
     # system, beyond the 1.5 bound: no PCG, a fresh SuperLU factor
     A = lap1d(40)
     half = np.arange(40) < 20
-    spec = LinearSolveSpec(method="direct")
+    spec = LinearSolveSpec(method="direct").keeping_factors()
     b = rng.normal(size=40)
     for s in (np.ones(40), np.where(half, 2.0, 1.0)):
         solve(_scaled(A, s), b, spec)
@@ -396,7 +395,7 @@ def test_closest_kept_factor_preconditions(rng):
     # nothing is factored
     A = lap1d(40)
     half = np.arange(40) < 20
-    spec = LinearSolveSpec(method="direct")
+    spec = LinearSolveSpec(method="direct").keeping_factors()
     b = rng.normal(size=40)
     for s in (np.ones(40), np.where(half, np.sqrt(1.6), 1.0)):
         solve(_scaled(A, s), b, spec)
@@ -416,7 +415,7 @@ def test_pcg_that_does_not_stop_falls_back(monkeypatch, channel12_systems):
     # one PCG step cannot meet the stopping test after a 20% perturbation:
     # the solve factors afresh, and its answer passes the backward-error check
     A, b = channel12_systems["block1"]
-    spec = LinearSolveSpec(method="direct")
+    spec = LinearSolveSpec(method="direct").keeping_factors()
     solve(A, b, spec)
     monkeypatch.setattr(sparse_linalg, "_PCG_MAX_STEPS", 1)
     s = np.sqrt(np.random.default_rng(14).uniform(1.0, 1.2, size=A.shape[0]))
@@ -434,7 +433,7 @@ def test_pcg_that_does_not_stop_falls_back(monkeypatch, channel12_systems):
 def test_kept_factor_is_tried_on_its_pattern_only():
     # one spec alternates between R=6 and R=8 Block-1 systems: each
     # perturbed system is preconditioned by the factor of its own mesh
-    spec = LinearSolveSpec(method="direct")
+    spec = LinearSolveSpec(method="direct").keeping_factors()
     systems = []
     for resolution in (6, 8):
         geom = meshmod.ChannelGeometry(resolution=resolution)
@@ -466,11 +465,25 @@ def test_kept_factor_is_tried_on_its_pattern_only():
 
 def test_spec_factors_stay_out_of_equality_and_repr(channel12_systems):
     A, b = channel12_systems["block1"]
-    used = LinearSolveSpec(method="direct")
+    used = LinearSolveSpec(method="direct").keeping_factors()
     solve(A, b, used)
     assert used.kept.entries and used == LinearSolveSpec(method="direct")
     assert repr(used) == "LinearSolveSpec(method='direct')"
-    assert not LinearSolveSpec(method="direct").kept.entries
+    assert LinearSolveSpec(method="direct").kept is None
+
+
+def test_spec_with_no_store_keeps_no_factor_between_solves(channel12_systems):
+    # a spec as a config builds it: each solve factors afresh, and the spec
+    # is left without a store
+    A, b = channel12_systems["block1"]
+    spec = LinearSolveSpec(method="direct")
+    with mock.patch.object(sparse_linalg, "factorize",
+                           wraps=sparse_linalg.factorize) as factorize, \
+            mock.patch.object(sparse_linalg, "_pcg") as pcg:
+        first, second = solve(A, b, spec), solve(A, b, spec)
+    assert factorize.call_count == 2 and spec.kept is None
+    pcg.assert_not_called()
+    assert np.array_equal(first, second)
 
 
 # a spec's start: CG begins from the current iterate, with every stop rule
@@ -481,7 +494,7 @@ def _started_systems(path, channel12_systems):
     the Jacobi diagonal; ``start`` is the nearby system's answer."""
     sub, weight, g = channel12_systems["block1_data"]
     weight = np.exp(np.log(weight) / 15.0)  # diagonals spanning e^+-3
-    spec = LinearSolveSpec("direct" if path == "kept-factor" else "krylov_ilu0")
+    spec = LinearSolveSpec("direct" if path == "kept-factor" else "krylov_ilu0").keeping_factors()
     start = solve(*pinned_system(sub, weight, g), spec)
     scale = np.random.default_rng(15).uniform(1.0, 1.2, size=weight.shape)
     A, b = pinned_system(sub, scale * weight, g)
@@ -528,7 +541,7 @@ def test_solve_started_at_the_answer_takes_one_step(path, channel12_systems):
 
 
 def test_started_spec_shares_the_kept_factors():
-    spec = LinearSolveSpec(method="direct")
+    spec = LinearSolveSpec(method="direct").keeping_factors()
     started = spec.starting_at(np.ones(3))
     assert started.kept is spec.kept and started == spec
     assert spec.start is None and np.array_equal(started.start, np.ones(3))

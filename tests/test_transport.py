@@ -76,7 +76,7 @@ def test_equal_face_system_returns_its_face_value(channel_submesh, species4, rng
     Ns = channel_submesh.num_vertices
     u = rng.uniform(-1.0, 1.0, size=Ns)
     c = rng.uniform(0.05, 0.2, size=(4, Ns))
-    spec = sparse_linalg.LinearSolveSpec(method=method)
+    spec = sparse_linalg.LinearSolveSpec(method=method).keeping_factors()
     block1 = transport.Block1(channel_submesh, species4, CONST)
     excursions = transport.RangeExcursions(species4.names)
     for i, system in enumerate(block1.systems(u, c)):
@@ -178,7 +178,7 @@ def test_krylov_block1_at_charged_membrane_equilibrium(species4):
         lambda f: fem_core.l2_norm(mesh, f, mass=mass_box),
         lambda f: fem_core.l2_norm(sub, f, mass=mass_sub))
     u = sub.restrict(psi + phi)
-    krylov = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
+    krylov = sparse_linalg.LinearSolveSpec(method="krylov_ilu0").keeping_factors()
     for system in transport.Block1(sub, species4, consts).systems(u, c):
         cbar = sparse_linalg.solve(system.A, system.b, krylov)
         assert np.all(np.isfinite(cbar)) and np.all(cbar > 0.0)
