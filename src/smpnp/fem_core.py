@@ -80,9 +80,11 @@ class P1Operator:
     use.  ``dirichlet_sides`` holds the mesh's ``dirichlet_side_nodes()``
     and ``pinned`` the same nodes in one array, bottom then top: every
     stiffness map pins them.  The weight map is kept (``pinned_map``),
-    because Block 1 assembles its matrices every sweep; a weight map used
-    once, as the box operator's is, is not kept.  Obtain the operator through
-    ``p1_operator``; the mesh must not be mutated afterwards.
+    built on first use, because Block 1 assembles the matrices of the
+    species it solves every sweep; a run that solves none (an equilibrium)
+    never builds it.  A weight map used once, as the box operator's is, is
+    not kept.  Obtain the operator through ``p1_operator``; the mesh must
+    not be mutated afterwards.
 
     A submesh (a mesh with ``parent`` and ``parent_tet_ids``) shares its
     parent's per-shape arrays, and its ``shape`` is the parent's at

@@ -62,7 +62,8 @@ class RangeExcursions:
 
 
 # a species' pinned Block-1 system: matrix, right-hand side, and the range
-# [lo, hi] of its Dirichlet data
+# [lo, hi] of its Dirichlet data; A and b are None for a species whose range
+# is one value, as its answer is that constant
 PinnedSystem = namedtuple("PinnedSystem", "A b lo hi")
 
 
@@ -72,35 +73,42 @@ class Block1:
 
     Holds the raw nodal coefficients D_i (``d_nodal``, from
     ``diffusion_nodal`` when not given), each species' Dirichlet data
-    g_bar_i with its range [min, max] on Gamma_D, and the submesh's kept
+    g_bar_i with its range [min, max] on Gamma_D, and the indices of the
+    species it solves (``solved``).  g_bar_i is the Slotboom transform of
+    the bulk c_i^b at u_b on the bottom face and at u_t on the top face
+    (``fem_core.face_values``).  A species whose two face values are equal
+    has that constant as its Block-1 answer at every iterate, which
+    ``solve_transformed_np`` returns; ``systems`` checks its D_hat and
+    weights but builds no matrix for it.  The submesh's kept
     ``pinned_map``, whose pattern and CSR index arrays every Block-1 matrix
-    shares.  g_bar_i is the Slotboom transform of the bulk c_i^b at u_b on
-    the bottom face and at u_t on the top face (``fem_core.face_values``).
-    A species whose two face values are equal has that constant as its
-    Block-1 answer at every iterate; ``systems`` still assembles and checks
-    its matrix, and ``solve_transformed_np`` returns the constant unsolved.
+    shares, is read only when some species is solved (``weights``, None
+    otherwise), so an equilibrium run never builds it.
     """
 
     def __init__(self, submesh, species: SpeciesSet, constants: ModelConstants,
                  d_nodal=None):
         op = fem_core.p1_operator(submesh)
         self.species, self.constants = species, constants
-        self.weights, self.vertex_mean = op.pinned_map, op.vertex_mean
+        self.vertex_mean = op.vertex_mean
         self.d_nodal = (diffusion_nodal(submesh, species, constants) if d_nodal is None
                         else np.asarray(d_nodal, dtype=float))
         bottom = slotboom_forward(constants.u_b, species.c_b, species, constants)
         top = slotboom_forward(constants.u_t, species.c_b, species, constants)
         self.g_bar = [fem_core.face_values(submesh, lo, hi) for lo, hi in zip(bottom, top)]
         self.ranges = [(min(lo, hi), max(lo, hi)) for lo, hi in zip(bottom, top)]
+        self.solved = np.flatnonzero(bottom != top)
+        self.weights = op.pinned_map if self.solved.size else None
 
     def systems(self, u_vals, c_fields):
         """The PinnedSystem of every species at the nodal potential
         ``u_vals`` and concentrations ``c_fields``.
 
-        D_hat is ``physics_model.transformed_diffusion``; the per-tet
-        weights of all species are one ``vertex_mean`` product and the
-        matrix data one weight-map product (``_WeightMap.matrices``), which
-        gives each species' matrix bit for bit as its own column would.
+        D_hat is ``physics_model.transformed_diffusion``, checked positive
+        for every species, and the per-tet weights of all species are one
+        ``vertex_mean`` product, checked finite.  The matrix data of the
+        ``solved`` species are one weight-map product
+        (``_WeightMap.matrices``), which gives each species' matrix bit for
+        bit as its own column would; the others get A = b = None.
         """
         dhat = transformed_diffusion(self.species, u_vals, c_fields, self.d_nodal,
                                      self.constants)
@@ -111,9 +119,12 @@ class Block1:
         W = self.vertex_mean @ dhat.T  # (M, n) per-tet weights
         if not np.all(np.isfinite(W)):
             raise MeshError("non-finite element weight")
-        return [PinnedSystem(A, self.weights.lift(W[:, i], g), *r)
-                for i, (A, g, r) in enumerate(zip(self.weights.matrices(W), self.g_bar,
-                                                  self.ranges))]
+        out = [PinnedSystem(None, None, *r) for r in self.ranges]
+        if self.solved.size:
+            W = W[:, self.solved]
+            for i, A, w in zip(self.solved, self.weights.matrices(W), W.T):
+                out[i] = PinnedSystem(A, self.weights.lift(w, self.g_bar[i]), *self.ranges[i])
+        return out
 
 
 def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
@@ -126,7 +137,7 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
     the raw coefficients ``diffusion_nodal`` returns (computed when None).
     Homogeneous Neumann conditions on the interface and side boundaries
     are natural; g_bar_i is imposed on the Dirichlet nodes.  ``system`` is
-    the species' system as a run's ``Block1.systems`` assembles it for all
+    the species' system as a run's ``Block1.systems`` gives it for all
     species at once; when None, it is taken from a fresh ``Block1``.
     Returns the transformed concentration field.  A
     solve that leaves the Dirichlet range is recorded in ``excursions``,
@@ -136,14 +147,14 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
     Z = 0 species, or both face exponents at the cap) is not solved: its
     answer is that constant, returned as ``np.full(N, lo)``.  This is exact
     for every D_hat > 0, as the P1 stiffness annihilates constants, so the
-    constant satisfies every free row and every pinned one.  No factor, CG
-    step or kept factor is made for it.
+    constant satisfies every free row and every pinned one.  No matrix,
+    factor, CG step or kept factor is made for it.
     """
     if system is None:
         system = Block1(submesh, species, constants, d_nodal).systems(u_vals, c_fields)[i]
     lo, hi = system.lo, system.hi
     if lo == hi:
-        return np.full(system.A.shape[0], lo)
+        return np.full(len(u_vals), lo)
     cbar = sparse_linalg.solve(system.A, system.b, spec)
     excess = max(lo - cbar.min(), cbar.max() - hi)
     if excess > 1.0e-8 * (1.0 + hi):

@@ -16,6 +16,8 @@ from smpnp import (driver, electrostatics, fem_core, mesh as meshmod, nonlinear_
 from smpnp.errors import ConfigError, ConvergenceError
 from smpnp.physics_model import ModelConstants, mixture_species
 
+from helpers import reference_block1_system
+
 
 def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -480,21 +482,51 @@ def test_equilibrium_run_factors_only_the_box(method, tmp_path):
     assert "block1_factors = 0" in summary and "block1_pcg_steps = 0" in summary
     # undamped Block 1 at the returned state: the face value the run takes
     # is what a fresh direct spec solves each system to, and the returned
-    # cbar, a damped blend, lies near it (5.5e-8 in relative L2)
+    # cbar, a damped blend, lies near it (5.5e-8 in relative L2).  Block 1
+    # builds no matrix for these species, so the reference assembles them
     sub, u_vals = result.submesh, result.submesh.restrict(result.u)
+    species, constants = result.species, result.constants
     mass = fem_core.assemble_mass(sub)
-    systems = transport.Block1(sub, result.species, result.constants).systems(u_vals, result.c)
+    d_nodal = transport.diffusion_nodal(sub, species, constants)
+    systems = transport.Block1(sub, species, constants, d_nodal).systems(u_vals, result.c)
 
     def rel_l2(x, ref):
         return fem_core.l2_norm(sub, x - ref, mass=mass) / fem_core.l2_norm(sub, ref, mass=mass)
 
     for i, system in enumerate(systems):
-        solved = sparse_linalg.solve(system.A, system.b,
-                                     sparse_linalg.LinearSolveSpec(method="direct"))
+        A, b = reference_block1_system(sub, species, i, u_vals, result.c, constants, d_nodal)
+        solved = sparse_linalg.solve(A, b, sparse_linalg.LinearSolveSpec(method="direct"))
         taken = transport.solve_transformed_np(sub, result.species, i, u_vals, result.c,
                                                result.constants, config.linear, system=system)
         assert rel_l2(taken, solved) <= 1e-12
         assert rel_l2(result.cbar[i], solved) <= 1e-6
+
+
+@pytest.mark.parametrize("method", ["direct", "krylov_ilu0"])
+def test_equilibrium_run_builds_no_block1_matrix(method, monkeypatch):
+    # at u_b = u_t no species is solved, so Block 1 builds no matrix and
+    # the submesh never builds its pinned weight map: the run's one weight
+    # map is the box's, and every matrix made from a map is the box operator
+    built, made = [], []
+
+    class CountedMap(fem_core._WeightMap):
+        def __init__(self, *args):
+            built.append(args[0].shape)
+            super().__init__(*args)
+
+        def matrices(self, W):
+            made.append((self.n, W.shape[1]))
+            return super().matrices(W)
+
+    monkeypatch.setattr(fem_core, "_WeightMap", CountedMap)
+    config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(sigma=-1.0),
+                              linear=sparse_linalg.LinearSolveSpec(method=method),
+                              geometry=meshmod.ChannelGeometry(resolution=6))
+    result = driver.run(config)
+    assert result.converged
+    assert built == [result.mesh.tets.shape]
+    assert made == [(result.mesh.num_vertices, 1)]
+    assert "pinned_map" not in vars(fem_core.p1_operator(result.submesh))
 
 
 def test_sweep_starts_its_inner_solves_from_its_iterate():

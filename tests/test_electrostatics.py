@@ -273,6 +273,17 @@ def test_phi_tilde_rhs_matches_load_assembly(channel_mesh, channel_submesh, spec
     assert np.max(np.abs(resid)) < 1e-8 * (1.0 + np.max(np.abs(oracle_rhs)))
 
 
+def test_box_solve_with_zero_boundary_needs_no_lift(channel_mesh, rng):
+    # Phi~'s zero boundary field: the pinned rows are set to 0, bitwise the
+    # lift of a zero field
+    box = es.box_poisson(channel_mesh, CONST)
+    rhs = rng.normal(size=channel_mesh.num_vertices)
+    with mock.patch.object(box, "lift", wraps=box.lift) as lift:
+        x = box.solve(rhs)
+    lift.assert_not_called()
+    assert np.array_equal(x, box.solve(rhs, np.zeros_like(rhs)))
+
+
 def test_phi_tilde_linearity(channel_mesh, channel_submesh, species4, rng):
     c = 0.02 + 0.08 * rng.random((4, channel_submesh.num_vertices))
     sys = es.PhiTildeSystem(channel_mesh, channel_submesh, species4.Z, CONST, DIRECT)

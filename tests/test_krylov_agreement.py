@@ -6,8 +6,9 @@ on the Block-1 systems that the R=12 sigma=-1 equilibrium run assembles,
 end to end on the biased R=12 sigma=-1, u_t=1.5 run, and on Block-1
 systems of the same submesh under potentials large enough to reach the
 exponent cap, whose diagonals span 1e20 and more.  The equilibrium run
-solves none of its Block-1 systems (each has equal face values, so its
-answer is that constant), but the systems it assembles are still gated.
+neither builds nor solves its Block-1 systems (each has equal face values,
+so its answer is that constant), but the systems at its iterates are still
+gated, assembled by the per-species reference.
 """
 
 import logging
@@ -20,7 +21,7 @@ from smpnp import driver, mesh as meshmod, sparse_linalg, transport
 from smpnp.errors import LinearSolveError
 from smpnp.physics_model import ModelConstants, mixture_species
 
-from helpers import capped_block1_weights, pinned_system
+from helpers import capped_block1_weights, pinned_system, reference_block1_system
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 KRYLOV = sparse_linalg.LinearSolveSpec(method="krylov_ilu0")
@@ -43,20 +44,23 @@ def _assert_forward_agreement(A, b, tol=1e-2):
 
 @pytest.fixture(scope="module")
 def equilibrium_systems():
-    """The (A, b) of each Block-1 system that the direct R=12 sigma=-1
-    equilibrium run assembles, per sweep."""
+    """The (A, b) of each species' Block-1 system at the (u, c) of each
+    sweep of the direct R=12 sigma=-1 equilibrium run, assembled by
+    ``reference_block1_system``."""
     captured = []
     systems = transport.Block1.systems
 
     def capture(self, u_vals, c_fields):
-        captured.append(systems(self, u_vals, c_fields))
-        return captured[-1]
+        captured.append((u_vals, c_fields))
+        return systems(self, u_vals, c_fields)
 
     with mock.patch.object(transport.Block1, "systems", capture):
         result = driver.run(_sigma12_config(DIRECT))
     assert len(captured) == result.iterations
-    assert all(len(sweep) == len(result.species) for sweep in captured)
-    return [[(s.A, s.b) for s in sweep] for sweep in captured]
+    sub, species, constants = result.submesh, result.species, result.constants
+    d_nodal = transport.diffusion_nodal(sub, species, constants)
+    return [[reference_block1_system(sub, species, i, u_vals, c_fields, constants, d_nodal)
+             for i in range(len(species))] for u_vals, c_fields in captured]
 
 
 @pytest.mark.parametrize("sweep", [0, -1], ids=["equilibrium", "late"])

@@ -61,9 +61,8 @@ def test_transformed_solve_constant_dirichlet(channel_submesh, species4):
     assert np.allclose(cbar, gb, rtol=1e-10)
 
 
-def _fresh_superlu(system):
-    A = system.A
-    return sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), system.b,
+def _fresh_superlu(A, b):
+    return sparse_linalg.solve_factored(A, sparse_linalg.factorize(A), b,
                                         sparse_linalg.inf_norm(A))
 
 
@@ -72,7 +71,7 @@ def test_equal_face_system_returns_its_face_value(channel_submesh, species4, rng
     # at u_b = u_t each species' two face values are equal, and the constant
     # solves its pinned system for any D_hat > 0: the solve returns it
     # bitwise without calling the linear solver, and a fresh SuperLU solve
-    # of the same system agrees
+    # of the same system, assembled by the reference, agrees
     Ns = channel_submesh.num_vertices
     u = rng.uniform(-1.0, 1.0, size=Ns)
     c = rng.uniform(0.05, 0.2, size=(4, Ns))
@@ -86,7 +85,9 @@ def test_equal_face_system_returns_its_face_value(channel_submesh, species4, rng
             cbar = transport.solve_transformed_np(channel_submesh, species4, i, u, c, CONST,
                                                   spec, excursions=excursions, system=system)
         assert cbar.dtype == float and np.array_equal(cbar, np.full(Ns, system.lo))
-        assert np.max(np.abs(_fresh_superlu(system) - system.lo)) <= 1e-13 * system.lo
+        A, b = reference_block1_system(channel_submesh, species4, i, u, c, CONST,
+                                       block1.d_nodal)
+        assert np.max(np.abs(_fresh_superlu(A, b) - system.lo)) <= 1e-13 * system.lo
     assert not excursions.count.any()
     assert not spec.kept.entries and spec.kept.pcg_steps == 0
 
@@ -112,9 +113,36 @@ def test_only_the_neutral_species_takes_its_face_value(channel_submesh, species4
             cbar = transport.solve_transformed_np(channel_submesh, species, i, u, c,
                                                   constants, DIRECT, system=system)
     assert solved == [0, 1, 2, 3]
-    neutral = block1.systems(u, c)[4]
-    assert np.array_equal(cbar, np.full(Ns, neutral.lo))
-    assert np.max(np.abs(_fresh_superlu(neutral) - neutral.lo)) <= 1e-13 * neutral.lo
+    lo = block1.systems(u, c)[4].lo
+    assert np.array_equal(cbar, np.full(Ns, lo))
+    A, b = reference_block1_system(channel_submesh, species, 4, u, c, constants, block1.d_nodal)
+    assert np.max(np.abs(_fresh_superlu(A, b) - lo)) <= 1e-13 * lo
+
+
+def test_block1_builds_matrices_for_the_solved_species_only(channel_submesh, species4, rng):
+    # at u_t = 1.5 the charged species are solved and a Z = 0 one is not:
+    # systems builds the charged species' matrices, each bitwise the
+    # per-species reference, and none for the neutral species
+    species = SpeciesSet(list(species4) + [IonSpecies("N0", 0, 30.0, 0.1, 0.2, 0.1)])
+    constants = replace(CONST, u_t=1.5)
+    Ns = channel_submesh.num_vertices
+    u = rng.uniform(0.0, 1.5, size=Ns)
+    c = rng.uniform(0.05, 0.2, size=(len(species), Ns))
+    block1 = transport.Block1(channel_submesh, species, constants)
+    assert block1.solved.tolist() == [0, 1, 2, 3]
+    with mock.patch.object(fem_core._WeightMap, "matrices",
+                           autospec=True, side_effect=fem_core._WeightMap.matrices) as spy:
+        systems = block1.systems(u, c)
+    assert spy.call_count == 1 and spy.call_args.args[1].shape[1] == 4
+    for i, system in enumerate(systems[:4]):
+        A_ref, b_ref = reference_block1_system(channel_submesh, species, i, u, c, constants,
+                                               block1.d_nodal)
+        assert np.array_equal(system.A.indptr, A_ref.indptr)
+        assert np.array_equal(system.A.indices, A_ref.indices)
+        assert np.array_equal(system.A.data, A_ref.data)
+        assert np.array_equal(system.b, b_ref)
+    assert systems[4].A is None and systems[4].b is None
+    assert systems[4].lo == systems[4].hi
 
 
 def test_transformed_solve_linear_slab_profile(cube_sub):
@@ -165,8 +193,8 @@ def test_krylov_block1_at_charged_membrane_equilibrium(species4):
     # Block 1 at the sigma = -1 initial iterate, where the transformed
     # diagonals span the exponent cap: every CG answer must pass the
     # backward-error check of the full-size pinned system.  At u_b = u_t a
-    # run takes each species' face value unsolved, so the systems are
-    # solved here directly
+    # run takes each species' face value and builds no system, so the
+    # reference assembles the systems and they are solved here directly
     consts = replace(CONST, sigma=-1.0)
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
     sub = meshmod.extract_solvent_submesh(mesh)
@@ -179,8 +207,10 @@ def test_krylov_block1_at_charged_membrane_equilibrium(species4):
         lambda f: fem_core.l2_norm(sub, f, mass=mass_sub))
     u = sub.restrict(psi + phi)
     krylov = sparse_linalg.LinearSolveSpec(method="krylov_ilu0").keeping_factors()
-    for system in transport.Block1(sub, species4, consts).systems(u, c):
-        cbar = sparse_linalg.solve(system.A, system.b, krylov)
+    d_nodal = transport.diffusion_nodal(sub, species4, consts)
+    for i in range(len(species4)):
+        A, b = reference_block1_system(sub, species4, i, u, c, consts, d_nodal)
+        cbar = sparse_linalg.solve(A, b, krylov)
         assert np.all(np.isfinite(cbar)) and np.all(cbar > 0.0)
     assert krylov.kept.pcg_steps > 0
 
