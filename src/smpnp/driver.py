@@ -287,8 +287,9 @@ class RunResult:
 
 
 #: Phases of run before the equilibrium initializer: mesh synthesis or
-#: loading, submesh extraction, the box operator and its factor, Psi (with
-#: the atom file and G at the nodes), and the mass matrices of the norms.
+#: loading, submesh extraction, the Phi~ system (the box operator, its
+#: factor and the submesh mass of Phi~'s load), Psi (with the atom file and
+#: G at the nodes), and the box mass matrix of the norms.
 SETUP_PHASES = ("mesh", "submesh", "box", "psi", "masses")
 
 
@@ -324,19 +325,19 @@ def run(config: RunConfig):
     kept = spec.kept
     n = len(species)
 
-    # the box factor that Psi and Phi~ share; first, as that lowers peak memory
-    electrostatics.box_poisson(mesh, constants)
+    # the box factor that Psi and Phi~ share, which the Phi~ system owns;
+    # first, as that lowers peak memory
+    phit_sys = electrostatics.PhiTildeSystem(mesh, submesh, species.Z, constants, spec)
     clock.mark("box")
     atoms = config.build_atoms()
     logger.info("mesh: %d vertices, %d tets (%d solvent, %d distinct shapes); "
                 "%d species; %d atoms", mesh.num_vertices, mesh.num_tets,
                 len(submesh.tets), len(fem_core.p1_operator(mesh).volumes), n, len(atoms))
     g_nodes = electrostatics.nodal_G(mesh, atoms, constants)
-    psi = electrostatics.solve_psi(mesh, atoms, constants, g_nodes)
+    psi = electrostatics.solve_psi(mesh, atoms, constants, g_nodes, phit_sys.box)
     w = g_nodes + psi
     clock.mark("psi")
 
-    phit_sys = electrostatics.PhiTildeSystem(mesh, submesh, species.Z, constants, spec)
     norm_box = fem_core.MassNorm(mesh, fem_core.assemble_mass(mesh))
     norm_sub = fem_core.MassNorm(submesh, phit_sys.mass)
     clock.mark("masses")

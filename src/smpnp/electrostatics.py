@@ -4,7 +4,8 @@ G is the analytic Coulomb potential of the protein's atomic charges in a
 uniform protein dielectric; Psi corrects G to the box's piecewise
 dielectric, boundary data, and membrane surface charge (computed once);
 Phi_tilde carries the ionic charge and is re-solved inside the outer block
-iteration.  Both solve with one factored operator per mesh (BoxPoisson).
+iteration.  Both solve with one factored operator (BoxPoisson), which a
+run builds once, with its Phi_tilde system, and owns.
 
 The Psi weak form is assembled in the dielectric-mismatch form
     a(Psi, v) = -int_Omega (eps(r) - eps_p) grad(G).grad(v)
@@ -171,11 +172,12 @@ def nodal_G(mesh: meshmod.LabeledMesh, atoms: AtomicCharges, constants: ModelCon
 
 
 def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
-              constants: ModelConstants, g_nodes):
+              constants: ModelConstants, g_nodes, box):
     """Boundary/interface correction potential Psi on the box mesh.
 
     ``g_nodes`` is ``nodal_G(mesh, atoms, constants)``, the singular
-    potential at the nodes.
+    potential at the nodes, and ``box`` the ``BoxPoisson`` of ``mesh`` and
+    ``constants`` that solves it.
     """
     n = mesh.num_vertices
     rhs = np.zeros(n)
@@ -206,7 +208,7 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
         rhs += constants.tau * constants.sigma * fem_core.assemble_surface_load(
             mesh, meshmod.GAMMA_M)
     g = fem_core.face_values(mesh, constants.u_b, constants.u_t) - g_nodes
-    return box_poisson(mesh, constants).solve(rhs, g)
+    return box.solve(rhs, g)
 
 
 def _orient_outward(mesh, facets, normals):
@@ -224,7 +226,8 @@ def _orient_outward(mesh, facets, normals):
 class BoxPoisson:
     """The dielectric stiffness of the box pinned on the Gamma_D nodes, its
     SuperLU factor and its infinity norm, shared by Psi and every Phi_tilde
-    solve.
+    solve of a run.  The run's ``PhiTildeSystem`` builds it and holds it
+    (``box``), so it dies with the run.
 
     Built from the pinned P1 weight map of the per-tet permittivities, as
     Block 1's systems are; of the map only the boundary lift is kept, which
@@ -255,22 +258,13 @@ class BoxPoisson:
         return sparse_linalg.solve_factored(self.A, self.factor, b, self.a_norm)
 
 
-def box_poisson(mesh: meshmod.LabeledMesh, constants: ModelConstants):
-    """The mesh's BoxPoisson, built on first use and stored on the mesh
-    with the permittivities it was built for."""
-    key = (constants.eps_s, constants.eps_p, constants.eps_m)
-    cached = getattr(mesh, "_box_poisson", (None, None))
-    if cached[0] != key:
-        cached = mesh._box_poisson = (key, BoxPoisson(mesh, constants))
-    return cached[1]
-
-
 class PhiTildeSystem:
     """Reusable ionic-potential solve: fixed operator, varying charge.
 
-    The load is beta times the submesh mass matrix ``mass`` (which the
-    driver's submesh norm shares) applied to the charge, prolonged to the
-    box by zero; solves with the mesh's BoxPoisson; ``spec`` is not used.
+    Builds the run's BoxPoisson (``box``) first, then the submesh mass
+    matrix ``mass`` (which the driver's submesh norm shares): the load is
+    beta times ``mass`` applied to the charge, prolonged to the box by
+    zero, and ``box`` solves it.  ``spec`` is not used.
     """
 
     def __init__(self, mesh: meshmod.LabeledMesh, submesh: meshmod.SolventSubmesh,
@@ -279,8 +273,8 @@ class PhiTildeSystem:
         self.submesh = submesh
         self.Z = np.asarray(species_Z, dtype=float)
         self.beta = constants.beta
+        self.box = BoxPoisson(mesh, constants)
         self.mass = fem_core.assemble_mass(submesh)
-        self.box = box_poisson(mesh, constants)
 
     def solve(self, c_fields):
         """Phi_tilde candidate q for solvent concentration fields (n, Ns)."""

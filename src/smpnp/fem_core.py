@@ -79,12 +79,11 @@ class P1Operator:
     arrays are ``grads[shape]`` and so on; readers index at the point of
     use.  ``dirichlet_sides`` holds the mesh's ``dirichlet_side_nodes()``
     and ``pinned`` the same nodes in one array, bottom then top: every
-    stiffness map pins them.  The weight map is kept (``pinned_map``),
-    built on first use, because Block 1 assembles the matrices of the
-    species it solves every sweep; a run that solves none (an equilibrium)
-    never builds it.  A weight map used once, as the box operator's is, is
-    not kept.  Obtain the operator through ``p1_operator``; the mesh must
-    not be mutated afterwards.
+    stiffness map pins them.  The operator holds geometry only: a weight
+    map belongs to whoever builds it (``stiffness_map``), as a run's
+    ``transport.Block1`` and box operator each build theirs once.  Obtain
+    the operator through ``p1_operator``; the mesh must not be mutated
+    afterwards.
 
     A submesh (a mesh with ``parent`` and ``parent_tet_ids``) shares its
     parent's per-shape arrays, and its ``shape`` is the parent's at
@@ -134,11 +133,6 @@ class P1Operator:
         """
         return _WeightMap(self.tets, self.num_vertices, self.local_stiffness[self.shape],
                           self.pinned)
-
-    @cached_property
-    def pinned_map(self):
-        """``stiffness_map()``, built on first use and kept."""
-        return self.stiffness_map()
 
 
 def p1_operator(mesh):

@@ -517,10 +517,6 @@ class SolventSubmesh:
         out[..., self.vertex_map] = f_s
         return out
 
-    @property
-    def box(self):
-        return self.parent.box
-
     def dirichlet_side_nodes(self):
         """The parent's (bottom_nodes, top_nodes) as local indices: every
         Dirichlet facet bounds a solvent tet (``LabeledMesh.validate``)."""

@@ -79,10 +79,11 @@ class Block1:
     (``fem_core.face_values``).  A species whose two face values are equal
     has that constant as its Block-1 answer at every iterate, which
     ``solve_transformed_np`` returns; ``systems`` checks its D_hat and
-    weights but builds no matrix for it.  The submesh's kept
-    ``pinned_map``, whose pattern and CSR index arrays every Block-1 matrix
-    shares, is read only when some species is solved (``weights``, None
-    otherwise), so an equilibrium run never builds it.
+    weights but builds no matrix for it.  The submesh's pinned weight map
+    (``weights``), whose pattern and CSR index arrays every Block-1 matrix
+    shares, is built here once and only when some species is solved (None
+    otherwise), so an equilibrium run never builds it; it lives as long as
+    this Block1, which a run owns.
     """
 
     def __init__(self, submesh, species: SpeciesSet, constants: ModelConstants,
@@ -97,7 +98,7 @@ class Block1:
         self.g_bar = [fem_core.face_values(submesh, lo, hi) for lo, hi in zip(bottom, top)]
         self.ranges = [(min(lo, hi), max(lo, hi)) for lo, hi in zip(bottom, top)]
         self.solved = np.flatnonzero(bottom != top)
-        self.weights = op.pinned_map if self.solved.size else None
+        self.weights = op.stiffness_map() if self.solved.size else None
 
     def systems(self, u_vals, c_fields):
         """The PinnedSystem of every species at the nodal potential

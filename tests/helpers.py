@@ -148,10 +148,11 @@ def capped_block1_weights(sub, geom, field, species):
 
 def pinned_system(mesh, weight, g):
     """(A, b) of the ``weight``ed stiffness problem with zero load and the
-    boundary field ``g`` on Gamma_D, from the mesh's kept ``pinned_map``."""
+    boundary field ``g`` on Gamma_D, from the mesh's pinned weight map."""
     op = fem_core.p1_operator(mesh)
     w = fem_core._tet_weight(op, weight)
-    return op.pinned_map.matrix(w), op.pinned_map.lift(w, g)
+    weights = op.stiffness_map()
+    return weights.matrix(w), weights.lift(w, g)
 
 
 def p1_geometry_reference(mesh):
@@ -283,11 +284,12 @@ def reference_block1_system(submesh, species, i, u_vals, c_fields, constants, d_
                                         for u in (constants.u_b, constants.u_t)))
     op = fem_core.p1_operator(submesh)
     w = fem_core._tet_weight(op, dhat)
-    data = op.pinned_map.map @ w
-    data[op.pinned_map.diag] = 1.0
+    weights = op.stiffness_map()
+    data = weights.map @ w
+    data[weights.diag] = 1.0
     n = op.num_vertices
-    A = sp.csr_matrix((data, op.pinned_map.indices, op.pinned_map.indptr), shape=(n, n))
-    return A, op.pinned_map.lift(w, g)
+    A = sp.csr_matrix((data, weights.indices, weights.indptr), shape=(n, n))
+    return A, weights.lift(w, g)
 
 
 def reference_log_water(log_a, r, s0, max_iter=100, s_tol=1.0e-14):

@@ -249,7 +249,7 @@ def test_criterion_8_decomposition_vs_monolithic():
         mesh = meshmod.synth_channel_mesh(
             meshmod.ChannelGeometry(resolution=res))
         g_nodes = es.eval_G(atoms, CONST, mesh.vertices)
-        w = g_nodes + es.solve_psi(mesh, atoms, CONST, g_nodes)
+        w = g_nodes + es.solve_psi(mesh, atoms, CONST, g_nodes, es.BoxPoisson(mesh, CONST))
         A = fem_core.assemble_weighted_stiffness(mesh, es.region_eps(mesh, CONST))
         b = CONST.alpha * point_charge_load(mesh, atoms)
         A, b = fem_core.apply_dirichlet(A, b, fem_core.p1_operator(mesh).pinned,

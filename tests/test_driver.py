@@ -1,10 +1,12 @@
 import codecs
 import functools
+import gc
 import logging
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -367,12 +369,19 @@ def test_run_builds_p1_geometry_once_per_mesh(tmp_path):
 def test_run_builds_each_weight_map_once(monkeypatch):
     # weight maps of the box stiffness and the Block-1 pinned stiffness,
     # mass products of the box and the submesh: however many sweeps run,
-    # every later assembly reuses these
-    built, products = [], []
+    # every later assembly reuses these.  The run owns its weight maps and
+    # its box operator: none outlives it in the returned result or its meshes
+    built, products, alive = [], [], []
 
     class CountedMap(fem_core._WeightMap):
         def __init__(self, *args):
             built.append(args[0].shape)
+            alive.append(weakref.ref(self))
+            super().__init__(*args)
+
+    class OwnedBox(electrostatics.BoxPoisson):
+        def __init__(self, *args):
+            alive.append(weakref.ref(self))
             super().__init__(*args)
 
     mass_product = fem_core._mass_product
@@ -382,6 +391,7 @@ def test_run_builds_each_weight_map_once(monkeypatch):
         return mass_product(op, vols)
 
     monkeypatch.setattr(fem_core, "_WeightMap", CountedMap)
+    monkeypatch.setattr(electrostatics, "BoxPoisson", OwnedBox)
     monkeypatch.setattr(fem_core, "_mass_product", counted_product)
     config = driver.RunConfig(species=mixture_species(),
                               constants=ModelConstants(sigma=-1.0, u_t=1.5),
@@ -396,6 +406,10 @@ def test_run_builds_each_weight_map_once(monkeypatch):
     assert spy.call_count == 1
     # mesh validation takes its volumes from the same P1 geometry
     assert det.call_count == 1
+    assert len(alive) == 3
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * 3
+    assert "_box_poisson" not in vars(result.mesh)
 
 
 def test_run_inverts_one_matrix_per_tet_shape():
@@ -526,7 +540,6 @@ def test_equilibrium_run_builds_no_block1_matrix(method, monkeypatch):
     assert result.converged
     assert built == [result.mesh.tets.shape]
     assert made == [(result.mesh.num_vertices, 1)]
-    assert "pinned_map" not in vars(fem_core.p1_operator(result.submesh))
 
 
 def test_sweep_starts_its_inner_solves_from_its_iterate():

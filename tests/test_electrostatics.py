@@ -211,27 +211,28 @@ def test_psi_lift_matches_symmetric_elimination(channel_mesh, rng):
     g_nodes = es.eval_G(atoms, constants, channel_mesh.vertices)
     g = fem_core.face_values(channel_mesh, constants.u_b, constants.u_t) - g_nodes
     pinned = fem_core.p1_operator(channel_mesh).pinned
-    box = es.box_poisson(channel_mesh, constants)
+    box = es.BoxPoisson(channel_mesh, constants)
     load = rng.normal(size=channel_mesh.num_vertices)
     _, b_ref = fem_core.apply_dirichlet(
         fem_core.assemble_weighted_stiffness(channel_mesh, box.eps), load, pinned, g)
     b = box.lift(box.eps, g, load)
     assert np.allclose(b, b_ref, rtol=0.0, atol=1e-14 * np.abs(b_ref).max())
     assert np.array_equal(b[pinned], g[pinned])
-    psi = es.solve_psi(channel_mesh, atoms, constants, g_nodes)
+    psi = es.solve_psi(channel_mesh, atoms, constants, g_nodes, box)
     assert np.array_equal(psi[pinned], g[pinned])
 
 
 def test_solve_psi_zero_data(channel_mesh):
     psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), CONST,
-                       np.zeros(channel_mesh.num_vertices))
+                       np.zeros(channel_mesh.num_vertices), es.BoxPoisson(channel_mesh, CONST))
     assert np.allclose(psi, 0.0, atol=1e-12)
 
 
 def test_solve_psi_membrane_charge_weak_residual(channel_mesh):
     constants = replace(CONST, sigma=-1.0)
     psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), constants,
-                       np.zeros(channel_mesh.num_vertices))
+                       np.zeros(channel_mesh.num_vertices),
+                       es.BoxPoisson(channel_mesh, constants))
     A = fem_core.assemble_weighted_stiffness(channel_mesh,
                                              es.region_eps(channel_mesh, constants))
     rhs = constants.tau * constants.sigma * fem_core.assemble_surface_load(
@@ -276,7 +277,7 @@ def test_phi_tilde_rhs_matches_load_assembly(channel_mesh, channel_submesh, spec
 def test_box_solve_with_zero_boundary_needs_no_lift(channel_mesh, rng):
     # Phi~'s zero boundary field: the pinned rows are set to 0, bitwise the
     # lift of a zero field
-    box = es.box_poisson(channel_mesh, CONST)
+    box = es.BoxPoisson(channel_mesh, CONST)
     rhs = rng.normal(size=channel_mesh.num_vertices)
     with mock.patch.object(box, "lift", wraps=box.lift) as lift:
         x = box.solve(rhs)

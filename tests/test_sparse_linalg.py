@@ -206,7 +206,7 @@ def channel12_systems():
     weight = np.exp(r.uniform(-45.0, 45.0, size=sub.num_vertices))
     g = fem_core.face_values(sub, 0.1, 2.5)
     block1, b = pinned_system(sub, weight, g)
-    box = electrostatics.box_poisson(mesh, ModelConstants())
+    box = electrostatics.BoxPoisson(mesh, ModelConstants())
     return {"block1": (block1, b), "box": (box.A, None), "block1_data": (sub, weight, g)}
 
 

@@ -198,8 +198,9 @@ def test_krylov_block1_at_charged_membrane_equilibrium(species4):
     consts = replace(CONST, sigma=-1.0)
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
     sub = meshmod.extract_solvent_submesh(mesh)
-    psi = es.solve_psi(mesh, es.AtomicCharges.none(), consts, np.zeros(mesh.num_vertices))
     phit = es.PhiTildeSystem(mesh, sub, species4.Z, consts, DIRECT)
+    psi = es.solve_psi(mesh, es.AtomicCharges.none(), consts, np.zeros(mesh.num_vertices),
+                       phit.box)
     mass_box, mass_sub = fem_core.assemble_mass(mesh), fem_core.assemble_mass(sub)
     phi, c, _ = nonlinear_node.solve_smpbic(
         sub, psi, species4, consts, phit.solve,
