@@ -552,7 +552,8 @@ def _cmd_run(args):
 def _cmd_check(args):
     config = parse_config(args.config)
     mesh = config.build_mesh()
-    meshmod.extract_solvent_submesh(mesh)
+    transport.diffusion_nodal(meshmod.extract_solvent_submesh(mesh), config.species,
+                              config.constants)
     electrostatics.nodal_G(mesh, config.build_atoms(), config.constants)
     print("config ok: %d vertices, %d tets, %d species"
           % (mesh.num_vertices, mesh.num_tets, len(config.species)))

@@ -177,10 +177,9 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
 
     ``g_nodes`` is ``nodal_G(mesh, atoms, constants)``, the singular
     potential at the nodes, and ``box`` the ``BoxPoisson`` of ``mesh`` and
-    ``constants`` that solves it.
+    ``constants`` that solves it.  dG/dn on Gamma_N takes box-plane normals.
     """
-    n = mesh.num_vertices
-    rhs = np.zeros(n)
+    rhs = np.zeros(mesh.num_vertices)
     if len(atoms):
         # dielectric-mismatch volume term, protein tets drop out
         op = fem_core.p1_operator(mesh)
@@ -196,31 +195,17 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
                                  (eps[active] - constants.eps_p) * op.volumes[shape],
                                  op.grads[shape], mean_grad)
             np.add.at(rhs, mesh.tets[active].ravel(), contrib.ravel())
-        # -eps_p dG/dn on the side boundary
+        # -eps_p dG/dn on the side boundary, n from each facet's box plane
         nfac = mesh.facets[mesh.facet_labels == meshmod.GAMMA_N]
-        if nfac.size:
-            _, normals = fem_core.triangle_areas_normals(mesh, nfac)
-            normals = _orient_outward(mesh, nfac, normals)
-            gv = grad_G(atoms, constants, mesh.vertices[nfac.ravel()]).reshape(nfac.shape + (3,))
-            flux = -constants.eps_p * np.einsum("fck,fk->fc", gv, normals)
-            rhs += fem_core.assemble_surface_load_nodal(mesh, nfac, flux)
+        normals = meshmod.BOX_NORMALS[meshmod.box_planes(mesh.vertices, nfac, mesh.box)]
+        gv = grad_G(atoms, constants, mesh.vertices[nfac.ravel()]).reshape(nfac.shape + (3,))
+        flux = -constants.eps_p * np.einsum("fck,fk->fc", gv, normals)
+        rhs += fem_core.assemble_surface_load_nodal(mesh, nfac, flux)
     if constants.sigma != 0.0:
         rhs += constants.tau * constants.sigma * fem_core.assemble_surface_load(
             mesh, meshmod.GAMMA_M)
     g = fem_core.face_values(mesh, constants.u_b, constants.u_t) - g_nodes
     return box.solve(rhs, g)
-
-
-def _orient_outward(mesh, facets, normals):
-    """Flip triangle normals to point out of the box."""
-    center = np.array([0.5 * (mesh.box[0] + mesh.box[1]),
-                       0.5 * (mesh.box[2] + mesh.box[3]),
-                       0.5 * (mesh.box[4] + mesh.box[5])])
-    mid = mesh.vertices[facets].mean(axis=1)
-    flip = np.einsum("fk,fk->f", normals, mid - center) < 0.0
-    out = normals.copy()
-    out[flip] *= -1.0
-    return out
 
 
 class BoxPoisson:

@@ -317,12 +317,10 @@ def _mass_product(op, vols):
     return mass
 
 
-def triangle_areas_normals(mesh, facets):
-    """Areas and unit normals (unoriented) of the given triangles."""
+def triangle_areas(mesh, facets):
+    """Areas of the given triangles (half the norm of the edge cross product)."""
     p = mesh.vertices[facets]
-    cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    nrm = np.linalg.norm(cr, axis=1)
-    return 0.5 * nrm, cr / nrm[:, None]
+    return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
 
 
 def assemble_surface_load(mesh, label):
@@ -337,10 +335,10 @@ def assemble_surface_load(mesh, label):
 def assemble_surface_load_nodal(mesh, facets, values):
     """Load vector int f phi_a dS for P1 surface data given at facet corners.
 
-    ``values`` has shape (K, 3), one value per corner of each facet; uses
-    the exact P1xP1 triangle integral area/12 * (2 f_a + f_b + f_c).
+    ``values`` (K, 3) is one per facet corner, any normal in it the facet's box
+    plane's; uses the exact P1xP1 integral area/12 * (2 f_a + f_b + f_c).
     """
-    areas, _ = triangle_areas_normals(mesh, facets)
+    areas = triangle_areas(mesh, facets)
     coef = (values + values.sum(axis=1, keepdims=True)) * (areas / 12.0)[:, None]
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, facets.ravel(), coef.ravel())

@@ -60,14 +60,16 @@ class LabeledMesh:
 
         ``face_table`` is ``_face_owners(self.tets, self.num_vertices)``
         when the caller has already built it; None builds it here.  Each
-        call checks the vertex ids first, then builds the mesh's P1 geometry
-        afresh, which rejects an inverted tet, and stores it for
-        ``fem_core.p1_operator``.  One lookup of the facets in the face
-        table then checks that every interface facet separates the regions
+        call checks the box order and the vertex ids first, then builds the
+        mesh's P1 geometry afresh, which rejects an inverted tet, and stores
+        it for ``fem_core.p1_operator``.  Dirichlet facets must lie on
+        ``box_planes`` planes 4-5, Neumann ones on 0-3.  One face-table
+        lookup then checks that every interface facet separates the regions
         of its label, that every Dirichlet facet bounds a solvent tet (so
-        the box's Dirichlet nodes are all solvent-submesh nodes), and that
-        every face with exactly one solvent owner carries a facet.
+        the box's Dirichlet nodes are all solvent nodes), and that every
+        face with exactly one solvent owner carries a facet.
         """
+        check_box_order(self.box, self.z1, self.z2)
         _check_vertex_ids(self.tets, self.num_vertices, "tet")
         _check_vertex_ids(self.facets, self.num_vertices, "facet")
         self._p1_operator = fem_core.P1Operator(self)
@@ -77,19 +79,13 @@ class LabeledMesh:
         unknown = set(np.unique(self.facet_labels)) - set(_FACET_LABELS)
         if unknown:
             raise MeshError("unknown facet label %s" % sorted(unknown)[0])
-        x1, x2, y1, y2, z1, z2 = self.box
-        dirichlet = np.nonzero(self.facet_labels == GAMMA_D)[0]
-        zc = self.vertices[self.facets[dirichlet], 2]
-        ok = _all_near(zc, z1) | _all_near(zc, z2)
-        if not ok.all():
-            raise MeshError("Dirichlet facet %d not on z=L_z1 or z=L_z2"
-                            % dirichlet[np.argmin(ok)])
-        neumann = np.nonzero(self.facet_labels == GAMMA_N)[0]
-        pts = self.vertices[self.facets[neumann]]
-        ok = (_all_near(pts[..., 0], x1) | _all_near(pts[..., 0], x2)
-              | _all_near(pts[..., 1], y1) | _all_near(pts[..., 1], y2))
-        if not ok.all():
-            raise MeshError("Neumann facet %d not on a side plane" % neumann[np.argmin(ok)])
+        for label, planes, message in (
+                (GAMMA_D, (4, 5), "Dirichlet facet %d not on z=L_z1 or z=L_z2"),
+                (GAMMA_N, (0, 1, 2, 3), "Neumann facet %d not on a side plane")):
+            ids = np.flatnonzero(self.facet_labels == label)
+            bad = ~np.isin(box_planes(self.vertices, self.facets[ids], self.box), planes)
+            if bad.any():
+                raise MeshError(message % ids[np.argmax(bad)])
         faces, owners = (_face_owners(self.tets, self.num_vertices) if face_table is None
                          else face_table)
         n, labels = self.num_vertices, self.facet_labels
@@ -115,11 +111,10 @@ class LabeledMesh:
         return self
 
     def dirichlet_side_nodes(self):
-        """(bottom_nodes, top_nodes) on the Dirichlet facets, disjoint."""
-        z1 = self.box[4]
-        nodes = np.unique(self.facets[self.facet_labels == GAMMA_D])
-        on_bottom = np.abs(self.vertices[nodes, 2] - z1) < _GEOM_TOL
-        return nodes[on_bottom], nodes[~on_bottom]
+        """(bottom, top): the sorted nodes of the Dirichlet facets on box planes 4 and 5."""
+        facets = self.facets[self.facet_labels == GAMMA_D]
+        planes = box_planes(self.vertices, facets, self.box)
+        return np.unique(facets[planes == 4]), np.unique(facets[planes == 5])
 
 
 #: Local vertex triples of a tet's faces, in the order the face scan meets
@@ -134,8 +129,32 @@ _PAIR_LABEL += _PAIR_LABEL.T
 
 
 def _all_near(coords, value):
-    """Per row: do all of ``coords`` lie within the geometry tolerance of ``value``?"""
-    return np.all(np.abs(coords - value) < _GEOM_TOL, axis=-1)
+    """Per column: do all of ``coords`` lie within the geometry tolerance of ``value``?"""
+    return np.all(np.abs(coords - value) < _GEOM_TOL, axis=0)
+
+
+#: Unit normals of the planes x1, x2, y1, y2, z1, z2 of an ordered box, outward.
+BOX_NORMALS = np.array([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+                        (0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)])
+
+
+def box_planes(vertices, facets, box):
+    """Per facet, the index k into ``box`` (x1, x2, y1, y2, z1, z2) of the plane
+    (coordinate k // 2 = box[k]) holding its corners within _GEOM_TOL, else -1,
+    the higher k for a facet on two; the package's only plane test."""
+    corners = np.take(vertices.T, facets.T, axis=1)  # (axis, corner, facet), contiguous rows
+    planes = np.full(len(facets), -1, dtype=np.int64)
+    for k, value in enumerate(box):
+        planes[_all_near(corners[k // 2], value)] = k
+    return planes
+
+
+def check_box_order(box, z1, z2):
+    """MeshError unless x1 < x2, y1 < y2 and L_z1 < Z1 < Z2 < L_z2, as BOX_NORMALS needs."""
+    x1, x2, y1, y2, zlo, zhi = box
+    require(x1 < x2 and y1 < y2, MeshError, "box must satisfy x1 < x2 and y1 < y2", "box")
+    require(zlo < z1 < z2 < zhi, MeshError,
+            "membrane planes must satisfy L_z1 < Z1 < Z2 < L_z2", "box", "z1", "z2")
 
 
 def _face_keys(faces, n):
@@ -370,10 +389,7 @@ class ChannelGeometry:
             value = getattr(self, name)
             require(np.all(np.isfinite(value)), MeshError,
                     "%s must be finite, got %r" % (name, value), name)
-        x1, x2, y1, y2, zlo, zhi = self.box
-        require(x1 < x2 and y1 < y2, MeshError, "box must satisfy x1 < x2 and y1 < y2", "box")
-        require(zlo < self.z1 < self.z2 < zhi, MeshError,
-                "membrane planes must satisfy L_z1 < Z1 < Z2 < L_z2", "box", "z1", "z2")
+        check_box_order(self.box, self.z1, self.z2)
         for name in ("pore_radius", "shell_radius"):
             value = getattr(self, name)
             require(value >= 0, MeshError, "pore and shell radii must not be negative, "
@@ -433,16 +449,14 @@ def _classify_regions(geom: ChannelGeometry, centroids):
 def derive_facets(vertices, tets, regions, box, face_table=None):
     """Interface and boundary facet lists from tet adjacency.
 
-    ``face_table`` is ``_face_owners(tets, len(vertices))`` when the caller
-    has already built it; None builds it here.
+    A one-owner face is Dirichlet on ``box_planes`` plane 4 or 5, else Neumann.
+    ``face_table`` is ``_face_owners(tets, len(vertices))``, or None to build it.
     """
-    z1, z2 = box[4], box[5]
     faces, owners = (_face_owners(tets, len(vertices)) if face_table is None
                      else face_table)
     boundary = owners[:, 1] < 0
     labels = _PAIR_LABEL[regions[owners[:, 0]], regions[owners[:, 1]]]
-    zc = vertices[faces[boundary], 2]
-    labels[boundary] = np.where(_all_near(zc, z1) | _all_near(zc, z2), GAMMA_D, GAMMA_N)
+    labels[boundary] = np.where(box_planes(vertices, faces[boundary], box) > 3, GAMMA_D, GAMMA_N)
     keep = labels > 0
     return faces[keep], labels[keep]
 

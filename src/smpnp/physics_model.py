@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.constants as sc
 
-from .errors import FeasibilityError, require
+from .errors import ConfigError, FeasibilityError, require
 
 TEMPERATURE = 298.15  # Kelvin
 
@@ -202,8 +202,10 @@ def diffusion_profile(sp: IonSpecies, z, z1, z2, eta):
 
     Bulk value outside the membrane slab, channel value in its interior,
     and a C1 monotone cubic-Hermite blend across the two buffer layers of
-    thickness ``eta`` just inside z1 and z2.
+    thickness ``eta`` just inside z1 and z2; ConfigError when they overlap.
     """
+    require(2.0 * eta <= z2 - z1, ConfigError, "buffer thickness eta = %g is more than "
+            "half the %g A membrane slab" % (eta, z2 - z1))
     z = np.asarray(z, dtype=float)
     out = np.full(z.shape, sp.D_b)
     mid = (z >= z1 + eta) & (z <= z2 - eta)

@@ -309,6 +309,32 @@ def test_check_applies_the_atom_rules_of_run(tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
+def test_check_refuses_a_mesh_file_with_its_membrane_planes_swapped(tmp_path, caplog):
+    mesh_path = tmp_path / "swapped.mesh"
+    meshmod.save_mesh(meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4)),
+                      mesh_path)
+    text = mesh_path.read_text()
+    assert text.endswith(" -11.5 11.5\n")
+    mesh_path.write_text(text[:-len(" -11.5 11.5\n")] + " 11.5 -11.5\n")
+    cfg_path = _write(tmp_path, ZERO_FIELD.format(out=tmp_path / "out").replace(
+        "mesh = synth\nresolution = 6", "mesh = %s" % mesh_path))
+    assert driver.main(["check", "--config", cfg_path]) == 1
+    assert "membrane planes must satisfy L_z1 < Z1 < Z2 < L_z2" in caplog.text
+
+
+def test_check_refuses_diffusion_buffers_wider_than_half_the_slab(tmp_path, caplog):
+    # eta = 12 in the 23 A slab: the two buffers overlap, and D(z) would
+    # jump where they do; check refuses it as run does
+    cfg_path = _write(tmp_path, ZERO_FIELD.format(out=tmp_path / "out").replace(
+        "solver = direct", "solver = direct\neta = 12"))
+    message = "buffer thickness eta = 12 is more than half the 23 A membrane slab"
+    for command in ("check", "run"):
+        caplog.clear()
+        assert driver.main([command, "--config", cfg_path]) == 1
+        assert message in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_initializer_stall_exits_2(tmp_path, caplog):
     out = tmp_path / "out"
     text = ZERO_FIELD.format(out=out).replace("solver = direct", "solver = direct\nsigma = -1")

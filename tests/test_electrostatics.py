@@ -222,6 +222,24 @@ def test_psi_lift_matches_symmetric_elimination(channel_mesh, rng):
     assert np.array_equal(psi[pinned], g[pinned])
 
 
+def test_psi_side_load_ignores_the_corner_order_of_neumann_facets(rng):
+    # -eps_p dG/dn takes n from each Gamma_N facet's box plane, so
+    # reversing the orientation of every side facet leaves Psi bit for bit.
+    # Swapping the first two corners reverses it and keeps the sum of the
+    # three corner values exact; reversing all three would reorder that sum
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
+    sites = meshmod.protein_ring_sites(mesh, 16)
+    atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
+    facets = mesh.facets.copy()
+    side = mesh.facet_labels == meshmod.GAMMA_N
+    facets[side] = facets[side][:, [1, 0, 2]]
+    flipped = meshmod.LabeledMesh(mesh.vertices, mesh.tets, mesh.tet_regions, facets,
+                                  mesh.facet_labels, mesh.box, mesh.z1, mesh.z2).validate()
+    psi = [es.solve_psi(m, atoms, CONST, es.nodal_G(m, atoms, CONST), es.BoxPoisson(m, CONST))
+           for m in (mesh, flipped)]
+    assert np.any(psi[0] != 0.0) and psi[0].tobytes() == psi[1].tobytes()
+
+
 def test_solve_psi_zero_data(channel_mesh):
     psi = es.solve_psi(channel_mesh, es.AtomicCharges.none(), CONST,
                        np.zeros(channel_mesh.num_vertices), es.BoxPoisson(channel_mesh, CONST))

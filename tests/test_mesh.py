@@ -323,6 +323,54 @@ def test_protein_ring_sites(channel_mesh):
     assert np.all((sites[:, 2] > geom.z1) & (sites[:, 2] < geom.z2))
 
 
+def test_box_planes_of_the_unit_cube():
+    # the 12 boundary facets of one hex: two on each plane, each plane's
+    # normal pointing away from the centre; an interior face is on none
+    mesh = meshmod.unit_cube_mesh(1)
+    planes = meshmod.box_planes(mesh.vertices, mesh.facets, mesh.box)
+    assert len(planes) == 12 and np.array_equal(np.bincount(planes), [2] * 6)
+    for facet, k in zip(mesh.facets, planes):
+        corners = mesh.vertices[facet]
+        assert np.all(corners[:, k // 2] == mesh.box[k])
+        assert (corners.mean(axis=0) - 0.5) @ meshmod.BOX_NORMALS[k] == 0.5
+    assert np.array_equal(mesh.facet_labels == meshmod.GAMMA_D, planes >= 4)
+    faces, owners = meshmod._face_owners(mesh.tets, mesh.num_vertices)
+    interior = faces[owners[:, 1] >= 0]
+    assert len(interior) and np.all(meshmod.box_planes(mesh.vertices, interior,
+                                                       mesh.box) == -1)
+    # the tolerance is 1e-9 A: a corner 1e-10 off its plane stays on it
+    for facet, k in zip(mesh.facets, planes):
+        for off, want in ((1e-10, k), (-1e-10, k), (1e-8, -1), (-1e-8, -1)):
+            verts = mesh.vertices.copy()
+            verts[facet[0], k // 2] += off
+            assert meshmod.box_planes(verts, facet[None], mesh.box)[0] == want
+
+
+@pytest.mark.parametrize("box, z_planes", [
+    ((0, 1, 0, 1, 0, 1), (0.75, 0.25)),  # Z1 and Z2 swapped
+    ((0, 1, 0, 1, 0, 1), (0.5, 0.5)),  # Z1 = Z2
+    ((0, 1, 0, 1, 0, 1), (-0.5, 1.5)),  # membrane planes outside the box
+    ((1, 0, 0, 1, 0, 1), (0.25, 0.75)),  # x1 > x2
+    ((0, 1, 0, 0, 0, 1), (0.25, 0.75)),  # y1 = y2
+])
+def test_load_mesh_refuses_a_box_out_of_order(box, z_planes, tmp_path):
+    # a loaded mesh's box line obeys ChannelGeometry's order rule, with its
+    # message: the box planes' outward normals rely on that order
+    path = tmp_path / "cube.mesh"
+    meshmod.save_mesh(meshmod.unit_cube_mesh(2), path)
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "box 0 1 0 1 0 1 0.25 0.75"
+    lines[-1] = "box " + " ".join(map(str, box + z_planes))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError) as want:
+        meshmod.ChannelGeometry(box=box, z1=z_planes[0], z2=z_planes[1])
+    with pytest.raises(MeshError) as got:
+        meshmod.load_mesh(path)
+    assert str(got.value) == str(want.value)
+    assert str(want.value) in ("box must satisfy x1 < x2 and y1 < y2",
+                               "membrane planes must satisfy L_z1 < Z1 < Z2 < L_z2")
+
+
 # ---------------------------------------------------------------------------
 # error paths of validate
 

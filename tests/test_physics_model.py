@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpnp.errors import FeasibilityError
+from smpnp.errors import ConfigError, FeasibilityError
 from smpnp.physics_model import (IonSpecies, ModelConstants, SpeciesSet, output_name,
                                  capped_exp,
                                  compute_coupling_constants, diffusion_profile,
@@ -125,11 +125,17 @@ def test_diffusion_profile_regions():
 def test_diffusion_profile_continuous_and_bounded():
     sp = mixture_species().species[1]
     z = np.linspace(-30.0, 30.0, 4001)
-    d = diffusion_profile(sp, z, -11.5, 11.5, 3.0)
-    assert np.all(d >= min(sp.D_b, sp.D_c) - 1e-12)
-    assert np.all(d <= max(sp.D_b, sp.D_c) + 1e-12)
-    # max slope of the Hermite blend is 1.5 dD/eta; grid step 0.015 A
-    assert np.max(np.abs(np.diff(d))) < 1e-2 * abs(sp.D_b - sp.D_c)
+    # at eta = 11.5 the two buffers of the 23 A slab meet at z = 0
+    for eta in (3.0, 11.5):
+        d = diffusion_profile(sp, z, -11.5, 11.5, eta)
+        assert np.all(d >= min(sp.D_b, sp.D_c) - 1e-12)
+        assert np.all(d <= max(sp.D_b, sp.D_c) + 1e-12)
+        # max slope of the Hermite blend is 1.5 dD/eta; grid step 0.015 A
+        assert np.max(np.abs(np.diff(d))) < 1e-2 * abs(sp.D_b - sp.D_c)
+    # wider buffers overlap, and the profile would jump where they do
+    with pytest.raises(ConfigError, match="^buffer thickness eta = 11.6 is more than half "
+                       "the 23 A membrane slab$"):
+        diffusion_profile(sp, z, -11.5, 11.5, 11.6)
 
 
 def test_water_fraction_and_violation():

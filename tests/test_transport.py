@@ -15,6 +15,9 @@ from helpers import compute_flux, reference_block1_system
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 CONST = ModelConstants()
+# the cube's membrane planes are parked at z = 0.25 and 0.75: its 0.5 A
+# slab takes diffusion buffers up to 0.25 A thick
+CUBE_CONST = replace(CONST, eta=0.25)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +151,7 @@ def test_block1_builds_matrices_for_the_solved_species_only(channel_submesh, spe
 def test_transformed_solve_linear_slab_profile(cube_sub):
     # reduction mode, u = 0, constant D: harmonic with plane Dirichlet data
     sp = _flat_diffusion_species()
-    consts = replace(CONST, u_t=np.log(2.0))  # top g = 0.1 e^{u_t} = 0.2
+    consts = replace(CUBE_CONST, u_t=np.log(2.0))  # top g = 0.1 e^{u_t} = 0.2
     Ns = cube_sub.num_vertices
     c = np.full((1, Ns), 0.1)
     cbar = transport.solve_transformed_np(cube_sub, sp, 0, np.zeros(Ns), c, consts, DIRECT,
@@ -220,7 +223,7 @@ def test_flux_reduction_pure_gradient(cube_sub):
     sp = _flat_diffusion_species()
     z = cube_sub.vertices[:, 2]
     c = (0.1 + 0.05 * z)[None, :]
-    J, J_slot = compute_flux(cube_sub, sp, 0, c, np.zeros(len(z)), CONST)
+    J, J_slot = compute_flux(cube_sub, sp, 0, c, np.zeros(len(z)), CUBE_CONST)
     expect = np.zeros(3)
     expect[2] = -0.2 * 0.05
     assert np.allclose(J, expect[None, :], atol=1e-12)
@@ -233,7 +236,7 @@ def test_flux_forms_agree_constant_potential(cube_sub):
     z = cube_sub.vertices[:, 2]
     c = (0.1 + 0.03 * z)[None, :]
     u = np.full(len(z), 0.7)
-    J, J_slot = compute_flux(cube_sub, sp, 0, c, u, CONST)
+    J, J_slot = compute_flux(cube_sub, sp, 0, c, u, CUBE_CONST)
     assert np.allclose(J, J_slot, rtol=1e-10)
 
 
