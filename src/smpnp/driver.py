@@ -287,9 +287,10 @@ class RunResult:
 
 
 #: Phases of run before the equilibrium initializer: mesh synthesis or
-#: loading, submesh extraction, the Phi~ system (the box operator, its
-#: factor and the submesh mass of Phi~'s load), Psi (with the atom file and
-#: G at the nodes), and the box mass matrix of the norms.
+#: loading, submesh extraction (with Block 1's raw D_i), the Phi~ system
+#: (the box operator, its factor and the submesh mass of Phi~'s load), Psi
+#: (with the atom file and G at the nodes), and the box mass matrix of the
+#: norms.
 SETUP_PHASES = ("mesh", "submesh", "box", "psi", "masses")
 
 
@@ -319,6 +320,9 @@ def run(config: RunConfig):
     mesh = config.build_mesh()
     clock.mark("mesh")
     submesh = meshmod.extract_solvent_submesh(mesh)
+    # the raw D_i of Block 1, here so that the diffusion-buffer rule refuses
+    # a run before any solve
+    d_nodal = transport.diffusion_nodal(submesh, species, constants)
     clock.mark("submesh")
     # a store of this run's own, so the factors its direct solves keep die with it
     spec = config.linear.keeping_factors()
@@ -350,7 +354,7 @@ def run(config: RunConfig):
     # the transform of the starting state, so that an equilibrium start is
     # already the fixed point and one sweep confirms it
     cbar = slotboom_forward(submesh.restrict(w + phi), c, species, constants)
-    block1 = transport.Block1(submesh, species, constants)
+    block1 = transport.Block1(submesh, species, constants, d_nodal=d_nodal)
     excursions = transport.RangeExcursions(species.names)
 
     def sweep(x, relax):

@@ -7,11 +7,21 @@ Phi_tilde carries the ionic charge and is re-solved inside the outer block
 iteration.  Both solve with one factored operator (BoxPoisson), which a
 run builds once, with its Phi_tilde system, and owns.
 
-The Psi weak form is assembled in the dielectric-mismatch form
+The Psi weak form is the dielectric-mismatch form
     a(Psi, v) = -int_Omega (eps(r) - eps_p) grad(G).grad(v)
-                - int_GammaN eps_p dG/dn v dS + tau sigma int_Gammam v dS,
-whose integrands vanish on the protein region, so no quadrature ever sees
-the Coulomb singularity.  Psi = g - G on the Dirichlet boundary.
+                - int_GammaN eps_p dG/dn v dS + tau sigma int_Gammam v dS
+(the regularized decomposition of Chen, Holst & Xu, SIAM J. Numer. Anal.
+45, 2007).  Its premise is that every atom sits in the protein: then G is
+harmonic wherever eps(r) - eps_p is not zero, and on each tet
+int_T grad(G).grad(v) = int_dT dG/dn v dS exactly for P1 v.  Summed over
+the tets, the volume term is a sum over the faces where eps jumps,
+    -(eps_1 - eps_2) int_F dG/dn_1 v dS   (n_1 out of owner 1),
+which merges on Gamma_N with the side term into -eps_T dG/dn, eps_T the
+facet's owner's.  Each face integral has a closed form (``face_flux``),
+so no quadrature ever sees the Coulomb singularity; Gamma_N keeps the P1
+interpolant of its corner values.  An atom outside the protein breaks the
+premise; it gets one WARNING (``nodal_G``).  Psi = g - G on the Dirichlet
+boundary.
 """
 
 from __future__ import annotations
@@ -29,18 +39,9 @@ from .physics_model import ModelConstants
 logger = logging.getLogger(__name__)
 
 _COLLISION_TOL = 1.0e-6  # A, minimum atom-to-evaluation-point distance
-# evaluation points per block in eval_G/grad_G: bounds the (3 x atoms x points)
-# temporaries, which on the box mesh's quadrature points set the peak memory
-_POINT_CHUNK = 4096
-
-# symmetric degree-2 quadrature on the reference tet (4 points, weight 1/4)
-_QA, _QB = 0.5854101966249685, 0.1381966011250105
-_TET_QPTS = np.array([
-    [_QA, _QB, _QB, _QB],
-    [_QB, _QA, _QB, _QB],
-    [_QB, _QB, _QA, _QB],
-    [_QB, _QB, _QB, _QA],
-])
+# (atom, point) pairs per block in eval_G, grad_G and face_flux (a face is a
+# point there): bounds their (atoms x points) temporaries; 4,096 points at 16 atoms
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,12 @@ def _pair_offsets(points, atoms: AtomicCharges, first=0):
     return diff, dist2
 
 
-def _point_chunks(points):
-    """(first index, block) over ``points`` in blocks of _POINT_CHUNK rows."""
-    for first in range(0, len(points), _POINT_CHUNK):
-        yield first, points[first:first + _POINT_CHUNK]
+def _point_chunks(points, n_atoms):
+    """(first index, block) over ``points`` in blocks of _PAIR_CHUNK // n_atoms
+    rows, at least one."""
+    size = max(1, _PAIR_CHUNK // n_atoms)
+    for first in range(0, len(points), size):
+        yield first, points[first:first + size]
 
 
 def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
@@ -119,9 +122,11 @@ def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
     if len(atoms) == 0:
         return out
     coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
-    for first, block in _point_chunks(points):
+    for first, block in _point_chunks(points, len(atoms)):
         _, dist2 = _pair_offsets(block, atoms, first=first)
-        out[first:first + len(block)] = coef * (atoms.charges @ (1.0 / np.sqrt(dist2)))
+        terms = atoms.charges[:, None] / np.sqrt(dist2)
+        # summed down the atom axis, in atom order for every point whatever the block
+        out[first:first + len(block)] = coef * terms.sum(axis=0)
     return out
 
 
@@ -132,7 +137,7 @@ def grad_G(atoms: AtomicCharges, constants: ModelConstants, points):
     if len(atoms) == 0:
         return out
     coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
-    for first, block in _point_chunks(points):
+    for first, block in _point_chunks(points, len(atoms)):
         diff, dist2 = _pair_offsets(block, atoms, first=first)
         radial = 1.0 / (dist2 * np.sqrt(dist2))
         radial *= atoms.charges[:, None]
@@ -150,7 +155,8 @@ def region_eps(mesh: meshmod.LabeledMesh, constants: ModelConstants):
 
 def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
     """Warn once when any atom's nearest tet centroid is not protein
-    (synthetic setups), with the count and the first such atom."""
+    (synthetic setups), with the count and the first such atom: Psi's
+    surface load assumes every atom sits in the protein."""
     if len(atoms) == 0:
         return
     # a tree for one query: the unbalanced build is about 3x faster
@@ -171,36 +177,132 @@ def nodal_G(mesh: meshmod.LabeledMesh, atoms: AtomicCharges, constants: ModelCon
     return eval_G(atoms, constants, mesh.vertices)
 
 
+def face_flux(atoms: AtomicCharges, constants: ModelConstants, corners):
+    """int_F dG/dn phi_k dS over each triangle F = ``corners[f]`` (F, 3, 3),
+    for its P1 corner functions phi_k, in closed form; shape (F, 3).
+
+    n is the unit normal (P1 - P0) x (P2 - P0) / |...|.  With Z_k = P_k - r,
+    R_k = |Z_k| and h = Z_0.n for an atom at r, dG/dn = -c h / R^3
+    (c = alpha/(4 pi eps_p) times its charge), and for phi linear
+        int_F phi h/R^3 dS = phi(r) Omega - h sum_e (grad phi . m_e) I_e,
+    phi extended off the plane constant along n.  Omega is the solid angle
+    of F seen from r, signed as h (van Oosterom & Strackee, IEEE TBME 30,
+    1983), m_e the outward in-plane unit normal of edge e = (i, j) and
+    I_e = int_e dl/R = ln((R_i + R_j + L_e)/(R_i + R_j - L_e)).  Summed over the atoms,
+    sum_j q_j phi(r_j) Omega_j takes the charge-weighted sums of Omega and
+    of Omega r_j.  Atoms run along the first axis and faces along the last,
+    in blocks of ``_point_chunks``; every sum over atoms runs in atom order
+    per face, so the result does not depend on the blocks.
+    """
+    corners = np.asarray(corners, dtype=float).reshape(-1, 3, 3)
+    out = np.zeros((len(corners), 3))
+    if len(atoms) == 0:
+        return out
+    coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
+    for first, block in _point_chunks(corners, len(atoms)):
+        out[first:first + len(block)] = -coef * _face_moments(atoms, block)
+    return out
+
+
+def _face_moments(atoms: AtomicCharges, corners):
+    """sum_j q_j int_F phi_k h_j/R_j^3 dS for the triangles ``corners``
+    (F, 3, 3), (F, 3); see ``face_flux``."""
+    p0, p1, p2 = corners[:, 0], corners[:, 1], corners[:, 2]
+    cross = np.cross(p1 - p0, p2 - p0)
+    two_area = np.linalg.norm(cross, axis=1)
+    normal = cross / two_area[:, None]
+    edge = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)  # edge e opposite corner e
+    length = np.linalg.norm(edge, axis=2)
+    m = np.cross(edge, normal[:, None, :]) / length[:, :, None]  # outward in-plane normals
+    grad = m * (-length / two_area[:, None])[:, :, None]  # grad phi_k = -L_k m_k / 2A
+    offset = -np.einsum("fkc,fc->fk", grad, p0)  # phi_k(x) = offset_k + grad_k . x
+    offset[:, 0] += 1.0
+    # per (atom, face) pair, faces along the last axis
+    pos, q = atoms.positions, atoms.charges[:, None]
+    z = [[p[:, c] - pos[:, c, None] for c in range(3)] for p in (p0, p1, p2)]
+    r2 = [zk[0] * zk[0] + zk[1] * zk[1] + zk[2] * zk[2] for zk in z]
+    r = [np.sqrt(x) for x in r2]
+    h = z[0][0] * normal[:, 0] + z[0][1] * normal[:, 1] + z[0][2] * normal[:, 2]
+    sq = length * length
+    # Z_i.Z_j = (R_i^2 + R_j^2 - L^2)/2 on the edge (i, j) opposite corner k
+    dot = [0.5 * (r2[i] + r2[j] - sq[:, k]) for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1)))]
+    den = r[0] * r[1] * r[2] + dot[2] * r[2] + dot[1] * r[1] + dot[0] * r[0]
+    omega = 2.0 * np.arctan2(two_area * h, den)
+    omega *= q
+    total = omega.sum(axis=0)
+    moment = [(omega * pos[:, c, None]).sum(axis=0) for c in range(3)]
+    qh = q * h
+    line = []
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        s = r[i] + r[j]
+        line.append((qh * np.log((s + length[:, k]) / (s - length[:, k]))).sum(axis=0))
+    out = offset * total[:, None]
+    for c in range(3):
+        out += grad[:, :, c] * moment[c][:, None]
+    for e in range(3):
+        out -= np.einsum("fkc,fc->fk", grad, m[:, e]) * line[e][:, None]
+    return out
+
+
+def interface_flux(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
+                   constants: ModelConstants, faces, owner):
+    """``face_flux`` of the mesh faces ``faces`` (F, 3 vertex ids) with n
+    pointing out of tet ``owner[f]``, per corner in the order of ``faces``."""
+    corners = mesh.vertices[faces]
+    # the owner's fourth vertex: its vertex ids summed less the face's
+    opposite = mesh.vertices[mesh.tets[owner].sum(axis=1) - faces.sum(axis=1)]
+    inward = np.einsum("fc,fc->f", np.cross(corners[:, 1] - corners[:, 0],
+                                            corners[:, 2] - corners[:, 0]),
+                       opposite - corners[:, 0]) > 0.0
+    swap = [0, 2, 1]
+    corners[inward] = corners[inward][:, swap]
+    flux = face_flux(atoms, constants, corners)
+    flux[inward] = flux[inward][:, swap]
+    return flux
+
+
+def mismatch_load(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
+                  constants: ModelConstants):
+    """Psi's load from the atoms: -(eps_1 - eps_2) int_F dG/dn_1 v dS on every
+    face between owners of different permittivity (``interface_flux``,
+    chosen by owner regions, not by facet labels), and -eps_T dG/dn v on
+    Gamma_N, eps_T the facet's owner's and n its box plane's normal, from
+    the P1 interpolant of dG/dn at the facet's corners, grad G taken once
+    per side node."""
+    rhs = np.zeros(mesh.num_vertices)
+    if len(atoms) == 0:
+        return rhs
+    eps = region_eps(mesh, constants)
+    owners = mesh.face_owners
+    pair = eps[owners.interface_owners]
+    jump = np.flatnonzero(pair[:, 0] != pair[:, 1])
+    faces = owners.interfaces[jump]
+    flux = interface_flux(mesh, atoms, constants, faces, owners.interface_owners[jump, 0])
+    flux *= (pair[jump, 1] - pair[jump, 0])[:, None]
+    rhs += np.bincount(faces.ravel(), flux.ravel(), minlength=mesh.num_vertices)
+    side = np.flatnonzero(mesh.facet_labels == meshmod.GAMMA_N)
+    nfac = mesh.facets[side]
+    normals = meshmod.BOX_NORMALS[meshmod.box_planes(mesh.vertices, nfac, mesh.box)]
+    nodes, corner = np.unique(nfac, return_inverse=True)
+    gv = grad_G(atoms, constants, mesh.vertices[nodes])[corner.reshape(nfac.shape)]
+    flux = -eps[owners.facet_owner[side]][:, None] * np.einsum("fck,fk->fc", gv, normals)
+    rhs += fem_core.assemble_surface_load_nodal(mesh, nfac, flux)
+    return rhs
+
+
 def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
               constants: ModelConstants, g_nodes, box):
     """Boundary/interface correction potential Psi on the box mesh.
 
     ``g_nodes`` is ``nodal_G(mesh, atoms, constants)``, the singular
     potential at the nodes, and ``box`` the ``BoxPoisson`` of ``mesh`` and
-    ``constants`` that solves it.  dG/dn on Gamma_N takes box-plane normals.
+    ``constants`` that solves it.  The atoms' load is the surface form of
+    the dielectric mismatch (``mismatch_load``): closed-form integrals of
+    dG/dn over the faces where eps jumps, and -eps_T dG/dn on Gamma_N.  It
+    equals the volume form only when every atom sits in the protein, which
+    ``nodal_G`` warns about once when it does not.
     """
-    rhs = np.zeros(mesh.num_vertices)
-    if len(atoms):
-        # dielectric-mismatch volume term, protein tets drop out
-        op = fem_core.p1_operator(mesh)
-        eps = region_eps(mesh, constants)
-        active = np.nonzero(eps != constants.eps_p)[0]
-        if active.size:
-            shape = op.shape[active]
-            coords = mesh.vertices[mesh.tets[active]]  # (M,4,3)
-            qpts = np.einsum("qa,mak->mqk", _TET_QPTS, coords)
-            gq = grad_G(atoms, constants, qpts.reshape(-1, 3)).reshape(len(active), 4, 3)
-            mean_grad = gq.mean(axis=1)
-            contrib = -np.einsum("m,mak,mk->ma",
-                                 (eps[active] - constants.eps_p) * op.volumes[shape],
-                                 op.grads[shape], mean_grad)
-            np.add.at(rhs, mesh.tets[active].ravel(), contrib.ravel())
-        # -eps_p dG/dn on the side boundary, n from each facet's box plane
-        nfac = mesh.facets[mesh.facet_labels == meshmod.GAMMA_N]
-        normals = meshmod.BOX_NORMALS[meshmod.box_planes(mesh.vertices, nfac, mesh.box)]
-        gv = grad_G(atoms, constants, mesh.vertices[nfac.ravel()]).reshape(nfac.shape + (3,))
-        flux = -constants.eps_p * np.einsum("fck,fk->fc", gv, normals)
-        rhs += fem_core.assemble_surface_load_nodal(mesh, nfac, flux)
+    rhs = mismatch_load(mesh, atoms, constants)
     if constants.sigma != 0.0:
         rhs += constants.tau * constants.sigma * fem_core.assemble_surface_load(
             mesh, meshmod.GAMMA_M)

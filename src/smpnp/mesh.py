@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,14 @@ _FACET_LABELS = (GAMMA_P, GAMMA_M, GAMMA_PM, GAMMA_D, GAMMA_N)
 _GEOM_TOL = 1.0e-9
 
 
+class FaceOwners(NamedTuple):
+    """What a mesh keeps of its face table (see ``LabeledMesh.validate``)."""
+
+    interfaces: np.ndarray  # (F, 3) sorted vertex triples of the faces between regions
+    interface_owners: np.ndarray  # (F, 2) their two owner tets
+    facet_owner: np.ndarray  # (K,) each facet's first owner tet, its only one on the boundary
+
+
 @dataclass
 class LabeledMesh:
     """Tetrahedral mesh of the box with region and facet labels.
@@ -35,7 +44,9 @@ class LabeledMesh:
     ``box`` is (x1, x2, y1, y2, z1, z2) in A; ``z1``/``z2`` are the membrane
     plane heights.  Immutable by convention after construction/validation:
     ``validate`` stores the mesh's P1 geometry (``fem_core.p1_operator``)
-    on it, and every assembly reuses it.
+    on it, and beside it ``face_owners`` (``FaceOwners``): the faces
+    between tets of different regions, in face-table order, with their
+    owners, and the owner of every facet.  Every assembly reuses them.
     """
 
     vertices: np.ndarray  # (N, 3) float
@@ -66,8 +77,10 @@ class LabeledMesh:
         ``box_planes`` planes 4-5, Neumann ones on 0-3.  One face-table
         lookup then checks that every interface facet separates the regions
         of its label, that every Dirichlet facet bounds a solvent tet (so
-        the box's Dirichlet nodes are all solvent nodes), and that every
-        face with exactly one solvent owner carries a facet.
+        the box's Dirichlet nodes are all solvent nodes), that every facet
+        is a face of the mesh listed once (so each has its owners), and
+        that every face with exactly one solvent owner carries a facet.
+        The owners it found are stored as ``face_owners``.
         """
         check_box_order(self.box, self.z1, self.z2)
         _check_vertex_ids(self.tets, self.num_vertices, "tet")
@@ -102,12 +115,23 @@ class LabeledMesh:
         bad = (labels == GAMMA_D) & (ra != SOLVENT) & (rb != SOLVENT)
         if bad.any():
             raise MeshError("Dirichlet facet %d does not bound a solvent tet" % np.argmax(bad))
+        if np.any(found < 0):
+            raise MeshError("facet %d is not a face of the mesh" % np.argmax(found < 0))
+        # the lowest facet index on each face; a facet above it repeats it
+        first = np.full(len(faces), len(labels))
+        np.minimum.at(first, found, np.arange(len(labels)))
+        repeat = first[found] != np.arange(len(labels))
+        if repeat.any():
+            k = np.argmax(repeat)
+            raise MeshError("facet %d repeats facet %d" % (k, first[found[k]]))
         solvent = region == SOLVENT
         missing = solvent[:, 0] != solvent[:, 1]
-        missing[found[found >= 0]] = False
+        missing[found] = False
         if missing.any():
             raise MeshError("solvent boundary face (%d, %d, %d) carries no facet"
                             % tuple(faces[np.argmax(missing)].tolist()))
+        between = np.flatnonzero((owners[:, 1] >= 0) & (region[:, 0] != region[:, 1]))
+        self.face_owners = FaceOwners(faces[between], owners[between], owners[found, 0])
         return self
 
     def dirichlet_side_nodes(self):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from smpnp import fem_core, mesh as meshmod, nonlinear_node, transport
+from smpnp import electrostatics as es, fem_core, mesh as meshmod, nonlinear_node, transport
 from smpnp.errors import FeasibilityError, MeshError, NewtonError
 from smpnp.physics_model import (ModelConstants, SpeciesSet, mixture_species,
                                  slotboom_forward, transformed_diffusion,
@@ -29,6 +29,85 @@ def point_charge_load(mesh, atoms):
             raise MeshError("atom at %s lies outside the mesh" % position)
         np.add.at(load, mesh.tets[tet], charge * bary[tet])
     return load
+
+
+def _gauss_unit(n):
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def polar_face_moments(corners, r, n):
+    """int_F phi_k h/R^3 dS over the triangle ``corners`` (3, 3) for the atom
+    at ``r``, with h = (P_0 - r).n, n = (P1 - P0) x (P2 - P0) normalized,
+    and phi_k its P1 corner functions, by quadrature.
+
+    F is the signed sum of the triangles (f, P_i, P_j) over its edges, f the
+    atom's foot point on the plane.  On each, s in [0, 1] runs from f to the
+    point P_i + t (P_j - P_i) at distance rho(t), and s = (|h|/rho) sinh(u)
+    turns the peak of h/R^3 at f into the bounded sinh(u)/(rho cosh(u))^2;
+    n Gauss points in t and in u.
+    """
+    p = np.asarray(corners, dtype=float)
+    cross = np.cross(p[1] - p[0], p[2] - p[0])
+    two_area = np.linalg.norm(cross)
+    normal = cross / two_area
+    h = (p[0] - r) @ normal
+    foot = r + h * normal
+
+    def phi(x):
+        return np.stack([np.cross(p[(k + 1) % 3] - x, p[(k + 2) % 3] - x) @ normal / two_area
+                         for k in range(3)], axis=-1)
+
+    t, wt = _gauss_unit(n)
+    u01, wu = _gauss_unit(n)
+    total = np.zeros(3)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        signed = np.cross(p[i] - foot, p[j] - p[i]) @ normal  # twice the signed area
+        end = p[i] + t[:, None] * (p[j] - p[i])
+        rho = np.linalg.norm(end - foot, axis=1)
+        top = np.arcsinh(rho / abs(h))
+        u = top[:, None] * u01
+        s = (abs(h) / rho)[:, None] * np.sinh(u)
+        x = foot + s[..., None] * (end - foot)[:, None, :]
+        weight = np.sinh(u) / (rho[:, None] * np.cosh(u)) ** 2 * top[:, None] * wu
+        total += signed * np.einsum("tuk,tu,t->k", phi(x), weight, wt)
+    return np.sign(h) * total
+
+
+def collapsed_tet_rule(n):
+    """Conical-product rule of n^3 points on the reference tet: barycentric
+    points (n^3, 4) and weights summing to 1 (fractions of the volume)."""
+    x, w = _gauss_unit(n)
+    a, b, c = np.meshgrid(x, x, x, indexing="ij")
+    wa, wb, wc = np.meshgrid(w, w, w, indexing="ij")
+    lam = np.column_stack([a.ravel(), (b * (1 - a)).ravel(), (c * (1 - a) * (1 - b)).ravel()])
+    weights = (6.0 * wa * wb * wc * (1 - a) ** 2 * (1 - b)).ravel()
+    return np.column_stack([1.0 - lam.sum(axis=1), lam]), weights
+
+
+def mean_grad_G(mesh, atoms, constants, n, tets):
+    """(T, 3) mean of grad G over each of ``tets`` (tet ids) by
+    ``collapsed_tet_rule(n)``."""
+    bary, weights = collapsed_tet_rule(n)
+    out = np.empty((len(tets), 3))
+    for first in range(0, len(tets), 512):
+        ids = tets[first:first + 512]
+        points = np.einsum("qa,tak->tqk", bary, mesh.vertices[mesh.tets[ids]])
+        grad = es.grad_G(atoms, constants, points.reshape(-1, 3))
+        out[first:first + len(ids)] = np.einsum(
+            "q,tqk->tk", weights, grad.reshape(len(ids), len(weights), 3))
+    return out
+
+
+def volume_mismatch_load(mesh, eps, eps_p, mean_grad, tets):
+    """-sum_T (eps_T - eps_p) int_T grad(G).grad(phi_a) over ``tets``, from
+    their mean gradients of G (``mean_grad_G``)."""
+    op = fem_core.p1_operator(mesh)
+    shape = op.shape[tets]
+    contrib = -np.einsum("t,tak,tk->ta", (eps[tets] - eps_p) * op.volumes[shape],
+                         op.grads[shape], mean_grad)
+    return np.bincount(mesh.tets[tets].ravel(), contrib.ravel(), minlength=mesh.num_vertices)
 
 
 def assemble_load_volume(mesh, density, tet_mask=None):

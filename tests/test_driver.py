@@ -335,6 +335,19 @@ def test_check_refuses_diffusion_buffers_wider_than_half_the_slab(tmp_path, capl
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_wide_buffers_before_the_initializer(tmp_path, caplog):
+    # set-up builds Block 1's raw D_i, so eta = 12 stops the run before the
+    # equilibrium initializer starts
+    cfg_path = _write(tmp_path, ZERO_FIELD.format(out=tmp_path / "out").replace(
+        "solver = direct", "solver = direct\neta = 12"))
+    with mock.patch.object(nonlinear_node, "solve_smpbic") as initializer, \
+            caplog.at_level(logging.INFO):
+        assert driver.main(["run", "--config", cfg_path]) == 1
+    initializer.assert_not_called()
+    assert "more than half the 23 A membrane slab" in caplog.text
+    assert "equilibrium initializer" not in caplog.text
+
+
 def test_initializer_stall_exits_2(tmp_path, caplog):
     out = tmp_path / "out"
     text = ZERO_FIELD.format(out=out).replace("solver = direct", "solver = direct\nsigma = -1")

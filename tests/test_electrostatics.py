@@ -10,7 +10,8 @@ from smpnp import electrostatics as es, fem_core, mesh as meshmod, sparse_linalg
 from smpnp.errors import LinearSolveError, MeshError, MeshFormatError
 from smpnp.physics_model import ModelConstants
 
-from helpers import assemble_load_volume, point_charge_load
+from helpers import (assemble_load_volume, mean_grad_G, point_charge_load, polar_face_moments,
+                     volume_mismatch_load)
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 CONST = ModelConstants()
@@ -27,10 +28,10 @@ def test_eval_g_no_atoms():
 
 
 def test_g_chunked_matches_one_shot(monkeypatch, rng):
-    pts = rng.uniform(-20.0, 20.0, size=(2 * es._POINT_CHUNK + 17, 3))
     atoms = es.AtomicCharges(rng.uniform(-5.0, 5.0, size=(5, 3)), rng.normal(size=5))
+    pts = rng.uniform(-20.0, 20.0, size=(2 * (es._PAIR_CHUNK // 5) + 17, 3))
     chunked = (es.eval_G(atoms, CONST, pts), es.grad_G(atoms, CONST, pts))
-    monkeypatch.setattr(es, "_POINT_CHUNK", len(pts))
+    monkeypatch.setattr(es, "_PAIR_CHUNK", 5 * len(pts))
     one_shot = (es.eval_G(atoms, CONST, pts), es.grad_G(atoms, CONST, pts))
     for a, b in zip(chunked, one_shot):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -53,8 +54,9 @@ def test_g_collision_in_later_chunk_raises(rng):
     # the message names the colliding atom and the point's global index
     atoms = es.AtomicCharges([[10.0, 10.0, 10.0], [-10.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                              np.ones(3))
-    pts = rng.uniform(1.0, 2.0, size=(es._POINT_CHUNK + 10, 3))
-    hit = es._POINT_CHUNK + 3
+    block = es._PAIR_CHUNK // 3  # points per block at three atoms
+    pts = rng.uniform(1.0, 2.0, size=(block + 10, 3))
+    hit = block + 3
     pts[hit] = 0.0
     for fn in (es.eval_G, es.grad_G):
         with pytest.raises(MeshError, match="^atom 2 within 1.0e-06 A of evaluation point %d$"
@@ -223,21 +225,117 @@ def test_psi_lift_matches_symmetric_elimination(channel_mesh, rng):
 
 
 def test_psi_side_load_ignores_the_corner_order_of_neumann_facets(rng):
-    # -eps_p dG/dn takes n from each Gamma_N facet's box plane, so
-    # reversing the orientation of every side facet leaves Psi bit for bit.
-    # Swapping the first two corners reverses it and keeps the sum of the
-    # three corner values exact; reversing all three would reorder that sum
+    # -eps_T dG/dn takes n from each Gamma_N facet's box plane, and the
+    # interface load takes its faces and their owners from the face table,
+    # so reversing the orientation of every side and interface facet leaves
+    # Psi bit for bit.  Swapping the first two corners reverses it and
+    # keeps the sum of the three corner values exact; reversing all three
+    # would reorder that sum
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
     sites = meshmod.protein_ring_sites(mesh, 16)
     atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
+    constants = replace(CONST, eps_m=5.0)  # protein-membrane faces carry a jump too
     facets = mesh.facets.copy()
-    side = mesh.facet_labels == meshmod.GAMMA_N
-    facets[side] = facets[side][:, [1, 0, 2]]
+    flip = np.isin(mesh.facet_labels, (meshmod.GAMMA_N, meshmod.GAMMA_P, meshmod.GAMMA_M,
+                                       meshmod.GAMMA_PM))
+    facets[flip] = facets[flip][:, [1, 0, 2]]
     flipped = meshmod.LabeledMesh(mesh.vertices, mesh.tets, mesh.tet_regions, facets,
                                   mesh.facet_labels, mesh.box, mesh.z1, mesh.z2).validate()
-    psi = [es.solve_psi(m, atoms, CONST, es.nodal_G(m, atoms, CONST), es.BoxPoisson(m, CONST))
+    psi = [es.solve_psi(m, atoms, constants, es.nodal_G(m, atoms, constants),
+                        es.BoxPoisson(m, constants))
            for m in (mesh, flipped)]
     assert np.any(psi[0] != 0.0) and psi[0].tobytes() == psi[1].tobytes()
+
+
+def test_psi_of_a_saved_and_reloaded_mesh_is_bitwise(tmp_path, rng):
+    # the loaded mesh builds its own face table, in the same order
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
+    path = tmp_path / "ring.mesh"
+    meshmod.save_mesh(mesh, path)
+    sites = meshmod.protein_ring_sites(mesh, 16)
+    atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
+    psi = [es.solve_psi(m, atoms, CONST, es.nodal_G(m, atoms, CONST), es.BoxPoisson(m, CONST))
+           for m in (mesh, meshmod.load_mesh(path))]
+    assert np.any(psi[0] != 0.0) and psi[0].tobytes() == psi[1].tobytes()
+
+
+_TRIANGLE = np.array([[0.0, 0.0, 0.0], [2.0, 0.3, 0.0], [0.4, 1.7, 0.2]])
+
+
+@pytest.mark.parametrize("where", ["far", "just off the interior", "beyond an edge"])
+def test_face_flux_matches_a_polar_quadrature(where):
+    # the closed form against a quadrature about the atom's foot point,
+    # converged (64 against 128 points per direction) to about 1e-13
+    normal = np.cross(_TRIANGLE[1] - _TRIANGLE[0], _TRIANGLE[2] - _TRIANGLE[0])
+    normal /= np.linalg.norm(normal)
+    r = {"far": _TRIANGLE.mean(axis=0) + 7.0 * normal + [3.0, -2.0, 1.0],
+         "just off the interior": _TRIANGLE.mean(axis=0) - 0.05 * normal,
+         "beyond an edge": _TRIANGLE[1] + [1.5, 0.8, 0.0] + 0.7 * normal}[where]
+    ref = [polar_face_moments(_TRIANGLE, r, n) for n in (64, 128)]
+    assert np.abs(ref[0] - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
+    charge = 0.7
+    got = es.face_flux(es.AtomicCharges(r[None], [charge]), CONST, _TRIANGLE[None])[0]
+    expect = -charge * CONST.alpha / (4.0 * np.pi * CONST.eps_p) * ref[1]
+    assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
+
+
+def test_interface_flux_flips_sign_with_the_owner(channel_mesh, rng):
+    # n points out of the owner named, so the other owner negates each face
+    owners = channel_mesh.face_owners
+    sites = meshmod.protein_ring_sites(channel_mesh, 16)
+    atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
+    first, second = (es.interface_flux(channel_mesh, atoms, CONST, owners.interfaces,
+                                       owners.interface_owners[:, k]) for k in (0, 1))
+    assert np.all(first != 0.0)
+    assert np.allclose(first, -second, rtol=1e-12, atol=0.0)
+
+
+def test_face_flux_chunked_matches_one_shot(channel_mesh, monkeypatch, rng):
+    sites = meshmod.protein_ring_sites(channel_mesh, 16)
+    atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
+    corners = channel_mesh.vertices[channel_mesh.face_owners.interfaces]
+    monkeypatch.setattr(es, "_PAIR_CHUNK", 37 * len(atoms))  # 37 faces a block
+    chunked = es.face_flux(atoms, CONST, corners), es.mismatch_load(channel_mesh, atoms, CONST)
+    monkeypatch.setattr(es, "_PAIR_CHUNK", len(atoms) * len(corners))
+    one_shot = es.face_flux(atoms, CONST, corners), es.mismatch_load(channel_mesh, atoms, CONST)
+    for a, b in zip(chunked, one_shot):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("eps_m", [CONST.eps_m, 5.0])
+def test_mismatch_load_matches_a_refined_volume_quadrature(channel_mesh, eps_m):
+    # the old volume form -int (eps - eps_p) grad(G).grad(v) of the ring,
+    # by a conical-product rule of n^3 points a tet: off Gamma_N and Gamma_D
+    # the gap to the surface form shrinks as n grows.  On Gamma_N the
+    # surface form holds -eps_T dG/dn, the volume form -eps_p dG/dn besides
+    # its own boundary terms, the two from the same corner rule; they agree
+    # to that rule's error, 3.5% of the side load at R=8, where a weight of
+    # eps_p in place of eps_T is off by 96%.  eps_m = 5 puts a jump on the
+    # protein-membrane faces
+    mesh, constants = channel_mesh, replace(CONST, eps_m=eps_m)
+    sites = meshmod.protein_ring_sites(mesh, 16)
+    atoms = es.AtomicCharges(sites, np.linspace(0.04, 0.06, len(sites)))
+    eps = es.region_eps(mesh, constants)
+    active = np.flatnonzero(eps != constants.eps_p)
+    surface = es.mismatch_load(mesh, atoms, constants)
+    side = mesh.facets[mesh.facet_labels == meshmod.GAMMA_N]
+    normals = meshmod.BOX_NORMALS[meshmod.box_planes(mesh.vertices, side, mesh.box)]
+    grad = es.grad_G(atoms, constants, mesh.vertices[side.ravel()]).reshape(side.shape + (3,))
+    side_load = fem_core.assemble_surface_load_nodal(
+        mesh, side, -constants.eps_p * np.einsum("fck,fk->fc", grad, normals))
+    inner = np.ones(mesh.num_vertices, dtype=bool)
+    inner[side] = False
+    inner[_gamma_d_nodes(mesh)] = False
+    on_side = np.setdiff1d(np.unique(side), _gamma_d_nodes(mesh))
+    scale = np.abs(surface).max()
+    gaps = []
+    for n in (2, 4, 6):
+        volume = volume_mismatch_load(mesh, eps, constants.eps_p,
+                                      mean_grad_G(mesh, atoms, constants, n, active), active)
+        gaps.append(np.abs(volume - surface)[inner].max() / scale)
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 2e-3
+    assert (np.abs(volume + side_load - surface)[on_side].max()
+            < 0.1 * np.abs(surface[on_side]).max())
 
 
 def test_solve_psi_zero_data(channel_mesh):

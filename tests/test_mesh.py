@@ -545,6 +545,44 @@ def test_validate_rejects_interface_facet_not_a_tet_face(cube_mesh):
                               % (len(facets) - 1))
 
 
+def test_validate_rejects_neumann_facet_not_a_tet_face(tmp_path):
+    # three corners of the x = x1 side plane span no tet face; the parent
+    # took the triangle and added its area to the side load
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4))
+    x1, _, y1, y2, zlo, zhi = mesh.box
+    corners = [int(np.flatnonzero(np.all(mesh.vertices == p, axis=1))[0])
+               for p in ((x1, y1, zlo), (x1, y2, zlo), (x1, y1, zhi))]
+    facets = np.vstack([mesh.facets, [corners]])
+    labels = np.append(mesh.facet_labels, meshmod.GAMMA_N)
+    bad = _relabelled(mesh, facets=facets, labels=labels)
+    assert _rejection(bad, tmp_path) == "facet %d is not a face of the mesh" % (len(facets) - 1)
+
+
+def test_validate_rejects_a_facet_listed_twice(tmp_path):
+    # a membrane-solvent facet again, in reverse corner order: the parent
+    # counted it twice, raising the membrane area (and charge) 2,000 -> 2,050 A^2
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4))
+    k = int(np.flatnonzero(mesh.facet_labels == meshmod.GAMMA_M)[2])
+    facets = np.vstack([mesh.facets, mesh.facets[k, ::-1]])
+    labels = np.append(mesh.facet_labels, meshmod.GAMMA_M)
+    bad = _relabelled(mesh, facets=facets, labels=labels)
+    assert _rejection(bad, tmp_path) == "facet %d repeats facet %d" % (len(facets) - 1, k)
+
+
+def test_validate_keeps_the_owners_of_faces_and_facets(channel_mesh):
+    # face_owners against the reference face table: the faces between
+    # regions with their owners, and each facet's first owner
+    faces, owners = face_owners_reference(channel_mesh.tets, channel_mesh.num_vertices)
+    region = np.append(channel_mesh.tet_regions, 0)[owners]
+    between = (owners[:, 1] >= 0) & (region[:, 0] != region[:, 1])
+    kept = channel_mesh.face_owners
+    assert np.array_equal(kept.interfaces, faces[between])
+    assert np.array_equal(kept.interface_owners, owners[between])
+    row = {tuple(f): k for k, f in enumerate(faces.tolist())}
+    facets = np.sort(channel_mesh.facets, axis=1).tolist()
+    assert np.array_equal(kept.facet_owner, owners[[row[tuple(f)] for f in facets], 0])
+
+
 def test_submesh_names_solvent_boundary_face_missing_from_parent(channel_mesh, tmp_path):
     # validate names the first face of the solvent boundary, in the box's
     # face scan, that carries no facet
