@@ -409,26 +409,40 @@ def run(config: RunConfig):
 # outputs
 
 def export_vtk(path, mesh: meshmod.LabeledMesh, point_data):
-    """Legacy ASCII VTK unstructured grid with the given nodal scalars."""
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("smpnp solution\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write("POINTS %d double\n" % mesh.num_vertices)
-        meshmod.write_rows(fh, "%g %g %g\n", mesh.vertices)
-        m = mesh.num_tets
-        fh.write("CELLS %d %d\n" % (m, 5 * m))
-        meshmod.write_rows(fh, "4 %d %d %d %d\n", mesh.tets)
-        fh.write("CELL_TYPES %d\n" % m)
-        fh.write("10\n" * m)
-        fh.write("CELL_DATA %d\nSCALARS region int 1\nLOOKUP_TABLE default\n" % m)
-        meshmod.write_rows(fh, "%d\n", mesh.tet_regions)
-        fh.write("POINT_DATA %d\n" % mesh.num_vertices)
-        for name, values in point_data.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (mesh.num_vertices,):
-                raise ValueError("field %r is not nodal on the box mesh" % name)
-            fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % output_name(name))
-            meshmod.write_rows(fh, "%g\n", values)
+    """Legacy binary VTK unstructured grid with the given nodal scalars.
+
+    The keyword lines are text (field names in UTF-8); each array follows
+    its keyword line as one big-endian block and a newline: float64 points and fields, int32 cells
+    (``4 a b c d`` per tet), cell types (10) and region cell scalars.  A
+    field that is not nodal raises ``ValueError`` before the file is opened.
+    """
+    n, m = mesh.num_vertices, mesh.num_tets
+    fields = []
+    for name, values in point_data.items():
+        values = np.asarray(values, dtype=">f8")
+        if values.shape != (n,):
+            raise ValueError("field %r is not nodal on the box mesh" % name)
+        fields.append((b"SCALARS %s double 1\nLOOKUP_TABLE default\n"
+                       % output_name(name).encode(), values))
+    cells = np.empty((m, 5), dtype=">i4")
+    cells[:, 0] = 4
+    cells[:, 1:] = mesh.tets
+    with open(path, "wb") as fh:
+        def block(keywords, array):
+            fh.write(keywords)
+            fh.write(array.tobytes())
+            fh.write(b"\n")
+
+        block(b"# vtk DataFile Version 3.0\nsmpnp solution\nBINARY\n"
+              b"DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n" % n,
+              np.asarray(mesh.vertices, dtype=">f8"))
+        block(b"CELLS %d %d\n" % (m, 5 * m), cells)
+        block(b"CELL_TYPES %d\n" % m, np.full(m, 10, dtype=">i4"))
+        block(b"CELL_DATA %d\nSCALARS region int 1\nLOOKUP_TABLE default\n" % m,
+              np.asarray(mesh.tet_regions, dtype=">i4"))
+        fh.write(b"POINT_DATA %d\n" % n)
+        for keywords, values in fields:
+            block(keywords, values)
 
 
 def solution_point_data(result: RunResult):

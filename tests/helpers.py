@@ -391,3 +391,56 @@ def reference_log_water(log_a, r, s0, max_iter=100, s_tol=1.0e-14):
         if active.size == 0:
             return s, iters
     raise NewtonError("no root in %d iterations" % max_iter)
+
+
+def read_vtk(path):
+    """The blocks of a legacy binary VTK unstructured grid, as
+    ``driver.export_vtk`` writes it.
+
+    The keyword lines are parsed as text and each array that follows one is
+    read with ``np.frombuffer`` as big-endian float64 (``double``) or int32
+    (``int``, cells and cell types), then its closing newline is checked.
+    Returns the four header lines, ``points`` (N, 3), ``cells`` (M, 5),
+    ``cell_types`` (M,), and the dicts ``cell_data`` and ``point_data`` of
+    scalars by name.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode(), end + 1
+        return text
+
+    def block(dtype, count):
+        nonlocal pos
+        end = pos + np.dtype(dtype).itemsize * count
+        array = np.frombuffer(data[pos:end], dtype=dtype)
+        if len(array) != count or data[end:end + 1] != b"\n":
+            raise ValueError("block of %d %s ends at byte %d" % (count, dtype, pos))
+        pos = end + 1
+        return array
+
+    out = SimpleNamespace(header=[line() for _ in range(4)], cell_data={}, point_data={})
+    data_section, count = None, 0
+    while pos < len(data):
+        words = line().split()
+        if words[0] == "POINTS":
+            assert words[2] == "double"
+            out.points = block(">f8", 3 * int(words[1])).reshape(-1, 3)
+        elif words[0] == "CELLS":
+            out.cells = block(">i4", int(words[2])).reshape(int(words[1]), -1)
+        elif words[0] == "CELL_TYPES":
+            out.cell_types = block(">i4", int(words[1]))
+        elif words[0] in ("CELL_DATA", "POINT_DATA"):
+            data_section = out.cell_data if words[0] == "CELL_DATA" else out.point_data
+            count = int(words[1])
+        elif words[0] == "SCALARS":
+            assert line() == "LOOKUP_TABLE default"
+            dtype = {"double": ">f8", "int": ">i4"}[words[2]]
+            data_section[words[1]] = block(dtype, count)
+        else:
+            raise ValueError("unknown VTK keyword line %r" % " ".join(words))
+    return out

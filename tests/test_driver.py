@@ -16,9 +16,9 @@ import scipy.sparse.linalg as spla
 from smpnp import (driver, electrostatics, fem_core, mesh as meshmod, nonlinear_node,
                    sparse_linalg, transport)
 from smpnp.errors import ConfigError, ConvergenceError
-from smpnp.physics_model import ModelConstants, mixture_species
+from smpnp.physics_model import ModelConstants, mixture_species, output_name
 
-from helpers import reference_block1_system
+from helpers import read_vtk, reference_block1_system
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -729,9 +729,12 @@ radius = 1.81
 c_b = 0.1
 D_b = 0.203
 """ % out)
-    assert driver.main(["run", "--config", cfg_path]) == 2
+    with mock.patch.object(driver, "write_outputs", wraps=driver.write_outputs) as write:
+        assert driver.main(["run", "--config", cfg_path]) == 2
     # partial outputs are still written from the attached state
-    assert (out / "solution.vtk").exists()
+    (_, attached), = [call.args for call in write.call_args_list]
+    assert not attached.converged
+    assert np.array_equal(read_vtk(out / "solution.vtk").point_data["u"], attached.u)
     assert "converged = no" in (out / "summary.txt").read_text()
 
 
@@ -788,13 +791,43 @@ def test_export_vtk_structure(tmp_path, channel_mesh):
     path = tmp_path / "m.vtk"
     data = {"u": np.zeros(channel_mesh.num_vertices)}
     driver.export_vtk(path, channel_mesh, data)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# vtk DataFile")
-    assert "POINTS %d double" % channel_mesh.num_vertices in text
-    assert "CELL_TYPES %d" % channel_mesh.num_tets in text
-    assert "SCALARS u double 1" in text
+    vtk = read_vtk(path)
+    assert vtk.header == ["# vtk DataFile Version 3.0", "smpnp solution", "BINARY",
+                          "DATASET UNSTRUCTURED_GRID"]
+    assert vtk.points.shape == (channel_mesh.num_vertices, 3)
+    assert vtk.cell_types.shape == (channel_mesh.num_tets,)
+    assert list(vtk.point_data) == ["u"] and list(vtk.cell_data) == ["region"]
+    # a field that is not nodal is refused before the file is opened, so
+    # no truncated file is left behind
+    bad = tmp_path / "bad.vtk"
     with pytest.raises(ValueError):
-        driver.export_vtk(path, channel_mesh, {"bad": np.zeros(3)})
+        driver.export_vtk(bad, channel_mesh, {"u": data["u"], "bad": np.zeros(3)})
+    assert not bad.exists()
+
+
+def test_solution_vtk_reads_back_bit_for_bit(tmp_path):
+    config = driver.RunConfig(species=mixture_species(),
+                              constants=ModelConstants(sigma=-1.0, u_t=1.5),
+                              linear=sparse_linalg.LinearSolveSpec(method="direct"),
+                              geometry=meshmod.ChannelGeometry(resolution=6),
+                              output_dir=str(tmp_path))
+    result = driver.run(config)
+    driver.write_outputs(config, result)
+    vtk = read_vtk(tmp_path / "solution.vtk")
+    mesh = result.mesh
+    assert np.array_equal(vtk.points, mesh.vertices)
+    assert np.array_equal(vtk.cells, np.column_stack([np.full(mesh.num_tets, 4), mesh.tets]))
+    assert np.array_equal(vtk.cell_types, np.full(mesh.num_tets, 10))
+    assert np.array_equal(vtk.cell_data["region"], mesh.tet_regions)
+    expected = driver.solution_point_data(result)
+    assert list(vtk.point_data) == [output_name(name) for name in expected]
+    for name, values in expected.items():
+        # bit for bit, -1 at the non-solvent c_i nodes included
+        assert vtk.point_data[output_name(name)].tobytes() == \
+            values.astype(">f8").tobytes()
+    non_solvent = np.setdiff1d(np.arange(mesh.num_vertices), result.submesh.vertex_map)
+    assert non_solvent.size > 0
+    assert np.all(vtk.point_data["c_Na_"][non_solvent] == -1.0)
 
 
 def test_kept_factors_never_outlive_a_run(tmp_path):
