@@ -4,6 +4,8 @@ the restriction/prolongation maps between the two P1 spaces.
 Regions: 1 = Solvent, 2 = Protein, 3 = Membrane.
 Facet labels: 1 = protein-solvent, 2 = membrane-solvent, 3 = protein-membrane
 interfaces; 4 = Dirichlet (bottom/top box faces); 5 = Neumann (side faces).
+A mesh is its vertices, tets, regions and box; ``LabeledMesh.validate``
+derives its facets from them, and a mesh file holds none (format 2).
 The solvent submesh holds indices into its box and no facets: its
 Dirichlet nodes are the box's, which ``LabeledMesh.validate`` makes all
 solvent nodes.
@@ -39,21 +41,22 @@ class FaceOwners(NamedTuple):
 
 @dataclass
 class LabeledMesh:
-    """Tetrahedral mesh of the box with region and facet labels.
+    """Tetrahedral mesh of the box with region labels, and the facets
+    derived from them.
 
     ``box`` is (x1, x2, y1, y2, z1, z2) in A; ``z1``/``z2`` are the membrane
     plane heights.  Immutable by convention after construction/validation:
     ``validate`` stores the mesh's P1 geometry (``fem_core.p1_operator``)
-    on it, and beside it ``face_owners`` (``FaceOwners``): the faces
-    between tets of different regions, in face-table order, with their
-    owners, and the owner of every facet.  Every assembly reuses them.
+    on it, its facets (``facets`` (K, 3) sorted vertex triples and
+    ``facet_labels`` (K,), in face-scan order), and beside them
+    ``face_owners`` (``FaceOwners``): the faces between tets of different
+    regions, in face-table order, with their owners, and the owner of
+    every facet.  Every assembly reuses them.
     """
 
     vertices: np.ndarray  # (N, 3) float
     tets: np.ndarray  # (M, 4) int
     tet_regions: np.ndarray  # (M,) int
-    facets: np.ndarray  # (K, 3) int
-    facet_labels: np.ndarray  # (K,) int
     box: tuple
     z1: float
     z2: float
@@ -66,72 +69,40 @@ class LabeledMesh:
     def num_tets(self):
         return self.tets.shape[0]
 
-    def validate(self, face_table=None):
-        """Check every LabeledMesh invariant; raise MeshError on failure.
+    def validate(self):
+        """Check every LabeledMesh invariant and derive the facets; raise
+        MeshError on failure.
 
-        ``face_table`` is ``_face_owners(self.tets, self.num_vertices)``
-        when the caller has already built it; None builds it here.  Each
-        call checks the box order and the vertex ids first, then builds the
-        mesh's P1 geometry afresh, which rejects an inverted tet, and stores
-        it for ``fem_core.p1_operator``.  Dirichlet facets must lie on
-        ``box_planes`` planes 4-5, Neumann ones on 0-3.  One face-table
-        lookup then checks that every interface facet separates the regions
-        of its label, that every Dirichlet facet bounds a solvent tet (so
-        the box's Dirichlet nodes are all solvent nodes), that every facet
-        is a face of the mesh listed once (so each has its owners), and
-        that every face with exactly one solvent owner carries a facet.
-        The owners it found are stored as ``face_owners``.
+        Each call checks the box order, the vertex ids and the region tags
+        first.  It then builds the face table once, derives the facets from
+        it (``_derive_facets``) and checks two rules, each error naming the
+        first face in scan order that breaks it: every boundary face lies on
+        a ``box_planes`` plane (so a hole in the mesh is refused), and every
+        one on plane 4 or 5 bounds a solvent tet (so the box's Dirichlet
+        nodes are all solvent nodes).  It stores ``facets``, ``facet_labels``
+        and ``face_owners``, and last builds the mesh's P1 geometry afresh,
+        which rejects an inverted tet, and stores it for
+        ``fem_core.p1_operator``.
         """
         check_box_order(self.box, self.z1, self.z2)
         _check_vertex_ids(self.tets, self.num_vertices, "tet")
-        _check_vertex_ids(self.facets, self.num_vertices, "facet")
-        self._p1_operator = fem_core.P1Operator(self)
         unknown = set(np.unique(self.tet_regions)) - set(_REGIONS)
         if unknown:
             raise MeshError("unknown region tag %s" % sorted(unknown)[0])
-        unknown = set(np.unique(self.facet_labels)) - set(_FACET_LABELS)
-        if unknown:
-            raise MeshError("unknown facet label %s" % sorted(unknown)[0])
-        for label, planes, message in (
-                (GAMMA_D, (4, 5), "Dirichlet facet %d not on z=L_z1 or z=L_z2"),
-                (GAMMA_N, (0, 1, 2, 3), "Neumann facet %d not on a side plane")):
-            ids = np.flatnonzero(self.facet_labels == label)
-            bad = ~np.isin(box_planes(self.vertices, self.facets[ids], self.box), planes)
+        faces, owners, labels = _derive_facets(self.vertices, self.tets, self.tet_regions,
+                                               self.box)
+        boundary = owners[:, 1] < 0
+        for bad, message in (
+                (boundary & (labels == 0), "boundary face (%d, %d, %d) lies on no box plane"),
+                ((labels == GAMMA_D) & (self.tet_regions[owners[:, 0]] != SOLVENT),
+                 "Dirichlet face (%d, %d, %d) does not bound a solvent tet")):
             if bad.any():
-                raise MeshError(message % ids[np.argmax(bad)])
-        faces, owners = (_face_owners(self.tets, self.num_vertices) if face_table is None
-                         else face_table)
-        n, labels = self.num_vertices, self.facet_labels
-        found = _find_faces(_face_keys(faces, n), _face_keys(np.sort(self.facets, axis=1), n))
-        # owner regions, 0 for a missing owner (a boundary face's second)
-        region = np.append(self.tet_regions, 0)[owners]
-        ra, rb = np.where(found >= 0, region[found].T, 0)
-        bad = (np.isin(labels, (GAMMA_P, GAMMA_M, GAMMA_PM))
-               & (_PAIR_LABEL[ra, rb] != labels))
-        if bad.any():
-            k = np.argmax(bad)
-            raise MeshError("facet %d does not separate the regions of label %d"
-                            % (k, labels[k]))
-        bad = (labels == GAMMA_D) & (ra != SOLVENT) & (rb != SOLVENT)
-        if bad.any():
-            raise MeshError("Dirichlet facet %d does not bound a solvent tet" % np.argmax(bad))
-        if np.any(found < 0):
-            raise MeshError("facet %d is not a face of the mesh" % np.argmax(found < 0))
-        # the lowest facet index on each face; a facet above it repeats it
-        first = np.full(len(faces), len(labels))
-        np.minimum.at(first, found, np.arange(len(labels)))
-        repeat = first[found] != np.arange(len(labels))
-        if repeat.any():
-            k = np.argmax(repeat)
-            raise MeshError("facet %d repeats facet %d" % (k, first[found[k]]))
-        solvent = region == SOLVENT
-        missing = solvent[:, 0] != solvent[:, 1]
-        missing[found] = False
-        if missing.any():
-            raise MeshError("solvent boundary face (%d, %d, %d) carries no facet"
-                            % tuple(faces[np.argmax(missing)].tolist()))
-        between = np.flatnonzero((owners[:, 1] >= 0) & (region[:, 0] != region[:, 1]))
-        self.face_owners = FaceOwners(faces[between], owners[between], owners[found, 0])
+                raise MeshError(message % tuple(faces[np.argmax(bad)].tolist()))
+        keep = labels > 0
+        between = keep & ~boundary
+        self.facets, self.facet_labels = faces[keep], labels[keep]
+        self.face_owners = FaceOwners(faces[between], owners[between], owners[keep, 0])
+        self._p1_operator = fem_core.P1Operator(self)
         return self
 
     def dirichlet_side_nodes(self):
@@ -150,6 +121,10 @@ _PAIR_LABEL = np.zeros((4, 4), dtype=np.int64)
 _PAIR_LABEL[[SOLVENT, SOLVENT, PROTEIN], [PROTEIN, MEMBRANE, MEMBRANE]] = (
     GAMMA_P, GAMMA_M, GAMMA_PM)
 _PAIR_LABEL += _PAIR_LABEL.T
+
+#: Boundary facet label of a ``box_planes`` index; its last entry, 0, is
+#: that of index -1, a face on no plane.
+_PLANE_LABEL = np.array([GAMMA_N] * 4 + [GAMMA_D] * 2 + [0])
 
 
 def _all_near(coords, value):
@@ -196,17 +171,6 @@ def _triple_keys(a, b, c, n):
     if int(n) ** 3 > np.iinfo(np.int64).max:
         raise MeshError("%d vertices overflow the int64 face keys" % n)
     return (a * n + b) * n + c
-
-
-def _find_faces(keys, queries):
-    """Index into ``keys`` of each query key, -1 where absent; the last of
-    equal keys wins."""
-    if keys.size == 0:
-        return np.full(queries.shape, -1, dtype=np.intp)
-    order = np.argsort(keys, kind="stable")
-    pos = np.searchsorted(keys, queries, side="right", sorter=order) - 1
-    idx = order[np.maximum(pos, 0)]
-    return np.where((pos >= 0) & (keys[idx] == queries), idx, -1)
 
 
 def _check_vertex_ids(ids, n, what):
@@ -354,37 +318,64 @@ def expect_end(lines, at):
 
 
 def load_mesh(path):
-    """Read a labeled mesh from the plain-text format and validate it."""
+    """Read a labeled mesh from the plain-text format and validate it, which
+    derives its facets.
+
+    Reads format 2 and format 1, whose facets section follows the tets:
+    each facet listed there, as a sorted triple with its label, must be
+    one of the derived facets, and those it leaves out are derived all
+    the same.
+    """
     lines = nonblank_lines(path)
-    ln, tok = _line(lines, 0, "'smpnp-mesh 1'")
-    if tok != ["smpnp-mesh", "1"]:
-        raise MeshFormatError("bad header, expected 'smpnp-mesh 1'", line=ln)
+    ln, tok = _line(lines, 0, "'smpnp-mesh 2'")
+    if tok not in (["smpnp-mesh", "2"], ["smpnp-mesh", "1"]):
+        raise MeshFormatError("bad header, expected 'smpnp-mesh 2' or 'smpnp-mesh 1'", line=ln)
     verts, at = read_section(lines, 1, "vertices", "'x y z'", float)
     tets, at = read_section(lines, at, "tets", "'i0 i1 i2 i3 region'", int,
                             ("region tag", _REGIONS))
-    facets, at = read_section(lines, at, "facets", "'i0 i1 i2 label'", int,
-                              ("facet label", _FACET_LABELS))
+    listed = None
+    if tok[1] == "1":
+        rows = lines[at + 1:]
+        listed, at = read_section(lines, at, "facets", "'i0 i1 i2 label'", int,
+                                  ("facet label", _FACET_LABELS))
     expected = "'box x1 x2 y1 y2 z1 z2 Z1 Z2'"
     ln, tok = _line(lines, at, expected)
     if tok[0] != "box":
         raise MeshFormatError("expected %s" % expected, line=ln)
     box = parse_numbers(float, tok[1:], ln, expected, 8).tolist()
     expect_end(lines, at + 1)
-    mesh = LabeledMesh(verts, tets[:, :4].copy(), tets[:, 4].copy(), facets[:, :3].copy(),
-                       facets[:, 3].copy(), tuple(box[:6]), box[6], box[7])
-    return mesh.validate()
+    mesh = LabeledMesh(verts, tets[:, :4].copy(), tets[:, 4].copy(), tuple(box[:6]),
+                       box[6], box[7]).validate()
+    if listed is not None:
+        _check_listed_facets(mesh, listed, rows)
+    return mesh
+
+
+def _check_listed_facets(mesh, listed, rows):
+    """Raise MeshFormatError unless each row ``i0 i1 i2 label`` of
+    ``listed``, as a sorted triple with its label, is a facet of the
+    validated ``mesh``, naming the line of the first that is not;
+    ``rows`` are the ``nonblank_lines`` pairs from the first row on."""
+    n = mesh.num_vertices
+    derived = dict(zip(_face_keys(mesh.facets, n).tolist(), mesh.facet_labels.tolist()))
+    keys = _face_keys(np.sort(listed[:, :3], axis=1), n).tolist()
+    for (ln, _), key, row in zip(rows, keys, listed.tolist()):
+        label = derived.get(key)
+        if label != row[3]:
+            raise MeshFormatError("facet (%d, %d, %d) " % tuple(row[:3]) + (
+                "is no boundary or interface face" if label is None
+                else "has label %d, not the derived %d" % (row[3], label)), line=ln)
 
 
 def save_mesh(mesh: LabeledMesh, path):
-    """Write the canonical plain-text serialization of ``mesh``."""
+    """Write the canonical plain-text serialization of ``mesh``: format 2,
+    which holds no facets."""
     with open(path, "w") as fh:
-        fh.write("smpnp-mesh 1\n")
+        fh.write("smpnp-mesh 2\n")
         fh.write("vertices %d\n" % mesh.num_vertices)
         write_rows(fh, "%.17g %.17g %.17g\n", mesh.vertices)
         fh.write("tets %d\n" % mesh.num_tets)
         write_rows(fh, "%d %d %d %d %d\n", np.column_stack([mesh.tets, mesh.tet_regions]))
-        fh.write("facets %d\n" % len(mesh.facets))
-        write_rows(fh, "%d %d %d %d\n", np.column_stack([mesh.facets, mesh.facet_labels]))
         fh.write("box %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g\n"
                  % (mesh.box + (mesh.z1, mesh.z2)))
 
@@ -470,48 +461,38 @@ def _classify_regions(geom: ChannelGeometry, centroids):
                     np.where(in_shell, PROTEIN, MEMBRANE)).astype(np.int64)
 
 
-def derive_facets(vertices, tets, regions, box, face_table=None):
-    """Interface and boundary facet lists from tet adjacency.
-
-    A one-owner face is Dirichlet on ``box_planes`` plane 4 or 5, else Neumann.
-    ``face_table`` is ``_face_owners(tets, len(vertices))``, or None to build it.
-    """
-    faces, owners = (_face_owners(tets, len(vertices)) if face_table is None
-                     else face_table)
+def _derive_facets(vertices, tets, regions, box):
+    """The face table of ``tets`` (``_face_owners``) and each face's facet
+    label: the interface label of its two owners' regions (0 for equal
+    regions), and on a one-owner face Dirichlet on ``box_planes`` plane 4
+    or 5, Neumann on 0-3 and 0 on none.  Returns (faces, owners, labels)."""
+    faces, owners = _face_owners(tets, len(vertices))
     boundary = owners[:, 1] < 0
     labels = _PAIR_LABEL[regions[owners[:, 0]], regions[owners[:, 1]]]
-    labels[boundary] = np.where(box_planes(vertices, faces[boundary], box) > 3, GAMMA_D, GAMMA_N)
-    keep = labels > 0
-    return faces[keep], labels[keep]
+    labels[boundary] = _PLANE_LABEL[box_planes(vertices, faces[boundary], box)]
+    return faces, owners, labels
 
 
 def synth_channel_mesh(geom: ChannelGeometry):
-    """Build the synthetic channel mesh for ``geom`` and validate it.
+    """Build the synthetic channel mesh for ``geom`` and validate it, which
+    derives its facets.
 
     Regions are decided by the tet centroid (``_classify_regions`` gives
-    the side of a centroid exactly on an interface).  The face table that
-    derives the facets also validates them.
+    the side of a centroid exactly on an interface).
     """
     verts, tets = structured_box(geom.box, geom.resolution)
     regions = _classify_regions(geom, tet_centroids(verts, tets))
-    face_table = _face_owners(tets, len(verts))
-    facets, labels = derive_facets(verts, tets, regions, geom.box, face_table)
-    mesh = LabeledMesh(verts, tets, regions, facets, labels,
-                       geom.box, geom.z1, geom.z2)
-    return mesh.validate(face_table)
+    return LabeledMesh(verts, tets, regions, geom.box, geom.z1, geom.z2).validate()
 
 
 def unit_cube_mesh(n=2, box=(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)):
     """All-solvent structured box mesh (Dirichlet top/bottom, Neumann sides)."""
     verts, tets = structured_box(box, n)
     regions = np.full(len(tets), SOLVENT, dtype=np.int64)
-    face_table = _face_owners(tets, len(verts))
-    facets, labels = derive_facets(verts, tets, regions, box, face_table)
     # membrane planes unused; park them inside the box to satisfy validation
     z1, z2 = box[4], box[5]
-    mesh = LabeledMesh(verts, tets, regions, facets, labels, box,
-                       z1 + 0.25 * (z2 - z1), z1 + 0.75 * (z2 - z1))
-    return mesh.validate(face_table)
+    return LabeledMesh(verts, tets, regions, box,
+                       z1 + 0.25 * (z2 - z1), z1 + 0.75 * (z2 - z1)).validate()
 
 
 # ---------------------------------------------------------------------------

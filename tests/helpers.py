@@ -1,5 +1,6 @@
 """Oracles and diagnostics that only the tests use."""
 
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -326,6 +327,21 @@ def reference_mass(mesh, tet_mask=None):
         vols = np.where(tet_mask, vols, 0.0)
     local = np.broadcast_to(LOCAL_MASS, (len(vols), 16))
     return fem_core._WeightMap(op.tets, op.num_vertices, local, fem_core._NO_NODES).matrix(vols)
+
+
+def save_mesh_v1(mesh, path, facets=None, labels=None):
+    """Write ``mesh`` to the pathlib path ``path`` in format 1, the layout
+    ``save_mesh`` wrote before format 2: the header 'smpnp-mesh 1', and a
+    facets section of ``facets`` with ``labels`` (the mesh's by default)
+    between the tets and the box line."""
+    facets = mesh.facets if facets is None else facets
+    labels = mesh.facet_labels if labels is None else labels
+    meshmod.save_mesh(mesh, path)
+    body, box = path.read_text().removeprefix("smpnp-mesh 2\n").split("box ")
+    rows = io.StringIO()
+    meshmod.write_rows(rows, "%d %d %d %d\n", np.column_stack([facets, labels]))
+    path.write_text("smpnp-mesh 1\n%sfacets %d\n%sbox %s"
+                    % (body, len(facets), rows.getvalue(), box))
 
 
 def face_owners_reference(tets, n):

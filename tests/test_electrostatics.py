@@ -11,7 +11,7 @@ from smpnp.errors import LinearSolveError, MeshError, MeshFormatError
 from smpnp.physics_model import ModelConstants
 
 from helpers import (assemble_load_volume, mean_grad_G, point_charge_load, polar_face_moments,
-                     volume_mismatch_load)
+                     save_mesh_v1, volume_mismatch_load)
 
 DIRECT = sparse_linalg.LinearSolveSpec(method="direct")
 CONST = ModelConstants()
@@ -224,26 +224,45 @@ def test_psi_lift_matches_symmetric_elimination(channel_mesh, rng):
     assert np.array_equal(psi[pinned], g[pinned])
 
 
-def test_psi_side_load_ignores_the_corner_order_of_neumann_facets(rng):
+def _ring_psi(meshes, rng):
+    """Psi on each of ``meshes`` of the 16-site ring of the first, charges
+    drawn from ``rng``, at eps_m = 5 (protein-membrane faces carry a jump
+    too)."""
+    sites = meshmod.protein_ring_sites(meshes[0], 16)
+    atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
+    constants = replace(CONST, eps_m=5.0)
+    return [es.solve_psi(m, atoms, constants, es.nodal_G(m, atoms, constants),
+                         es.BoxPoisson(m, constants))
+            for m in meshes]
+
+
+def test_psi_side_load_ignores_the_corner_order_of_neumann_facets(tmp_path, rng):
     # -eps_T dG/dn takes n from each Gamma_N facet's box plane, and the
     # interface load takes its faces and their owners from the face table,
-    # so reversing the orientation of every side and interface facet leaves
-    # Psi bit for bit.  Swapping the first two corners reverses it and
-    # keeps the sum of the three corner values exact; reversing all three
-    # would reorder that sum
+    # so a format-1 file that lists every side and interface facet in
+    # reverse orientation (its first two corners swapped) gives Psi bit for
+    # bit: its facets are checked as sorted triples, and derived
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
-    sites = meshmod.protein_ring_sites(mesh, 16)
-    atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
-    constants = replace(CONST, eps_m=5.0)  # protein-membrane faces carry a jump too
     facets = mesh.facets.copy()
-    flip = np.isin(mesh.facet_labels, (meshmod.GAMMA_N, meshmod.GAMMA_P, meshmod.GAMMA_M,
-                                       meshmod.GAMMA_PM))
+    flip = mesh.facet_labels != meshmod.GAMMA_D
     facets[flip] = facets[flip][:, [1, 0, 2]]
-    flipped = meshmod.LabeledMesh(mesh.vertices, mesh.tets, mesh.tet_regions, facets,
-                                  mesh.facet_labels, mesh.box, mesh.z1, mesh.z2).validate()
-    psi = [es.solve_psi(m, atoms, constants, es.nodal_G(m, atoms, constants),
-                        es.BoxPoisson(m, constants))
-           for m in (mesh, flipped)]
+    save_mesh_v1(mesh, tmp_path / "flipped.mesh", facets=facets)
+    psi = _ring_psi([mesh, meshmod.load_mesh(tmp_path / "flipped.mesh")], rng)
+    assert np.any(psi[0] != 0.0) and psi[0].tobytes() == psi[1].tobytes()
+
+
+def test_psi_of_a_file_without_the_membrane_side_facets(tmp_path, rng):
+    # a format-1 file that leaves out the 96 Gamma_N facets of membrane tets
+    # still gets their -eps_T dG/dn load: the facets are derived, and Psi
+    # is bitwise the synthetic mesh's (a mesh that took its facets from the
+    # file moved the load at their nodes by 191, of a largest 5,115, for
+    # these charges)
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
+    side = ((mesh.facet_labels == meshmod.GAMMA_N)
+            & (mesh.tet_regions[mesh.face_owners.facet_owner] == meshmod.MEMBRANE))
+    assert side.sum() == 96
+    save_mesh_v1(mesh, tmp_path / "part.mesh", mesh.facets[~side], mesh.facet_labels[~side])
+    psi = _ring_psi([mesh, meshmod.load_mesh(tmp_path / "part.mesh")], rng)
     assert np.any(psi[0] != 0.0) and psi[0].tobytes() == psi[1].tobytes()
 
 

@@ -413,7 +413,7 @@ def test_translated_mesh_keeps_the_pattern(synth_boxes):
     mesh = synth_boxes[20]
     shift = np.array([0.1, -0.3, 0.7])
     moved = meshmod.LabeledMesh(
-        mesh.vertices + shift, mesh.tets, mesh.tet_regions, mesh.facets, mesh.facet_labels,
+        mesh.vertices + shift, mesh.tets, mesh.tet_regions,
         tuple(np.asarray(mesh.box) + np.repeat(shift, 2)),
         mesh.z1 + shift[2], mesh.z2 + shift[2]).validate()
     ones = np.ones(mesh.num_vertices)

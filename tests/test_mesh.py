@@ -1,5 +1,6 @@
 import codecs
 import io
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,7 +11,7 @@ from smpnp import fem_core, mesh as meshmod
 from smpnp.errors import MeshError, MeshFormatError
 
 from helpers import (face_owners_reference, p1_geometry_reference, reference_mass,
-                     region_volume, solvent_dirichlet_nodes)
+                     region_volume, save_mesh_v1, solvent_dirichlet_nodes)
 
 
 def test_structured_box_counts():
@@ -63,19 +64,26 @@ def test_load_unknown_region_tag(tmp_path):
 @pytest.mark.parametrize("old,new,line", [
     ("vertices 8", "vertices eight", 2),
     ("tets 6", "tets 6.0", 11),
-    ("facets 12", "facets 12x", 18),
     ("0 6 2 7 1", "0 6 2 7.5 1", 14),
-    ("0 2 6 4", "0 2 six 4", 24),
-    ("box 0 1 0 1 0 1 0.25 0.75", "box 0 1 0 1 0 1 0.25 z2", 31),
+    ("box 0 1 0 1 0 1 0.25 0.75", "box 0 1 0 1 0 1 0.25 z2", 18),
     ("0 1 1", "0 nan 1", 6),  # non-finite numbers
     ("1 1 1", "1 1 -inf", 10),
-    ("box 0 1 0 1 0 1 0.25 0.75", "box 0 1 0 1 0 inf 0.25 0.75", 31),
-    ("facets 12", "facets 13", 31),  # a count above its rows: box read as a row
-    ("0 2 6 4", "0 2 99999999999999999999 4", 24),  # past int64
+    ("box 0 1 0 1 0 1 0.25 0.75", "box 0 1 0 1 0 inf 0.25 0.75", 18),
+    ("tets 6", "tets 7", 18),  # a count above its rows: box read as a row
+    ("0 6 2 7 1", "0 6 2 99999999999999999999 1", 14),  # past int64
+    # the facets section of a format-1 file
+    ("facets 12", "facets 12x", 18),
+    ("0 2 6 4", "0 2 six 4", 24),
+    ("facets 12", "facets 13", 31),
+    ("0 2 6 4", "0 2 99999999999999999999 4", 24),
 ])
 def test_load_malformed_numbers_reports_line(tmp_path, old, new, line):
+    # format 2 where it holds the line, else format 1
     path = tmp_path / "bad.mesh"
-    meshmod.save_mesh(meshmod.unit_cube_mesh(1), path)
+    mesh = meshmod.unit_cube_mesh(1)
+    meshmod.save_mesh(mesh, path)
+    if old + "\n" not in path.read_text():
+        save_mesh_v1(mesh, path)
     text = path.read_text()
     assert text.count(old + "\n") == 1
     path.write_text(text.replace(old + "\n", new + "\n"))
@@ -112,21 +120,21 @@ def test_load_non_utf8_mesh_is_a_format_error(tmp_path):
 
 def test_load_truncated_file_reports_line(tmp_path):
     path = tmp_path / "trunc.mesh"
-    path.write_text("smpnp-mesh 1\nvertices 2\n0 0 0\n")
+    path.write_text("smpnp-mesh 2\nvertices 2\n0 0 0\n")
     with pytest.raises(MeshFormatError, match="^line 3: expected 'x y z', found end of file$"):
         meshmod.load_mesh(path)
 
 
-def _cube_mesh_text(tmp_path):
+def _cube_mesh_text(tmp_path, save=meshmod.save_mesh):
     path = tmp_path / "cube.mesh"
-    meshmod.save_mesh(meshmod.unit_cube_mesh(1), path)
+    save(meshmod.unit_cube_mesh(1), path)
     return path, path.read_text()
 
 
 def test_load_refuses_lines_after_box(tmp_path):
     path, text = _cube_mesh_text(tmp_path)
     path.write_text(text + "\n0 0 0\nfacets 3\n")
-    with pytest.raises(MeshFormatError, match="^line 33: expected end of file$"):
+    with pytest.raises(MeshFormatError, match="^line 20: expected end of file$"):
         meshmod.load_mesh(path)
 
 
@@ -134,15 +142,15 @@ def test_load_requires_box_line(tmp_path):
     # no box or membrane planes are made up from the vertices
     path, text = _cube_mesh_text(tmp_path)
     lines = text.splitlines()
-    assert lines[-1].startswith("box ") and len(lines) == 31
+    assert lines[0] == "smpnp-mesh 2" and lines[-1].startswith("box ") and len(lines) == 18
     path.write_text("\n".join(lines[:-1]) + "\n\n")
-    with pytest.raises(MeshFormatError, match="^line 30: expected 'box x1 x2 y1 y2 z1 z2 "
+    with pytest.raises(MeshFormatError, match="^line 17: expected 'box x1 x2 y1 y2 z1 z2 "
                                               "Z1 Z2', found end of file$"):
         meshmod.load_mesh(path)
 
 
 def test_load_unknown_facet_label_names_its_line(tmp_path):
-    path, text = _cube_mesh_text(tmp_path)
+    path, text = _cube_mesh_text(tmp_path, save_mesh_v1)
     assert text.count("0 2 6 4\n") == 1
     path.write_text(text.replace("0 2 6 4\n", "0 2 6 9\n"))
     with pytest.raises(MeshFormatError, match="^line 24: unknown facet label 9$"):
@@ -153,8 +161,7 @@ def test_validate_rejects_inverted_tet():
     mesh = meshmod.unit_cube_mesh(1)
     tets = mesh.tets.copy()
     tets[0, [0, 1]] = tets[0, [1, 0]]
-    bad = meshmod.LabeledMesh(mesh.vertices, tets, mesh.tet_regions,
-                              mesh.facets, mesh.facet_labels, mesh.box,
+    bad = meshmod.LabeledMesh(mesh.vertices, tets, mesh.tet_regions, mesh.box,
                               mesh.z1, mesh.z2)
     with pytest.raises(MeshError, match="inverted tet"):
         bad.validate()
@@ -247,7 +254,6 @@ def test_submesh_all_solvent_cube(cube_mesh):
 def test_submesh_requires_solvent(cube_mesh):
     mesh = meshmod.LabeledMesh(cube_mesh.vertices, cube_mesh.tets,
                                np.full(cube_mesh.num_tets, meshmod.PROTEIN),
-                               cube_mesh.facets, cube_mesh.facet_labels,
                                cube_mesh.box, cube_mesh.z1, cube_mesh.z2)
     with pytest.raises(MeshError, match="no solvent tets"):
         meshmod.extract_solvent_submesh(mesh)
@@ -301,11 +307,8 @@ def test_face_shared_by_three_tets_is_rejected(tmp_path):
     mesh = meshmod.unit_cube_mesh(1)
     tets = np.vstack([mesh.tets, mesh.tets[:1]])
     regions = np.append(mesh.tet_regions, meshmod.SOLVENT)
-    bad = meshmod.LabeledMesh(mesh.vertices, tets, regions, mesh.facets,
-                              mesh.facet_labels, mesh.box, mesh.z1, mesh.z2)
+    bad = meshmod.LabeledMesh(mesh.vertices, tets, regions, mesh.box, mesh.z1, mesh.z2)
     message = r"^face \(0, 1, 7\) is shared by 3 tets$"
-    with pytest.raises(MeshError, match=message):
-        meshmod.derive_facets(bad.vertices, tets, regions, bad.box)
     with pytest.raises(MeshError, match=message):
         bad.validate()
     path = tmp_path / "dup.mesh"
@@ -372,20 +375,15 @@ def test_load_mesh_refuses_a_box_out_of_order(box, z_planes, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# error paths of validate
+# error paths of validate, and the facets of a format-1 file
 
 
-_INTERFACES = (meshmod.GAMMA_P, meshmod.GAMMA_M, meshmod.GAMMA_PM)
-
-
-def _relabelled(mesh, facets=None, labels=None, tets=None, regions=None):
-    """Unvalidated copy of ``mesh`` with some arrays replaced."""
+def _relabelled(mesh, tets=None, regions=None):
+    """Unvalidated copy of ``mesh`` with its tets or regions replaced."""
     return meshmod.LabeledMesh(
         mesh.vertices,
         mesh.tets if tets is None else tets,
         mesh.tet_regions if regions is None else regions,
-        mesh.facets if facets is None else facets,
-        mesh.facet_labels if labels is None else labels,
         mesh.box, mesh.z1, mesh.z2)
 
 
@@ -402,12 +400,15 @@ def _rejection(mesh, tmp_path):
     return str(err.value)
 
 
+_LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
 def _first_meeting(tets, faces):
     """Index into ``faces`` of the face a scan over tets and their local
-    faces (1,2,3), (0,2,3), (0,1,3), (0,1,2) meets first."""
+    faces _LOCAL_FACES meets first."""
     wanted = {tuple(sorted(int(v) for v in f)): i for i, f in enumerate(faces)}
     for tet in tets:
-        for local in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+        for local in _LOCAL_FACES:
             key = tuple(sorted(int(tet[a]) for a in local))
             if key in wanted:
                 return wanted[key]
@@ -415,158 +416,102 @@ def _first_meeting(tets, faces):
 
 
 @pytest.mark.parametrize("vertex", [99, -1])
-@pytest.mark.parametrize("array", ["tets", "facets"])
-def test_validate_checks_vertex_ids_first(array, vertex):
-    # before the P1 geometry gathers vertices[tets]: 99 would raise
-    # IndexError there, and -1 would read as an inverted tet
+def test_validate_checks_vertex_ids_first(vertex):
+    # before the face table and the P1 geometry gather by them: 99 would
+    # raise IndexError there, and -1 would read as an inverted tet
     mesh = meshmod.unit_cube_mesh(1)
-    ids = getattr(mesh, array).copy()
-    ids[0, 0] = vertex
-    bad = _relabelled(mesh, **{array: ids})
-    with pytest.raises(MeshError, match="^%s vertex index out of range$" % array[:-1]):
-        bad.validate()
-
-
-def test_validate_names_first_dirichlet_facet_off_its_plane(cube_mesh):
-    # side facets touching the bottom edge: two vertices on z=0, one above
-    zc = cube_mesh.vertices[cube_mesh.facets, 2]
-    touching = np.nonzero((cube_mesh.facet_labels == meshmod.GAMMA_N)
-                          & (np.sum(zc == 0.0, axis=1) == 2))[0]
-    labels = cube_mesh.facet_labels.copy()
-    labels[touching[[2, -1]]] = meshmod.GAMMA_D
-    with pytest.raises(MeshError) as err:
-        _relabelled(cube_mesh, labels=labels).validate()
-    assert str(err.value) == ("Dirichlet facet %d not on z=L_z1 or z=L_z2"
-                              % touching[2])
-
-
-def test_validate_names_first_neumann_facet_off_the_side_planes(channel_mesh):
-    # an interface facet inside the box and a bottom facet at a box corner
-    x1, _, y1, _, z1, _ = channel_mesh.box
-    pts = channel_mesh.vertices[channel_mesh.facets]
-    corner = np.nonzero((channel_mesh.facet_labels == meshmod.GAMMA_D)
-                        & np.any(pts[:, :, 0] == x1, axis=1)
-                        & np.any(pts[:, :, 1] == y1, axis=1)
-                        & np.all(pts[:, :, 2] == z1, axis=1))[0]
-    inner = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_P)[0]
-    bad = sorted([corner[0], inner[-1]])
-    labels = channel_mesh.facet_labels.copy()
-    labels[bad] = meshmod.GAMMA_N
-    with pytest.raises(MeshError) as err:
-        _relabelled(channel_mesh, labels=labels).validate()
-    assert str(err.value) == "Neumann facet %d not on a side plane" % bad[0]
-
-
-def test_validate_names_first_interface_facet_between_wrong_regions(channel_mesh):
-    # solvent-protein facets relabelled membrane-solvent and protein-membrane
-    gp = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_P)[0]
-    labels = channel_mesh.facet_labels.copy()
-    labels[gp[-1]] = meshmod.GAMMA_M
-    labels[gp[5]] = meshmod.GAMMA_PM
-    with pytest.raises(MeshError) as err:
-        _relabelled(channel_mesh, labels=labels).validate()
-    assert str(err.value) == ("facet %d does not separate the regions of label %d"
-                              % (gp[5], meshmod.GAMMA_PM))
-
-
-def test_validate_names_first_interface_facet_on_a_region_change(channel_mesh):
-    # the solvent owner of a membrane-solvent facet becomes membrane: every
-    # interface facet on that tet now fails, the lowest index is named
-    k = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_M)[0][3]
-    owner = next(t for t, tet in enumerate(channel_mesh.tets)
-                 if set(channel_mesh.facets[k]) <= set(tet)
-                 and channel_mesh.tet_regions[t] == meshmod.SOLVENT)
-    regions = channel_mesh.tet_regions.copy()
-    regions[owner] = meshmod.MEMBRANE
-    on_owner = [j for j, f in enumerate(channel_mesh.facets)
-                if set(f) <= set(channel_mesh.tets[owner])
-                and channel_mesh.facet_labels[j] in _INTERFACES]
-    first = min(on_owner)
-    with pytest.raises(MeshError) as err:
-        _relabelled(channel_mesh, regions=regions).validate()
-    assert str(err.value) == ("facet %d does not separate the regions of label %d"
-                              % (first, channel_mesh.facet_labels[first]))
-
-
-def test_validate_names_first_interface_facet_on_the_boundary(channel_mesh):
-    dirichlet = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_D)[0]
-    neumann = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_N)[0]
-    labels = channel_mesh.facet_labels.copy()
-    labels[neumann[-1]] = meshmod.GAMMA_P
-    labels[dirichlet[7]] = meshmod.GAMMA_PM
-    first = min(neumann[-1], dirichlet[7])
-    with pytest.raises(MeshError) as err:
-        _relabelled(channel_mesh, labels=labels).validate()
-    assert str(err.value) == ("facet %d does not separate the regions of label %d"
-                              % (first, labels[first]))
+    tets = mesh.tets.copy()
+    tets[0, 0] = vertex
+    with pytest.raises(MeshError, match="^tet vertex index out of range$"):
+        _relabelled(mesh, tets=tets).validate()
 
 
 def test_synth_builds_one_face_table_and_still_checks_labels(tmp_path):
-    # derive_facets and validate share one face table, in synthesis and in
-    # unit_cube_mesh, and the extraction needs none; a wrong interface label
-    # still fails, whether it comes out of derive_facets or is written after
-    # construction, and a loaded mesh builds its own table
+    # validate builds the one face table of a synthetic mesh and of
+    # unit_cube_mesh, and the extraction needs none; a loaded mesh builds
+    # one, whatever its format.  A wrong label in a format-1 file is still
+    # refused, naming its line, and a label changed after validation is
+    # derived again
     geom = meshmod.ChannelGeometry(resolution=6)
     with mock.patch.object(meshmod, "_face_owners", wraps=meshmod._face_owners) as spy:
         mesh = meshmod.synth_channel_mesh(geom)
         meshmod.extract_solvent_submesh(mesh)
         meshmod.unit_cube_mesh(2)
     assert spy.call_count == 2
-    k = np.nonzero(mesh.facet_labels == meshmod.GAMMA_P)[0][0]
-    message = "facet %d does not separate the regions of label %d" % (k, meshmod.GAMMA_M)
-    derive = meshmod.derive_facets
-
-    def corrupted(*args):
-        facets, labels = derive(*args)
-        labels[k] = meshmod.GAMMA_M
-        return facets, labels
-
-    with mock.patch.object(meshmod, "derive_facets", corrupted), \
-            pytest.raises(MeshError, match="^%s$" % message):
-        meshmod.synth_channel_mesh(geom)
     path = tmp_path / "chan.mesh"
-    meshmod.save_mesh(mesh, path)
-    with mock.patch.object(meshmod, "_face_owners", wraps=meshmod._face_owners) as spy:
-        meshmod.extract_solvent_submesh(meshmod.load_mesh(path))
-    assert spy.call_count == 1
+    for save in (meshmod.save_mesh, save_mesh_v1):
+        save(mesh, path)
+        with mock.patch.object(meshmod, "_face_owners", wraps=meshmod._face_owners) as spy:
+            meshmod.extract_solvent_submesh(meshmod.load_mesh(path))
+        assert spy.call_count == 1
+    k = np.nonzero(mesh.facet_labels == meshmod.GAMMA_P)[0][0]
+    labels = mesh.facet_labels.copy()
+    labels[k] = meshmod.GAMMA_M
+    save_mesh_v1(mesh, path, labels=labels)
+    # header, two section lines and the vertices and tets before the facets
+    line = 4 + mesh.num_vertices + mesh.num_tets + 1 + k
+    message = ("line %d: facet (%d, %d, %d) has label 2, not the derived 1"
+               % (line, *mesh.facets[k]))
+    with pytest.raises(MeshFormatError, match=r"^%s$" % re.escape(message)):
+        meshmod.load_mesh(path)
     mesh.facet_labels[k] = meshmod.GAMMA_M
-    with pytest.raises(MeshError, match="^%s$" % message):
-        mesh.validate()
+    assert np.array_equal(mesh.validate().facet_labels[k], meshmod.GAMMA_P)
 
 
-def test_validate_rejects_interface_facet_not_a_tet_face(cube_mesh):
-    # vertices 0, 1 and the far corner span no tet face
-    far = cube_mesh.num_vertices - 1
-    facets = np.vstack([cube_mesh.facets, [[0, 1, far]]])
-    labels = np.append(cube_mesh.facet_labels, meshmod.GAMMA_P)
-    with pytest.raises(MeshError) as err:
-        _relabelled(cube_mesh, facets=facets, labels=labels).validate()
-    assert str(err.value) == ("facet %d does not separate the regions of label 1"
-                              % (len(facets) - 1))
+def test_format_1_file_loads_as_its_format_2_twin(tmp_path, channel_mesh):
+    # a format-1 file with all its facets, in the layout save_mesh wrote
+    # before format 2, loads bitwise to the mesh of the format-2 file
+    loaded = []
+    for save, header in ((meshmod.save_mesh, "smpnp-mesh 2\n"), (save_mesh_v1, "smpnp-mesh 1\n")):
+        save(channel_mesh, tmp_path / "chan.mesh")
+        assert (tmp_path / "chan.mesh").read_text().startswith(header)
+        loaded.append(meshmod.load_mesh(tmp_path / "chan.mesh"))
+    _assert_arrays_identical(loaded[1], loaded[0], _MESH_FIELDS)
+    _assert_arrays_identical(loaded[1].face_owners, loaded[0].face_owners,
+                             meshmod.FaceOwners._fields)
 
 
-def test_validate_rejects_neumann_facet_not_a_tet_face(tmp_path):
-    # three corners of the x = x1 side plane span no tet face; the parent
-    # took the triangle and added its area to the side load
-    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4))
-    x1, _, y1, y2, zlo, zhi = mesh.box
-    corners = [int(np.flatnonzero(np.all(mesh.vertices == p, axis=1))[0])
-               for p in ((x1, y1, zlo), (x1, y2, zlo), (x1, y1, zhi))]
-    facets = np.vstack([mesh.facets, [corners]])
-    labels = np.append(mesh.facet_labels, meshmod.GAMMA_N)
-    bad = _relabelled(mesh, facets=facets, labels=labels)
-    assert _rejection(bad, tmp_path) == "facet %d is not a face of the mesh" % (len(facets) - 1)
+@pytest.mark.parametrize("new,message", [
+    ("0 2 6 5", "facet (0, 2, 6) has label 5, not the derived 4"),
+    ("0 1 7 1", "facet (0, 1, 7) is no boundary or interface face"),  # between two solvent tets
+    ("1 2 4 5", "facet (1, 2, 4) is no boundary or interface face"),  # no tet face
+    ("0 2 99 4", "facet (0, 2, 99) is no boundary or interface face"),  # no vertex 99
+])
+def test_load_refuses_a_format_1_facet_that_is_not_derived(tmp_path, new, message):
+    # each listed facet, as a sorted triple with its label, must be one of
+    # the derived facets; the first that is not is named by its line
+    path, text = _cube_mesh_text(tmp_path, save_mesh_v1)
+    assert text.count("0 2 6 4\n") == 1
+    path.write_text(text.replace("0 2 6 4\n", new + "\n"))
+    with pytest.raises(MeshFormatError, match=r"^line 24: %s$" % re.escape(message)):
+        meshmod.load_mesh(path)
 
 
-def test_validate_rejects_a_facet_listed_twice(tmp_path):
-    # a membrane-solvent facet again, in reverse corner order: the parent
-    # counted it twice, raising the membrane area (and charge) 2,000 -> 2,050 A^2
-    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4))
-    k = int(np.flatnonzero(mesh.facet_labels == meshmod.GAMMA_M)[2])
-    facets = np.vstack([mesh.facets, mesh.facets[k, ::-1]])
-    labels = np.append(mesh.facet_labels, meshmod.GAMMA_M)
-    bad = _relabelled(mesh, facets=facets, labels=labels)
-    assert _rejection(bad, tmp_path) == "facet %d repeats facet %d" % (len(facets) - 1, k)
+def test_format_1_file_with_facets_left_out_derives_them(tmp_path, channel_mesh):
+    # a format-1 file may list any of the derived facets, in any corner
+    # order, and the mesh derives all of them
+    keep = np.flatnonzero(channel_mesh.facet_labels != meshmod.GAMMA_N)[::3]
+    save_mesh_v1(channel_mesh, tmp_path / "part.mesh", channel_mesh.facets[keep, ::-1],
+                 channel_mesh.facet_labels[keep])
+    _assert_arrays_identical(meshmod.load_mesh(tmp_path / "part.mesh"), channel_mesh,
+                             _MESH_FIELDS)
+
+
+def test_validate_refuses_a_hole_in_the_membrane(tmp_path):
+    # a membrane tet whose four neighbours are membrane taken out leaves a
+    # zero-flux cavity in the membrane: its four faces are boundary faces
+    # that lie on no box plane, and the first of them in scan order is named
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
+    faces, owners = meshmod._face_owners(mesh.tets, mesh.num_vertices)
+    region = np.append(mesh.tet_regions, 0)[owners]
+    exposed = owners[region[:, 0] != region[:, 1]]
+    t = np.setdiff1d(np.flatnonzero(mesh.tet_regions == meshmod.MEMBRANE), exposed)[0]
+    tets = np.delete(mesh.tets, t, axis=0)
+    hole = [mesh.tets[t, list(local)] for local in _LOCAL_FACES]
+    face = np.sort(hole[_first_meeting(tets, hole)])
+    bad = _relabelled(mesh, tets=tets, regions=np.delete(mesh.tet_regions, t))
+    assert _rejection(bad, tmp_path) == ("boundary face (%d, %d, %d) lies on no box plane"
+                                         % tuple(face))
 
 
 def test_validate_keeps_the_owners_of_faces_and_facets(channel_mesh):
@@ -583,67 +528,26 @@ def test_validate_keeps_the_owners_of_faces_and_facets(channel_mesh):
     assert np.array_equal(kept.facet_owner, owners[[row[tuple(f)] for f in facets], 0])
 
 
-def test_submesh_names_solvent_boundary_face_missing_from_parent(channel_mesh, tmp_path):
-    # validate names the first face of the solvent boundary, in the box's
-    # face scan, that carries no facet
-    gm = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_M)[0]
-    gd = np.nonzero(channel_mesh.facet_labels == meshmod.GAMMA_D)[0]
-    drop = [gm[4], gd[-2]]
-    keep = np.setdiff1d(np.arange(len(channel_mesh.facets)), drop)
-    mesh = _relabelled(channel_mesh, facets=channel_mesh.facets[keep],
-                       labels=channel_mesh.facet_labels[keep])
-    face = channel_mesh.facets[drop[_first_meeting(channel_mesh.tets,
-                                                   channel_mesh.facets[drop])]]
-    named = ", ".join(str(v) for v in np.sort(face))
-    assert _rejection(mesh, tmp_path) == "solvent boundary face (%s) carries no facet" % named
-
-
-def test_submesh_of_mesh_without_facets_names_first_boundary_face(cube_mesh, tmp_path):
-    mesh = _relabelled(cube_mesh, facets=np.empty((0, 3), dtype=np.int64),
-                       labels=np.empty(0, dtype=np.int64))
-    faces, owners = meshmod._face_owners(cube_mesh.tets, cube_mesh.num_vertices)
-    first = faces[np.argmax(owners[:, 1] < 0)]
-    assert _rejection(mesh, tmp_path) == ("solvent boundary face (%d, %d, %d) carries no facet"
-                                          % tuple(first))
-
-
 def test_validate_rejects_dirichlet_facet_on_a_protein_tet(channel_mesh, tmp_path):
-    # a bottom-layer solvent tet turned protein, with the facets derived
-    # for the new regions: every other rule holds, but its Dirichlet facet
+    # a bottom-layer solvent tet turned protein: its face on z = L_z1
     # bounds no solvent tet, and its nodes would be left out of Block 1's
     # Dirichlet data
     bottom = channel_mesh.vertices[channel_mesh.tets, 2] == channel_mesh.box[4]
     owner = np.nonzero(bottom.sum(axis=1) == 3)[0][5]
     regions = channel_mesh.tet_regions.copy()
     regions[owner] = meshmod.PROTEIN
-    facets, labels = meshmod.derive_facets(channel_mesh.vertices, channel_mesh.tets,
-                                           regions, channel_mesh.box)
-    k = next(j for j, f in enumerate(facets) if labels[j] == meshmod.GAMMA_D
-             and set(f) <= set(channel_mesh.tets[owner]))
-    bad = _relabelled(channel_mesh, facets=facets, labels=labels, regions=regions)
-    assert _rejection(bad, tmp_path) == "Dirichlet facet %d does not bound a solvent tet" % k
-
-
-def test_validate_rejects_dirichlet_facet_not_a_tet_face(tmp_path):
-    # three corners of the box's bottom face lie on z = L_z1 but span no
-    # tet face
-    mesh = meshmod.unit_cube_mesh(2)
-    corners = [0, 6, 18]
-    assert np.array_equal(mesh.vertices[corners], [[0, 0, 0], [0, 1, 0], [1, 0, 0]])
-    facets = np.vstack([mesh.facets, [corners]])
-    labels = np.append(mesh.facet_labels, meshmod.GAMMA_D)
-    bad = _relabelled(mesh, facets=facets, labels=labels)
-    assert _rejection(bad, tmp_path) == ("Dirichlet facet %d does not bound a solvent tet"
-                                         % (len(facets) - 1))
+    face = np.sort(channel_mesh.tets[owner][bottom[owner]])
+    bad = _relabelled(channel_mesh, regions=regions)
+    assert _rejection(bad, tmp_path) == ("Dirichlet face (%d, %d, %d) does not bound a "
+                                         "solvent tet" % tuple(face))
 
 
 def test_face_table_rejects_bad_vertex_ids():
     verts, tets = meshmod.structured_box((0, 1, 0, 1, 0, 1), 1)
     tets = tets.copy()
     tets[2, 1] = -1
-    regions = np.full(len(tets), meshmod.SOLVENT)
     with pytest.raises(MeshError, match="tet vertex index out of range"):
-        meshmod.derive_facets(verts, tets, regions, (0, 1, 0, 1, 0, 1))
+        meshmod._face_owners(tets, len(verts))
     # the int64 face keys hold (a*n + b)*n + c up to n = 2**21 - 1
     n = 2**21 - 1
     top = np.array([[n - 3, n - 2, n - 1]])
@@ -701,9 +605,8 @@ def test_tet_centroids_are_bitwise_the_gathered_mean(resolution):
 def _face_table_reference(tets):
     """Map sorted face tuple -> list of owning tet indices."""
     faces = {}
-    local = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
     for t, tet in enumerate(tets):
-        for a, b, c in local:
+        for a, b, c in _LOCAL_FACES:
             key = tuple(sorted((tet[a], tet[b], tet[c])))
             faces.setdefault(key, []).append(t)
     return faces
@@ -774,17 +677,21 @@ def synth_channel_mesh_reference(geom):
     centroids = verts[tets].mean(axis=1)
     regions = np.fromiter((_classify_region_reference(geom, c) for c in centroids),
                           dtype=np.int64, count=len(tets))
-    facets, labels = derive_facets_reference(verts, tets, regions, geom.box)
-    return meshmod.LabeledMesh(verts, tets, regions, facets, labels,
-                               geom.box, geom.z1, geom.z2)
+    return _with_facets(meshmod.LabeledMesh(verts, tets, regions, geom.box, geom.z1, geom.z2))
 
 
 def unit_cube_mesh_reference(n):
     box = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
     verts, tets = structured_box_reference(box, n)
     regions = np.full(len(tets), meshmod.SOLVENT, dtype=np.int64)
-    facets, labels = derive_facets_reference(verts, tets, regions, box)
-    return meshmod.LabeledMesh(verts, tets, regions, facets, labels, box, 0.25, 0.75)
+    return _with_facets(meshmod.LabeledMesh(verts, tets, regions, box, 0.25, 0.75))
+
+
+def _with_facets(mesh):
+    """``mesh``, unvalidated, with the facets of ``derive_facets_reference``."""
+    mesh.facets, mesh.facet_labels = derive_facets_reference(
+        mesh.vertices, mesh.tets, mesh.tet_regions, mesh.box)
+    return mesh
 
 
 def extract_solvent_submesh_reference(mesh):
@@ -873,12 +780,7 @@ def test_loaded_mesh_matches_loop_reference(tmp_path, channel_mesh):
     path = tmp_path / "chan.mesh"
     meshmod.save_mesh(channel_mesh, path)
     loaded = meshmod.load_mesh(path)
-    facets, labels = meshmod.derive_facets(loaded.vertices, loaded.tets,
-                                           loaded.tet_regions, loaded.box)
-    want_facets, want_labels = derive_facets_reference(
-        loaded.vertices, loaded.tets, loaded.tet_regions, loaded.box)
-    assert np.array_equal(facets, want_facets) and facets.dtype == want_facets.dtype
-    assert np.array_equal(labels, want_labels) and labels.dtype == want_labels.dtype
+    _assert_arrays_identical(loaded, _with_facets(_relabelled(loaded)), _MESH_FIELDS)
     _assert_arrays_identical(meshmod.extract_solvent_submesh(loaded),
                              extract_solvent_submesh_reference(loaded),
                              _SUBMESH_FIELDS)
