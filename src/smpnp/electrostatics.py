@@ -19,9 +19,9 @@ the tets, the volume term is a sum over the faces where eps jumps,
 which merges on Gamma_N with the side term into -eps_T dG/dn, eps_T the
 facet's owner's.  Each face integral has a closed form (``face_flux``),
 so no quadrature ever sees the Coulomb singularity; Gamma_N keeps the P1
-interpolant of its corner values.  An atom outside the protein breaks the
-premise; it gets one WARNING (``nodal_G``).  Psi = g - G on the Dirichlet
-boundary.
+interpolant of its corner values.  An atom that no protein tet holds
+(``mesh.locate_points``) breaks the premise; all such atoms get one
+WARNING (``nodal_G``).  Psi = g - G on the Dirichlet boundary.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import fem_core, mesh as meshmod, sparse_linalg
 from .errors import MeshError
@@ -71,10 +70,12 @@ class AtomicCharges:
 
 def load_atoms(path):
     """Read an atom list file: 'atoms n' then n lines 'x y z charge', each
-    number finite; a further non-blank line is an error."""
-    lines = meshmod.nonblank_lines(path)
-    rows, end = meshmod.read_section(lines, 0, "atoms", "'x y z charge'", float)
-    meshmod.expect_end(lines, end)
+    number finite; a further non-blank line is an error, which names
+    ``path`` and the line."""
+    with meshmod.naming_file(path):
+        lines = meshmod.nonblank_lines(path)
+        rows, end = meshmod.read_section(lines, 0, "atoms", "'x y z charge'", float)
+        meshmod.expect_end(lines, end)
     return AtomicCharges(rows[:, :3], rows[:, 3])
 
 
@@ -154,16 +155,14 @@ def region_eps(mesh: meshmod.LabeledMesh, constants: ModelConstants):
 
 
 def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
-    """Warn once when any atom's nearest tet centroid is not protein
-    (synthetic setups), with the count and the first such atom: Psi's
-    surface load assumes every atom sits in the protein."""
+    """Warn once when some atoms sit in no protein tet (``mesh.locate_points``),
+    with the count and the first such atom: Psi's surface load assumes
+    every atom sits in the protein."""
     if len(atoms) == 0:
         return
-    # a tree for one query: the unbalanced build is about 3x faster
-    tree = cKDTree(meshmod.tet_centroids(mesh.vertices, mesh.tets), balanced_tree=False,
-                   compact_nodes=False)
-    _, nearest = tree.query(atoms.positions)
-    outside = np.flatnonzero(mesh.tet_regions[nearest] != meshmod.PROTEIN)
+    holder, _ = meshmod.locate_points(mesh, atoms.positions,
+                                      np.flatnonzero(mesh.tet_regions == meshmod.PROTEIN))
+    outside = np.flatnonzero(holder < 0)
     if outside.size:
         logger.warning("%d of %d atoms do not sit in the protein region (first: atom %d)",
                        outside.size, len(atoms), outside[0])
@@ -171,8 +170,8 @@ def _check_atoms_in_protein(mesh: meshmod.LabeledMesh, atoms: AtomicCharges):
 
 def nodal_G(mesh: meshmod.LabeledMesh, atoms: AtomicCharges, constants: ModelConstants):
     """G at the nodes of ``mesh``, after the two rules on ``atoms``: one
-    warning when some sit outside the protein region, and MeshError for an
-    atom on a node (eval_G)."""
+    warning when no protein tet holds some of them (``mesh.locate_points``),
+    and MeshError for an atom on a node (eval_G)."""
     _check_atoms_in_protein(mesh, atoms)
     return eval_G(atoms, constants, mesh.vertices)
 
@@ -299,8 +298,9 @@ def solve_psi(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
     ``constants`` that solves it.  The atoms' load is the surface form of
     the dielectric mismatch (``mismatch_load``): closed-form integrals of
     dG/dn over the faces where eps jumps, and -eps_T dG/dn on Gamma_N.  It
-    equals the volume form only when every atom sits in the protein, which
-    ``nodal_G`` warns about once when it does not.
+    equals the volume form only when a protein tet holds every atom, which
+    ``nodal_G`` checks exactly (``mesh.locate_points``) and warns about once
+    when it does not.
     """
     rhs = mismatch_load(mesh, atoms, constants)
     if constants.sigma != 0.0:

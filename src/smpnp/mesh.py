@@ -8,16 +8,18 @@ A mesh is its vertices, tets, regions and box; ``LabeledMesh.validate``
 derives its facets from them, and a mesh file holds none (format 2).
 The solvent submesh holds indices into its box and no facets: its
 Dirichlet nodes are the box's, which ``LabeledMesh.validate`` makes all
-solvent nodes.
+solvent nodes.  ``locate_points`` is the package's one point locator.
 """
 
 from __future__ import annotations
 
 import codecs
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import fem_core
 from .errors import MeshError, MeshFormatError, require
@@ -269,6 +271,19 @@ def read_text_lines(path, error=MeshFormatError):
                     % (path, line, data[exc.start])) from exc
 
 
+@contextmanager
+def naming_file(path):
+    """Name ``path`` in each line-numbered MeshFormatError raised inside, as
+    '<path>: line N: ...'.  That is the form of the UTF-8 error of
+    ``read_text_lines``, which carries no line number and is left as it is."""
+    try:
+        yield
+    except MeshFormatError as exc:
+        if exc.line is not None:
+            exc.args = ("%s: %s" % (path, exc),)
+        raise
+
+
 def nonblank_lines(path):
     """(line number, text) of each non-blank line of the text file ``path``;
     the readers split a line when they reach it, so the tokens of a whole
@@ -324,31 +339,32 @@ def load_mesh(path):
     Reads format 2 and format 1, whose facets section follows the tets:
     each facet listed there, as a sorted triple with its label, must be
     one of the derived facets, and those it leaves out are derived all
-    the same.
+    the same.  Each line-numbered MeshFormatError names ``path``.
     """
-    lines = nonblank_lines(path)
-    ln, tok = _line(lines, 0, "'smpnp-mesh 2'")
-    if tok not in (["smpnp-mesh", "2"], ["smpnp-mesh", "1"]):
-        raise MeshFormatError("bad header, expected 'smpnp-mesh 2' or 'smpnp-mesh 1'", line=ln)
-    verts, at = read_section(lines, 1, "vertices", "'x y z'", float)
-    tets, at = read_section(lines, at, "tets", "'i0 i1 i2 i3 region'", int,
-                            ("region tag", _REGIONS))
-    listed = None
-    if tok[1] == "1":
-        rows = lines[at + 1:]
-        listed, at = read_section(lines, at, "facets", "'i0 i1 i2 label'", int,
-                                  ("facet label", _FACET_LABELS))
-    expected = "'box x1 x2 y1 y2 z1 z2 Z1 Z2'"
-    ln, tok = _line(lines, at, expected)
-    if tok[0] != "box":
-        raise MeshFormatError("expected %s" % expected, line=ln)
-    box = parse_numbers(float, tok[1:], ln, expected, 8).tolist()
-    expect_end(lines, at + 1)
-    mesh = LabeledMesh(verts, tets[:, :4].copy(), tets[:, 4].copy(), tuple(box[:6]),
-                       box[6], box[7]).validate()
-    if listed is not None:
-        _check_listed_facets(mesh, listed, rows)
-    return mesh
+    with naming_file(path):
+        lines = nonblank_lines(path)
+        ln, tok = _line(lines, 0, "'smpnp-mesh 2'")
+        if tok not in (["smpnp-mesh", "2"], ["smpnp-mesh", "1"]):
+            raise MeshFormatError("bad header, expected 'smpnp-mesh 2' or 'smpnp-mesh 1'", line=ln)
+        verts, at = read_section(lines, 1, "vertices", "'x y z'", float)
+        tets, at = read_section(lines, at, "tets", "'i0 i1 i2 i3 region'", int,
+                                ("region tag", _REGIONS))
+        listed = None
+        if tok[1] == "1":
+            rows = lines[at + 1:]
+            listed, at = read_section(lines, at, "facets", "'i0 i1 i2 label'", int,
+                                      ("facet label", _FACET_LABELS))
+        expected = "'box x1 x2 y1 y2 z1 z2 Z1 Z2'"
+        ln, tok = _line(lines, at, expected)
+        if tok[0] != "box":
+            raise MeshFormatError("expected %s" % expected, line=ln)
+        box = parse_numbers(float, tok[1:], ln, expected, 8).tolist()
+        expect_end(lines, at + 1)
+        mesh = LabeledMesh(verts, tets[:, :4].copy(), tets[:, 4].copy(), tuple(box[:6]),
+                           box[6], box[7]).validate()
+        if listed is not None:
+            _check_listed_facets(mesh, listed, rows)
+        return mesh
 
 
 def _check_listed_facets(mesh, listed, rows):
@@ -447,6 +463,56 @@ def tet_centroids(vertices, tets):
     (M, 4, 3) gather."""
     return (((vertices[tets[:, 0]] + vertices[tets[:, 1]]) + vertices[tets[:, 2]])
             + vertices[tets[:, 3]]) / 4
+
+
+#: Smallest P1 basis value at a point that its tet holds (``locate_points``).
+_HOLD_TOL = 1.0e-12
+
+
+def locate_points(mesh: LabeledMesh, points, tet_ids):
+    """The tet of ``tet_ids`` that holds each of ``points`` (-1 for none),
+    and the four P1 basis values of that tet there (0 for none): (P,) and
+    (P, 4).
+
+    A tet's basis values at x are ``1/4 + grad(phi_a).(x - c_T)``, from the
+    mesh's P1 gradients and the tet's centroid c_T, and the tet holds x when
+    the smallest is at least -_HOLD_TOL.  Of several tets that hold x (x on
+    a shared face), the one whose smallest value is largest wins, the one
+    first in ``tet_ids`` on a tie.  The candidates of x are the tets whose
+    centroids lie within the largest centroid-to-corner distance of it, all
+    found by one KD-tree ball query of the points against the centroids: a
+    holding tet's centroid lies within that distance times 1 + 6 _HOLD_TOL,
+    which the ball's slack covers.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    tet_ids = np.asarray(tet_ids, dtype=np.int64)
+    holder = np.full(len(points), -1, dtype=np.int64)
+    values = np.zeros((len(points), 4))
+    if len(points) == 0 or len(tet_ids) == 0:
+        return holder, values
+    tets = mesh.tets[tet_ids]
+    centroids = tet_centroids(mesh.vertices, tets)
+    offsets = mesh.vertices[tets] - centroids[:, None]
+    reach = np.sqrt(np.einsum("tak,tak->ta", offsets, offsets).max())
+    pairs = cKDTree(points).sparse_distance_matrix(
+        cKDTree(centroids), reach * (1.0 + 8.0 * _HOLD_TOL), output_type="ndarray")
+    op = fem_core.p1_operator(mesh)
+
+    def basis(at, cand):
+        return 0.25 + np.einsum("pak,pk->pa", op.grads[op.shape[tet_ids[cand]]],
+                                points[at] - centroids[cand])
+
+    point, cand = pairs["i"].astype(np.int64), pairs["j"].astype(np.int64)
+    low = basis(point, cand).min(axis=1)
+    best = np.full(len(points), -np.inf)
+    np.maximum.at(best, point, low)
+    held = (low == best[point]) & (low >= -_HOLD_TOL)
+    pick = np.full(len(points), len(tet_ids))
+    np.minimum.at(pick, point[held], cand[held])
+    found = np.flatnonzero(pick < len(tet_ids))
+    holder[found] = tet_ids[pick[found]]
+    values[found] = basis(found, pick[found])
+    return holder, values
 
 
 def _classify_regions(geom: ChannelGeometry, centroids):

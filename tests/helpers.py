@@ -17,19 +17,14 @@ CAPPED_FIELDS = ("z-ramp", "pore-well", "x-ramp")
 
 def point_charge_load(mesh, atoms):
     """Load vector sum_j q_j phi_a(r_j) of point charges: an atom's P1 basis
-    values are its barycentric coordinates in a tet that holds it, which
+    values are those of a tet that holds it (``mesh.locate_points``), which
     agree on a shared face, so any such tet serves."""
-    corners = mesh.vertices[mesh.tets]  # (M, 4, 3)
-    edges = (corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)  # columns v_a - v_0
-    load = np.zeros(mesh.num_vertices)
-    for position, charge in zip(atoms.positions, atoms.charges):
-        lam = np.linalg.solve(edges, (position - corners[:, 0])[:, :, None])[:, :, 0]
-        bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
-        tet = int(np.argmax(bary.min(axis=1)))
-        if bary[tet].min() < -1e-12:
-            raise MeshError("atom at %s lies outside the mesh" % position)
-        np.add.at(load, mesh.tets[tet], charge * bary[tet])
-    return load
+    holder, values = meshmod.locate_points(mesh, atoms.positions, np.arange(mesh.num_tets))
+    if np.any(holder < 0):
+        raise MeshError("atom at %s lies outside the mesh"
+                        % atoms.positions[np.argmax(holder < 0)])
+    return np.bincount(mesh.tets[holder].ravel(), (atoms.charges[:, None] * values).ravel(),
+                       minlength=mesh.num_vertices)
 
 
 def _gauss_unit(n):

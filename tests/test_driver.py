@@ -309,6 +309,28 @@ def test_check_applies_the_atom_rules_of_run(tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
+def test_check_names_the_file_of_a_bad_mesh_or_atoms_line(tmp_path, caplog):
+    # line 3 of the mesh file, then of the atoms file, holds a word where a
+    # number belongs; the error names the file as well as the line
+    mesh_path, atoms_path = tmp_path / "c.mesh", tmp_path / "c.atoms"
+    meshmod.save_mesh(meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4)),
+                      mesh_path)
+    cfg_path = _write(tmp_path, ZERO_FIELD.format(out=tmp_path / "out").replace(
+        "mesh = synth\nresolution = 6", "mesh = %s\natoms = %s" % (mesh_path, atoms_path)))
+    good_mesh = mesh_path.read_text()
+    lines = good_mesh.splitlines(keepends=True)
+    bad_mesh = "".join(lines[:2] + ["0 0 zero\n"] + lines[3:])
+    for mesh_text, atoms_text, path, row in (
+            (bad_mesh, "atoms 0\n", mesh_path, "'x y z'"),
+            (good_mesh, "atoms 2\n-7.5 -5 -3.75 0.05\n5 -7.5 x 0.05\n", atoms_path,
+             "'x y z charge'")):
+        mesh_path.write_text(mesh_text)
+        atoms_path.write_text(atoms_text)
+        caplog.clear()
+        assert driver.main(["check", "--config", cfg_path]) == 1
+        assert caplog.messages == ["%s: line 3: expected %s" % (path, row)]
+
+
 def test_check_refuses_a_mesh_file_with_its_membrane_planes_swapped(tmp_path, caplog):
     mesh_path = tmp_path / "swapped.mesh"
     meshmod.save_mesh(meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=4)),

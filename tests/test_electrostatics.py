@@ -1,5 +1,6 @@
 import codecs
 import logging
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -125,7 +126,7 @@ def test_grad_g_matches_finite_differences():
 
 
 def test_misplaced_atoms_give_one_warning(channel_mesh, caplog):
-    # one nearest-centroid query for all atoms and one summary record
+    # one summary record for all misplaced atoms
     ring = meshmod.protein_ring_sites(channel_mesh, 8)
     solvent = channel_mesh.vertices[channel_mesh.tets[
         channel_mesh.tet_regions == meshmod.SOLVENT]].mean(axis=1)[:3]
@@ -137,6 +138,66 @@ def test_misplaced_atoms_give_one_warning(channel_mesh, caplog):
     assert len(caplog.records) == 1
     assert caplog.records[0].getMessage() == (
         "3 of %d atoms do not sit in the protein region (first: atom 2)" % len(atoms))
+
+
+@pytest.fixture(scope="module")
+def r12_mesh():
+    return meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=12))
+
+
+def _points_in(mesh, region, n, rng):
+    """``n`` points drawn uniformly in tets of ``region`` drawn uniformly."""
+    tets = rng.choice(np.flatnonzero(mesh.tet_regions == region), n)
+    return np.einsum("pa,pak->pk", rng.dirichlet(np.ones(4), n), mesh.vertices[mesh.tets[tets]])
+
+
+def _atom_warnings(mesh, positions, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger=es.__name__):
+        es._check_atoms_in_protein(mesh, es.AtomicCharges(positions, np.ones(len(positions))))
+    return [r.getMessage() for r in caplog.records]
+
+
+def test_atoms_in_protein_tets_give_no_warning(r12_mesh, caplog):
+    # the nearest tet centroid is not protein for 246 of these points
+    points = _points_in(r12_mesh, meshmod.PROTEIN, 4000, np.random.default_rng(38))
+    assert _atom_warnings(r12_mesh, points, caplog) == []
+
+
+@pytest.mark.parametrize("region", [meshmod.SOLVENT, meshmod.MEMBRANE])
+def test_every_atom_outside_the_protein_is_counted(r12_mesh, caplog, region):
+    # by the nearest tet centroid these draws count 1,034 (solvent) and
+    # 1,015 (membrane)
+    rng = np.random.default_rng(38 + region)
+    protein = _points_in(r12_mesh, meshmod.PROTEIN, 500, rng)
+    outside = _points_in(r12_mesh, region, 1000, rng)
+    points = np.vstack([protein[:7], outside, protein[7:]])
+    assert _atom_warnings(r12_mesh, points, caplog) == [
+        "1000 of 1500 atoms do not sit in the protein region (first: atom 7)"]
+
+
+def test_atoms_on_faces_and_vertices_of_protein_tets_are_held(r12_mesh, caplog):
+    # a vertex whose tets are all protein, with points on its edges and
+    # faces: every tet that touches them is protein
+    mesh = r12_mesh
+    non_protein = np.zeros(mesh.num_vertices, dtype=bool)
+    non_protein[mesh.tets[mesh.tet_regions != meshmod.PROTEIN].ravel()] = True
+    vertex = np.flatnonzero(~non_protein & np.isin(np.arange(mesh.num_vertices), mesh.tets))[0]
+    around = mesh.tets[np.any(mesh.tets == vertex, axis=1)]
+    assert np.all(mesh.tet_regions[np.any(mesh.tets == vertex, axis=1)] == meshmod.PROTEIN)
+    corners = mesh.vertices[around]
+    points = np.vstack([mesh.vertices[vertex], corners[:, :2].mean(axis=1),
+                        corners[:, 1:].mean(axis=1), corners[:, :3].mean(axis=1)])
+    assert _atom_warnings(mesh, points, caplog) == []
+
+
+def test_every_atom_is_outside_a_mesh_without_protein(caplog):
+    mesh = meshmod.unit_cube_mesh(2)
+    points = np.random.default_rng(38).uniform(0.1, 0.9, size=(5, 3))
+    with mock.patch.object(meshmod, "cKDTree") as tree:
+        assert _atom_warnings(mesh, points, caplog) == [
+            "5 of 5 atoms do not sit in the protein region (first: atom 0)"]
+    tree.assert_not_called()
 
 
 def test_atoms_file_round_trip(tmp_path):
@@ -190,7 +251,7 @@ def test_atoms_file_zero_atoms_round_trip(tmp_path):
 def test_atoms_file_malformed_reports_line(tmp_path, text, line):
     path = tmp_path / "bad.atoms"
     path.write_text(text)
-    with pytest.raises(MeshFormatError, match="^line %d: expected" % line):
+    with pytest.raises(MeshFormatError, match="^%s: line %d: expected" % (re.escape(str(path)), line)):
         es.load_atoms(path)
 
 

@@ -87,7 +87,7 @@ def test_load_malformed_numbers_reports_line(tmp_path, old, new, line):
     text = path.read_text()
     assert text.count(old + "\n") == 1
     path.write_text(text.replace(old + "\n", new + "\n"))
-    with pytest.raises(MeshFormatError, match="^line %d: expected" % line):
+    with pytest.raises(MeshFormatError, match="^%s: line %d: expected" % (re.escape(str(path)), line)):
         meshmod.load_mesh(path)
 
 
@@ -114,14 +114,17 @@ def test_load_non_utf8_mesh_is_a_format_error(tmp_path):
     path = tmp_path / "bad.mesh"
     meshmod.save_mesh(meshmod.unit_cube_mesh(1), path)
     path.write_bytes(path.read_bytes().replace(b"vertices 8\n", b"vertices 8\n\xff", 1))
-    with pytest.raises(MeshFormatError, match="bad.mesh: line 3: byte 0xff is not UTF-8"):
+    # the path once: the reader's own form, which load_mesh leaves as it is
+    with pytest.raises(MeshFormatError, match="^%s: line 3: byte 0xff is not UTF-8 text$"
+                       % re.escape(str(path))):
         meshmod.load_mesh(path)
 
 
 def test_load_truncated_file_reports_line(tmp_path):
     path = tmp_path / "trunc.mesh"
     path.write_text("smpnp-mesh 2\nvertices 2\n0 0 0\n")
-    with pytest.raises(MeshFormatError, match="^line 3: expected 'x y z', found end of file$"):
+    with pytest.raises(MeshFormatError, match="^%s: line 3: expected 'x y z', found end of file$"
+                       % re.escape(str(path))):
         meshmod.load_mesh(path)
 
 
@@ -134,7 +137,8 @@ def _cube_mesh_text(tmp_path, save=meshmod.save_mesh):
 def test_load_refuses_lines_after_box(tmp_path):
     path, text = _cube_mesh_text(tmp_path)
     path.write_text(text + "\n0 0 0\nfacets 3\n")
-    with pytest.raises(MeshFormatError, match="^line 20: expected end of file$"):
+    with pytest.raises(MeshFormatError, match="^%s: line 20: expected end of file$"
+                       % re.escape(str(path))):
         meshmod.load_mesh(path)
 
 
@@ -144,8 +148,8 @@ def test_load_requires_box_line(tmp_path):
     lines = text.splitlines()
     assert lines[0] == "smpnp-mesh 2" and lines[-1].startswith("box ") and len(lines) == 18
     path.write_text("\n".join(lines[:-1]) + "\n\n")
-    with pytest.raises(MeshFormatError, match="^line 17: expected 'box x1 x2 y1 y2 z1 z2 "
-                                              "Z1 Z2', found end of file$"):
+    with pytest.raises(MeshFormatError, match="^%s: line 17: expected 'box x1 x2 y1 y2 z1 z2 "
+                       "Z1 Z2', found end of file$" % re.escape(str(path))):
         meshmod.load_mesh(path)
 
 
@@ -153,7 +157,8 @@ def test_load_unknown_facet_label_names_its_line(tmp_path):
     path, text = _cube_mesh_text(tmp_path, save_mesh_v1)
     assert text.count("0 2 6 4\n") == 1
     path.write_text(text.replace("0 2 6 4\n", "0 2 6 9\n"))
-    with pytest.raises(MeshFormatError, match="^line 24: unknown facet label 9$"):
+    with pytest.raises(MeshFormatError, match="^%s: line 24: unknown facet label 9$"
+                       % re.escape(str(path))):
         meshmod.load_mesh(path)
 
 
@@ -450,8 +455,8 @@ def test_synth_builds_one_face_table_and_still_checks_labels(tmp_path):
     save_mesh_v1(mesh, path, labels=labels)
     # header, two section lines and the vertices and tets before the facets
     line = 4 + mesh.num_vertices + mesh.num_tets + 1 + k
-    message = ("line %d: facet (%d, %d, %d) has label 2, not the derived 1"
-               % (line, *mesh.facets[k]))
+    message = ("%s: line %d: facet (%d, %d, %d) has label 2, not the derived 1"
+               % (path, line, *mesh.facets[k]))
     with pytest.raises(MeshFormatError, match=r"^%s$" % re.escape(message)):
         meshmod.load_mesh(path)
     mesh.facet_labels[k] = meshmod.GAMMA_M
@@ -483,7 +488,8 @@ def test_load_refuses_a_format_1_facet_that_is_not_derived(tmp_path, new, messag
     path, text = _cube_mesh_text(tmp_path, save_mesh_v1)
     assert text.count("0 2 6 4\n") == 1
     path.write_text(text.replace("0 2 6 4\n", new + "\n"))
-    with pytest.raises(MeshFormatError, match=r"^line 24: %s$" % re.escape(message)):
+    with pytest.raises(MeshFormatError, match=r"^%s: line 24: %s$"
+                       % (re.escape(str(path)), re.escape(message))):
         meshmod.load_mesh(path)
 
 
@@ -596,6 +602,27 @@ def test_tet_centroids_are_bitwise_the_gathered_mean(resolution):
     verts, tets = meshmod.structured_box(meshmod.ChannelGeometry().box, resolution)
     got, want = meshmod.tet_centroids(verts, tets), verts[tets].mean(axis=1)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_locate_points_matches_a_solve_on_the_returned_tet():
+    # random points of random tets of the R=6 mesh, located among all its
+    # tets; the reference is each returned tet's barycentric solve
+    mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
+    rng = np.random.default_rng(38)
+    drawn = rng.integers(0, mesh.num_tets, 500)
+    points = np.einsum("pa,pak->pk", rng.dirichlet(np.ones(4), len(drawn)),
+                       mesh.vertices[mesh.tets[drawn]])
+    outside = np.array([[0.0, 0.0, 30.5], [25.0, 0.0, 0.0]])
+    holder, values = meshmod.locate_points(mesh, np.vstack([points, outside]),
+                                           np.arange(mesh.num_tets))
+    assert np.array_equal(holder[-2:], [-1, -1]) and np.all(values[-2:] == 0.0)
+    holder, values = holder[:-2], values[:-2]
+    corners = mesh.vertices[mesh.tets[holder]]
+    lam = np.linalg.solve((corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1),
+                          (points - corners[:, 0])[:, :, None])[:, :, 0]
+    bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    assert bary.min() >= -1e-12
+    assert np.abs(values - bary).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
