@@ -202,23 +202,9 @@ class _WeightMap:
 
     def matrix(self, w):
         """CSR matrix from per-tet weights; constrained rows are identity."""
-        return self.matrices(w[:, None])[0]
-
-    def matrices(self, W):
-        """One CSR matrix per column of the (M, k) per-tet weights ``W``,
-        all data from one product ``map @ W``.  Its rows sum each datum's
-        terms in tet order, as ``map @ W[:, j]`` does, so every matrix is
-        ``matrix(W[:, j])`` bit for bit.  Each matrix is flagged canonical
-        (``has_canonical_format``), as the pattern is, so no solve checks
-        it again."""
-        out = []
-        for column in (self.map @ W).T:
-            data = column.copy()  # scipy would copy a view of the (nnz, k) product
-            data[self.diag] = 1.0
-            A = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-            A.has_canonical_format = True
-            out.append(A)
-        return out
+        data = self.map @ w
+        data[self.diag] = 1.0
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def _data_positions(pattern, rows, cols):

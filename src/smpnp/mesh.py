@@ -241,17 +241,11 @@ def parse_numbers(kind, tok, ln, expected, count):
     raise MeshFormatError("expected %s" % expected, line=ln)
 
 
-# rows per ``%`` in write_rows: bounds the formatted block's size
-_ROW_BLOCK = 4096
-
-
 def write_rows(fh, fmt, rows):
     """Write ``fmt % tuple(row)`` for each row of the array ``rows`` (the
-    rows of a 1-D array are its entries), formatting a block of _ROW_BLOCK
-    rows with one ``%``."""
-    for first in range(0, len(rows), _ROW_BLOCK):
-        block = rows[first:first + _ROW_BLOCK]
-        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+    rows of a 1-D array are its entries)."""
+    for row in np.column_stack([rows]).tolist():
+        fh.write(fmt % tuple(row))
 
 
 def read_text_lines(path, error=MeshFormatError):

@@ -4,8 +4,9 @@ initializer and the outer iteration run, and the initializer itself.
 
 Each node carries the n x n system
     p_i = t_i w^(v_i/v0) E_i,   w = 1 - gamma sum_j v_j p_j,
-with targets t_i (the transformed concentrations, or their bulk values
-c_i^b / w_b^(v_i/v0) for the equilibrium variant) and capped exponentials
+with targets t_i (the transformed concentrations, or for the equilibrium
+variant their bulk values at the bottom face's potential,
+c_i^b e^(Z_i u_b) / w_b^(v_i/v0)) and capped exponentials
 E_i = exp(-Z_i u).  Its Jacobian is the identity plus a rank-one term, so
 the system reduces to one scalar equation for the water fraction: with
 a_i = gamma v_i t_i E_i and r_i = v_i/v0 >= 1, w solves
@@ -249,13 +250,17 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
                  phi_solve, norm_omega, norm_solvent, max_sweeps=500):
     """Equilibrium (size-modified Poisson-Boltzmann) initializer.
 
-    The transformed concentrations stay frozen at their bulk values
-    t_i = c_i^b / w_b^(v_i/v0), the Dirichlet data of Block 1 at zero
-    potential, so that at zero potential the recovery returns c^b itself
-    (the size-modified Boltzmann law).  One sweep recovers xi nodewise at
-    the potential w + q and relaxes q toward the ionic potential
-    phi_solve(xi); damped_fixed_point runs it on the blocks (xi, q) from
-    (c^b, 0) at the outer omega until its stop test at eps_outer holds.
+    The transformed concentrations stay frozen at the Slotboom transform of
+    the bulk at u_b, t_i = c_i^b e^(Z_i u_b) / w_b^(v_i/v0), Block 1's
+    Dirichlet data on the bottom face: the bulk reservoir sits at that
+    face's potential, and only potential differences are physical.  At
+    u = u_b the recovery returns c^b itself (the size-modified Boltzmann
+    law), and at u_b = u_t the answer is the outer iteration's fixed point,
+    the u_b = u_t = 0 one with u shifted by u_b.  One sweep recovers xi
+    nodewise at the potential w + q and relaxes q toward the ionic
+    potential phi_solve(xi); damped_fixed_point runs it on the blocks
+    (xi, q) from (c^b, 0) at the outer omega until its stop test at
+    eps_outer holds.
 
     ``phi_solve`` maps (n, Ns) solvent fields to a box-mesh potential;
     ``norm_omega``/``norm_solvent`` are L2 norms on the two meshes.
@@ -263,8 +268,8 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
     not converge.
     """
     bulk = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
-    targets = np.repeat(slotboom_forward(0.0, species.c_b, species, constants)[:, None],
-                        submesh.num_vertices, axis=1)
+    bottom = slotboom_forward(constants.u_b, species.c_b, species, constants)
+    targets = np.repeat(bottom[:, None], submesh.num_vertices, axis=1)
 
     def sweep(x, relax):
         u_vals = submesh.restrict(w_field + x["q"])

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import idamax
 
 from .errors import LinearSolveError, SingularMatrixError, require
 
@@ -110,11 +109,10 @@ class LinearSolveSpec:
 
 
 def _as_sorted_csr(A):
-    """A as a CSR matrix with sorted, duplicate-free column indices: A
-    itself when it is a CSR matrix flagged so (``has_canonical_format``),
-    as every assembled matrix is."""
-    if isinstance(A, sp.csr_matrix) and A.has_canonical_format:
-        return A
+    """A as a CSR matrix with sorted, duplicate-free column indices.  On an
+    assembled matrix, which is canonical already, the conversion shares its
+    arrays and the two calls only check them, so the shared read-only
+    pattern is neither copied nor written."""
     A = sp.csr_matrix(A)
     A.sum_duplicates()
     A.sort_indices()
@@ -295,7 +293,7 @@ def _pcg(A, b, M, kept, max_steps, start=None):
         r -= alpha * q
         z = M.solve(r)
         kept.pcg_steps += 1
-        if abs(z[idamax(z)]) <= _PCG_TOL * abs(x[idamax(x)]):
+        if np.abs(z).max() <= _PCG_TOL * np.abs(x).max():
             return x
         rz, rz_old = r @ z, rz
         p *= rz / rz_old

@@ -106,10 +106,9 @@ class Block1:
 
         D_hat is ``physics_model.transformed_diffusion``, checked positive
         for every species, and the per-tet weights of all species are one
-        ``vertex_mean`` product, checked finite.  The matrix data of the
-        ``solved`` species are one weight-map product
-        (``_WeightMap.matrices``), which gives each species' matrix bit for
-        bit as its own column would; the others get A = b = None.
+        ``vertex_mean`` product, checked finite.  Each ``solved`` species
+        gets its matrix from the weight map at its column of those weights
+        (``_WeightMap.matrix``); the others get A = b = None.
         """
         dhat = transformed_diffusion(self.species, u_vals, c_fields, self.d_nodal,
                                      self.constants)
@@ -123,8 +122,9 @@ class Block1:
         out = [PinnedSystem(None, None, *r) for r in self.ranges]
         if self.solved.size:
             W = W[:, self.solved]
-            for i, A, w in zip(self.solved, self.weights.matrices(W), W.T):
-                out[i] = PinnedSystem(A, self.weights.lift(w, self.g_bar[i]), *self.ranges[i])
+            for i, w in zip(self.solved, W.T):
+                out[i] = PinnedSystem(self.weights.matrix(w),
+                                      self.weights.lift(w, self.g_bar[i]), *self.ranges[i])
         return out
 
 

@@ -589,9 +589,9 @@ def test_equilibrium_run_builds_no_block1_matrix(method, monkeypatch):
             built.append(args[0].shape)
             super().__init__(*args)
 
-        def matrices(self, W):
-            made.append((self.n, W.shape[1]))
-            return super().matrices(W)
+        def matrix(self, w):
+            made.append(self.n)
+            return super().matrix(w)
 
     monkeypatch.setattr(fem_core, "_WeightMap", CountedMap)
     config = driver.RunConfig(species=mixture_species(), constants=ModelConstants(sigma=-1.0),
@@ -600,7 +600,25 @@ def test_equilibrium_run_builds_no_block1_matrix(method, monkeypatch):
     result = driver.run(config)
     assert result.converged
     assert built == [result.mesh.tets.shape]
-    assert made == [(result.mesh.num_vertices, 1)]
+    assert made == [result.mesh.num_vertices]
+
+
+def test_equilibrium_run_at_a_common_face_potential_is_the_zero_run_shifted():
+    # only potential differences are physical: at u_b = u_t = 1 the
+    # initializer's targets sit at u_b, so its answer is the fixed point of
+    # the outer iteration, one sweep confirms it with no Block-1 factor, and
+    # the state is the u_b = u_t = 0 one with u shifted by 1
+    def run(v):
+        return driver.run(driver.RunConfig(
+            species=mixture_species(), constants=ModelConstants(sigma=-1.0, u_b=v, u_t=v),
+            linear=sparse_linalg.LinearSolveSpec(method="direct"),
+            geometry=meshmod.ChannelGeometry(resolution=6)))
+
+    zero, shifted = run(0.0), run(1.0)
+    assert shifted.converged and shifted.iterations == 1
+    assert sum(row["block1_factors"] for row in shifted.history) == 0
+    assert np.max(np.abs(shifted.c - zero.c) / zero.c) <= 1e-10
+    assert np.max(np.abs((shifted.u - 1.0) - zero.u)) <= 1e-12
 
 
 def test_sweep_starts_its_inner_solves_from_its_iterate():

@@ -438,20 +438,3 @@ def test_vertex_mean_is_the_gathered_mean_bitwise(resolution, synth_boxes):
         # several weights at once, as Block 1 takes its species
         weights = np.exp(rng.uniform(-45.0, 45.0, size=(4, mesh.num_vertices)))
         assert np.array_equal(op.vertex_mean @ weights.T, weights[:, op.tets].mean(axis=2).T)
-
-
-@pytest.mark.parametrize("which", ["box", "submesh"])
-def test_weight_map_matrices_are_the_one_column_matrices(which, channel_mesh,
-                                                         channel_submesh, rng):
-    # one product for all columns gives each column's matrix bit for bit,
-    # flagged canonical on the shared pattern, which no solve sorts again
-    mesh = channel_mesh if which == "box" else channel_submesh
-    op = fem_core.p1_operator(mesh)
-    weights = op.stiffness_map()
-    W = np.exp(rng.uniform(-45.0, 45.0, size=(len(op.tets), 3)))
-    for j, A in enumerate(weights.matrices(W)):
-        data = weights.map @ W[:, j]
-        data[weights.diag] = 1.0
-        assert np.array_equal(A.data, data)
-        assert np.shares_memory(A.indices, weights.indices)
-        assert A.has_canonical_format and sparse_linalg._as_sorted_csr(A) is A

@@ -28,10 +28,10 @@ def test_structured_box_positive_volumes():
 
 
 def test_write_rows_matches_one_line_per_row():
-    # blocks of _ROW_BLOCK rows, a partial last block, 1-D and 2-D arrays
+    # 1-D and 2-D arrays, and an empty one
     rng = np.random.default_rng(3)
-    reals = rng.standard_normal((2 * meshmod._ROW_BLOCK + 5, 3)) * 1e3
-    ints = rng.integers(-9, 10 ** 6, size=(meshmod._ROW_BLOCK + 1, 4))
+    reals = rng.standard_normal((1000, 3)) * 1e3
+    ints = rng.integers(-9, 10 ** 6, size=(500, 4))
     for fmt, rows in (("%g %g %g\n", reals), ("%.17g %.17g %.17g\n", reals),
                       ("%d %d %d %d\n", ints), ("%d\n", ints[:, 0]), ("%g\n", reals[:, 0]),
                       ("%d\n", ints[:0, 0])):
