@@ -38,8 +38,9 @@ from .physics_model import ModelConstants
 logger = logging.getLogger(__name__)
 
 _COLLISION_TOL = 1.0e-6  # A, minimum atom-to-evaluation-point distance
-# (atom, point) pairs per block in eval_G, grad_G and face_flux (a face is a
-# point there): bounds their (atoms x points) temporaries; 4,096 points at 16 atoms
+# (atom, point) pairs per block of _atom_sum, which eval_G, grad_G and face_flux
+# (a face is a point there) run on: bounds their (atoms x points) temporaries;
+# 4,096 points at 16 atoms
 _PAIR_CHUNK = 1 << 16
 
 
@@ -105,12 +106,19 @@ def _pair_offsets(points, atoms: AtomicCharges, first=0):
     return diff, dist2
 
 
-def _point_chunks(points, n_atoms):
-    """(first index, block) over ``points`` in blocks of _PAIR_CHUNK // n_atoms
-    rows, at least one."""
-    size = max(1, _PAIR_CHUNK // n_atoms)
+def _atom_sum(atoms: AtomicCharges, constants: ModelConstants, points, width, kernel):
+    """alpha/(4 pi eps_p) times ``kernel(block, first)`` over ``points`` in
+    blocks of _PAIR_CHUNK // len(atoms) rows, at least one, ``first`` the
+    index of ``block[0]`` in ``points``; zeros of shape (len(points),) +
+    ``width`` when there are no atoms."""
+    out = np.zeros((len(points),) + width)
+    if len(atoms) == 0:
+        return out
+    coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
+    size = max(1, _PAIR_CHUNK // len(atoms))
     for first in range(0, len(points), size):
-        yield first, points[first:first + size]
+        out[first:first + size] = coef * kernel(points[first:first + size], first)
+    return out
 
 
 def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
@@ -118,32 +126,25 @@ def eval_G(atoms: AtomicCharges, constants: ModelConstants, points):
 
     G(r) = alpha/(4 pi eps_p) sum_j z_j / |r - r_j|.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(len(points))
-    if len(atoms) == 0:
-        return out
-    coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
-    for first, block in _point_chunks(points, len(atoms)):
+    def kernel(block, first):
         _, dist2 = _pair_offsets(block, atoms, first=first)
-        terms = atoms.charges[:, None] / np.sqrt(dist2)
         # summed down the atom axis, in atom order for every point whatever the block
-        out[first:first + len(block)] = coef * terms.sum(axis=0)
-    return out
+        return (atoms.charges[:, None] / np.sqrt(dist2)).sum(axis=0)
+
+    return _atom_sum(atoms, constants, np.atleast_2d(np.asarray(points, dtype=float)), (),
+                     kernel)
 
 
 def grad_G(atoms: AtomicCharges, constants: ModelConstants, points):
     """Analytic gradient of G at the given points, shape (N, 3)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((len(points), 3))
-    if len(atoms) == 0:
-        return out
-    coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
-    for first, block in _point_chunks(points, len(atoms)):
+    def kernel(block, first):
         diff, dist2 = _pair_offsets(block, atoms, first=first)
         radial = 1.0 / (dist2 * np.sqrt(dist2))
         radial *= atoms.charges[:, None]
-        out[first:first + len(block)] = -coef * np.einsum("kjn,jn->nk", diff, radial)
-    return out
+        return -np.einsum("kjn,jn->nk", diff, radial)
+
+    return _atom_sum(atoms, constants, np.atleast_2d(np.asarray(points, dtype=float)), (3,),
+                     kernel)
 
 
 def region_eps(mesh: meshmod.LabeledMesh, constants: ModelConstants):
@@ -190,17 +191,11 @@ def face_flux(atoms: AtomicCharges, constants: ModelConstants, corners):
     I_e = int_e dl/R = ln((R_i + R_j + L_e)/(R_i + R_j - L_e)).  Summed over the atoms,
     sum_j q_j phi(r_j) Omega_j takes the charge-weighted sums of Omega and
     of Omega r_j.  Atoms run along the first axis and faces along the last,
-    in blocks of ``_point_chunks``; every sum over atoms runs in atom order
+    in the blocks of ``_atom_sum``; every sum over atoms runs in atom order
     per face, so the result does not depend on the blocks.
     """
-    corners = np.asarray(corners, dtype=float).reshape(-1, 3, 3)
-    out = np.zeros((len(corners), 3))
-    if len(atoms) == 0:
-        return out
-    coef = constants.alpha / (4.0 * np.pi * constants.eps_p)
-    for first, block in _point_chunks(corners, len(atoms)):
-        out[first:first + len(block)] = -coef * _face_moments(atoms, block)
-    return out
+    return _atom_sum(atoms, constants, np.asarray(corners, dtype=float).reshape(-1, 3, 3),
+                     (3,), lambda block, first: -_face_moments(atoms, block))
 
 
 def _face_moments(atoms: AtomicCharges, corners):
@@ -272,19 +267,20 @@ def mismatch_load(mesh: meshmod.LabeledMesh, atoms: AtomicCharges,
     if len(atoms) == 0:
         return rhs
     eps = region_eps(mesh, constants)
-    owners = mesh.face_owners
-    pair = eps[owners.interface_owners]
-    jump = np.flatnonzero(pair[:, 0] != pair[:, 1])
-    faces = owners.interfaces[jump]
-    flux = interface_flux(mesh, atoms, constants, faces, owners.interface_owners[jump, 0])
-    flux *= (pair[jump, 1] - pair[jump, 0])[:, None]
+    owners = mesh.facet_owners
+    between = np.flatnonzero(owners[:, 1] >= 0)
+    pair = eps[owners[between]]
+    jump = between[pair[:, 0] != pair[:, 1]]
+    faces = mesh.facets[jump]
+    flux = interface_flux(mesh, atoms, constants, faces, owners[jump, 0])
+    flux *= (eps[owners[jump, 1]] - eps[owners[jump, 0]])[:, None]
     rhs += np.bincount(faces.ravel(), flux.ravel(), minlength=mesh.num_vertices)
     side = np.flatnonzero(mesh.facet_labels == meshmod.GAMMA_N)
     nfac = mesh.facets[side]
-    normals = meshmod.BOX_NORMALS[meshmod.box_planes(mesh.vertices, nfac, mesh.box)]
+    normals = meshmod.BOX_NORMALS[mesh.facet_planes[side]]
     nodes, corner = np.unique(nfac, return_inverse=True)
     gv = grad_G(atoms, constants, mesh.vertices[nodes])[corner.reshape(nfac.shape)]
-    flux = -eps[owners.facet_owner[side]][:, None] * np.einsum("fck,fk->fc", gv, normals)
+    flux = -eps[owners[side, 0]][:, None] * np.einsum("fck,fk->fc", gv, normals)
     rhs += fem_core.assemble_surface_load_nodal(mesh, nfac, flux)
     return rhs
 

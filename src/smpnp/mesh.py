@@ -16,7 +16,6 @@ from __future__ import annotations
 import codecs
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -33,14 +32,6 @@ _FACET_LABELS = (GAMMA_P, GAMMA_M, GAMMA_PM, GAMMA_D, GAMMA_N)
 _GEOM_TOL = 1.0e-9
 
 
-class FaceOwners(NamedTuple):
-    """What a mesh keeps of its face table (see ``LabeledMesh.validate``)."""
-
-    interfaces: np.ndarray  # (F, 3) sorted vertex triples of the faces between regions
-    interface_owners: np.ndarray  # (F, 2) their two owner tets
-    facet_owner: np.ndarray  # (K,) each facet's first owner tet, its only one on the boundary
-
-
 @dataclass
 class LabeledMesh:
     """Tetrahedral mesh of the box with region labels, and the facets
@@ -49,11 +40,11 @@ class LabeledMesh:
     ``box`` is (x1, x2, y1, y2, z1, z2) in A; ``z1``/``z2`` are the membrane
     plane heights.  Immutable by convention after construction/validation:
     ``validate`` stores the mesh's P1 geometry (``fem_core.p1_operator``)
-    on it, its facets (``facets`` (K, 3) sorted vertex triples and
-    ``facet_labels`` (K,), in face-scan order), and beside them
-    ``face_owners`` (``FaceOwners``): the faces between tets of different
-    regions, in face-table order, with their owners, and the owner of
-    every facet.  Every assembly reuses them.
+    on it, and its facet table of four parallel arrays in face-scan order:
+    ``facets`` (K, 3) sorted vertex triples, ``facet_labels`` (K,),
+    ``facet_owners`` (K, 2) owner tets, the second -1 on the box boundary,
+    and ``facet_planes`` (K,) ``box_planes`` indices, -1 on a facet between
+    two tets.  Every assembly reuses them.
     """
 
     vertices: np.ndarray  # (N, 3) float
@@ -81,18 +72,17 @@ class LabeledMesh:
         first face in scan order that breaks it: every boundary face lies on
         a ``box_planes`` plane (so a hole in the mesh is refused), and every
         one on plane 4 or 5 bounds a solvent tet (so the box's Dirichlet
-        nodes are all solvent nodes).  It stores ``facets``, ``facet_labels``
-        and ``face_owners``, and last builds the mesh's P1 geometry afresh,
-        which rejects an inverted tet, and stores it for
-        ``fem_core.p1_operator``.
+        nodes are all solvent nodes).  It stores the facet table, and last
+        builds the mesh's P1 geometry afresh, which rejects an inverted tet,
+        and stores it for ``fem_core.p1_operator``.
         """
         check_box_order(self.box, self.z1, self.z2)
         _check_vertex_ids(self.tets, self.num_vertices, "tet")
         unknown = set(np.unique(self.tet_regions)) - set(_REGIONS)
         if unknown:
             raise MeshError("unknown region tag %s" % sorted(unknown)[0])
-        faces, owners, labels = _derive_facets(self.vertices, self.tets, self.tet_regions,
-                                               self.box)
+        faces, owners, labels, planes = _derive_facets(self.vertices, self.tets,
+                                                       self.tet_regions, self.box)
         boundary = owners[:, 1] < 0
         for bad, message in (
                 (boundary & (labels == 0), "boundary face (%d, %d, %d) lies on no box plane"),
@@ -101,17 +91,14 @@ class LabeledMesh:
             if bad.any():
                 raise MeshError(message % tuple(faces[np.argmax(bad)].tolist()))
         keep = labels > 0
-        between = keep & ~boundary
         self.facets, self.facet_labels = faces[keep], labels[keep]
-        self.face_owners = FaceOwners(faces[between], owners[between], owners[keep, 0])
+        self.facet_owners, self.facet_planes = owners[keep], planes[keep]
         self._p1_operator = fem_core.P1Operator(self)
         return self
 
     def dirichlet_side_nodes(self):
-        """(bottom, top): the sorted nodes of the Dirichlet facets on box planes 4 and 5."""
-        facets = self.facets[self.facet_labels == GAMMA_D]
-        planes = box_planes(self.vertices, facets, self.box)
-        return np.unique(facets[planes == 4]), np.unique(facets[planes == 5])
+        """(bottom, top): the sorted nodes of the facets on box planes 4 and 5."""
+        return tuple(np.unique(self.facets[self.facet_planes == k]) for k in (4, 5))
 
 
 #: Local vertex triples of a tet's faces, in the order the face scan meets
@@ -522,15 +509,18 @@ def _classify_regions(geom: ChannelGeometry, centroids):
 
 
 def _derive_facets(vertices, tets, regions, box):
-    """The face table of ``tets`` (``_face_owners``) and each face's facet
-    label: the interface label of its two owners' regions (0 for equal
-    regions), and on a one-owner face Dirichlet on ``box_planes`` plane 4
-    or 5, Neumann on 0-3 and 0 on none.  Returns (faces, owners, labels)."""
+    """The face table of ``tets`` (``_face_owners``), each face's
+    ``box_planes`` plane (-1 on a two-owner face) and its facet label: the
+    interface label of its two owners' regions (0 for equal regions), and
+    on a one-owner face Dirichlet on plane 4 or 5, Neumann on 0-3 and 0 on
+    none.  Returns (faces, owners, labels, planes)."""
     faces, owners = _face_owners(tets, len(vertices))
     boundary = owners[:, 1] < 0
+    planes = np.full(len(faces), -1, dtype=np.int64)
+    planes[boundary] = box_planes(vertices, faces[boundary], box)
     labels = _PAIR_LABEL[regions[owners[:, 0]], regions[owners[:, 1]]]
-    labels[boundary] = _PLANE_LABEL[box_planes(vertices, faces[boundary], box)]
-    return faces, owners, labels
+    labels[boundary] = _PLANE_LABEL[planes[boundary]]
+    return faces, owners, labels, planes
 
 
 def synth_channel_mesh(geom: ChannelGeometry):

@@ -77,9 +77,13 @@ class Block1:
     species it solves (``solved``).  g_bar_i is the Slotboom transform of
     the bulk c_i^b at u_b on the bottom face and at u_t on the top face
     (``fem_core.face_values``).  A species whose two face values are equal
-    has that constant as its Block-1 answer at every iterate, which
-    ``solve_transformed_np`` returns; ``systems`` checks its D_hat and
-    weights but builds no matrix for it.  The submesh's pinned weight map
+    (u_b = u_t, a Z = 0 species, or both face exponents at the cap) has
+    that constant as its Block-1 answer at every iterate, which
+    ``solve_transformed_np`` returns: this is exact for every D_hat > 0, as
+    the P1 stiffness annihilates constants, so the constant satisfies every
+    free row and every pinned one.  ``systems`` checks its D_hat and
+    weights but builds no matrix for it, and no factor, CG step or kept
+    factor is made for it.  The submesh's pinned weight map
     (``weights``), whose pattern and CSR index arrays every Block-1 matrix
     shares, is built here once and only when some species is solved (None
     otherwise), so an equilibrium run never builds it; it lives as long as
@@ -142,19 +146,14 @@ def solve_transformed_np(submesh, species: SpeciesSet, i, u_vals, c_fields,
     species at once; when None, it is taken from a fresh ``Block1``.
     Returns the transformed concentration field.  A
     solve that leaves the Dirichlet range is recorded in ``excursions``,
-    or logged when none is given.
-
-    A system whose two face values are equal (``lo == hi``: u_b = u_t, a
-    Z = 0 species, or both face exponents at the cap) is not solved: its
-    answer is that constant, returned as ``np.full(N, lo)``.  This is exact
-    for every D_hat > 0, as the P1 stiffness annihilates constants, so the
-    constant satisfies every free row and every pinned one.  No matrix,
-    factor, CG step or kept factor is made for it.
+    or logged when none is given.  A system with no matrix (``A`` None, a
+    species ``Block1`` does not solve) has its constant face value as its
+    answer, returned as ``np.full(N, lo)``.
     """
     if system is None:
         system = Block1(submesh, species, constants, d_nodal).systems(u_vals, c_fields)[i]
     lo, hi = system.lo, system.hi
-    if lo == hi:
+    if system.A is None:
         return np.full(len(u_vals), lo)
     cbar = sparse_linalg.solve(system.A, system.b, spec)
     excess = max(lo - cbar.min(), cbar.max() - hi)

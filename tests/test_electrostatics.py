@@ -24,8 +24,13 @@ def _gamma_d_nodes(mesh):
 
 
 def test_eval_g_no_atoms():
-    pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-    assert np.all(es.eval_G(es.AtomicCharges.none(), CONST, pts) == 0.0)
+    # zeros of each answer's shape: two points, and the two triangles
+    # face_flux reads from six points
+    pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]] * 2)
+    for fn, points, shape in ((es.eval_G, pts[:2], (2,)), (es.grad_G, pts[:2], (2, 3)),
+                              (es.face_flux, pts, (2, 3))):
+        got = fn(es.AtomicCharges.none(), CONST, points)
+        assert got.shape == shape and np.all(got == 0.0), fn.__name__
 
 
 def test_g_chunked_matches_one_shot(monkeypatch, rng):
@@ -320,7 +325,7 @@ def test_psi_of_a_file_without_the_membrane_side_facets(tmp_path, rng):
     # these charges)
     mesh = meshmod.synth_channel_mesh(meshmod.ChannelGeometry(resolution=6))
     side = ((mesh.facet_labels == meshmod.GAMMA_N)
-            & (mesh.tet_regions[mesh.face_owners.facet_owner] == meshmod.MEMBRANE))
+            & (mesh.tet_regions[mesh.facet_owners[:, 0]] == meshmod.MEMBRANE))
     assert side.sum() == 96
     save_mesh_v1(mesh, tmp_path / "part.mesh", mesh.facets[~side], mesh.facet_labels[~side])
     psi = _ring_psi([mesh, meshmod.load_mesh(tmp_path / "part.mesh")], rng)
@@ -361,11 +366,12 @@ def test_face_flux_matches_a_polar_quadrature(where):
 
 def test_interface_flux_flips_sign_with_the_owner(channel_mesh, rng):
     # n points out of the owner named, so the other owner negates each face
-    owners = channel_mesh.face_owners
+    two = channel_mesh.facet_owners[:, 1] >= 0
+    faces, owners = channel_mesh.facets[two], channel_mesh.facet_owners[two]
     sites = meshmod.protein_ring_sites(channel_mesh, 16)
     atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
-    first, second = (es.interface_flux(channel_mesh, atoms, CONST, owners.interfaces,
-                                       owners.interface_owners[:, k]) for k in (0, 1))
+    first, second = (es.interface_flux(channel_mesh, atoms, CONST, faces, owners[:, k])
+                     for k in (0, 1))
     assert np.all(first != 0.0)
     assert np.allclose(first, -second, rtol=1e-12, atol=0.0)
 
@@ -373,7 +379,7 @@ def test_interface_flux_flips_sign_with_the_owner(channel_mesh, rng):
 def test_face_flux_chunked_matches_one_shot(channel_mesh, monkeypatch, rng):
     sites = meshmod.protein_ring_sites(channel_mesh, 16)
     atoms = es.AtomicCharges(sites, rng.uniform(0.04, 0.06, size=len(sites)))
-    corners = channel_mesh.vertices[channel_mesh.face_owners.interfaces]
+    corners = channel_mesh.vertices[channel_mesh.facets[channel_mesh.facet_owners[:, 1] >= 0]]
     monkeypatch.setattr(es, "_PAIR_CHUNK", 37 * len(atoms))  # 37 faces a block
     chunked = es.face_flux(atoms, CONST, corners), es.mismatch_load(channel_mesh, atoms, CONST)
     monkeypatch.setattr(es, "_PAIR_CHUNK", len(atoms) * len(corners))

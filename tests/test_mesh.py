@@ -471,9 +471,8 @@ def test_format_1_file_loads_as_its_format_2_twin(tmp_path, channel_mesh):
         save(channel_mesh, tmp_path / "chan.mesh")
         assert (tmp_path / "chan.mesh").read_text().startswith(header)
         loaded.append(meshmod.load_mesh(tmp_path / "chan.mesh"))
-    _assert_arrays_identical(loaded[1], loaded[0], _MESH_FIELDS)
-    _assert_arrays_identical(loaded[1].face_owners, loaded[0].face_owners,
-                             meshmod.FaceOwners._fields)
+    _assert_arrays_identical(loaded[1], loaded[0],
+                             _MESH_FIELDS + ("facet_owners", "facet_planes"))
 
 
 @pytest.mark.parametrize("new,message", [
@@ -521,17 +520,37 @@ def test_validate_refuses_a_hole_in_the_membrane(tmp_path):
 
 
 def test_validate_keeps_the_owners_of_faces_and_facets(channel_mesh):
-    # face_owners against the reference face table: the faces between
-    # regions with their owners, and each facet's first owner
-    faces, owners = face_owners_reference(channel_mesh.tets, channel_mesh.num_vertices)
-    region = np.append(channel_mesh.tet_regions, 0)[owners]
+    # the facet table against the reference face table: the two-owner
+    # facets are the faces between regions, in order, with their owners;
+    # every facet keeps the reference owners of its face, and its box plane
+    # on the boundary (-1 between two tets)
+    mesh = channel_mesh
+    faces, owners = face_owners_reference(mesh.tets, mesh.num_vertices)
+    region = np.append(mesh.tet_regions, 0)[owners]
     between = (owners[:, 1] >= 0) & (region[:, 0] != region[:, 1])
-    kept = channel_mesh.face_owners
-    assert np.array_equal(kept.interfaces, faces[between])
-    assert np.array_equal(kept.interface_owners, owners[between])
+    two = mesh.facet_owners[:, 1] >= 0
+    assert np.array_equal(mesh.facets[two], faces[between])
+    assert np.array_equal(mesh.facet_owners[two], owners[between])
     row = {tuple(f): k for k, f in enumerate(faces.tolist())}
-    facets = np.sort(channel_mesh.facets, axis=1).tolist()
-    assert np.array_equal(kept.facet_owner, owners[[row[tuple(f)] for f in facets], 0])
+    facets = np.sort(mesh.facets, axis=1).tolist()
+    assert np.array_equal(mesh.facet_owners, owners[[row[tuple(f)] for f in facets]])
+    assert np.array_equal(mesh.facet_planes[~two],
+                          meshmod.box_planes(mesh.vertices, mesh.facets[~two], mesh.box))
+    assert np.all(mesh.facet_planes[~two] >= 0) and np.all(mesh.facet_planes[two] == -1)
+
+
+def test_synth_and_load_run_box_planes_once(tmp_path):
+    # the facet table keeps each boundary facet's plane, so neither the
+    # Dirichlet nodes of the box and submesh operators nor a second
+    # validate-time reader tests the planes again
+    geom = meshmod.ChannelGeometry(resolution=4)
+    path = tmp_path / "chan.mesh"
+    meshmod.save_mesh(meshmod.synth_channel_mesh(geom), path)
+    for build in (lambda: meshmod.synth_channel_mesh(geom), lambda: meshmod.load_mesh(path)):
+        with mock.patch.object(meshmod, "box_planes", wraps=meshmod.box_planes) as spy:
+            mesh = build()
+            fem_core.p1_operator(meshmod.extract_solvent_submesh(mesh))
+        assert spy.call_count == 1
 
 
 def test_validate_rejects_dirichlet_facet_on_a_protein_tet(channel_mesh, tmp_path):
