@@ -9,7 +9,7 @@ variant their bulk values at the bottom face's potential,
 c_i^b e^(Z_i u_b) / w_b^(v_i/v0)) and capped exponentials
 E_i = exp(-Z_i u).  Its Jacobian is the identity plus a rank-one term, so
 the system reduces to one scalar equation for the water fraction: with
-a_i = gamma v_i t_i E_i and r_i = v_i/v0 >= 1, w solves
+a_i = gamma v_i t_i E_i and r_i = v_i/v0 (>= 1 for sized ions), w solves
 w + sum_i a_i w^(r_i) = 1.  In s = ln w,
     phi(s) = log(e^s + sum_i a_i e^(r_i s)) = 0,
 phi is convex and increasing, with slope in [1, max r_i] and
@@ -17,7 +17,8 @@ phi(0) >= 0, so the root is unique and Newton reaches it from any start:
 from the right of the root the iterates descend to it, and from the left
 the first step lands at or past the root.  Each pass starts from the water
 fraction of the current concentrations, which the sweeps change little
-once the outer loop settles.  Every node is solved at once.
+once the outer loop settles.  Point ions have a_i = 0 and stop at s = 0
+after one step, so p_i = t_i E_i.  Every node is solved at once.
 
 The fixed-point loop accelerates the damped sweep map F by type-II
 Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): the next
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, NewtonError
-from .physics_model import ModelConstants, SpeciesSet, capped_exp, slotboom_forward
+from .physics_model import ModelConstants, SpeciesSet, slotboom_forward
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +61,9 @@ def log_coefficients(targets, u_vals, species: SpeciesSet, constants: ModelConst
     and the clipped exponent itself; both (n, N), formed so nothing overflows."""
     exponent = np.clip(-species.Z[:, None] * np.asarray(u_vals, dtype=float)[None, :],
                        -constants.cap, constants.cap)
-    log_a = np.log(constants.gamma * species.v)[:, None] + np.log(targets) + exponent
+    with np.errstate(divide="ignore"):  # point ions: v_i = 0, so a_i = 0
+        log_gv = np.log(constants.gamma * species.v)[:, None]
+    log_a = log_gv + np.log(targets) + exponent
     return log_a, exponent
 
 
@@ -114,21 +117,17 @@ def block2_update(targets, u_vals, c_prev, species: SpeciesSet,
     """Solve every node system of one Block-2 pass.
 
     ``targets`` is the (n, N) field of transformed concentrations on the
-    solvent nodes and ``u_vals`` the (N,) potential w + Phi_tilde^k there.
-    ``c_prev``, the (n, N) current concentrations, gives Newton its start:
-    the log water fraction s0 = ln(1 - gamma v.c_prev), or s0 = 0 at nodes
-    where that fraction is not positive.  The root is unique, so the start
-    moves the step count only, not the answer.  Returns the (n, N)
-    concentration fields and a NewtonReport with the largest iteration
-    count over the nodes.
+    solvent nodes, or one (n, 1) column for all of them, and ``u_vals``
+    the (N,) potential w + Phi_tilde^k there.  ``c_prev``, the (n, N)
+    current concentrations, gives Newton its start: the log water fraction
+    s0 = ln(1 - gamma v.c_prev), or s0 = 0 at nodes where that fraction is
+    not positive.  The root is unique, so the start moves the step count
+    only, not the answer.  Returns the (n, N) concentration fields and a
+    NewtonReport with the largest iteration count over the nodes.
     """
     targets = np.asarray(targets, dtype=float)
     if not np.all(targets > 0.0):
         raise FeasibilityError("Block 2 needs positive transformed concentrations")
-    if not species.size_mode:  # the systems are linear
-        E = capped_exp(-species.Z[:, None] * np.asarray(u_vals, dtype=float)[None, :],
-                       constants.cap)
-        return targets * E, NewtonReport(1)
     log_a, exponent = log_coefficients(targets, u_vals, species, constants)
     r = species.v_ratio
     water = 1.0 - constants.gamma * (species.v @ np.asarray(c_prev, dtype=float))
@@ -172,12 +171,11 @@ def damped_fixed_point(sweep, state, norms, feasible, omega, eps, max_sweeps, la
     returned.  For a damped block that increment is omega times its
     undamped residual G(x_k) - x_k, so the test reads ||G(x_k) - x_k|| <
     ``eps`` (Kelley, Iterative Methods for Linear and Nonlinear Equations,
-    SIAM 1995); a block the sweep does not damp meets the stricter bound.
-    Otherwise the next sweep starts from the mixed iterate, unless
-    ``feasible`` rejects it; then it starts from F(x_k), the plain damped
-    step, and the stored differences are dropped.  Each history row holds
-    k, res_<block> (the damped increment), the extra values and aa_depth,
-    the number of differences mixed (0 for a plain damped step).
+    SIAM 1995).  Otherwise the next sweep starts from the mixed iterate,
+    unless ``feasible`` rejects it; then it starts from F(x_k), the plain
+    damped step, and the stored differences are dropped.  Each history row
+    holds k, res_<block> (the damped increment), the extra values and
+    aa_depth, the number of differences mixed (0 for a plain damped step).
     """
     if max_sweeps < 1:
         raise ValueError("%s: max_sweeps must be at least 1, got %r" % (label, max_sweeps))
@@ -256,24 +254,25 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
     face's potential, and only potential differences are physical.  At
     u = u_b the recovery returns c^b itself (the size-modified Boltzmann
     law), and at u_b = u_t the answer is the outer iteration's fixed point,
-    the u_b = u_t = 0 one with u shifted by u_b.  One sweep recovers xi
-    nodewise at the potential w + q and relaxes q toward the ionic
-    potential phi_solve(xi); damped_fixed_point runs it on the blocks
-    (xi, q) from (c^b, 0) at the outer omega until its stop test at
-    eps_outer holds.
+    the u_b = u_t = 0 one with u shifted by u_b.  One sweep damps as the
+    outer sweep does: it relaxes xi toward the nodewise recovery p at the
+    potential w + q, then q toward the ionic potential phi_solve(xi);
+    damped_fixed_point runs it on the blocks (xi, q) from (c^b, 0) at the
+    outer omega until its stop test at eps_outer holds.
 
     ``phi_solve`` maps (n, Ns) solvent fields to a box-mesh potential;
     ``norm_omega``/``norm_solvent`` are L2 norms on the two meshes.
-    Returns (q, xi, sweeps); raises ConvergenceError when ``max_sweeps`` do
-    not converge.
+    Returns (q, p, sweeps), p the last sweep's undamped recovery; raises
+    ConvergenceError when ``max_sweeps`` do not converge.
     """
     bulk = np.repeat(species.c_b[:, None], submesh.num_vertices, axis=1)
     bottom = slotboom_forward(constants.u_b, species.c_b, species, constants)
-    targets = np.repeat(bottom[:, None], submesh.num_vertices, axis=1)
+    last = {}  # the last sweep's undamped Block-2 answer
 
     def sweep(x, relax):
         u_vals = submesh.restrict(w_field + x["q"])
-        xi, _ = block2_update(targets, u_vals, x["xi"], species, constants)
+        last["p"], _ = block2_update(bottom[:, None], u_vals, x["xi"], species, constants)
+        xi = relax(x["xi"], last["p"])
         return {"xi": xi, "q": relax(x["q"], phi_solve(xi))}, {}
 
     def feasible(x):
@@ -286,4 +285,4 @@ def solve_smpbic(submesh, w_field, species: SpeciesSet, constants: ModelConstant
     if not fp.converged:
         raise ConvergenceError("equilibrium initializer did not converge in %d sweeps"
                                % max_sweeps)
-    return fp.state["q"], fp.state["xi"], len(fp.history)
+    return fp.state["q"], last["p"], len(fp.history)

@@ -95,8 +95,9 @@ class SpeciesSet:
     (size-modified mode) or all zero (classical PNP reduction); mixing is
     rejected.  In reduction mode the reference volume v0 is conventionally
     1, so every exponent v_i/v0 is 0 and each size factor w^(v_i/v0) is
-    exactly 1.  The bulk must leave room for water: a set whose bulk packing
-    fraction gamma * sum_i v_i c_i^b is not below 1 is refused.
+    exactly 1; Block 2 runs its one kernel, whose water fraction stays 1.
+    The bulk must leave room for water: a set whose bulk packing fraction
+    gamma * sum_i v_i c_i^b is not below 1 is refused.
     """
 
     def __init__(self, species):

@@ -380,6 +380,21 @@ def test_initializer_stall_exits_2(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_initializer_converges_on_a_charged_ring(tmp_path):
+    # the initializer damps its Block-2 answer as the outer sweep does; with
+    # that answer undamped it stalled at 500 sweeps on this ring
+    geometry = meshmod.ChannelGeometry(resolution=6)
+    sites = meshmod.protein_ring_sites(meshmod.synth_channel_mesh(geometry), 16)
+    atoms_path = str(tmp_path / "ring.atoms")
+    electrostatics.save_atoms(electrostatics.AtomicCharges(sites, np.full(len(sites), -0.5)),
+                              atoms_path)
+    result = driver.run(driver.RunConfig(
+        species=mixture_species(), constants=ModelConstants(),
+        linear=sparse_linalg.LinearSolveSpec(method="direct"), geometry=geometry,
+        atoms_file=atoms_path, output_dir=str(tmp_path / "out")))
+    assert result.converged
+
+
 def test_run_zero_field_is_flat(tmp_path):
     cfg = driver.parse_config(_write(tmp_path, ZERO_FIELD.format(out=tmp_path)))
     result = driver.run(cfg)

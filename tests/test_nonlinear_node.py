@@ -57,7 +57,7 @@ def test_node_system_rejects_nonpositive_targets():
 
 @pytest.mark.parametrize("sized", [True, False])
 def test_node_system_rejects_nan_targets(sized):
-    # a NaN target is not positive either, also where the systems are linear
+    # a NaN target is not positive either, for sized and point ions alike
     with pytest.raises(FeasibilityError, match="needs positive transformed"):
         _solve([0.1, np.nan, 0.1, 0.1], 0.0, mixture_species(sized=sized))
 
@@ -417,6 +417,19 @@ def test_capped_exponentials_match_hand_evaluation():
     w = 1.0 - CONST.gamma * float(sp.v @ P[:, 0])
     expect = np.exp(np.where(sp.Z > 0, -45.0, 45.0))
     assert np.allclose(P[:, 0] / (1e-21 * w ** sp.v_ratio), expect, rtol=1e-12)
+
+
+def test_point_ion_underflow_is_lifted_to_tiny():
+    # point ions run the sized kernel with every a_i = 0: one Newton step
+    # from s = 0 stays at s = 0, so c_i = t_i E_i, and a cation's
+    # 1e-305 e^-45 underflows to 0 before the lift
+    sp = mixture_species(sized=False)
+    P, rep = nn.block2_update(np.full((4, 1), 1e-305), np.array([100.0]),
+                              np.full((4, 1), 0.1), sp, CONST)
+    assert rep.iterations == 1
+    cations = sp.Z > 0
+    assert np.all(P[cations, 0] == np.finfo(float).tiny)
+    assert np.all(P[~cations, 0] == 1e-305 * np.exp(45.0))
 
 
 @settings(max_examples=60, deadline=None)
